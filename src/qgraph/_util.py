@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 
@@ -105,3 +106,17 @@ def require_finite_real(value: float, name: str) -> float:
     if not np.isfinite(out):
         raise InputError(f"{name} must be finite, got {value!r}")
     return out
+
+
+def require_positive_int(value, name: str) -> int:
+    """Coerce an integral real >= 1 to int, rejecting bools, non-numbers,
+    NaN/inf and fractional values."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or int(value) != value
+        or value < 1
+    ):
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

