@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, require_finite_real
+from ._util import DEFAULT_TOL, require_finite_real, require_positive_int
 from .builder import build_approx_graph
 from .couplings import STForm, ab_from_st, star_scattering
 from .errors import ConditioningError, InputError, QGraphError, ResonantKError
@@ -112,9 +112,10 @@ class HSResolvent:
         if length <= 0:
             raise InputError(f"truncation length must be positive, got {length}")
         object.__setattr__(self, "L", length)
-        if int(self.quad_n) != self.quad_n or self.quad_n < 4:
-            raise InputError(f"quad_n must be an integer >= 4, got {self.quad_n}")
-        object.__setattr__(self, "quad_n", int(self.quad_n))
+        quad_n = require_positive_int(self.quad_n, "quad_n")
+        if quad_n < 4:
+            raise InputError(f"quad_n must be an integer >= 4, got {self.quad_n!r}")
+        object.__setattr__(self, "quad_n", quad_n)
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,7 @@ class EigGap:
     L: float = 1.0
 
     def __post_init__(self):
-        if int(self.count) != self.count or self.count < 1:
-            raise InputError(f"count must be a positive integer, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", require_positive_int(self.count, "count"))
         length = require_finite_real(self.L, "L")
         if length <= 0:
             raise InputError(f"truncation length must be positive, got {length}")

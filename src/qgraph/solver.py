@@ -6,14 +6,20 @@ as exp(-i a s) (alpha phi_1 + beta phi_2) in the basis
 
     phi_1(s) = cos(k s),       phi_2(s) = sin(k s)/k,        k = sqrt(z),
 
-whose traces are entire in z (phi_2 is evaluated by a series near k = 0, so
-nothing blows up crossing z = 0).  On each half-line the ansatz is a single
+whose traces are entire in z (the k = 0 limit of phi_2 is s, so nothing
+blows up crossing z = 0).  On each half-line the ansatz is a single
 multiple of exp(-i a s) exp(i k s), which is the decaying solution when
 Im k > 0 and the outgoing wave when k is real.  Collecting all vertex
 conditions on the coefficient vector gives a square matrix M(z); its
 singularities are the eigenvalues, its inverse produces resolvent kernels,
 and with incoming waves moved to the right-hand side it yields scattering
 matrices.
+
+Evaluation is batched: index tables built once per system turn a 1-d array
+of spectral points into a stacked (npts, N, N) array of matching matrices
+with a handful of array operations, and a single point is just a batch of
+one.  Grid scans run in blocks of 64 points, each block one assembly, one
+stacked ``slogdet`` and one stacked SVD.
 
 Eigenvalue location uses a phase-normalised determinant.  For a self-adjoint
 system the scaled determinant satisfies det M(lambda) = exp(i theta) r(lambda)
@@ -22,7 +28,10 @@ column scalings are positive and continuous in lambda.  The scan estimates
 theta from determinant signs across the grid, tracks sign changes of r for
 odd-order eigenvalues, and watches for dips of the smallest singular value
 to catch even-order (no sign change) eigenvalues; multiplicities are read
-off the singular values at the root.
+off the singular values at the root.  Sign changes are polished on the
+smooth function Re(exp(-i theta) sgn det) exp(log|det| - ref), with ref the
+larger grid log-modulus at the bracket ends, so the root finder converges
+superlinearly instead of bisecting a sign.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq, minimize_scalar
 
+from ._util import require_positive_int
 from .builder import ApproxGraph
 from .errors import (
     InputError,
@@ -44,7 +54,6 @@ from .errors import (
     StructuralError,
 )
 from .graphs import (
-    CouplingCondition,
     DeltaCondition,
     MetricGraphSystem,
     split_components,
@@ -66,44 +75,42 @@ __all__ = [
 _COND_LIMIT = 1e12
 # Relative singular-value floor below which a resolvent point is rejected.
 _SINGULAR_RATIO = 1e-12
+# Spectral points per stacked scan evaluation.  Blocks keep the
+# (block, N, N) working set small however long the grid is.
+_SCAN_BLOCK = 64
 
 
-def _phi12(k: complex, s: float) -> tuple[complex, complex]:
-    """Basis traces (cos(ks), sin(ks)/k); the k = 0 limit is (1, s)."""
-    if k == 0:
-        return 1.0 + 0.0j, complex(s)
-    ks = k * s
-    return cmath.cos(ks), cmath.sin(ks) / k
-
-
-def _principal_k(z: complex) -> complex:
+def _principal_k(z) -> np.ndarray:
     """sqrt(z) on the branch with Im k >= 0 (and k >= 0 for z >= 0)."""
-    k = cmath.sqrt(complex(z))
-    if k.imag < 0:
-        k = -k
-    return k
+    k = np.sqrt(np.asarray(z, dtype=complex))
+    return np.where(k.imag < 0, -k, k)
 
 
 @dataclass(frozen=True)
-class _RowTerm:
-    end: tuple
-    c_val: complex
-    c_sd: complex
+class _Entries:
+    """Matrix entries: at flat position ``pos`` (row * ncols + col), add
+    row_scale[row] * (c_val * traces[val] + c_sd * traces[der])."""
 
+    row: np.ndarray
+    pos: np.ndarray
+    val: np.ndarray
+    der: np.ndarray
+    c_val: np.ndarray
+    c_sd: np.ndarray
 
-@dataclass(frozen=True)
-class _Row:
-    terms: tuple[_RowTerm, ...]
-    amp_val: float
-    amp_sd: float
+    def values(self, row_scale: np.ndarray, traces: np.ndarray) -> np.ndarray:
+        """Entry values at every point, shape (npts, entries)."""
+        return row_scale[:, self.row] * (
+            self.c_val * traces[:, self.val] + self.c_sd * traces[:, self.der]
+        )
 
 
 @dataclass(frozen=True)
 class _Assembled:
-    """Scaled matching matrix at one spectral point, plus its scalings."""
+    """Scaled matching matrices at a batch of spectral points, stacked along
+    the first axis, plus their scalings."""
 
-    z: complex
-    k: complex
+    k: np.ndarray
     M: np.ndarray
     row_scale: np.ndarray
     col_scale: np.ndarray
@@ -112,155 +119,223 @@ class _Assembled:
 class _Assembler:
     """Turns a system's vertex conditions into matching matrices M(z).
 
-    The row structure (which edge ends appear in which condition row, with
-    which value/derivative coefficients) is built once; evaluating at a
-    spectral point only fills in the basis traces.  Rows and columns are
-    scaled so that entries stay O(1) across the spectral window: finite-edge
-    columns carry 1/cosh(|Im k| l) against exponential growth, phi_2 columns
-    a factor max(1, |k|) against its 1/k decay, and each row is divided by
-    its own coefficient amplitude.  All scalings are positive and continuous
-    in lambda, which the phase-constancy root finder relies on.
+    Everything that does not depend on z is laid out once as index tables:
+    per finite edge its length, phase e^{-ial} and column offset; per
+    half-line its column; per matrix entry its row, flat position, the
+    basis traces it reads and their value/derivative coefficients; per
+    condition term its row and edge end, for right-hand sides.  An entry
+    position hit by more than one term (the delta row's first end, or both
+    ends of a loop edge) is written once from the ``first`` table and then
+    accumulated in term order from the ``accum`` table.
+
+    Evaluating at a 1-d array of spectral points computes the basis traces
+    of every edge end at every point -- eight per finite edge (value and
+    inward derivative of both basis functions at both ends), then the
+    half-line values and derivatives -- and scatters them into a stacked
+    (npts, N, N) array with a handful of array operations.
+
+    Rows and columns are scaled so that entries stay O(1) across the
+    spectral window: finite-edge columns carry 1/cosh(|Im k| l) against
+    exponential growth, phi_2 columns a factor max(1, |k|) against its 1/k
+    decay, and each row is divided by its own coefficient amplitude.  All
+    scalings are positive and continuous in lambda, which the
+    phase-constancy root finder relies on.
 
     Deep in the negative spectrum the cos/sin pair degenerates: both grow
     like e^{kappa s}, their difference is lost to roundoff, and the secular
     determinant underflows long before the deepest delta wells are reached.
     Scans therefore request ``scan_basis=True``, which switches any edge
-    with |Im k| l >= 1 to the decaying pair e^{iks}, e^{ik(l-s)}.  On the
-    real axis the change multiplies the determinant by a positive factor
-    per edge, so zeros, multiplicities and the aligned phase are preserved;
-    solve paths keep the cos/sin basis, which their trace bookkeeping
-    assumes.
+    with |Im k| l >= 1 to the decaying pair e^{iks}, e^{ik(l-s)}; cos and
+    sin are evaluated only where an edge keeps its pair.  On the real axis
+    the change multiplies the determinant by a positive factor per edge, so
+    zeros, multiplicities and the aligned phase are preserved; solve paths
+    keep the cos/sin basis, which their trace bookkeeping assumes.
     """
 
     def __init__(self, sys: MetricGraphSystem, *, need_compact: bool = False):
-        self.sys = sys
         self.edge_map = sys.edge_map
         self.cols: dict[object, slice] = {}
-        self.hl_ids: list[object] = []
-        ncols = 0
-        for edge in sys.edges:
-            if edge.is_half_line:
-                self.cols[edge.id] = slice(ncols, ncols + 1)
-                self.hl_ids.append(edge.id)
-                ncols += 1
-            else:
-                self.cols[edge.id] = slice(ncols, ncols + 2)
-                ncols += 2
+        self.slots: dict[tuple, int] = {}
+        self.hl_ids = [e.id for e in sys.edges if e.is_half_line]
         if need_compact and self.hl_ids:
             raise StructuralError(
                 "system has half-lines; truncate it before an eigenvalue scan"
             )
+        finite = [e for e in sys.edges if not e.is_half_line]
+        nf, nh = len(finite), len(self.hl_ids)
+        # Trace layout per point: 8 per finite edge, ordered (end, value or
+        # derivative, basis column); then every half-line value, then every
+        # half-line derivative.  Per edge-end slot: the trace of its basis
+        # column 0 value, the offset from a value to its derivative, and
+        # the edge's first column and column count.
+        slot_trace, slot_der, slot_col, slot_width = [], [], [], []
+        ncols = f = h = 0
+        for edge in sys.edges:
+            if edge.is_half_line:
+                ends, width, h = [(8 * nf + h, nh)], 1, h + 1
+            else:
+                ends, width, f = [(8 * f, 2), (8 * f + 4, 2)], 2, f + 1
+            for end, (trace, der) in enumerate(ends):
+                self.slots[(edge.id, end)] = len(slot_trace)
+                slot_trace.append(trace)
+                slot_der.append(der)
+                slot_col.append(ncols)
+                slot_width.append(width)
+            self.cols[edge.id] = slice(ncols, ncols + width)
+            ncols += width
         self.ncols = ncols
+        self.length = np.array([e.length for e in finite], dtype=float)
+        self.phase = np.exp(-1j * np.array([e.a for e in finite], dtype=float) * self.length)
+        self.finite_cols = np.array(
+            [self.cols[e.id].start + c for e in finite for c in (0, 1)], dtype=int
+        )
+        self.hl_slots = np.array([self.slots[(h, 0)] for h in self.hl_ids], dtype=int)
 
-        rows: list[_Row] = []
+        terms: list[tuple] = []
+        amp_val: list[float] = []
+        amp_sd: list[float] = []
+
+        def add_row(items):
+            items = [(end, complex(cv), complex(cd)) for end, cv, cd in items]
+            terms.extend((len(amp_val), self.slots[end], cv, cd) for end, cv, cd in items)
+            amp_val.append(max(abs(cv) for _, cv, _ in items))
+            amp_sd.append(max(abs(cd) for _, _, cd in items))
+
         for vertex in sys.vertices:
             ends = vertex.ends
             cond = vertex.condition
             if isinstance(cond, DeltaCondition):
                 for i in range(len(ends) - 1):
-                    rows.append(
-                        _make_row(
-                            [(ends[i], 1.0, 0.0), (ends[i + 1], -1.0, 0.0)]
-                        )
-                    )
-                terms = [(end, 0.0, 1.0) for end in ends]
-                terms.append((ends[0], -cond.w, 0.0))
-                rows.append(_make_row(terms))
+                    add_row([(ends[i], 1.0, 0.0), (ends[i + 1], -1.0, 0.0)])
+                add_row([(end, 0.0, 1.0) for end in ends] + [(ends[0], -cond.w, 0.0)])
             else:
                 a_mat, b_mat = cond.coupling.A, cond.coupling.B
                 for r in range(len(ends)):
-                    rows.append(
-                        _make_row(
-                            [
-                                (ends[i], a_mat[r, i], b_mat[r, i])
-                                for i in range(len(ends))
-                            ]
-                        )
-                    )
-        self.rows = rows
-        if len(rows) != ncols:
+                    add_row([(ends[i], a_mat[r, i], b_mat[r, i]) for i in range(len(ends))])
+        self.nrows = len(amp_val)
+        if self.nrows != ncols:
             raise StructuralError(
-                f"matching system is not square: {len(rows)} conditions, "
+                f"matching system is not square: {self.nrows} conditions, "
                 f"{ncols} coefficients"
             )
-        self.rows_by_end: dict[tuple, list[tuple[int, complex, complex]]] = {}
-        for i, row in enumerate(rows):
-            for term in row.terms:
-                self.rows_by_end.setdefault(term.end, []).append(
-                    (i, term.c_val, term.c_sd)
-                )
+        self.amp_val = np.maximum(1.0, np.array(amp_val))
+        self.amp_sd = np.array(amp_sd)
 
-    # ----- evaluation at a spectral point --------------------------------
+        # One entry per condition term and basis column of its edge.  Entries
+        # sharing a position share the basis column, so listing column 0
+        # before column 1 keeps the term order among them.
+        row, slot, c_val, c_sd = (np.array(x) for x in zip(*terms))
+        self.term_row, self.term_slot, self.term_c_val, self.term_c_sd = row, slot, c_val, c_sd
+        slot_trace, slot_der, slot_col, slot_width = (
+            np.array(x) for x in (slot_trace, slot_der, slot_col, slot_width)
+        )
+        parts = []
+        for col in (0, 1):
+            t = np.flatnonzero(slot_width[slot] > col)
+            s = slot[t]
+            val = slot_trace[s] + col
+            parts.append(
+                (row[t], row[t] * ncols + slot_col[s] + col, val, val + slot_der[s], c_val[t], c_sd[t])
+            )
+        entries = [np.concatenate(x) for x in zip(*parts)]
+        first = np.zeros(len(entries[0]), dtype=bool)
+        first[np.unique(entries[1], return_index=True)[1]] = True
+        self.first = _Entries(*(x[first] for x in entries))
+        self.accum = _Entries(*(x[~first] for x in entries))
 
-    def assembled(self, z: complex, *, scan_basis: bool = False) -> _Assembled:
-        z = complex(z)
+    # ----- evaluation at spectral points ---------------------------------
+
+    def assembled(self, zs, *, scan_basis: bool = False) -> _Assembled:
+        """Matching matrices at every point of the 1-d array ``zs``."""
+        z = np.asarray(zs, dtype=complex).reshape(-1)
         k = _principal_k(z)
-        kmag = max(1.0, abs(k))
-        val: dict[tuple, np.ndarray] = {}
-        sd: dict[tuple, np.ndarray] = {}
-        col_scale = np.ones(self.ncols)
-        for edge in self.sys.edges:
-            sl = self.cols[edge.id]
-            if edge.is_half_line:
-                val[(edge.id, 0)] = np.array([1.0 + 0.0j])
-                sd[(edge.id, 0)] = np.array([1j * k])
-                continue
-            ell = edge.length
-            ph = cmath.exp(-1j * edge.a * ell)
-            if scan_basis and abs(k.imag) * ell >= 1.0:
-                # Decaying pair e^{iks}, e^{ik(l-s)}: entries stay O(|k|)
-                # however deep the scan goes, and the near-parallel columns
-                # of the cos/sin pair are avoided.
-                ik = 1j * k
-                decay = cmath.exp(1j * k * ell)
-                col_scale[sl] = np.array([1.0, 1.0])
-                val[(edge.id, 0)] = np.array([1.0, decay])
-                sd[(edge.id, 0)] = np.array([ik, -ik * decay])
-                val[(edge.id, 1)] = np.array([ph * decay, ph])
-                # inward derivative at end 1 is minus the covariant one
-                sd[(edge.id, 1)] = np.array([-ik * ph * decay, ik * ph])
-                continue
-            base = 1.0 / math.cosh(min(700.0, abs(k.imag) * ell))
-            scales = np.array([base, base * kmag])
-            col_scale[sl] = scales
-            p1, p2 = _phi12(k, ell)
-            val[(edge.id, 0)] = np.array([1.0, 0.0], dtype=complex) * scales
-            sd[(edge.id, 0)] = np.array([0.0, 1.0], dtype=complex) * scales
-            val[(edge.id, 1)] = np.array([ph * p1, ph * p2]) * scales
-            # inward derivative at end 1 is minus the covariant derivative
-            sd[(edge.id, 1)] = np.array([ph * z * p2, -ph * p1]) * scales
-        mat = np.zeros((len(self.rows), self.ncols), dtype=complex)
-        row_scale = np.empty(len(self.rows))
-        for i, row in enumerate(self.rows):
-            rs = 1.0 / max(1.0, row.amp_val, row.amp_sd * kmag)
-            row_scale[i] = rs
-            for term in row.terms:
-                sl = self.cols[term.end[0]]
-                mat[i, sl] += rs * (
-                    term.c_val * val[term.end] + term.c_sd * sd[term.end]
-                )
-        return _Assembled(z=z, k=k, M=mat, row_scale=row_scale, col_scale=col_scale)
+        kmag = np.maximum(1.0, np.abs(k))
+        npts, nf = len(z), len(self.length)
+        kb = k[:, np.newaxis]
+        growth = np.abs(k.imag)[:, np.newaxis] * self.length
+        decaying = (growth >= 1.0) & scan_basis
+        keep = ~decaying
+        base = 1.0 / np.cosh(np.minimum(700.0, growth))
+        scale2 = base * kmag[:, np.newaxis]
+        kl = kb * self.length
+        # phi_1, phi_2 at s = l; at k = 0 they are 1 and l.
+        p1 = np.cos(kl, out=np.ones_like(kl), where=keep)
+        p2 = np.divide(
+            np.sin(kl, out=np.zeros_like(kl), where=keep),
+            kb,
+            out=np.zeros_like(kl) + self.length,
+            where=keep & (kb != 0),
+        )
+        ph = self.phase
+        cos_sin = np.zeros((npts, nf, 8), dtype=complex)
+        cos_sin[..., 0] = base
+        cos_sin[..., 3] = scale2
+        cos_sin[..., 4] = ph * p1 * base
+        cos_sin[..., 5] = ph * p2 * scale2
+        # inward derivative at end 1 is minus the covariant derivative
+        cos_sin[..., 6] = ph * z[:, np.newaxis] * p2 * base
+        cos_sin[..., 7] = -ph * p1 * scale2
+        scales = np.stack([base, scale2], axis=-1)
+        if decaying.any():
+            # Decaying pair e^{iks}, e^{ik(l-s)}: entries stay O(|k|)
+            # however deep the scan goes, and the near-parallel columns of
+            # the cos/sin pair are avoided.
+            ik = 1j * kb
+            decay = np.exp(ik * self.length)
+            pair = np.empty_like(cos_sin)
+            pair[..., 0] = 1.0
+            pair[..., 1] = decay
+            pair[..., 2] = ik
+            pair[..., 3] = -ik * decay
+            pair[..., 4] = ph * decay
+            pair[..., 5] = ph
+            pair[..., 6] = -ik * ph * decay
+            pair[..., 7] = ik * ph
+            cos_sin = np.where(decaying[..., np.newaxis], pair, cos_sin)
+            scales[decaying] = 1.0
+        ones = np.ones((npts, len(self.hl_ids)))
+        traces = np.concatenate(
+            [cos_sin.reshape(npts, -1), ones, 1j * kb * ones], axis=1
+        )
+        col_scale = np.ones((npts, self.ncols))
+        col_scale[:, self.finite_cols] = scales.reshape(npts, -1)
+        row_scale = 1.0 / np.maximum(self.amp_val, self.amp_sd * kmag[:, np.newaxis])
+        mat = np.zeros((npts, self.nrows * self.ncols), dtype=complex)
+        mat[:, self.first.pos] = self.first.values(row_scale, traces)
+        np.add.at(mat, (slice(None), self.accum.pos), self.accum.values(row_scale, traces))
+        return _Assembled(
+            k=k,
+            M=mat.reshape(npts, self.nrows, self.ncols),
+            row_scale=row_scale,
+            col_scale=col_scale,
+        )
 
-    def rhs(
-        self,
-        assembled: _Assembled,
-        traces: dict[tuple, tuple[complex, complex]],
-    ) -> np.ndarray:
-        """Right-hand side from prescribed (value, inward-derivative) traces."""
-        b = np.zeros(len(self.rows), dtype=complex)
-        for end, (v, d) in traces.items():
-            for i, c_val, c_sd in self.rows_by_end.get(end, ()):
-                b[i] -= assembled.row_scale[i] * (c_val * v + c_sd * d)
-        return b
+    def rhs(self, row_scale: np.ndarray, slots, vals, ders) -> np.ndarray:
+        """Right-hand sides from prescribed (value, inward-derivative) traces.
+
+        ``vals`` and ``ders`` hold one row per edge-end slot in ``slots`` and
+        one column per right-hand side; ``row_scale`` is one point's scaling.
+        """
+        pos = np.full(len(self.slots), -1)
+        pos[slots] = np.arange(len(slots))
+        hit = pos[self.term_slot] >= 0
+        at = (self.term_row[hit], pos[self.term_slot[hit]])
+        c_val = np.zeros((self.nrows, len(slots)), dtype=complex)
+        c_sd = np.zeros_like(c_val)
+        np.add.at(c_val, at, self.term_c_val[hit])
+        np.add.at(c_sd, at, self.term_c_sd[hit])
+        return -row_scale[:, np.newaxis] * (c_val @ vals + c_sd @ ders)
 
 
-def _make_row(items) -> _Row:
-    terms = tuple(_RowTerm(end, complex(cv), complex(cd)) for end, cv, cd in items)
-    return _Row(
-        terms=terms,
-        amp_val=max(abs(t.c_val) for t in terms),
-        amp_sd=max(abs(t.c_sd) for t in terms),
-    )
+def _group_by_edge(points) -> dict[object, tuple[list[int], np.ndarray]]:
+    """``(edge_id, s)`` points grouped by edge, in first-seen order: per
+    edge, the points' indices and their coordinates."""
+    groups: dict[object, list[int]] = {}
+    for i, (eid, _) in enumerate(points):
+        groups.setdefault(eid, []).append(i)
+    return {
+        eid: (idx, np.array([points[i][1] for i in idx])) for eid, idx in groups.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +361,23 @@ class SecularProblem:
 
 
 def _scan_grid(asm: _Assembler, lams: np.ndarray):
+    """Determinant signs, log-moduli and relative sigma_min on a grid, one
+    stacked evaluation per block of ``_SCAN_BLOCK`` points."""
     sgn = np.empty(len(lams), dtype=complex)
     logabs = np.empty(len(lams))
     smin = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        mat = asm.assembled(lam, scan_basis=True).M
-        s, la = np.linalg.slogdet(mat)
-        sgn[i] = s
-        logabs[i] = la
-        sv = np.linalg.svd(mat, compute_uv=False)
-        smin[i] = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    for start in range(0, len(lams), _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        mats = asm.assembled(lams[block], scan_basis=True).M
+        sgn[block], logabs[block] = np.linalg.slogdet(mats)
+        smin[block] = _relative_smin(np.linalg.svd(mats, compute_uv=False))
     return sgn, logabs, smin
+
+
+def _relative_smin(sv: np.ndarray) -> np.ndarray:
+    """sigma_min / sigma_max along the last axis; 0 for a zero matrix."""
+    top = sv[..., 0]
+    return np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top > 0)
 
 
 def _estimate_theta(sgn: np.ndarray, logabs: np.ndarray) -> float:
@@ -328,21 +409,27 @@ def secular_problem(sys: MetricGraphSystem, lam_grid) -> SecularProblem:
     return SecularProblem(lam=lams, theta=theta, r=r, logabs=logabs, smin=smin)
 
 
-def _aligned_det(asm: _Assembler, theta: float, lam: float) -> float:
-    s, _ = np.linalg.slogdet(asm.assembled(lam, scan_basis=True).M)
-    return float(np.real(s * cmath.exp(-1j * theta)))
+def _singular_values(asm: _Assembler, lam: float) -> np.ndarray:
+    return np.linalg.svd(asm.assembled([lam], scan_basis=True).M[0], compute_uv=False)
+
+
+def _aligned_det(asm: _Assembler, theta: float, ref: float, lam: float) -> float:
+    """Re(exp(-i theta) det M(lam)) / exp(ref): smooth in lam, with the
+    exponent clipped so that neither end of a bracket over- or underflows."""
+    s, logabs = np.linalg.slogdet(asm.assembled([lam], scan_basis=True).M[0])
+    scale = math.exp(min(700.0, max(-700.0, logabs - ref)))
+    return float(np.real(s * cmath.exp(-1j * theta))) * scale
 
 
 def _multiplicity_at(asm: _Assembler, lam: float) -> int:
-    sv = np.linalg.svd(asm.assembled(lam, scan_basis=True).M, compute_uv=False)
+    sv = _singular_values(asm, lam)
     if sv[0] == 0:
         return len(sv)
     return max(1, int(np.sum(sv < 1e-6 * sv[0])))
 
 
 def _smin_at(asm: _Assembler, lam: float) -> float:
-    sv = np.linalg.svd(asm.assembled(lam, scan_basis=True).M, compute_uv=False)
-    return sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    return float(_relative_smin(_singular_values(asm, lam)))
 
 
 def _roots_in_segment(
@@ -385,18 +472,19 @@ def _roots_in_segment(
         if not (alive[i] and alive[i + 1]):
             continue
         if r[i] * r[i + 1] < 0:
+            ref = max(logabs[i], logabs[i + 1])
+            # An odd-order root of a smooth function can take ~130 steps.
             lam0 = float(
                 brentq(
-                    lambda lam: _aligned_det(asm, theta, lam),
+                    lambda lam: _aligned_det(asm, theta, ref, lam),
                     lams[i],
                     lams[i + 1],
                     xtol=1e-13 * scale,
                     rtol=8.9e-16,
+                    maxiter=400,
                 )
             )
-            sv = np.linalg.svd(
-                asm.assembled(lam0, scan_basis=True).M, compute_uv=False
-            )
+            sv = _singular_values(asm, lam0)
             if sv[0] > 0:
                 strict = max(1, int(np.sum(sv < 1e-6 * sv[0])))
                 loose = int(np.sum(sv < 1e-3 * sv[0]))
@@ -582,8 +670,7 @@ def eigenvalues_compact(
     of hunting for the bottom of the spectrum; with ``lam_max`` the result
     is whatever lies in the window, possibly fewer than `count`.
     """
-    if count <= 0:
-        raise InputError("count must be positive")
+    count = require_positive_int(count, "count")
     if not sys.is_compact:
         if sys.truncation is None:
             raise StructuralError(
@@ -608,16 +695,6 @@ def eigenvalues_compact(
 # ---------------------------------------------------------------------------
 
 
-def _free_kernel(k: complex, a: float, sx: float, sy: float) -> complex:
-    """Particular kernel of the whole-line operator on one edge."""
-    return (
-        cmath.exp(-1j * a * (sx - sy))
-        * 1j
-        * cmath.exp(1j * k * abs(sx - sy))
-        / (2.0 * k)
-    )
-
-
 class GreensFunction:
     """The resolvent kernel G_z(x, y) of a metric-graph system.
 
@@ -631,7 +708,7 @@ class GreensFunction:
 
     def __init__(self, sys: MetricGraphSystem, z: complex):
         z = complex(z)
-        k = _principal_k(z)
+        k = complex(_principal_k(z))
         if k == 0:
             raise InputError("z = 0 is not a valid resolvent point here")
         self.system = sys
@@ -642,51 +719,46 @@ class GreensFunction:
             raise InputError(
                 "resolvent of a non-compact system needs z off [0, inf)"
             )
-        self._assembled = self._asm.assembled(z)
-        sv = np.linalg.svd(self._assembled.M, compute_uv=False)
+        assembled = self._asm.assembled([z])
+        mat = assembled.M[0]
+        self._row_scale = assembled.row_scale[0]
+        self._col_scale = assembled.col_scale[0]
+        sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] < _SINGULAR_RATIO * sv[0]:
             raise NearSingularZError(
                 f"z = {z} is numerically on the spectrum "
                 f"(relative sigma_min {sv[-1] / sv[0]:.2e})"
             )
-        self._lu = lu_factor(self._assembled.M)
+        self._lu = lu_factor(mat)
 
     # -- internals --------------------------------------------------------
 
-    def _source_traces(self, eid, sy: float) -> dict:
-        """(value, inward-derivative) traces of the free kernel at the ends."""
-        edge = self._asm.edge_map[eid]
-        k, a = self.k, edge.a
-        traces = {}
-        ph0 = cmath.exp(1j * a * sy)
-        g0 = ph0 * 1j * cmath.exp(1j * k * sy) / (2.0 * k)
-        d0 = ph0 * cmath.exp(1j * k * sy) / 2.0
-        traces[(eid, 0)] = (g0, d0)
-        if not edge.is_half_line:
-            rem = edge.length - sy
-            ph1 = cmath.exp(-1j * a * rem)
-            g1 = ph1 * 1j * cmath.exp(1j * k * rem) / (2.0 * k)
-            d1 = ph1 * cmath.exp(1j * k * rem) / 2.0
-            traces[(eid, 1)] = (g1, d1)
-        return traces
+    def _coefficients(self, source_groups: dict, count: int) -> np.ndarray:
+        """Homogeneous coefficients, one column per source point.
 
-    def _coefficients(self, sources: list[tuple]) -> np.ndarray:
-        b = np.stack(
-            [
-                self._asm.rhs(self._assembled, self._source_traces(eid, sy))
-                for eid, sy in sources
-            ],
-            axis=1,
-        )
+        The right-hand sides of the sources on one edge come from the
+        (value, inward-derivative) traces of the free kernel at that edge's
+        ends, evaluated as arrays.
+        """
+        asm, k = self._asm, self.k
+        b = np.empty((asm.nrows, count), dtype=complex)
+        for eid, (idx, sy) in source_groups.items():
+            edge = asm.edge_map[eid]
+            ph0 = np.exp(1j * edge.a * sy)
+            wave0 = np.exp(1j * k * sy)
+            slots = [asm.slots[(eid, 0)]]
+            vals = [ph0 * 1j * wave0 / (2.0 * k)]
+            ders = [ph0 * wave0 / 2.0]
+            if not edge.is_half_line:
+                rem = edge.length - sy
+                ph1 = np.exp(-1j * edge.a * rem)
+                wave1 = np.exp(1j * k * rem)
+                slots.append(asm.slots[(eid, 1)])
+                vals.append(ph1 * 1j * wave1 / (2.0 * k))
+                ders.append(ph1 * wave1 / 2.0)
+            b[:, idx] = asm.rhs(self._row_scale, slots, np.array(vals), np.array(ders))
         y = lu_solve(self._lu, b)
-        return self._assembled.col_scale[:, np.newaxis] * y
-
-    def _basis_row(self, eid, s: float) -> np.ndarray:
-        edge = self._asm.edge_map[eid]
-        if edge.is_half_line:
-            return np.array([cmath.exp(-1j * edge.a * s) * cmath.exp(1j * self.k * s)])
-        p1, p2 = _phi12(self.k, s)
-        return cmath.exp(-1j * edge.a * s) * np.array([p1, p2])
+        return self._col_scale[:, np.newaxis] * y
 
     def _check_point(self, point) -> tuple:
         eid, s = point
@@ -707,33 +779,26 @@ class GreensFunction:
         """G_z(p, q) for p in `points` and q in `sources` (default: points)."""
         points = [self._check_point(p) for p in points]
         sources = points if sources is None else [self._check_point(p) for p in sources]
-        coeff = self._coefficients(sources)
+        source_groups = _group_by_edge(sources)
+        coeff = self._coefficients(source_groups, len(sources))
+        k = self.k
         out = np.empty((len(points), len(sources)), dtype=complex)
-        for i, (eid, s) in enumerate(points):
-            sl = self._asm.cols[eid]
-            out[i, :] = self._basis_row(eid, s) @ coeff[sl, :]
-        # Particular part: only pairs on a common edge, one block per edge.
-        rows_by_edge: dict = {}
-        for i, (eid, _) in enumerate(points):
-            rows_by_edge.setdefault(eid, []).append(i)
-        cols_by_edge: dict = {}
-        for j, (eid, _) in enumerate(sources):
-            cols_by_edge.setdefault(eid, []).append(j)
-        for eid, jdx in cols_by_edge.items():
-            idx = rows_by_edge.get(eid)
-            if not idx:
-                continue
-            a = self._asm.edge_map[eid].a
-            sx = np.array([points[i][1] for i in idx])
-            sy = np.array([sources[j][1] for j in jdx])
-            diff = sx[:, np.newaxis] - sy[np.newaxis, :]
-            block = (
-                np.exp(-1j * a * diff)
-                * 1j
-                * np.exp(1j * self.k * np.abs(diff))
-                / (2.0 * self.k)
-            )
-            out[np.ix_(idx, jdx)] += block
+        for eid, (idx, sx) in _group_by_edge(points).items():
+            edge = self._asm.edge_map[eid]
+            ph = np.exp(-1j * edge.a * sx)
+            if edge.is_half_line:
+                basis = (ph * np.exp(1j * k * sx))[:, np.newaxis]
+            else:
+                ks = k * sx
+                basis = ph[:, np.newaxis] * np.stack([np.cos(ks), np.sin(ks) / k], axis=1)
+            out[idx, :] = basis @ coeff[self._asm.cols[eid], :]
+            # Particular part: the free-line kernel, for sources on this edge.
+            if eid in source_groups:
+                jdx, sy = source_groups[eid]
+                diff = sx[:, np.newaxis] - sy[np.newaxis, :]
+                out[np.ix_(idx, jdx)] += np.exp(1j * (k * np.abs(diff) - edge.a * diff)) * (
+                    0.5j / k
+                )
         return out
 
 
@@ -761,21 +826,19 @@ def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     asm = _Assembler(sys)
     if not asm.hl_ids:
         raise StructuralError("system has no half-lines, hence no channels")
-    assembled = asm.assembled(k * k)
-    cond = np.linalg.cond(assembled.M)
+    assembled = asm.assembled([k * k])
+    mat = assembled.M[0]
+    cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise ResonantKError(
             f"matching system ill-conditioned at k = {k} (cond {cond:.2e})", k=k
         )
-    rhs = np.stack(
-        [
-            asm.rhs(assembled, {(hid, 0): (1.0 + 0.0j, -1j * k)})
-            for hid in asm.hl_ids
-        ],
-        axis=1,
-    )
-    coeff = assembled.col_scale[:, np.newaxis] * np.linalg.solve(assembled.M, rhs)
-    rows = [self_idx.start for self_idx in (asm.cols[h] for h in asm.hl_ids)]
+    # Incoming wave exp(-iks) on each channel in turn: value 1 and inward
+    # derivative -ik at the channel's end.
+    eye = np.eye(len(asm.hl_ids))
+    rhs = asm.rhs(assembled.row_scale[0], asm.hl_slots, eye, -1j * k * eye)
+    coeff = assembled.col_scale[0][:, np.newaxis] * np.linalg.solve(mat, rhs)
+    rows = [asm.cols[h].start for h in asm.hl_ids]
     return coeff[rows, :]
 
 

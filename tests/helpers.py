@@ -1,11 +1,17 @@
-"""Test utilities: reference couplings, random generators, fit helpers."""
+"""Test utilities: reference couplings, random generators, fit helpers,
+and the one-point-at-a-time references for the batched numerical layers."""
+
+import cmath
+import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import lu_factor, lu_solve
 
 from qgraph import (
     CouplingKind,
     DegenerateArgumentError,
+    DeltaCondition,
     FormBoundReport,
     FormBoundViolation,
     NamedCoupling,
@@ -183,3 +189,138 @@ def reference_form_bound(g, eta, forms):
         eta=eta, c_eta=c_val, c_half=c_half, n_samples=len(forms),
         violations=tuple(violations),
     )
+
+
+# -- reference matching-matrix layer: one spectral point, one term at a time --
+
+def _reference_phi12(k, s):
+    if k == 0:
+        return 1.0 + 0.0j, complex(s)
+    ks = k * s
+    return cmath.cos(ks), cmath.sin(ks) / k
+
+
+def _reference_principal_k(z):
+    k = cmath.sqrt(complex(z))
+    return -k if k.imag < 0 else k
+
+
+class ReferenceAssembler:
+    """The per-point matching-matrix assembly: one Python pass over the
+    condition rows, each row a list of (edge end, c_val, c_sd) terms."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.edge_map = sys.edge_map
+        self.cols = {}
+        ncols = 0
+        for edge in sys.edges:
+            width = 1 if edge.is_half_line else 2
+            self.cols[edge.id] = slice(ncols, ncols + width)
+            ncols += width
+        self.ncols = ncols
+        self.rows = []
+        for vertex in sys.vertices:
+            ends, cond = vertex.ends, vertex.condition
+            if isinstance(cond, DeltaCondition):
+                for i in range(len(ends) - 1):
+                    self._add_row([(ends[i], 1.0, 0.0), (ends[i + 1], -1.0, 0.0)])
+                self._add_row([(end, 0.0, 1.0) for end in ends] + [(ends[0], -cond.w, 0.0)])
+            else:
+                a_mat, b_mat = cond.coupling.A, cond.coupling.B
+                for r in range(len(ends)):
+                    self._add_row([(ends[i], a_mat[r, i], b_mat[r, i]) for i in range(len(ends))])
+        self.rows_by_end = {}
+        for i, (terms, _, _) in enumerate(self.rows):
+            for end, c_val, c_sd in terms:
+                self.rows_by_end.setdefault(end, []).append((i, c_val, c_sd))
+
+    def _add_row(self, items):
+        terms = [(end, complex(cv), complex(cd)) for end, cv, cd in items]
+        self.rows.append((
+            terms,
+            max(abs(cv) for _, cv, _ in terms),
+            max(abs(cd) for _, _, cd in terms),
+        ))
+
+    def assembled(self, z, scan_basis=False):
+        """(M, row_scale, col_scale, k) at one spectral point."""
+        z = complex(z)
+        k = _reference_principal_k(z)
+        kmag = max(1.0, abs(k))
+        val, sd = {}, {}
+        col_scale = np.ones(self.ncols)
+        for edge in self.sys.edges:
+            sl = self.cols[edge.id]
+            if edge.is_half_line:
+                val[(edge.id, 0)] = np.array([1.0 + 0.0j])
+                sd[(edge.id, 0)] = np.array([1j * k])
+                continue
+            ell = edge.length
+            ph = cmath.exp(-1j * edge.a * ell)
+            if scan_basis and abs(k.imag) * ell >= 1.0:
+                ik = 1j * k
+                decay = cmath.exp(1j * k * ell)
+                val[(edge.id, 0)] = np.array([1.0, decay])
+                sd[(edge.id, 0)] = np.array([ik, -ik * decay])
+                val[(edge.id, 1)] = np.array([ph * decay, ph])
+                sd[(edge.id, 1)] = np.array([-ik * ph * decay, ik * ph])
+                continue
+            base = 1.0 / math.cosh(min(700.0, abs(k.imag) * ell))
+            scales = np.array([base, base * kmag])
+            col_scale[sl] = scales
+            p1, p2 = _reference_phi12(k, ell)
+            val[(edge.id, 0)] = np.array([1.0, 0.0], dtype=complex) * scales
+            sd[(edge.id, 0)] = np.array([0.0, 1.0], dtype=complex) * scales
+            val[(edge.id, 1)] = np.array([ph * p1, ph * p2]) * scales
+            sd[(edge.id, 1)] = np.array([ph * z * p2, -ph * p1]) * scales
+        mat = np.zeros((len(self.rows), self.ncols), dtype=complex)
+        row_scale = np.empty(len(self.rows))
+        for i, (terms, amp_val, amp_sd) in enumerate(self.rows):
+            rs = 1.0 / max(1.0, amp_val, amp_sd * kmag)
+            row_scale[i] = rs
+            for end, c_val, c_sd in terms:
+                mat[i, self.cols[end[0]]] += rs * (c_val * val[end] + c_sd * sd[end])
+        return mat, row_scale, col_scale, k
+
+    def rhs(self, row_scale, traces):
+        """Right-hand side from {end: (value, inward derivative)} traces."""
+        b = np.zeros(len(self.rows), dtype=complex)
+        for end, (v, d) in traces.items():
+            for i, c_val, c_sd in self.rows_by_end.get(end, ()):
+                b[i] -= row_scale[i] * (c_val * v + c_sd * d)
+        return b
+
+
+def reference_kernel_matrix(sys, z, points, sources):
+    """G_z(p, q) assembled one source and one point at a time."""
+    asm = ReferenceAssembler(sys)
+    mat, row_scale, col_scale, k = asm.assembled(z)
+    lu = lu_factor(mat)
+    columns = []
+    for eid, sy in sources:
+        edge = asm.edge_map[eid]
+        ph0 = cmath.exp(1j * edge.a * sy)
+        traces = {(eid, 0): (ph0 * 1j * cmath.exp(1j * k * sy) / (2.0 * k),
+                             ph0 * cmath.exp(1j * k * sy) / 2.0)}
+        if not edge.is_half_line:
+            rem = edge.length - sy
+            ph1 = cmath.exp(-1j * edge.a * rem)
+            traces[(eid, 1)] = (ph1 * 1j * cmath.exp(1j * k * rem) / (2.0 * k),
+                                ph1 * cmath.exp(1j * k * rem) / 2.0)
+        columns.append(asm.rhs(row_scale, traces))
+    coeff = col_scale[:, np.newaxis] * lu_solve(lu, np.stack(columns, axis=1))
+    out = np.empty((len(points), len(sources)), dtype=complex)
+    for i, (eid, s) in enumerate(points):
+        edge = asm.edge_map[eid]
+        ph = cmath.exp(-1j * edge.a * s)
+        if edge.is_half_line:
+            row = np.array([ph * cmath.exp(1j * k * s)])
+        else:
+            row = ph * np.array(_reference_phi12(k, s))
+        out[i, :] = row @ coeff[asm.cols[eid], :]
+        for j, (eid_y, sy) in enumerate(sources):
+            if eid_y == eid:
+                out[i, j] += (cmath.exp(-1j * edge.a * (s - sy)) * 1j
+                              * cmath.exp(1j * k * abs(s - sy)) / (2.0 * k))
+    return out

@@ -237,6 +237,18 @@ def test_spectrum_accepts_approx_graph(tmp_path, capsys):
     assert len(values) == 2 and values[0] < values[1]
 
 
+def test_spectrum_keeps_triple_well_level(tmp_path, capsys):
+    """The three inner wells of the delta'_s graph at d = 2^-4 give one
+    triple level; it is an odd-order root, found by bracketing and counted
+    from the singular values there."""
+    g = build_approx_graph(make_delta_prime(beta=1.0, n=3), 2.0**-4)
+    path = write_doc(tmp_path, "g.json", g)
+    assert main(["spectrum", path, "--L", "1.0", "--count", "4"]) == 0
+    values = read_csv_values(capsys.readouterr().out)
+    assert values[:3] == pytest.approx([-20736.00056041712] * 3, rel=1e-10)
+    assert values[3] == pytest.approx(2.2790601697422286, rel=1e-9)
+
+
 def test_spectrum_scan_shortfall_exits_5(tmp_path, capsys):
     g = build_approx_graph(make_delta_prime(beta=1.0, n=3), 0.001)
     path = write_doc(tmp_path, "deep.json", g)

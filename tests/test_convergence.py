@@ -1,6 +1,7 @@
 """Convergence metrics, rate fits, sweep driver, CSV reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ def test_eig_gap_validation():
         EigGap(count=0)
     with pytest.raises(InputError):
         EigGap(L=-1.0)
+    assert EigGap(count=3.0).count == 3
+
+
+BAD_COUNTS = [float("nan"), None, float("inf"), True, False, 2.5, "5", -1]
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS)
+def test_eig_gap_rejects_non_integer_count(count):
+    with pytest.raises(InputError, match=re.escape(f"got {count!r}")):
+        EigGap(count=count)
+
+
+@pytest.mark.parametrize("quad_n", BAD_COUNTS + [3, 3.0])
+def test_hs_resolvent_rejects_bad_quad_n(quad_n):
+    with pytest.raises(InputError, match=re.escape(f"got {quad_n!r}")):
+        HSResolvent(quad_n=quad_n)
 
 
 def test_sweep_config_validation(st_delta):

@@ -1,6 +1,7 @@
 """Solver: eigenvalues, Green's functions, scattering, against closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 
 from qgraph import (
     CouplingKind,
+    CouplingCondition,
     DeltaCondition,
     Edge,
     InputError,
@@ -31,7 +33,14 @@ from qgraph import (
     system_from_approx,
     truncate,
 )
-from helpers import make_complex_t, make_delta_prime, make_dirichlet
+from qgraph.solver import _Assembler
+from helpers import (
+    ReferenceAssembler,
+    make_complex_t,
+    make_delta_prime,
+    make_dirichlet,
+    reference_kernel_matrix,
+)
 
 
 # -- small graph factories --------------------------------------------------
@@ -165,6 +174,15 @@ def test_dirichlet_star_is_decoupled_intervals():
     np.testing.assert_allclose(got, [pi2, pi2, pi2, 4 * pi2], rtol=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_dirichlet_star_odd_multiplicity(n):
+    """pi^2 is an n-fold root, odd for odd n: the aligned determinant
+    changes sign there and the root is polished by bracketing."""
+    sys_ = truncate(star_system(make_dirichlet(n=n)), L=1.0)
+    got = eigenvalues_compact(sys_, n)
+    np.testing.assert_allclose(got, [math.pi**2] * n, rtol=1e-10)
+
+
 def test_deep_wells_resolved_with_multiplicity():
     """The inner wells of the delta'_s build produce a tunneling-split
     singlet plus an exactly degenerate doublet near -1/d^2 - 2/d; losing
@@ -218,6 +236,19 @@ def test_eigenvalues_require_truncation_spec(st_delta):
 def test_eigenvalues_reject_bad_count():
     with pytest.raises(InputError):
         eigenvalues_compact(interval(1.0), 0)
+
+
+@pytest.mark.parametrize(
+    "count", [-2, 2.5, float("nan"), float("inf"), None, True, "3"]
+)
+def test_eigenvalues_reject_non_integer_count(count):
+    with pytest.raises(InputError, match=re.escape(f"got {count!r}")):
+        eigenvalues_compact(interval(1.0), count)
+
+
+def test_eigenvalues_accept_integral_float_count():
+    got = eigenvalues_compact(interval(1.0), 2.0)
+    np.testing.assert_allclose(got, [math.pi**2, 4 * math.pi**2], rtol=1e-10)
 
 
 def test_oversized_negative_scan_reports_window():
@@ -343,3 +374,83 @@ def test_scattering_rejects_bad_momentum_and_compact_systems():
         scattering_matrix(kir2, 0.0)
     with pytest.raises(StructuralError):
         scattering_matrix(interval(1.0), 1.0)
+
+
+# -- batched evaluation against the one-point reference ---------------------
+
+def _general_vertex_star() -> MetricGraphSystem:
+    """Three unit edges joined by a dense (A, B) vertex condition, Dirichlet
+    and Neumann far ends, with a magnetic potential on one edge."""
+    coupling = ab_from_st(make_complex_t())
+    edges = tuple(Edge(id=j, length=1.0, a=0.3 * (j == 2)) for j in (1, 2, 3))
+    far = [dirichlet_condition(), DeltaCondition(0.0), dirichlet_condition()]
+    return MetricGraphSystem(
+        edges=edges,
+        vertices=(
+            Vertex(id="o", condition=CouplingCondition(coupling),
+                   ends=tuple((j, 0) for j in (1, 2, 3))),
+            *(Vertex(id=("end", j), condition=far[j - 1], ends=((j, 1),)) for j in (1, 2, 3)),
+        ),
+    )
+
+
+def _approx(st, d):
+    return truncate(system_from_approx(build_approx_graph(st, d)), L=1.0)
+
+
+ORACLE_SYSTEMS = {
+    "delta_prime_d2": lambda: _approx(make_delta_prime(beta=1.0, n=3), 2.0**-2),
+    "delta_prime_d10": lambda: _approx(make_delta_prime(beta=1.0, n=3), 2.0**-10),
+    "complex_t": lambda: _approx(make_complex_t(), 0.2),
+    "open_star": lambda: star_system(make_complex_t()),
+    "general_vertex": _general_vertex_star,
+}
+ORACLE_Z = [-50.0, -1.0, 0.0, 2.5, 30.0, -1.0 + 0.5j, 3.0 - 2.0j]
+# Deep enough that every edge, the shortest inner ones included, switches
+# to the decaying pair; the cos/sin reference overflows there.
+DEEP_Z = [-5000.0, -(2.0**21)]
+
+
+@pytest.mark.parametrize("scan_basis", [False, True])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_batched_assembly_matches_per_point_reference(name, scan_basis):
+    sys_ = ORACLE_SYSTEMS[name]()
+    zs = ORACLE_Z + (DEEP_Z if scan_basis else [])
+    got = _Assembler(sys_).assembled(zs, scan_basis=scan_basis)
+    ref = ReferenceAssembler(sys_)
+    assert got.M.shape == (len(zs), ref.ncols, ref.ncols)
+    for i, z in enumerate(zs):
+        mat, row_scale, col_scale, k = ref.assembled(z, scan_basis)
+        assert got.k[i] == pytest.approx(k, rel=1e-15)
+        for batched, single in (
+            (got.M[i], mat), (got.row_scale[i], row_scale), (got.col_scale[i], col_scale)
+        ):
+            assert np.all(np.abs(batched - single) <= 1e-14 * np.maximum(1.0, np.abs(single)))
+
+
+def test_batched_assembly_raises_no_overflow_deep_in_the_scan():
+    sys_ = ORACLE_SYSTEMS["delta_prime_d10"]()
+    # Underflow of the decay factor e^{ikl} is harmless; overflow and NaN
+    # from cos/sin of a decaying edge are not.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _Assembler(sys_).assembled([-(2.0**40), -(2.0**21), 0.0], scan_basis=True)
+    assert np.all(np.isfinite(got.M))
+
+
+@pytest.mark.parametrize("z", [-1.0, -1.0 + 0.5j])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_kernel_matrix_matches_per_source_reference(name, z):
+    """Array traces and per-edge basis rows reproduce the per-source
+    loops.  At d = 2^-10 the matching matrix has condition ~1e7, so
+    roundoff-level differences in M show at ~1e-13 in the kernel."""
+    sys_ = ORACLE_SYSTEMS[name]()
+    points = []
+    for edge in sys_.edges:
+        top = 2.0 if edge.is_half_line else edge.length
+        points += [(edge.id, s) for s in (0.0, 0.37 * top, top)]
+    # Interleave edges so per-edge grouping is exercised out of order.
+    points = points[::2] + points[1::2]
+    sources = points[::-1][:7]
+    got = greens_function(sys_, z).kernel_matrix(points, sources)
+    ref = reference_kernel_matrix(sys_, z, points, sources)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
