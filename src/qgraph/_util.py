@@ -110,12 +110,15 @@ def require_finite_real(value: float, name: str) -> float:
 
 def require_positive_int(value, name: str) -> int:
     """Coerce an integral real >= 1 to int, rejecting bools, non-numbers,
-    NaN/inf and fractional values."""
+    NaN/inf and fractional values.  Integers of any size are accepted (a
+    float conversion of one beyond 1e308 would overflow)."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or int(value) != value
+        or (
+            not isinstance(value, numbers.Integral)
+            and (not math.isfinite(value) or int(value) != value)
+        )
         or value < 1
     ):
         raise InputError(f"{name} must be a positive integer, got {value!r}")

@@ -21,7 +21,8 @@ Exit codes
     or metric parameters
 3   singular half-length d (the message names the offending pair)
 4   sweep failed at every d value
-5   eigenvalue scan shortfall (the message reports the scanned window)
+5   eigenvalue count out of range: the requested count lies beyond every
+    finite bracket (the message reports the scanned window)
 
 Anticipated failures print a one-line message to stderr, never a
 traceback.  The environment variable ``QGRAPH_TOL`` overrides the
@@ -272,13 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="random seed for sampled subroutines (current subcommands are deterministic; "
-        "accepted so scripted invocations stay forward-compatible)",
-    )
     common.add_argument("--out", help="output path (default: stdout)")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -66,7 +66,7 @@ class NearSingularZError(QGraphError):
 
 
 class ScanRangeError(QGraphError):
-    """The eigenvalue scan window could not bracket the requested count."""
+    """No finite eigenvalue bracket holds the requested count."""
 
     def __init__(self, message: str, window: tuple[float, float] | None = None):
         super().__init__(message)

@@ -1,8 +1,18 @@
 """Spectra, resolvents, and scattering matrices of metric-graph systems.
 
-Everything here reduces to one linear-algebra object: the matching matrix
-M(z).  On each finite edge a solution of -(d/ds + i a)^2 f = z f is written
-as exp(-i a s) (alpha phi_1 + beta phi_2) in the basis
+Eigenvalues of compact systems are counted, not searched for.  Eliminating
+every edge through its Dirichlet-to-Neumann map leaves a Hermitian matrix
+B(lambda) on the free vertex values of the ST forms, and the number of
+eigenvalues below lambda is the number of edge Dirichlet levels below
+lambda plus the number of negative eigenvalues of B(lambda) (Friedlander's
+count; see Berkolaiko & Kuchment, *Introduction to Quantum Graphs*).
+Bisection on that integer finds every level, and a level's multiplicity is
+the jump of the count across it, so degenerate and nearly degenerate
+levels are resolved by construction.
+
+Resolvents and scattering matrices use the matching matrix M(z).  On each
+finite edge a solution of -(d/ds + i a)^2 f = z f is written as
+exp(-i a s) (alpha phi_1 + beta phi_2) in the basis
 
     phi_1(s) = cos(k s),       phi_2(s) = sin(k s)/k,        k = sqrt(z),
 
@@ -11,41 +21,26 @@ blows up crossing z = 0).  On each half-line the ansatz is a single
 multiple of exp(-i a s) exp(i k s), which is the decaying solution when
 Im k > 0 and the outgoing wave when k is real.  Collecting all vertex
 conditions on the coefficient vector gives a square matrix M(z); its
-singularities are the eigenvalues, its inverse produces resolvent kernels,
-and with incoming waves moved to the right-hand side it yields scattering
-matrices.
-
-Evaluation is batched: index tables built once per system turn a 1-d array
-of spectral points into a stacked (npts, N, N) array of matching matrices
-with a handful of array operations, and a single point is just a batch of
-one.  Grid scans run in blocks of 64 points, each block one assembly, one
-stacked ``slogdet`` and one stacked SVD.
-
-Eigenvalue location uses a phase-normalised determinant.  For a self-adjoint
-system the scaled determinant satisfies det M(lambda) = exp(i theta) r(lambda)
-with a lambda-independent phase theta and real r, provided the row and
-column scalings are positive and continuous in lambda.  The scan estimates
-theta from determinant signs across the grid, tracks sign changes of r for
-odd-order eigenvalues, and watches for dips of the smallest singular value
-to catch even-order (no sign change) eigenvalues; multiplicities are read
-off the singular values at the root.  Sign changes are polished on the
-smooth function Re(exp(-i theta) sgn det) exp(log|det| - ref), with ref the
-larger grid log-modulus at the bracket ends, so the root finder converges
-superlinearly instead of bisecting a sign.
+inverse produces resolvent kernels, and with incoming waves moved to the
+right-hand side it yields scattering matrices.  Index tables built once
+per system turn a 1-d array of spectral points into a stacked
+(npts, N, N) array of matching matrices.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import brentq, minimize_scalar
+from scipy.linalg import block_diag, lu_factor, lu_solve
+# The benchmark's tracer (perfbench/tracing.py) rebinds these module-level
+# names, so they stay importable from here.
+from scipy.optimize import brentq, minimize_scalar  # noqa: F401
 
 from ._util import require_positive_int
 from .builder import ApproxGraph
+from .couplings import st_from_ab
 from .errors import (
     InputError,
     NearSingularZError,
@@ -56,14 +51,11 @@ from .errors import (
 from .graphs import (
     DeltaCondition,
     MetricGraphSystem,
-    split_components,
     system_from_approx,
     truncate,
 )
 
 __all__ = [
-    "SecularProblem",
-    "secular_problem",
     "eigenvalues_compact",
     "GreensFunction",
     "greens_function",
@@ -75,9 +67,6 @@ __all__ = [
 _COND_LIMIT = 1e12
 # Relative singular-value floor below which a resolvent point is rejected.
 _SINGULAR_RATIO = 1e-12
-# Spectral points per stacked scan evaluation.  Blocks keep the
-# (block, N, N) working set small however long the grid is.
-_SCAN_BLOCK = 64
 
 
 def _principal_k(z) -> np.ndarray:
@@ -137,30 +126,14 @@ class _Assembler:
     Rows and columns are scaled so that entries stay O(1) across the
     spectral window: finite-edge columns carry 1/cosh(|Im k| l) against
     exponential growth, phi_2 columns a factor max(1, |k|) against its 1/k
-    decay, and each row is divided by its own coefficient amplitude.  All
-    scalings are positive and continuous in lambda, which the
-    phase-constancy root finder relies on.
-
-    Deep in the negative spectrum the cos/sin pair degenerates: both grow
-    like e^{kappa s}, their difference is lost to roundoff, and the secular
-    determinant underflows long before the deepest delta wells are reached.
-    Scans therefore request ``scan_basis=True``, which switches any edge
-    with |Im k| l >= 1 to the decaying pair e^{iks}, e^{ik(l-s)}; cos and
-    sin are evaluated only where an edge keeps its pair.  On the real axis
-    the change multiplies the determinant by a positive factor per edge, so
-    zeros, multiplicities and the aligned phase are preserved; solve paths
-    keep the cos/sin basis, which their trace bookkeeping assumes.
+    decay, and each row is divided by its own coefficient amplitude.
     """
 
-    def __init__(self, sys: MetricGraphSystem, *, need_compact: bool = False):
+    def __init__(self, sys: MetricGraphSystem):
         self.edge_map = sys.edge_map
         self.cols: dict[object, slice] = {}
         self.slots: dict[tuple, int] = {}
         self.hl_ids = [e.id for e in sys.edges if e.is_half_line]
-        if need_compact and self.hl_ids:
-            raise StructuralError(
-                "system has half-lines; truncate it before an eigenvalue scan"
-            )
         finite = [e for e in sys.edges if not e.is_half_line]
         nf, nh = len(finite), len(self.hl_ids)
         # Trace layout per point: 8 per finite edge, ordered (end, value or
@@ -245,27 +218,19 @@ class _Assembler:
 
     # ----- evaluation at spectral points ---------------------------------
 
-    def assembled(self, zs, *, scan_basis: bool = False) -> _Assembled:
+    def assembled(self, zs) -> _Assembled:
         """Matching matrices at every point of the 1-d array ``zs``."""
         z = np.asarray(zs, dtype=complex).reshape(-1)
         k = _principal_k(z)
         kmag = np.maximum(1.0, np.abs(k))
         npts, nf = len(z), len(self.length)
         kb = k[:, np.newaxis]
-        growth = np.abs(k.imag)[:, np.newaxis] * self.length
-        decaying = (growth >= 1.0) & scan_basis
-        keep = ~decaying
-        base = 1.0 / np.cosh(np.minimum(700.0, growth))
+        base = 1.0 / np.cosh(np.minimum(700.0, np.abs(k.imag)[:, np.newaxis] * self.length))
         scale2 = base * kmag[:, np.newaxis]
         kl = kb * self.length
         # phi_1, phi_2 at s = l; at k = 0 they are 1 and l.
-        p1 = np.cos(kl, out=np.ones_like(kl), where=keep)
-        p2 = np.divide(
-            np.sin(kl, out=np.zeros_like(kl), where=keep),
-            kb,
-            out=np.zeros_like(kl) + self.length,
-            where=keep & (kb != 0),
-        )
+        p1 = np.cos(kl)
+        p2 = np.divide(np.sin(kl), kb, out=np.zeros_like(kl) + self.length, where=kb != 0)
         ph = self.phase
         cos_sin = np.zeros((npts, nf, 8), dtype=complex)
         cos_sin[..., 0] = base
@@ -276,23 +241,6 @@ class _Assembler:
         cos_sin[..., 6] = ph * z[:, np.newaxis] * p2 * base
         cos_sin[..., 7] = -ph * p1 * scale2
         scales = np.stack([base, scale2], axis=-1)
-        if decaying.any():
-            # Decaying pair e^{iks}, e^{ik(l-s)}: entries stay O(|k|)
-            # however deep the scan goes, and the near-parallel columns of
-            # the cos/sin pair are avoided.
-            ik = 1j * kb
-            decay = np.exp(ik * self.length)
-            pair = np.empty_like(cos_sin)
-            pair[..., 0] = 1.0
-            pair[..., 1] = decay
-            pair[..., 2] = ik
-            pair[..., 3] = -ik * decay
-            pair[..., 4] = ph * decay
-            pair[..., 5] = ph
-            pair[..., 6] = -ik * ph * decay
-            pair[..., 7] = ik * ph
-            cos_sin = np.where(decaying[..., np.newaxis], pair, cos_sin)
-            scales[decaying] = 1.0
         ones = np.ones((npts, len(self.hl_ids)))
         traces = np.concatenate(
             [cos_sin.reshape(npts, -1), ones, 1j * kb * ones], axis=1
@@ -339,321 +287,119 @@ def _group_by_edge(points) -> dict[object, tuple[list[int], np.ndarray]]:
 
 
 # ---------------------------------------------------------------------------
-# Secular scans and eigenvalues
+# Eigenvalues
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecularProblem:
-    """A sampled secular determinant: grid, aligned real part, log-moduli.
+class _EigenvalueCount:
+    """N(lambda), the number of eigenvalues below lambda of a compact system.
 
-    ``r[i]`` is Re(exp(-i theta) det M(lam[i]) / |det|): a unit-magnitude,
-    sign-carrying samples vector whose zero crossings locate odd-order
-    eigenvalues.  ``smin`` holds the smallest singular value relative to the
-    largest; its dips mark eigenvalues of even order.
+    Every edge is eliminated through its Dirichlet-to-Neumann map, which
+    splits the form h - lambda into the edges' Dirichlet parts and a
+    Hermitian matrix B(lambda) on the vertex values, so that
+
+        N(lambda) = sum_e #{(pi m / l_e)^2 < lambda} + n_-(B(lambda)).
+
+    The unknowns of a vertex are the m_v free values of its ST form: the
+    values at its ends are J_v x_v with J_v = [I; T*] in the original end
+    order, and S_v is its block of B (a delta vertex has J = ones, S = [w]).
+    Edge e adds -k tan(kl/2) w_+ w_+* + k cot(kl/2) w_- w_-*, where
+    w_+- = J* (1, +-e^{-ial}) / sqrt(2) over its two ends; for lambda < 0
+    these are kappa tanh(kappa l/2) and kappa coth(kappa l/2).
+
+    Near an edge Dirichlet level one coefficient c diverges.  Away from
+    kl ~ 0, a term with |c| > k moves into an extra row and column with
+    off-diagonal sqrt(k) w and diagonal b = -k/c; its Schur complement is
+    the term itself, and each border row with b < 0 adds one negative
+    eigenvalue, which is subtracted.  Every entry stays O(k), so nothing
+    cancels when an eigenvalue sits on a Dirichlet level.
     """
 
-    lam: np.ndarray
-    theta: float
-    r: np.ndarray
-    logabs: np.ndarray
-    smin: np.ndarray
-
-
-def _scan_grid(asm: _Assembler, lams: np.ndarray):
-    """Determinant signs, log-moduli and relative sigma_min on a grid, one
-    stacked evaluation per block of ``_SCAN_BLOCK`` points."""
-    sgn = np.empty(len(lams), dtype=complex)
-    logabs = np.empty(len(lams))
-    smin = np.empty(len(lams))
-    for start in range(0, len(lams), _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
-        mats = asm.assembled(lams[block], scan_basis=True).M
-        sgn[block], logabs[block] = np.linalg.slogdet(mats)
-        smin[block] = _relative_smin(np.linalg.svd(mats, compute_uv=False))
-    return sgn, logabs, smin
-
-
-def _relative_smin(sv: np.ndarray) -> np.ndarray:
-    """sigma_min / sigma_max along the last axis; 0 for a zero matrix."""
-    top = sv[..., 0]
-    return np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top > 0)
-
-
-def _estimate_theta(sgn: np.ndarray, logabs: np.ndarray) -> float:
-    finite = np.isfinite(logabs) & (sgn != 0)
-    if not finite.any():
-        raise ScanRangeError("secular determinant vanished on the whole grid")
-    cut = logabs[finite].max() - 34.0
-    mask = finite & (logabs > cut)
-    mean_sq = np.mean(sgn[mask] ** 2)
-    if abs(mean_sq) < 0.5:
-        raise StructuralError(
-            "secular determinant phase drifts along the grid; "
-            "the system does not look self-adjoint"
-        )
-    return 0.5 * cmath.phase(mean_sq)
-
-
-def secular_problem(sys: MetricGraphSystem, lam_grid) -> SecularProblem:
-    """Sample the phase-aligned secular determinant on an explicit grid."""
-    if not sys.is_compact:
-        sys = truncate(sys)
-    asm = _Assembler(sys, need_compact=True)
-    lams = np.asarray(lam_grid, dtype=float)
-    if lams.ndim != 1 or len(lams) < 2:
-        raise InputError("lam_grid must be a 1-d grid with at least two points")
-    sgn, logabs, smin = _scan_grid(asm, lams)
-    theta = _estimate_theta(sgn, logabs)
-    r = np.real(sgn * cmath.exp(-1j * theta))
-    return SecularProblem(lam=lams, theta=theta, r=r, logabs=logabs, smin=smin)
-
-
-def _singular_values(asm: _Assembler, lam: float) -> np.ndarray:
-    return np.linalg.svd(asm.assembled([lam], scan_basis=True).M[0], compute_uv=False)
-
-
-def _aligned_det(asm: _Assembler, theta: float, ref: float, lam: float) -> float:
-    """Re(exp(-i theta) det M(lam)) / exp(ref): smooth in lam, with the
-    exponent clipped so that neither end of a bracket over- or underflows."""
-    s, logabs = np.linalg.slogdet(asm.assembled([lam], scan_basis=True).M[0])
-    scale = math.exp(min(700.0, max(-700.0, logabs - ref)))
-    return float(np.real(s * cmath.exp(-1j * theta))) * scale
-
-
-def _multiplicity_at(asm: _Assembler, lam: float) -> int:
-    sv = _singular_values(asm, lam)
-    if sv[0] == 0:
-        return len(sv)
-    return max(1, int(np.sum(sv < 1e-6 * sv[0])))
-
-
-def _smin_at(asm: _Assembler, lam: float) -> float:
-    return float(_relative_smin(_singular_values(asm, lam)))
-
-
-def _roots_in_segment(
-    asm: _Assembler, lams: np.ndarray, sgn, logabs, smin, theta: float,
-    depth: int = 0,
-) -> list[tuple[float, int]]:
-    """Locate eigenvalues on one scanned segment; returns (lambda, mult).
-
-    Sign changes of the aligned determinant are polished by bracketing.
-    Cells where |det| or sigma_min dips without a net sign change hide
-    either an even-order eigenvalue or a sub-cell cluster of simple ones
-    (limit degeneracies typically split at O(d) on the approximating
-    graphs); those cells are re-scanned on a refined grid, and only at the
-    bottom of the recursion is a surviving dip polished as an even-order
-    root.  A grid point carries a trustworthy determinant sign only while
-    the matrix is meaningfully regular there -- sigma_min above a roundoff
-    threshold; near-singular points never form brackets, and the dip
-    recursion owns those regions.
-
-    A cell with a net sign change can still hide an odd cluster (three
-    tunneling-split well states, say, with one visible crossing).  At each
-    polished root the singular spectrum is checked at a loose cutoff; when
-    more directions are nearly null than the strict multiplicity accounts
-    for, the cell is re-scanned like a dip and only the re-scan's findings
-    are kept.  Splittings below ~5e-6 of the spectral scale are already
-    absorbed into the strict multiplicity count, so a few refinement
-    levels close the window between grid resolution and that floor.
-    """
-    r = np.real(sgn * cmath.exp(-1j * theta))
-    scale = max(1.0, np.abs(lams).max())
-    alive = (sgn != 0) & np.isfinite(logabs) & (smin > 5e-13)
-    roots: list[tuple[float, int]] = []
-    bracketed = np.zeros(len(lams) - 1, dtype=bool)
-    cluster_cells = np.zeros(len(lams) - 1, dtype=bool)
-    for i in range(len(lams) - 1):
-        if sgn[i] == 0:
-            roots.append((lams[i], _multiplicity_at(asm, lams[i])))
-            bracketed[max(0, i - 1) : i + 1] = True
-            continue
-        if not (alive[i] and alive[i + 1]):
-            continue
-        if r[i] * r[i + 1] < 0:
-            ref = max(logabs[i], logabs[i + 1])
-            # An odd-order root of a smooth function can take ~130 steps.
-            lam0 = float(
-                brentq(
-                    lambda lam: _aligned_det(asm, theta, ref, lam),
-                    lams[i],
-                    lams[i + 1],
-                    xtol=1e-13 * scale,
-                    rtol=8.9e-16,
-                    maxiter=400,
-                )
-            )
-            sv = _singular_values(asm, lam0)
-            if sv[0] > 0:
-                strict = max(1, int(np.sum(sv < 1e-6 * sv[0])))
-                loose = int(np.sum(sv < 1e-3 * sv[0]))
+    def __init__(self, sys: MetricGraphSystem):
+        rows: dict[tuple, tuple[int, np.ndarray]] = {}
+        blocks: list[np.ndarray] = []
+        size = 0
+        for vertex in sys.vertices:
+            cond = vertex.condition
+            if isinstance(cond, DeltaCondition):
+                j_mat, s_mat = np.ones((len(vertex.ends), 1)), np.array([[cond.w]])
             else:
-                strict = loose = len(sv)
-            # The loose count also sees near-null directions from features
-            # well outside this cell, so it only ever forces a refinement
-            # (whose findings replace this cell's), never a multiplicity.
-            if loose > strict and depth < 4:
-                cluster_cells[i] = True
-            else:
-                roots.append((lam0, strict))
-            bracketed[i] = True
-    suspicious = np.zeros(len(lams), dtype=bool)
-    for i in range(1, len(lams) - 1):
-        if bracketed[i - 1] or bracketed[i]:
-            continue
-        # Tie-tolerant local minimum with prominence measured two cells
-        # out: a zero straddling a cell midpoint makes its two flanking
-        # grid values nearly equal, and either must still register.
-        lo2, hi2 = max(0, i - 2), min(len(lams) - 1, i + 2)
-        local_min_smin = smin[i] <= smin[i - 1] and smin[i] <= smin[i + 1]
-        dip_smin = (
-            local_min_smin
-            and smin[i] < 0.5
-            and smin[i] <= 0.6 * min(smin[lo2], smin[hi2])
-        )
-        local_min_log = logabs[i] <= logabs[i - 1] and logabs[i] <= logabs[i + 1]
-        dip_log = (
-            local_min_log
-            and min(logabs[lo2], logabs[hi2]) - logabs[i] >= 1.0
-        )
-        dead = not (alive[i - 1] and alive[i] and alive[i + 1])
-        suspicious[i] = dip_smin or dip_log or dead
-    for i in np.flatnonzero(cluster_cells):
-        suspicious[i] = True
-        suspicious[i + 1] = True
-    # One refinement per maximal run of suspicious indices, so that a deep
-    # dip spanning many grid points is re-scanned once, not per point.
-    i = 1
-    while i < len(lams) - 1:
-        if not suspicious[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(lams) - 1 and suspicious[j + 1]:
-            j += 1
-        lo, hi = i - 1, j + 1
-        width = lams[hi] - lams[lo]
-        if depth < 8 and width > 1e-10 * scale:
-            # Half-cell padding keeps a root off the sub-grid boundary.
-            pad = 0.5 * (lams[lo + 1] - lams[lo])
-            npts = min(200, 8 * (hi - lo) + 11)
-            sub = np.linspace(lams[lo] - pad, lams[hi] + pad, npts)
-            sub_sgn, sub_logabs, sub_smin = _scan_grid(asm, sub)
-            roots.extend(
-                _roots_in_segment(
-                    asm, sub, sub_sgn, sub_logabs, sub_smin, theta, depth + 1
-                )
-            )
-        else:
-            bound_lo = lams[max(0, lo - 1)]
-            bound_hi = lams[min(len(lams) - 1, hi + 1)]
-            res = minimize_scalar(
-                lambda lam: _smin_at(asm, lam),
-                bounds=(bound_lo, bound_hi),
-                method="bounded",
-                options={"xatol": 1e-13 * scale},
-            )
-            lam0 = float(res.x)
-            if _smin_at(asm, lam0) < 1e-8:
-                roots.append((lam0, _multiplicity_at(asm, lam0)))
-        i = j + 1
-    return roots
+                st = st_from_ab(cond.coupling)
+                j_mat = np.empty((st.n, st.m), dtype=complex)
+                j_mat[np.array(st.perm) - 1] = np.vstack([np.eye(st.m), st.T.conj().T])
+                s_mat = st.S
+            for end, j_row in zip(vertex.ends, j_mat):
+                rows[end] = (size, j_row)
+            blocks.append(s_mat)
+            size += len(s_mat)
+        self.s_mat = block_diag(*blocks)
+        self.length = np.array([e.length for e in sys.edges], dtype=float)
+        # Columns w_+ and w_- of every edge.
+        self.w = np.zeros((2, size, len(sys.edges)), dtype=complex)
+        for col, edge in enumerate(sys.edges):
+            phase = np.exp(-1j * edge.a * edge.length)
+            for end, factor in ((0, np.array([1.0, 1.0])), (1, np.array([phase, -phase]))):
+                at, j_row = rows[(edge.id, end)]
+                self.w[:, at : at + len(j_row), col] += np.outer(factor, j_row.conj())
+        self.w /= math.sqrt(2.0)
+
+    def __call__(self, lam: float) -> int:
+        if lam <= 0.0:
+            kappa = math.sqrt(-lam)
+            t = np.tanh(0.5 * kappa * self.length)
+            coef = np.stack([kappa * t, np.divide(kappa, t, out=2.0 / self.length, where=t > 0)])
+            return _negative_count(self.s_mat + self._edge_terms(coef))
+        k = math.sqrt(lam)
+        q = k * self.length / math.pi
+        levels = np.ceil(q) - 1.0
+        # kl/2 = (levels + x) pi/2 with x in (0, 1]: with tau = tan(x pi/2),
+        # -k tan(kl/2) is -k tau on w_+ and k/tau on w_- for an even level
+        # count, swapped for an odd one.  Computing both from x keeps the
+        # sign of every border b consistent with the level count.
+        tau = np.tan(0.5 * math.pi * (q - levels))
+        small = tau < 1.0
+        # k/tau is at most max(k, 2/l) below the first level; elsewhere the
+        # larger of -k tau and k/tau is bordered, with b = -tau or 1/tau.
+        border = ~small | (levels > 0)
+        neg = np.where(small, -k * tau, 0.0)
+        pos = np.divide(k, tau, out=np.zeros_like(tau), where=~(small & border))
+        odd = levels % 2 == 1
+        coef = np.stack([np.where(odd, pos, neg), np.where(odd, neg, pos)])
+        mat = self.s_mat + self._edge_terms(coef)
+        if not border.any():
+            return int(levels.sum()) + _negative_count(mat)
+        # The bordered vector is w_+ exactly when small == odd.
+        vecs = math.sqrt(k) * np.where(small == odd, self.w[0], self.w[1])[:, border]
+        b = np.where(small, -tau, 1.0 / np.maximum(tau, 1.0))[border]
+        mat = np.block([[mat, vecs], [vecs.conj().T, np.diag(b)]])
+        return int(levels.sum()) + _negative_count(mat) - int(np.count_nonzero(b < 0))
+
+    def _edge_terms(self, coef: np.ndarray) -> np.ndarray:
+        """sum_e (coef[0, e] w_+ w_+* + coef[1, e] w_- w_-*)."""
+        return sum((w * c) @ w.conj().T for w, c in zip(self.w, coef))
 
 
-def _merge_roots(roots: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    merged: list[tuple[float, int]] = []
-    for lam, mult in sorted(roots):
-        if merged and abs(lam - merged[-1][0]) <= 1e-9 * max(1.0, abs(lam)):
-            prev_lam, prev_mult = merged[-1]
-            merged[-1] = (prev_lam, max(prev_mult, mult))
-        else:
-            merged.append((lam, mult))
-    return merged
+def _negative_count(mat: np.ndarray) -> int:
+    """Negative eigenvalues of a Hermitian matrix, counted after a symmetric
+    diagonal scaling (which keeps the inertia) that brings every row's
+    largest entry to 1."""
+    if not mat.size:
+        return 0
+    row_max = np.abs(mat).max(axis=1)
+    scale = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
+    return int(np.count_nonzero(np.linalg.eigvalsh(mat * np.outer(scale, scale)) < 0))
 
 
-def _negative_strength(sys: MetricGraphSystem) -> float:
-    """Crude upper estimate of sqrt(-lambda_min) from the vertex data."""
-    total = 0.0
-    for vertex in sys.vertices:
-        cond = vertex.condition
-        if isinstance(cond, DeltaCondition):
-            total += max(0.0, -cond.w)
-        else:
-            b_norms = np.linalg.svd(cond.coupling.B, compute_uv=False)
-            positive = b_norms[b_norms > 1e-12 * max(1.0, b_norms[0])]
-            if positive.size:
-                a_norm = np.linalg.norm(cond.coupling.A, 2)
-                total += a_norm / positive[-1]
-    return total
-
-
-def _component_eigenvalues(
-    comp: MetricGraphSystem,
-    count: int,
-    lam_min: float | None,
-    lam_max: float | None,
-) -> list[float]:
-    asm = _Assembler(comp, need_compact=True)
-    total_length = sum(e.length for e in comp.edges)
-    dk = math.pi / (6.0 * total_length)
-    found: list[tuple[float, int]] = []
-
-    def scan(lams: np.ndarray):
-        sgn, logabs, smin = _scan_grid(asm, lams)
-        theta = _estimate_theta(sgn, logabs)
-        found.extend(_roots_in_segment(asm, lams, sgn, logabs, smin, theta))
-
-    # Negative window.  Either the caller fixed the floor, or it is grown
-    # from the vertex data until no root sits near the bottom edge.
-    if lam_min is not None:
-        kappa_max = math.sqrt(max(0.0, -lam_min)) + dk
-    else:
-        kappa_max = 1.0 + 1.1 * _negative_strength(comp)
-    for _ in range(7):
-        npts = int(math.ceil(kappa_max / dk)) + 1
-        if npts > 400_000:
+def _bracket(count_below, lam: float, done, other_end: float) -> float:
+    """Double ``lam`` until ``done(count_below(lam))``."""
+    while not done(count_below(lam)):
+        if not math.isfinite(2.0 * lam):
             raise ScanRangeError(
-                "negative-spectrum scan too large; pass lam_min",
-                window=(-(kappa_max**2), 0.0),
+                f"eigenvalue count not reached by lambda = {lam:.3g}",
+                window=(min(lam, other_end), max(lam, other_end)),
             )
-        kappas = np.linspace(kappa_max, 0.0, max(npts, 64), endpoint=False)
-        negatives: list[tuple[float, int]] = []
-        sgn, logabs, smin = _scan_grid(asm, -(kappas**2))
-        theta = _estimate_theta(sgn, logabs)
-        negatives = _roots_in_segment(asm, -(kappas**2), sgn, logabs, smin, theta)
-        deepest_ok = all(
-            lam > -((0.9 * kappa_max) ** 2) for lam, _ in negatives
-        )
-        if lam_min is not None or deepest_ok:
-            found.extend(negatives)
-            break
-        kappa_max *= 1.8
-    else:
-        raise ScanRangeError(
-            "negative spectrum extends beyond every scanned window",
-            window=(-(kappa_max**2), 0.0),
-        )
-
-    # Positive window, extended upward until `count` eigenvalues are in hand.
-    k_max = 1.0 + 1.25 * math.pi * (count + 2) / total_length
-    if lam_max is not None:
-        k_max = math.sqrt(max(0.0, lam_max)) + dk
-    k_lo = 0.0
-    for _ in range(10):
-        ks = np.arange(k_lo, k_max + dk, dk)
-        scan(ks**2)
-        merged = _merge_roots(found)
-        if lam_min is not None:
-            merged = [(l, m) for l, m in merged if l >= lam_min - 1e-12]
-        have = sum(m for _, m in merged)
-        if have >= count or lam_max is not None:
-            return [l for l, m in merged for _ in range(m)]
-        k_lo, k_max = k_max, 1.0 + k_max * 1.5
-    raise ScanRangeError(
-        f"found only {have} eigenvalues up to lambda = {k_max**2:.3g}",
-        window=(None, k_max**2),
-    )
+        lam *= 2.0
+    return lam
 
 
 def eigenvalues_compact(
@@ -666,9 +412,12 @@ def eigenvalues_compact(
     """The lowest `count` eigenvalues (with multiplicity), sorted.
 
     The system must be compact, or carry a truncation spec so it can be
-    truncated here.  With ``lam_min`` the scan starts at that floor instead
-    of hunting for the bottom of the spectrum; with ``lam_max`` the result
-    is whatever lies in the window, possibly fewer than `count`.
+    truncated here.  The eigenvalue count N(lambda) brackets the spectrum
+    (doubling -lambda until N = 0, then lambda until N covers `count`), and
+    bisection refines every level to 1e-13 max(1, |lambda|); a level's
+    multiplicity is the jump of N across it.  With ``lam_min`` only
+    eigenvalues above that floor are returned; with ``lam_max`` the result
+    is whatever lies below it, possibly fewer than `count`.
     """
     count = require_positive_int(count, "count")
     if not sys.is_compact:
@@ -677,16 +426,27 @@ def eigenvalues_compact(
                 "system has half-lines and no truncation spec; call truncate()"
             )
         sys = truncate(sys)
+    count_below = _EigenvalueCount(sys)
+    lo = _bracket(count_below, -1.0, lambda n: n == 0, 0.0) if lam_min is None else lam_min
+    n_lo = count_below(lo)
+    target = n_lo + count
+    if lam_max is None:
+        hi = _bracket(count_below, max(1.0, 2.0 * lo), lambda n: n >= target, lo)
+    else:
+        hi = lam_max
     values: list[float] = []
-    for comp in split_components(sys):
-        values.extend(_component_eigenvalues(comp, count, lam_min, lam_max))
-    values.sort()
-    if lam_max is not None:
-        return np.array([v for v in values if v <= lam_max + 1e-12][: count])
-    if len(values) < count:
-        raise ScanRangeError(
-            f"components yielded only {len(values)} eigenvalues"
-        )
+    stack = [(lo, hi, n_lo, count_below(hi))]
+    while stack:
+        a, b, n_a, n_b = stack.pop()
+        if n_b <= n_a or n_a >= target:
+            continue
+        mid = 0.5 * (a + b)
+        if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
+            values.extend([mid] * (n_b - n_a))
+            continue
+        # Clamped so that roundoff next to a level cannot break monotonicity.
+        n_mid = min(max(count_below(mid), n_a), n_b)
+        stack += [(mid, b, n_mid, n_b), (a, mid, n_a, n_mid)]
     return np.array(values[:count])
 
 

@@ -239,21 +239,28 @@ def test_spectrum_accepts_approx_graph(tmp_path, capsys):
 
 def test_spectrum_keeps_triple_well_level(tmp_path, capsys):
     """The three inner wells of the delta'_s graph at d = 2^-4 give one
-    triple level; it is an odd-order root, found by bracketing and counted
-    from the singular values there."""
+    tunneling-split level: a singlet and, 1.4e-3 above it, a doublet."""
     g = build_approx_graph(make_delta_prime(beta=1.0, n=3), 2.0**-4)
     path = write_doc(tmp_path, "g.json", g)
     assert main(["spectrum", path, "--L", "1.0", "--count", "4"]) == 0
     values = read_csv_values(capsys.readouterr().out)
-    assert values[:3] == pytest.approx([-20736.00056041712] * 3, rel=1e-10)
-    assert values[3] == pytest.approx(2.2790601697422286, rel=1e-9)
+    assert values[0] == pytest.approx(-20736.00056041712, rel=1e-10)
+    assert values[1:3] == pytest.approx([-20735.9991926692] * 2, rel=1e-10)
+    assert values[3] == pytest.approx(2.279060174134756, rel=1e-10)
 
 
 def test_spectrum_scan_shortfall_exits_5(tmp_path, capsys):
+    """The deep wells at d = 0.001 are found; a count beyond every float
+    bracket exits 5 with the scanned window instead of a traceback."""
     g = build_approx_graph(make_delta_prime(beta=1.0, n=3), 0.001)
     path = write_doc(tmp_path, "deep.json", g)
-    assert main(["spectrum", path, "--count", "10"]) == 5
-    assert "(scanned window [" in capsys.readouterr().err
+    assert main(["spectrum", path, "--count", "4"]) == 0
+    values = read_csv_values(capsys.readouterr().out)
+    assert values == pytest.approx([-2.51001000e11] * 3 + [2.4641161581], rel=1e-10)
+    assert main(["spectrum", path, "--count", "1" + "0" * 400]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(scanned window [" in captured.err and "Traceback" not in captured.err
 
 
 # -- process-level behavior -------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,20 +24,21 @@ from qgraph import (
     build_approx_graph,
     dirichlet_condition,
     effective_scattering,
+    eigengap_floor,
     eigenvalues_compact,
     greens_function,
     named_to_st,
     scattering_matrix,
-    secular_problem,
     star_scattering,
     star_system,
     system_from_approx,
     truncate,
 )
-from qgraph.solver import _Assembler
+from qgraph.solver import _Assembler, _EigenvalueCount
 from helpers import (
     ReferenceAssembler,
     make_complex_t,
+    make_delta,
     make_delta_prime,
     make_dirichlet,
     reference_kernel_matrix,
@@ -81,6 +83,10 @@ def delta_well_line(w: float, half: float) -> MetricGraphSystem:
             Vertex(id="dr", condition=dirichlet_condition(), ends=(("r", 1),)),
         ),
     )
+
+
+def _approx(st, d):
+    return truncate(system_from_approx(build_approx_graph(st, d)), L=1.0)
 
 
 # -- interval spectra (textbook) -------------------------------------------
@@ -205,27 +211,6 @@ def test_deep_wells_resolved_with_multiplicity():
     assert 0.05 < got[1] - got[0] < 0.15
 
 
-# -- secular problem (diagnostic surface) -----------------------------------
-
-def test_secular_problem_locates_interval_eigenvalue():
-    grid = np.linspace(8.0, 11.0, 31)
-    prob = secular_problem(interval(1.0), grid)
-    pi2 = math.pi**2
-    crossings = [
-        (grid[i], grid[i + 1])
-        for i in range(len(grid) - 1)
-        if prob.r[i] * prob.r[i + 1] < 0
-    ]
-    assert any(lo <= pi2 <= hi for lo, hi in crossings)
-    # smin dips right at the eigenvalue cell
-    assert prob.smin[np.argmin(np.abs(grid - pi2))] < 1e-2
-
-
-def test_secular_problem_rejects_degenerate_grid():
-    with pytest.raises(InputError):
-        secular_problem(interval(1.0), [1.0])
-
-
 # -- eigenvalue interface errors --------------------------------------------
 
 def test_eigenvalues_require_truncation_spec(st_delta):
@@ -252,12 +237,96 @@ def test_eigenvalues_accept_integral_float_count():
 
 
 def test_oversized_negative_scan_reports_window():
+    """The three wells of the delta'_s graph at d = 0.001 sit near -2.51e11,
+    far below the limit spectrum; the count brackets them by doubling.  A
+    count no float bracket can reach reports the window it scanned instead
+    of overflowing."""
     st = make_delta_prime(beta=1.0, n=3)
     sys_ = truncate(system_from_approx(build_approx_graph(st, 0.001)), L=1.0)
+    got = eigenvalues_compact(sys_, 4)
+    np.testing.assert_allclose(got, [-2.51001000e11] * 3 + [2.4641161581], rtol=1e-10)
     with pytest.raises(ScanRangeError) as info:
-        eigenvalues_compact(sys_, 3)
-    assert "lam_min" in str(info.value)
-    assert info.value.window is not None
+        eigenvalues_compact(sys_, 10**400)
+    lo, hi = info.value.window
+    assert lo < -2.51e11 and hi > 1e307
+
+
+# -- the eigenvalue count: multiplicities, Dirichlet levels, depth ----------
+
+def _levels(values):
+    """(lambda, multiplicity) groups of a sorted eigenvalue list."""
+    groups = []
+    for lam in values:
+        if groups and abs(lam - groups[-1][0]) <= 1e-9 * max(1.0, abs(lam)):
+            groups[-1][1] += 1
+        else:
+            groups.append([lam, 1])
+    return groups
+
+
+@pytest.mark.parametrize(
+    "make, d, count, floor, pattern",
+    [
+        (make_delta_prime, 2.0**-10, 5, True, [2, 1, 2]),
+        (make_delta_prime, 2.0**-11, 5, True, [2, 1, 2]),
+        (make_delta_prime, 2.0**-12, 5, True, [2, 1, 2]),
+        (make_complex_t, 2.0**-9, 5, True, [1, 1, 1, 1, 1]),
+        (make_complex_t, 2.0**-10, 5, True, [1, 1, 1, 1, 1]),
+        # The well level at d = 2^-4: a singlet and a doublet 1.4e-3 apart.
+        (make_delta_prime, 2.0**-4, 3, False, [1, 2]),
+    ],
+)
+def test_small_d_multiplicities_match_singular_value_oracle(make, d, count, floor, pattern):
+    """At each level of multiplicity m the per-point matching matrix (the
+    decaying basis below zero) has exactly m relative singular values at
+    roundoff, and the next one well clear of it."""
+    st = make()
+    sys_ = _approx(st, d)
+    got = eigenvalues_compact(sys_, count, lam_min=eigengap_floor(st) if floor else None)
+    ref = ReferenceAssembler(sys_)
+    levels = _levels(got)
+    assert [mult for _, mult in levels] == pattern
+    for lam, mult in levels:
+        sv = np.linalg.svd(ref.assembled(lam, scan_basis=lam < 0)[0], compute_uv=False)
+        rel = sv[::-1] / sv[0]
+        assert rel[mult - 1] <= 1e-11 and rel[mult] >= 1e-9, (lam, rel[: mult + 1])
+
+
+def test_small_d_levels_above_the_floor():
+    delta_prime = make_delta_prime(beta=1.0, n=3)
+    got = eigenvalues_compact(
+        _approx(delta_prime, 2.0**-10), 5, lam_min=eigengap_floor(delta_prime)
+    )
+    np.testing.assert_allclose(
+        got, [2.4641930364] * 2 + [6.0275653923] + [22.1777373717] * 2, rtol=1e-10
+    )
+    complex_t = make_complex_t()
+    got = eigenvalues_compact(_approx(complex_t, 2.0**-9), 5, lam_min=eigengap_floor(complex_t))
+    np.testing.assert_allclose(
+        got, [1.8578605465, 3.1132188312, 9.8579319130, 21.3674715936, 22.6882184564],
+        rtol=1e-10,
+    )
+
+
+def test_levels_on_edge_dirichlet_values():
+    """pi^2 is a Dirichlet level of every unit edge here, where one edge
+    term of the count diverges; bordering it keeps these levels exact."""
+    pi2 = math.pi**2
+    np.testing.assert_allclose(eigenvalues_compact(ring(), 3)[1:], [pi2, pi2], rtol=1e-10)
+    np.testing.assert_allclose(
+        eigenvalues_compact(interval(1.0, "N", "N"), 2)[1], pi2, rtol=1e-10
+    )
+    delta_star = truncate(star_system(make_delta(alpha=1.0, n=3)), L=1.0)
+    np.testing.assert_allclose(eigenvalues_compact(delta_star, 3)[1:], [pi2, pi2], rtol=1e-10)
+
+
+def test_count_raises_no_floating_point_warnings_deep_below():
+    sys_ = _approx(make_delta_prime(beta=1.0, n=3), 2.0**-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eigenvalues_compact(sys_, 4)
+        assert _EigenvalueCount(sys_)(-(2.0**40)) == 0
+    assert got[3] == pytest.approx(2.4641930364, rel=1e-10)
 
 
 # -- Green's functions ------------------------------------------------------
@@ -394,10 +463,6 @@ def _general_vertex_star() -> MetricGraphSystem:
     )
 
 
-def _approx(st, d):
-    return truncate(system_from_approx(build_approx_graph(st, d)), L=1.0)
-
-
 ORACLE_SYSTEMS = {
     "delta_prime_d2": lambda: _approx(make_delta_prime(beta=1.0, n=3), 2.0**-2),
     "delta_prime_d10": lambda: _approx(make_delta_prime(beta=1.0, n=3), 2.0**-10),
@@ -406,35 +471,29 @@ ORACLE_SYSTEMS = {
     "general_vertex": _general_vertex_star,
 }
 ORACLE_Z = [-50.0, -1.0, 0.0, 2.5, 30.0, -1.0 + 0.5j, 3.0 - 2.0j]
-# Deep enough that every edge, the shortest inner ones included, switches
-# to the decaying pair; the cos/sin reference overflows there.
-DEEP_Z = [-5000.0, -(2.0**21)]
 
 
-@pytest.mark.parametrize("scan_basis", [False, True])
+@pytest.mark.parametrize("one_call", [False, True])
 @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
-def test_batched_assembly_matches_per_point_reference(name, scan_basis):
+def test_batched_assembly_matches_per_point_reference(name, one_call):
+    """All points in one call, or one point per call as GreensFunction and
+    scattering_matrix make them."""
     sys_ = ORACLE_SYSTEMS[name]()
-    zs = ORACLE_Z + (DEEP_Z if scan_basis else [])
-    got = _Assembler(sys_).assembled(zs, scan_basis=scan_basis)
+    asm = _Assembler(sys_)
+    batches = [ORACLE_Z] if one_call else [[z] for z in ORACLE_Z]
+    got = [asm.assembled(zs) for zs in batches]
+    ms, row_scales, col_scales, ks = (
+        np.concatenate([getattr(g, f) for g in got]) for f in ("M", "row_scale", "col_scale", "k")
+    )
     ref = ReferenceAssembler(sys_)
-    assert got.M.shape == (len(zs), ref.ncols, ref.ncols)
-    for i, z in enumerate(zs):
-        mat, row_scale, col_scale, k = ref.assembled(z, scan_basis)
-        assert got.k[i] == pytest.approx(k, rel=1e-15)
+    assert ms.shape == (len(ORACLE_Z), ref.ncols, ref.ncols)
+    for i, z in enumerate(ORACLE_Z):
+        mat, row_scale, col_scale, k = ref.assembled(z)
+        assert ks[i] == pytest.approx(k, rel=1e-15)
         for batched, single in (
-            (got.M[i], mat), (got.row_scale[i], row_scale), (got.col_scale[i], col_scale)
+            (ms[i], mat), (row_scales[i], row_scale), (col_scales[i], col_scale)
         ):
             assert np.all(np.abs(batched - single) <= 1e-14 * np.maximum(1.0, np.abs(single)))
-
-
-def test_batched_assembly_raises_no_overflow_deep_in_the_scan():
-    sys_ = ORACLE_SYSTEMS["delta_prime_d10"]()
-    # Underflow of the decay factor e^{ikl} is harmless; overflow and NaN
-    # from cos/sin of a decaying edge are not.
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = _Assembler(sys_).assembled([-(2.0**40), -(2.0**21), 0.0], scan_basis=True)
-    assert np.all(np.isfinite(got.M))
 
 
 @pytest.mark.parametrize("z", [-1.0, -1.0 + 0.5j])
