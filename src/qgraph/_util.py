@@ -108,6 +108,22 @@ def require_finite_real(value: float, name: str) -> float:
     return out
 
 
+def require_positive_real(value: float, name: str) -> float:
+    """Coerce to a finite real float > 0."""
+    out = require_finite_real(value, name)
+    if not out > 0.0:
+        raise InputError(f"{name} must be positive, got {out}")
+    return out
+
+
+def require_half_length(value: float, name: str = "d") -> float:
+    """Coerce a half-length to a finite real float in (0, 1]."""
+    d = require_finite_real(value, name)
+    if not 0.0 < d <= 1.0:
+        raise InputError(f"half-length {name} must lie in (0, 1], got {d}")
+    return d
+
+
 def require_positive_int(value, name: str) -> int:
     """Coerce an integral real >= 1 to int, rejecting bools, non-numbers,
     NaN/inf and fractional values.  Integers of any size are accepted (a

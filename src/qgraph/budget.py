@@ -42,7 +42,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._util import require_finite_real, require_positive_int
+from ._util import (
+    require_finite_real,
+    require_half_length,
+    require_positive_int,
+    require_positive_real,
+)
 from .builder import ApproxGraph
 from .errors import InputError, StructuralError
 
@@ -91,14 +96,8 @@ class FormBoundInputs:
     max_w: float
 
     def __post_init__(self):
-        d = require_finite_real(self.d, "d")
-        if not 0.0 < d <= 1.0:
-            raise InputError(f"half-length d must lie in (0, 1], got {d}")
-        object.__setattr__(self, "d", d)
-        eta = require_finite_real(self.eta, "eta")
-        if eta <= 0:
-            raise InputError(f"eta must be positive, got {eta}")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "d", require_half_length(self.d))
+        object.__setattr__(self, "eta", require_positive_real(self.eta, "eta"))
         if set(self.abs_a) != set(self.wbar):
             raise StructuralError("abs_a and wbar must cover the same edges")
         for attr in ("abs_a", "wbar"):
@@ -145,12 +144,8 @@ def form_bound_inputs(g: ApproxGraph, eta: float) -> FormBoundInputs:
 
 def c_eta_edge(eta: float, d: float, abs_a_e: float, wbar_e: float) -> float:
     """The per-edge constant (1 + 2/eta)|A_e|^2 + max{4 wbar^2/eta, 2 wbar/d}."""
-    eta = require_finite_real(eta, "eta")
-    if eta <= 0:
-        raise InputError(f"eta must be positive, got {eta}")
-    d = require_finite_real(d, "d")
-    if not 0.0 < d <= 1.0:
-        raise InputError(f"half-length d must lie in (0, 1], got {d}")
+    eta = require_positive_real(eta, "eta")
+    d = require_half_length(d)
     abs_a_e = require_finite_real(abs_a_e, "abs_a_e")
     wbar_e = require_finite_real(wbar_e, "wbar_e")
     if abs_a_e < 0 or wbar_e < 0:
@@ -192,10 +187,7 @@ class VertexBlock:
 
     def __post_init__(self):
         for name in ("vol", "c_vol", "c_upper", "c_lower"):
-            value = require_finite_real(getattr(self, name), name)
-            if value <= 0:
-                raise InputError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, require_positive_real(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -237,9 +229,7 @@ def eps0_manifold(mc: ManifoldConstants, w_vertex: dict, eta: float) -> float:
     eta c(v)/|w_v| is available as :func:`eps0_statement`, and the two
     need not agree.
     """
-    eta = require_finite_real(eta, "eta")
-    if eta <= 0:
-        raise InputError(f"eta must be positive, got {eta}")
+    eta = require_positive_real(eta, "eta")
     weights = _check_vertex_weights(mc, w_vertex)
     best = math.inf
     for key, w in weights.items():
@@ -257,9 +247,7 @@ def eps0_statement(mc: ManifoldConstants, w_vertex: dict, eta: float) -> float:
     produces :func:`eps0_manifold`, and the discrepancy between the two
     is surfaced by keeping both callable rather than picking silently.
     """
-    eta = require_finite_real(eta, "eta")
-    if eta <= 0:
-        raise InputError(f"eta must be positive, got {eta}")
+    eta = require_positive_real(eta, "eta")
     weights = _check_vertex_weights(mc, w_vertex)
     best = math.inf
     for key, w in weights.items():
@@ -277,13 +265,9 @@ def delta_eps(eps: float, d: float, max_w: float) -> float:
     meaningful; with maxW = O(d^-2) and d = eps^alpha the leading term
     scales as eps^{(1-5 alpha)/2}.
     """
-    eps = require_finite_real(eps, "eps")
-    d = require_finite_real(d, "d")
+    eps = require_positive_real(eps, "eps")
+    d = require_half_length(d)
     max_w = require_finite_real(max_w, "max_w")
-    if not 0.0 < d <= 1.0:
-        raise InputError(f"half-length d must lie in (0, 1], got {d}")
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
     if eps > d:
         raise InputError(f"eps must not exceed d, got eps={eps} > d={d}")
     if max_w < 0:

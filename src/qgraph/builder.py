@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._util import require_finite_real
+from ._util import require_half_length
 from .couplings import STForm
 from .errors import DegenerateArgumentError, InputError, SingularDError, StructuralError
 
@@ -134,42 +134,26 @@ def _zero_scale(st: STForm) -> float:
     return ZERO_TOL * max(1.0, *mats)
 
 
-def _nonzero(value: complex, cutoff: float) -> bool:
-    return abs(value) > cutoff
-
-
 def neighbor_sets(st: STForm) -> NeighborSets:
     """Build the index sets N_j from the sparsity pattern of S and T.
 
     Membership is a union of three rules; entries below a small relative
     cutoff count as zero so that reconstructed normal forms with rounding
-    residue do not sprout spurious edges.
+    residue do not sprout spurious edges.  The T-column overlap rule is
+    one boolean matrix product of the nonzero pattern of T with its
+    transpose.
     """
     n, m = st.n, st.m
     cutoff = _zero_scale(st)
-    sets: dict[int, set[int]] = {j: set() for j in range(1, n + 1)}
-    for j in range(1, m + 1):
-        for k in range(m + 1, n + 1):
-            if _nonzero(st.T[j - 1, k - m - 1], cutoff):
-                sets[j].add(k)
-                sets[k].add(j)
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            coupled = _nonzero(st.S[j - 1, k - 1], cutoff) or any(
-                _nonzero(st.T[j - 1, l], cutoff) and _nonzero(st.T[k - 1, l], cutoff)
-                for l in range(n - m)
-            )
-            if coupled:
-                sets[j].add(k)
-                sets[k].add(j)
-    return NeighborSets(n=n, m=m, sets={j: frozenset(s) for j, s in sets.items()})
-
-
-def _check_d(d: float) -> float:
-    d = require_finite_real(d, "d")
-    if not 0.0 < d <= 1.0:
-        raise InputError(f"half-length d must lie in (0, 1], got {d}")
-    return d
+    t_nz = np.abs(st.T) > cutoff
+    # Pairs j < k <= m: S_jk != 0 or T_jl != 0 != T_kl for some column l.
+    inner = np.triu((np.abs(st.S) > cutoff) | (t_nz @ t_nz.T), 1)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:m, :m] = inner | inner.T
+    adj[:m, m:] = t_nz
+    adj[m:, :m] = t_nz.T
+    sets = {j + 1: frozenset((np.flatnonzero(row) + 1).tolist()) for j, row in enumerate(adj)}
+    return NeighborSets(n=n, m=m, sets=sets)
 
 
 def _require_pair(st: STForm, nbrs: NeighborSets, j: int, k: int) -> None:
@@ -194,22 +178,11 @@ def _pair_argument(st: STForm, d: float, j: int, k: int) -> complex:
     raise StructuralError(f"pair ({j}, {k}) has no inner-edge parameters (both > m)")
 
 
-def magnetic_schedule(st: STForm, d: float, j: int, k: int) -> float:
-    """Magnetic potential A_{(j,k)}(d) on the half-segment adjacent to v_j.
-
-    The phase is the principal argument of the pair quantity c, shifted by
-    -pi when Re c < 0 (the sign of <c> absorbs the remaining half-turn),
-    and divided by the accumulated path length 2d.  Antisymmetric in (j, k).
-    """
-    d = _check_d(d)
-    nbrs = neighbor_sets(st)
-    _require_pair(st, nbrs, j, k)
-    if j > k:
-        return -magnetic_schedule(st, d, k, j)
-    c = _pair_argument(st, d, j, k)
-    if abs(c) <= _zero_scale(st) * d:
+def _magnetic(c: complex, d: float, cutoff: float, pair: tuple[int, int]) -> float:
+    """A_{(j,k)}(d) for j < k from the pair quantity c."""
+    if abs(c) <= cutoff * d:
         raise DegenerateArgumentError(
-            f"phase of pair ({j}, {k}) undefined: argument cancels at d={d}", pair=(j, k)
+            f"phase of pair {pair} undefined: argument cancels at d={d}", pair=pair
         )
     phase = cmath.phase(c)
     if c.real < 0.0:
@@ -217,29 +190,49 @@ def magnetic_schedule(st: STForm, d: float, j: int, k: int) -> float:
     return phase / (2.0 * d)
 
 
-def inner_delta_schedule(st: STForm, d: float, j: int, k: int) -> float:
-    """Midpoint strength w_{jk}(d) of the inner edge joining j and k."""
-    d = _check_d(d)
-    nbrs = neighbor_sets(st)
-    _require_pair(st, nbrs, j, k)
-    lo, hi = min(j, k), max(j, k)
-    c = _pair_argument(st, d, lo, hi)
+def _inner_delta(
+    c: complex, d: float, cutoff: float, pair: tuple[int, int], cross: bool
+) -> float:
+    """w_{jk}(d) for j < k from the pair quantity c."""
     signed = bracket(c)
-    if st.m < hi:
+    if cross:
         # cross pair: the pre guarantees T_{lo,hi} != 0
         return (-2.0 + 1.0 / signed) / d
-    if signed == 0.0 or abs(signed) <= _zero_scale(st) * d:
+    if signed == 0.0 or abs(signed) <= cutoff * d:
         raise SingularDError(
-            f"strength of pair ({lo}, {hi}) undefined at d={d}: "
+            f"strength of pair {pair} undefined at d={d}: "
             "d S_jk cancels the T-column overlap; use a different d",
-            pair=(lo, hi),
+            pair=pair,
         )
     return (-2.0 - 1.0 / signed) / d
 
 
+def magnetic_schedule(st: STForm, d: float, j: int, k: int) -> float:
+    """Magnetic potential A_{(j,k)}(d) on the half-segment adjacent to v_j.
+
+    The phase is the principal argument of the pair quantity c, shifted by
+    -pi when Re c < 0 (the sign of <c> absorbs the remaining half-turn),
+    and divided by the accumulated path length 2d.  Antisymmetric in (j, k).
+    """
+    d = require_half_length(d)
+    _require_pair(st, neighbor_sets(st), j, k)
+    lo, hi = min(j, k), max(j, k)
+    a_lo_hi = _magnetic(_pair_argument(st, d, lo, hi), d, _zero_scale(st), (lo, hi))
+    return a_lo_hi if j < k else -a_lo_hi
+
+
+def inner_delta_schedule(st: STForm, d: float, j: int, k: int) -> float:
+    """Midpoint strength w_{jk}(d) of the inner edge joining j and k."""
+    d = require_half_length(d)
+    _require_pair(st, neighbor_sets(st), j, k)
+    lo, hi = min(j, k), max(j, k)
+    c = _pair_argument(st, d, lo, hi)
+    return _inner_delta(c, d, _zero_scale(st), (lo, hi), st.m < hi)
+
+
 def vertex_delta_schedule(st: STForm, nbrs: NeighborSets, d: float, j: int) -> float:
     """Vertex strength w_j(d) at the endpoint of the j-th outer edge."""
-    d = _check_d(d)
+    d = require_half_length(d)
     if not 1 <= j <= st.n:
         raise StructuralError(f"edge index {j} out of range 1..{st.n}")
     m = st.m
@@ -268,17 +261,20 @@ def vertex_delta_schedule(st: STForm, nbrs: NeighborSets, d: float, j: int) -> f
 
 def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
     """Assemble neighbor sets and all three schedules into one graph."""
-    d = _check_d(d)
+    d = require_half_length(d)
     nbrs = neighbor_sets(st)
+    cutoff = _zero_scale(st)
     w_vertex = {
         j: vertex_delta_schedule(st, nbrs, d, j) for j in range(1, st.n + 1)
     }
     w_inner: dict[tuple[int, int], float] = {}
     a_inner: dict[tuple[int, int], float] = {}
-    for j, k in nbrs.pairs():
-        w_inner[(j, k)] = inner_delta_schedule(st, d, j, k)
-        a_jk = magnetic_schedule(st, d, j, k)
-        a_inner[(j, k)] = a_jk
+    for pair in nbrs.pairs():
+        j, k = pair
+        c = _pair_argument(st, d, j, k)
+        w_inner[pair] = _inner_delta(c, d, cutoff, pair, st.m < k)
+        a_jk = _magnetic(c, d, cutoff, pair)
+        a_inner[pair] = a_jk
         a_inner[(k, j)] = -a_jk
     return ApproxGraph(
         n=st.n,

@@ -25,13 +25,20 @@ messages are replaced by semicolons so the file stays three columns wide.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import DEFAULT_TOL, require_finite_real, require_positive_int
+from ._util import (
+    DEFAULT_TOL,
+    require_finite_real,
+    require_half_length,
+    require_positive_int,
+    require_positive_real,
+)
 from .builder import build_approx_graph
 from .couplings import STForm, ab_from_st, star_scattering
 from .errors import ConditioningError, InputError, QGraphError, ResonantKError
@@ -81,11 +88,9 @@ class ScatteringNorm:
     k_list: tuple[float, ...] = (0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        ks = tuple(require_finite_real(k, "k") for k in self.k_list)
+        ks = tuple(require_positive_real(k, "momentum k") for k in self.k_list)
         if not ks:
             raise InputError("k_list must not be empty")
-        if any(k <= 0 for k in ks):
-            raise InputError(f"momenta must be positive, got {ks}")
         object.__setattr__(self, "k_list", ks)
 
 
@@ -108,10 +113,7 @@ class HSResolvent:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise InputError(f"z must be finite, got {z!r}")
         object.__setattr__(self, "z", z)
-        length = require_finite_real(self.L, "L")
-        if length <= 0:
-            raise InputError(f"truncation length must be positive, got {length}")
-        object.__setattr__(self, "L", length)
+        object.__setattr__(self, "L", require_positive_real(self.L, "truncation length L"))
         quad_n = require_positive_int(self.quad_n, "quad_n")
         if quad_n < 4:
             raise InputError(f"quad_n must be an integer >= 4, got {self.quad_n!r}")
@@ -127,10 +129,7 @@ class EigGap:
 
     def __post_init__(self):
         object.__setattr__(self, "count", require_positive_int(self.count, "count"))
-        length = require_finite_real(self.L, "L")
-        if length <= 0:
-            raise InputError(f"truncation length must be positive, got {length}")
-        object.__setattr__(self, "L", length)
+        object.__setattr__(self, "L", require_positive_real(self.L, "truncation length L"))
 
 
 MetricSpec = ScatteringNorm | HSResolvent | EigGap
@@ -150,10 +149,7 @@ class SweepConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        ds = tuple(require_finite_real(d, "d") for d in self.d_values)
-        for d in ds:
-            if not 0.0 < d <= 1.0:
-                raise InputError(f"d values must lie in (0, 1], got {d}")
+        ds = tuple(require_half_length(d) for d in self.d_values)
         if any(b >= a for a, b in zip(ds, ds[1:])):
             raise InputError("d_values must be strictly decreasing")
         object.__setattr__(self, "d_values", ds)
@@ -265,9 +261,17 @@ def metric_eigengap(st: STForm, d: float, count: int = 5, L: float = 1.0) -> flo
     return float(np.max(np.abs(lam_d - lam_star)))
 
 
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The quad_n-point Gauss-Legendre rule on [-1, 1], shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _edge_quadrature(sys: MetricGraphSystem, quad_n: int):
     """Gauss-Legendre nodes and weights on every edge, in edge order."""
-    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
+    nodes, weights = _gauss_legendre(quad_n)
     points: list[tuple] = []
     w_all: list[float] = []
     for edge in sys.edges:

@@ -37,6 +37,7 @@ from ._util import (
     hermitize,
     numerical_rank,
     require_finite_real,
+    require_positive_real,
     row_space_basis,
     subspace_distance,
 )
@@ -168,8 +169,7 @@ def validate_coupling(c: VertexCoupling, tol: float = DEFAULT_TOL) -> Validation
     ``n`` (singular values below ``tol`` times the largest are treated as
     zero) and ``A B*`` is Hermitian within ``tol``.
     """
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    tol = require_positive_real(tol, "tol")
     stacked = np.hstack([c.A, c.B])
     violations: list[str] = []
     if numerical_rank(stacked, tol) < c.n:
@@ -328,9 +328,7 @@ def star_scattering(c: VertexCoupling, k: float) -> np.ndarray:
     For an admissible coupling and k > 0 the matrix A + ikB is invertible
     and the result is unitary.
     """
-    k = require_finite_real(k, "k")
-    if k <= 0:
-        raise InputError(f"momentum k must be positive, got {k}")
+    k = require_positive_real(k, "momentum k")
     plus = c.A + 1j * k * c.B
     minus = c.A - 1j * k * c.B
     try:

@@ -54,7 +54,8 @@ class ConditioningError(QGraphError):
 
 
 class ResonantKError(QGraphError):
-    """The matching system is singular at this momentum (inner resonance)."""
+    """The matching system is singular at this momentum (inner resonance):
+    the LU condition estimate of the scaled matching matrix exceeds 1e12."""
 
     def __init__(self, message: str, k: float | None = None):
         super().__init__(message)
@@ -62,7 +63,8 @@ class ResonantKError(QGraphError):
 
 
 class NearSingularZError(QGraphError):
-    """The spectral parameter z lies too close to an eigenvalue."""
+    """The spectral parameter z lies too close to an eigenvalue: the LU
+    condition estimate of the scaled matching matrix exceeds 1e12."""
 
 
 class ScanRangeError(QGraphError):

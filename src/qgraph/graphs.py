@@ -28,10 +28,10 @@ from enum import Enum
 
 import numpy as np
 
-from ._util import require_finite_real
+from ._util import require_finite_real, require_positive_real
 from .builder import ApproxGraph
 from .couplings import STForm, VertexCoupling, ab_from_st
-from .errors import InputError, StructuralError
+from .errors import StructuralError
 
 __all__ = [
     "Edge",
@@ -65,10 +65,7 @@ class Edge:
 
     def __post_init__(self):
         if self.length != math.inf:
-            length = require_finite_real(self.length, "length")
-            if length <= 0:
-                raise InputError(f"edge length must be positive, got {length}")
-            object.__setattr__(self, "length", length)
+            object.__setattr__(self, "length", require_positive_real(self.length, "edge length"))
         object.__setattr__(self, "a", require_finite_real(self.a, "a"))
 
     @property
@@ -132,10 +129,7 @@ class Truncation:
     end: EndCondition = EndCondition.DIRICHLET
 
     def __post_init__(self):
-        length = require_finite_real(self.L, "L")
-        if length <= 0:
-            raise InputError(f"truncation length must be positive, got {length}")
-        object.__setattr__(self, "L", length)
+        object.__setattr__(self, "L", require_positive_real(self.L, "truncation length L"))
 
 
 @dataclass(frozen=True)

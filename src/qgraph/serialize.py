@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from ._util import require_half_length
 from .builder import ApproxGraph, NeighborSets
 from .couplings import CouplingKind, NamedCoupling, STForm, VertexCoupling
 from .errors import InputError, StructuralError
@@ -234,9 +235,7 @@ def approx_from_json(data: dict) -> ApproxGraph:
     n = _integer(data["n"], "n")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    d = _real_number(data["d"], "d")
-    if not 0.0 < d <= 1.0:
-        raise InputError(f"d must lie in (0, 1], got {d}")
+    d = require_half_length(_real_number(data["d"], "d"))
     raw_sets = data["neighbors"]
     if not isinstance(raw_sets, dict) or set(raw_sets) != {str(j) for j in range(1, n + 1)}:
         raise InputError(f'neighbors must have exactly the keys "1".."{n}"')

@@ -25,20 +25,26 @@ inverse produces resolvent kernels, and with incoming waves moved to the
 right-hand side it yields scattering matrices.  Index tables built once
 per system turn a 1-d array of spectral points into a stacked
 (npts, N, N) array of matching matrices.
+Both factor M(z) once and gate on LAPACK's 1-norm condition estimate from
+the LU factors (Hager; Higham), O(N^2) on top of the factorization: beyond
+1e12 the point is numerically on the spectrum, and scattering raises
+:class:`ResonantKError`, the resolvent :class:`NearSingularZError`.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, block_diag, lu_factor, lu_solve
+from scipy.linalg.lapack import zgecon
 # The benchmark's tracer (perfbench/tracing.py) rebinds these module-level
 # names, so they stay importable from here.
 from scipy.optimize import brentq, minimize_scalar  # noqa: F401
 
-from ._util import require_positive_int
+from ._util import require_positive_int, require_positive_real
 from .builder import ApproxGraph
 from .couplings import st_from_ab
 from .errors import (
@@ -63,10 +69,9 @@ __all__ = [
     "effective_scattering",
 ]
 
-# Condition-number ceiling beyond which a scattering solve is deemed resonant.
+# Ceiling on the condition estimate of a scaled matching matrix: beyond it a
+# scattering momentum is resonant and a resolvent point lies on the spectrum.
 _COND_LIMIT = 1e12
-# Relative singular-value floor below which a resolvent point is rejected.
-_SINGULAR_RATIO = 1e-12
 
 
 def _principal_k(z) -> np.ndarray:
@@ -275,6 +280,23 @@ class _Assembler:
         return -row_scale[:, np.newaxis] * (c_val @ vals + c_sd @ ders)
 
 
+def _gated_lu(mat: np.ndarray, error: type, message: str, **info):
+    """LU factors of the complex matrix ``mat``; ``error(message, **info)``,
+    with the estimate appended, when its 1-norm condition estimate exceeds
+    _COND_LIMIT.  The norm is taken before the factors are allocated.  An
+    exactly singular or NaN matrix fails the gate, which reports it in
+    place of a LinAlgWarning."""
+    anorm = np.linalg.norm(mat, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(mat, check_finite=False)
+    rcond = zgecon(lu[0], anorm)[0]
+    if not rcond * _COND_LIMIT >= 1.0:
+        cond = 1.0 / rcond if rcond > 0 else math.inf
+        raise error(f"{message} (condition estimate {cond:.2e})", **info)
+    return lu
+
+
 def _group_by_edge(points) -> dict[object, tuple[list[int], np.ndarray]]:
     """``(edge_id, s)`` points grouped by edge, in first-seen order: per
     edge, the points' indices and their coordinates."""
@@ -480,16 +502,11 @@ class GreensFunction:
                 "resolvent of a non-compact system needs z off [0, inf)"
             )
         assembled = self._asm.assembled([z])
-        mat = assembled.M[0]
         self._row_scale = assembled.row_scale[0]
         self._col_scale = assembled.col_scale[0]
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] < _SINGULAR_RATIO * sv[0]:
-            raise NearSingularZError(
-                f"z = {z} is numerically on the spectrum "
-                f"(relative sigma_min {sv[-1] / sv[0]:.2e})"
-            )
-        self._lu = lu_factor(mat)
+        self._lu = _gated_lu(
+            assembled.M[0], NearSingularZError, f"z = {z} is numerically on the spectrum"
+        )
 
     # -- internals --------------------------------------------------------
 
@@ -580,24 +597,19 @@ def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     delta_{lj} exp(-iks) + S_{lj} exp(iks), so a decoupled Neumann half-line
     has S = +1 and a Dirichlet one S = -1.
     """
-    k = float(k)
-    if not (k > 0) or not math.isfinite(k):
-        raise InputError(f"momentum must be positive and finite, got {k}")
+    k = require_positive_real(k, "momentum k")
     asm = _Assembler(sys)
     if not asm.hl_ids:
         raise StructuralError("system has no half-lines, hence no channels")
     assembled = asm.assembled([k * k])
-    mat = assembled.M[0]
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise ResonantKError(
-            f"matching system ill-conditioned at k = {k} (cond {cond:.2e})", k=k
-        )
+    lu = _gated_lu(
+        assembled.M[0], ResonantKError, f"matching system ill-conditioned at k = {k}", k=k
+    )
     # Incoming wave exp(-iks) on each channel in turn: value 1 and inward
     # derivative -ik at the channel's end.
     eye = np.eye(len(asm.hl_ids))
     rhs = asm.rhs(assembled.row_scale[0], asm.hl_slots, eye, -1j * k * eye)
-    coeff = assembled.col_scale[0][:, np.newaxis] * np.linalg.solve(mat, rhs)
+    coeff = assembled.col_scale[0][:, np.newaxis] * lu_solve(lu, rhs)
     rows = [asm.cols[h].start for h in asm.hl_ids]
     return coeff[rows, :]
 

@@ -10,6 +10,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from qgraph import (
     CouplingKind,
+    NeighborSets,
     DegenerateArgumentError,
     DeltaCondition,
     FormBoundReport,
@@ -120,6 +121,30 @@ def loglog_slope(ds, values) -> float:
     """Plain least-squares slope of log(values) against log(ds)."""
     slope, _ = np.polyfit(np.log(ds), np.log(values), 1)
     return float(slope)
+
+
+# -- reference neighbor sets: one entry of S and T at a time ----------------
+
+def reference_neighbor_sets(st: STForm, cutoff: float) -> NeighborSets:
+    """N_j by the three membership rules, looping over every pair (j, k)
+    and, for the T-column overlap, over every column l."""
+    n, m = st.n, st.m
+    sets = {j: set() for j in range(1, n + 1)}
+    for j in range(1, m + 1):
+        for k in range(m + 1, n + 1):
+            if abs(st.T[j - 1, k - m - 1]) > cutoff:
+                sets[j].add(k)
+                sets[k].add(j)
+    for j in range(1, m + 1):
+        for k in range(j + 1, m + 1):
+            coupled = abs(st.S[j - 1, k - 1]) > cutoff or any(
+                abs(st.T[j - 1, l]) > cutoff and abs(st.T[k - 1, l]) > cutoff
+                for l in range(n - m)
+            )
+            if coupled:
+                sets[j].add(k)
+                sets[k].add(j)
+    return NeighborSets(n=n, m=m, sets={j: frozenset(s) for j, s in sets.items()})
 
 
 # -- reference form-bound sampling: one spline per edge of every sample ----

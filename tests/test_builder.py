@@ -9,10 +9,15 @@ from qgraph import (
     DegenerateArgumentError,
     InputError,
     Order,
+    ScatteringNorm,
     SingularDError,
+    STForm,
+    SweepConfig,
     ab_from_st,
     bracket,
     build_approx_graph,
+    c_eta_edge,
+    delta_eps,
     effective_scattering,
     inner_delta_schedule,
     magnetic_schedule,
@@ -21,12 +26,17 @@ from qgraph import (
     star_scattering,
     vertex_delta_schedule,
 )
+from qgraph.builder import _zero_scale
+from qgraph.serialize import approx_from_json, approx_to_json
 from helpers import (
     loglog_slope,
+    make_complex_t,
     make_delta,
     make_delta_prime,
     make_dirichlet,
     make_singular_at_tenth,
+    random_st,
+    reference_neighbor_sets,
 )
 
 
@@ -212,6 +222,22 @@ def test_build_rejects_bad_half_length(st_delta):
             build_approx_graph(st_delta, d)
 
 
+@pytest.mark.parametrize("d", [0.0, -0.25, 1.5])
+def test_every_half_length_entry_point_rejects_d_outside_unit_interval(st_delta, d):
+    """Builder, sweep grid, graph documents and budget share one check."""
+    doc = approx_to_json(build_approx_graph(st_delta, 0.5))
+    calls = [
+        lambda: build_approx_graph(st_delta, d),
+        lambda: SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(d,)),
+        lambda: approx_from_json({**doc, "d": d}),
+        lambda: c_eta_edge(1.0, d, 0.0, 0.0),
+        lambda: delta_eps(1e-3, d, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match=r"half-length d must lie in \(0, 1\]"):
+            call()
+
+
 def test_singular_half_length_raises_with_pair():
     st = make_singular_at_tenth()
     with pytest.raises((SingularDError, DegenerateArgumentError)) as info:
@@ -219,6 +245,83 @@ def test_singular_half_length_raises_with_pair():
     assert info.value.pair == (1, 2)
     # a nearby non-cancelling d builds fine
     build_approx_graph(st, 0.09)
+
+
+# -- the one-pass build against the per-entry and per-pair references -------
+
+def _sparse_random_st(rng, n):
+    """A random normal form with about half of the off-diagonal S entries
+    (in Hermitian pairs) and half of the T entries set to zero."""
+    st = random_st(rng, n=n, m=int(rng.integers(1, n + 1)))
+    s_mat, t_mat = st.S.copy(), st.T.copy()
+    drop = np.triu(rng.random(s_mat.shape) < 0.5, 1)
+    s_mat[drop | drop.T] = 0.0
+    t_mat[rng.random(t_mat.shape) < 0.5] = 0.0
+    return STForm(n=st.n, m=st.m, perm=st.perm, S=s_mat, T=t_mat)
+
+
+def _sparse_random_sts(count=40, seed=20261018):
+    rng = np.random.default_rng(seed)
+    return [_sparse_random_st(rng, int(rng.integers(2, 9))) for _ in range(count)]
+
+
+def _assert_build_matches_per_pair_schedules(st, d):
+    g = build_approx_graph(st, d)
+    assert g.neighbors == reference_neighbor_sets(st, _zero_scale(st))
+    for j in range(1, st.n + 1):
+        assert g.w_vertex[j] == vertex_delta_schedule(st, g.neighbors, d, j)
+    assert list(g.w_inner) == g.neighbors.pairs()
+    for j, k in g.neighbors.pairs():
+        assert g.w_inner[(j, k)] == inner_delta_schedule(st, d, j, k)
+        assert g.a_inner[(j, k)] == magnetic_schedule(st, d, j, k)
+        assert g.a_inner[(k, j)] == magnetic_schedule(st, d, k, j)
+    assert len(g.a_inner) == 2 * len(g.w_inner)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_delta_prime(beta=1.3, n=16), make_complex_t],
+    ids=["delta_prime_16", "complex_t"],
+)
+def test_build_matches_per_pair_schedules(make):
+    for d in (0.25, 2.0**-7):
+        _assert_build_matches_per_pair_schedules(make(), d)
+
+
+def test_build_matches_per_pair_schedules_on_sparse_random_forms():
+    overlap_only = cross = 0
+    for st in _sparse_random_sts():
+        for d in (0.3, 0.01):
+            try:
+                _assert_build_matches_per_pair_schedules(st, d)
+            except (SingularDError, DegenerateArgumentError):
+                continue
+        m = st.m
+        for j, k in neighbor_sets(st).pairs():
+            if k > m:
+                cross += 1
+            elif st.S[j - 1, k - 1] == 0:
+                overlap_only += 1
+    # Both the cross-pair rule and the T-column overlap rule on its own
+    # decide some of the pairs compared above.
+    assert overlap_only > 0 and cross > 0
+
+
+def test_neighbor_sets_match_reference_with_entries_at_the_cutoff():
+    """Entries just above and just below the zero cutoff, in S, in T, and in
+    a T column shared by two rows."""
+    cutoff = 1e-12 * 2.0
+    lo, hi = 0.5 * cutoff, 1.5 * cutoff
+    t_mat = np.array([[2.0, hi, 0.0], [lo, hi, 0.0], [0.0, 0.0, 0.0]])
+    s_mat = np.array([[0.0, lo, hi], [lo, 0.0, 0.0], [hi, 0.0, 1.0]])
+    st = STForm(n=6, m=3, perm=tuple(range(1, 7)), S=s_mat, T=t_mat)
+    assert _zero_scale(st) == cutoff
+    nbrs = neighbor_sets(st)
+    assert nbrs == reference_neighbor_sets(st, cutoff)
+    # (1, 2) only through the shared second column, (1, 3) only through S.
+    assert nbrs.sets[1] == frozenset({2, 3, 4, 5})
+    assert nbrs.sets[2] == frozenset({1, 5})
+    assert nbrs.sets[3] == frozenset({1})
 
 
 # -- behavioral check: the build approximates the coupling ------------------

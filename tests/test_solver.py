@@ -17,6 +17,7 @@ from qgraph import (
     MetricGraphSystem,
     NamedCoupling,
     NearSingularZError,
+    ResonantKError,
     ScanRangeError,
     StructuralError,
     Vertex,
@@ -443,6 +444,59 @@ def test_scattering_rejects_bad_momentum_and_compact_systems():
         scattering_matrix(kir2, 0.0)
     with pytest.raises(StructuralError):
         scattering_matrix(interval(1.0), 1.0)
+
+
+def loop_with_leads() -> MetricGraphSystem:
+    """Two half-lines and a loop of length 2 pi at one Kirchhoff vertex.
+    At integer k the loop carries sin(ks), which vanishes at the vertex and
+    has opposite inward derivatives there: a bound state embedded in the
+    continuum, so the matching system is singular."""
+    return MetricGraphSystem(
+        edges=(
+            Edge(id="in", length=math.inf),
+            Edge(id="out", length=math.inf),
+            Edge(id="loop", length=2.0 * math.pi),
+        ),
+        vertices=(
+            Vertex(
+                id="o",
+                condition=DeltaCondition(0.0),
+                ends=(("in", 0), ("out", 0), ("loop", 0), ("loop", 1)),
+            ),
+        ),
+    )
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0])
+def test_scattering_gate_fires_on_embedded_eigenvalue(k):
+    with pytest.raises(ResonantKError, match="condition estimate") as info:
+        scattering_matrix(loop_with_leads(), k)
+    assert info.value.k == k
+
+
+@pytest.mark.parametrize("k", [1.000001, 1.1])
+def test_scattering_next_to_embedded_eigenvalue_is_unitary(k):
+    s = scattering_matrix(loop_with_leads(), k)
+    np.testing.assert_allclose(s.conj().T @ s, np.eye(2), atol=1e-12)
+
+
+def test_metric_scattering_retries_a_resonant_momentum(monkeypatch):
+    """The gate's ResonantKError at k = 1 sends metric_scattering to
+    k (1 + 1e-6), where the solve succeeds."""
+    import qgraph.convergence as convergence
+
+    tried = []
+
+    def loop_scattering(g, k):
+        tried.append(k)
+        return scattering_matrix(loop_with_leads(), k)
+
+    monkeypatch.setattr(convergence, "effective_scattering", loop_scattering)
+    monkeypatch.setattr(convergence, "star_scattering", lambda c, k: np.eye(2))
+    value = convergence.metric_scattering(make_delta(alpha=1.0, n=3), 0.1, k_list=(1.0,))
+    assert tried == [1.0, 1.0 * (1.0 + 1.0e-6)]
+    expected = scattering_matrix(loop_with_leads(), 1.0 * (1.0 + 1.0e-6)) - np.eye(2)
+    assert value == np.linalg.norm(expected, 2)
 
 
 # -- batched evaluation against the one-point reference ---------------------
