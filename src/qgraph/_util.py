@@ -116,6 +116,14 @@ def require_positive_real(value: float, name: str) -> float:
     return out
 
 
+def require_nonnegative_real(value: float, name: str) -> float:
+    """Coerce to a finite real float >= 0."""
+    out = require_finite_real(value, name)
+    if not out >= 0.0:
+        raise InputError(f"{name} must be nonnegative, got {out}")
+    return out
+
+
 def require_half_length(value: float, name: str = "d") -> float:
     """Coerce a half-length to a finite real float in (0, 1]."""
     d = require_finite_real(value, name)

@@ -45,6 +45,7 @@ from scipy.interpolate import CubicSpline
 from ._util import (
     require_finite_real,
     require_half_length,
+    require_nonnegative_real,
     require_positive_int,
     require_positive_real,
 )
@@ -103,16 +104,10 @@ class FormBoundInputs:
         for attr in ("abs_a", "wbar"):
             checked = {}
             for key, value in getattr(self, attr).items():
-                value = require_finite_real(value, f"{attr}[{key!r}]")
-                if value < 0:
-                    raise InputError(f"{attr}[{key!r}] must be nonnegative, got {value}")
-                checked[key] = value
+                checked[key] = require_nonnegative_real(value, f"{attr}[{key!r}]")
             object.__setattr__(self, attr, checked)
         for name in ("max_a", "max_w"):
-            value = require_finite_real(getattr(self, name), name)
-            if value < 0:
-                raise InputError(f"{name} must be nonnegative, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, require_nonnegative_real(getattr(self, name), name))
 
 
 def form_bound_inputs(g: ApproxGraph, eta: float) -> FormBoundInputs:
@@ -146,10 +141,8 @@ def c_eta_edge(eta: float, d: float, abs_a_e: float, wbar_e: float) -> float:
     """The per-edge constant (1 + 2/eta)|A_e|^2 + max{4 wbar^2/eta, 2 wbar/d}."""
     eta = require_positive_real(eta, "eta")
     d = require_half_length(d)
-    abs_a_e = require_finite_real(abs_a_e, "abs_a_e")
-    wbar_e = require_finite_real(wbar_e, "wbar_e")
-    if abs_a_e < 0 or wbar_e < 0:
-        raise InputError("|A_e| and wbar_e must be nonnegative")
+    abs_a_e = require_nonnegative_real(abs_a_e, "abs_a_e")
+    wbar_e = require_nonnegative_real(wbar_e, "wbar_e")
     return (1.0 + 2.0 / eta) * abs_a_e**2 + max(
         4.0 * wbar_e**2 / eta, 2.0 * wbar_e / d
     )
@@ -267,11 +260,9 @@ def delta_eps(eps: float, d: float, max_w: float) -> float:
     """
     eps = require_positive_real(eps, "eps")
     d = require_half_length(d)
-    max_w = require_finite_real(max_w, "max_w")
+    max_w = require_nonnegative_real(max_w, "max_w")
     if eps > d:
         raise InputError(f"eps must not exceed d, got eps={eps} > d={d}")
-    if max_w < 0:
-        raise InputError(f"max_w must be nonnegative, got {max_w}")
     return math.sqrt(eps / d) * (max_w + 1.0) + math.sqrt(eps) / d
 
 

@@ -25,6 +25,7 @@ messages are replaced by semicolons so the file stays three columns wide.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import warnings
@@ -36,6 +37,7 @@ from ._util import (
     DEFAULT_TOL,
     require_finite_real,
     require_half_length,
+    require_nonnegative_real,
     require_positive_int,
     require_positive_real,
 )
@@ -43,7 +45,7 @@ from .builder import build_approx_graph
 from .couplings import STForm, ab_from_st, star_scattering
 from .errors import ConditioningError, InputError, QGraphError, ResonantKError
 from .graphs import MetricGraphSystem, star_system, system_from_approx, truncate
-from .solver import effective_scattering, eigenvalues_compact, greens_function
+from .solver import _ScatteringSolver, eigenvalues_compact, greens_function
 
 __all__ = [
     "DEFAULT_D_VALUES",
@@ -75,6 +77,31 @@ QUAD_STABILITY_RTOL = 0.01
 
 class QuadratureWarning(UserWarning):
     """The Hilbert-Schmidt quadrature looks under-resolved at this quad_n."""
+
+
+# The star side of every metric is independent of d.  run_sweep sets a memo
+# in a copied context for its own duration, so a sweep computes each
+# star-side result of its coupling (or the QGraphError it raises) once;
+# outside a sweep nothing is kept.
+_SWEEP_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "qgraph_sweep_memo", default=None
+)
+
+
+def _star_side(key: tuple, compute):
+    """``compute()``, memoized under ``key`` while a sweep runs."""
+    memo = _SWEEP_MEMO.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        try:
+            memo[key] = (compute(), None)
+        except QGraphError as exc:
+            memo[key] = (None, exc)
+    value, error = memo[key]
+    if error is not None:
+        raise error.with_traceback(None)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +180,7 @@ class SweepConfig:
         if any(b >= a for a, b in zip(ds, ds[1:])):
             raise InputError("d_values must be strictly decreasing")
         object.__setattr__(self, "d_values", ds)
-        tol = require_finite_real(self.tol, "tol")
-        if tol < 0:
-            raise InputError(f"tol must be nonnegative, got {tol}")
-        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "tol", require_nonnegative_real(self.tol, "tol"))
 
 
 @dataclass(frozen=True)
@@ -214,15 +238,15 @@ def metric_scattering(
     """
     spec = ScatteringNorm(tuple(k_list))
     c = ab_from_st(st)
-    g = build_approx_graph(st, d)
+    scatter = _ScatteringSolver(system_from_approx(build_approx_graph(st, d)))
     worst = 0.0
     for k in spec.k_list:
         try:
-            s_d = effective_scattering(g, k)
+            s_d = scatter(k)
             s_star = star_scattering(c, k)
         except (ResonantKError, ConditioningError):
             k_shift = k * (1.0 + 1.0e-6)
-            s_d = effective_scattering(g, k_shift)
+            s_d = scatter(k_shift)
             s_star = star_scattering(c, k_shift)
         worst = max(worst, _spectral_norm(s_d - s_star))
     return worst
@@ -253,9 +277,13 @@ def metric_eigengap(st: STForm, d: float, count: int = 5, L: float = 1.0) -> flo
     ``eigengap_floor(st)`` are matched by index.
     """
     spec = EigGap(count=count, L=L)
-    floor = eigengap_floor(st)
-    star = truncate(star_system(st), L=spec.L)
-    lam_star = eigenvalues_compact(star, spec.count, lam_min=floor)
+
+    def star_side():
+        floor = eigengap_floor(st)
+        star = truncate(star_system(st), L=spec.L)
+        return floor, eigenvalues_compact(star, spec.count, lam_min=floor)
+
+    floor, lam_star = _star_side(("eig", spec.count, spec.L), star_side)
     approx = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
     lam_d = eigenvalues_compact(approx, spec.count, lam_min=floor)
     return float(np.max(np.abs(lam_d - lam_star)))
@@ -282,26 +310,21 @@ def _edge_quadrature(sys: MetricGraphSystem, quad_n: int):
     return points, np.array(w_all)
 
 
-def _hs_value(
-    star_t: MetricGraphSystem,
-    approx_t: MetricGraphSystem,
-    n_outer: int,
-    z: complex,
-    quad_n: int,
-) -> float:
-    for j in range(n_outer):
-        if star_t.edges[j].id != approx_t.edges[j].id:
-            raise QGraphError("outer edge order mismatch between systems")
-    g_star = greens_function(star_t, z)
-    g_d = greens_function(approx_t, z)
-    pts_star, _ = _edge_quadrature(star_t, quad_n)
-    pts_d, w_d = _edge_quadrature(approx_t, quad_n)
-    kernel_d = g_d.kernel_matrix(pts_d)
-    kernel_star = g_star.kernel_matrix(pts_star)
-    diff = kernel_d.copy()
-    outer = n_outer * quad_n
-    diff[:outer, :outer] -= kernel_star
-    sq = np.abs(diff) ** 2
+def _star_kernel(star_t: MetricGraphSystem, z: complex, quad_n: int) -> np.ndarray:
+    """The star's resolvent kernel on its quadrature grid, read-only."""
+    points, _ = _edge_quadrature(star_t, quad_n)
+    kernel = greens_function(star_t, z).kernel_matrix(points)
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _hs_value(kernel_d: np.ndarray, kernel_star: np.ndarray, w_d: np.ndarray) -> float:
+    """Weighted Hilbert-Schmidt norm of kernel_d minus the star kernel,
+    which covers its leading block; kernel_d is overwritten."""
+    outer = len(kernel_star)
+    kernel_d[:outer, :outer] -= kernel_star
+    sq = np.abs(kernel_d)
+    sq **= 2
     return float(math.sqrt(w_d @ sq @ w_d))
 
 
@@ -323,8 +346,21 @@ def metric_hs_resolvent(
     spec = HSResolvent(z=z, L=L, quad_n=quad_n)
     star_t = truncate(star_system(st), L=spec.L)
     approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
-    value = _hs_value(star_t, approx_t, st.n, spec.z, spec.quad_n)
-    refined = _hs_value(star_t, approx_t, st.n, spec.z, 2 * spec.quad_n)
+    for j in range(st.n):
+        if star_t.edges[j].id != approx_t.edges[j].id:
+            raise QGraphError("outer edge order mismatch between systems")
+    g_d = None
+    values = []
+    for n in (spec.quad_n, 2 * spec.quad_n):
+        kernel_star = _star_side(
+            ("hs", spec.z, spec.L, n),
+            functools.partial(_star_kernel, star_t, spec.z, n),
+        )
+        if g_d is None:
+            g_d = greens_function(approx_t, spec.z)
+        points, weights = _edge_quadrature(approx_t, n)
+        values.append(_hs_value(g_d.kernel_matrix(points), kernel_star, weights))
+    value, refined = values
     change = abs(value - refined) / max(abs(refined), 1.0e-300)
     if change > QUAD_STABILITY_RTOL:
         warnings.warn(
@@ -381,15 +417,10 @@ def _flat(text: str) -> str:
     return " ".join(text.split()).replace(",", ";")
 
 
-def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
-    """Evaluate the metric at every d, fit the rate, assemble the report.
-
-    The d values are processed independently in their listed (decreasing)
-    order, so the report is deterministic.  A d where the builder or the
-    solver raises is recorded as skipped with the error message; fewer
-    than four valid points leave the report inconclusive with the fit
-    fields unset.
-    """
+def _sweep_points(cfg: SweepConfig) -> list[SweepPoint]:
+    """The per-d points of a sweep, with the star-side memo set; run in a
+    copied context, so the memo ends with the sweep."""
+    _SWEEP_MEMO.set({})
     points: list[SweepPoint] = []
     for d in cfg.d_values:
         with warnings.catch_warnings(record=True) as caught:
@@ -410,6 +441,20 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
         if value <= cfg.tol:
             status += "; at roundoff; excluded from fit"
         points.append(SweepPoint(d=d, value=value, status=status))
+    return points
+
+
+def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
+    """Evaluate the metric at every d, fit the rate, assemble the report.
+
+    The d values are processed independently in their listed (decreasing)
+    order, so the report is deterministic.  The star side of the metric,
+    which does not depend on d, is computed once per sweep.  A d where the
+    builder or the solver raises is recorded as skipped with the error
+    message; fewer than four valid points leave the report inconclusive
+    with the fit fields unset.
+    """
+    points = contextvars.copy_context().run(_sweep_points, cfg)
     fit_points = [
         (p.d, p.value) for p in points if p.value is not None and p.value > cfg.tol
     ]

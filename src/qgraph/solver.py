@@ -8,7 +8,10 @@ lambda plus the number of negative eigenvalues of B(lambda) (Friedlander's
 count; see Berkolaiko & Kuchment, *Introduction to Quantum Graphs*).
 Bisection on that integer finds every level, and a level's multiplicity is
 the jump of the count across it, so degenerate and nearly degenerate
-levels are resolved by construction.
+levels are resolved by construction.  The count is evaluated on arrays of
+lambda (stacked matmuls and stacked eigvalsh calls, with each point's
+arithmetic unchanged), and the bisection is level-synchronous: every round
+counts at the midpoints of all live intervals in one call.
 
 Resolvents and scattering matrices use the matching matrix M(z).  On each
 finite edge a solution of -(d/ds + i a)^2 f = z f is written as
@@ -364,64 +367,115 @@ class _EigenvalueCount:
                 at, j_row = rows[(edge.id, end)]
                 self.w[:, at : at + len(j_row), col] += np.outer(factor, j_row.conj())
         self.w /= math.sqrt(2.0)
+        self.w_adj = self.w.conj().transpose(0, 2, 1)
+        # w_+ and w_- side by side: column e is w_+ of edge e, column E + e
+        # its w_-.
+        self.w_cols = np.concatenate(list(self.w), axis=1)
 
     def __call__(self, lam: float) -> int:
-        if lam <= 0.0:
-            kappa = math.sqrt(-lam)
+        return self.many([lam])[0]
+
+    def many(self, lams) -> list[int]:
+        """N(lambda) at every point of the 1-d array ``lams``.
+
+        Edge coefficients are computed as (points, edges) arrays, the edge
+        terms of all points as one stacked matmul per sign, and the inertia
+        as one stacked eigvalsh per bordered size.  Every slice goes through
+        the same operations, in the same order, as a single point would.
+        """
+        lam = np.asarray(lams, dtype=float).reshape(-1)
+        npts, ne = len(lam), len(self.length)
+        coef = np.empty((2, npts, ne))
+        # Per point and edge: the border diagonal b (NaN if not bordered)
+        # and the column of w_cols that is bordered.
+        b = np.full((npts, ne), np.nan)
+        pick = np.zeros((npts, ne), dtype=int)
+        # N = level count (a float sum, exact while it stays below 2^53) +
+        # negative eigenvalues of the bordered matrix - negative b's.
+        level_sum = np.zeros(npts)
+        inertia = np.zeros(npts, dtype=int)
+        below = lam <= 0.0
+        if below.any():
+            kappa = np.sqrt(-lam[below])[:, np.newaxis]
             t = np.tanh(0.5 * kappa * self.length)
-            coef = np.stack([kappa * t, np.divide(kappa, t, out=2.0 / self.length, where=t > 0)])
-            return _negative_count(self.s_mat + self._edge_terms(coef))
-        k = math.sqrt(lam)
-        q = k * self.length / math.pi
-        levels = np.ceil(q) - 1.0
-        # kl/2 = (levels + x) pi/2 with x in (0, 1]: with tau = tan(x pi/2),
-        # -k tan(kl/2) is -k tau on w_+ and k/tau on w_- for an even level
-        # count, swapped for an odd one.  Computing both from x keeps the
-        # sign of every border b consistent with the level count.
-        tau = np.tan(0.5 * math.pi * (q - levels))
-        small = tau < 1.0
-        # k/tau is at most max(k, 2/l) below the first level; elsewhere the
-        # larger of -k tau and k/tau is bordered, with b = -tau or 1/tau.
-        border = ~small | (levels > 0)
-        neg = np.where(small, -k * tau, 0.0)
-        pos = np.divide(k, tau, out=np.zeros_like(tau), where=~(small & border))
-        odd = levels % 2 == 1
-        coef = np.stack([np.where(odd, pos, neg), np.where(odd, neg, pos)])
+            coef[0, below] = kappa * t
+            coef[1, below] = np.divide(
+                kappa, t, out=np.tile(2.0 / self.length, (len(kappa), 1)), where=t > 0
+            )
+        above = ~below
+        if above.any():
+            k = np.sqrt(lam[above])[:, np.newaxis]
+            q = k * self.length / math.pi
+            levels = np.ceil(q) - 1.0
+            # kl/2 = (levels + x) pi/2 with x in (0, 1]: with tau = tan(x pi/2),
+            # -k tan(kl/2) is -k tau on w_+ and k/tau on w_- for an even level
+            # count, swapped for an odd one.  Computing both from x keeps the
+            # sign of every border b consistent with the level count.
+            tau = np.tan(0.5 * math.pi * (q - levels))
+            small = tau < 1.0
+            # k/tau is at most max(k, 2/l) below the first level; elsewhere the
+            # larger of -k tau and k/tau is bordered, with b = -tau or 1/tau.
+            border = ~small | (levels > 0)
+            neg = np.where(small, -k * tau, 0.0)
+            pos = np.divide(k, tau, out=np.zeros_like(tau), where=~(small & border))
+            odd = levels % 2 == 1
+            coef[0, above] = np.where(odd, pos, neg)
+            coef[1, above] = np.where(odd, neg, pos)
+            b[above] = np.where(border, np.where(small, -tau, 1.0 / np.maximum(tau, 1.0)), np.nan)
+            # The bordered vector is w_+ exactly when small == odd.
+            pick[above] = np.arange(ne) + ne * (small != odd)
+            level_sum[above] = levels.sum(axis=1)
+            inertia[above] = -np.count_nonzero(b[above] < 0, axis=1)
         mat = self.s_mat + self._edge_terms(coef)
-        if not border.any():
-            return int(levels.sum()) + _negative_count(mat)
-        # The bordered vector is w_+ exactly when small == odd.
-        vecs = math.sqrt(k) * np.where(small == odd, self.w[0], self.w[1])[:, border]
-        b = np.where(small, -tau, 1.0 / np.maximum(tau, 1.0))[border]
-        mat = np.block([[mat, vecs], [vecs.conj().T, np.diag(b)]])
-        return int(levels.sum()) + _negative_count(mat) - int(np.count_nonzero(b < 0))
+        border = ~np.isnan(b)
+        sizes = np.count_nonzero(border, axis=1)
+        for nb in set(sizes.tolist()):
+            at = np.flatnonzero(sizes == nb)
+            part = mat if len(at) == npts else mat[at]
+            if nb:
+                # The bordered system [[B, sqrt(k) w], [sqrt(k) w*, diag(b)]].
+                inside = border[at]
+                vecs = self.w_cols[:, pick[at][inside].reshape(-1, nb)].transpose(1, 0, 2)
+                vecs = np.sqrt(np.sqrt(lam[at]))[:, np.newaxis, np.newaxis] * vecs
+                size = part.shape[1]
+                diag = np.arange(size, size + nb)
+                bordered = np.zeros((len(at), size + nb, size + nb), dtype=complex)
+                bordered[:, :size, :size] = part
+                bordered[:, :size, size:] = vecs
+                bordered[:, size:, :size] = vecs.conj().transpose(0, 2, 1)
+                bordered[:, diag, diag] = b[at][inside].reshape(-1, nb)
+                part = bordered
+            inertia[at] += _negative_counts(part)
+        return [int(s) + int(n) for s, n in zip(level_sum, inertia)]
 
     def _edge_terms(self, coef: np.ndarray) -> np.ndarray:
-        """sum_e (coef[0, e] w_+ w_+* + coef[1, e] w_- w_-*)."""
-        return sum((w * c) @ w.conj().T for w, c in zip(self.w, coef))
+        """sum_e (coef[0, p, e] w_+ w_+* + coef[1, p, e] w_- w_-*) per point p."""
+        return sum((w * c[:, np.newaxis, :]) @ w_adj for w, c, w_adj in zip(self.w, coef, self.w_adj))
 
 
-def _negative_count(mat: np.ndarray) -> int:
-    """Negative eigenvalues of a Hermitian matrix, counted after a symmetric
-    diagonal scaling (which keeps the inertia) that brings every row's
-    largest entry to 1."""
-    if not mat.size:
-        return 0
-    row_max = np.abs(mat).max(axis=1)
+def _negative_counts(mats: np.ndarray) -> np.ndarray:
+    """Negative eigenvalues of each Hermitian matrix in a stack, counted
+    after a symmetric diagonal scaling (which keeps the inertia) that brings
+    every row's largest entry to 1."""
+    if not mats.shape[-1]:
+        return np.zeros(len(mats), dtype=int)
+    row_max = np.abs(mats).max(axis=-1)
     scale = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
-    return int(np.count_nonzero(np.linalg.eigvalsh(mat * np.outer(scale, scale)) < 0))
+    scaled = mats * (scale[:, :, np.newaxis] * scale[:, np.newaxis, :])
+    return np.count_nonzero(np.linalg.eigvalsh(scaled) < 0, axis=-1)
 
 
-def _bracket(count_below, lam: float, done, other_end: float) -> float:
-    """Double ``lam`` until ``done(count_below(lam))``."""
-    while not done(count_below(lam)):
+def _bracket(count_below, lam: float, done, other_end: float) -> tuple[float, int]:
+    """Double ``lam`` until ``done(count_below(lam))``; the final lambda and
+    its count."""
+    while not done(n := count_below(lam)):
         if not math.isfinite(2.0 * lam):
             raise ScanRangeError(
                 f"eigenvalue count not reached by lambda = {lam:.3g}",
                 window=(min(lam, other_end), max(lam, other_end)),
             )
         lam *= 2.0
-    return lam
+    return lam, n
 
 
 def eigenvalues_compact(
@@ -437,7 +491,10 @@ def eigenvalues_compact(
     truncated here.  The eigenvalue count N(lambda) brackets the spectrum
     (doubling -lambda until N = 0, then lambda until N covers `count`), and
     bisection refines every level to 1e-13 max(1, |lambda|); a level's
-    multiplicity is the jump of N across it.  With ``lam_min`` only
+    multiplicity is the jump of N across it.  The bisection runs level by
+    level, one batched count per round over the midpoints of all live
+    intervals; it visits the intervals of a depth-first search and returns
+    the same values in the same order.  With ``lam_min`` only
     eigenvalues above that floor are returned; with ``lam_max`` the result
     is whatever lies below it, possibly fewer than `count`.
     """
@@ -449,26 +506,38 @@ def eigenvalues_compact(
             )
         sys = truncate(sys)
     count_below = _EigenvalueCount(sys)
-    lo = _bracket(count_below, -1.0, lambda n: n == 0, 0.0) if lam_min is None else lam_min
-    n_lo = count_below(lo)
+    if lam_min is None:
+        lo, n_lo = _bracket(count_below, -1.0, lambda n: n == 0, 0.0)
+    else:
+        lo, n_lo = lam_min, count_below(lam_min)
     target = n_lo + count
     if lam_max is None:
-        hi = _bracket(count_below, max(1.0, 2.0 * lo), lambda n: n >= target, lo)
+        hi, n_hi = _bracket(count_below, max(1.0, 2.0 * lo), lambda n: n >= target, lo)
     else:
-        hi = lam_max
-    values: list[float] = []
-    stack = [(lo, hi, n_lo, count_below(hi))]
-    while stack:
-        a, b, n_a, n_b = stack.pop()
-        if n_b <= n_a or n_a >= target:
-            continue
-        mid = 0.5 * (a + b)
-        if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
-            values.extend([mid] * (n_b - n_a))
-            continue
-        # Clamped so that roundoff next to a level cannot break monotonicity.
-        n_mid = min(max(count_below(mid), n_a), n_b)
-        stack += [(mid, b, n_mid, n_b), (a, mid, n_a, n_mid)]
+        hi, n_hi = lam_max, count_below(lam_max)
+    # An interval's fate depends on its own ends alone, so bisecting level
+    # by level builds the tree of a depth-first search; sorting the leaves
+    # restores its left-to-right output order.
+    leaves: list[tuple[float, float, int]] = []
+    live = [(lo, hi, n_lo, n_hi)]
+    while live:
+        split = []
+        for a, b, n_a, n_b in live:
+            if n_b <= n_a or n_a >= target:
+                continue
+            mid = 0.5 * (a + b)
+            if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
+                leaves.append((a, mid, n_b - n_a))
+            else:
+                split.append((a, b, n_a, n_b, mid))
+        n_mids = count_below.many([mid for *_, mid in split]) if split else ()
+        live = []
+        for (a, b, n_a, n_b, mid), n_mid in zip(split, n_mids):
+            # Clamped so that roundoff next to a level cannot break monotonicity.
+            n_mid = min(max(n_mid, n_a), n_b)
+            live += [(a, mid, n_a, n_mid), (mid, b, n_mid, n_b)]
+    leaves.sort()
+    values = [mid for _, mid, mult in leaves for _ in range(mult)]
     return np.array(values[:count])
 
 
@@ -557,10 +626,11 @@ class GreensFunction:
         points = [self._check_point(p) for p in points]
         sources = points if sources is None else [self._check_point(p) for p in sources]
         source_groups = _group_by_edge(sources)
+        point_groups = source_groups if sources is points else _group_by_edge(points)
         coeff = self._coefficients(source_groups, len(sources))
         k = self.k
         out = np.empty((len(points), len(sources)), dtype=complex)
-        for eid, (idx, sx) in _group_by_edge(points).items():
+        for eid, (idx, sx) in point_groups.items():
             edge = self._asm.edge_map[eid]
             ph = np.exp(-1j * edge.a * sx)
             if edge.is_half_line:
@@ -589,6 +659,31 @@ def greens_function(sys: MetricGraphSystem, z: complex) -> GreensFunction:
 # ---------------------------------------------------------------------------
 
 
+class _ScatteringSolver:
+    """On-shell scattering matrices of one system, at any momentum; the
+    index tables are built once, at construction."""
+
+    def __init__(self, sys: MetricGraphSystem):
+        self.asm = _Assembler(sys)
+        if not self.asm.hl_ids:
+            raise StructuralError("system has no half-lines, hence no channels")
+
+    def __call__(self, k: float) -> np.ndarray:
+        """S(k) for a validated momentum k > 0."""
+        asm = self.asm
+        assembled = asm.assembled([k * k])
+        lu = _gated_lu(
+            assembled.M[0], ResonantKError, f"matching system ill-conditioned at k = {k}", k=k
+        )
+        # Incoming wave exp(-iks) on each channel in turn: value 1 and inward
+        # derivative -ik at the channel's end.
+        eye = np.eye(len(asm.hl_ids))
+        rhs = asm.rhs(assembled.row_scale[0], asm.hl_slots, eye, -1j * k * eye)
+        coeff = assembled.col_scale[0][:, np.newaxis] * lu_solve(lu, rhs)
+        rows = [asm.cols[h].start for h in asm.hl_ids]
+        return coeff[rows, :]
+
+
 def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     """On-shell scattering matrix at momentum k > 0.
 
@@ -598,20 +693,7 @@ def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     has S = +1 and a Dirichlet one S = -1.
     """
     k = require_positive_real(k, "momentum k")
-    asm = _Assembler(sys)
-    if not asm.hl_ids:
-        raise StructuralError("system has no half-lines, hence no channels")
-    assembled = asm.assembled([k * k])
-    lu = _gated_lu(
-        assembled.M[0], ResonantKError, f"matching system ill-conditioned at k = {k}", k=k
-    )
-    # Incoming wave exp(-iks) on each channel in turn: value 1 and inward
-    # derivative -ik at the channel's end.
-    eye = np.eye(len(asm.hl_ids))
-    rhs = asm.rhs(assembled.row_scale[0], asm.hl_slots, eye, -1j * k * eye)
-    coeff = assembled.col_scale[0][:, np.newaxis] * lu_solve(lu, rhs)
-    rows = [asm.cols[h].start for h in asm.hl_ids]
-    return coeff[rows, :]
+    return _ScatteringSolver(sys)(k)
 
 
 def effective_scattering(g: ApproxGraph, k: float) -> np.ndarray:

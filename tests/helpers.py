@@ -349,3 +349,74 @@ def reference_kernel_matrix(sys, z, points, sources):
                 out[i, j] += (cmath.exp(-1j * edge.a * (s - sy)) * 1j
                               * cmath.exp(1j * k * abs(s - sy)) / (2.0 * k))
     return out
+
+
+# -- reference eigenvalue count and bisection: one point per call ----------
+
+def reference_count(count, lam):
+    """N(lambda) at one point, through the per-point operations of the
+    batched count ``count`` (an ``_EigenvalueCount``): Python-float edge
+    coefficients, one 2-D matmul per sign and one 2-D eigvalsh."""
+
+    def edge_terms(coef):
+        return sum((w * c) @ w.conj().T for w, c in zip(count.w, coef))
+
+    def negative(mat):
+        if not mat.size:
+            return 0
+        row_max = np.abs(mat).max(axis=1)
+        scale = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
+        return int(np.count_nonzero(np.linalg.eigvalsh(mat * np.outer(scale, scale)) < 0))
+
+    length = count.length
+    if lam <= 0.0:
+        kappa = math.sqrt(-lam)
+        t = np.tanh(0.5 * kappa * length)
+        coef = np.stack([kappa * t, np.divide(kappa, t, out=2.0 / length, where=t > 0)])
+        return negative(count.s_mat + edge_terms(coef))
+    k = math.sqrt(lam)
+    q = k * length / math.pi
+    levels = np.ceil(q) - 1.0
+    tau = np.tan(0.5 * math.pi * (q - levels))
+    small = tau < 1.0
+    border = ~small | (levels > 0)
+    neg = np.where(small, -k * tau, 0.0)
+    pos = np.divide(k, tau, out=np.zeros_like(tau), where=~(small & border))
+    odd = levels % 2 == 1
+    coef = np.stack([np.where(odd, pos, neg), np.where(odd, neg, pos)])
+    mat = count.s_mat + edge_terms(coef)
+    if not border.any():
+        return int(levels.sum()) + negative(mat)
+    vecs = math.sqrt(k) * np.where(small == odd, count.w[0], count.w[1])[:, border]
+    b = np.where(small, -tau, 1.0 / np.maximum(tau, 1.0))[border]
+    mat = np.block([[mat, vecs], [vecs.conj().T, np.diag(b)]])
+    return int(levels.sum()) + negative(mat) - int(np.count_nonzero(b < 0))
+
+
+def reference_eigenvalues(count_below, count, lam_min=None, lam_max=None):
+    """Depth-first bisection of the count ``count_below(lam)``, one point at
+    a time: the lowest ``count`` eigenvalues, bracketed and refined as
+    ``eigenvalues_compact`` does."""
+
+    def bracket(lam, done):
+        while not done(count_below(lam)):
+            lam *= 2.0
+        return lam
+
+    lo = bracket(-1.0, lambda n: n == 0) if lam_min is None else lam_min
+    n_lo = count_below(lo)
+    target = n_lo + count
+    hi = bracket(max(1.0, 2.0 * lo), lambda n: n >= target) if lam_max is None else lam_max
+    values = []
+    stack = [(lo, hi, n_lo, count_below(hi))]
+    while stack:
+        a, b, n_a, n_b = stack.pop()
+        if n_b <= n_a or n_a >= target:
+            continue
+        mid = 0.5 * (a + b)
+        if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
+            values.extend([mid] * (n_b - n_a))
+            continue
+        n_mid = min(max(count_below(mid), n_a), n_b)
+        stack += [(mid, b, n_mid, n_b), (a, mid, n_a, n_mid)]
+    return np.array(values[:count])

@@ -171,6 +171,45 @@ def test_delta_eps_formula_and_validation():
         delta_eps(0.01, 0.1, -1.0)
 
 
+NOT_NONNEGATIVE = [-1.0, -1e-300, math.nan, math.inf, -math.inf]
+
+
+def _nonnegative_error(name, value):
+    if math.isfinite(value):
+        return re.escape(f"{name} must be nonnegative, got {value}")
+    return re.escape(f"{name} must be finite")
+
+
+@pytest.mark.parametrize("value", NOT_NONNEGATIVE)
+def test_form_bound_inputs_reject_negative_or_non_finite(value):
+    good = dict(d=0.5, eta=1.0, abs_a={1: 0.0}, wbar={1: 1.0}, max_a=0.0, max_w=3.0)
+    for field, bad, name in (
+        ("abs_a", {1: value}, "abs_a[1]"),
+        ("wbar", {1: value}, "wbar[1]"),
+        ("max_a", value, "max_a"),
+        ("max_w", value, "max_w"),
+    ):
+        with pytest.raises(InputError, match=_nonnegative_error(name, value)):
+            FormBoundInputs(**{**good, field: bad})
+    assert FormBoundInputs(**{**good, "max_w": 0.0}).max_w == 0.0
+
+
+@pytest.mark.parametrize("value", NOT_NONNEGATIVE)
+def test_c_eta_edge_rejects_negative_or_non_finite(value):
+    with pytest.raises(InputError, match=_nonnegative_error("abs_a_e", value)):
+        c_eta_edge(1.0, 0.5, value, 1.0)
+    with pytest.raises(InputError, match=_nonnegative_error("wbar_e", value)):
+        c_eta_edge(1.0, 0.5, 1.0, value)
+    assert c_eta_edge(1.0, 0.5, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("value", NOT_NONNEGATIVE)
+def test_delta_eps_rejects_negative_or_non_finite_max_w(value):
+    with pytest.raises(InputError, match=_nonnegative_error("max_w", value)):
+        delta_eps(0.01, 0.1, value)
+    assert delta_eps(0.01, 0.1, 0.0) == pytest.approx(math.sqrt(0.1) + 1.0, rel=1e-12)
+
+
 def test_delta_eps_asymptotic_exponent():
     """With d = eps^alpha and W = d^-2 the defect decays like
     eps^{(1 - 5 alpha)/2}; the fitted slope must land on that exponent."""

@@ -2,17 +2,22 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+import qgraph.convergence as convergence
 from qgraph import (
+    ConvergenceReport,
     EigGap,
     HSResolvent,
     InputError,
+    QGraphError,
     QuadratureWarning,
     ScatteringNorm,
     SweepConfig,
+    SweepPoint,
     ab_from_st,
     build_approx_graph,
     effective_scattering,
@@ -30,7 +35,7 @@ from qgraph import (
     truncate,
     write_report_csv,
 )
-from helpers import make_dirichlet, make_singular_at_tenth
+from helpers import make_delta, make_dirichlet, make_singular_at_tenth
 
 
 # -- rate fitting -----------------------------------------------------------
@@ -111,6 +116,14 @@ def test_sweep_config_validation(st_delta):
         SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(1.5, 0.2))
     with pytest.raises(InputError):
         SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(0.2, 0.1), tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_sweep_config_rejects_negative_or_non_finite_tol(st_delta, tol):
+    message = f"tol must be nonnegative, got {tol}" if math.isfinite(tol) else "tol must be finite"
+    with pytest.raises(InputError, match=re.escape(message)):
+        SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(0.2, 0.1), tol=tol)
+    assert SweepConfig(st=st_delta, metric=ScatteringNorm(), tol=0.0).tol == 0.0
 
 
 # -- metrics ----------------------------------------------------------------
@@ -231,6 +244,104 @@ def test_run_sweep_records_quadrature_notes(st_delta_prime):
     assert point.value is not None
     assert point.status.startswith("ok; quadrature unstable")
     assert "," not in point.status
+
+
+# -- the sweep's star-side memo ---------------------------------------------
+
+MEMO_D_VALUES = tuple(2.0**-p for p in range(2, 7))
+
+
+def _metric_call(st, d, metric):
+    if isinstance(metric, ScatteringNorm):
+        return metric_scattering(st, d, metric.k_list)
+    if isinstance(metric, HSResolvent):
+        return metric_hs_resolvent(st, d, metric.z, metric.L, metric.quad_n)
+    return metric_eigengap(st, d, metric.count, metric.L)
+
+
+def _per_d_report(cfg) -> ConvergenceReport:
+    """The sweep report rebuilt from one public metric call per d, each
+    made outside any sweep."""
+    points = []
+    for d in cfg.d_values:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = _metric_call(cfg.st, d, cfg.metric)
+            except QGraphError as exc:
+                flat = " ".join(str(exc).split()).replace(",", ";")
+                points.append(SweepPoint(d=d, value=None, status=f"skipped: {flat}"))
+                continue
+        notes = [
+            " ".join(str(w.message).split()).replace(",", ";")
+            for w in caught
+            if issubclass(w.category, QuadratureWarning)
+        ]
+        status = "; ".join(["ok"] + notes)
+        if value <= cfg.tol:
+            status += "; at roundoff; excluded from fit"
+        points.append(SweepPoint(d=d, value=value, status=status))
+    fit = [(p.d, p.value) for p in points if p.value is not None and p.value > cfg.tol]
+    slope, intercept, residual = fit_rate(fit) if len(fit) >= 4 else (None, None, None)
+    return ConvergenceReport(
+        metric=cfg.metric, points=tuple(points), slope=slope, intercept=intercept,
+        residual=residual, conclusive=len(fit) >= 4, tol=cfg.tol,
+    )
+
+
+def _counting(monkeypatch, name):
+    """Replace convergence.<name> by a wrapper that records its calls."""
+    calls = []
+    original = getattr(convergence, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("metric", [ScatteringNorm(), HSResolvent(), EigGap()])
+def test_sweep_csv_equals_per_d_metric_calls(st_delta_prime, metric):
+    cfg = SweepConfig(st=st_delta_prime, metric=metric, d_values=MEMO_D_VALUES)
+    assert report_to_csv(run_sweep(cfg)) == report_to_csv(_per_d_report(cfg))
+
+
+def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
+    """Per sweep: the star's eigenvalues once, its resolvent once per
+    quadrature level, and the approximating resolvent once per d."""
+    n = len(MEMO_D_VALUES)
+    solves = _counting(monkeypatch, "eigenvalues_compact")
+    run_sweep(SweepConfig(st=st_delta_prime, metric=EigGap(), d_values=MEMO_D_VALUES))
+    assert len(solves) == 1 + n
+    resolvents = _counting(monkeypatch, "greens_function")
+    run_sweep(SweepConfig(st=st_delta_prime, metric=HSResolvent(), d_values=MEMO_D_VALUES))
+    assert len(resolvents) == 2 + n
+
+
+def test_star_side_error_skips_every_d_with_its_message(monkeypatch):
+    """z = pi^2 is a doubly degenerate level of the truncated delta star, so
+    the star resolvent fails before any approximating one is built: every d
+    is skipped with the per-d message, and the sweep tries the star once."""
+    cfg = SweepConfig(
+        st=make_delta(alpha=1.0, n=3), metric=HSResolvent(z=math.pi**2), d_values=MEMO_D_VALUES
+    )
+    resolvents = _counting(monkeypatch, "greens_function")
+    report = run_sweep(cfg)
+    assert len(resolvents) == 1
+    assert report.values == () and len(report.skipped) == len(MEMO_D_VALUES)
+    assert all("numerically on the spectrum" in status for _, status in report.skipped)
+    assert report_to_csv(report) == report_to_csv(_per_d_report(cfg))
+
+
+def test_sweep_memo_does_not_leak_between_sweeps(st_delta_prime, st_complex_t):
+    """Back-to-back sweeps of two couplings with the same metric each match
+    their per-d reports, and no memo is left set afterwards."""
+    for st in (st_delta_prime, st_complex_t, st_delta_prime):
+        cfg = SweepConfig(st=st, metric=EigGap(), d_values=MEMO_D_VALUES)
+        assert report_to_csv(run_sweep(cfg)) == report_to_csv(_per_d_report(cfg))
+        assert convergence._SWEEP_MEMO.get() is None
 
 
 # -- CSV reports ------------------------------------------------------------

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st_
 from scipy.optimize import brentq
 
 from qgraph import (
@@ -35,13 +36,15 @@ from qgraph import (
     system_from_approx,
     truncate,
 )
-from qgraph.solver import _Assembler, _EigenvalueCount
+from qgraph.solver import _Assembler, _EigenvalueCount, _ScatteringSolver
 from helpers import (
     ReferenceAssembler,
     make_complex_t,
     make_delta,
     make_delta_prime,
     make_dirichlet,
+    reference_count,
+    reference_eigenvalues,
     reference_kernel_matrix,
 )
 
@@ -487,16 +490,27 @@ def test_metric_scattering_retries_a_resonant_momentum(monkeypatch):
 
     tried = []
 
-    def loop_scattering(g, k):
-        tried.append(k)
-        return scattering_matrix(loop_with_leads(), k)
+    def loop_scattering(sys):
+        def scatter(k):
+            tried.append(k)
+            return scattering_matrix(loop_with_leads(), k)
+        return scatter
 
-    monkeypatch.setattr(convergence, "effective_scattering", loop_scattering)
+    monkeypatch.setattr(convergence, "_ScatteringSolver", loop_scattering)
     monkeypatch.setattr(convergence, "star_scattering", lambda c, k: np.eye(2))
     value = convergence.metric_scattering(make_delta(alpha=1.0, n=3), 0.1, k_list=(1.0,))
     assert tried == [1.0, 1.0 * (1.0 + 1.0e-6)]
     expected = scattering_matrix(loop_with_leads(), 1.0 * (1.0 + 1.0e-6)) - np.eye(2)
     assert value == np.linalg.norm(expected, 2)
+
+
+def test_one_scattering_solver_serves_every_momentum():
+    """The per-graph solver that metric_scattering builds once gives, at
+    each momentum, the bits of a fresh scattering_matrix call."""
+    sys_ = system_from_approx(build_approx_graph(make_delta_prime(beta=1.0, n=3), 2.0**-5))
+    scatter = _ScatteringSolver(sys_)
+    for k in (0.5, 1.0, 2.0, 1.0 * (1.0 + 1.0e-6), 0.5):
+        assert scatter(k).tobytes() == scattering_matrix(sys_, k).tobytes()
 
 
 # -- batched evaluation against the one-point reference ---------------------
@@ -567,3 +581,64 @@ def test_kernel_matrix_matches_per_source_reference(name, z):
     got = greens_function(sys_, z).kernel_matrix(points, sources)
     ref = reference_kernel_matrix(sys_, z, points, sources)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+# -- the batched count and the level-synchronous bisection ------------------
+
+COUNT_SYSTEMS = {
+    "delta_prime_d2": (lambda: _approx(make_delta_prime(beta=1.0, n=3), 2.0**-2), True),
+    "delta_prime_d10": (lambda: _approx(make_delta_prime(beta=1.0, n=3), 2.0**-10), True),
+    "complex_t": (lambda: _approx(make_complex_t(), 2.0**-6), True),
+    "general_vertex": (_general_vertex_star, False),
+    "delta_prime_n16": (lambda: _approx(make_delta_prime(beta=1.0, n=16), 2.0**-4), True),
+}
+
+
+def _count_grid(count) -> list[float]:
+    """Exact edge Dirichlet levels (pi m / l_e)^2, zero, both signs of the
+    smallest magnitude, a deep negative point, a level count beyond 2^63,
+    and a spread of ordinary points."""
+    levels = [(math.pi * m / ell) ** 2 for ell in np.unique(count.length) for m in (1, 2, 3)]
+    extremes = [0.0, 1e-300, -1e-300, -(2.0**40), 1e300]
+    return levels + extremes + [-40.0, -1.0, 0.5, 2.4641930364, 7.0, 60.0]
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_SYSTEMS))
+def test_batched_count_matches_one_point_reference(name):
+    """One call over the whole grid, one point per call, and the per-point
+    reference give the same integers, at Dirichlet levels included."""
+    count = _EigenvalueCount(COUNT_SYSTEMS[name][0]())
+    grid = _count_grid(count)
+    got = count.many(grid)
+    assert got == [count(lam) for lam in grid]
+    assert got == [reference_count(count, lam) for lam in grid]
+    # Shuffled and repeated points do not change any point's count.
+    order = np.random.default_rng(0).permutation(2 * len(grid)) % len(grid)
+    assert count.many(np.array(grid)[order]) == [got[i] for i in order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st_.lists(st_.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=12))
+def test_batched_count_matches_reference_at_random_points(lams):
+    count = _EigenvalueCount(_approx(make_delta_prime(beta=1.0, n=3), 2.0**-4))
+    assert count.many(lams) == [reference_count(count, lam) for lam in lams]
+
+
+@pytest.mark.parametrize("name", sorted(set(COUNT_SYSTEMS) - {"delta_prime_n16"}))
+def test_level_synchronous_bisection_matches_depth_first_reference(name):
+    """The same interval tree, so the identical array, multiplicities
+    included, with and without a floor."""
+    make, has_floor = COUNT_SYSTEMS[name]
+    sys_ = make()
+    count = _EigenvalueCount(sys_)
+
+    def count_below(lam):
+        return reference_count(count, lam)
+
+    floors = [None] + ([-10.0 * 3.0**2] if has_floor else [])
+    for lam_min in floors:
+        got = eigenvalues_compact(sys_, 6, lam_min=lam_min)
+        ref = reference_eigenvalues(count_below, 6, lam_min=lam_min)
+        assert got.tobytes() == ref.tobytes()
+    got = eigenvalues_compact(sys_, 40, lam_max=50.0)
+    assert got.tobytes() == reference_eigenvalues(count_below, 40, lam_max=50.0).tobytes()
