@@ -103,7 +103,7 @@ def require_finite_real(value: float, name: str) -> float:
     if abs(val.imag) > 0:
         raise InputError(f"{name} must be real, got {value!r}")
     out = float(val.real)
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise InputError(f"{name} must be finite, got {value!r}")
     return out
 

@@ -232,7 +232,7 @@ def metric_scattering(
 ) -> float:
     """Max over k_list of ||S_d(k) - S*(k)|| in spectral norm.
 
-    A resonant momentum (singular matching system) is retried once at
+    A resonant momentum (singular vertex-reduced system) is retried once at
     k (1 + 1e-6); if the perturbed momentum still resonates, the error
     propagates and the sweep records the d as skipped.
     """

@@ -54,8 +54,9 @@ class ConditioningError(QGraphError):
 
 
 class ResonantKError(QGraphError):
-    """The matching system is singular at this momentum (inner resonance):
-    the LU condition estimate of the scaled matching matrix exceeds 1e12."""
+    """The scattering system is singular at this momentum (a bound state
+    embedded in the continuum): the LU condition estimate of the
+    vertex-reduced matrix exceeds 1e12."""
 
     def __init__(self, message: str, k: float | None = None):
         super().__init__(message)
@@ -64,7 +65,7 @@ class ResonantKError(QGraphError):
 
 class NearSingularZError(QGraphError):
     """The spectral parameter z lies too close to an eigenvalue: the LU
-    condition estimate of the scaled matching matrix exceeds 1e12."""
+    condition estimate of the vertex-reduced matrix exceeds 1e12."""
 
 
 class ScanRangeError(QGraphError):

@@ -351,6 +351,19 @@ def reference_kernel_matrix(sys, z, points, sources):
     return out
 
 
+def reference_scattering_matrix(sys, k):
+    """S(k) from the per-point matching matrix: an incoming wave exp(-iks),
+    value 1 and inward derivative -ik, on one channel at a time, and the
+    half-line coefficients of the solution."""
+    asm = ReferenceAssembler(sys)
+    mat, row_scale, col_scale, _ = asm.assembled(k * k)
+    lu = lu_factor(mat)
+    channels = [e.id for e in sys.edges if e.is_half_line]
+    columns = [asm.rhs(row_scale, {(h, 0): (1.0, -1j * k)}) for h in channels]
+    coeff = col_scale[:, np.newaxis] * lu_solve(lu, np.stack(columns, axis=1))
+    return coeff[[asm.cols[h].start for h in channels], :]
+
+
 # -- reference eigenvalue count and bisection: one point per call ----------
 
 def reference_count(count, lam):

@@ -151,6 +151,17 @@ def test_sweep_range_with_csv(tmp_path, capsys):
     assert "slope," in text and "residual," in text
 
 
+def test_sweep_hs_far_below_the_spectrum(tmp_path, capsys):
+    """At z = -1024 the resolvent is regular; every d is evaluated."""
+    path = write_doc(tmp_path, "dp.json", make_delta_prime(beta=1.0, n=3))
+    out = tmp_path / "hs.csv"
+    argv = ["sweep", path, "--metric", "hs", "--z-re", "-1024", "--d-range", "2:4"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()[1:4]
+    assert len(rows) == 3 and all(row.split(",")[2].startswith("ok") for row in rows)
+
+
 def test_sweep_without_out_writes_no_csv(tmp_path, capsys):
     path = write_doc(tmp_path, "dp.json", make_delta_prime(beta=1.0, n=3))
     before = set(os.listdir(tmp_path))

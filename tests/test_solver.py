@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st_
 from scipy.optimize import brentq
 
 from qgraph import (
+    ConditioningError,
     CouplingKind,
     CouplingCondition,
     DeltaCondition,
@@ -36,16 +37,19 @@ from qgraph import (
     system_from_approx,
     truncate,
 )
-from qgraph.solver import _Assembler, _EigenvalueCount, _ScatteringSolver
+from qgraph.solver import _EigenvalueCount, _ScatteringSolver
 from helpers import (
     ReferenceAssembler,
     make_complex_t,
     make_delta,
     make_delta_prime,
     make_dirichlet,
+    random_built_graph,
+    random_st,
     reference_count,
     reference_eigenvalues,
     reference_kernel_matrix,
+    reference_scattering_matrix,
 )
 
 
@@ -240,6 +244,13 @@ def test_eigenvalues_accept_integral_float_count():
     np.testing.assert_allclose(got, [math.pi**2, 4 * math.pi**2], rtol=1e-10)
 
 
+@pytest.mark.parametrize("bound", ["lam_min", "lam_max"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_eigenvalues_reject_non_finite_window(bound, value):
+    with pytest.raises(InputError, match=f"{bound} must be finite"):
+        eigenvalues_compact(interval(1.0), 3, **{bound: value})
+
+
 def test_oversized_negative_scan_reports_window():
     """The three wells of the delta'_s graph at d = 0.001 sit near -2.51e11,
     far below the limit spectrum; the count brackets them by doubling.  A
@@ -413,6 +424,91 @@ def test_greens_function_rejects_bad_points_and_z(st_delta):
         greens_function(interval(1.0), math.pi**2)
 
 
+def lead_with_stub() -> MetricGraphSystem:
+    """A half-line "h" and a unit edge "e" joined by a Kirchhoff vertex,
+    Dirichlet at the far end of "e"."""
+    return MetricGraphSystem(
+        edges=(Edge(id="e", length=1.0), Edge(id="h", length=math.inf)),
+        vertices=(
+            Vertex(id="o", condition=DeltaCondition(0.0), ends=(("e", 0), ("h", 0))),
+            Vertex(id="d", condition=dirichlet_condition(), ends=(("e", 1),)),
+        ),
+    )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "z, point",
+    [
+        (NAN, None),
+        (INF, None),
+        (complex(-1.0, NAN), None),
+        (complex(-INF, 0.0), None),
+        (-1.0, ("e", NAN)),
+        (-1.0, ("h", NAN)),
+        (-1.0, ("h", INF)),
+    ],
+)
+def test_greens_function_rejects_non_finite_input(z, point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="must be finite"):
+            g = greens_function(lead_with_stub(), z)
+            g(point, ("e", 0.5))
+
+
+@pytest.mark.parametrize("z", [-1024.0, -(2.0**20), -(2.0**40)])
+def test_interval_kernel_deep_below_the_spectrum(z):
+    """The Dirichlet interval kernel against its exponentially scaled closed
+    form, exp(-kappa (hi - lo)) (1 - e^{-2 kappa lo}) (1 - e^{-2 kappa (l -
+    hi)}) / (2 kappa (1 - e^{-2 kappa l})), with no overflow on the way."""
+    ell, kappa = 1.3, math.sqrt(-z)
+    pts = [0.0, 0.1, 0.4, 0.65, 0.65 + 1e-4, 1.0, 1.25, ell]
+
+    def oracle(x, y):
+        lo, hi = min(x, y), max(x, y)
+        return (
+            math.exp(-kappa * (hi - lo)) * math.expm1(-2.0 * kappa * lo)
+            * math.expm1(-2.0 * kappa * (ell - hi)) / (-2.0 * kappa * math.expm1(-2.0 * kappa * ell))
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = greens_function(interval(ell), z).kernel_matrix([("e", x) for x in pts])
+    expected = np.array([[oracle(x, y) for y in pts] for x in pts])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15 * np.abs(expected).max())
+
+
+def test_delta_prime_star_resolvent_deep_below_the_spectrum():
+    """The truncated delta'-s star at z = -1024, far below its lowest level
+    2.4674, against the closed form: on edge i, delta_i1 G_0(s, s') + c_i
+    sinh(kappa (L - s)) / sinh(kappa L), with G_0 the Dirichlet kernel of
+    [0, L] and c fixed by f'(0) = (1/beta) sum_j f_j(0)."""
+    n, beta, ell, z, s_src = 3, 1.0, 1.0, -1024.0, 0.3
+    kappa = math.sqrt(-z)
+    g = greens_function(truncate(star_system(make_delta_prime(beta=beta, n=n)), L=ell), z)
+    coth = 1.0 / math.tanh(kappa * ell)
+    slope = math.sinh(kappa * (ell - s_src)) / math.sinh(kappa * ell)
+    sigma = slope / (kappa * coth + n / beta)
+
+    def oracle(edge, s):
+        c = ((edge == 1) * slope - sigma / beta) / (kappa * coth)
+        value = c * math.sinh(kappa * (ell - s)) / math.sinh(kappa * ell)
+        if edge == 1:
+            lo, hi = min(s, s_src), max(s, s_src)
+            value += math.sinh(kappa * lo) * math.sinh(kappa * (ell - hi)) / (
+                kappa * math.sinh(kappa * ell)
+            )
+        return value
+
+    points = [(edge, s) for edge in (1, 2, 3) for s in (0.0, 0.05, 0.3, 0.7)]
+    got = g.kernel_matrix(points, [(1, s_src)])[:, 0]
+    expected = np.array([oracle(*p) for p in points])
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
+
+
 # -- scattering -------------------------------------------------------------
 
 def test_scattering_matrix_agrees_with_algebraic_form():
@@ -439,6 +535,61 @@ def test_effective_scattering_unitary():
     s = effective_scattering(g, 1.0)
     assert s.shape == (3, 3)
     np.testing.assert_allclose(s.conj().T @ s, np.eye(3), atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_wide_delta_prime_scattering_is_unitary_at_small_d(k):
+    g = build_approx_graph(make_delta_prime(beta=1.0, n=24), 2.0**-10)
+    s = effective_scattering(g, k)
+    assert np.linalg.norm(s.conj().T @ s - np.eye(24), 2) <= 1e-13
+
+
+SCATTERING_SYSTEMS = {
+    "open_star": lambda: star_system(make_complex_t()),
+    "delta_prime_d2": lambda: system_from_approx(
+        build_approx_graph(make_delta_prime(beta=1.0, n=3), 2.0**-2)),
+    "delta_prime_d10": lambda: system_from_approx(
+        build_approx_graph(make_delta_prime(beta=1.0, n=3), 2.0**-10)),
+    "complex_t": lambda: system_from_approx(build_approx_graph(make_complex_t(), 0.2)),
+    "dense_n8": lambda: system_from_approx(
+        random_built_graph(np.random.default_rng(8), 0.1, n=8, m=4)[1]),
+}
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(SCATTERING_SYSTEMS))
+def test_scattering_matches_per_point_reference(name, k):
+    """The reduced solve against the per-point matching matrix."""
+    sys_ = SCATTERING_SYSTEMS[name]()
+    np.testing.assert_allclose(
+        scattering_matrix(sys_, k), reference_scattering_matrix(sys_, k), rtol=0, atol=1e-10
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st_.integers(0, 2**32 - 1),
+    d=st_.floats(min_value=0.05, max_value=0.3),
+    k=st_.floats(min_value=0.1, max_value=5.0),
+)
+def test_scattering_of_random_graphs_is_unitary(seed, d, k):
+    _, g = random_built_graph(np.random.default_rng(seed), d)
+    try:
+        s = effective_scattering(g, k)
+    except ResonantKError:
+        return
+    assert np.linalg.norm(s.conj().T @ s - np.eye(len(s)), 2) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st_.integers(0, 2**32 - 1), k=st_.floats(min_value=0.1, max_value=5.0))
+def test_random_star_scattering_matches_algebraic_form(seed, k):
+    st = random_st(np.random.default_rng(seed))
+    try:
+        expected = star_scattering(ab_from_st(st), k)
+    except ConditioningError:
+        return
+    np.testing.assert_allclose(scattering_matrix(star_system(st), k), expected, rtol=0, atol=1e-10)
 
 
 def test_scattering_rejects_bad_momentum_and_compact_systems():
@@ -538,39 +689,40 @@ ORACLE_SYSTEMS = {
     "open_star": lambda: star_system(make_complex_t()),
     "general_vertex": _general_vertex_star,
 }
-ORACLE_Z = [-50.0, -1.0, 0.0, 2.5, 30.0, -1.0 + 0.5j, 3.0 - 2.0j]
 
 
-@pytest.mark.parametrize("one_call", [False, True])
-@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
-def test_batched_assembly_matches_per_point_reference(name, one_call):
-    """All points in one call, or one point per call as GreensFunction and
-    scattering_matrix make them."""
-    sys_ = ORACLE_SYSTEMS[name]()
-    asm = _Assembler(sys_)
-    batches = [ORACLE_Z] if one_call else [[z] for z in ORACLE_Z]
-    got = [asm.assembled(zs) for zs in batches]
-    ms, row_scales, col_scales, ks = (
-        np.concatenate([getattr(g, f) for g in got]) for f in ("M", "row_scale", "col_scale", "k")
-    )
-    ref = ReferenceAssembler(sys_)
-    assert ms.shape == (len(ORACLE_Z), ref.ncols, ref.ncols)
-    for i, z in enumerate(ORACLE_Z):
-        mat, row_scale, col_scale, k = ref.assembled(z)
-        assert ks[i] == pytest.approx(k, rel=1e-15)
-        for batched, single in (
-            (ms[i], mat), (row_scales[i], row_scale), (col_scales[i], col_scale)
-        ):
-            assert np.all(np.abs(batched - single) <= 1e-14 * np.maximum(1.0, np.abs(single)))
+def _dirichlet_level(sys_) -> float:
+    """An edge Dirichlet level (pi m / l_e)^2 that the count shows is not an
+    eigenvalue of the compact system."""
+    count = _EigenvalueCount(sys_)
+    for ell in np.unique(count.length):
+        for m in (1, 2, 3):
+            lam = (math.pi * m / ell) ** 2
+            if count(lam * (1.0 - 1e-9)) == count(lam * (1.0 + 1e-9)):
+                return lam
+    raise AssertionError("every tried Dirichlet level is an eigenvalue")
 
 
-@pytest.mark.parametrize("z", [-1.0, -1.0 + 0.5j])
-@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+@pytest.mark.parametrize(
+    "name, z",
+    [
+        (name, z)
+        for name in sorted(ORACLE_SYSTEMS)
+        for z in [-1.0, -1.0 + 0.5j]
+        + ([] if name == "open_star" else [30.0, "dirichlet_level", "near_dirichlet_level"])
+    ],
+)
 def test_kernel_matrix_matches_per_source_reference(name, z):
-    """Array traces and per-edge basis rows reproduce the per-source
-    loops.  At d = 2^-10 the matching matrix has condition ~1e7, so
-    roundoff-level differences in M show at ~1e-13 in the kernel."""
+    """The reduced solve against the per-source matching-matrix reference.
+    At d = 2^-10 the matching matrix has condition ~1e7, so roundoff-level
+    differences show at ~1e-13 in the kernel.  On an edge Dirichlet level,
+    and next to it off the real axis, the reduced matrix borders that edge's
+    diverging coefficient."""
     sys_ = ORACLE_SYSTEMS[name]()
+    if z == "dirichlet_level":
+        z = _dirichlet_level(sys_)
+    elif z == "near_dirichlet_level":
+        z = _dirichlet_level(sys_) + 1e-9j
     points = []
     for edge in sys_.edges:
         top = 2.0 if edge.is_half_line else edge.length
