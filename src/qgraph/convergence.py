@@ -6,10 +6,12 @@ H* through three metrics,
 * ``ScatteringNorm`` — max over a momentum list of the spectral norm of
   the difference of on-shell scattering matrices,
 * ``HSResolvent`` — a Hilbert-Schmidt surrogate for the resolvent
-  difference: both systems are truncated at length L, the kernels are
-  sampled on a tensor-product Gauss-Legendre grid, and the star kernel is
-  extended by zero to the inner edges, so their rows and columns
-  contribute |G_d|^2 alone,
+  difference: both systems are truncated at length L, and the weighted sum
+  of |G_d - G*|^2 runs over a tensor-product Gauss-Legendre grid, with the
+  star kernel extended by zero to the inner edges, so their rows and
+  columns contribute |G_d|^2 alone.  The sum is evaluated per edge pair
+  from the kernels' rank-2 factors; only an inner edge's own block is
+  dense,
 * ``EigGap`` — the largest displacement among the lowest eigenvalues of
   the truncated systems above a coupling-dependent floor that excludes
   the deep bound states generated by the O(1/d^2) inner strengths.
@@ -45,7 +47,7 @@ from .builder import build_approx_graph
 from .couplings import STForm, ab_from_st, star_scattering
 from .errors import ConditioningError, InputError, QGraphError, ResonantKError
 from .graphs import MetricGraphSystem, star_system, system_from_approx, truncate
-from .solver import _ScatteringSolver, eigenvalues_compact, greens_function
+from .solver import GreensFunction, _ScatteringSolver, eigenvalues_compact, greens_function
 
 __all__ = [
     "DEFAULT_D_VALUES",
@@ -73,6 +75,9 @@ DEFAULT_D_VALUES: tuple[float, ...] = tuple(2.0**-p for p in range(2, 11))
 #: Relative change on doubling quad_n above which the quadrature is
 #: reported as unstable.
 QUAD_STABILITY_RTOL = 0.01
+
+# Rows per block of an inner edge's dense Hilbert-Schmidt sum.
+_HS_ROWS = 64
 
 
 class QuadratureWarning(UserWarning):
@@ -297,35 +302,85 @@ def _gauss_legendre(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _edge_quadrature(sys: MetricGraphSystem, quad_n: int):
-    """Gauss-Legendre nodes and weights on every edge, in edge order."""
+def _edge_quadrature(sys: MetricGraphSystem, quad_n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gauss-Legendre nodes and weights on every edge, in edge order: one
+    (nodes, weights) pair of arrays per edge."""
     nodes, weights = _gauss_legendre(quad_n)
-    points: list[tuple] = []
-    w_all: list[float] = []
-    for edge in sys.edges:
-        half = edge.length / 2.0
-        for t, w in zip(nodes, weights):
-            points.append((edge.id, half * (t + 1.0)))
-            w_all.append(w * half)
-    return points, np.array(w_all)
+    return [
+        (edge.length / 2.0 * (nodes + 1.0), weights * (edge.length / 2.0))
+        for edge in sys.edges
+    ]
 
 
-def _star_kernel(star_t: MetricGraphSystem, z: complex, quad_n: int) -> np.ndarray:
-    """The star's resolvent kernel on its quadrature grid, read-only."""
-    points, _ = _edge_quadrature(star_t, quad_n)
-    kernel = greens_function(star_t, z).kernel_matrix(points)
-    kernel.flags.writeable = False
-    return kernel
+def _require_same_outer_edges(star_t: MetricGraphSystem, approx_t: MetricGraphSystem) -> None:
+    """The truncated star's edges lead the approximating system's edges with
+    the same ids, lengths and potentials, so that their free kernels agree."""
+    for star_edge, edge in zip(star_t.edges, approx_t.edges):
+        if star_edge.id != edge.id:
+            raise QGraphError("outer edge order mismatch between systems")
+        if (star_edge.length, star_edge.a) != (edge.length, edge.a):
+            raise QGraphError(
+                f"outer edge geometry mismatch on edge {edge.id!r}: length "
+                f"{star_edge.length!r} vs {edge.length!r}, a {star_edge.a!r} vs {edge.a!r}"
+            )
 
 
-def _hs_value(kernel_d: np.ndarray, kernel_star: np.ndarray, w_d: np.ndarray) -> float:
-    """Weighted Hilbert-Schmidt norm of kernel_d minus the star kernel,
-    which covers its leading block; kernel_d is overwritten."""
-    outer = len(kernel_star)
-    kernel_d[:outer, :outer] -= kernel_star
-    sq = np.abs(kernel_d)
-    sq **= 2
-    return float(math.sqrt(w_d @ sq @ w_d))
+def _star_amplitudes(star_t: MetricGraphSystem, z: complex) -> np.ndarray:
+    """The mode amplitude matrix of the truncated star's resolvent, read-only."""
+    amp = greens_function(star_t, z)._amp
+    amp.flags.writeable = False
+    return amp
+
+
+def _inner_block_sum(g_d: GreensFunction, edge, s: np.ndarray, w: np.ndarray) -> float:
+    """sum_{x, y} w_x w_y |G_d(x, y)|^2 over one edge's own block of nodes
+    ``s``, summed in row blocks so that memory stays O(len(s))."""
+    modes = g_d._modes[edge.id]
+    u_amp = g_d._point_modes(edge, s) @ g_d._amp[np.ix_(modes, modes)]
+    p_t = g_d._source_modes(edge, s).T
+    total = 0.0
+    for at in range(0, len(s), _HS_ROWS):
+        rows = slice(at, at + _HS_ROWS)
+        kernel = g_d._free_kernel(edge, s[rows], s)
+        kernel += u_amp[rows] @ p_t
+        sq = np.abs(kernel)
+        sq **= 2
+        total += w[rows] @ sq @ w
+    return total
+
+
+def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray, quad_n: int) -> float:
+    """sqrt(sum_{x, y} w_x w_y |G_d(x, y) - G*(x, y)|^2) over the tensor grid
+    of ``quad_n`` Gauss-Legendre nodes per edge of the compact system of
+    ``g_d``, with G* extended by zero off the outer edges.
+
+    On edges e and f both kernels are U_e A[e, f] P_f^T, plus the free
+    kernel on e = f, which is the same on both sides of an outer edge.  With
+    thin QR factors sqrt(w) U_e = Q R^U_e and sqrt(w) P_f = Q' R^P_f the
+    pair's sum is ||R^U_e D R^P_f^T||_F^2, where D = A_d - A* on two outer
+    edges and A_d elsewhere.  Only an inner edge's own block, whose free
+    kernel has no star counterpart, is summed densely.
+    """
+    edges = g_d.system.edges
+    quad = _edge_quadrature(g_d.system, quad_n)
+    root_w = [np.sqrt(w)[:, np.newaxis] for _, w in quad]
+    r_u, r_p = (
+        np.linalg.qr(
+            np.stack([rw * modes(edge, s) for edge, (s, _), rw in zip(edges, quad, root_w)]),
+            mode="r",
+        )
+        for modes in (g_d._point_modes, g_d._source_modes)
+    )
+    # The amplitudes as (sign, edge, sign, edge); the outer edges lead both
+    # systems' edge orders.
+    ne, n_out = len(edges), len(amp_star) // 2
+    diff = g_d._amp.reshape(2, ne, 2, ne).copy()
+    diff[:, :n_out, :, :n_out] -= amp_star.reshape(2, n_out, 2, n_out)
+    blocks = np.einsum("eij,jekf,flk->efil", r_u, diff, r_p)
+    pair_sums = (blocks.real**2 + blocks.imag**2).sum(axis=(2, 3))
+    for e in range(n_out, ne):
+        pair_sums[e, e] = _inner_block_sum(g_d, edges[e], *quad[e])
+    return float(math.sqrt(pair_sums.sum()))
 
 
 def metric_hs_resolvent(
@@ -339,28 +394,23 @@ def metric_hs_resolvent(
 
     Both systems are truncated at L (Dirichlet); the star kernel is
     extended by zero to the inner edges, so those rows and columns
-    contribute the plain Hilbert-Schmidt mass of G_d.  The value is also
-    recomputed with 2 quad_n nodes; a relative change above 1% emits a
-    :class:`QuadratureWarning` naming both values.
+    contribute the plain Hilbert-Schmidt mass of G_d.  The value is the
+    weighted sum over the tensor grid of quad_n Gauss-Legendre nodes per
+    edge, evaluated per edge pair from the kernels' rank-2 factors (see
+    :func:`_hs_distance`), so no kernel matrix is formed; the outer edges
+    of the two systems must agree in id, length and potential.  The value
+    is also recomputed with 2 quad_n nodes; a relative change above 1%
+    emits a :class:`QuadratureWarning` naming both values.
     """
     spec = HSResolvent(z=z, L=L, quad_n=quad_n)
     star_t = truncate(star_system(st), L=spec.L)
     approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
-    for j in range(st.n):
-        if star_t.edges[j].id != approx_t.edges[j].id:
-            raise QGraphError("outer edge order mismatch between systems")
-    g_d = None
-    values = []
-    for n in (spec.quad_n, 2 * spec.quad_n):
-        kernel_star = _star_side(
-            ("hs", spec.z, spec.L, n),
-            functools.partial(_star_kernel, star_t, spec.z, n),
-        )
-        if g_d is None:
-            g_d = greens_function(approx_t, spec.z)
-        points, weights = _edge_quadrature(approx_t, n)
-        values.append(_hs_value(g_d.kernel_matrix(points), kernel_star, weights))
-    value, refined = values
+    _require_same_outer_edges(star_t, approx_t)
+    amp_star = _star_side(
+        ("hs", spec.z, spec.L), functools.partial(_star_amplitudes, star_t, spec.z)
+    )
+    g_d = greens_function(approx_t, spec.z)
+    value, refined = (_hs_distance(g_d, amp_star, n) for n in (spec.quad_n, 2 * spec.quad_n))
     change = abs(value - refined) / max(abs(refined), 1.0e-300)
     if change > QUAD_STABILITY_RTOL:
         warnings.warn(

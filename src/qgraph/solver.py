@@ -25,7 +25,9 @@ with k = sqrt(z), c_+ = -k tan(kl/2) and c_- = k cot(kl/2) (see
   each channel h; then S = J_h x - I.
 * A resolvent kernel is the free-line kernel on the source edge plus the
   homogeneous solution on every edge whose vertex values solve B(z) x =
-  (the source's trace terms).
+  (the source's trace terms).  Those terms are linear in the two end modes
+  of the source, so one solve with a unit right-hand side per edge mode
+  gives every source's amplitudes (:class:`GreensFunction`).
 
 A coefficient that diverges next to an edge Dirichlet level moves into a
 border row, so every entry stays O(|k|); at real lambda > 0 by the count's
@@ -49,7 +51,12 @@ from scipy.linalg.lapack import zgecon
 # names, so they stay importable from here.
 from scipy.optimize import brentq, minimize_scalar  # noqa: F401
 
-from ._util import require_finite_real, require_positive_int, require_positive_real
+from ._util import (
+    numerical_rank,
+    require_finite_real,
+    require_positive_int,
+    require_positive_real,
+)
 from .builder import ApproxGraph
 from .couplings import st_from_ab
 from .errors import (
@@ -133,7 +140,8 @@ class _Reduction:
 
     The unknowns of a vertex are the m_v free values of its ST form: the
     values at its ends are J_v x_v with J_v = [I; T*] in the original end
-    order, and S_v is its block of B (a delta vertex has J = ones, S = [w]).
+    order, and S_v is its block of B (a delta vertex has J = ones, S = [w];
+    a coupling with B = 0, such as a Dirichlet end, has m_v = 0).
     Finite edge e adds c_+ w_+ w_+* + c_- w_- w_-*, where w_+- = J* (1,
     +-e^{-ial}) / sqrt(2) over its two ends are its symmetric and
     antisymmetric modes, c_+ = -k tan(kl/2) and c_- = k cot(kl/2); half-line
@@ -154,6 +162,15 @@ class _Reduction:
             cond = vertex.condition
             if isinstance(cond, DeltaCondition):
                 j_mat, s_mat = np.ones((len(vertex.ends), 1)), np.array([[cond.w]])
+            elif not cond.coupling.B.any():
+                # B = 0: every end is Dirichlet and there are no free values,
+                # so no normal form is needed; A must still be invertible.
+                n = cond.coupling.n
+                if numerical_rank(cond.coupling.A) < n:
+                    raise InputError(
+                        f"coupling is not admissible: rank deficient: rank(A|B) < n = {n}"
+                    )
+                j_mat, s_mat = np.empty((n, 0), dtype=complex), np.empty((0, 0), dtype=complex)
             else:
                 st = st_from_ab(cond.coupling)
                 j_mat = np.empty((st.n, st.m), dtype=complex)
@@ -450,21 +467,29 @@ def eigenvalues_compact(
 class GreensFunction:
     """The resolvent kernel G_z(x, y) of a metric-graph system.
 
-    Points are ``(edge_id, s)`` pairs in local edge coordinates.  The
-    reduced matrix B(z) is factored once at construction; every evaluation
-    is a pair of triangular solves.  On the source edge the free-line kernel
-    i exp(ik|s - s'|)/(2k) (covariantly phased) is corrected by a
-    homogeneous solution; off the source edge the kernel is the homogeneous
-    solution alone.  Its vertex values solve B(z) x = sum_+- w_+- (c_+- - ik)
-    p_+- for a source on a finite edge, p_+- the modes of the free kernel's
-    end values, and -2ik J_h* p for a source on half-line h.
+    Points are ``(edge_id, s)`` pairs in local edge coordinates.  For a
+    point on edge e and a source on edge f the kernel is
 
-    On a finite edge the homogeneous solution is written in the modes
-    E_+(s) = e^{iks} + e^{ik(l-s)} and E_-(s) = e^{ik(l-s)} - e^{iks}, which
-    stay bounded for Im k >= 0; their amplitudes are the mode values h_+- of
-    the solution divided by 1 + e^{ikl} and e^{ikl} - 1.  For a bordered mode
-    the border unknown y = c h / sqrt(k) gives the amplitude -i y / (sqrt(k)
-    (e^{ikl} -+ 1)) instead, which is regular on the edge's Dirichlet level.
+        G(x, y) = U_e(x) A[e, f] P_f(y)^T + delta_ef F_e(x, y).
+
+    F_e is the free-line kernel i exp(ik|s - s'|)/(2k) (covariantly
+    phased).  P_f(y) holds the modes of its end values: p_+- = (p_0 +- p_1)
+    / sqrt(2) on a finite edge, p_0 on a half-line.  U_e(x) holds the
+    edge's mode functions: E_+(s) = e^{iks} + e^{ik(l-s)} and E_-(s) =
+    e^{ik(l-s)} - e^{iks} (over sqrt(2)) on a finite edge, which stay
+    bounded for Im k >= 0, and e^{iks} on a half-line.  A is the mode
+    amplitude matrix, with rows and columns in the mode order (sign, finite
+    edge) then half-line.
+
+    A is linear in the source's modes, so it is solved for once, at
+    construction: the reduced matrix B(z) is factored, and one ``lu_solve``
+    takes a unit right-hand side per mode, w_+- (c_+- - ik) (with sqrt(k)
+    in a bordered mode's border row) for mode p_+- of a finite edge and
+    -2ik J_h* for a half-line h.  The mode values of each solution, minus
+    the unit mode itself on its own edge, are divided by 1 + e^{ikl} and
+    e^{ikl} - 1.  For a bordered mode the border unknown y = c h / sqrt(k)
+    gives the amplitude -i y / (sqrt(k) (e^{ikl} -+ 1)) instead, which is
+    regular on the edge's Dirichlet level.
     """
 
     def __init__(self, sys: MetricGraphSystem, z: complex):
@@ -482,17 +507,34 @@ class GreensFunction:
                 "resolvent of a non-compact system needs z off [0, inf)"
             )
         positive = z.imag == 0 and z.real > 0
-        mat, self._coef, self._border, self._root_k = red.one_point(
-            k, z.real if positive else None
-        )
-        self._lu = _gated_lu(mat, NearSingularZError, f"z = {z} is numerically on the spectrum")
-        # Per mode (sign, edge): the factor that turns its mode value, or its
-        # border unknown, into an amplitude.
+        mat, coef, border, root_k = red.one_point(k, z.real if positive else None)
+        lu = _gated_lu(mat, NearSingularZError, f"z = {z} is numerically on the spectrum")
+        ne = len(red.length)
+        # Mode indices of every edge: sign * ne + e on finite edge e, 2 ne + h
+        # on half-line h.
+        self._modes = {eid: [e, ne + e] for eid, e in red.finite_index.items()}
+        self._modes.update({eid: [2 * ne + h] for eid, h in red.half_index.items()})
+        n_modes = 2 * ne + len(red.j_half)
+        # One unit right-hand side per source mode, in mode order.
+        rhs = np.zeros((len(mat), n_modes), dtype=complex)
+        rhs[: red.size, : 2 * ne] = red.w_cols * (coef - 1j * k).reshape(-1)
+        rhs[: red.size, 2 * ne :] = -2j * k * red.j_half.conj().T
+        sign, cols = np.nonzero(border >= 0)
+        rows = red.size + border[sign, cols]
+        rhs[rows, sign * ne + cols] = root_k
+        sol = lu_solve(lu, rhs)
+        x = sol[: red.size]
+        amp = np.concatenate([(red.w_adj @ x).reshape(2 * ne, n_modes), red.j_half @ x])
+        amp[np.diag_indices(len(amp))] -= 1.0
+        amp[sign * ne + cols] = sol[rows]
+        # The factor that turns a mode value, or a border unknown, into an
+        # amplitude.
         em1 = np.expm1(1j * k * red.length)
         divisor = np.stack([2.0 + em1, em1])
-        self._scale = 1.0 / divisor
-        sign, cols = np.nonzero(self._border >= 0)
-        self._scale[sign, cols] = -1j / (self._root_k * divisor[1 - sign, cols])
+        scale = 1.0 / divisor
+        scale[sign, cols] = -1j / (root_k * divisor[1 - sign, cols])
+        amp[: 2 * ne] *= scale.reshape(-1, 1)
+        self._amp = amp
 
     # -- internals --------------------------------------------------------
 
@@ -501,36 +543,34 @@ class GreensFunction:
         their edge, ``dist`` away."""
         return np.exp(1j * edge.a * sy) * (0.5j / self.k) * np.exp(1j * self.k * dist)
 
-    def _amplitudes(self, source_groups: dict, count: int):
-        """Per source column: the half-line end values J_h x (halves, count)
-        and the finite-edge mode amplitudes (2, edges, count)."""
-        red, k = self._red, self.k
-        modes: dict[int, tuple[list[int], np.ndarray]] = {}
-        rhs = np.zeros((len(self._lu[1]), count), dtype=complex)
-        for eid, (idx, sy) in source_groups.items():
-            edge = red.edge_map[eid]
-            pv0 = self._free_end(edge, sy, sy)
-            if edge.is_half_line:
-                j_h = red.j_half[red.half_index[eid]]
-                rhs[: red.size, idx] = -2j * k * np.outer(j_h.conj(), pv0)
-                continue
-            e = red.finite_index[eid]
-            pv1 = self._free_end(edge, sy, edge.length - sy)
-            p = np.stack([pv0 + pv1, pv0 - pv1]) / math.sqrt(2.0)
-            modes[e] = (idx, p)
-            rhs[: red.size, idx] = red.w[:, :, e].T @ ((self._coef[:, e] - 1j * k)[:, np.newaxis] * p)
-            for sign in (0, 1):
-                row = self._border[sign, e]
-                if row >= 0:
-                    rhs[red.size + row, idx] = self._root_k * p[sign]
-        sol = lu_solve(self._lu, rhs)
-        x, y = sol[: red.size], sol[red.size :]
-        h = red.w_adj @ x
-        for e, (idx, p) in modes.items():
-            h[:, e, idx] -= p
-        sign, cols = np.nonzero(self._border >= 0)
-        h[sign, cols] = y[self._border[sign, cols]]
-        return red.j_half @ x, self._scale[:, :, np.newaxis] * h
+    def _point_modes(self, edge, s: np.ndarray) -> np.ndarray:
+        """U_e at the coordinates ``s``: one row per point, one column per
+        mode of the edge."""
+        ph = np.exp(-1j * edge.a * s)
+        if edge.is_half_line:
+            return (ph * np.exp(1j * self.k * s))[:, np.newaxis]
+        near = np.expm1(1j * self.k * s)
+        far = np.expm1(1j * self.k * (edge.length - s))
+        modes = np.stack([2.0 + near + far, far - near], axis=1)
+        return (ph / math.sqrt(2.0))[:, np.newaxis] * modes
+
+    def _source_modes(self, edge, s: np.ndarray) -> np.ndarray:
+        """P_f for sources at the coordinates ``s``, laid out as U_e."""
+        pv0 = self._free_end(edge, s, s)
+        if edge.is_half_line:
+            return pv0[:, np.newaxis]
+        pv1 = self._free_end(edge, s, edge.length - s)
+        return np.stack([pv0 + pv1, pv0 - pv1], axis=1) / math.sqrt(2.0)
+
+    def _free_kernel(self, edge, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+        """F_e(x, y) on the grid ``sx`` x ``sy`` of one edge."""
+        diff = sx[:, np.newaxis] - sy[np.newaxis, :]
+        out = np.abs(diff) * self.k
+        out -= edge.a * diff
+        out *= 1j
+        np.exp(out, out=out)
+        out *= 0.5j / self.k
+        return out
 
     def _check_point(self, point) -> tuple:
         eid, s = point
@@ -553,34 +593,21 @@ class GreensFunction:
         sources = points if sources is None else [self._check_point(p) for p in sources]
         source_groups = _group_by_edge(sources)
         point_groups = source_groups if sources is points else _group_by_edge(points)
-        half_values, amp = self._amplitudes(source_groups, len(sources))
-        red, k = self._red, self.k
+        edge_map = self._red.edge_map
+        # Per source column, the amplitude of every mode: A[:, f] P_f(y)^T.
+        amp = np.empty((len(self._amp), len(sources)), dtype=complex)
+        for eid, (jdx, sy) in source_groups.items():
+            amp[:, jdx] = self._amp[:, self._modes[eid]] @ self._source_modes(edge_map[eid], sy).T
         out = np.empty((len(points), len(sources)), dtype=complex)
         for eid, (idx, sx) in point_groups.items():
-            edge = red.edge_map[eid]
-            ph = np.exp(-1j * edge.a * sx)
-            if edge.is_half_line:
-                values = half_values[red.half_index[eid]]
-                if eid in source_groups:
-                    jdx, sy = source_groups[eid]
-                    values = values.copy()
-                    values[jdx] -= self._free_end(edge, sy, sy)
-                out[idx, :] = (ph * np.exp(1j * k * sx))[:, np.newaxis] * values
-            else:
-                near = np.expm1(1j * k * sx)
-                far = np.expm1(1j * k * (edge.length - sx))
-                basis = (ph / math.sqrt(2.0))[:, np.newaxis] * np.stack(
-                    [2.0 + near + far, far - near], axis=1
-                )
-                out[idx, :] = basis @ amp[:, red.finite_index[eid], :]
-            # Particular part: the free-line kernel, for sources on this edge.
+            edge = edge_map[eid]
+            out[idx, :] = self._point_modes(edge, sx) @ amp[self._modes[eid]]
             if eid in source_groups:
                 jdx, sy = source_groups[eid]
-                diff = sx[:, np.newaxis] - sy[np.newaxis, :]
                 block = (idx, jdx)
                 if not (isinstance(idx, slice) and isinstance(jdx, slice)):
                     block = np.ix_(np.r_[idx], np.r_[jdx])
-                out[block] += np.exp(1j * (k * np.abs(diff) - edge.a * diff)) * (0.5j / k)
+                out[block] += self._free_kernel(edge, sx, sy)
         return out
 
 

@@ -21,7 +21,11 @@ from qgraph import (
     build_approx_graph,
     c_eta,
     form_bound_inputs,
+    greens_function,
     named_to_st,
+    star_system,
+    system_from_approx,
+    truncate,
 )
 
 
@@ -362,6 +366,31 @@ def reference_scattering_matrix(sys, k):
     columns = [asm.rhs(row_scale, {(h, 0): (1.0, -1j * k)}) for h in channels]
     coeff = col_scale[:, np.newaxis] * lu_solve(lu, np.stack(columns, axis=1))
     return coeff[[asm.cols[h].start for h in channels], :]
+
+
+def reference_hs_value(st, d, z=-1.0, L=1.0, quad_n=64):
+    """The Hilbert-Schmidt metric as dense kernel matrices: both systems
+    truncated at L, quad_n Gauss-Legendre nodes per edge as (edge, s)
+    points, the star kernel subtracted on the leading (outer) block, and
+    sqrt(w @ |K_d - K*|^2 @ w)."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
+
+    def grid(sys):
+        points, w_all = [], []
+        for edge in sys.edges:
+            half = edge.length / 2.0
+            points += [(edge.id, half * (t + 1.0)) for t in nodes]
+            w_all += [w * half for w in weights]
+        return points, np.array(w_all)
+
+    star_t = truncate(star_system(st), L=L)
+    approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=L)
+    star_points, _ = grid(star_t)
+    points, w = grid(approx_t)
+    kernel = greens_function(approx_t, z).kernel_matrix(points)
+    outer = len(star_points)
+    kernel[:outer, :outer] -= greens_function(star_t, z).kernel_matrix(star_points)
+    return float(math.sqrt(w @ np.abs(kernel) ** 2 @ w))
 
 
 # -- reference eigenvalue count and bisection: one point per call ----------

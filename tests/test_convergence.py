@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,9 +11,12 @@ import pytest
 import qgraph.convergence as convergence
 from qgraph import (
     ConvergenceReport,
+    Edge,
     EigGap,
+    GreensFunction,
     HSResolvent,
     InputError,
+    MetricGraphSystem,
     QGraphError,
     QuadratureWarning,
     ScatteringNorm,
@@ -35,7 +39,16 @@ from qgraph import (
     truncate,
     write_report_csv,
 )
-from helpers import make_delta, make_dirichlet, make_singular_at_tenth
+from helpers import (
+    make_complex_t,
+    make_delta,
+    make_delta_prime,
+    make_dirichlet,
+    make_kirchhoff_perturbed,
+    make_singular_at_tenth,
+    random_st,
+    reference_hs_value,
+)
 
 
 # -- rate fitting -----------------------------------------------------------
@@ -157,6 +170,81 @@ def test_metric_hs_default_quadrature_is_stable(st_delta_prime):
     with warnings.catch_warnings():
         warnings.simplefilter("error", QuadratureWarning)
         metric_hs_resolvent(st_delta_prime, 0.25)
+
+
+HS_COUPLINGS = {
+    "delta": make_delta(alpha=1.0, n=3),
+    "delta_prime_s": make_delta_prime(beta=1.0, n=3),
+    "kirchhoff_perturbed": make_kirchhoff_perturbed(),
+    "complex_t": make_complex_t(),
+    "random_n3": random_st(np.random.default_rng(3), n=3, m=2),
+}
+
+
+@pytest.mark.parametrize("quad_n", [4, 64])
+@pytest.mark.parametrize("z", [-1.0, 2.0 + 1.0j, 30.0])
+@pytest.mark.parametrize("d", [2.0**-2, 2.0**-6, 2.0**-10])
+@pytest.mark.parametrize("name", sorted(HS_COUPLINGS))
+def test_metric_hs_matches_dense_reference(name, d, z, quad_n):
+    """The per-edge-pair sum against dense kernel matrices.  At z = 30 the
+    truncated edges (l = 1) border a mode, one Dirichlet level below."""
+    st = HS_COUPLINGS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        got = metric_hs_resolvent(st, d, z=z, quad_n=quad_n)
+    assert got == pytest.approx(reference_hs_value(st, d, z=z, quad_n=quad_n), rel=1e-12)
+
+
+def test_metric_hs_matches_dense_reference_at_long_truncation(st_delta_prime):
+    got = metric_hs_resolvent(st_delta_prime, 2.0**-4, L=8.0, quad_n=64)
+    ref = reference_hs_value(st_delta_prime, 2.0**-4, L=8.0, quad_n=64)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_metric_hs_forms_no_kernel_matrix(monkeypatch, st_complex_t):
+    calls = []
+    original = GreensFunction.kernel_matrix
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GreensFunction, "kernel_matrix", counting)
+    run_sweep(SweepConfig(st=st_complex_t, metric=HSResolvent(), d_values=MEMO_D_VALUES))
+    assert calls == []
+
+
+def test_metric_hs_memory_stays_small(st_delta_prime):
+    """At quad_n = 256 the doubled grid has 4,608 nodes; dense kernels there
+    would take about 0.5 GB."""
+    tracemalloc.start()
+    try:
+        metric_hs_resolvent(st_delta_prime, 2.0**-5, quad_n=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_metric_hs_requires_matching_outer_edges():
+    """Hand-built truncated stars whose outer edges differ from a plain
+    one's in potential, length or order."""
+    center = star_system(make_delta()).vertices
+
+    def star(*edges, L=1.0):
+        return truncate(MetricGraphSystem(edges=edges, vertices=center), L=L)
+
+    half = {j: Edge(id=j, length=math.inf) for j in (1, 2, 3)}
+    plain = star(half[1], half[2], half[3])
+    convergence._require_same_outer_edges(plain, plain)
+    mismatched = [
+        ("geometry mismatch on edge 1", star(Edge(id=1, length=math.inf, a=0.5), half[2], half[3])),
+        ("geometry mismatch on edge 1", star(half[1], half[2], half[3], L=2.0)),
+        ("order mismatch", star(half[2], half[1], half[3])),
+    ]
+    for message, other in mismatched:
+        with pytest.raises(QGraphError, match=f"outer edge {message}"):
+            convergence._require_same_outer_edges(plain, other)
 
 
 def test_eigengap_floor_values(st_delta_prime):
@@ -309,15 +397,16 @@ def test_sweep_csv_equals_per_d_metric_calls(st_delta_prime, metric):
 
 
 def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
-    """Per sweep: the star's eigenvalues once, its resolvent once per
-    quadrature level, and the approximating resolvent once per d."""
+    """Per sweep: the star's eigenvalues once, its resolvent once (its mode
+    amplitudes serve both quadrature levels), and the approximating
+    resolvent once per d."""
     n = len(MEMO_D_VALUES)
     solves = _counting(monkeypatch, "eigenvalues_compact")
     run_sweep(SweepConfig(st=st_delta_prime, metric=EigGap(), d_values=MEMO_D_VALUES))
     assert len(solves) == 1 + n
     resolvents = _counting(monkeypatch, "greens_function")
     run_sweep(SweepConfig(st=st_delta_prime, metric=HSResolvent(), d_values=MEMO_D_VALUES))
-    assert len(resolvents) == 2 + n
+    assert len(resolvents) == 1 + n
 
 
 def test_star_side_error_skips_every_d_with_its_message(monkeypatch):

@@ -23,6 +23,7 @@ from qgraph import (
     ScanRangeError,
     StructuralError,
     Vertex,
+    VertexCoupling,
     ab_from_st,
     build_approx_graph,
     dirichlet_condition,
@@ -37,7 +38,8 @@ from qgraph import (
     system_from_approx,
     truncate,
 )
-from qgraph.solver import _EigenvalueCount, _ScatteringSolver
+import qgraph.solver as solver
+from qgraph.solver import _EigenvalueCount, _Reduction, _ScatteringSolver
 from helpers import (
     ReferenceAssembler,
     make_complex_t,
@@ -457,6 +459,34 @@ def test_greens_function_rejects_non_finite_input(z, point):
         with pytest.raises(InputError, match="must be finite"):
             g = greens_function(lead_with_stub(), z)
             g(point, ("e", 0.5))
+
+
+def test_reduction_skips_the_normal_form_of_b_zero_couplings(monkeypatch):
+    """A truncated delta' star takes the normal form of its center alone:
+    its Dirichlet ends (B = 0) have no free values and need none."""
+    calls = []
+    original = solver.st_from_ab
+
+    def counting(coupling):
+        calls.append(coupling)
+        return original(coupling)
+
+    monkeypatch.setattr(solver, "st_from_ab", counting)
+    st = make_delta_prime(beta=1.0, n=3)
+    red = _Reduction(truncate(star_system(st), L=1.0))
+    assert len(calls) == 1
+    assert red.size == st.m
+
+
+def test_b_zero_coupling_must_still_be_admissible():
+    """A = B = 0 is no boundary condition: the shortcut for B = 0 keeps the
+    rank check of the normal form."""
+    dirichlet = interval(1.0)
+    void = CouplingCondition(VertexCoupling(1, np.zeros((1, 1)), np.zeros((1, 1))))
+    left = Vertex(id="a", condition=void, ends=(("e", 0),))
+    sys_ = MetricGraphSystem(edges=dirichlet.edges, vertices=(left, dirichlet.vertices[1]))
+    with pytest.raises(InputError, match="not admissible: rank deficient"):
+        greens_function(sys_, -1.0)
 
 
 @pytest.mark.parametrize("z", [-1024.0, -(2.0**20), -(2.0**40)])
