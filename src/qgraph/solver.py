@@ -19,8 +19,14 @@ with k = sqrt(z), c_+ = -k tan(kl/2) and c_- = k cot(kl/2) (see
   across it, so degenerate and nearly degenerate levels are resolved by
   construction.  The count is evaluated on arrays of lambda (stacked
   matmuls and stacked eigvalsh calls, with each point's arithmetic
-  unchanged), and the bisection is level-synchronous: every round counts
-  at the midpoints of all live intervals in one call.
+  unchanged).  On the small reduced matrices of approximating graphs a
+  count's cost is mostly per call, not per point, so the bracket counts its
+  doubling sequence in batches, and each bisection round counts in one
+  call at every midpoint of a few levels of the subtree below each live
+  interval, then takes those levels' decisions (a matrix wider than 6,
+  whose points cost more, is counted one point at a time).  Every decision
+  reads the count at the lambda a one-point bisection would, so the bits
+  are that bisection's.
 * A scattering matrix solves B(k^2) x = -2ik J_h* for an incoming wave on
   each channel h; then S = J_h x - I.
 * A resolvent kernel is the free-line kernel on the source edge plus the
@@ -84,6 +90,18 @@ __all__ = [
 # Ceiling on the condition estimate of a reduced matrix: beyond it a
 # scattering momentum is resonant and a resolvent point lies on the spectrum.
 _COND_LIMIT = 1e12
+
+# Points per batched count in the eigenvalue search, on a reduced matrix up
+# to _ROUND_SIZE wide: a bisection round counts at most max(_ROUND_POINTS,
+# live intervals) speculative midpoints, and the bracket counts its doubling
+# sequence in batches of _ROUND_POINTS.  On a 6 x 6 reduction a count costs
+# about 0.1 ms per call and 31 points about 3 times one (2-CPU Xeon), so
+# fewer, wider calls are faster.  A point's own cost grows with the width
+# (some 4 ms at 136 wide, where 32 points per round solved 7-10 times
+# slower), and batches have been measured only up to 6 wide, so a wider
+# matrix is counted one point at a time: plain bisection.
+_ROUND_POINTS = 32
+_ROUND_SIZE = 6
 
 
 def _principal_k(z) -> np.ndarray:
@@ -378,17 +396,54 @@ def _negative_counts(mats: np.ndarray) -> np.ndarray:
     return np.count_nonzero(np.linalg.eigvalsh(scaled) < 0, axis=-1)
 
 
+def _batch_points(size: int) -> int:
+    """Points per batched count of the eigenvalue search on a reduced matrix
+    ``size`` wide."""
+    return _ROUND_POINTS if size <= _ROUND_SIZE else 1
+
+
 def _bracket(count_below, lam: float, done, other_end: float) -> tuple[float, int]:
-    """Double ``lam`` until ``done(count_below(lam))``; the final lambda and
-    its count."""
-    while not done(n := count_below(lam)):
+    """The first of lam, 2 lam, 4 lam, ... whose count passes ``done``, and
+    that count.  The doubling sequence is counted in batches (see
+    :func:`_batch_points`); it ends, with :class:`ScanRangeError`, at the
+    last lambda whose double is still finite."""
+    points = _batch_points(count_below.size)
+    while True:
+        chunk = [lam]
+        while len(chunk) < points and math.isfinite(2.0 * chunk[-1]):
+            chunk.append(2.0 * chunk[-1])
+        for lam, n in zip(chunk, count_below.many(chunk)):
+            if done(n):
+                return lam, n
         if not math.isfinite(2.0 * lam):
             raise ScanRangeError(
                 f"eigenvalue count not reached by lambda = {lam:.3g}",
                 window=(min(lam, other_end), max(lam, other_end)),
             )
         lam *= 2.0
-    return lam, n
+
+
+def _is_leaf(a: float, b: float) -> bool:
+    """Whether bisection stops at [a, b]: width at most 1e-13 max(1, |lambda|)."""
+    return b - a <= 1e-13 * max(1.0, abs(a), abs(b))
+
+
+def _subtree_counts(count_below, live, depth: int) -> dict[float, int]:
+    """N at the midpoint of every interval of the depth-``depth`` bisection
+    subtree of each live interval, in one batched count, keyed by the
+    midpoint; an interval at leaf width is not split, so neither it nor
+    anything below it is counted."""
+    mids = []
+    level = [(a, b) for a, b, _, _ in live]
+    for _ in range(depth):
+        children = []
+        for a, b in level:
+            if not _is_leaf(a, b):
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                children += [(a, mid), (mid, b)]
+        level = children
+    return dict(zip(mids, count_below.many(mids)))
 
 
 def eigenvalues_compact(
@@ -402,12 +457,17 @@ def eigenvalues_compact(
 
     The system must be compact, or carry a truncation spec so it can be
     truncated here.  The eigenvalue count N(lambda) brackets the spectrum
-    (doubling -lambda until N = 0, then lambda until N covers `count`), and
-    bisection refines every level to 1e-13 max(1, |lambda|); a level's
-    multiplicity is the jump of N across it.  The bisection runs level by
-    level, one batched count per round over the midpoints of all live
-    intervals; it visits the intervals of a depth-first search and returns
-    the same values in the same order.  With ``lam_min`` only
+    (doubling -lambda until N = 0, then lambda until N covers `count`; the
+    doubling sequence is counted in batches), and bisection refines every
+    level to 1e-13 max(1, |lambda|); a level's multiplicity is the jump of N
+    across it.  The bisection runs in rounds: a round counts, in one batched
+    call, at every midpoint of the depth-r subtree of each live interval
+    (r as deep as a batch of 32 points allows on a reduced matrix up to 6
+    wide, and at least 1; a wider matrix is counted one point per round,
+    which is plain bisection), then takes r levels of interval decisions
+    from those counts.  Every decision reads the count at the same lambda
+    as a depth-first bisection would, so the values and their order are
+    that search's.  With ``lam_min`` only
     eigenvalues above that floor are returned; with ``lam_max`` the result
     is whatever lies below it, possibly fewer than `count`.  Both must be
     finite.
@@ -437,23 +497,34 @@ def eigenvalues_compact(
     # by level builds the tree of a depth-first search; sorting the leaves
     # restores its left-to-right output order.
     leaves: list[tuple[float, float, int]] = []
-    live = [(lo, hi, n_lo, n_hi)]
-    while live:
-        split = []
-        for a, b, n_a, n_b in live:
+
+    def settle(intervals):
+        """The intervals still to split; leaves are recorded, and intervals
+        without a wanted level dropped."""
+        live = []
+        for a, b, n_a, n_b in intervals:
             if n_b <= n_a or n_a >= target:
                 continue
-            mid = 0.5 * (a + b)
-            if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
-                leaves.append((a, mid, n_b - n_a))
+            if _is_leaf(a, b):
+                leaves.append((a, 0.5 * (a + b), n_b - n_a))
             else:
-                split.append((a, b, n_a, n_b, mid))
-        n_mids = count_below.many([mid for *_, mid in split]) if split else ()
-        live = []
-        for (a, b, n_a, n_b, mid), n_mid in zip(split, n_mids):
-            # Clamped so that roundoff next to a level cannot break monotonicity.
-            n_mid = min(max(n_mid, n_a), n_b)
-            live += [(a, mid, n_a, n_mid), (mid, b, n_mid, n_b)]
+                live.append((a, b, n_a, n_b))
+        return live
+
+    points = _batch_points(count_below.size)
+    live = settle([(lo, hi, n_lo, n_hi)])
+    while live:
+        # The deepest r with len(live) * (2^r - 1) <= points, at least 1.
+        depth = max(1, (points // len(live) + 1).bit_length() - 1)
+        n_at = _subtree_counts(count_below, live, depth)
+        for _ in range(depth):
+            children = []
+            for a, b, n_a, n_b in live:
+                mid = 0.5 * (a + b)
+                # Clamped so that roundoff next to a level cannot break monotonicity.
+                n_mid = min(max(n_at[mid], n_a), n_b)
+                children += [(a, mid, n_a, n_mid), (mid, b, n_mid, n_b)]
+            live = settle(children)
     leaves.sort()
     values = [mid for _, mid, mult in leaves for _ in range(mult)]
     return np.array(values[:count])

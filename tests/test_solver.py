@@ -264,8 +264,9 @@ def test_oversized_negative_scan_reports_window():
     np.testing.assert_allclose(got, [-2.51001000e11] * 3 + [2.4641161581], rtol=1e-10)
     with pytest.raises(ScanRangeError) as info:
         eigenvalues_compact(sys_, 10**400)
-    lo, hi = info.value.window
-    assert lo < -2.51e11 and hi > 1e307
+    # The lower end, where the downward doubling first counts no level, and
+    # the last finite lambda of the upward doubling.
+    assert info.value.window == (-(2.0**38), 2.0**1023)
 
 
 # -- the eigenvalue count: multiplicities, Dirichlet levels, depth ----------
@@ -772,6 +773,7 @@ COUNT_SYSTEMS = {
     "delta_prime_d10": (lambda: _approx(make_delta_prime(beta=1.0, n=3), 2.0**-10), True),
     "complex_t": (lambda: _approx(make_complex_t(), 2.0**-6), True),
     "general_vertex": (_general_vertex_star, False),
+    "delta_prime_n4": (lambda: _approx(make_delta_prime(beta=1.0, n=4), 2.0**-4), True),
     "delta_prime_n16": (lambda: _approx(make_delta_prime(beta=1.0, n=16), 2.0**-4), True),
 }
 
@@ -807,9 +809,11 @@ def test_batched_count_matches_reference_at_random_points(lams):
 
 
 @pytest.mark.parametrize("name", sorted(set(COUNT_SYSTEMS) - {"delta_prime_n16"}))
-def test_level_synchronous_bisection_matches_depth_first_reference(name):
+def test_level_synchronous_bisection_matches_depth_first_reference(name, monkeypatch):
     """The same interval tree, so the identical array, multiplicities
-    included, with and without a floor."""
+    included, with and without a floor: in the default subtree rounds and
+    in plain bisection, one point per round.  delta' n = 4 (10 wide) is
+    counted one point per round either way."""
     make, has_floor = COUNT_SYSTEMS[name]
     sys_ = make()
     count = _EigenvalueCount(sys_)
@@ -818,9 +822,75 @@ def test_level_synchronous_bisection_matches_depth_first_reference(name):
         return reference_count(count, lam)
 
     floors = [None] + ([-10.0 * 3.0**2] if has_floor else [])
-    for lam_min in floors:
-        got = eigenvalues_compact(sys_, 6, lam_min=lam_min)
-        ref = reference_eigenvalues(count_below, 6, lam_min=lam_min)
-        assert got.tobytes() == ref.tobytes()
-    got = eigenvalues_compact(sys_, 40, lam_max=50.0)
-    assert got.tobytes() == reference_eigenvalues(count_below, 40, lam_max=50.0).tobytes()
+    queries = [(6, {"lam_min": lam_min}) for lam_min in floors] + [(40, {"lam_max": 50.0})]
+    refs = [reference_eigenvalues(count_below, n, **q).tobytes() for n, q in queries]
+    for points in (solver._ROUND_POINTS, 1):
+        monkeypatch.setattr(solver, "_ROUND_POINTS", points)
+        for (n, q), ref in zip(queries, refs):
+            assert eigenvalues_compact(sys_, n, **q).tobytes() == ref
+
+
+# -- subtree rounds and chunked bracketing ----------------------------------
+
+@pytest.mark.parametrize(
+    "make, d, floor",
+    [(lambda: make_delta_prime(beta=1.0, n=3), 2.0**-10, False), (make_complex_t, 2.0**-9, True)],
+    ids=["delta_prime", "complex_t"],
+)
+def test_eigenvalue_search_call_count(make, d, floor, monkeypatch):
+    """The search makes few batched counts (124 and 56 with one point per
+    round).  A round counts at most max(_ROUND_POINTS, live intervals)
+    points; a count of 5 keeps at most 5 intervals live, so no call here is
+    wider than _ROUND_POINTS."""
+    widths = []
+    many = _EigenvalueCount.many
+
+    def counted(self, lams):
+        widths.append(len(lams))
+        return many(self, lams)
+
+    monkeypatch.setattr(_EigenvalueCount, "many", counted)
+    st = make()
+    eigenvalues_compact(_approx(st, d), 5, lam_min=eigengap_floor(st) if floor else None)
+    assert len(widths) <= 30
+    assert max(widths) <= solver._ROUND_POINTS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st_.floats(min_value=1e-20, max_value=1e4),
+    st_.booleans(),
+    st_.integers(min_value=0, max_value=40),
+)
+def test_chunked_bracket_matches_one_point_doubling(magnitude, negative, target):
+    """The chunked bracket stops at the same lambda with the same count as
+    doubling one point at a time: going down until N <= target, going up
+    until N >= target.  From 1e-20 that takes up to about 80 doublings, so
+    several chunks."""
+    count = _EigenvalueCount(_approx(make_delta_prime(beta=1.0, n=3), 2.0**-4))
+    lam = -magnitude if negative else magnitude
+
+    def done(n):
+        return n <= target if negative else n >= target
+
+    ref = lam
+    while not done(n_ref := count(ref)):
+        ref *= 2.0
+    assert solver._bracket(count, lam, done, 0.0) == (ref, n_ref)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st_.integers(min_value=0, max_value=2**32 - 1),
+    st_.sampled_from([2.0**-j for j in range(2, 11)]),
+)
+def test_eigenvalues_of_random_normal_forms_match_depth_first_reference(seed, d):
+    """Random n = 3 couplings reach level clusters the fixed systems may
+    miss; the search still returns the depth-first bisection's bits."""
+    st, g = random_built_graph(np.random.default_rng(seed), d, n=3)
+    sys_ = truncate(system_from_approx(g), L=1.0)
+    count = _EigenvalueCount(sys_)
+    floor = eigengap_floor(st)
+    got = eigenvalues_compact(sys_, 6, lam_min=floor)
+    ref = reference_eigenvalues(lambda lam: reference_count(count, lam), 6, lam_min=floor)
+    assert got.tobytes() == ref.tobytes()
