@@ -6,206 +6,32 @@ magnetic potentials on short inner edges, and provides the closed-form
 spectral machinery (scattering matrices, Green's functions, an eigenvalue
 count on the vertex-reduced Dirichlet-to-Neumann matrix) needed to verify
 the approximation numerically.
+
+The public names are those of the submodules' ``__all__`` lists.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .budget import (
-    ExponentBudget,
-    FormBoundInputs,
-    FormBoundReport,
-    FormBoundViolation,
-    ManifoldConstants,
-    VertexBlock,
-    budget_to_json,
-    c_eta,
-    c_eta_edge,
-    delta_eps,
-    eps0_manifold,
-    eps0_statement,
-    exponent_budget,
-    form_bound_inputs,
-    optimal_alpha,
-    verify_form_bound,
-)
-from .builder import (
-    ApproxGraph,
-    NeighborSets,
-    Order,
-    bracket,
-    build_approx_graph,
-    inner_delta_schedule,
-    magnetic_schedule,
-    neighbor_sets,
-    order_check,
-    vertex_delta_schedule,
-)
-from ._util import DEFAULT_TOL
-from .convergence import (
-    DEFAULT_D_VALUES,
-    ConvergenceReport,
-    EigGap,
-    HSResolvent,
-    QuadratureWarning,
-    ScatteringNorm,
-    SweepConfig,
-    SweepPoint,
-    eigengap_floor,
-    fit_rate,
-    metric_eigengap,
-    metric_hs_resolvent,
-    metric_scattering,
-    report_to_csv,
-    run_sweep,
-    write_report_csv,
-)
-from .couplings import (
-    CouplingKind,
-    NamedCoupling,
-    STForm,
-    ValidationResult,
-    VertexCoupling,
-    ab_equiv,
-    ab_from_st,
-    coupling_distance,
-    named_to_st,
-    permute_coupling,
-    st_from_ab,
-    star_scattering,
-    validate_coupling,
-)
-from .errors import (
-    ConditioningError,
-    DegenerateArgumentError,
-    InputError,
-    NearSingularZError,
-    NonNormalizableError,
-    QGraphError,
-    ResonantKError,
-    ScanRangeError,
-    SingularDError,
-    StructuralError,
-)
-from .graphs import (
-    CouplingCondition,
-    DeltaCondition,
-    Edge,
-    EndCondition,
-    MetricGraphSystem,
-    Truncation,
-    Vertex,
-    dirichlet_condition,
-    gauge_transform,
-    split_components,
-    star_system,
-    system_from_approx,
-    truncate,
-)
-from .serialize import dumps, loads
-from .solver import (
-    GreensFunction,
-    effective_scattering,
-    eigenvalues_compact,
-    greens_function,
-    scattering_matrix,
-)
+from . import budget, builder, convergence, couplings, errors, graphs, serialize, solver
+from .budget import *  # noqa: F403
+from .builder import *  # noqa: F403
+from .convergence import *  # noqa: F403
+from .couplings import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .serialize import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "DEFAULT_TOL",
-    # couplings
-    "VertexCoupling",
-    "STForm",
-    "CouplingKind",
-    "NamedCoupling",
-    "ValidationResult",
-    "validate_coupling",
-    "st_from_ab",
-    "ab_from_st",
-    "ab_equiv",
-    "coupling_distance",
-    "star_scattering",
-    "named_to_st",
-    "permute_coupling",
-    # builder
-    "ApproxGraph",
-    "NeighborSets",
-    "Order",
-    "bracket",
-    "build_approx_graph",
-    "inner_delta_schedule",
-    "magnetic_schedule",
-    "neighbor_sets",
-    "order_check",
-    "vertex_delta_schedule",
-    # graphs
-    "Edge",
-    "EndCondition",
-    "Vertex",
-    "DeltaCondition",
-    "CouplingCondition",
-    "MetricGraphSystem",
-    "Truncation",
-    "dirichlet_condition",
-    "gauge_transform",
-    "split_components",
-    "star_system",
-    "system_from_approx",
-    "truncate",
-    # solver
-    "GreensFunction",
-    "effective_scattering",
-    "eigenvalues_compact",
-    "greens_function",
-    "scattering_matrix",
-    # convergence
-    "DEFAULT_D_VALUES",
-    "ConvergenceReport",
-    "EigGap",
-    "HSResolvent",
-    "QuadratureWarning",
-    "ScatteringNorm",
-    "SweepConfig",
-    "SweepPoint",
-    "eigengap_floor",
-    "fit_rate",
-    "metric_eigengap",
-    "metric_hs_resolvent",
-    "metric_scattering",
-    "report_to_csv",
-    "run_sweep",
-    "write_report_csv",
-    # budget
-    "ExponentBudget",
-    "FormBoundInputs",
-    "FormBoundReport",
-    "FormBoundViolation",
-    "ManifoldConstants",
-    "VertexBlock",
-    "budget_to_json",
-    "c_eta",
-    "c_eta_edge",
-    "delta_eps",
-    "eps0_manifold",
-    "eps0_statement",
-    "exponent_budget",
-    "form_bound_inputs",
-    "optimal_alpha",
-    "verify_form_bound",
-    # serialize
-    "dumps",
-    "loads",
-    # errors
-    "QGraphError",
-    "InputError",
-    "StructuralError",
-    "NonNormalizableError",
-    "SingularDError",
-    "DegenerateArgumentError",
-    "ConditioningError",
-    "ResonantKError",
-    "NearSingularZError",
-    "ScanRangeError",
+    *couplings.__all__,
+    *builder.__all__,
+    *graphs.__all__,
+    *solver.__all__,
+    *convergence.__all__,
+    *budget.__all__,
+    *serialize.__all__,
+    *errors.__all__,
 ]

@@ -25,12 +25,13 @@ delta_eps is an order-of-magnitude estimator: only the exponents carry
 acceptance weight.  Exponent arithmetic is exact (fractions.Fraction).
 
 ``verify_form_bound`` probes the form bounds with random spline test
-functions integrated by per-segment Gauss-Legendre quadrature.  Samples
-are evaluated in batches: their normals are drawn a block of samples at
-a time in a fixed per-sample order (the same stream as drawing sample by
-sample), and since a spline is linear in its nodal values, each edge
-integral is a 5 x 5 quadratic form in them, built once per edge length
-from the spline and the quadrature and applied to a whole block at once.
+functions.  A spline is linear in its nodal values, so each edge integral
+is a 5 x 5 quadratic form in them, with exact rational entries that
+scale with the edge length; no spline is built and nothing is integrated
+numerically.  Samples are evaluated in batches: their normals are drawn a
+block of samples at a time in a fixed per-sample order (the same stream
+as drawing sample by sample), and each form is applied to a whole block
+at once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._util import (
     require_finite_real,
@@ -70,6 +70,17 @@ __all__ = [
     "FormBoundReport",
     "verify_form_bound",
 ]
+
+
+def __getattr__(name):
+    # perfbench/tracing.py rebinds budget.CubicSpline, which this module no
+    # longer uses.  The name resolves on first access, so only a traced run
+    # imports scipy.interpolate.  It goes once the tracer stops rebinding it.
+    if name == "CubicSpline":
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +417,6 @@ class FormBoundReport:
         return not self.violations
 
 
-#: Gauss-Legendre nodes per spline segment; a segment integrand here is a
-#: polynomial of degree at most six, integrated exactly.
-_QUAD_NODES = 32
-
 #: Interior spline nodes per edge (the ends carry the vertex values).
 _INTERIOR_NODES = 3
 
@@ -420,54 +427,47 @@ _OUTER_SUPPORT = 1.0
 #: verify_form_bound independently of n_samples.
 _SAMPLE_BLOCK = 32
 
-
-def _segment_quadrature(knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    xs = []
-    ws = []
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        half = (hi - lo) / 2.0
-        xs.append(lo + half * (nodes + 1.0))
-        ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _edge_quadrature(length: float):
-    """The integrals of edge splines on [0, length] as quadratic forms in
-    their nodal values.
-
-    The not-a-knot spline through equispaced nodal values is linear in
-    them, so one spline through the unit vectors gives the maps F and F'
-    from the values to f and f' at the quadrature nodes, and with the
-    weights W each integral is a 5 x 5 form: mass F^T W F, kinetic
-    F'^T W F', and the covariant |f' + i a f|^2 gives
-    (F' + i a F)^H W (F' + i a F).  The returned ``terms(values, a)``
-    takes nodal values of shape (..., 5) and returns the
-    (kinetic-with-potential, kinetic, mass) integrals, each of shape (...,).
-    """
-    knots = np.linspace(0.0, length, _INTERIOR_NODES + 2)
-    xs, ws = _segment_quadrature(knots)
-    spline = CubicSpline(knots, np.eye(len(knots)))
-    f = spline(xs)
-    fp = spline.derivative()(xs)
-    mass = np.einsum("qi,q,qj->ij", f, ws, f)
-    kin = np.einsum("qi,q,qj->ij", fp, ws, fp)
-    cross = np.einsum("qi,q,qj->ij", fp, ws, f)
-
-    def terms(values: np.ndarray, a: float):
-        forms = np.stack([kin + a * a * mass + 1j * a * (cross - cross.T), kin, mass])
-        return np.einsum("...i,kij,...j->k...", values.conj(), forms, values).real
-
-    return terms
+# The edge forms of the not-a-knot spline F through values at five
+# equispaced nodes of [0, 1]: one cubic on [0, 1/2] and one on [1/2, 1],
+# joined C^2, so every entry is rational.  Mass int F_i F_j, kinetic
+# int F_i' F_j', and the antisymmetric cross form int (F_i' F_j - F_i F_j')
+# (tests/test_budget.py derives all three with sympy).  On [0, l] they
+# scale as l, 1/l and 1.
+_MASS = np.array([
+    [206, 188, -99, 28, -8],
+    [188, 1088, -108, 64, 28],
+    [-99, -108, 1044, -108, -99],
+    [28, 64, -108, 1088, 188],
+    [-8, 28, -99, 188, 206],
+]) / 3780.0
+_KINETIC = np.array([
+    [223, -284, 84, -28, 5],
+    [-284, 640, -456, 128, -28],
+    [84, -456, 744, -456, 84],
+    [-28, 128, -456, 640, -284],
+    [5, -28, 84, -284, 223],
+]) / 45.0
+_CROSS = np.array([
+    [0, -66, 29, -10, 2],
+    [66, 0, -88, 32, -10],
+    [-29, 88, 0, -88, 29],
+    [10, -32, 88, 0, -66],
+    [-2, 10, -29, 66, 0],
+]) / 45.0
 
 
-def _edge_terms(values: np.ndarray, length: float, a: float):
-    """(kinetic-with-potential, kinetic, mass) integrals of edge splines.
+def _edge_terms(values: np.ndarray, length: float, a: float) -> np.ndarray:
+    """(kinetic-with-potential, kinetic, mass) integrals of edge splines on
+    [0, length], as a (3, ...) array.
 
     ``values`` holds the nodal values of one spline, shape (5,), or of a
-    batch, shape (samples, 5).
+    batch, shape (..., 5).  Each integral is a quadratic form in them: the
+    covariant |f' + i a f|^2 gives kinetic + a^2 mass + i a cross.
     """
-    return tuple(_edge_quadrature(length)(values, a))
+    kin = _KINETIC / length
+    mass = _MASS * length
+    forms = np.stack([kin + a * a * mass + 1j * a * _CROSS, kin, mass])
+    return np.einsum("...i,kij,...j->k...", values.conj(), forms, values).real
 
 
 def _complex_draws(normals: np.ndarray, col: int, count: int) -> np.ndarray:
@@ -487,8 +487,6 @@ def _sampled_forms(g: ApproxGraph, n_samples: int, rng: np.random.Generator):
     n, m = g.n, _INTERIOR_NODES
     first_interior = 2 * (n + len(pairs))
     width = first_interior + 2 * m * (n + 2 * len(pairs))
-    outer_terms = _edge_quadrature(_OUTER_SUPPORT)
-    inner_terms = _edge_quadrature(g.d)
     blocks = []
     for start in range(0, n_samples, _SAMPLE_BLOCK):
         normals = rng.standard_normal((min(_SAMPLE_BLOCK, n_samples - start), width))
@@ -501,11 +499,11 @@ def _sampled_forms(g: ApproxGraph, n_samples: int, rng: np.random.Generator):
         forms = np.zeros((3, len(normals)))
         zero = np.zeros((len(normals), 1))
         for j in range(1, n + 1):
-            forms += outer_terms(np.hstack([vertex[j], interior[j - 1], zero]), 0.0)
+            forms += _edge_terms(np.hstack([vertex[j], interior[j - 1], zero]), _OUTER_SUPPORT, 0.0)
         for p, (j, k) in enumerate(pairs):
             for half, (lo, hi) in enumerate(((j, k), (k, j))):
                 values = np.hstack([vertex[lo], interior[n + 2 * p + half], mid[p]])
-                forms += inner_terms(values, g.a_inner[(lo, hi)])
+                forms += _edge_terms(values, g.d, g.a_inner[(lo, hi)])
         for j in range(1, n + 1):
             forms[0] += g.w_vertex[j] * np.abs(vertex[j][:, 0]) ** 2
         for p, pair in enumerate(pairs):
@@ -529,7 +527,7 @@ def verify_form_bound(
 
     with the constants from :func:`c_eta`.  Any violation is recorded
     with both sides; a violation falsifies the constant bookkeeping or
-    the quadrature, not the estimate itself, so a clean report is a
+    the edge forms, not the estimate itself, so a clean report is a
     regression check on this module.  Pass a seeded generator (or a
     nonnegative int seed) for reproducible samples; the default seed is 0.
 
@@ -544,8 +542,7 @@ def verify_form_bound(
     gives the same functions, and leaves a caller's generator in the same
     state, as drawing them one sample at a time.  The spline is linear in
     its nodal values, so every edge integral is a quadratic form in them,
-    built once per edge length (one spline, one Gauss-Legendre rule) and
-    applied to a whole block of samples at once.
+    exact up to rounding and applied to a whole block of samples at once.
     """
     n_samples = require_positive_int(n_samples, "n_samples")
     if rng is None:

@@ -54,7 +54,6 @@ __all__ = [
     "ScatteringNorm",
     "HSResolvent",
     "EigGap",
-    "MetricSpec",
     "SweepConfig",
     "SweepPoint",
     "ConvergenceReport",

@@ -44,6 +44,7 @@ from ._util import (
 from .errors import ConditioningError, InputError, NonNormalizableError, StructuralError
 
 __all__ = [
+    "DEFAULT_TOL",
     "VertexCoupling",
     "STForm",
     "CouplingKind",

@@ -6,6 +6,19 @@ callers (in particular the CLI) can distinguish bad input from genuine bugs.
 
 from __future__ import annotations
 
+__all__ = [
+    "QGraphError",
+    "InputError",
+    "StructuralError",
+    "NonNormalizableError",
+    "SingularDError",
+    "DegenerateArgumentError",
+    "ConditioningError",
+    "ResonantKError",
+    "NearSingularZError",
+    "ScanRangeError",
+]
+
 
 class QGraphError(Exception):
     """Base class for all qgraph-specific errors."""

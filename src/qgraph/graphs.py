@@ -35,7 +35,6 @@ from .errors import StructuralError
 
 __all__ = [
     "Edge",
-    "EndRef",
     "DeltaCondition",
     "CouplingCondition",
     "dirichlet_condition",
@@ -44,7 +43,6 @@ __all__ = [
     "Truncation",
     "MetricGraphSystem",
     "truncate",
-    "split_components",
     "star_system",
     "system_from_approx",
     "gauge_transform",
@@ -215,44 +213,6 @@ def truncate(
         vertices=sys.vertices + tuple(extra_vertices),
         truncation=None,
     )
-
-
-def split_components(sys: MetricGraphSystem) -> list[MetricGraphSystem]:
-    """Connected components as separate systems, preserving listed order."""
-    parent: dict[object, object] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for edge in sys.edges:
-        parent.setdefault(("e", edge.id), ("e", edge.id))
-    for vertex in sys.vertices:
-        parent.setdefault(("v", vertex.id), ("v", vertex.id))
-        for edge_id, _ in vertex.ends:
-            union(("v", vertex.id), ("e", edge_id))
-    roots: dict[object, int] = {}
-    for edge in sys.edges:
-        root = find(("e", edge.id))
-        roots.setdefault(root, len(roots))
-    groups: list[tuple[list[Edge], list[Vertex]]] = [([], []) for _ in roots]
-    for edge in sys.edges:
-        groups[roots[find(("e", edge.id))]][0].append(edge)
-    for vertex in sys.vertices:
-        groups[roots[find(("v", vertex.id))]][1].append(vertex)
-    return [
-        MetricGraphSystem(tuple(es), tuple(vs), truncation=sys.truncation)
-        for es, vs in groups
-    ]
 
 
 def star_system(

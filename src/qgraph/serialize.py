@@ -31,21 +31,7 @@ from .builder import ApproxGraph, NeighborSets
 from .couplings import CouplingKind, NamedCoupling, STForm, VertexCoupling
 from .errors import InputError, StructuralError
 
-__all__ = [
-    "complex_to_json",
-    "complex_from_json",
-    "matrix_to_json",
-    "matrix_from_json",
-    "coupling_to_json",
-    "coupling_from_json",
-    "st_to_json",
-    "st_from_json",
-    "named_from_json",
-    "approx_to_json",
-    "approx_from_json",
-    "loads",
-    "dumps",
-]
+__all__ = ["dumps", "loads"]
 
 
 # ---------------------------------------------------------------------------

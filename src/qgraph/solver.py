@@ -53,9 +53,6 @@ import warnings
 import numpy as np
 from scipy.linalg import LinAlgWarning, block_diag, lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
-# The benchmark's tracer (perfbench/tracing.py) rebinds these module-level
-# names, so they stay importable from here.
-from scipy.optimize import brentq, minimize_scalar  # noqa: F401
 
 from ._util import (
     numerical_rank,
@@ -86,6 +83,19 @@ __all__ = [
     "scattering_matrix",
     "effective_scattering",
 ]
+
+
+def __getattr__(name):
+    # perfbench/tracing.py rebinds solver.brentq and solver.minimize_scalar,
+    # which nothing here calls.  The names resolve on first access, so only
+    # a traced run imports scipy.optimize.  They go once the tracer stops
+    # rebinding them.
+    if name in ("brentq", "minimize_scalar"):
+        import scipy.optimize
+
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Ceiling on the condition estimate of a reduced matrix: beyond it a
 # scattering momentum is resonant and a resolvent point lies on the spectrum.
@@ -357,9 +367,6 @@ class _EigenvalueCount(_Reduction):
     matrix, which is subtracted.
     """
 
-    def __call__(self, lam: float) -> int:
-        return self.many([lam])[0]
-
     def many(self, lams) -> list[int]:
         """N(lambda) at every point of the 1-d array ``lams``.
 
@@ -402,17 +409,25 @@ def _batch_points(size: int) -> int:
     return _ROUND_POINTS if size <= _ROUND_SIZE else 1
 
 
-def _bracket(count_below, lam: float, done, other_end: float) -> tuple[float, int]:
-    """The first of lam, 2 lam, 4 lam, ... whose count passes ``done``, and
-    that count.  The doubling sequence is counted in batches (see
-    :func:`_batch_points`); it ends, with :class:`ScanRangeError`, at the
-    last lambda whose double is still finite."""
+def _doubling(lam: float, points: int) -> list[float]:
+    """lam, 2 lam, 4 lam, ...: ``points`` values, fewer if a double
+    overflows."""
+    chunk = [lam]
+    while len(chunk) < points and math.isfinite(2.0 * chunk[-1]):
+        chunk.append(2.0 * chunk[-1])
+    return chunk
+
+
+def _bracket(count_below, chunk: list[float], counts, done, other_end: float) -> tuple[float, int]:
+    """The first lambda of the doubling sequence that begins with ``chunk``
+    whose count passes ``done``, and that count.  ``counts`` are the counts
+    at ``chunk``, taken by the caller; the rest of the sequence is counted
+    in batches (see :func:`_batch_points`).  It ends, with
+    :class:`ScanRangeError`, at the last lambda whose double is still
+    finite."""
     points = _batch_points(count_below.size)
     while True:
-        chunk = [lam]
-        while len(chunk) < points and math.isfinite(2.0 * chunk[-1]):
-            chunk.append(2.0 * chunk[-1])
-        for lam, n in zip(chunk, count_below.many(chunk)):
+        for lam, n in zip(chunk, counts):
             if done(n):
                 return lam, n
         if not math.isfinite(2.0 * lam):
@@ -420,7 +435,8 @@ def _bracket(count_below, lam: float, done, other_end: float) -> tuple[float, in
                 f"eigenvalue count not reached by lambda = {lam:.3g}",
                 window=(min(lam, other_end), max(lam, other_end)),
             )
-        lam *= 2.0
+        chunk = _doubling(2.0 * lam, points)
+        counts = count_below.many(chunk)
 
 
 def _is_leaf(a: float, b: float) -> bool:
@@ -458,7 +474,8 @@ def eigenvalues_compact(
     The system must be compact, or carry a truncation spec so it can be
     truncated here.  The eigenvalue count N(lambda) brackets the spectrum
     (doubling -lambda until N = 0, then lambda until N covers `count`; the
-    doubling sequence is counted in batches), and bisection refines every
+    doubling sequence is counted in batches, and the first upward batch
+    also counts ``lam_min`` and ``lam_max``), and bisection refines every
     level to 1e-13 max(1, |lambda|); a level's multiplicity is the jump of N
     across it.  The bisection runs in rounds: a round counts, in one batched
     call, at every midpoint of the depth-r subtree of each live interval
@@ -484,15 +501,23 @@ def eigenvalues_compact(
             )
         sys = truncate(sys)
     count_below = _EigenvalueCount(sys)
+    points = _batch_points(count_below.size)
     if lam_min is None:
-        lo, n_lo = _bracket(count_below, -1.0, lambda n: n == 0, 0.0)
+        down = _doubling(-1.0, points)
+        lo, n_lo = _bracket(count_below, down, count_below.many(down), lambda n: n == 0, 0.0)
     else:
-        lo, n_lo = lam_min, count_below(lam_min)
+        lo = lam_min
+    # The given ends are counted in one call with the first upward batch.
+    ends = [lam for lam in (lam_min, lam_max) if lam is not None]
+    up = [] if lam_max is not None else _doubling(max(1.0, 2.0 * lo), max(1, points - len(ends)))
+    counts = count_below.many(ends + up)
+    if lam_min is not None:
+        n_lo = counts.pop(0)
     target = n_lo + count
     if lam_max is None:
-        hi, n_hi = _bracket(count_below, max(1.0, 2.0 * lo), lambda n: n >= target, lo)
+        hi, n_hi = _bracket(count_below, up, counts, lambda n: n >= target, lo)
     else:
-        hi, n_hi = lam_max, count_below(lam_max)
+        hi, n_hi = lam_max, counts[0]
     # An interval's fate depends on its own ends alone, so bisecting level
     # by level builds the tree of a depth-first search; sorting the leaves
     # restores its left-to-right output order.
@@ -511,7 +536,6 @@ def eigenvalues_compact(
                 live.append((a, b, n_a, n_b))
         return live
 
-    points = _batch_points(count_below.size)
     live = settle([(lo, hi, n_lo, n_hi)])
     while live:
         # The deepest r with len(live) * (2^r - 1) <= points, at least 1.
@@ -709,8 +733,12 @@ class _ScatteringSolver(_Reduction):
         # rows' right-hand sides zero.
         rhs = np.zeros((len(mat), len(self.j_half)), dtype=complex)
         rhs[: self.size] = -2j * k * self.j_half.conj().T
-        x = lu_solve(lu, rhs)[: self.size]
-        return self.j_half @ x - np.eye(len(self.j_half))
+        x = lu_solve(lu, rhs)
+        # One step of iterative refinement: at small k on short edges the
+        # condition reaches ~5e4, and the plain solve's error alone then
+        # shows as a unitarity defect above 1e-12.
+        x += lu_solve(lu, rhs - mat @ x)
+        return self.j_half @ x[: self.size] - np.eye(len(self.j_half))
 
 
 def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from qgraph import (
     FormBoundInputs,
@@ -25,8 +26,9 @@ from qgraph import (
     optimal_alpha,
     verify_form_bound,
 )
-from qgraph.budget import _edge_terms, _sampled_forms
+from qgraph.budget import _CROSS, _KINETIC, _MASS, _edge_terms, _sampled_forms
 from helpers import (
+    _reference_edge_terms,
     loglog_slope,
     make_complex_t,
     make_delta_prime,
@@ -289,7 +291,64 @@ def test_budget_to_json_layout():
     assert data["exponents"]["combined"] == pytest.approx(1 / 28)
 
 
-# -- spline quadrature of test functions ------------------------------------
+# -- edge forms of the spline test functions --------------------------------
+
+def test_edge_forms_are_the_exact_spline_integrals():
+    """The hard-coded forms are the exact integrals of the not-a-knot spline
+    basis on [0, 1], derived from its definition: a cubic per segment
+    between the five equispaced knots, C^2 at the interior knots, C^3 at
+    the second and the fourth."""
+    x = sp.symbols("x")
+    knots = [sp.Rational(i, 4) for i in range(5)]
+    coef = sp.symbols("c0:16")
+    pieces = [sum(coef[4 * i + p] * x**p for p in range(4)) for i in range(4)]
+    smooth = [
+        sp.diff(pieces[i + 1] - pieces[i], x, order).subs(x, knots[i + 1])
+        for i in range(3)
+        for order in (1, 2)
+    ]
+    smooth += [sp.diff(pieces[i + 1] - pieces[i], x, 3) for i in (0, 2)]
+    basis = []
+    for node in range(5):
+        interpolate = [
+            piece.subs(x, knots[i + end]) - int(i + end == node)
+            for i, piece in enumerate(pieces)
+            for end in (0, 1)
+        ]
+        (solution,) = sp.linsolve(smooth + interpolate, coef)
+        basis.append([sp.Poly(piece.subs(dict(zip(coef, solution))), x) for piece in pieces])
+
+    def form(product):
+        def integral(f, g):
+            total = 0
+            for s in range(4):
+                antiderivative = product(f[s], g[s]).integrate()
+                total += antiderivative.eval(knots[s + 1]) - antiderivative.eval(knots[s])
+            return total
+
+        return [[integral(f, g) for g in basis] for f in basis]
+
+    exact = {
+        "mass": (form(lambda f, g: f * g), _MASS),
+        "kinetic": (form(lambda f, g: f.diff(x) * g.diff(x)), _KINETIC),
+        "cross": (form(lambda f, g: f.diff(x) * g - f * g.diff(x)), _CROSS),
+    }
+    for name, (rational, stored) in exact.items():
+        assert np.array(rational, dtype=float).tolist() == stored.tolist(), name
+
+
+@pytest.mark.parametrize("length", [1.0, 0.37, 0.1, 2.0**-10])
+def test_edge_forms_match_sampled_spline_oracle(length):
+    """Exact forms against a CubicSpline through each profile, integrated by
+    32 Gauss-Legendre nodes per segment."""
+    rng = np.random.default_rng(5)
+    for a in (0.0, 1.0, -3.5, 120.0):
+        values = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+        got = _edge_terms(values, length, a)
+        ref = np.array([_reference_edge_terms(v, length, a) for v in values]).T
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
 
 def test_edge_terms_linear_profile():
     values = np.linspace(0.0, 1.0, 5)  # f(s) = s on [0, 1]

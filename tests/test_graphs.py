@@ -19,7 +19,6 @@ from qgraph import (
     dirichlet_condition,
     eigenvalues_compact,
     gauge_transform,
-    split_components,
     star_system,
     system_from_approx,
     truncate,
@@ -135,29 +134,6 @@ def test_system_from_approx_magnetic_orientation():
         assert edge_map[f"inner-{j}-{k}"].a == g.a_inner[(j, k)]
         assert edge_map[f"inner-{k}-{j}"].a == g.a_inner[(k, j)]
         assert edge_map[f"inner-{j}-{k}"].a == -edge_map[f"inner-{k}-{j}"].a
-
-
-# -- components -------------------------------------------------------------
-
-def test_split_components_connected_star(st_delta):
-    trunc = truncate(star_system(st_delta), L=1.0)
-    assert len(split_components(trunc)) == 1
-
-
-def test_split_components_disjoint_intervals():
-    def interval(tag, length):
-        edge = Edge(id=tag, length=length)
-        return (edge,), (
-            Vertex(id=(tag, 0), condition=dirichlet_condition(), ends=((tag, 0),)),
-            Vertex(id=(tag, 1), condition=dirichlet_condition(), ends=((tag, 1),)),
-        )
-
-    e1, v1 = interval("p", 1.0)
-    e2, v2 = interval("q", 2.0)
-    sys_ = MetricGraphSystem(edges=e1 + e2, vertices=v1 + v2)
-    parts = split_components(sys_)
-    assert len(parts) == 2
-    assert {p.edges[0].id for p in parts} == {"p", "q"}
 
 
 # -- gauge transform --------------------------------------------------------
