@@ -47,11 +47,27 @@ def as_complex_matrix(value, name: str, shape: tuple[int, int] | None = None) ->
     return mat
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Spectral-norm distance of ``mat`` from its own adjoint."""
+def hermiticity_violation(mat: np.ndarray, tol: float) -> tuple[float, float] | None:
+    """None when ``mat`` is Hermitian within ``tol``: ||mat - mat*|| <= tol
+    max(1, ||mat||) in the spectral norm.  Otherwise that defect and scale.
+
+    Where the largest real or imaginary part of ``mat`` is 1/2 or more, both
+    norms are taken of ``mat`` scaled down by the power of two that brings
+    that part into [1/2, 1): an exact scaling, under which no norm
+    overflows.  A non-finite entry, such as a product that overflowed,
+    fails the check, with defect and scale inf."""
     if mat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(mat - mat.conj().T, 2))
+        return None
+    if not np.isfinite(mat).all():
+        return math.inf, math.inf
+    largest = max(np.abs(mat.real).max(), np.abs(mat.imag).max())
+    unit = 2.0 ** -max(0, math.frexp(largest)[1])
+    scaled = mat * unit
+    defect = float(np.linalg.norm(scaled - scaled.conj().T, 2))
+    norm = float(np.linalg.norm(scaled, 2))
+    if defect <= tol * max(unit, norm):
+        return None
+    return defect / unit, max(1.0, norm / unit)
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -59,14 +75,14 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-def numerical_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
+def numerical_rank(mat: np.ndarray) -> int:
+    """Number of singular values above ``DEFAULT_TOL`` times the largest one."""
     if mat.size == 0:
         return 0
     sigma = np.linalg.svd(mat, compute_uv=False)
     if sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+    return int(np.count_nonzero(sigma > DEFAULT_TOL * sigma[0]))
 
 
 def row_space_basis(mat: np.ndarray) -> np.ndarray:

@@ -177,20 +177,19 @@ def c_eta(inputs: FormBoundInputs, eta: float | None = None) -> float:
 class VertexBlock:
     """Geometry constants of one thickened vertex neighborhood X_v.
 
-    ``vol`` is vol X_v, ``c_vol`` the ratio vol X_v / vol_m(boundary),
-    ``c_upper`` the constant C(v) and ``c_lower`` the constant c(v) of
-    the vertex-block Sobolev trace estimates.  The defaults describe a
-    normalized block; the true values depend on geometry that is not
-    meshed here and must come from the caller.
+    ``vol`` is vol X_v, ``c_upper`` the constant C(v) and ``c_lower`` the
+    constant c(v) of the vertex-block Sobolev trace estimates; C(v) enters
+    :func:`eps0_manifold` and c(v) :func:`eps0_statement`.  The defaults
+    describe a normalized block; the true values depend on geometry that is
+    not meshed here and must come from the caller.
     """
 
     vol: float = 1.0
-    c_vol: float = 1.0
     c_upper: float = 1.0
     c_lower: float = 1.0
 
     def __post_init__(self):
-        for name in ("vol", "c_vol", "c_upper", "c_lower"):
+        for name in ("vol", "c_upper", "c_lower"):
             object.__setattr__(self, name, require_positive_real(getattr(self, name), name))
 
 

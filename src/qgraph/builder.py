@@ -37,7 +37,7 @@ column sum sum_l T_jl conj(T_kl) vanishes.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,14 +78,9 @@ class Order(Enum):
 
 @dataclass(frozen=True)
 class NeighborSets:
-    """The index sets N_j: which pairs of edges are joined by inner edges.
-
-    ``m`` is None for sets restored from serialized graphs, where the
-    originating normal form is unknown.
-    """
+    """The index sets N_j: which pairs of edges are joined by inner edges."""
 
     n: int
-    m: int | None
     sets: dict[int, frozenset[int]]
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -114,7 +109,6 @@ class ApproxGraph:
     w_vertex: dict[int, float]
     w_inner: dict[tuple[int, int], float]
     a_inner: dict[tuple[int, int], float]
-    source_st: STForm | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +120,20 @@ def bracket(c: complex) -> float:
     c = complex(c)
     if not (np.isfinite(c.real) and np.isfinite(c.imag)):
         raise InputError(f"bracket argument must be finite, got {c!r}")
-    return abs(c) if c.real >= 0.0 else -abs(c)
+    try:
+        modulus = abs(c)
+    except OverflowError:
+        raise InputError(f"bracket argument overflows, got {c!r}") from None
+    return modulus if c.real >= 0.0 else -modulus
 
 
 def _zero_scale(st: STForm) -> float:
-    mats = [np.abs(st.S).max() if st.S.size else 0.0, np.abs(st.T).max() if st.T.size else 0.0]
-    return ZERO_TOL * max(1.0, *mats)
+    with np.errstate(over="ignore"):
+        mats = [np.abs(m).max() if m.size else 0.0 for m in (st.S, st.T)]
+    scale = ZERO_TOL * max(1.0, *mats)
+    if not math.isfinite(scale):
+        raise InputError("the moduli of the normal form's entries overflow")
+    return scale
 
 
 def neighbor_sets(st: STForm) -> NeighborSets:
@@ -153,7 +155,7 @@ def neighbor_sets(st: STForm) -> NeighborSets:
     adj[:m, m:] = t_nz
     adj[m:, :m] = t_nz.T
     sets = {j + 1: frozenset((np.flatnonzero(row) + 1).tolist()) for j, row in enumerate(adj)}
-    return NeighborSets(n=n, m=m, sets=sets)
+    return NeighborSets(n=n, sets=sets)
 
 
 def _require_pair(st: STForm, nbrs: NeighborSets, j: int, k: int) -> None:
@@ -184,9 +186,10 @@ def _magnetic(c: complex, d: float, cutoff: float, pair: tuple[int, int]) -> flo
         raise DegenerateArgumentError(
             f"phase of pair {pair} undefined: argument cancels at d={d}", pair=pair
         )
-    phase = cmath.phase(c)
+    # atan2, not cmath.phase, which raises where the phase underflows.
+    phase = math.atan2(c.imag, c.real)
     if c.real < 0.0:
-        phase -= cmath.pi
+        phase -= math.pi
     return phase / (2.0 * d)
 
 
@@ -260,22 +263,28 @@ def vertex_delta_schedule(st: STForm, nbrs: NeighborSets, d: float, j: int) -> f
 # ---------------------------------------------------------------------------
 
 def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
-    """Assemble neighbor sets and all three schedules into one graph."""
+    """Assemble neighbor sets and all three schedules into one graph.
+
+    Raises :class:`InputError` where a schedule overflows, as it can for
+    entries of S and T near the float range."""
     d = require_half_length(d)
     nbrs = neighbor_sets(st)
     cutoff = _zero_scale(st)
-    w_vertex = {
-        j: vertex_delta_schedule(st, nbrs, d, j) for j in range(1, st.n + 1)
-    }
     w_inner: dict[tuple[int, int], float] = {}
     a_inner: dict[tuple[int, int], float] = {}
-    for pair in nbrs.pairs():
-        j, k = pair
-        c = _pair_argument(st, d, j, k)
-        w_inner[pair] = _inner_delta(c, d, cutoff, pair, st.m < k)
-        a_jk = _magnetic(c, d, cutoff, pair)
-        a_inner[pair] = a_jk
-        a_inner[(k, j)] = -a_jk
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_vertex = {
+            j: vertex_delta_schedule(st, nbrs, d, j) for j in range(1, st.n + 1)
+        }
+        for pair in nbrs.pairs():
+            j, k = pair
+            c = _pair_argument(st, d, j, k)
+            w_inner[pair] = _inner_delta(c, d, cutoff, pair, st.m < k)
+            a_jk = _magnetic(c, d, cutoff, pair)
+            a_inner[pair] = a_jk
+            a_inner[(k, j)] = -a_jk
+    if not all(map(math.isfinite, [*w_vertex.values(), *w_inner.values()])):
+        raise InputError(f"a delta strength overflows at d={d}")
     return ApproxGraph(
         n=st.n,
         d=d,
@@ -283,7 +292,6 @@ def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
         w_vertex=w_vertex,
         w_inner=w_inner,
         a_inner=a_inner,
-        source_st=st,
     )
 
 

@@ -46,8 +46,8 @@ from .convergence import (
     HSResolvent,
     ScatteringNorm,
     SweepConfig,
+    report_to_csv,
     run_sweep,
-    write_report_csv,
 )
 from .couplings import (
     NamedCoupling,
@@ -223,7 +223,7 @@ def cmd_sweep(args) -> int:
         _err("sweep failed at every d value")
         return EXIT_ALL_D_FAILED
     if args.out is not None:
-        write_report_csv(report, args.out)
+        _write_text(args.out, report_to_csv(report))
     print(f"slope={_float_format(report.slope)} residual={_float_format(report.residual)}")
     return EXIT_OK
 
@@ -392,12 +392,8 @@ def main(argv=None) -> int:
         _err(str(exc))
         return EXIT_SINGULAR_D
     except ScanRangeError as exc:
-        message = str(exc)
-        if exc.window is not None:
-            lo = "-inf" if exc.window[0] is None else format(exc.window[0], "g")
-            hi = "+inf" if exc.window[1] is None else format(exc.window[1], "g")
-            message += f" (scanned window [{lo}, {hi}])"
-        _err(message)
+        lo, hi = exc.window
+        _err(f"{exc} (scanned window [{lo:g}, {hi:g}])")
         return EXIT_SCAN
     except QGraphError as exc:
         _err(str(exc))

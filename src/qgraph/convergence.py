@@ -65,7 +65,6 @@ __all__ = [
     "fit_rate",
     "run_sweep",
     "report_to_csv",
-    "write_report_csv",
 ]
 
 #: Default sweep grid d = 2^-p, p = 2..10, decreasing.
@@ -550,9 +549,3 @@ def report_to_csv(report: ConvergenceReport) -> str:
     ):
         lines.append(f"{name},{'nan' if value is None else _fmt(value)}")
     return "\n".join(lines) + "\n"
-
-
-def write_report_csv(report: ConvergenceReport, path) -> None:
-    """Write :func:`report_to_csv` output to a file path."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(report_to_csv(report))

@@ -13,8 +13,9 @@ renumbering the edges, in the normal form
 
 with ``m = rank B``, a Hermitian ``m x m`` matrix ``S`` and an arbitrary
 ``m x (n-m)`` matrix ``T``.  This module converts between the two
-parametrisations, decides equivalence of couplings, and evaluates the
-on-shell scattering matrix of the star graph,
+parametrisations, decides equivalence of couplings through
+:func:`coupling_distance` (zero exactly when two couplings define the same
+condition), and evaluates the on-shell scattering matrix of the star graph,
 
     S(k) = -(A + ikB)^{-1} (A - ikB),
 
@@ -33,7 +34,7 @@ import scipy.linalg
 from ._util import (
     DEFAULT_TOL,
     as_complex_matrix,
-    hermiticity_defect,
+    hermiticity_violation,
     hermitize,
     numerical_rank,
     require_finite_real,
@@ -53,11 +54,9 @@ __all__ = [
     "validate_coupling",
     "st_from_ab",
     "ab_from_st",
-    "ab_equiv",
     "coupling_distance",
     "star_scattering",
     "named_to_st",
-    "permute_coupling",
 ]
 
 
@@ -105,7 +104,7 @@ class STForm:
         object.__setattr__(
             self, "T", as_complex_matrix(self.T, "T", (self.m, self.n - self.m))
         )
-        if hermiticity_defect(self.S) > DEFAULT_TOL * max(1.0, _norm_or_zero(self.S)):
+        if hermiticity_violation(self.S, DEFAULT_TOL) is not None:
             raise StructuralError("S must be Hermitian")
 
 
@@ -116,7 +115,6 @@ class CouplingKind(Enum):
     DELTA = "delta"
     DELTA_PRIME_S = "delta_prime_s"
     DIRICHLET = "dirichlet"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,6 @@ class NamedCoupling:
     n: int
     alpha: float | None = None
     beta: float | None = None
-    st: STForm | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -143,8 +140,6 @@ class NamedCoupling:
             if beta == 0.0:
                 raise InputError("delta_prime_s strength beta must be nonzero")
             object.__setattr__(self, "beta", beta)
-        if self.kind is CouplingKind.CUSTOM and self.st is None:
-            raise InputError("custom coupling requires an explicit st form")
 
 
 @dataclass(frozen=True)
@@ -163,48 +158,37 @@ def _norm_or_zero(mat: np.ndarray) -> float:
 # Validation and equivalence
 # ---------------------------------------------------------------------------
 
-def validate_coupling(c: VertexCoupling, tol: float = DEFAULT_TOL) -> ValidationResult:
+def validate_coupling(c: VertexCoupling) -> ValidationResult:
     """Check the two admissibility conditions of a vertex coupling.
 
     The coupling is valid iff the ``n x 2n`` block matrix ``(A|B)`` has rank
-    ``n`` (singular values below ``tol`` times the largest are treated as
-    zero) and ``A B*`` is Hermitian within ``tol``.
+    ``n`` (singular values below ``DEFAULT_TOL`` times the largest are
+    treated as zero) and ``A B*`` is Hermitian within ``DEFAULT_TOL``; an
+    ``A B*`` that overflows counts as not Hermitian.
     """
-    tol = require_positive_real(tol, "tol")
     stacked = np.hstack([c.A, c.B])
     violations: list[str] = []
-    if numerical_rank(stacked, tol) < c.n:
+    if numerical_rank(stacked) < c.n:
         violations.append(f"rank deficient: rank(A|B) < n = {c.n}")
-    ab_star = c.A @ c.B.conj().T
-    defect = hermiticity_defect(ab_star)
-    scale = max(1.0, _norm_or_zero(ab_star))
-    if defect > tol * scale:
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab_star = c.A @ c.B.conj().T
+    excess = hermiticity_violation(ab_star, DEFAULT_TOL)
+    if excess is not None:
+        defect, scale = excess
         violations.append(
-            f"A B* is not Hermitian: defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"A B* is not Hermitian: defect {defect:.3e} "
+            f"exceeds {DEFAULT_TOL:.1e} * {scale:.3e}"
         )
     return ValidationResult(ok=not violations, violations=tuple(violations))
 
 
-def permute_coupling(c: VertexCoupling, perm: tuple[int, ...]) -> VertexCoupling:
-    """Renumber the edges of a coupling: new edge i is old edge perm[i-1]."""
-    if sorted(perm) != list(range(1, c.n + 1)):
-        raise StructuralError(f"perm must be a permutation of 1..{c.n}, got {perm}")
-    cols = [p - 1 for p in perm]
-    return VertexCoupling(n=c.n, A=c.A[:, cols], B=c.B[:, cols])
-
-
-def ab_equiv(c1: VertexCoupling, c2: VertexCoupling, tol: float = DEFAULT_TOL) -> bool:
-    """Whether two couplings define the same boundary condition.
+def coupling_distance(c1: VertexCoupling, c2: VertexCoupling) -> float:
+    """Projection distance between the (A|B) row spaces of two couplings.
 
     Two pairs (A, B) describe the same self-adjoint condition exactly when
-    the row spaces of ``(A|B)`` coincide; the comparison is by projection
-    distance between the two row spaces.
+    these row spaces coincide, so the distance is zero exactly on equivalent
+    couplings.
     """
-    return coupling_distance(c1, c2) <= tol
-
-
-def coupling_distance(c1: VertexCoupling, c2: VertexCoupling) -> float:
-    """Projection distance between the (A|B) row spaces of two couplings."""
     if c1.n != c2.n:
         raise StructuralError(f"degree mismatch: {c1.n} != {c2.n}")
     basis1 = row_space_basis(np.hstack([c1.A, c1.B]))
@@ -234,7 +218,7 @@ def ab_from_st(st: STForm) -> VertexCoupling:
     return VertexCoupling(n=n, A=a_mat, B=b_mat)
 
 
-def st_from_ab(c: VertexCoupling, tol: float = DEFAULT_TOL) -> STForm:
+def st_from_ab(c: VertexCoupling) -> STForm:
     """Reduce a valid coupling to its ST normal form.
 
     Sets ``m`` to the numerical rank of ``B`` and scans candidate edge
@@ -249,23 +233,23 @@ def st_from_ab(c: VertexCoupling, tol: float = DEFAULT_TOL) -> STForm:
     ``T*`` up to sign and the upper block yields a Hermitian S.  Both facts
     are still verified numerically and a failure aborts the candidate.
     """
-    result = validate_coupling(c, tol)
+    result = validate_coupling(c)
     if not result.ok:
         raise InputError("coupling is not admissible: " + "; ".join(result.violations))
     n = c.n
     sigma_b = np.linalg.svd(c.B, compute_uv=False)
-    m = int(np.count_nonzero(sigma_b > tol * sigma_b[0])) if sigma_b[0] > 0 else 0
+    m = int(np.count_nonzero(sigma_b > DEFAULT_TOL * sigma_b[0])) if sigma_b[0] > 0 else 0
     scale = max(1.0, float(sigma_b[0]), _norm_or_zero(c.A))
     # tolerance for the consistency residuals, looser than the rank cutoff
     # to absorb roundoff from the row operations
-    check_tol = max(1.0e-8, tol)
+    check_tol = max(1.0e-8, DEFAULT_TOL)
 
     for subset in combinations(range(n), m):
         rest = [idx for idx in range(n) if idx not in subset]
         order = list(subset) + rest
         a_perm = c.A[:, order]
         b_perm = c.B[:, order]
-        st = _try_reduce(a_perm, b_perm, n, m, tol, check_tol, scale)
+        st = _try_reduce(a_perm, b_perm, n, m, check_tol, scale)
         if st is not None:
             s_mat, t_mat = st
             return STForm(
@@ -281,7 +265,7 @@ def st_from_ab(c: VertexCoupling, tol: float = DEFAULT_TOL) -> STForm:
     )
 
 
-def _try_reduce(a_perm, b_perm, n, m, tol, check_tol, scale):
+def _try_reduce(a_perm, b_perm, n, m, check_tol, scale):
     """Attempt the ST reduction for one candidate column order."""
     if m == 0:
         # B = 0; the rank condition makes A invertible and the conditions
@@ -289,7 +273,7 @@ def _try_reduce(a_perm, b_perm, n, m, tol, check_tol, scale):
         return np.zeros((0, 0), dtype=complex), np.zeros((0, n), dtype=complex)
     b_lead = b_perm[:, :m]
     sigma = np.linalg.svd(b_lead, compute_uv=False)
-    if sigma[-1] <= tol * max(1.0, scale):
+    if sigma[-1] <= DEFAULT_TOL * max(1.0, scale):
         return None
     # Row operation R with R @ b_lead = [[I], [0]]: complete b_lead by an
     # orthonormal basis of its orthogonal complement and invert.
@@ -303,7 +287,7 @@ def _try_reduce(a_perm, b_perm, n, m, tol, check_tol, scale):
     a_lower_right = a_new[m:, m:]
     if n > m:
         sigma_a = np.linalg.svd(a_lower_right, compute_uv=False)
-        if sigma_a[-1] <= tol * max(1.0, sigma_a[0]):
+        if sigma_a[-1] <= DEFAULT_TOL * max(1.0, sigma_a[0]):
             return None
         lower_solve = np.linalg.solve(a_lower_right, a_new[m:, :m])
         # Self-adjointness forces the lower-left block to match -A22 T*.
@@ -314,7 +298,7 @@ def _try_reduce(a_perm, b_perm, n, m, tol, check_tol, scale):
         s_mat = -(a_new[:m, :m] - a_new[:m, m:] @ lower_solve)
     else:
         s_mat = -a_new[:m, :m]
-    if hermiticity_defect(s_mat) > check_tol * max(1.0, _norm_or_zero(s_mat)):
+    if hermiticity_violation(s_mat, check_tol) is not None:
         return None
     return s_mat, t_mat
 
@@ -364,8 +348,4 @@ def named_to_st(nc: NamedCoupling) -> STForm:
         return STForm(
             n=n, m=0, perm=identity, S=np.zeros((0, 0)), T=np.zeros((0, n))
         )
-    if nc.kind is CouplingKind.CUSTOM:
-        if nc.st is None:
-            raise InputError("custom coupling requires an explicit st form")
-        return nc.st
     raise InputError(f"unknown coupling kind {nc.kind!r}")

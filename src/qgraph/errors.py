@@ -82,8 +82,9 @@ class NearSingularZError(QGraphError):
 
 
 class ScanRangeError(QGraphError):
-    """No finite eigenvalue bracket holds the requested count."""
+    """No finite eigenvalue bracket holds the requested count; ``window``
+    is the (lo, hi) range that was scanned."""
 
-    def __init__(self, message: str, window: tuple[float, float] | None = None):
+    def __init__(self, message: str, window: tuple[float, float]):
         super().__init__(message)
         self.window = window

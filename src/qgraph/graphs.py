@@ -13,6 +13,9 @@ covariant derivatives to sum to w times the common value.  A general
 condition imposes A [values] + B [inward derivatives] = 0 over the ordered
 incident ends.
 
+:func:`truncate` makes a system compact, as the eigenvalue count needs:
+it cuts every half-line at length L and closes it with a Dirichlet end.
+
 Constant potentials are removable: substituting f_e = exp(-i a_e s) g_e
 turns the operator into the free one while multiplying the boundary data at
 the far end of each edge by the phase exp(-i a_e l_e).  The transformed
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -39,8 +41,6 @@ __all__ = [
     "CouplingCondition",
     "dirichlet_condition",
     "Vertex",
-    "EndCondition",
-    "Truncation",
     "MetricGraphSystem",
     "truncate",
     "star_system",
@@ -112,31 +112,12 @@ class Vertex:
                 )
 
 
-class EndCondition(Enum):
-    """Boundary condition applied where a half-line is cut."""
-
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Cut every half-line at length L and apply the end condition there."""
-
-    L: float = 1.0
-    end: EndCondition = EndCondition.DIRICHLET
-
-    def __post_init__(self):
-        object.__setattr__(self, "L", require_positive_real(self.L, "truncation length L"))
-
-
 @dataclass(frozen=True)
 class MetricGraphSystem:
     """Edges plus vertices; every finite end attached to exactly one vertex."""
 
     edges: tuple[Edge, ...]
     vertices: tuple[Vertex, ...]
-    truncation: Truncation | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -168,57 +149,30 @@ class MetricGraphSystem:
         return {e.id: e for e in self.edges}
 
     @property
-    def half_lines(self) -> tuple[Edge, ...]:
-        """Half-line edges in listed order; this order defines the channels."""
-        return tuple(e for e in self.edges if e.is_half_line)
-
-    @property
     def is_compact(self) -> bool:
         return not any(e.is_half_line for e in self.edges)
 
 
-def truncate(
-    sys: MetricGraphSystem,
-    L: float | None = None,
-    end: EndCondition | None = None,
-) -> MetricGraphSystem:
-    """Replace each half-line by a finite edge of length L with an end vertex.
-
-    Arguments override the system's own truncation spec; with neither given,
-    the default is L = 1 with Dirichlet ends.
-    """
-    spec = sys.truncation or Truncation()
-    if L is not None:
-        spec = replace(spec, L=L)
-    if end is not None:
-        spec = replace(spec, end=end)
+def truncate(sys: MetricGraphSystem, L: float = 1.0) -> MetricGraphSystem:
+    """Replace each half-line by a finite edge of length L with a Dirichlet
+    end vertex; a compact system is returned as it is."""
+    L = require_positive_real(L, "truncation length L")
     if sys.is_compact:
-        return MetricGraphSystem(sys.edges, sys.vertices, truncation=None)
+        return sys
     edges = []
     extra_vertices = []
     for edge in sys.edges:
         if not edge.is_half_line:
             edges.append(edge)
             continue
-        edges.append(Edge(id=edge.id, length=spec.L, a=edge.a))
-        if spec.end is EndCondition.DIRICHLET:
-            condition: DeltaCondition | CouplingCondition = dirichlet_condition()
-        else:
-            condition = DeltaCondition(0.0)
+        edges.append(Edge(id=edge.id, length=L, a=edge.a))
         extra_vertices.append(
-            Vertex(id=("end", edge.id), condition=condition, ends=((edge.id, 1),))
+            Vertex(id=("end", edge.id), condition=dirichlet_condition(), ends=((edge.id, 1),))
         )
-    return MetricGraphSystem(
-        edges=tuple(edges),
-        vertices=sys.vertices + tuple(extra_vertices),
-        truncation=None,
-    )
+    return MetricGraphSystem(edges=tuple(edges), vertices=sys.vertices + tuple(extra_vertices))
 
 
-def star_system(
-    coupling: VertexCoupling | STForm,
-    truncation: Truncation | None = None,
-) -> MetricGraphSystem:
+def star_system(coupling: VertexCoupling | STForm) -> MetricGraphSystem:
     """The limit operator: n half-lines meeting in one coupling vertex.
 
     Edge j (1-based) is the j-th half-line; an ST form is first expanded to
@@ -231,13 +185,10 @@ def star_system(
         condition=CouplingCondition(c),
         ends=tuple((j, 0) for j in range(1, c.n + 1)),
     )
-    return MetricGraphSystem(edges=edges, vertices=(center,), truncation=truncation)
+    return MetricGraphSystem(edges=edges, vertices=(center,))
 
 
-def system_from_approx(
-    g: ApproxGraph,
-    truncation: Truncation | None = None,
-) -> MetricGraphSystem:
+def system_from_approx(g: ApproxGraph) -> MetricGraphSystem:
     """Metric-graph system of an approximating graph.
 
     Outer edge j is the half-line with id j; the half-segment of the inner
@@ -267,9 +218,7 @@ def system_from_approx(
         vertices.append(
             Vertex(id=f"v-{j}", condition=DeltaCondition(g.w_vertex[j]), ends=tuple(ends))
         )
-    return MetricGraphSystem(
-        edges=tuple(edges), vertices=tuple(vertices), truncation=truncation
-    )
+    return MetricGraphSystem(edges=tuple(edges), vertices=tuple(vertices))
 
 
 def _delta_matrices(w: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +275,4 @@ def gauge_transform(
         for end, phase in phases.items()
         if any(end in v.ends for v in sys.vertices)
     }
-    return (
-        MetricGraphSystem(new_edges, tuple(new_vertices), truncation=sys.truncation),
-        table,
-    )
+    return MetricGraphSystem(new_edges, tuple(new_vertices)), table

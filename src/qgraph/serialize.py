@@ -150,23 +150,17 @@ def st_from_json(data: dict) -> STForm:
     )
 
 
-_NAMED_KINDS = {
-    "kirchhoff": CouplingKind.KIRCHHOFF,
-    "delta": CouplingKind.DELTA,
-    "delta_prime_s": CouplingKind.DELTA_PRIME_S,
-    "dirichlet": CouplingKind.DIRICHLET,
-}
-
-
 def named_from_json(data: dict) -> NamedCoupling:
     if "kind" not in data:
         raise InputError('named coupling needs a "kind" field')
     kind_name = data["kind"]
-    kind = _NAMED_KINDS.get(kind_name)
-    if kind is None:
+    try:
+        kind = CouplingKind(kind_name)
+    except ValueError:
         raise InputError(
-            f"unknown coupling kind {kind_name!r}; expected one of {sorted(_NAMED_KINDS)}"
-        )
+            f"unknown coupling kind {kind_name!r}; "
+            f"expected one of {sorted(k.value for k in CouplingKind)}"
+        ) from None
     allowed = {"kind", "n"}
     if kind is CouplingKind.DELTA:
         allowed.add("alpha")
@@ -243,7 +237,7 @@ def approx_from_json(data: dict) -> ApproxGraph:
                 raise StructuralError(
                     f"neighbor sets are not symmetric: {k} in N_{j} but {j} not in N_{k}"
                 )
-    nbrs = NeighborSets(n=n, m=None, sets=sets)
+    nbrs = NeighborSets(n=n, sets=sets)
     pair_keys = {_pair_key(j, k) for j, k in nbrs.pairs()}
     raw_wv = data["w_vertex"]
     if not isinstance(raw_wv, dict) or set(raw_wv) != {str(j) for j in range(1, n + 1)}:
@@ -271,7 +265,6 @@ def approx_from_json(data: dict) -> ApproxGraph:
         w_vertex=w_vertex,
         w_inner=tables["w_inner"],
         a_inner=a_inner,
-        source_st=None,
     )
 
 

@@ -69,12 +69,7 @@ from .errors import (
     ScanRangeError,
     StructuralError,
 )
-from .graphs import (
-    DeltaCondition,
-    MetricGraphSystem,
-    system_from_approx,
-    truncate,
-)
+from .graphs import DeltaCondition, MetricGraphSystem, system_from_approx
 
 __all__ = [
     "eigenvalues_compact",
@@ -142,18 +137,14 @@ def _gated_lu(mat: np.ndarray, error: type, message: str, **info):
     return lu
 
 
-def _group_by_edge(points) -> dict[object, tuple[list[int] | slice, np.ndarray]]:
+def _group_by_edge(points) -> dict[object, tuple[np.ndarray, np.ndarray]]:
     """``(edge_id, s)`` points grouped by edge, in first-seen order: per
-    edge, the points' indices (a slice where they are contiguous, so that
-    indexing with them is a view) and their coordinates."""
+    edge, the points' indices and their coordinates, as arrays."""
     groups: dict[object, list[int]] = {}
     for i, (eid, _) in enumerate(points):
         groups.setdefault(eid, []).append(i)
     return {
-        eid: (
-            slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx,
-            np.array([points[i][1] for i in idx]),
-        )
+        eid: (np.array(idx), np.array([points[i][1] for i in idx]))
         for eid, idx in groups.items()
     }
 
@@ -467,57 +458,44 @@ def eigenvalues_compact(
     count: int,
     *,
     lam_min: float | None = None,
-    lam_max: float | None = None,
 ) -> np.ndarray:
     """The lowest `count` eigenvalues (with multiplicity), sorted.
 
-    The system must be compact, or carry a truncation spec so it can be
-    truncated here.  The eigenvalue count N(lambda) brackets the spectrum
-    (doubling -lambda until N = 0, then lambda until N covers `count`; the
-    doubling sequence is counted in batches, and the first upward batch
-    also counts ``lam_min`` and ``lam_max``), and bisection refines every
-    level to 1e-13 max(1, |lambda|); a level's multiplicity is the jump of N
-    across it.  The bisection runs in rounds: a round counts, in one batched
-    call, at every midpoint of the depth-r subtree of each live interval
-    (r as deep as a batch of 32 points allows on a reduced matrix up to 6
-    wide, and at least 1; a wider matrix is counted one point per round,
-    which is plain bisection), then takes r levels of interval decisions
-    from those counts.  Every decision reads the count at the same lambda
-    as a depth-first bisection would, so the values and their order are
-    that search's.  With ``lam_min`` only
-    eigenvalues above that floor are returned; with ``lam_max`` the result
-    is whatever lies below it, possibly fewer than `count`.  Both must be
-    finite.
+    The system must be compact (see :func:`~qgraph.graphs.truncate`).  The
+    eigenvalue count N(lambda) brackets the spectrum (doubling -lambda until
+    N = 0, then lambda until N covers `count`; the doubling sequence is
+    counted in batches, and the first upward batch also counts
+    ``lam_min``), and bisection refines every level to 1e-13 max(1,
+    |lambda|); a level's multiplicity is the jump of N across it.  The
+    bisection runs in rounds: a round counts, in one batched call, at every
+    midpoint of the depth-r subtree of each live interval (r as deep as a
+    batch of 32 points allows on a reduced matrix up to 6 wide, and at
+    least 1; a wider matrix is counted one point per round, which is plain
+    bisection), then takes r levels of interval decisions from those
+    counts.  Every decision reads the count at the same lambda as a
+    depth-first bisection would, so the values and their order are that
+    search's.  With ``lam_min``, which must be finite, only eigenvalues
+    above that floor are returned.
     """
     count = require_positive_int(count, "count")
     if lam_min is not None:
         lam_min = require_finite_real(lam_min, "lam_min")
-    if lam_max is not None:
-        lam_max = require_finite_real(lam_max, "lam_max")
     if not sys.is_compact:
-        if sys.truncation is None:
-            raise StructuralError(
-                "system has half-lines and no truncation spec; call truncate()"
-            )
-        sys = truncate(sys)
+        raise StructuralError("system has half-lines; call truncate() first")
     count_below = _EigenvalueCount(sys)
     points = _batch_points(count_below.size)
     if lam_min is None:
         down = _doubling(-1.0, points)
         lo, n_lo = _bracket(count_below, down, count_below.many(down), lambda n: n == 0, 0.0)
+        up = _doubling(max(1.0, 2.0 * lo), points)
+        counts = count_below.many(up)
     else:
+        # lam_min is counted in one call with the first upward batch.
         lo = lam_min
-    # The given ends are counted in one call with the first upward batch.
-    ends = [lam for lam in (lam_min, lam_max) if lam is not None]
-    up = [] if lam_max is not None else _doubling(max(1.0, 2.0 * lo), max(1, points - len(ends)))
-    counts = count_below.many(ends + up)
-    if lam_min is not None:
-        n_lo = counts.pop(0)
+        up = _doubling(max(1.0, 2.0 * lo), max(1, points - 1))
+        n_lo, *counts = count_below.many([lam_min] + up)
     target = n_lo + count
-    if lam_max is None:
-        hi, n_hi = _bracket(count_below, up, counts, lambda n: n >= target, lo)
-    else:
-        hi, n_hi = lam_max, counts[0]
+    hi, n_hi = _bracket(count_below, up, counts, lambda n: n >= target, lo)
     # An interval's fate depends on its own ends alone, so bisecting level
     # by level builds the tree of a depth-first search; sorting the leaves
     # restores its left-to-right output order.
@@ -687,22 +665,18 @@ class GreensFunction:
         points = [self._check_point(p) for p in points]
         sources = points if sources is None else [self._check_point(p) for p in sources]
         source_groups = _group_by_edge(sources)
-        point_groups = source_groups if sources is points else _group_by_edge(points)
         edge_map = self._red.edge_map
         # Per source column, the amplitude of every mode: A[:, f] P_f(y)^T.
         amp = np.empty((len(self._amp), len(sources)), dtype=complex)
         for eid, (jdx, sy) in source_groups.items():
             amp[:, jdx] = self._amp[:, self._modes[eid]] @ self._source_modes(edge_map[eid], sy).T
         out = np.empty((len(points), len(sources)), dtype=complex)
-        for eid, (idx, sx) in point_groups.items():
+        for eid, (idx, sx) in _group_by_edge(points).items():
             edge = edge_map[eid]
             out[idx, :] = self._point_modes(edge, sx) @ amp[self._modes[eid]]
             if eid in source_groups:
                 jdx, sy = source_groups[eid]
-                block = (idx, jdx)
-                if not (isinstance(idx, slice) and isinstance(jdx, slice)):
-                    block = np.ix_(np.r_[idx], np.r_[jdx])
-                out[block] += self._free_kernel(edge, sx, sy)
+                out[np.ix_(idx, jdx)] += self._free_kernel(edge, sx, sy)
         return out
 
 

@@ -148,7 +148,7 @@ def reference_neighbor_sets(st: STForm, cutoff: float) -> NeighborSets:
             if coupled:
                 sets[j].add(k)
                 sets[k].add(j)
-    return NeighborSets(n=n, m=m, sets={j: frozenset(s) for j, s in sets.items()})
+    return NeighborSets(n=n, sets={j: frozenset(s) for j, s in sets.items()})
 
 
 # -- reference form-bound sampling: one spline per edge of every sample ----
@@ -435,7 +435,7 @@ def reference_count(count, lam):
     return int(levels.sum()) + negative(mat) - int(np.count_nonzero(b < 0))
 
 
-def reference_eigenvalues(count_below, count, lam_min=None, lam_max=None):
+def reference_eigenvalues(count_below, count, lam_min=None):
     """Depth-first bisection of the count ``count_below(lam)``, one point at
     a time: the lowest ``count`` eigenvalues, bracketed and refined as
     ``eigenvalues_compact`` does."""
@@ -448,7 +448,7 @@ def reference_eigenvalues(count_below, count, lam_min=None, lam_max=None):
     lo = bracket(-1.0, lambda n: n == 0) if lam_min is None else lam_min
     n_lo = count_below(lo)
     target = n_lo + count
-    hi = bracket(max(1.0, 2.0 * lo), lambda n: n >= target) if lam_max is None else lam_max
+    hi = bracket(max(1.0, 2.0 * lo), lambda n: n >= target)
     values = []
     stack = [(lo, hi, n_lo, count_below(hi))]
     while stack:

@@ -208,7 +208,6 @@ def test_order_law_empirical_slopes():
 def test_build_approx_graph_structure(st_complex_t):
     g = build_approx_graph(st_complex_t, 0.1)
     assert g.n == 3 and g.d == 0.1
-    assert g.source_st is st_complex_t
     pairs = g.neighbors.pairs()
     assert set(g.w_inner) == set(pairs)
     for j, k in pairs:

@@ -8,11 +8,16 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st_
 
-from qgraph import STForm, build_approx_graph, dumps, loads
+from qgraph import ApproxGraph, STForm, build_approx_graph, dumps, loads
 from qgraph.cli import main
 from helpers import (
     make_delta_prime,
@@ -99,6 +104,35 @@ def test_convert_invalid_coupling_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) >= 2  # violations, then the verdict
 
 
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        (
+            {"st": {"m": 1, "perm": [2, 1], "S": [[{"re": 0, "im": 1e308}]],
+                    "T": [[{"re": -1, "im": 3}]]}},
+            1,
+            "S must be Hermitian",
+        ),
+        (
+            {"n": 1, "A": [[{"re": -1, "im": 1e308}]], "B": [[{"re": 2, "im": 2}]]},
+            2,
+            "A B* is not Hermitian",
+        ),
+    ],
+    ids=["st", "ab"],
+)
+def test_convert_hermiticity_check_fails_closed_on_overflow(tmp_path, capsys, doc, code, message):
+    """S - S* and A B* overflow here; the documents are still rejected as
+    not Hermitian, and no RuntimeWarning escapes."""
+    path = write_doc(tmp_path, "huge.json", json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["convert", path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Warning" not in captured.err
+
+
 # -- build ------------------------------------------------------------------
 
 def test_build_writes_schedule(tmp_path, capsys):
@@ -149,6 +183,15 @@ def test_sweep_range_with_csv(tmp_path, capsys):
     text = out1.read_text()
     assert text.startswith("d,metric,status\n")
     assert "slope," in text and "residual," in text
+
+
+def test_sweep_out_into_missing_directory_exits_1(tmp_path, capsys):
+    path = write_doc(tmp_path, "dp.json", make_delta_prime(beta=1.0, n=3))
+    out = tmp_path / "missing" / "report.csv"
+    assert main(["sweep", path, "--d", "0.25", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_sweep_hs_far_below_the_spectrum(tmp_path, capsys):
@@ -337,3 +380,144 @@ def test_invalid_tolerance_env_warns_and_falls_back(tmp_path):
     result = run_cli(["convert", path], env_extra={"QGRAPH_TOL": "abc"})
     assert result.returncode == 2  # default 1e-10 still applies
     assert "ignoring invalid QGRAPH_TOL" in result.stderr
+
+
+# -- fuzzed documents -------------------------------------------------------
+
+_NUMBER = st_.one_of(
+    st_.integers(min_value=-3, max_value=3),
+    st_.floats(min_value=-1e308, max_value=1e308),
+    st_.sampled_from([1e308, -1e308, 1e-308, 0.5]),
+)
+_JUNK = st_.one_of(
+    st_.none(), st_.booleans(), st_.text(max_size=3), st_.just([]), st_.just({"re": 1})
+)
+_VALUE = st_.one_of(_NUMBER, _NUMBER, _NUMBER, _JUNK)
+_C0 = {"re": 0, "im": 0}
+_COMPLEX = st_.one_of(
+    st_.fixed_dictionaries({"re": _NUMBER, "im": _NUMBER}),
+    st_.fixed_dictionaries({"re": _NUMBER, "im": st_.just(0)}),
+    st_.fixed_dictionaries({"re": _VALUE, "im": _VALUE}),
+    _JUNK,
+)
+
+
+def _size(draw, good):
+    """``good`` mostly, sometimes one off or zero."""
+    return draw(st_.sampled_from([good] * 6 + [good + 1, max(good - 1, 0), 0]))
+
+
+def _matrix(draw, rows, cols):
+    return [[draw(_COMPLEX) for _ in range(_size(draw, cols))] for _ in range(_size(draw, rows))]
+
+
+def _perm(draw, n):
+    perm = draw(st_.permutations(list(range(1, n + 1))))
+    return draw(st_.sampled_from([perm] * 6 + [perm[:-1], [1] * n, [0, *perm[1:]], "1"]))
+
+
+def _hermitian(draw, m):
+    """An m x m Hermitian matrix of {"re", "im"} entries, the diagonal real."""
+    s = [[None] * m for _ in range(m)]
+    for i in range(m):
+        s[i][i] = {"re": draw(_NUMBER), "im": 0}
+        for j in range(i + 1, m):
+            re, im = draw(_NUMBER), draw(_NUMBER)
+            s[i][j], s[j][i] = {"re": re, "im": im}, {"re": re, "im": -im}
+    return s
+
+
+def _ab_from_st(draw, n, m):
+    """An admissible coupling document: a Hermitian S and any T put into
+    the convention of ab_from_st, B = [[I, T], [0, 0]] and
+    A = [[-S, 0], [T*, -I]], with the edges shuffled."""
+    s_mat = _hermitian(draw, m)
+    t_mat = [[{"re": draw(_NUMBER), "im": draw(_NUMBER)} for _ in range(n - m)] for _ in range(m)]
+    zero, one, minus_one = {"re": 0, "im": 0}, {"re": 1, "im": 0}, {"re": -1, "im": 0}
+    a = [[{"re": -z["re"], "im": -z["im"]} for z in row] + [zero] * (n - m) for row in s_mat]
+    a += [[{"re": t_mat[j][i]["re"], "im": -t_mat[j][i]["im"]} for j in range(m)]
+          + [minus_one if k == i else zero for k in range(n - m)] for i in range(n - m)]
+    b = [[one if k == i else zero for k in range(m)] + t_mat[i] for i in range(m)]
+    b += [[zero] * n for _ in range(n - m)]
+    cols = draw(st_.permutations(list(range(n))))
+    return {"n": n, "A": [[row[c] for c in cols] for row in a],
+            "B": [[row[c] for c in cols] for row in b]}
+
+
+@st_.composite
+def _documents(draw):
+    """Coupling, normal-form, named and approx-graph documents: mostly well
+    formed, with wrong types, booleans, strings, out-of-range n and m, bad
+    permutations, wrong shapes and finite entries up to 1e308 mixed in."""
+    n = draw(st_.integers(min_value=1, max_value=4))
+    m = draw(st_.integers(min_value=0, max_value=n))
+    shape = draw(st_.sampled_from(["ab", "ab_from_st", "st", "named", "approx"]))
+    if shape == "ab":
+        return {"n": draw(st_.one_of(st_.just(n), _VALUE)),
+                "A": _matrix(draw, n, n), "B": _matrix(draw, n, n)}
+    if shape == "ab_from_st":
+        return _ab_from_st(draw, n, m)
+    if shape == "st":
+        s_mat = _hermitian(draw, m) if draw(st_.booleans()) else _matrix(draw, m, m)
+        return {"st": {"m": draw(st_.sampled_from([m] * 6 + [n + 1, -1, True, 1.0])),
+                       "perm": _perm(draw, n), "S": s_mat, "T": _matrix(draw, m, n - m)}}
+    if shape == "named":
+        kinds = ["delta", "delta_prime_s", "kirchhoff", "dirichlet"]
+        doc = {"kind": draw(st_.sampled_from(kinds * 3 + ["custom", "DELTA", None, True, 1, [1]])),
+               "n": draw(st_.sampled_from([n] * 6 + [0, -1, True, 2.0, "3"]))}
+        for key in draw(st_.sampled_from([(), ("alpha",), ("beta",)] * 2 + [("alpha", "beta")])):
+            doc[key] = draw(_VALUE)
+        return doc
+    keys = [str(j) for j in range(1, n + 1)]
+    neighbors = {key: draw(st_.lists(st_.integers(min_value=0, max_value=n + 1), max_size=n))
+                 for key in keys}
+    pairs = sorted(
+        {f"{min(int(j), k)}-{max(int(j), k)}" for j, ks in neighbors.items() for k in ks}
+    )
+    return {"n": draw(st_.one_of(st_.just(n), _VALUE)), "d": draw(_VALUE),
+            "neighbors": neighbors,
+            "w_vertex": {key: draw(_VALUE) for key in keys},
+            "w_inner": {key: draw(_VALUE) for key in pairs},
+            "a_inner": {key: draw(_VALUE) for key in pairs}}
+
+
+def _run_quietly(argv, text):
+    """Exit code, stdout and stderr of ``main(argv)`` reading ``text`` from
+    stdin, with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(out), \
+            redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents())
+@example({"kind": [1], "n": 3})
+@example({"st": {"m": 2, "perm": [1, 2], "T": [[], []],
+                 "S": [[_C0, {"re": 1e308, "im": 1e-308}], [{"re": 1e308, "im": -1e-308}, _C0]]}})
+@example({"st": {"m": 2, "perm": [1, 2, 3], "S": [[_C0, _C0], [_C0, _C0]],
+                 "T": [[{"re": 1e308, "im": 0}], [{"re": 1e308, "im": 0}]]}})
+@example({"st": {"m": 1, "perm": [1, 2], "S": [[_C0]], "T": [[{"re": 1e308, "im": 0}]]}})
+def test_fuzzed_documents_exit_with_a_documented_code(doc):
+    """convert and build exit with a documented code and print no traceback
+    or warning; a converted S is Hermitian, and a built graph is a valid
+    document.  The examples: an unhashable kind; a pair whose magnetic
+    phase underflows; T columns whose overlap overflows; a vertex strength
+    that overflows."""
+    text = json.dumps(doc)
+    for argv in (["convert", "-"], ["build", "-", "--d", "0.25"]):
+        code, out, err = _run_quietly(argv, text)
+        assert code in range(6), (argv, code, err)
+        assert "Traceback" not in err and "Warning" not in err, err
+        if code == 0 and argv[0] == "convert":
+            rows = json.loads(out)["st"]["S"]
+            s_mat = np.array([[complex(z["re"], z["im"]) for z in row] for row in rows])
+            s_mat = s_mat.reshape(len(rows), len(rows))
+            with np.errstate(all="ignore"):
+                defect = np.linalg.norm(s_mat - s_mat.conj().T, 2) if s_mat.size else 0.0
+                scale = max(1.0, np.linalg.norm(s_mat, 2)) if s_mat.size else 1.0
+            assert defect <= 1e-10 * scale, (doc, out)
+        if code == 0 and argv[0] == "build":
+            assert isinstance(loads(out), ApproxGraph), (doc, out)

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qgraph.cli as cli
 import qgraph.convergence as convergence
 from qgraph import (
     ConvergenceReport,
@@ -24,6 +25,7 @@ from qgraph import (
     SweepPoint,
     ab_from_st,
     build_approx_graph,
+    dumps,
     effective_scattering,
     eigengap_floor,
     eigenvalues_compact,
@@ -37,7 +39,6 @@ from qgraph import (
     star_system,
     system_from_approx,
     truncate,
-    write_report_csv,
 )
 from helpers import (
     make_complex_t,
@@ -476,10 +477,12 @@ def test_report_csv_deterministic(st_delta):
 
 
 def test_write_report_csv_roundtrip(tmp_path, st_delta):
+    """``qgraph sweep --out`` writes report_to_csv's bytes."""
     cfg = SweepConfig(
         st=st_delta, metric=ScatteringNorm(), d_values=(0.25, 0.125, 0.0625, 0.03125)
     )
     report = run_sweep(cfg)
-    path = tmp_path / "report.csv"
-    write_report_csv(report, path)
-    assert path.read_text(encoding="utf-8") == report_to_csv(report)
+    doc, path = tmp_path / "delta.json", tmp_path / "report.csv"
+    doc.write_text(dumps(st_delta), encoding="utf-8")
+    assert cli.main(["sweep", str(doc), "--d-range", "2:5", "--out", str(path)]) == 0
+    assert path.read_bytes() == report_to_csv(report).encode("utf-8")

@@ -10,11 +10,9 @@ from qgraph import (
     STForm,
     StructuralError,
     VertexCoupling,
-    ab_equiv,
     ab_from_st,
     coupling_distance,
     named_to_st,
-    permute_coupling,
     st_from_ab,
     star_scattering,
     validate_coupling,
@@ -35,7 +33,7 @@ def test_delta_st_parameters():
 def test_kirchhoff_is_zero_strength_delta():
     kir = named_to_st(NamedCoupling(kind=CouplingKind.KIRCHHOFF, n=3))
     delta0 = named_to_st(NamedCoupling(kind=CouplingKind.DELTA, n=3, alpha=0.0))
-    assert ab_equiv(ab_from_st(kir), ab_from_st(delta0))
+    assert coupling_distance(ab_from_st(kir), ab_from_st(delta0)) <= 1e-10
 
 
 def test_dirichlet_st_is_empty():
@@ -60,7 +58,7 @@ def test_delta_matches_textbook_matrices():
     textbook = VertexCoupling(n=n, A=a_mat, B=b_mat)
     assert validate_coupling(textbook).ok
     st = named_to_st(NamedCoupling(kind=CouplingKind.DELTA, n=n, alpha=alpha))
-    assert ab_equiv(ab_from_st(st), textbook)
+    assert coupling_distance(ab_from_st(st), textbook) <= 1e-10
 
 
 def test_named_coupling_parameter_checks():
@@ -68,8 +66,6 @@ def test_named_coupling_parameter_checks():
         NamedCoupling(kind=CouplingKind.DELTA, n=3)
     with pytest.raises(InputError):
         NamedCoupling(kind=CouplingKind.DELTA_PRIME_S, n=3, beta=0.0)
-    with pytest.raises(InputError):
-        NamedCoupling(kind=CouplingKind.CUSTOM, n=3)
 
 
 # -- validation -------------------------------------------------------------
@@ -118,8 +114,10 @@ def test_roundtrip_nontrivial_permutation():
     """A coupling whose B needs renumbering before its leading block inverts."""
     st = make_complex_t()
     c = ab_from_st(st)
-    # move the rank-deficient direction of B to the front
-    shuffled = permute_coupling(c, (3, 1, 2))
+    # move the rank-deficient direction of B to the front: new edge i is old
+    # edge (3, 1, 2)[i - 1]
+    cols = [2, 0, 1]
+    shuffled = VertexCoupling(n=3, A=c.A[:, cols], B=c.B[:, cols])
     st2 = st_from_ab(shuffled)
     assert st2.m == st.m
     assert coupling_distance(ab_from_st(st2), shuffled) <= 1e-10
@@ -148,7 +146,6 @@ def test_ab_equiv_under_row_mixing():
     c = ab_from_st(st)
     mix = np.array([[2.0, 1.0j, 0.0], [0.0, 1.0, -3.0], [1.0, 0.0, 1.0]])
     mixed = VertexCoupling(n=3, A=mix @ c.A, B=mix @ c.B)
-    assert ab_equiv(c, mixed)
     assert coupling_distance(c, mixed) <= 1e-12
 
 
@@ -212,5 +209,5 @@ def test_permute_coupling_conjugates_scattering():
     perm = (3, 1, 2)
     cols = [p - 1 for p in perm]
     s_orig = star_scattering(c, 0.9)
-    s_perm = star_scattering(permute_coupling(c, perm), 0.9)
+    s_perm = star_scattering(VertexCoupling(n=3, A=c.A[:, cols], B=c.B[:, cols]), 0.9)
     np.testing.assert_allclose(s_perm, s_orig[np.ix_(cols, cols)], atol=1e-12)

@@ -9,11 +9,9 @@ from qgraph import (
     CouplingCondition,
     DeltaCondition,
     Edge,
-    EndCondition,
     InputError,
     MetricGraphSystem,
     StructuralError,
-    Truncation,
     Vertex,
     build_approx_graph,
     dirichlet_condition,
@@ -79,19 +77,11 @@ def test_truncate_replaces_half_lines(st_delta):
         assert isinstance(v.condition, CouplingCondition)
 
 
-def test_truncate_neumann_end(st_delta):
-    trunc = truncate(star_system(st_delta), L=1.0, end=EndCondition.NEUMANN)
-    end_vertices = [v for v in trunc.vertices if isinstance(v.id, tuple)]
-    for v in end_vertices:
-        assert isinstance(v.condition, DeltaCondition)
-        assert v.condition.w == 0.0
-
-
-def test_truncation_spec_validation():
+def test_truncation_spec_validation(st_delta):
     with pytest.raises(InputError):
-        Truncation(L=0.0)
+        truncate(star_system(st_delta), L=0.0)
     with pytest.raises(InputError):
-        Truncation(L=-2.0)
+        truncate(star_system(st_delta), L=-2.0)
 
 
 def test_truncate_compact_system_is_identity_up_to_spec():

@@ -1,8 +1,10 @@
 """The package surface and what importing it loads."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import qgraph
 
@@ -35,3 +37,31 @@ def test_import_loads_only_numpy_and_scipy_linalg():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
     ).stdout.splitlines()
     assert out == ["[]", "True True True"]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never uses, apart from ``__future__``
+    imports and the names its ``__all__`` re-exports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in getattr(node.value, "elts", ())
+        if isinstance(elt, ast.Constant)
+    }
+    return sorted(imported - used - exported)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(qgraph.__file__).parent
+    unused = {path.name: _unused_imports(path) for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

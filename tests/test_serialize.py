@@ -152,7 +152,6 @@ def test_approx_round_trip():
     assert again.w_vertex == g.w_vertex
     assert again.w_inner == g.w_inner
     assert again.a_inner == g.a_inner  # includes the reversed orientations
-    assert again.source_st is None  # provenance is not serialized
 
 
 def test_approx_document_validation():
