@@ -1,4 +1,5 @@
-"""Small shared numeric helpers: coercion, Hermiticity, ranks, subspaces."""
+"""Small shared numeric helpers: coercion, Hermiticity, ranks, subspaces,
+and the LU calls that load scipy.linalg."""
 
 from __future__ import annotations
 
@@ -83,6 +84,23 @@ def numerical_rank(mat: np.ndarray) -> int:
     if sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > DEFAULT_TOL * sigma[0]))
+
+
+def lu_factor(a, **kwargs):
+    """``scipy.linalg.lu_factor``, importing scipy.linalg on the first call,
+    so that only a command that factors a matrix pays for loading it.  The
+    solver calls it through a global of its own, which a tracer may rebind;
+    defined here, it is not itself one of the solver's functions."""
+    import scipy.linalg
+
+    return scipy.linalg.lu_factor(a, **kwargs)
+
+
+def lu_solve(lu_and_piv, b, **kwargs):
+    """``scipy.linalg.lu_solve``, importing scipy.linalg on the first call."""
+    import scipy.linalg
+
+    return scipy.linalg.lu_solve(lu_and_piv, b, **kwargs)
 
 
 def row_space_basis(mat: np.ndarray) -> np.ndarray:

@@ -165,6 +165,18 @@ def _require_pair(st: STForm, nbrs: NeighborSets, j: int, k: int) -> None:
         raise InputError(f"edges {j} and {k} are not joined by an inner edge")
 
 
+def _overlap(st: STForm, j: int, k: int) -> complex:
+    """The T-row overlap sum_l T_jl conj(T_kl) of rows j, k <= m; raises
+    :class:`InputError` where it overflows."""
+    if not st.T.size:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = complex(np.dot(st.T[j - 1], st.T[k - 1].conj()))
+    if not (math.isfinite(overlap.real) and math.isfinite(overlap.imag)):
+        raise InputError(f"the overlap of T rows {j} and {k} overflows")
+    return overlap
+
+
 def _pair_argument(st: STForm, d: float, j: int, k: int) -> complex:
     """The complex quantity whose phase and signed modulus drive a pair.
 
@@ -175,8 +187,7 @@ def _pair_argument(st: STForm, d: float, j: int, k: int) -> complex:
     if j <= m < k:
         return complex(st.T[j - 1, k - m - 1])
     if j <= m and k <= m:
-        overlap = complex(np.dot(st.T[j - 1, :], st.T[k - 1, :].conj())) if st.T.size else 0.0
-        return d * complex(st.S[j - 1, k - 1]) + overlap
+        return d * complex(st.S[j - 1, k - 1]) + _overlap(st, j, k)
     raise StructuralError(f"pair ({j}, {k}) has no inner-edge parameters (both > m)")
 
 
@@ -250,8 +261,7 @@ def vertex_delta_schedule(st: STForm, nbrs: NeighborSets, d: float, j: int) -> f
     for k in range(1, m + 1):
         if k == j:
             continue
-        overlap = complex(np.dot(st.T[j - 1, :], st.T[k - 1, :].conj())) if st.T.size else 0.0
-        value -= bracket(complex(st.S[j - 1, k - 1]) + overlap / d)
+        value -= bracket(complex(st.S[j - 1, k - 1]) + _overlap(st, j, k) / d)
     for l in range(st.n - m):
         t_br = bracket(st.T[j - 1, l])
         value += (1.0 + t_br) * t_br / d
@@ -307,7 +317,6 @@ def order_check(st: STForm, pair: tuple[int, int]) -> Order:
     lo, hi = min(j, k), max(j, k)
     if hi > st.m:
         return Order.D_INV
-    overlap = complex(np.dot(st.T[lo - 1, :], st.T[hi - 1, :].conj())) if st.T.size else 0.0
-    if abs(overlap) <= _zero_scale(st):
+    if abs(_overlap(st, lo, hi)) <= _zero_scale(st):
         return Order.D_INV_SQ
     return Order.D_INV

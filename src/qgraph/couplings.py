@@ -29,7 +29,6 @@ from enum import Enum
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from ._util import (
     DEFAULT_TOL,
@@ -276,8 +275,13 @@ def _try_reduce(a_perm, b_perm, n, m, check_tol, scale):
     if sigma[-1] <= DEFAULT_TOL * max(1.0, scale):
         return None
     # Row operation R with R @ b_lead = [[I], [0]]: complete b_lead by an
-    # orthonormal basis of its orthogonal complement and invert.
-    completion = scipy.linalg.null_space(b_lead.conj().T)
+    # orthonormal basis of its orthogonal complement, the null space of
+    # b_lead* (the right singular vectors past its rank, with the rank rule
+    # of scipy.linalg.null_space), and invert.
+    b_adj = b_lead.conj().T
+    _, s_adj, vh = np.linalg.svd(b_adj, full_matrices=True)
+    tol = s_adj.max() * (np.finfo(s_adj.dtype).eps * max(b_adj.shape))
+    completion = vh[np.count_nonzero(s_adj > tol) :].conj().T
     row_op = np.linalg.inv(np.hstack([b_lead, completion]))
     b_new = row_op @ b_perm
     a_new = row_op @ a_perm

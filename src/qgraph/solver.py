@@ -43,6 +43,12 @@ gate on LAPACK's 1-norm condition estimate from the LU factors (Hager;
 Higham), O(N^2) on top of the factorization: beyond 1e12 the point is
 numerically on the spectrum, and scattering raises :class:`ResonantKError`,
 the resolvent :class:`NearSingularZError`.
+
+Those LU factorizations are the only use of scipy: ``lu_factor`` and
+``lu_solve`` are module globals that import scipy.linalg on their first
+call, and ``_gated_lu`` takes ``zgecon`` from it at call time.  The count
+reads inertia through numpy's eigvalsh, so a spectrum, an eig sweep, or any
+command that factors nothing, loads numpy alone.
 """
 
 from __future__ import annotations
@@ -51,10 +57,10 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, block_diag, lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 
 from ._util import (
+    lu_factor,
+    lu_solve,
     numerical_rank,
     require_finite_real,
     require_positive_int,
@@ -124,6 +130,9 @@ def _gated_lu(mat: np.ndarray, error: type, message: str, **info):
     its diagonal vanishes.  An exactly singular or NaN matrix fails the
     gate, which reports it in place of a LinAlgWarning; an empty one (no
     free vertex values) passes."""
+    from scipy.linalg import LinAlgWarning
+    from scipy.linalg.lapack import zgecon
+
     if not mat.size:
         return lu_factor(mat)
     anorm = max(np.linalg.norm(mat, 1), 1.0)
@@ -200,13 +209,28 @@ class _Reduction:
             blocks.append(s_mat)
             size += len(s_mat)
         self.size = size
-        self.s_mat = block_diag(*blocks)
+        # The vertex blocks on the diagonal; float or complex, as the blocks.
+        self.s_mat = np.zeros((size, size), dtype=np.result_type(float, *blocks))
+        at = 0
+        for block in blocks:
+            self.s_mat[at : at + len(block), at : at + len(block)] = block
+            at += len(block)
         self.edge_map = sys.edge_map
         finite = [e for e in sys.edges if not e.is_half_line]
         half = [e for e in sys.edges if e.is_half_line]
         self.finite_index = {e.id: i for i, e in enumerate(finite)}
         self.half_index = {e.id: i for i, e in enumerate(half)}
         self.length = np.array([e.length for e in finite], dtype=float)
+        # A coefficient that is not bordered is at most max(|k|, 2/l), and a
+        # mode vector's entries are at most sqrt(2) on delta vertices, so on
+        # an approximating graph this bounds the entries of B(z) next to
+        # kl = 0; edges too short for it to be finite would overflow B.
+        with np.errstate(over="ignore"):
+            bound = np.abs(self.s_mat).max(initial=0.0) + np.sum(4.0 / self.length)
+        if not math.isfinite(bound):
+            raise InputError(
+                f"edges as short as {self.length.min():.3g} overflow the reduced matrix"
+            )
         # Columns w_+ and w_- of every finite edge.
         self.w = np.zeros((2, size, len(finite)), dtype=complex)
         for col, edge in enumerate(finite):

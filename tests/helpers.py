@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, null_space
 
 from qgraph import (
     CouplingKind,
@@ -391,6 +391,25 @@ def reference_hs_value(st, d, z=-1.0, L=1.0, quad_n=64):
     outer = len(star_points)
     kernel[:outer, :outer] -= greens_function(star_t, z).kernel_matrix(star_points)
     return float(math.sqrt(w @ np.abs(kernel) ** 2 @ w))
+
+
+# -- reference ST normal form ---------------------------------------------
+
+def reference_st_from_ab(c, m: int, perm) -> tuple[np.ndarray, np.ndarray]:
+    """S and T of the coupling ``c`` with ``m`` free values in the edge
+    order ``perm`` (1-based), by the row operation R [B_lead, N] = I whose
+    completion N is ``scipy.linalg.null_space`` of B_lead*."""
+    order = [p - 1 for p in perm]
+    a_mat, b_mat = c.A[:, order], c.B[:, order]
+    if m == 0:
+        return np.zeros((0, 0), dtype=complex), np.zeros((0, c.n), dtype=complex)
+    b_lead = b_mat[:, :m]
+    row_op = np.linalg.inv(np.hstack([b_lead, null_space(b_lead.conj().T)]))
+    a_mat, t_mat = row_op @ a_mat, (row_op @ b_mat)[:m, m:]
+    s_mat = -a_mat[:m, :m]
+    if m < c.n:
+        s_mat = s_mat + a_mat[:m, m:] @ np.linalg.solve(a_mat[m:, m:], a_mat[m:, :m])
+    return (s_mat + s_mat.conj().T) / 2.0, t_mat
 
 
 # -- reference eigenvalue count and bisection: one point per call ----------

@@ -1,6 +1,7 @@
 """Builder: schedules, neighbor sets, graph assembly, singular half-lengths."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,25 @@ def test_order_check_classification():
     # cross pairs never collect the extra power
     assert order_check(orthogonal_rows_st(), (1, 3)) is Order.D_INV
     assert order_check(make_delta(1.0, 3), (1, 2)) is Order.D_INV
+
+
+def test_overflowing_row_overlap_raises_without_a_warning():
+    """T rows whose overlap overflows: every per-pair function and the
+    builder raise InputError, with every warning an error, instead of
+    warning and (order_check) classifying an infinite overlap."""
+    st = STForm(n=3, m=2, perm=(1, 2, 3), S=np.zeros((2, 2)), T=[[1e308], [1e308]])
+    calls = [
+        lambda: vertex_delta_schedule(st, neighbor_sets(st), 0.1, 1),
+        lambda: inner_delta_schedule(st, 0.1, 1, 2),
+        lambda: magnetic_schedule(st, 0.1, 1, 2),
+        lambda: order_check(st, (1, 2)),
+        lambda: build_approx_graph(st, 0.1),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InputError, match="overlap of T rows 1 and 2 overflows"):
+                call()
 
 
 def test_order_law_empirical_slopes():

@@ -500,14 +500,18 @@ def _run_quietly(argv, text):
 @example({"st": {"m": 2, "perm": [1, 2, 3], "S": [[_C0, _C0], [_C0, _C0]],
                  "T": [[{"re": 1e308, "im": 0}], [{"re": 1e308, "im": 0}]]}})
 @example({"st": {"m": 1, "perm": [1, 2], "S": [[_C0]], "T": [[{"re": 1e308, "im": 0}]]}})
+@example({"n": 2, "d": 1e-308, "neighbors": {"1": [2], "2": [1]}, "w_vertex": {"1": 1, "2": 1},
+          "w_inner": {"1-2": 1}, "a_inner": {"1-2": 1}})
 def test_fuzzed_documents_exit_with_a_documented_code(doc):
-    """convert and build exit with a documented code and print no traceback
-    or warning; a converted S is Hermitian, and a built graph is a valid
-    document.  The examples: an unhashable kind; a pair whose magnetic
-    phase underflows; T columns whose overlap overflows; a vertex strength
-    that overflows."""
+    """convert, build, spectrum and a scattering sweep exit with a
+    documented code and print no traceback or warning; a converted S is
+    Hermitian, and a built graph is a valid document.  The examples: an
+    unhashable kind; a pair whose magnetic phase underflows; T columns whose
+    overlap overflows; a vertex strength that overflows; edges so short that
+    their 2/l terms overflow the spectrum's reduced matrix."""
     text = json.dumps(doc)
-    for argv in (["convert", "-"], ["build", "-", "--d", "0.25"]):
+    for argv in (["convert", "-"], ["build", "-", "--d", "0.25"], ["spectrum", "-", "--count", "3"],
+                 ["sweep", "-", "--metric", "scattering", "--d", "0.25"]):
         code, out, err = _run_quietly(argv, text)
         assert code in range(6), (argv, code, err)
         assert "Traceback" not in err and "Warning" not in err, err

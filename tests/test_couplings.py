@@ -17,7 +17,7 @@ from qgraph import (
     star_scattering,
     validate_coupling,
 )
-from helpers import make_complex_t, random_st
+from helpers import make_complex_t, random_st, reference_st_from_ab
 
 
 # -- named families ---------------------------------------------------------
@@ -211,3 +211,20 @@ def test_permute_coupling_conjugates_scattering():
     s_orig = star_scattering(c, 0.9)
     s_perm = star_scattering(VertexCoupling(n=3, A=c.A[:, cols], B=c.B[:, cols]), 0.9)
     np.testing.assert_allclose(s_perm, s_orig[np.ix_(cols, cols)], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_st_from_ab_matches_null_space_oracle(seed):
+    """The numpy completion of B_lead gives the normal form that
+    scipy.linalg.null_space gives, on couplings whose rows are mixed by a
+    random invertible matrix and whose edges are shuffled."""
+    rng = np.random.default_rng(seed)
+    c = ab_from_st(random_st(rng))
+    mix = rng.standard_normal((c.n, c.n)) + 1j * rng.standard_normal((c.n, c.n))
+    cols = rng.permutation(c.n)
+    c = VertexCoupling(n=c.n, A=(mix @ c.A)[:, cols], B=(mix @ c.B)[:, cols])
+    st = st_from_ab(c)
+    s_ref, t_ref = reference_st_from_ab(c, st.m, st.perm)
+    scale = max(1.0, np.abs(s_ref).max(initial=0.0), np.abs(t_ref).max(initial=0.0))
+    assert np.abs(st.S - s_ref).max(initial=0.0) <= 1e-15 * scale
+    assert np.abs(st.T - t_ref).max(initial=0.0) <= 1e-15 * scale

@@ -21,22 +21,86 @@ def test_public_names_are_the_submodules_lists():
         assert hasattr(qgraph, name), name
 
 
+def _run_python(script: str) -> list[str]:
+    """Stdout lines of ``script`` run in a fresh interpreter that imports
+    qgraph from this source tree."""
+    src = os.path.dirname(os.path.dirname(qgraph.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+    ).stdout.splitlines()
+
+
 def test_import_loads_only_numpy_and_scipy_linalg():
-    """qgraph and its CLI load no scipy module beyond scipy.linalg; the
-    names a tracer rebinds still resolve on request."""
+    """qgraph and its CLI load no scipy module at all; the names a tracer
+    rebinds still resolve on request."""
     script = (
         "import sys, qgraph, qgraph.cli\n"
-        "heavy = ('scipy.interpolate', 'scipy.optimize', 'scipy.special')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         "from qgraph import budget, solver\n"
         "print(callable(solver.brentq), callable(solver.minimize_scalar), callable(budget.CubicSpline))\n"
     )
-    src = os.path.dirname(os.path.dirname(qgraph.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
-    ).stdout.splitlines()
-    assert out == ["[]", "True True True"]
+    assert _run_python(script) == ["[]", "True True True"]
+
+
+def test_only_lu_factorizations_load_scipy_linalg(tmp_path):
+    """convert, build, budget, spectrum, an eig sweep and the form-bound
+    check never factor a matrix, so scipy.linalg stays unloaded; a
+    scattering sweep factors and loads it."""
+    (tmp_path / "delta.json").write_text('{"kind": "delta", "n": 3, "alpha": 1.0}')
+    script = (
+        "import contextlib, io, os, sys\n"
+        "import qgraph, qgraph.cli\n"
+        "from qgraph import budget, serialize\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert qgraph.cli.main(list(argv)) == 0, argv\n"
+        "    print(argv[0], 'scipy.linalg' in sys.modules)\n"
+        "run('convert', 'delta.json', '--out', 'st.json')\n"
+        "run('build', 'st.json', '--d', '0.25', '--out', 'g.json')\n"
+        "run('budget')\n"
+        "run('spectrum', 'g.json', '--count', '3')\n"
+        "run('sweep', 'delta.json', '--metric', 'eig', '--d', '0.25')\n"
+        "g = serialize.loads(open('g.json').read())\n"
+        "assert not budget.verify_form_bound(g, eta=0.5, n_samples=20, rng=1).violations\n"
+        "print('verify_form_bound', 'scipy.linalg' in sys.modules)\n"
+        "run('sweep', 'delta.json', '--metric', 'scattering', '--d', '0.25')\n"
+    )
+    assert _run_python(script) == [
+        "convert False",
+        "build False",
+        "budget False",
+        "spectrum False",
+        "sweep False",
+        "verify_form_bound False",
+        "sweep True",
+    ]
+
+
+def _module_level_scipy_imports(path: Path) -> list[str]:
+    """The scipy modules a module imports when it loads: every import
+    outside a function body."""
+    found = []
+    stack = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(name for name in found if name == "scipy" or name.startswith("scipy."))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    """scipy is imported inside the functions that need it, never when a
+    qgraph module loads."""
+    package = Path(qgraph.__file__).parent
+    found = {path.name: _module_level_scipy_imports(path) for path in sorted(package.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
 
 
 def _unused_imports(path: Path) -> list[str]:

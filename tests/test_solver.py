@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st_
+from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from qgraph import (
@@ -482,6 +483,69 @@ def test_b_zero_coupling_must_still_be_admissible():
     sys_ = MetricGraphSystem(edges=dirichlet.edges, vertices=(left, dirichlet.vertices[1]))
     with pytest.raises(InputError, match="not admissible: rank deficient"):
         greens_function(sys_, -1.0)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        ring(0.3, -0.1),
+        _approx(make_delta(alpha=1.0, n=3), 0.25),
+        truncate(star_system(make_delta_prime(beta=2.0, n=4)), L=1.0),
+        interval(1.0),
+        truncate(star_system(random_st(np.random.default_rng(3), n=5, m=3)), L=1.0),
+    ],
+    ids=["delta-ring", "delta-approx", "delta-prime", "dirichlet", "dense"],
+)
+def test_reduction_vertex_blocks_match_block_diag(system):
+    """The reduced matrix's vertex part is scipy's block_diag of the vertex
+    blocks, in dtype and bytes."""
+    blocks = []
+    for vertex in system.vertices:
+        cond = vertex.condition
+        if isinstance(cond, DeltaCondition):
+            blocks.append(np.array([[cond.w]]))
+        elif not cond.coupling.B.any():
+            blocks.append(np.empty((0, 0), dtype=complex))
+        else:
+            blocks.append(solver.st_from_ab(cond.coupling).S)
+    expected = block_diag(*blocks)
+    s_mat = _Reduction(system).s_mat
+    assert s_mat.dtype == expected.dtype and s_mat.shape == expected.shape
+    assert s_mat.tobytes() == expected.tobytes()
+
+
+def test_lu_calls_go_through_the_rebindable_solver_names(monkeypatch):
+    """Scattering and the resolvent factor and solve through solver.lu_factor
+    and solver.lu_solve, so rebinding those names sees every call."""
+    calls = []
+
+    def spy(name):
+        original = getattr(solver, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapped)
+
+    spy("lu_factor")
+    spy("lu_solve")
+    star = star_system(make_delta(alpha=1.0, n=3))
+    scattering_matrix(star, 1.0)
+    # One factorization, one solve and one refinement step.
+    assert calls == ["lu_factor", "lu_solve", "lu_solve"]
+    calls.clear()
+    greens_function(truncate(star, L=1.0), -1.0)
+    assert calls == ["lu_factor", "lu_solve"]
+
+
+def test_edges_too_short_for_the_reduced_matrix_are_rejected():
+    """An edge whose coefficient 2/l overflows raises InputError, not an
+    overflow warning in the count."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="overflow the reduced matrix"):
+            eigenvalues_compact(interval(1e-308, "N", "N"), 1)
 
 
 @pytest.mark.parametrize("z", [-1024.0, -(2.0**20), -(2.0**40)])
