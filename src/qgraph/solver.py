@@ -9,7 +9,13 @@ Graphs*):
     B(z) = S + sum_e (c_+ w_+ w_+* + c_- w_- w_-*) - i k sum_h J_h* J_h,
 
 with k = sqrt(z), c_+ = -k tan(kl/2) and c_- = k cot(kl/2) (see
-:class:`_Reduction`).
+:class:`_Reduction`).  A degree-2 delta vertex between two finite edges,
+such as the midpoint of every inner edge of an approximating graph, is
+eliminated per point: its row of that matrix is a scalar pivot and one
+column, so the matrix is formed directly on the remaining vertex values as
+a Schur complement (Haynsworth inertia additivity keeps the count exact).
+An approximating graph with n outer edges thus reduces to n values, not n
+plus its number of inner edges.
 
 * Eigenvalues of compact systems are counted, not searched for: the
   number of eigenvalues below lambda is the number of edge Dirichlet
@@ -38,7 +44,9 @@ with k = sqrt(z), c_+ = -k tan(kl/2) and c_- = k cot(kl/2) (see
 A coefficient that diverges next to an edge Dirichlet level moves into a
 border row, so every entry stays O(|k|); at real lambda > 0 by the count's
 own rule, elsewhere with the coefficients written through exp(ikl), which
-cannot overflow for Im k >= 0.  Scattering and resolvents factor the (bordered) matrix once and
+cannot overflow for Im k >= 0.  A midpoint next to a bordered edge, or
+whose pivot is small next to its own terms, stays a row at that point.
+Scattering and resolvents factor the (bordered) matrix once and
 gate on LAPACK's 1-norm condition estimate from the LU factors (Hager;
 Higham), O(N^2) on top of the factorization: beyond 1e12 the point is
 numerically on the spectrum, and scattering raises :class:`ResonantKError`,
@@ -55,6 +63,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,14 +114,28 @@ _COND_LIMIT = 1e12
 # Points per batched count in the eigenvalue search, on a reduced matrix up
 # to _ROUND_SIZE wide: a bisection round counts at most max(_ROUND_POINTS,
 # live intervals) speculative midpoints, and the bracket counts its doubling
-# sequence in batches of _ROUND_POINTS.  On a 6 x 6 reduction a count costs
-# about 0.1 ms per call and 31 points about 3 times one (2-CPU Xeon), so
-# fewer, wider calls are faster.  A point's own cost grows with the width
-# (some 4 ms at 136 wide, where 32 points per round solved 7-10 times
-# slower), and batches have been measured only up to 6 wide, so a wider
-# matrix is counted one point at a time: plain bisection.
+# sequence in batches of _ROUND_POINTS.  On the 3-wide reductions of n = 3
+# approximating graphs a count costs about 0.1-0.2 ms per call and 32 points
+# about 3 times one (2-CPU Xeon), so fewer, wider calls are faster.  A
+# point's own cost grows with the width: on delta' graphs at d = 2^-4, 32
+# points cost 9 times one at 8 wide and 21 times at 16 wide, and 5
+# eigenvalues took 2.2 and 30 times as long in batched rounds as in plain
+# bisection.  So a matrix wider than _ROUND_SIZE is counted one point at a
+# time: plain bisection.
 _ROUND_POINTS = 32
 _ROUND_SIZE = 6
+
+# A midpoint whose pivot p is below this fraction of its terms' magnitudes,
+# T = |w| + (1/2) sum_halves (|c_+| + |c_-|), stays a row (see _Reduction).
+# An entry of its column b is at most T on delta ends, so eliminating it
+# adds entries b b*/p of at most T/_PIVOT_RATIO: the element growth of one
+# Gaussian elimination step, which makes the complement exact for a matrix
+# within ~1,000 ulps of T of the full one, inside the count's own noise near
+# a level (up to ~4,000 ulps).  On delta' graphs |p| is 0.2-1 times T; the
+# random dense couplings of the benchmark reach 3e-4 (|p| ~ 1/(d |c|) next
+# to T ~ 4/d for a large T-column overlap c), so a few of their midpoints
+# stay rows.
+_PIVOT_RATIO = 2.0**-10
 
 
 def _principal_k(z) -> np.ndarray:
@@ -164,7 +187,7 @@ def _group_by_edge(points) -> dict[object, tuple[np.ndarray, np.ndarray]]:
 
 
 class _Reduction:
-    """A system reduced to the free values of its vertices' ST forms.
+    """A system reduced to the free values of its kept vertices' ST forms.
 
     The unknowns of a vertex are the m_v free values of its ST form: the
     values at its ends are J_v x_v with J_v = [I; T*] in the original end
@@ -175,21 +198,63 @@ class _Reduction:
     antisymmetric modes, c_+ = -k tan(kl/2) and c_- = k cot(kl/2); half-line
     h adds -ik J_h* J_h, J_h the row of its end.
 
+    A midpoint, a degree-2 delta vertex whose two ends lie on two finite
+    edges (its halves) that no other midpoint touches, is eliminated per
+    point.  Its value x_m couples only to the far ends of its halves, so its
+    row of the full matrix is a scalar pivot p = w + (1/2) sum_halves (c_+ +
+    c_-) and a column b over the kept values, and the kept values see the
+    Schur complement
+
+        B = S + sum_e (edge terms on the kept rows) - sum_m b_m b_m* / p_m.
+
+    The count adds the eliminated pivots' signs (Haynsworth inertia
+    additivity: n_-(full) = n_-(B) + #{p < 0}), and a solve recovers x_m =
+    (r_m - b_m* x) / p_m.  Every inner edge of an approximating graph is two
+    halves around such a midpoint, so an n-edge approximating graph reduces
+    to n kept values, not n + pairs.
+
     Near an edge Dirichlet level one coefficient c diverges.  Away from
     kl ~ 0, a term with |c| > |k| moves into an extra row and column with
     off-diagonal sqrt(k) w and diagonal b = -k/c; its Schur complement is
     the term itself, and every entry stays O(|k|), so nothing cancels when a
-    solution sits on or next to a Dirichlet level.
+    solution sits on or next to a Dirichlet level.  A midpoint stays a row
+    at a point where one of its halves is bordered, or where |p| is below
+    _PIVOT_RATIO times its terms' magnitudes; such rows and the border rows
+    are the extra rows of :meth:`bordered`.
     """
 
     def __init__(self, sys: MetricGraphSystem):
+        finite = [e for e in sys.edges if not e.is_half_line]
+        half = [e for e in sys.edges if e.is_half_line]
+        self.edge_map = sys.edge_map
+        self.finite_index = {e.id: i for i, e in enumerate(finite)}
+        self.half_index = {e.id: i for i, e in enumerate(half)}
+        self.length = np.array([e.length for e in finite], dtype=float)
+        ne = len(finite)
+        # Midpoints, in vertex order: each claims its two halves.
+        claimed: set = set()
+        mid_w, mid_ends = [], []
         rows: dict[tuple, tuple[int, np.ndarray]] = {}
         blocks: list[np.ndarray] = []
+        # Per finite edge end and free value of the kept vertices: (edge, end
+        # index, row, conj(J) entry).
+        entries: list[tuple] = []
         size = 0
         for vertex in sys.vertices:
             cond = vertex.condition
+            ends = vertex.ends
+            if (
+                isinstance(cond, DeltaCondition)
+                and len(ends) == 2
+                and ends[0][0] != ends[1][0]
+                and all(eid in self.finite_index and eid not in claimed for eid, _ in ends)
+            ):
+                claimed.update(eid for eid, _ in ends)
+                mid_w.append(cond.w)
+                mid_ends.append([(self.finite_index[eid], side) for eid, side in ends])
+                continue
             if isinstance(cond, DeltaCondition):
-                j_mat, s_mat = np.ones((len(vertex.ends), 1)), np.array([[cond.w]])
+                j_mat, s_mat = np.ones((len(ends), 1)), np.array([[cond.w]])
             elif not cond.coupling.B.any():
                 # B = 0: every end is Dirichlet and there are no free values,
                 # so no normal form is needed; A must still be invertible.
@@ -204,75 +269,101 @@ class _Reduction:
                 j_mat = np.empty((st.n, st.m), dtype=complex)
                 j_mat[np.array(st.perm) - 1] = np.vstack([np.eye(st.m), st.T.conj().T])
                 s_mat = st.S
-            for end, j_row in zip(vertex.ends, j_mat):
-                rows[end] = (size, j_row)
+            for (eid, side), j_row in zip(ends, j_mat):
+                rows[(eid, side)] = (size, j_row)
+                if eid in self.finite_index:
+                    e = self.finite_index[eid]
+                    entries += [(e, side, size + i, v) for i, v in enumerate(j_row.conj())]
             blocks.append(s_mat)
-            size += len(s_mat)
+            size += j_mat.shape[1]
         self.size = size
-        # The vertex blocks on the diagonal; float or complex, as the blocks.
+        # The kept vertex blocks on the diagonal; float or complex, as the
+        # blocks.
         self.s_mat = np.zeros((size, size), dtype=np.result_type(float, *blocks))
         at = 0
         for block in blocks:
             self.s_mat[at : at + len(block), at : at + len(block)] = block
             at += len(block)
-        self.edge_map = sys.edge_map
-        finite = [e for e in sys.edges if not e.is_half_line]
-        half = [e for e in sys.edges if e.is_half_line]
-        self.finite_index = {e.id: i for i, e in enumerate(finite)}
-        self.half_index = {e.id: i for i, e in enumerate(half)}
-        self.length = np.array([e.length for e in finite], dtype=float)
+        self.mid_w = np.array(mid_w, dtype=float)
         # A coefficient that is not bordered is at most max(|k|, 2/l), and a
         # mode vector's entries are at most sqrt(2) on delta vertices, so on
-        # an approximating graph this bounds the entries of B(z) next to
-        # kl = 0; edges too short for it to be finite would overflow B.
+        # an approximating graph this bounds the entries of the full matrix
+        # next to kl = 0, and with 1/_PIVOT_RATIO those of the complement of
+        # its midpoints; edges too short for it to be finite would overflow B.
         with np.errstate(over="ignore"):
-            bound = np.abs(self.s_mat).max(initial=0.0) + np.sum(4.0 / self.length)
+            bound = max(
+                np.abs(self.s_mat).max(initial=0.0), np.abs(self.mid_w).max(initial=0.0)
+            ) + np.sum(4.0 / self.length)
+            if mid_w:
+                bound /= _PIVOT_RATIO
         if not math.isfinite(bound):
             raise InputError(
                 f"edges as short as {self.length.min():.3g} overflow the reduced matrix"
             )
-        # Columns w_+ and w_- of every finite edge.
-        self.w = np.zeros((2, size, len(finite)), dtype=complex)
-        for col, edge in enumerate(finite):
-            phase = np.exp(-1j * edge.a * edge.length)
-            for end, factor in ((0, np.array([1.0, 1.0])), (1, np.array([phase, -phase]))):
-                at, j_row = rows[(edge.id, end)]
-                self.w[:, at : at + len(j_row), col] += np.outer(factor, j_row.conj())
+        self.two_over_l = 2.0 / self.length
+        # The modes w_+ and w_- of every finite edge on the kept rows, side by
+        # side (column e is w_+ of edge e, column E + e its w_-), and their
+        # entries at the midpoints, built per end index: end 0 adds (1, 1)
+        # conj(J), end 1 adds (e^{-ial}, -e^{-ial}) conj(J).
+        phase = np.exp(-1j * np.array([e.a for e in finite]) * self.length)
+        factors = (np.ones(2 * ne), np.concatenate([phase, -phase]))
+        edge, side, row = np.array([e[:3] for e in entries], dtype=int).reshape(-1, 3).T
+        value = np.array([e[3] for e in entries], dtype=complex)
+        halves = np.array(mid_ends, dtype=int).reshape(-1, 2, 2)
+        self.w = np.zeros((size, 2 * ne), dtype=complex)
+        self.wm = np.zeros(2 * ne, dtype=complex)
+        for end in (0, 1):
+            at = side == end
+            for modes in (edge[at], edge[at] + ne):
+                self.w[row[at], modes] += factors[end][modes] * value[at]
+            mid = halves[halves[:, :, 1] == end][:, 0]
+            for modes in (mid, mid + ne):
+                self.wm[modes] += factors[end][modes]
         self.w /= math.sqrt(2.0)
-        self.w_adj = self.w.conj().transpose(0, 2, 1)
-        # w_+ and w_- side by side: column e is w_+ of edge e, column E + e
-        # its w_-.
-        self.w_cols = np.concatenate(list(self.w), axis=1)
+        self.wm /= math.sqrt(2.0)
+        self.w_adj = self.w.conj().T
+        self.halves = halves[:, :, 0]
+        # The midpoint of each mode's edge, or -1.
+        self.mode_mid = np.full(2 * ne, -1)
+        mids = np.arange(len(halves))[:, np.newaxis]
+        self.mode_mid[self.halves] = self.mode_mid[self.halves + ne] = mids
+        # Per midpoint, the modes of its halves (w_+ of each half, then w_-),
+        # and those modes on the kept rows times the conjugate of their
+        # midpoint entry, so that b_m = sum_modes c w conj(w_m).
+        self.half_modes = np.concatenate([self.halves, self.halves + ne], axis=1)
+        self.w_mid = self.w[:, self.half_modes] * self.wm[self.half_modes].conj()
         # Rows J_h of the half-line ends.
         self.j_half = np.zeros((len(half), size), dtype=complex)
-        for row, edge in enumerate(half):
+        for r, edge in enumerate(half):
             at, j_row = rows[(edge.id, 0)]
-            self.j_half[row, at : at + len(j_row)] = j_row
+            self.j_half[r, at : at + len(j_row)] = j_row
 
     def real_coefficients(self, lam: np.ndarray):
         """Edge coefficients and border rows at every point of the 1-d float
         array ``lam``.
 
-        Returns ``coef`` (2, points, edges), c_+ and c_- with every bordered
-        one set to 0; the border diagonal ``b`` (points, edges), NaN where
-        the edge is not bordered; ``pick``, the column of ``w_cols`` each
-        bordered edge borders; and the per-point sum of edge Dirichlet
-        levels below lambda, as floats (exact below 2^53).  For lambda <= 0
-        the coefficients are kappa tanh(kappa l/2) and kappa coth(kappa l/2).
+        Returns ``coef`` (points, 2 edges), c_+ of every edge and then c_-
+        of every edge, with each bordered one set to 0; the border diagonal
+        ``b`` (points, edges), NaN where the edge is not bordered; ``minus``
+        (points, edges), True where the bordered vector is w_- and not w_+;
+        and the per-point sum of edge Dirichlet levels below lambda, as
+        floats (exact below 2^53).  For lambda <= 0 the coefficients are
+        kappa tanh(kappa l/2) and kappa coth(kappa l/2).
         """
         npts, ne = len(lam), len(self.length)
-        coef = np.empty((2, npts, ne))
+        coef = np.empty((npts, 2 * ne))
         b = np.full((npts, ne), np.nan)
-        pick = np.zeros((npts, ne), dtype=int)
+        minus = np.zeros((npts, ne), dtype=bool)
         level_sum = np.zeros(npts)
         below = lam <= 0.0
         if below.any():
             kappa = np.sqrt(-lam[below])[:, np.newaxis]
             t = np.tanh(0.5 * kappa * self.length)
-            coef[0, below] = kappa * t
-            coef[1, below] = np.divide(
-                kappa, t, out=np.tile(2.0 / self.length, (len(kappa), 1)), where=t > 0
-            )
+            coef[below, :ne] = kappa * t
+            # kappa coth(kappa l/2) is 2/l where the tanh underflows to 0.
+            limit = np.empty_like(t)
+            limit[:] = self.two_over_l
+            coef[below, ne:] = np.divide(kappa, t, out=limit, where=t > 0)
         above = ~below
         if above.any():
             k = np.sqrt(lam[above])[:, np.newaxis]
@@ -290,13 +381,13 @@ class _Reduction:
             neg = np.where(small, -k * tau, 0.0)
             pos = np.divide(k, tau, out=np.zeros_like(tau), where=~(small & border))
             odd = levels % 2 == 1
-            coef[0, above] = np.where(odd, pos, neg)
-            coef[1, above] = np.where(odd, neg, pos)
+            coef[above, :ne] = np.where(odd, pos, neg)
+            coef[above, ne:] = np.where(odd, neg, pos)
             b[above] = np.where(border, np.where(small, -tau, 1.0 / np.maximum(tau, 1.0)), np.nan)
             # The bordered vector is w_+ exactly when small == odd.
-            pick[above] = np.arange(ne) + ne * (small != odd)
+            minus[above] = small != odd
             level_sum[above] = levels.sum(axis=1)
-        return coef, b, pick, level_sum
+        return coef, b, minus, level_sum
 
     def complex_coefficients(self, k: complex):
         """Edge coefficients and border rows at one momentum with Im k >= 0,
@@ -308,60 +399,131 @@ class _Reduction:
         coefficient is bordered, with b = -k/c = i/r or i r, except c_- next
         to kl = 0, where it stays near 2/l.
         """
-        ne = len(self.length)
         em1 = np.expm1(1j * k * self.length)
         ratio = em1 / (2.0 + em1)
-        coef = np.stack([1j * k * ratio, 1j * k / ratio])[:, np.newaxis, :]
         plus = np.abs(ratio) >= 1.0
         border = plus | (abs(k.real) * self.length > math.pi)
-        coef[0, 0, border & plus] = 0.0
-        coef[1, 0, border & ~plus] = 0.0
+        c_plus = np.where(border & plus, 0.0, 1j * k * ratio)
+        c_minus = np.where(border & ~plus, 0.0, 1j * k / ratio)
+        coef = np.concatenate([c_plus, c_minus])[np.newaxis, :]
         b = np.where(border, np.where(plus, 1j / ratio, 1j * ratio), np.nan)[np.newaxis, :]
-        pick = (np.arange(ne) + ne * ~plus)[np.newaxis, :]
-        return coef, b, pick
+        return coef, b, ~plus[np.newaxis, :]
 
-    def edge_terms(self, coef: np.ndarray) -> np.ndarray:
-        """sum_e (coef[0, p, e] w_+ w_+* + coef[1, p, e] w_- w_-*) per point p."""
-        return sum((w * c[:, np.newaxis, :]) @ w_adj for w, c, w_adj in zip(self.w, coef, self.w_adj))
+    def complement(self, coef: np.ndarray, inside: np.ndarray, row: bool = False):
+        """The matrix on the kept rows at every point, with each midpoint
+        eliminated where its pivot allows.
 
-    def bordered(self, mats: np.ndarray, root_k: np.ndarray, b: np.ndarray, pick: np.ndarray):
-        """The stacked matrices ``mats`` with their border rows and columns,
-        [[B, sqrt(k) W], [sqrt(k) W*, diag(b)]], for points that all border
-        the same number of edges, in edge order; ``root_k`` is sqrt(k) per
-        point."""
+        ``coef`` is laid out as by :meth:`real_coefficients`, and ``inside``
+        (points, edges) is True where an edge is bordered.  Returns the
+        complement (points, size, size); each midpoint's column b_m (points,
+        size, midpoints) and pivot p_m (points, midpoints); and ``keep``,
+        True where a midpoint stays a row.  With ``row``, also the
+        midpoints' rows (points, midpoints, size), which differ from b_m* at
+        complex coefficients; the complement then subtracts b_m (row) / p_m.
+        """
+        mat = self.s_mat + (self.w * coef[:, np.newaxis, :]) @ self.w_adj
+        if not len(self.mid_w):
+            # Nothing to eliminate: no columns, pivots or rows.
+            none = coef[:, :0]
+            return (mat, mat[:, :, :0], none, none != 0) + ((mat[:, :0],) if row else ())
+        c_mid = coef[:, self.half_modes]
+        col = (self.w_mid * c_mid[:, np.newaxis]).sum(axis=-1)
+        # |w_+-| is 1/sqrt(2) at a midpoint, so p = w + (1/2) sum_halves (c_+ +
+        # c_-), next to |w| + (1/2) sum_halves (|c_+| + |c_-|).
+        piv = self.mid_w + 0.5 * c_mid.sum(axis=-1)
+        terms = abs(self.mid_w) + 0.5 * abs(c_mid).sum(axis=-1)
+        keep = inside[:, self.halves].any(axis=-1) | ~(abs(piv) >= _PIVOT_RATIO * terms)
+        # b_m / p_m, and 0 for a kept midpoint.
+        scaled = col / np.where(keep, np.inf, piv)[:, np.newaxis, :]
+        if not row:
+            mat -= scaled @ col.conj().transpose(0, 2, 1)
+            return mat, col, piv, keep
+        rows = (self.w_mid.conj() * c_mid[:, np.newaxis]).sum(axis=-1).transpose(0, 2, 1)
+        mat -= scaled @ rows
+        return mat, col, piv, keep, rows
+
+    def bordered(self, mats, root_k, b, minus, col, piv, keep, rows=None):
+        """The stacked matrices ``mats`` with their extra rows and columns,
+        for points that all keep the same number of midpoints and border
+        the same number of edges: first the kept midpoints, in midpoint
+        order, with column b_m, row b_m* (or ``rows``) and diagonal p_m;
+        then the border rows, in edge order, [[B, sqrt(k) W], [sqrt(k) W*,
+        diag(b)]], whose vectors reach a kept midpoint of their edge.
+        ``root_k`` is sqrt(k) per point."""
         inside = ~np.isnan(b)
         nb = int(np.count_nonzero(inside[0]))
-        if not nb:
+        nk = int(np.count_nonzero(keep[0]))
+        if not nb + nk:
             return mats
-        vecs = self.w_cols[:, pick[inside].reshape(-1, nb)].transpose(1, 0, 2)
-        root_k = root_k[:, np.newaxis, np.newaxis]
-        size = mats.shape[1]
-        diag = np.arange(size, size + nb)
-        out = np.zeros((len(mats), size + nb, size + nb), dtype=complex)
+        npts, size = mats.shape[:2]
+        out = np.zeros((npts, size + nk + nb, size + nk + nb), dtype=complex)
         out[:, :size, :size] = mats
-        out[:, :size, size:] = root_k * vecs
-        out[:, size:, :size] = root_k * vecs.conj().transpose(0, 2, 1)
-        out[:, diag, diag] = b[inside].reshape(-1, nb)
+        kept = slice(size, size + nk)
+        border = slice(size + nk, size + nk + nb)
+        root_k = root_k[:, np.newaxis, np.newaxis]
+        if nk:
+            mids = np.nonzero(keep)[1].reshape(npts, nk)
+            mid_col = np.take_along_axis(col, mids[:, np.newaxis, :], axis=2)
+            out[:, :size, kept] = mid_col
+            if rows is None:
+                out[:, kept, :size] = mid_col.conj().transpose(0, 2, 1)
+            else:
+                out[:, kept, :size] = np.take_along_axis(rows, mids[:, :, np.newaxis], axis=1)
+            diag = np.arange(size, size + nk)
+            out[:, diag, diag] = np.take_along_axis(piv, mids, axis=1)
+        if nb:
+            edge = np.nonzero(inside)[1].reshape(npts, nb)
+            mode = edge + len(self.length) * minus[inside].reshape(npts, nb)
+            vecs = self.w[:, mode].transpose(1, 0, 2)
+            out[:, :size, border] = root_k * vecs
+            out[:, border, :size] = root_k * vecs.conj().transpose(0, 2, 1)
+            diag = np.arange(size + nk, size + nk + nb)
+            out[:, diag, diag] = b[inside].reshape(npts, nb)
+        if nk and nb:
+            # A border vector's entry at the kept midpoint of its edge.
+            at_mid = self.mode_mid[edge][:, np.newaxis, :] == mids[:, :, np.newaxis]
+            entry = self.wm[mode][:, np.newaxis, :]
+            out[:, kept, border] = root_k * np.where(at_mid, entry, 0.0)
+            out[:, border, kept] = (root_k * np.where(at_mid, entry.conj(), 0.0)).transpose(0, 2, 1)
         return out
 
-    def one_point(self, k: complex, lam: float | None = None):
+    def one_point(self, k: complex, lam: float | None = None) -> "_Point":
         """The reduced matrix at one momentum k, bordered by the count's rule
         when ``lam`` = k^2 is given (real, > 0) and through
-        :meth:`complex_coefficients` otherwise.  Also returns the
-        coefficients ``coef`` (2, edges) it used, per mode (sign, edge) its
-        border row or -1, and the sqrt(k) of its border columns."""
+        :meth:`complex_coefficients` otherwise, with the half-lines' -ik J*
+        J; and what a solve needs besides (see :class:`_Point`)."""
         if lam is None:
-            coef, b, pick = self.complex_coefficients(k)
+            coef, b, minus = self.complex_coefficients(k)
             root_k = np.sqrt(k)
         else:
-            coef, b, pick, _ = self.real_coefficients(np.array([lam]))
+            coef, b, minus, _ = self.real_coefficients(np.array([lam]))
             root_k = math.sqrt(math.sqrt(lam))
-        mat = self.bordered(self.s_mat + self.edge_terms(coef), np.array([root_k]), b, pick)[0]
-        mat[: self.size, : self.size] -= 1j * k * (self.j_half.conj().T @ self.j_half)
+        mat, col, piv, keep, rows = self.complement(coef, ~np.isnan(b), row=True)
+        mat -= 1j * k * (self.j_half.conj().T @ self.j_half)
+        mat = self.bordered(mat, np.array([root_k]), b, minus, col, piv, keep, rows)[0]
         border = np.full((2, len(self.length)), -1)
         cols = np.flatnonzero(~np.isnan(b[0]))
-        border[pick[0, cols] // len(self.length), cols] = np.arange(len(cols))
-        return mat, coef[:, 0, :], border, root_k
+        border[minus[0, cols].astype(int), cols] = np.arange(len(cols))
+        inv = 1.0 / np.where(keep[0], np.inf, piv[0])
+        return _Point(mat, coef[0], border, root_k, col[0], rows[0], inv, np.flatnonzero(keep[0]))
+
+
+class _Point(NamedTuple):
+    """One point of a :class:`_Reduction`: the bordered matrix ``mat``; the
+    coefficients ``coef`` (2 edges) it used; per mode (sign, edge) its
+    border row, counted after the kept midpoints' rows, or -1; the sqrt(k)
+    of its border columns; each midpoint's column ``col`` and row ``rows``;
+    ``inv``, 1/p for an eliminated midpoint and 0 for a kept one; and the
+    kept midpoints, in the order of their rows."""
+
+    mat: np.ndarray
+    coef: np.ndarray
+    border: np.ndarray
+    root_k: complex
+    col: np.ndarray
+    rows: np.ndarray
+    inv: np.ndarray
+    kept: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +540,8 @@ class _EigenvalueCount(_Reduction):
 
         N(lambda) = sum_e #{(pi m / l_e)^2 < lambda} + n_-(B(lambda)).
 
+    B(lambda) is counted on the kept values: each eliminated midpoint adds
+    its pivot's sign, n_-(B) = n_-(complement) + #{p_m < 0} (Haynsworth).
     Each border row with b < 0 adds one negative eigenvalue to the bordered
     matrix, which is subtracted.
     """
@@ -385,23 +549,29 @@ class _EigenvalueCount(_Reduction):
     def many(self, lams) -> list[int]:
         """N(lambda) at every point of the 1-d array ``lams``.
 
-        Edge coefficients are computed as (points, edges) arrays, the edge
-        terms of all points as one stacked matmul per sign, and the inertia
-        as one stacked eigvalsh per bordered size.  Every slice goes through
-        the same operations, in the same order, as a single point would.
+        Edge coefficients are computed as (points, edges) arrays, the
+        complement of all points as stacked matmuls, and the inertia as one
+        stacked eigvalsh per number of kept midpoints and border rows.  Every
+        slice goes through the same operations, in the same order, as a
+        single point would.
         """
         lam = np.asarray(lams, dtype=float).reshape(-1)
-        coef, b, pick, level_sum = self.real_coefficients(lam)
-        # N = level count + negative eigenvalues of the bordered matrix -
-        # negative b's.
-        inertia = -np.count_nonzero(b < 0, axis=1)
-        mat = self.s_mat + self.edge_terms(coef)
-        sizes = np.count_nonzero(~np.isnan(b), axis=1)
-        for nb in set(sizes.tolist()):
-            at = np.flatnonzero(sizes == nb)
+        coef, b, minus, level_sum = self.real_coefficients(lam)
+        inside = ~np.isnan(b)
+        mat, col, piv, keep = self.complement(coef, inside)
+        # N = level count + negative eigenvalues of the bordered complement
+        # + negative eliminated pivots - negative b's.
+        inertia = (~keep & (piv < 0)).sum(axis=1) - (b < 0).sum(axis=1)
+        # Points are grouped by their numbers of kept midpoints and borders.
+        extra = keep.sum(axis=1) * (len(self.length) + 1) + inside.sum(axis=1)
+        for key in set(extra.tolist()):
+            at = np.flatnonzero(extra == key)
             part = mat if len(at) == len(lam) else mat[at]
-            if nb:
-                part = self.bordered(part, np.sqrt(np.sqrt(lam[at])), b[at], pick[at])
+            if key:
+                # Border rows come only at lambda > 0; a kept midpoint's row
+                # needs no sqrt(k).
+                root_k = np.sqrt(np.sqrt(np.maximum(lam[at], 0.0)))
+                part = self.bordered(part, root_k, b[at], minus[at], col[at], piv[at], keep[at])
             inertia[at] += _negative_counts(part)
         return [int(s) + int(n) for s, n in zip(level_sum, inertia)]
 
@@ -415,7 +585,7 @@ def _negative_counts(mats: np.ndarray) -> np.ndarray:
     row_max = np.abs(mats).max(axis=-1)
     scale = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
     scaled = mats * (scale[:, :, np.newaxis] * scale[:, np.newaxis, :])
-    return np.count_nonzero(np.linalg.eigvalsh(scaled) < 0, axis=-1)
+    return (np.linalg.eigvalsh(scaled) < 0).sum(axis=-1)
 
 
 def _batch_points(size: int) -> int:
@@ -490,13 +660,15 @@ def eigenvalues_compact(
     N = 0, then lambda until N covers `count`; the doubling sequence is
     counted in batches, and the first upward batch also counts
     ``lam_min``), and bisection refines every level to 1e-13 max(1,
-    |lambda|); a level's multiplicity is the jump of N across it.  The
-    bisection runs in rounds: a round counts, in one batched call, at every
-    midpoint of the depth-r subtree of each live interval (r as deep as a
-    batch of 32 points allows on a reduced matrix up to 6 wide, and at
-    least 1; a wider matrix is counted one point per round, which is plain
-    bisection), then takes r levels of interval decisions from those
-    counts.  Every decision reads the count at the same lambda as a
+    |lambda|); a level's multiplicity is the jump of N across it.  N is
+    read from the reduced matrix on the kept vertex values, which for an
+    approximating graph with n outer edges is n wide: every inner edge's
+    midpoint is eliminated (see :class:`_Reduction`).  The bisection runs in
+    rounds: a round counts, in one batched call, at every midpoint of the
+    depth-r subtree of each live interval (r as deep as a batch of 32 points
+    allows on a reduced matrix up to 6 wide, and at least 1; a wider matrix
+    is counted one point per round, which is plain bisection), then takes r
+    levels of interval decisions from those counts.  Every decision reads the count at the same lambda as a
     depth-first bisection would, so the values and their order are that
     search's.  With ``lam_min``, which must be finite, only eigenvalues
     above that floor are returned.
@@ -582,9 +754,11 @@ class GreensFunction:
     construction: the reduced matrix B(z) is factored, and one ``lu_solve``
     takes a unit right-hand side per mode, w_+- (c_+- - ik) (with sqrt(k)
     in a bordered mode's border row) for mode p_+- of a finite edge and
-    -2ik J_h* for a half-line h.  The mode values of each solution, minus
-    the unit mode itself on its own edge, are divided by 1 + e^{ikl} and
-    e^{ikl} - 1.  For a bordered mode the border unknown y = c h / sqrt(k)
+    -2ik J_h* for a half-line h.  An eliminated midpoint's entries r_m of
+    those right-hand sides enter the kept rows as -b_m r_m / p_m, and its
+    value follows from the solution x as x_m = (r_m - b_m* x) / p_m, with
+    b_m* its row.  The mode values of each solution, minus the unit mode
+    itself on its own edge, are divided by 1 + e^{ikl} and e^{ikl} - 1.  For a bordered mode the border unknown y = c h / sqrt(k)
     gives the amplitude -i y / (sqrt(k) (e^{ikl} -+ 1)) instead, which is
     regular on the edge's Dirichlet level.
     """
@@ -604,24 +778,37 @@ class GreensFunction:
                 "resolvent of a non-compact system needs z off [0, inf)"
             )
         positive = z.imag == 0 and z.real > 0
-        mat, coef, border, root_k = red.one_point(k, z.real if positive else None)
-        lu = _gated_lu(mat, NearSingularZError, f"z = {z} is numerically on the spectrum")
-        ne = len(red.length)
+        pt = red.one_point(k, z.real if positive else None)
+        lu = _gated_lu(pt.mat, NearSingularZError, f"z = {z} is numerically on the spectrum")
+        ne, size, n_kept = len(red.length), red.size, len(pt.kept)
         # Mode indices of every edge: sign * ne + e on finite edge e, 2 ne + h
         # on half-line h.
         self._modes = {eid: [e, ne + e] for eid, e in red.finite_index.items()}
         self._modes.update({eid: [2 * ne + h] for eid, h in red.half_index.items()})
         n_modes = 2 * ne + len(red.j_half)
-        # One unit right-hand side per source mode, in mode order.
-        rhs = np.zeros((len(mat), n_modes), dtype=complex)
-        rhs[: red.size, : 2 * ne] = red.w_cols * (coef - 1j * k).reshape(-1)
-        rhs[: red.size, 2 * ne :] = -2j * k * red.j_half.conj().T
-        sign, cols = np.nonzero(border >= 0)
-        rows = red.size + border[sign, cols]
-        rhs[rows, sign * ne + cols] = root_k
+        # One unit right-hand side per source mode, in mode order: on the
+        # kept rows, on the midpoints (a mode of a half enters its midpoint's
+        # row), and on the border rows.
+        unit = pt.coef - 1j * k
+        rhs = np.zeros((len(pt.mat), n_modes), dtype=complex)
+        rhs[:size, : 2 * ne] = red.w * unit
+        rhs[:size, 2 * ne :] = -2j * k * red.j_half.conj().T
+        mode = np.flatnonzero(red.mode_mid >= 0)
+        mid = red.mode_mid[mode]
+        rhs_mid = np.zeros((len(red.mid_w), n_modes), dtype=complex)
+        rhs_mid[mid, mode] = red.wm[mode] * unit[mode]
+        rhs[:size] -= pt.col @ (pt.inv[:, np.newaxis] * rhs_mid)
+        rhs[size : size + n_kept] = rhs_mid[pt.kept]
+        sign, cols = np.nonzero(pt.border >= 0)
+        rows = size + n_kept + pt.border[sign, cols]
+        rhs[rows, sign * ne + cols] = pt.root_k
         sol = lu_solve(lu, rhs)
-        x = sol[: red.size]
-        amp = np.concatenate([(red.w_adj @ x).reshape(2 * ne, n_modes), red.j_half @ x])
+        x = sol[:size]
+        # The midpoints' values: x_m = (r_m - b_m* x) / p_m where eliminated.
+        x_mid = pt.inv[:, np.newaxis] * (rhs_mid - pt.rows @ x)
+        x_mid[pt.kept] = sol[size : size + n_kept]
+        amp = np.concatenate([red.w_adj @ x, red.j_half @ x])
+        amp[mode] += red.wm[mode, np.newaxis].conj() * x_mid[mid]
         amp[np.diag_indices(len(amp))] -= 1.0
         amp[sign * ne + cols] = sol[rows]
         # The factor that turns a mode value, or a border unknown, into an
@@ -629,7 +816,7 @@ class GreensFunction:
         em1 = np.expm1(1j * k * red.length)
         divisor = np.stack([2.0 + em1, em1])
         scale = 1.0 / divisor
-        scale[sign, cols] = -1j / (root_k * divisor[1 - sign, cols])
+        scale[sign, cols] = -1j / (pt.root_k * divisor[1 - sign, cols])
         amp[: 2 * ne] *= scale.reshape(-1, 1)
         self._amp = amp
 
@@ -725,7 +912,7 @@ class _ScatteringSolver(_Reduction):
 
     def __call__(self, k: float) -> np.ndarray:
         """S(k) for a validated momentum k > 0."""
-        mat = self.one_point(k, k * k)[0]
+        mat = self.one_point(k, k * k).mat
         lu = _gated_lu(mat, ResonantKError, f"vertex system ill-conditioned at k = {k}", k=k)
         # An incoming wave exp(-iks) on each channel in turn, with the border
         # rows' right-hand sides zero.

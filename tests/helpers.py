@@ -23,6 +23,7 @@ from qgraph import (
     form_bound_inputs,
     greens_function,
     named_to_st,
+    st_from_ab,
     star_system,
     system_from_approx,
     truncate,
@@ -414,13 +415,58 @@ def reference_st_from_ab(c, m: int, perm) -> tuple[np.ndarray, np.ndarray]:
 
 # -- reference eigenvalue count and bisection: one point per call ----------
 
-def reference_count(count, lam):
-    """N(lambda) at one point, through the per-point operations of the
-    batched count ``count`` (an ``_EigenvalueCount``): Python-float edge
-    coefficients, one 2-D matmul per sign and one 2-D eigvalsh."""
+class UnreducedReduction:
+    """The vertex reduction that keeps every vertex: the free values of all
+    vertices' ST forms, midpoints included, so an approximating graph's
+    matrix is n + pairs wide.  ``s_mat`` holds the vertex blocks and ``w``
+    (2, size, edges) the columns w_+ and w_- of every finite edge, built one
+    edge at a time."""
+
+    def __init__(self, sys):
+        rows = {}
+        blocks = []
+        size = 0
+        for vertex in sys.vertices:
+            cond = vertex.condition
+            if isinstance(cond, DeltaCondition):
+                j_mat, s_mat = np.ones((len(vertex.ends), 1)), np.array([[cond.w]])
+            elif not cond.coupling.B.any():
+                n = cond.coupling.n
+                j_mat, s_mat = np.empty((n, 0), dtype=complex), np.empty((0, 0), dtype=complex)
+            else:
+                st = st_from_ab(cond.coupling)
+                j_mat = np.empty((st.n, st.m), dtype=complex)
+                j_mat[np.array(st.perm) - 1] = np.vstack([np.eye(st.m), st.T.conj().T])
+                s_mat = st.S
+            for end, j_row in zip(vertex.ends, j_mat):
+                rows[end] = (size, j_row)
+            blocks.append(s_mat)
+            size += len(s_mat)
+        self.rows = rows
+        self.s_mat = np.zeros((size, size), dtype=np.result_type(float, *blocks))
+        at = 0
+        for block in blocks:
+            self.s_mat[at : at + len(block), at : at + len(block)] = block
+            at += len(block)
+        finite = [e for e in sys.edges if not e.is_half_line]
+        self.length = np.array([e.length for e in finite], dtype=float)
+        self.w = np.zeros((2, size, len(finite)), dtype=complex)
+        for col, edge in enumerate(finite):
+            phase = np.exp(-1j * edge.a * edge.length)
+            for end, factor in ((0, np.array([1.0, 1.0])), (1, np.array([phase, -phase]))):
+                at, j_row = rows[(edge.id, end)]
+                self.w[:, at : at + len(j_row), col] += np.outer(factor, j_row.conj())
+        self.w /= math.sqrt(2.0)
+
+
+def reference_count(unreduced, lam):
+    """N(lambda) at one point from the unreduced matrix ``unreduced`` (an
+    :class:`UnreducedReduction`): Python-float edge coefficients, one 2-D
+    matmul per sign and one 2-D eigvalsh, with every edge term and border
+    row on the full matrix."""
 
     def edge_terms(coef):
-        return sum((w * c) @ w.conj().T for w, c in zip(count.w, coef))
+        return sum((w * c) @ w.conj().T for w, c in zip(unreduced.w, coef))
 
     def negative(mat):
         if not mat.size:
@@ -429,12 +475,12 @@ def reference_count(count, lam):
         scale = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
         return int(np.count_nonzero(np.linalg.eigvalsh(mat * np.outer(scale, scale)) < 0))
 
-    length = count.length
+    length = unreduced.length
     if lam <= 0.0:
         kappa = math.sqrt(-lam)
         t = np.tanh(0.5 * kappa * length)
         coef = np.stack([kappa * t, np.divide(kappa, t, out=2.0 / length, where=t > 0)])
-        return negative(count.s_mat + edge_terms(coef))
+        return negative(unreduced.s_mat + edge_terms(coef))
     k = math.sqrt(lam)
     q = k * length / math.pi
     levels = np.ceil(q) - 1.0
@@ -445,10 +491,10 @@ def reference_count(count, lam):
     pos = np.divide(k, tau, out=np.zeros_like(tau), where=~(small & border))
     odd = levels % 2 == 1
     coef = np.stack([np.where(odd, pos, neg), np.where(odd, neg, pos)])
-    mat = count.s_mat + edge_terms(coef)
+    mat = unreduced.s_mat + edge_terms(coef)
     if not border.any():
         return int(levels.sum()) + negative(mat)
-    vecs = math.sqrt(k) * np.where(small == odd, count.w[0], count.w[1])[:, border]
+    vecs = math.sqrt(k) * np.where(small == odd, unreduced.w[0], unreduced.w[1])[:, border]
     b = np.where(small, -tau, 1.0 / np.maximum(tau, 1.0))[border]
     mat = np.block([[mat, vecs], [vecs.conj().T, np.diag(b)]])
     return int(levels.sum()) + negative(mat) - int(np.count_nonzero(b < 0))

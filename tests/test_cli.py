@@ -502,6 +502,7 @@ def _run_quietly(argv, text):
 @example({"st": {"m": 1, "perm": [1, 2], "S": [[_C0]], "T": [[{"re": 1e308, "im": 0}]]}})
 @example({"n": 2, "d": 1e-308, "neighbors": {"1": [2], "2": [1]}, "w_vertex": {"1": 1, "2": 1},
           "w_inner": {"1-2": 1}, "a_inner": {"1-2": 1}})
+@example({"st": {"m": 1, "perm": [1], "S": [[{"re": 1e308, "im": 0}]], "T": [[]]}})
 def test_fuzzed_documents_exit_with_a_documented_code(doc):
     """convert, build, spectrum and a scattering sweep exit with a
     documented code and print no traceback or warning; a converted S is
