@@ -47,7 +47,13 @@ from .builder import build_approx_graph
 from .couplings import STForm, ab_from_st, star_scattering
 from .errors import ConditioningError, InputError, QGraphError, ResonantKError
 from .graphs import MetricGraphSystem, star_system, system_from_approx, truncate
-from .solver import GreensFunction, _ScatteringSolver, eigenvalues_compact, greens_function
+from .solver import (
+    GreensFunction,
+    _eigenvalues_lockstep,
+    _ScatteringSolver,
+    eigenvalues_compact,
+    greens_function,
+)
 
 __all__ = [
     "DEFAULT_D_VALUES",
@@ -279,7 +285,17 @@ def metric_eigengap(st: STForm, d: float, count: int = 5, L: float = 1.0) -> flo
     with Dirichlet ends; the lowest `count` eigenvalues above
     ``eigengap_floor(st)`` are matched by index.
     """
-    spec = EigGap(count=count, L=L)
+    (gap,) = _eigengaps(st, (d,), EigGap(count=count, L=L))
+    if isinstance(gap, QGraphError):
+        raise gap
+    return gap
+
+
+def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
+    """Per d of ``d_values``, :func:`metric_eigengap`, or the QGraphError
+    that d raises; a QGraphError of the star side propagates.  The star is
+    solved once, and every approximating graph's search runs in one lockstep
+    solve (see :func:`~qgraph.solver._eigenvalues_lockstep`)."""
 
     def star_side():
         floor = eigengap_floor(st)
@@ -287,9 +303,17 @@ def metric_eigengap(st: STForm, d: float, count: int = 5, L: float = 1.0) -> flo
         return floor, eigenvalues_compact(star, spec.count, lam_min=floor)
 
     floor, lam_star = _star_side(("eig", spec.count, spec.L), star_side)
-    approx = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
-    lam_d = eigenvalues_compact(approx, spec.count, lam_min=floor)
-    return float(np.max(np.abs(lam_d - lam_star)))
+    gaps: dict = {}
+    systems = {}
+    for d in d_values:
+        try:
+            systems[d] = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
+        except QGraphError as exc:
+            gaps[d] = exc
+    solved = _eigenvalues_lockstep(list(systems.values()), spec.count, lam_min=floor)
+    for d, lam_d in zip(systems, solved):
+        gaps[d] = lam_d if isinstance(lam_d, QGraphError) else float(np.max(np.abs(lam_d - lam_star)))
+    return [gaps[d] for d in d_values]
 
 
 @functools.lru_cache(maxsize=4)
@@ -455,8 +479,6 @@ def _evaluate_metric(st: STForm, d: float, metric: MetricSpec) -> float:
         return metric_scattering(st, d, metric.k_list)
     if isinstance(metric, HSResolvent):
         return metric_hs_resolvent(st, d, metric.z, metric.L, metric.quad_n)
-    if isinstance(metric, EigGap):
-        return metric_eigengap(st, d, metric.count, metric.L)
     raise InputError(f"unknown metric specification {metric!r}")
 
 
@@ -465,26 +487,43 @@ def _flat(text: str) -> str:
     return " ".join(text.split()).replace(",", ";")
 
 
-def _sweep_points(cfg: SweepConfig) -> list[SweepPoint]:
-    """The per-d points of a sweep, with the star-side memo set; run in a
-    copied context, so the memo ends with the sweep."""
-    _SWEEP_MEMO.set({})
-    points: list[SweepPoint] = []
+def _outcomes(cfg: SweepConfig) -> list[tuple[float | QGraphError, list[str]]]:
+    """Per d, the metric value or the QGraphError it raised, and its
+    quadrature notes.  Warnings are recorded, so none escapes the sweep."""
+    if isinstance(cfg.metric, EigGap):
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            try:
+                gaps = _eigengaps(cfg.st, cfg.d_values, cfg.metric)
+            except QGraphError as exc:
+                gaps = [exc] * len(cfg.d_values)
+        return [(gap, []) for gap in gaps]
+    outcomes = []
     for d in cfg.d_values:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 value = _evaluate_metric(cfg.st, d, cfg.metric)
             except QGraphError as exc:
-                points.append(
-                    SweepPoint(d=d, value=None, status=f"skipped: {_flat(str(exc))}")
-                )
-                continue
+                value = exc
         notes = [
             _flat(str(w.message))
             for w in caught
             if issubclass(w.category, QuadratureWarning)
         ]
+        outcomes.append((value, notes))
+    return outcomes
+
+
+def _sweep_points(cfg: SweepConfig) -> list[SweepPoint]:
+    """The per-d points of a sweep, with the star-side memo set; run in a
+    copied context, so the memo ends with the sweep."""
+    _SWEEP_MEMO.set({})
+    points: list[SweepPoint] = []
+    for d, (value, notes) in zip(cfg.d_values, _outcomes(cfg)):
+        if isinstance(value, QGraphError):
+            points.append(SweepPoint(d=d, value=None, status=f"skipped: {_flat(str(value))}"))
+            continue
         status = "ok" if not notes else "ok; " + "; ".join(notes)
         if value <= cfg.tol:
             status += "; at roundoff; excluded from fit"
@@ -495,12 +534,17 @@ def _sweep_points(cfg: SweepConfig) -> list[SweepPoint]:
 def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Evaluate the metric at every d, fit the rate, assemble the report.
 
-    The d values are processed independently in their listed (decreasing)
-    order, so the report is deterministic.  The star side of the metric,
-    which does not depend on d, is computed once per sweep.  A d where the
-    builder or the solver raises is recorded as skipped with the error
-    message; fewer than four valid points leave the report inconclusive
-    with the fit fields unset.
+    Every d's value is the one its own metric call gives, and the report
+    lists the d values in their given (decreasing) order, so it is
+    deterministic.  The star side of the metric, which does not depend on
+    d, is computed once per sweep.  Scattering and HS evaluate one d at a
+    time; an eig sweep searches every d's eigenvalues at once, in lockstep
+    rounds that count all the approximating graphs in one batched call
+    (those up to 6 wide; see :func:`~qgraph.solver._eigenvalues_lockstep`).
+    A d where the builder or the solver raises is recorded as skipped with
+    the error message, and the other d values are unaffected; fewer than
+    four valid points leave the report inconclusive with the fit fields
+    unset.
     """
     points = contextvars.copy_context().run(_sweep_points, cfg)
     fit_points = [

@@ -32,7 +32,11 @@ plus its number of inner edges.
   interval, then takes those levels' decisions (a matrix wider than 6,
   whose points cost more, is counted one point at a time).  Every decision
   reads the count at the lambda a one-point bisection would, so the bits
-  are that bisection's.
+  are that bisection's.  The search is a generator that yields the lambdas
+  it needs counted, so the searches of several systems of one reduction
+  shape, such as an eig sweep's approximating graphs, advance in lockstep:
+  each round counts all their batches in one call, with the per-graph
+  arrays stacked and gathered per point.
 * A scattering matrix solves B(k^2) x = -2ik J_h* for an incoming wave on
   each channel h; then S = J_h x - I.
 * A resolvent kernel is the free-line kernel on the source edge plus the
@@ -61,6 +65,7 @@ command that factors nothing, loads numpy alone.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from typing import NamedTuple
@@ -80,6 +85,7 @@ from .couplings import st_from_ab
 from .errors import (
     InputError,
     NearSingularZError,
+    QGraphError,
     ResonantKError,
     ScanRangeError,
     StructuralError,
@@ -111,17 +117,19 @@ def __getattr__(name):
 # scattering momentum is resonant and a resolvent point lies on the spectrum.
 _COND_LIMIT = 1e12
 
-# Points per batched count in the eigenvalue search, on a reduced matrix up
-# to _ROUND_SIZE wide: a bisection round counts at most max(_ROUND_POINTS,
-# live intervals) speculative midpoints, and the bracket counts its doubling
-# sequence in batches of _ROUND_POINTS.  On the 3-wide reductions of n = 3
-# approximating graphs a count costs about 0.1-0.2 ms per call and 32 points
-# about 3 times one (2-CPU Xeon), so fewer, wider calls are faster.  A
-# point's own cost grows with the width: on delta' graphs at d = 2^-4, 32
-# points cost 9 times one at 8 wide and 21 times at 16 wide, and 5
-# eigenvalues took 2.2 and 30 times as long in batched rounds as in plain
-# bisection.  So a matrix wider than _ROUND_SIZE is counted one point at a
-# time: plain bisection.
+# Points per graph per batched count in the eigenvalue search, on a reduced
+# matrix up to _ROUND_SIZE wide: a bisection round of one graph counts at
+# most max(_ROUND_POINTS, live intervals) speculative midpoints, and the
+# bracket counts its doubling sequence in batches of _ROUND_POINTS; a
+# lockstep round counts the batches of all the graphs of a family in one
+# call.  On the 3-wide reductions of n = 3 approximating graphs a count
+# costs about 0.1-0.2 ms per call and 32 points about 3 times one (2-CPU
+# Xeon), so fewer, wider calls are faster.  A point's own cost grows with
+# the width: on delta' graphs at d = 2^-4, 32 points cost 9 times one at 8
+# wide and 21 times at 16 wide, and 5 eigenvalues took 2.2 and 30 times as
+# long in batched rounds as in plain bisection.  So a matrix wider than
+# _ROUND_SIZE is counted one point at a time, plain bisection, and its
+# graph alone.
 _ROUND_POINTS = 32
 _ROUND_SIZE = 6
 
@@ -179,6 +187,13 @@ def _group_by_edge(points) -> dict[object, tuple[np.ndarray, np.ndarray]]:
         eid: (np.array(idx), np.array([points[i][1] for i in idx]))
         for eid, idx in groups.items()
     }
+
+
+def _rows(arr: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """A per-edge array at the points ``at``: its rows there when it holds
+    one row per point (see :meth:`_EigenvalueCount.many`), else the array
+    itself, which broadcasts."""
+    return arr[at] if arr.ndim > 1 else arr
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +365,7 @@ class _Reduction:
         floats (exact below 2^53).  For lambda <= 0 the coefficients are
         kappa tanh(kappa l/2) and kappa coth(kappa l/2).
         """
-        npts, ne = len(lam), len(self.length)
+        npts, ne = len(lam), self.length.shape[-1]
         coef = np.empty((npts, 2 * ne))
         b = np.full((npts, ne), np.nan)
         minus = np.zeros((npts, ne), dtype=bool)
@@ -358,16 +373,16 @@ class _Reduction:
         below = lam <= 0.0
         if below.any():
             kappa = np.sqrt(-lam[below])[:, np.newaxis]
-            t = np.tanh(0.5 * kappa * self.length)
+            t = np.tanh(0.5 * kappa * _rows(self.length, below))
             coef[below, :ne] = kappa * t
             # kappa coth(kappa l/2) is 2/l where the tanh underflows to 0.
             limit = np.empty_like(t)
-            limit[:] = self.two_over_l
+            limit[:] = _rows(self.two_over_l, below)
             coef[below, ne:] = np.divide(kappa, t, out=limit, where=t > 0)
         above = ~below
         if above.any():
             k = np.sqrt(lam[above])[:, np.newaxis]
-            q = k * self.length / math.pi
+            q = k * _rows(self.length, above) / math.pi
             levels = np.ceil(q) - 1.0
             # kl/2 = (levels + x) pi/2 with x in (0, 1]: with tau = tan(x pi/2),
             # -k tan(kl/2) is -k tau on w_+ and k/tau on w_- for an even level
@@ -422,7 +437,7 @@ class _Reduction:
         complex coefficients; the complement then subtracts b_m (row) / p_m.
         """
         mat = self.s_mat + (self.w * coef[:, np.newaxis, :]) @ self.w_adj
-        if not len(self.mid_w):
+        if not self.mid_w.shape[-1]:
             # Nothing to eliminate: no columns, pivots or rows.
             none = coef[:, :0]
             return (mat, mat[:, :, :0], none, none != 0) + ((mat[:, :0],) if row else ())
@@ -473,8 +488,13 @@ class _Reduction:
             out[:, diag, diag] = np.take_along_axis(piv, mids, axis=1)
         if nb:
             edge = np.nonzero(inside)[1].reshape(npts, nb)
-            mode = edge + len(self.length) * minus[inside].reshape(npts, nb)
-            vecs = self.w[:, mode].transpose(1, 0, 2)
+            mode = edge + self.length.shape[-1] * minus[inside].reshape(npts, nb)
+            if self.w.ndim == 2:
+                vecs = self.w[:, mode].transpose(1, 0, 2)
+            else:
+                # One row of w and wm per point (see _EigenvalueCount.many).
+                pts = np.arange(npts)[:, np.newaxis]
+                vecs = self.w[pts, :, mode].transpose(0, 2, 1)
             out[:, :size, border] = root_k * vecs
             out[:, border, :size] = root_k * vecs.conj().transpose(0, 2, 1)
             diag = np.arange(size + nk, size + nk + nb)
@@ -482,7 +502,7 @@ class _Reduction:
         if nk and nb:
             # A border vector's entry at the kept midpoint of its edge.
             at_mid = self.mode_mid[edge][:, np.newaxis, :] == mids[:, :, np.newaxis]
-            entry = self.wm[mode][:, np.newaxis, :]
+            entry = (self.wm[mode] if self.wm.ndim == 1 else self.wm[pts, mode])[:, np.newaxis, :]
             out[:, kept, border] = root_k * np.where(at_mid, entry, 0.0)
             out[:, border, kept] = (root_k * np.where(at_mid, entry.conj(), 0.0)).transpose(0, 2, 1)
         return out
@@ -531,6 +551,11 @@ class _Point(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+# The arrays of a reduction that differ between the approximating graphs of
+# one ST form: a count of several graphs stacks them on a leading graph axis.
+_PER_GRAPH = ("s_mat", "mid_w", "length", "two_over_l", "w", "w_adj", "wm", "w_mid")
+
+
 class _EigenvalueCount(_Reduction):
     """N(lambda), the number of eigenvalues below lambda of a compact system.
 
@@ -544,26 +569,76 @@ class _EigenvalueCount(_Reduction):
     its pivot's sign, n_-(B) = n_-(complement) + #{p_m < 0} (Haynsworth).
     Each border row with b < 0 adds one negative eigenvalue to the bordered
     matrix, which is subtracted.
+
+    A count holds a stack of systems whose reductions share a :attr:`shape`,
+    such as the approximating graphs of one ST form at several d (see
+    :meth:`stack`): the arrays named in _PER_GRAPH carry a leading graph
+    axis, and ``graphs`` holds each system's own reduction, which shares
+    its arrays' memory with the stack.  A count of one system is a stack of
+    one.
     """
 
-    def many(self, lams) -> list[int]:
-        """N(lambda) at every point of the 1-d array ``lams``.
+    def __init__(self, sys: MetricGraphSystem):
+        super().__init__(sys)
+        self.graphs = [self._view({})]
+        for name in _PER_GRAPH:
+            setattr(self, name, getattr(self, name)[np.newaxis])
+
+    @property
+    def shape(self) -> tuple:
+        """What reductions must share to be stacked: the kept values, the
+        finite edges, and the midpoints with their halves."""
+        return (self.s_mat.shape[1:], self.s_mat.dtype, self.length.shape[1:], self.halves.shape,
+                self.halves.tobytes())
+
+    @classmethod
+    def stack(cls, counts: list["_EigenvalueCount"]) -> "_EigenvalueCount":
+        """One count of the systems of ``counts``, which share a shape; graph
+        g of the stack is the system of ``counts[g]``."""
+        if len(counts) == 1:
+            return counts[0]
+        out = copy.copy(counts[0])
+        for name in _PER_GRAPH:
+            setattr(out, name, np.concatenate([getattr(c, name) for c in counts]))
+        out.graphs = [out._gather(g) for g in range(len(counts))]
+        return out
+
+    def _view(self, arrays: dict) -> _Reduction:
+        """This reduction, with ``arrays`` in place of its own arrays of the
+        same names."""
+        view = _Reduction.__new__(_Reduction)
+        view.__dict__ = {name: value for name, value in vars(self).items() if name != "graphs"}
+        view.__dict__.update(arrays)
+        return view
+
+    def _gather(self, graph) -> _Reduction:
+        """The reduction with the stacked arrays read at ``graph``: one graph
+        of the stack, or an array of one per point, which gathers one row
+        per point."""
+        return self._view({name: getattr(self, name)[graph] for name in _PER_GRAPH})
+
+    def many(self, lams, graph: int | np.ndarray = 0) -> list[int]:
+        """N(lambda) at every point of the 1-d array ``lams``, of the graph
+        ``graph`` of the stack, or of one graph per point when ``graph`` is
+        an array (which gathers the graphs' arrays per point).
 
         Edge coefficients are computed as (points, edges) arrays, the
         complement of all points as stacked matmuls, and the inertia as one
         stacked eigvalsh per number of kept midpoints and border rows.  Every
         slice goes through the same operations, in the same order, as a
-        single point would.
+        single point of its graph would; points of several graphs read their
+        graphs' arrays gathered per point.
         """
         lam = np.asarray(lams, dtype=float).reshape(-1)
-        coef, b, minus, level_sum = self.real_coefficients(lam)
+        red = self._gather(graph) if isinstance(graph, np.ndarray) else self.graphs[graph]
+        coef, b, minus, level_sum = red.real_coefficients(lam)
         inside = ~np.isnan(b)
-        mat, col, piv, keep = self.complement(coef, inside)
+        mat, col, piv, keep = red.complement(coef, inside)
         # N = level count + negative eigenvalues of the bordered complement
         # + negative eliminated pivots - negative b's.
         inertia = (~keep & (piv < 0)).sum(axis=1) - (b < 0).sum(axis=1)
         # Points are grouped by their numbers of kept midpoints and borders.
-        extra = keep.sum(axis=1) * (len(self.length) + 1) + inside.sum(axis=1)
+        extra = keep.sum(axis=1) * (inside.shape[1] + 1) + inside.sum(axis=1)
         for key in set(extra.tolist()):
             at = np.flatnonzero(extra == key)
             part = mat if len(at) == len(lam) else mat[at]
@@ -571,21 +646,26 @@ class _EigenvalueCount(_Reduction):
                 # Border rows come only at lambda > 0; a kept midpoint's row
                 # needs no sqrt(k).
                 root_k = np.sqrt(np.sqrt(np.maximum(lam[at], 0.0)))
-                part = self.bordered(part, root_k, b[at], minus[at], col[at], piv[at], keep[at])
+                sub = red
+                if isinstance(graph, np.ndarray) and len(at) < len(lam):
+                    # The rows of the points at hand, which is all bordered reads.
+                    sub = copy.copy(red)
+                    sub.w, sub.wm = red.w[at], red.wm[at]
+                part = sub.bordered(part, root_k, b[at], minus[at], col[at], piv[at], keep[at])
             inertia[at] += _negative_counts(part)
-        return [int(s) + int(n) for s, n in zip(level_sum, inertia)]
+        return [int(s) + n for s, n in zip(level_sum.tolist(), inertia.tolist())]
 
 
 def _negative_counts(mats: np.ndarray) -> np.ndarray:
     """Negative eigenvalues of each Hermitian matrix in a stack, counted
     after a symmetric diagonal scaling (which keeps the inertia) that brings
-    every row's largest entry to 1."""
+    every row's largest entry to 1; the scaling overwrites ``mats``."""
     if not mats.shape[-1]:
         return np.zeros(len(mats), dtype=int)
     row_max = np.abs(mats).max(axis=-1)
     scale = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
-    scaled = mats * (scale[:, :, np.newaxis] * scale[:, np.newaxis, :])
-    return (np.linalg.eigvalsh(scaled) < 0).sum(axis=-1)
+    mats *= scale[:, :, np.newaxis] * scale[:, np.newaxis, :]
+    return (np.linalg.eigvalsh(mats) < 0).sum(axis=-1)
 
 
 def _batch_points(size: int) -> int:
@@ -603,14 +683,13 @@ def _doubling(lam: float, points: int) -> list[float]:
     return chunk
 
 
-def _bracket(count_below, chunk: list[float], counts, done, other_end: float) -> tuple[float, int]:
+def _bracket(chunk: list[float], counts, done, other_end: float, points: int):
     """The first lambda of the doubling sequence that begins with ``chunk``
-    whose count passes ``done``, and that count.  ``counts`` are the counts
-    at ``chunk``, taken by the caller; the rest of the sequence is counted
-    in batches (see :func:`_batch_points`).  It ends, with
-    :class:`ScanRangeError`, at the last lambda whose double is still
-    finite."""
-    points = _batch_points(count_below.size)
+    whose count passes ``done``, and that count, as a generator (see
+    :func:`_search`).  ``counts`` are the counts at ``chunk``, taken by the
+    caller; the rest of the sequence is yielded in chunks of ``points``.  It
+    ends, with :class:`ScanRangeError`, at the last lambda whose double is
+    still finite."""
     while True:
         for lam, n in zip(chunk, counts):
             if done(n):
@@ -621,7 +700,7 @@ def _bracket(count_below, chunk: list[float], counts, done, other_end: float) ->
                 window=(min(lam, other_end), max(lam, other_end)),
             )
         chunk = _doubling(2.0 * lam, points)
-        counts = count_below.many(chunk)
+        counts = yield chunk
 
 
 def _is_leaf(a: float, b: float) -> bool:
@@ -629,11 +708,10 @@ def _is_leaf(a: float, b: float) -> bool:
     return b - a <= 1e-13 * max(1.0, abs(a), abs(b))
 
 
-def _subtree_counts(count_below, live, depth: int) -> dict[float, int]:
-    """N at the midpoint of every interval of the depth-``depth`` bisection
-    subtree of each live interval, in one batched count, keyed by the
-    midpoint; an interval at leaf width is not split, so neither it nor
-    anything below it is counted."""
+def _subtree_midpoints(live, depth: int) -> list[float]:
+    """The midpoint of every interval of the depth-``depth`` bisection
+    subtree of each live interval; an interval at leaf width is not split,
+    so neither it nor anything below it is listed."""
     mids = []
     level = [(a, b) for a, b, _, _ in live]
     for _ in range(depth):
@@ -644,7 +722,139 @@ def _subtree_counts(count_below, live, depth: int) -> dict[float, int]:
                 mids.append(mid)
                 children += [(a, mid), (mid, b)]
         level = children
-    return dict(zip(mids, count_below.many(mids)))
+    return mids
+
+
+def _search(points: int, count: int, lam_min: float | None):
+    """The eigenvalue search of :func:`eigenvalues_compact` on one system,
+    as a generator: it yields every list of lambda it needs counted, is sent
+    their counts, and returns the eigenvalues.  ``points`` is the batch size
+    (see :func:`_batch_points`)."""
+    if lam_min is None:
+        down = _doubling(-1.0, points)
+        lo, n_lo = yield from _bracket(down, (yield down), lambda n: n == 0, 0.0, points)
+        up = _doubling(max(1.0, 2.0 * lo), points)
+        counts = yield up
+    else:
+        # lam_min is counted in one batch with the first upward chunk.
+        lo = lam_min
+        up = _doubling(max(1.0, 2.0 * lo), max(1, points - 1))
+        n_lo, *counts = yield [lam_min] + up
+    target = n_lo + count
+    hi, n_hi = yield from _bracket(up, counts, lambda n: n >= target, lo, points)
+    # An interval's fate depends on its own ends alone, so bisecting level
+    # by level builds the tree of a depth-first search; sorting the leaves
+    # restores its left-to-right output order.
+    leaves: list[tuple[float, float, int]] = []
+
+    def settle(intervals):
+        """The intervals still to split; leaves are recorded, and intervals
+        without a wanted level dropped."""
+        live = []
+        for a, b, n_a, n_b in intervals:
+            if n_b <= n_a or n_a >= target:
+                continue
+            if _is_leaf(a, b):
+                leaves.append((a, 0.5 * (a + b), n_b - n_a))
+            else:
+                live.append((a, b, n_a, n_b))
+        return live
+
+    live = settle([(lo, hi, n_lo, n_hi)])
+    while live:
+        # The deepest r with len(live) * (2^r - 1) <= points, at least 1.
+        depth = max(1, (points // len(live) + 1).bit_length() - 1)
+        mids = _subtree_midpoints(live, depth)
+        n_at = dict(zip(mids, (yield mids)))
+        for _ in range(depth):
+            children = []
+            for a, b, n_a, n_b in live:
+                mid = 0.5 * (a + b)
+                # Clamped so that roundoff next to a level cannot break monotonicity.
+                n_mid = min(max(n_at[mid], n_a), n_b)
+                children += [(a, mid, n_a, n_mid), (mid, b, n_mid, n_b)]
+            live = settle(children)
+    leaves.sort()
+    values = [mid for _, mid, mult in leaves for _ in range(mult)]
+    return np.array(values[:count])
+
+
+def _eigenvalues_lockstep(systems, count: int, lam_min: float | None = None) -> list:
+    """Per system of ``systems``, the result of :func:`eigenvalues_compact`
+    or the :class:`QGraphError` it raises; ``count`` and ``lam_min`` are
+    validated for all.
+
+    Systems whose reductions share a shape and are up to _ROUND_SIZE wide,
+    such as the approximating graphs of one ST form, are searched in
+    lockstep (see :func:`_search_family`).  A wider count is point-bound:
+    stacking it would gather its arrays per point, and at delta' n = 24 a
+    stacked eig sweep was slower and larger than the solo searches.  So
+    each wider system is searched alone, as soon as it is reduced, and only
+    one such reduction is held at a time.
+    """
+    count = require_positive_int(count, "count")
+    if lam_min is not None:
+        lam_min = require_finite_real(lam_min, "lam_min")
+    results: list = [None] * len(systems)
+    families: dict[tuple, list[tuple[int, _EigenvalueCount]]] = {}
+    for i, sys in enumerate(systems):
+        try:
+            if not sys.is_compact:
+                raise StructuralError("system has half-lines; call truncate() first")
+            one = _EigenvalueCount(sys)
+        except QGraphError as exc:
+            results[i] = exc
+            continue
+        if one.size <= _ROUND_SIZE:
+            families.setdefault(one.shape, []).append((i, one))
+        else:
+            _search_family([(i, one)], count, lam_min, results)
+            del one
+    for members in families.values():
+        _search_family(members, count, lam_min, results)
+    return results
+
+
+def _search_family(members, count: int, lam_min: float | None, results: list) -> None:
+    """Run the searches of ``members``, (index, one-system count) pairs of
+    one shape, to their ends, and put each one's eigenvalues, or the
+    QGraphError it raises, at its index of ``results``.
+
+    The searches advance in lockstep rounds: a round takes the batch each
+    search waits on and counts them all in one call of the members' stacked
+    count, so a family makes as many calls as its slowest search alone.
+    Each point is counted as its system alone would count it, so every
+    search reads the same counts and takes the same decisions.
+    """
+    stacked = _EigenvalueCount.stack([one for _, one in members])
+    points = _batch_points(stacked.size)
+    searches = [_search(points, count, lam_min) for _ in members]
+    # The batch each search waits on, by its graph of the stack.
+    waiting: dict[int, list[float]] = {}
+
+    def resume(g, counts):
+        try:
+            waiting[g] = searches[g].send(counts)
+        except StopIteration as stop:
+            results[members[g][0]] = stop.value
+        except QGraphError as exc:
+            results[members[g][0]] = exc
+
+    for g in range(len(members)):
+        resume(g, None)
+    while waiting:
+        asked = list(waiting.items())
+        waiting.clear()
+        if len(asked) == 1:
+            ((graph, lams),) = asked
+        else:
+            graph = np.repeat([g for g, _ in asked], [len(batch) for _, batch in asked])
+            lams = [lam for _, batch in asked for lam in batch]
+        counts = stacked.many(lams, graph)
+        at = 0
+        for g, batch in asked:
+            resume(g, counts[at : at + len(batch)])
+            at += len(batch)
 
 
 def eigenvalues_compact(
@@ -668,64 +878,19 @@ def eigenvalues_compact(
     depth-r subtree of each live interval (r as deep as a batch of 32 points
     allows on a reduced matrix up to 6 wide, and at least 1; a wider matrix
     is counted one point per round, which is plain bisection), then takes r
-    levels of interval decisions from those counts.  Every decision reads the count at the same lambda as a
-    depth-first bisection would, so the values and their order are that
-    search's.  With ``lam_min``, which must be finite, only eigenvalues
-    above that floor are returned.
+    levels of interval decisions from those counts.  Every decision reads
+    the count at the same lambda as a depth-first bisection would, so the
+    values and their order are that search's.  With ``lam_min``, which must
+    be finite, only eigenvalues above that floor are returned.
+
+    This is :func:`_eigenvalues_lockstep` on one system; an eig sweep runs
+    it on all its approximating graphs at once, with the same result for
+    each.
     """
-    count = require_positive_int(count, "count")
-    if lam_min is not None:
-        lam_min = require_finite_real(lam_min, "lam_min")
-    if not sys.is_compact:
-        raise StructuralError("system has half-lines; call truncate() first")
-    count_below = _EigenvalueCount(sys)
-    points = _batch_points(count_below.size)
-    if lam_min is None:
-        down = _doubling(-1.0, points)
-        lo, n_lo = _bracket(count_below, down, count_below.many(down), lambda n: n == 0, 0.0)
-        up = _doubling(max(1.0, 2.0 * lo), points)
-        counts = count_below.many(up)
-    else:
-        # lam_min is counted in one call with the first upward batch.
-        lo = lam_min
-        up = _doubling(max(1.0, 2.0 * lo), max(1, points - 1))
-        n_lo, *counts = count_below.many([lam_min] + up)
-    target = n_lo + count
-    hi, n_hi = _bracket(count_below, up, counts, lambda n: n >= target, lo)
-    # An interval's fate depends on its own ends alone, so bisecting level
-    # by level builds the tree of a depth-first search; sorting the leaves
-    # restores its left-to-right output order.
-    leaves: list[tuple[float, float, int]] = []
-
-    def settle(intervals):
-        """The intervals still to split; leaves are recorded, and intervals
-        without a wanted level dropped."""
-        live = []
-        for a, b, n_a, n_b in intervals:
-            if n_b <= n_a or n_a >= target:
-                continue
-            if _is_leaf(a, b):
-                leaves.append((a, 0.5 * (a + b), n_b - n_a))
-            else:
-                live.append((a, b, n_a, n_b))
-        return live
-
-    live = settle([(lo, hi, n_lo, n_hi)])
-    while live:
-        # The deepest r with len(live) * (2^r - 1) <= points, at least 1.
-        depth = max(1, (points // len(live) + 1).bit_length() - 1)
-        n_at = _subtree_counts(count_below, live, depth)
-        for _ in range(depth):
-            children = []
-            for a, b, n_a, n_b in live:
-                mid = 0.5 * (a + b)
-                # Clamped so that roundoff next to a level cannot break monotonicity.
-                n_mid = min(max(n_at[mid], n_a), n_b)
-                children += [(a, mid, n_a, n_mid), (mid, b, n_mid, n_b)]
-            live = settle(children)
-    leaves.sort()
-    values = [mid for _, mid, mult in leaves for _ in range(mult)]
-    return np.array(values[:count])
+    (result,) = _eigenvalues_lockstep([sys], count, lam_min)
+    if isinstance(result, QGraphError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

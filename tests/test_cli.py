@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,6 +25,7 @@ from helpers import (
     make_dirichlet,
     make_kirchhoff,
     make_singular_at_tenth,
+    random_st,
 )
 
 
@@ -526,3 +528,58 @@ def test_fuzzed_documents_exit_with_a_documented_code(doc):
             assert defect <= 1e-10 * scale, (doc, out)
         if code == 0 and argv[0] == "build":
             assert isinstance(loads(out), ApproxGraph), (doc, out)
+
+
+# -- fuzzed eig sweeps ------------------------------------------------------
+
+_EIG_WINDOW_START = st_.one_of(
+    st_.integers(min_value=0, max_value=12),
+    st_.integers(min_value=20, max_value=60),
+    st_.integers(min_value=1015, max_value=1075),
+)
+
+
+def _one_d_row(text: str, d: float) -> str:
+    """The d,metric,status row of a one-d eig sweep of ``text``: from its
+    CSV, or, when that d fails (exit 4, no CSV), from its stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "one.csv")
+        code, _, err = _run_quietly(["sweep", "-", "--metric", "eig", "--d", repr(d), "--out", out],
+                                    text)
+        if code == 0:
+            return Path(out).read_text().splitlines()[1]
+    assert code == 4, err
+    status = err.splitlines()[0].split(": ", 1)[1]
+    return f"{d:.17e},,{status}"
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st_.integers(min_value=0, max_value=2**32 - 1),
+    st_.integers(min_value=1, max_value=3),
+    _EIG_WINDOW_START,
+    st_.integers(min_value=0, max_value=3),
+)
+@example(seed=1, n=3, p0=2, width=3)
+@example(seed=2, n=2, p0=1018, width=3)
+def test_fuzzed_eig_sweeps_match_one_d_sweeps(seed, n, p0, width):
+    """``qgraph sweep --metric eig --d-range p0:p1`` on a random coupling
+    with n <= 3 exits with a documented code and no traceback or warning;
+    on success every CSV row equals that of a sweep at its d alone.  The
+    windows reach from d = 1 past the default grid down to where strengths
+    overflow and d underflows to 0 (exit 2).  The lockstep search serves all
+    of a window's d values together; each row must read as if it had not."""
+    text = dumps(random_st(np.random.default_rng(seed), n=n))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sweep.csv")
+        argv = ["sweep", "-", "--metric", "eig", "--d-range", f"{p0}:{p0 + width}", "--out", out]
+        code, stdout, err = _run_quietly(argv, text)
+        assert code in range(6), (argv, code, err)
+        assert "Traceback" not in err and "Warning" not in err, err
+        if code != 0:
+            return
+        assert stdout.startswith("slope=")
+        rows = Path(out).read_text().splitlines()[1 : 2 + width]
+    assert len(rows) == width + 1
+    for row in rows:
+        assert row == _one_d_row(text, float(row.split(",")[0]))

@@ -10,7 +10,9 @@ import pytest
 
 import qgraph.cli as cli
 import qgraph.convergence as convergence
+import qgraph.solver as solver
 from qgraph import (
+    DEFAULT_D_VALUES,
     ConvergenceReport,
     Edge,
     EigGap,
@@ -23,8 +25,10 @@ from qgraph import (
     ScatteringNorm,
     SweepConfig,
     SweepPoint,
+    Vertex,
     ab_from_st,
     build_approx_graph,
+    dirichlet_condition,
     dumps,
     effective_scattering,
     eigengap_floor,
@@ -398,16 +402,111 @@ def test_sweep_csv_equals_per_d_metric_calls(st_delta_prime, metric):
 
 
 def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
-    """Per sweep: the star's eigenvalues once, its resolvent once (its mode
-    amplitudes serve both quadrature levels), and the approximating
-    resolvent once per d."""
+    """Per sweep: the star's eigenvalues once and each approximating graph's
+    eigenvalue search once, all graphs in one lockstep solve; the star's
+    resolvent once (its mode amplitudes serve both quadrature levels), and
+    the approximating resolvent once per d."""
     n = len(MEMO_D_VALUES)
     solves = _counting(monkeypatch, "eigenvalues_compact")
+    families = _counting(monkeypatch, "_eigenvalues_lockstep")
+    searches = []
+    search = solver._search
+
+    def counted_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(solver, "_search", counted_search)
     run_sweep(SweepConfig(st=st_delta_prime, metric=EigGap(), d_values=MEMO_D_VALUES))
-    assert len(solves) == 1 + n
+    assert len(solves) == 1 and len(families) == 1 and len(families[0][0]) == n
+    assert len(searches) == 1 + n
     resolvents = _counting(monkeypatch, "greens_function")
     run_sweep(SweepConfig(st=st_delta_prime, metric=HSResolvent(), d_values=MEMO_D_VALUES))
     assert len(resolvents) == 1 + n
+
+
+def test_eig_sweep_counts_as_often_as_its_slowest_graph(monkeypatch, st_delta_prime):
+    """A default-grid eig sweep makes as many count calls as the star's
+    search plus the slowest approximating graph's search alone (34 in all
+    for delta', where one search per graph made 170)."""
+    calls = []
+    many = solver._EigenvalueCount.many
+
+    def recorded(self, lams, graph=0):
+        calls.append(len(lams))
+        return many(self, lams, graph)
+
+    monkeypatch.setattr(solver._EigenvalueCount, "many", recorded)
+    floor = eigengap_floor(st_delta_prime)
+    eigenvalues_compact(truncate(star_system(st_delta_prime), L=1.0), 5, lam_min=floor)
+    star_calls = len(calls)
+    solo = []
+    for d in DEFAULT_D_VALUES:
+        calls.clear()
+        sys_ = truncate(system_from_approx(build_approx_graph(st_delta_prime, d)), L=1.0)
+        eigenvalues_compact(sys_, 5, lam_min=floor)
+        solo.append(len(calls))
+    calls.clear()
+    run_sweep(SweepConfig(st=st_delta_prime, metric=EigGap()))
+    assert len(calls) == star_calls + max(solo) == 34
+    assert star_calls + sum(solo) == 170
+
+
+def _short_dirichlet_interval() -> MetricGraphSystem:
+    """An edge of length 1e-155 between Dirichlet ends: its first level,
+    (pi / l)^2, lies beyond the float range, so no eigenvalue count is ever
+    reached."""
+    edge = Edge(id="e", length=1e-155)
+    return MetricGraphSystem(
+        edges=(edge,),
+        vertices=(
+            Vertex(id="a", condition=dirichlet_condition(), ends=(("e", 0),)),
+            Vertex(id="b", condition=dirichlet_condition(), ends=(("e", 1),)),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "failing, bad, reason",
+    [
+        ("strength", 1e-308, "a delta strength overflows"),
+        ("reduced_matrix", 1e-305, "overflow the reduced matrix"),
+        ("scan", 2.0**-6, "eigenvalue count not reached"),
+    ],
+)
+def test_eig_sweep_reports_a_failing_d_as_a_one_d_sweep(monkeypatch, failing, bad, reason):
+    """One d that fails at build (a strength overflows), at the reduction
+    (its edges overflow the reduced matrix) or in the search (its count is
+    never reached; that d's system is replaced by a too-short interval)
+    among good ones: every d, the failing one included, reads exactly as in
+    a one-d sweep."""
+    if failing == "scan":
+        original = convergence.system_from_approx
+        monkeypatch.setattr(
+            convergence,
+            "system_from_approx",
+            lambda g: _short_dirichlet_interval() if g.d == bad else original(g),
+        )
+    st = make_delta()
+    d_values = tuple(sorted((2.0**-2, 2.0**-5, 2.0**-8, bad), reverse=True))
+    report = run_sweep(SweepConfig(st=st, metric=EigGap(), d_values=d_values))
+    for point in report.points:
+        (alone,) = run_sweep(SweepConfig(st=st, metric=EigGap(), d_values=(point.d,))).points
+        assert point == alone
+    assert report.skipped == ((bad, report.points[d_values.index(bad)].status),)
+    assert reason in report.skipped[0][1]
+
+
+@pytest.mark.parametrize(
+    "name", ["delta", "delta_prime_s", "kirchhoff_perturbed", "complex_t", "random_n3_m2"]
+)
+def test_default_grid_eig_sweep_equals_per_d_metric_calls(name, reference_couplings):
+    """The lockstep eig sweep of each acceptance coupling, and of a seeded
+    random n = 3, m = 2 normal form, on the default grid writes the CSV of
+    one metric_eigengap call per d."""
+    st = reference_couplings.get(name) or random_st(np.random.default_rng(7), n=3, m=2)
+    cfg = SweepConfig(st=st, metric=EigGap())
+    assert report_to_csv(run_sweep(cfg)) == report_to_csv(_per_d_report(cfg))
 
 
 def test_star_side_error_skips_every_d_with_its_message(monkeypatch):

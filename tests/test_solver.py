@@ -11,6 +11,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
 from qgraph import (
+    DEFAULT_D_VALUES,
     ConditioningError,
     CouplingKind,
     CouplingCondition,
@@ -48,6 +49,7 @@ from helpers import (
     make_delta,
     make_delta_prime,
     make_dirichlet,
+    make_kirchhoff_perturbed,
     random_built_graph,
     random_st,
     reference_count,
@@ -990,8 +992,9 @@ def test_count_across_a_vanishing_midpoint_pivot():
     count = _EigenvalueCount(sys_)
     assert count.size == 2
     points = [lam_p * (1.0 - 1e-12), lam_p, lam_p * (1.0 + 1e-12), lam_p - 0.5, lam_p + 0.5]
-    coef, b, _, _ = count.real_coefficients(np.array(points))
-    _, _, piv, keep = count.complement(coef, ~np.isnan(b))
+    (red,) = count.graphs
+    coef, b, _, _ = red.real_coefficients(np.array(points))
+    _, _, piv, keep = red.complement(coef, ~np.isnan(b))
     assert keep[:3, 0].all() and not keep[3:, 0].any()
     assert piv[4, 0] < 0 < piv[3, 0]
     assert count.many(points) == [sum(level < lam for level in levels) for lam in points] == [1] * 5
@@ -1057,7 +1060,7 @@ def test_approximating_graphs_reduce_to_n_wide(n):
     scatter = _ScatteringSolver(system_from_approx(g))
     count = _EigenvalueCount(truncate(system_from_approx(g), L=1.0))
     assert scatter.size == count.size == n
-    assert len(scatter.mid_w) == len(count.mid_w) == n * (n - 1) // 2
+    assert len(scatter.mid_w) == len(count.graphs[0].mid_w) == n * (n - 1) // 2
     pt = scatter.one_point(1.0, 1.0)
     assert pt.mat.shape == (n, n) and not len(pt.kept)
 
@@ -1096,9 +1099,9 @@ def test_eigenvalue_search_call_count(make, d, floor, monkeypatch):
     widths = []
     many = _EigenvalueCount.many
 
-    def counted(self, lams):
+    def counted(self, lams, graph=0):
         widths.append(len(lams))
-        return many(self, lams)
+        return many(self, lams, graph)
 
     monkeypatch.setattr(_EigenvalueCount, "many", counted)
     st = make()
@@ -1113,9 +1116,9 @@ def test_given_ends_are_counted_with_the_first_upward_batch(monkeypatch):
     calls = []
     many = _EigenvalueCount.many
 
-    def recorded(self, lams):
+    def recorded(self, lams, graph=0):
         calls.append(list(lams))
-        return many(self, lams)
+        return many(self, lams, graph)
 
     monkeypatch.setattr(_EigenvalueCount, "many", recorded)
     st = make_complex_t()
@@ -1146,7 +1149,12 @@ def test_chunked_bracket_matches_one_point_doubling(magnitude, negative, target)
     while not done(n_ref := count.many([ref])[0]):
         ref *= 2.0
     chunk = solver._doubling(lam, solver._ROUND_POINTS)
-    assert solver._bracket(count, chunk, count.many(chunk), done, 0.0) == (ref, n_ref)
+    search = solver._bracket(chunk, count.many(chunk), done, 0.0, solver._ROUND_POINTS)
+    counts = None
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            counts = count.many(search.send(counts))
+    assert stop.value.value == (ref, n_ref)
 
 
 @settings(max_examples=12, deadline=None)
@@ -1164,3 +1172,88 @@ def test_eigenvalues_of_random_normal_forms_match_depth_first_reference(seed, d)
     got = eigenvalues_compact(sys_, 6, lam_min=floor)
     ref = reference_eigenvalues(lambda lam: count.many([lam])[0], 6, lam_min=floor)
     assert got.tobytes() == ref.tobytes()
+
+
+# -- lockstep searches -------------------------------------------------------
+
+LOCKSTEP_FAMILIES = {
+    "delta": (make_delta, 4),
+    "delta_prime_s": (make_delta_prime, 4),
+    "kirchhoff_perturbed": (make_kirchhoff_perturbed, 4),
+    "complex_t": (make_complex_t, 4),
+    "random_n3_m2": (lambda: random_st(np.random.default_rng(7), n=3, m=2), 4),
+    # 8 wide, wider than _ROUND_SIZE: one point per graph per round.
+    "delta_prime_n8": (lambda: make_delta_prime(beta=1.0, n=8), 2),
+}
+
+
+def _solo_references(systems, count, lam_min):
+    """reference_eigenvalues of every system alone, over one-point counts."""
+    refs = []
+    for sys_ in systems:
+        one = _EigenvalueCount(sys_)
+        refs.append(reference_eigenvalues(lambda lam: one.many([lam])[0], count, lam_min=lam_min))
+    return refs
+
+
+@pytest.mark.parametrize("floor", [False, True], ids=["no_floor", "floor"])
+@pytest.mark.parametrize("name", list(LOCKSTEP_FAMILIES))
+def test_lockstep_search_matches_each_graph_alone(name, floor, monkeypatch):
+    """The approximating graphs of one ST form over the default grid,
+    searched in lockstep, return for every graph the bytes of the
+    depth-first bisection of that graph alone.  Up to _ROUND_SIZE wide one
+    stacked count call serves every graph of a round; delta' n = 8 counts
+    one point per graph per round, each graph in its own call."""
+    make, count = LOCKSTEP_FAMILIES[name]
+    st = make()
+    systems = [_approx(st, d) for d in DEFAULT_D_VALUES]
+    lam_min = eigengap_floor(st) if floor else None
+    graphs_per_call = []
+    many = _EigenvalueCount.many
+
+    def recorded(self, lams, graph=0):
+        graphs_per_call.append(len(set(np.atleast_1d(graph).tolist())))
+        return many(self, lams, graph)
+
+    monkeypatch.setattr(_EigenvalueCount, "many", recorded)
+    got = solver._eigenvalues_lockstep(systems, count, lam_min)
+    stacked = _EigenvalueCount(systems[0]).size <= solver._ROUND_SIZE
+    assert graphs_per_call[0] == (len(systems) if stacked else 1)
+    monkeypatch.undo()
+    for values, ref in zip(got, _solo_references(systems, count, lam_min)):
+        assert values.tobytes() == ref.tobytes()
+
+
+def test_lockstep_search_isolates_failing_systems():
+    """A system that is not compact, one whose edges overflow the reduced
+    matrix, and one whose count never reaches the target (a Dirichlet
+    interval too short for a level below the float range) each get their
+    own error, as eigenvalues_compact raises it alone; the others get their
+    solo bytes."""
+    st = make_delta_prime()
+    good = [_approx(st, d) for d in (2.0**-2, 2.0**-6)]
+    bad = [star_system(st), interval(1e-308, "N", "N"), interval(1e-155)]
+    systems = [good[0], *bad, good[1]]
+    got = solver._eigenvalues_lockstep(systems, 3, -90.0)
+    for sys_, result in zip(systems, got):
+        if sys_ in bad:
+            with pytest.raises(type(result)) as alone:
+                eigenvalues_compact(sys_, 3, lam_min=-90.0)
+            assert str(alone.value) == str(result)
+        else:
+            assert result.tobytes() == eigenvalues_compact(sys_, 3, lam_min=-90.0).tobytes()
+    assert [type(r) for r in got[1:4]] == [StructuralError, InputError, ScanRangeError]
+
+
+def test_stacked_count_matches_one_graph_counts():
+    """A count call over points of several graphs equals, point for point,
+    each graph's own count at that point."""
+    st = make_complex_t()
+    systems = [_approx(st, d) for d in (2.0**-2, 2.0**-5, 2.0**-9)]
+    counts = [_EigenvalueCount(sys_) for sys_ in systems]
+    stacked = _EigenvalueCount.stack(counts)
+    rng = np.random.default_rng(5)
+    lams = np.concatenate([[-(2.0**40), -1.0, 0.0, 1e-300, 7.0, 1e300], rng.uniform(-200, 5e4, 60)])
+    graph = rng.integers(0, len(systems), len(lams))
+    got = stacked.many(lams, graph)
+    assert got == [counts[g].many([lam])[0] for lam, g in zip(lams, graph)]
