@@ -142,6 +142,14 @@ def require_finite_real(value: float, name: str) -> float:
     return out
 
 
+def require_finite_complex(value: complex, name: str) -> complex:
+    """Coerce to complex, rejecting NaN/inf in either part."""
+    out = complex(value)
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise InputError(f"{name} must be finite, got {out!r}")
+    return out
+
+
 def require_positive_real(value: float, name: str) -> float:
     """Coerce to a finite real float > 0."""
     out = require_finite_real(value, name)

@@ -261,7 +261,10 @@ def vertex_delta_schedule(st: STForm, nbrs: NeighborSets, d: float, j: int) -> f
     for k in range(1, m + 1):
         if k == j:
             continue
-        value -= bracket(complex(st.S[j - 1, k - 1]) + _overlap(st, j, k) / d)
+        c = complex(st.S[j - 1, k - 1]) + _overlap(st, j, k) / d
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise InputError(f"a delta strength overflows at d={d}")
+        value -= bracket(c)
     for l in range(st.n - m):
         t_br = bracket(st.T[j - 1, l])
         value += (1.0 + t_br) * t_br / d

@@ -37,6 +37,7 @@ import numpy as np
 
 from ._util import (
     DEFAULT_TOL,
+    require_finite_complex,
     require_finite_real,
     require_half_length,
     require_nonnegative_real,
@@ -88,10 +89,12 @@ class QuadratureWarning(UserWarning):
     """The Hilbert-Schmidt quadrature looks under-resolved at this quad_n."""
 
 
-# The star side of every metric is independent of d.  run_sweep sets a memo
-# in a copied context for its own duration, so a sweep computes each
-# star-side result of its coupling (or the QGraphError it raises) once;
-# outside a sweep nothing is kept.
+# The star side of every metric is independent of d.  The HS metric is
+# evaluated one d at a time, so run_sweep sets a memo in a copied context for
+# its own duration, and a sweep computes its coupling's star amplitudes (or
+# the QGraphError that computing them raises) once; outside a sweep nothing
+# is kept.  They are the memo's only entries: an eig sweep solves its star
+# once anyway, and the scattering metric's star S(k) is one n-wide solve.
 _SWEEP_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "qgraph_sweep_memo", default=None
 )
@@ -145,10 +148,7 @@ class HSResolvent:
     quad_n: int = 64
 
     def __post_init__(self):
-        z = complex(self.z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise InputError(f"z must be finite, got {z!r}")
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", require_finite_complex(self.z, "z"))
         object.__setattr__(self, "L", require_positive_real(self.L, "truncation length L"))
         quad_n = require_positive_int(self.quad_n, "quad_n")
         if quad_n < 4:
@@ -296,13 +296,9 @@ def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
     that d raises; a QGraphError of the star side propagates.  The star is
     solved once, and every approximating graph's search runs in one lockstep
     solve (see :func:`~qgraph.solver._eigenvalues_lockstep`)."""
-
-    def star_side():
-        floor = eigengap_floor(st)
-        star = truncate(star_system(st), L=spec.L)
-        return floor, eigenvalues_compact(star, spec.count, lam_min=floor)
-
-    floor, lam_star = _star_side(("eig", spec.count, spec.L), star_side)
+    floor = eigengap_floor(st)
+    star = truncate(star_system(st), L=spec.L)
+    lam_star = eigenvalues_compact(star, spec.count, lam_min=floor)
     gaps: dict = {}
     systems = {}
     for d in d_values:

@@ -35,8 +35,8 @@ plus its number of inner edges.
   are that bisection's.  The search is a generator that yields the lambdas
   it needs counted, so the searches of several systems of one reduction
   shape, such as an eig sweep's approximating graphs, advance in lockstep:
-  each round counts all their batches in one call, with the per-graph
-  arrays stacked and gathered per point.
+  each round counts all their batches in one call of their stacked
+  reduction, where every point reads the arrays of its own graph.
 * A scattering matrix solves B(k^2) x = -2ik J_h* for an incoming wave on
   each channel h; then S = J_h x - I.
 * A resolvent kernel is the free-line kernel on the source edge plus the
@@ -65,7 +65,6 @@ command that factors nothing, loads numpy alone.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from typing import NamedTuple
@@ -76,6 +75,7 @@ from ._util import (
     lu_factor,
     lu_solve,
     numerical_rank,
+    require_finite_complex,
     require_finite_real,
     require_positive_int,
     require_positive_real,
@@ -145,6 +145,10 @@ _ROUND_SIZE = 6
 # stay rows.
 _PIVOT_RATIO = 2.0**-10
 
+# The arrays of a reduction that belong to one graph: they carry a leading
+# graph axis, along which _Reduction.stack joins reductions of one shape.
+_PER_GRAPH = ("s_mat", "mid_w", "length", "two_over_l", "w", "w_adj", "wm", "w_mid")
+
 
 def _principal_k(z) -> np.ndarray:
     """sqrt(z) on the branch with Im k >= 0 (and k >= 0 for z >= 0)."""
@@ -189,11 +193,11 @@ def _group_by_edge(points) -> dict[object, tuple[np.ndarray, np.ndarray]]:
     }
 
 
-def _rows(arr: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """A per-edge array at the points ``at``: its rows there when it holds
-    one row per point (see :meth:`_EigenvalueCount.many`), else the array
-    itself, which broadcasts."""
-    return arr[at] if arr.ndim > 1 else arr
+def _at(g, points: np.ndarray):
+    """The graph index ``g`` of a reduction's points restricted to
+    ``points``: an int, every point's graph, stays as it is; an array, one
+    graph per point, is read at ``points``."""
+    return g[points] if isinstance(g, np.ndarray) else g
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +240,14 @@ class _Reduction:
     at a point where one of its halves is bordered, or where |p| is below
     _PIVOT_RATIO times its terms' magnitudes; such rows and the border rows
     are the extra rows of :meth:`bordered`.
+
+    A reduction is a stack of graphs that share a :attr:`shape`, such as the
+    approximating graphs of one ST form at several d (see :meth:`stack`):
+    the arrays named in _PER_GRAPH carry a leading graph axis, and a
+    system's own reduction is a stack of one.  The methods that evaluate
+    points take a graph index g: an int when all the points are on one
+    graph, whose arrays then broadcast over them, or an array of one graph
+    per point, which reads each point's arrays.
     """
 
     def __init__(self, sys: MetricGraphSystem):
@@ -352,10 +364,31 @@ class _Reduction:
         for r, edge in enumerate(half):
             at, j_row = rows[(edge.id, 0)]
             self.j_half[r, at : at + len(j_row)] = j_row
+        for name in _PER_GRAPH:
+            setattr(self, name, getattr(self, name)[np.newaxis])
 
-    def real_coefficients(self, lam: np.ndarray):
+    @property
+    def shape(self) -> tuple:
+        """What reductions must share to be stacked: the kept values, the
+        finite edges, and the midpoints with their halves."""
+        return (self.s_mat.shape[1:], self.s_mat.dtype, self.length.shape[1:], self.halves.shape,
+                self.halves.tobytes())
+
+    @classmethod
+    def stack(cls, reductions: list["_Reduction"]) -> "_Reduction":
+        """One reduction of the graphs of ``reductions``, which share a
+        shape; graph g of the stack is the graph of ``reductions[g]``."""
+        if len(reductions) == 1:
+            return reductions[0]
+        out = cls.__new__(cls)
+        out.__dict__ = vars(reductions[0]) | {
+            name: np.concatenate([getattr(r, name) for r in reductions]) for name in _PER_GRAPH
+        }
+        return out
+
+    def real_coefficients(self, lam: np.ndarray, g):
         """Edge coefficients and border rows at every point of the 1-d float
-        array ``lam``.
+        array ``lam``, on the graphs ``g``.
 
         Returns ``coef`` (points, 2 edges), c_+ of every edge and then c_-
         of every edge, with each bordered one set to 0; the border diagonal
@@ -373,16 +406,17 @@ class _Reduction:
         below = lam <= 0.0
         if below.any():
             kappa = np.sqrt(-lam[below])[:, np.newaxis]
-            t = np.tanh(0.5 * kappa * _rows(self.length, below))
+            at = _at(g, below)
+            t = np.tanh(0.5 * kappa * self.length[at])
             coef[below, :ne] = kappa * t
             # kappa coth(kappa l/2) is 2/l where the tanh underflows to 0.
             limit = np.empty_like(t)
-            limit[:] = _rows(self.two_over_l, below)
+            limit[:] = self.two_over_l[at]
             coef[below, ne:] = np.divide(kappa, t, out=limit, where=t > 0)
         above = ~below
         if above.any():
             k = np.sqrt(lam[above])[:, np.newaxis]
-            q = k * _rows(self.length, above) / math.pi
+            q = k * self.length[_at(g, above)] / math.pi
             levels = np.ceil(q) - 1.0
             # kl/2 = (levels + x) pi/2 with x in (0, 1]: with tau = tan(x pi/2),
             # -k tan(kl/2) is -k tau on w_+ and k/tau on w_- for an even level
@@ -406,7 +440,7 @@ class _Reduction:
 
     def complex_coefficients(self, k: complex):
         """Edge coefficients and border rows at one momentum with Im k >= 0,
-        in the layout of :meth:`real_coefficients` with one point.
+        in the layout of :meth:`real_coefficients` with one point of graph 0.
 
         With E = exp(ikl) and r = (E - 1)/(E + 1) = i tan(kl/2), c_+ = ik r
         and c_- = ik / r (kappa tanh(kappa l/2) and kappa coth(kappa l/2) at
@@ -414,19 +448,20 @@ class _Reduction:
         coefficient is bordered, with b = -k/c = i/r or i r, except c_- next
         to kl = 0, where it stays near 2/l.
         """
-        em1 = np.expm1(1j * k * self.length)
+        length = self.length[0]
+        em1 = np.expm1(1j * k * length)
         ratio = em1 / (2.0 + em1)
         plus = np.abs(ratio) >= 1.0
-        border = plus | (abs(k.real) * self.length > math.pi)
+        border = plus | (abs(k.real) * length > math.pi)
         c_plus = np.where(border & plus, 0.0, 1j * k * ratio)
         c_minus = np.where(border & ~plus, 0.0, 1j * k / ratio)
         coef = np.concatenate([c_plus, c_minus])[np.newaxis, :]
         b = np.where(border, np.where(plus, 1j / ratio, 1j * ratio), np.nan)[np.newaxis, :]
         return coef, b, ~plus[np.newaxis, :]
 
-    def complement(self, coef: np.ndarray, inside: np.ndarray, row: bool = False):
-        """The matrix on the kept rows at every point, with each midpoint
-        eliminated where its pivot allows.
+    def complement(self, coef: np.ndarray, inside: np.ndarray, g, row: bool = False):
+        """The matrix on the kept rows at every point, on the graphs ``g``,
+        with each midpoint eliminated where its pivot allows.
 
         ``coef`` is laid out as by :meth:`real_coefficients`, and ``inside``
         (points, edges) is True where an edge is bordered.  Returns the
@@ -436,35 +471,36 @@ class _Reduction:
         midpoints' rows (points, midpoints, size), which differ from b_m* at
         complex coefficients; the complement then subtracts b_m (row) / p_m.
         """
-        mat = self.s_mat + (self.w * coef[:, np.newaxis, :]) @ self.w_adj
+        mat = self.s_mat[g] + (self.w[g] * coef[:, np.newaxis, :]) @ self.w_adj[g]
         if not self.mid_w.shape[-1]:
             # Nothing to eliminate: no columns, pivots or rows.
             none = coef[:, :0]
             return (mat, mat[:, :, :0], none, none != 0) + ((mat[:, :0],) if row else ())
         c_mid = coef[:, self.half_modes]
-        col = (self.w_mid * c_mid[:, np.newaxis]).sum(axis=-1)
+        w_mid, mid_w = self.w_mid[g], self.mid_w[g]
+        col = (w_mid * c_mid[:, np.newaxis]).sum(axis=-1)
         # |w_+-| is 1/sqrt(2) at a midpoint, so p = w + (1/2) sum_halves (c_+ +
         # c_-), next to |w| + (1/2) sum_halves (|c_+| + |c_-|).
-        piv = self.mid_w + 0.5 * c_mid.sum(axis=-1)
-        terms = abs(self.mid_w) + 0.5 * abs(c_mid).sum(axis=-1)
+        piv = mid_w + 0.5 * c_mid.sum(axis=-1)
+        terms = abs(mid_w) + 0.5 * abs(c_mid).sum(axis=-1)
         keep = inside[:, self.halves].any(axis=-1) | ~(abs(piv) >= _PIVOT_RATIO * terms)
         # b_m / p_m, and 0 for a kept midpoint.
         scaled = col / np.where(keep, np.inf, piv)[:, np.newaxis, :]
         if not row:
             mat -= scaled @ col.conj().transpose(0, 2, 1)
             return mat, col, piv, keep
-        rows = (self.w_mid.conj() * c_mid[:, np.newaxis]).sum(axis=-1).transpose(0, 2, 1)
+        rows = (w_mid.conj() * c_mid[:, np.newaxis]).sum(axis=-1).transpose(0, 2, 1)
         mat -= scaled @ rows
         return mat, col, piv, keep, rows
 
-    def bordered(self, mats, root_k, b, minus, col, piv, keep, rows=None):
+    def bordered(self, mats, root_k, b, minus, col, piv, keep, g, rows=None):
         """The stacked matrices ``mats`` with their extra rows and columns,
-        for points that all keep the same number of midpoints and border
-        the same number of edges: first the kept midpoints, in midpoint
-        order, with column b_m, row b_m* (or ``rows``) and diagonal p_m;
-        then the border rows, in edge order, [[B, sqrt(k) W], [sqrt(k) W*,
-        diag(b)]], whose vectors reach a kept midpoint of their edge.
-        ``root_k`` is sqrt(k) per point."""
+        for points on the graphs ``g`` that all keep the same number of
+        midpoints and border the same number of edges: first the kept
+        midpoints, in midpoint order, with column b_m, row b_m* (or
+        ``rows``) and diagonal p_m; then the border rows, in edge order,
+        [[B, sqrt(k) W], [sqrt(k) W*, diag(b)]], whose vectors reach a kept
+        midpoint of their edge.  ``root_k`` is sqrt(k) per point."""
         inside = ~np.isnan(b)
         nb = int(np.count_nonzero(inside[0]))
         nk = int(np.count_nonzero(keep[0]))
@@ -476,6 +512,8 @@ class _Reduction:
         kept = slice(size, size + nk)
         border = slice(size + nk, size + nk + nb)
         root_k = root_k[:, np.newaxis, np.newaxis]
+        # The graph of each point, against its (points, borders) modes.
+        g = np.asarray(g)[..., np.newaxis]
         if nk:
             mids = np.nonzero(keep)[1].reshape(npts, nk)
             mid_col = np.take_along_axis(col, mids[:, np.newaxis, :], axis=2)
@@ -489,12 +527,7 @@ class _Reduction:
         if nb:
             edge = np.nonzero(inside)[1].reshape(npts, nb)
             mode = edge + self.length.shape[-1] * minus[inside].reshape(npts, nb)
-            if self.w.ndim == 2:
-                vecs = self.w[:, mode].transpose(1, 0, 2)
-            else:
-                # One row of w and wm per point (see _EigenvalueCount.many).
-                pts = np.arange(npts)[:, np.newaxis]
-                vecs = self.w[pts, :, mode].transpose(0, 2, 1)
+            vecs = self.w[g, :, mode].transpose(0, 2, 1)
             out[:, :size, border] = root_k * vecs
             out[:, border, :size] = root_k * vecs.conj().transpose(0, 2, 1)
             diag = np.arange(size + nk, size + nk + nb)
@@ -502,7 +535,7 @@ class _Reduction:
         if nk and nb:
             # A border vector's entry at the kept midpoint of its edge.
             at_mid = self.mode_mid[edge][:, np.newaxis, :] == mids[:, :, np.newaxis]
-            entry = (self.wm[mode] if self.wm.ndim == 1 else self.wm[pts, mode])[:, np.newaxis, :]
+            entry = self.wm[g, mode][:, np.newaxis, :]
             out[:, kept, border] = root_k * np.where(at_mid, entry, 0.0)
             out[:, border, kept] = (root_k * np.where(at_mid, entry.conj(), 0.0)).transpose(0, 2, 1)
         return out
@@ -511,17 +544,18 @@ class _Reduction:
         """The reduced matrix at one momentum k, bordered by the count's rule
         when ``lam`` = k^2 is given (real, > 0) and through
         :meth:`complex_coefficients` otherwise, with the half-lines' -ik J*
-        J; and what a solve needs besides (see :class:`_Point`)."""
+        J; and what a solve needs besides (see :class:`_Point`).  The point
+        is on graph 0."""
         if lam is None:
             coef, b, minus = self.complex_coefficients(k)
             root_k = np.sqrt(k)
         else:
-            coef, b, minus, _ = self.real_coefficients(np.array([lam]))
+            coef, b, minus, _ = self.real_coefficients(np.array([lam]), 0)
             root_k = math.sqrt(math.sqrt(lam))
-        mat, col, piv, keep, rows = self.complement(coef, ~np.isnan(b), row=True)
+        mat, col, piv, keep, rows = self.complement(coef, ~np.isnan(b), 0, row=True)
         mat -= 1j * k * (self.j_half.conj().T @ self.j_half)
-        mat = self.bordered(mat, np.array([root_k]), b, minus, col, piv, keep, rows)[0]
-        border = np.full((2, len(self.length)), -1)
+        mat = self.bordered(mat, np.array([root_k]), b, minus, col, piv, keep, 0, rows)[0]
+        border = np.full((2, self.length.shape[1]), -1)
         cols = np.flatnonzero(~np.isnan(b[0]))
         border[minus[0, cols].astype(int), cols] = np.arange(len(cols))
         inv = 1.0 / np.where(keep[0], np.inf, piv[0])
@@ -551,11 +585,6 @@ class _Point(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-# The arrays of a reduction that differ between the approximating graphs of
-# one ST form: a count of several graphs stacks them on a leading graph axis.
-_PER_GRAPH = ("s_mat", "mid_w", "length", "two_over_l", "w", "w_adj", "wm", "w_mid")
-
-
 class _EigenvalueCount(_Reduction):
     """N(lambda), the number of eigenvalues below lambda of a compact system.
 
@@ -568,72 +597,26 @@ class _EigenvalueCount(_Reduction):
     B(lambda) is counted on the kept values: each eliminated midpoint adds
     its pivot's sign, n_-(B) = n_-(complement) + #{p_m < 0} (Haynsworth).
     Each border row with b < 0 adds one negative eigenvalue to the bordered
-    matrix, which is subtracted.
-
-    A count holds a stack of systems whose reductions share a :attr:`shape`,
-    such as the approximating graphs of one ST form at several d (see
-    :meth:`stack`): the arrays named in _PER_GRAPH carry a leading graph
-    axis, and ``graphs`` holds each system's own reduction, which shares
-    its arrays' memory with the stack.  A count of one system is a stack of
-    one.
+    matrix, which is subtracted.  A stacked count (see
+    :meth:`~_Reduction.stack`) counts the points of several systems in one
+    call.
     """
 
-    def __init__(self, sys: MetricGraphSystem):
-        super().__init__(sys)
-        self.graphs = [self._view({})]
-        for name in _PER_GRAPH:
-            setattr(self, name, getattr(self, name)[np.newaxis])
-
-    @property
-    def shape(self) -> tuple:
-        """What reductions must share to be stacked: the kept values, the
-        finite edges, and the midpoints with their halves."""
-        return (self.s_mat.shape[1:], self.s_mat.dtype, self.length.shape[1:], self.halves.shape,
-                self.halves.tobytes())
-
-    @classmethod
-    def stack(cls, counts: list["_EigenvalueCount"]) -> "_EigenvalueCount":
-        """One count of the systems of ``counts``, which share a shape; graph
-        g of the stack is the system of ``counts[g]``."""
-        if len(counts) == 1:
-            return counts[0]
-        out = copy.copy(counts[0])
-        for name in _PER_GRAPH:
-            setattr(out, name, np.concatenate([getattr(c, name) for c in counts]))
-        out.graphs = [out._gather(g) for g in range(len(counts))]
-        return out
-
-    def _view(self, arrays: dict) -> _Reduction:
-        """This reduction, with ``arrays`` in place of its own arrays of the
-        same names."""
-        view = _Reduction.__new__(_Reduction)
-        view.__dict__ = {name: value for name, value in vars(self).items() if name != "graphs"}
-        view.__dict__.update(arrays)
-        return view
-
-    def _gather(self, graph) -> _Reduction:
-        """The reduction with the stacked arrays read at ``graph``: one graph
-        of the stack, or an array of one per point, which gathers one row
-        per point."""
-        return self._view({name: getattr(self, name)[graph] for name in _PER_GRAPH})
-
-    def many(self, lams, graph: int | np.ndarray = 0) -> list[int]:
+    def many(self, lams, g: int | np.ndarray = 0) -> list[int]:
         """N(lambda) at every point of the 1-d array ``lams``, of the graph
-        ``graph`` of the stack, or of one graph per point when ``graph`` is
-        an array (which gathers the graphs' arrays per point).
+        ``g`` of the stack, or of one graph per point when ``g`` is an
+        array.
 
         Edge coefficients are computed as (points, edges) arrays, the
         complement of all points as stacked matmuls, and the inertia as one
         stacked eigvalsh per number of kept midpoints and border rows.  Every
         slice goes through the same operations, in the same order, as a
-        single point of its graph would; points of several graphs read their
-        graphs' arrays gathered per point.
+        single point of its graph would.
         """
         lam = np.asarray(lams, dtype=float).reshape(-1)
-        red = self._gather(graph) if isinstance(graph, np.ndarray) else self.graphs[graph]
-        coef, b, minus, level_sum = red.real_coefficients(lam)
+        coef, b, minus, level_sum = self.real_coefficients(lam, g)
         inside = ~np.isnan(b)
-        mat, col, piv, keep = red.complement(coef, inside)
+        mat, col, piv, keep = self.complement(coef, inside, g)
         # N = level count + negative eigenvalues of the bordered complement
         # + negative eliminated pivots - negative b's.
         inertia = (~keep & (piv < 0)).sum(axis=1) - (b < 0).sum(axis=1)
@@ -646,12 +629,9 @@ class _EigenvalueCount(_Reduction):
                 # Border rows come only at lambda > 0; a kept midpoint's row
                 # needs no sqrt(k).
                 root_k = np.sqrt(np.sqrt(np.maximum(lam[at], 0.0)))
-                sub = red
-                if isinstance(graph, np.ndarray) and len(at) < len(lam):
-                    # The rows of the points at hand, which is all bordered reads.
-                    sub = copy.copy(red)
-                    sub.w, sub.wm = red.w[at], red.wm[at]
-                part = sub.bordered(part, root_k, b[at], minus[at], col[at], piv[at], keep[at])
+                part = self.bordered(
+                    part, root_k, b[at], minus[at], col[at], piv[at], keep[at], _at(g, at)
+                )
             inertia[at] += _negative_counts(part)
         return [int(s) + n for s, n in zip(level_sum.tolist(), inertia.tolist())]
 
@@ -923,14 +903,14 @@ class GreensFunction:
     those right-hand sides enter the kept rows as -b_m r_m / p_m, and its
     value follows from the solution x as x_m = (r_m - b_m* x) / p_m, with
     b_m* its row.  The mode values of each solution, minus the unit mode
-    itself on its own edge, are divided by 1 + e^{ikl} and e^{ikl} - 1.  For a bordered mode the border unknown y = c h / sqrt(k)
-    gives the amplitude -i y / (sqrt(k) (e^{ikl} -+ 1)) instead, which is
-    regular on the edge's Dirichlet level.
+    itself on its own edge, are divided by 1 + e^{ikl} and e^{ikl} - 1.
+    For a bordered mode the border unknown y = c h / sqrt(k) gives the
+    amplitude -i y / (sqrt(k) (e^{ikl} -+ 1)) instead, which is regular on
+    the edge's Dirichlet level.
     """
 
     def __init__(self, sys: MetricGraphSystem, z: complex):
-        z = complex(z)
-        z = complex(require_finite_real(z.real, "z"), require_finite_real(z.imag, "z"))
+        z = require_finite_complex(z, "z")
         k = complex(_principal_k(z))
         if k == 0:
             raise InputError("z = 0 is not a valid resolvent point here")
@@ -945,7 +925,9 @@ class GreensFunction:
         positive = z.imag == 0 and z.real > 0
         pt = red.one_point(k, z.real if positive else None)
         lu = _gated_lu(pt.mat, NearSingularZError, f"z = {z} is numerically on the spectrum")
-        ne, size, n_kept = len(red.length), red.size, len(pt.kept)
+        # The point is on graph 0 of the reduction (see _Reduction.one_point).
+        w, wm, length = red.w[0], red.wm[0], red.length[0]
+        ne, size, n_kept = len(length), red.size, len(pt.kept)
         # Mode indices of every edge: sign * ne + e on finite edge e, 2 ne + h
         # on half-line h.
         self._modes = {eid: [e, ne + e] for eid, e in red.finite_index.items()}
@@ -956,12 +938,12 @@ class GreensFunction:
         # row), and on the border rows.
         unit = pt.coef - 1j * k
         rhs = np.zeros((len(pt.mat), n_modes), dtype=complex)
-        rhs[:size, : 2 * ne] = red.w * unit
+        rhs[:size, : 2 * ne] = w * unit
         rhs[:size, 2 * ne :] = -2j * k * red.j_half.conj().T
         mode = np.flatnonzero(red.mode_mid >= 0)
         mid = red.mode_mid[mode]
-        rhs_mid = np.zeros((len(red.mid_w), n_modes), dtype=complex)
-        rhs_mid[mid, mode] = red.wm[mode] * unit[mode]
+        rhs_mid = np.zeros((red.mid_w.shape[1], n_modes), dtype=complex)
+        rhs_mid[mid, mode] = wm[mode] * unit[mode]
         rhs[:size] -= pt.col @ (pt.inv[:, np.newaxis] * rhs_mid)
         rhs[size : size + n_kept] = rhs_mid[pt.kept]
         sign, cols = np.nonzero(pt.border >= 0)
@@ -972,13 +954,13 @@ class GreensFunction:
         # The midpoints' values: x_m = (r_m - b_m* x) / p_m where eliminated.
         x_mid = pt.inv[:, np.newaxis] * (rhs_mid - pt.rows @ x)
         x_mid[pt.kept] = sol[size : size + n_kept]
-        amp = np.concatenate([red.w_adj @ x, red.j_half @ x])
-        amp[mode] += red.wm[mode, np.newaxis].conj() * x_mid[mid]
+        amp = np.concatenate([red.w_adj[0] @ x, red.j_half @ x])
+        amp[mode] += wm[mode, np.newaxis].conj() * x_mid[mid]
         amp[np.diag_indices(len(amp))] -= 1.0
         amp[sign * ne + cols] = sol[rows]
         # The factor that turns a mode value, or a border unknown, into an
         # amplitude.
-        em1 = np.expm1(1j * k * red.length)
+        em1 = np.expm1(1j * k * length)
         divisor = np.stack([2.0 + em1, em1])
         scale = 1.0 / divisor
         scale[sign, cols] = -1j / (pt.root_k * divisor[1 - sign, cols])

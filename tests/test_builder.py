@@ -215,6 +215,18 @@ def test_overflowing_row_overlap_raises_without_a_warning():
                 call()
 
 
+def test_pair_term_that_overflows_names_the_strength_and_d():
+    """At d = 5e-324 the overlap / d term of a vertex strength overflows:
+    the schedule and the builder name the strength and d, not the bracket
+    of an infinite argument."""
+    st = make_complex_t()
+    message = "a delta strength overflows at d=5e-324"
+    with pytest.raises(InputError, match=message):
+        vertex_delta_schedule(st, neighbor_sets(st), 5e-324, 1)
+    with pytest.raises(InputError, match=message):
+        build_approx_graph(st, 5e-324)
+
+
 def test_order_law_empirical_slopes():
     ds = [2.0**-p for p in range(3, 9)]
     mags_sq = [abs(inner_delta_schedule(orthogonal_rows_st(), d, 1, 2)) for d in ds]

@@ -104,6 +104,14 @@ def test_hs_resolvent_validation():
     assert HSResolvent(quad_n=4).quad_n == 4
 
 
+@pytest.mark.parametrize(
+    "z", [math.nan, math.inf, complex(-1.0, math.nan), complex(-math.inf, 1.0)]
+)
+def test_hs_resolvent_rejects_non_finite_z(z):
+    with pytest.raises(InputError, match=re.escape(f"z must be finite, got {complex(z)!r}")):
+        HSResolvent(z=z)
+
+
 def test_eig_gap_validation():
     with pytest.raises(InputError):
         EigGap(count=0)
@@ -497,6 +505,16 @@ def test_eig_sweep_reports_a_failing_d_as_a_one_d_sweep(monkeypatch, failing, ba
     assert reason in report.skipped[0][1]
 
 
+def test_eig_sweep_status_names_an_overflowing_vertex_strength():
+    """At d = 5e-324 the overlap / d term of a complex_t vertex strength
+    overflows: its status row names the strength and d, and the good d
+    before it is unaffected."""
+    cfg = SweepConfig(st=make_complex_t(), metric=EigGap(), d_values=(2.0**-2, 5e-324))
+    rows = report_to_csv(run_sweep(cfg)).splitlines()
+    assert rows[1].endswith(",ok")
+    assert rows[2].endswith(",,skipped: a delta strength overflows at d=5e-324")
+
+
 @pytest.mark.parametrize(
     "name", ["delta", "delta_prime_s", "kirchhoff_perturbed", "complex_t", "random_n3_m2"]
 )
@@ -525,10 +543,11 @@ def test_star_side_error_skips_every_d_with_its_message(monkeypatch):
 
 
 def test_sweep_memo_does_not_leak_between_sweeps(st_delta_prime, st_complex_t):
-    """Back-to-back sweeps of two couplings with the same metric each match
-    their per-d reports, and no memo is left set afterwards."""
+    """Back-to-back sweeps of two couplings with the same metric, whose star
+    amplitudes the memo holds, each match their per-d reports, and no memo
+    is left set afterwards."""
     for st in (st_delta_prime, st_complex_t, st_delta_prime):
-        cfg = SweepConfig(st=st, metric=EigGap(), d_values=MEMO_D_VALUES)
+        cfg = SweepConfig(st=st, metric=HSResolvent(), d_values=MEMO_D_VALUES)
         assert report_to_csv(run_sweep(cfg)) == report_to_csv(_per_d_report(cfg))
         assert convergence._SWEEP_MEMO.get() is None
 

@@ -518,9 +518,11 @@ def test_reduction_vertex_blocks_match_block_diag(system, eliminated):
             blocks.append(solver.st_from_ab(cond.coupling).S)
     expected = block_diag(*blocks)
     red = _Reduction(system)
-    assert red.s_mat.dtype == expected.dtype and red.s_mat.shape == expected.shape
-    assert red.s_mat.tobytes() == expected.tobytes()
-    assert red.mid_w.tolist() == mids
+    # A system's reduction is a stack of one graph.
+    (s_mat,) = red.s_mat
+    assert s_mat.dtype == expected.dtype and s_mat.shape == expected.shape
+    assert s_mat.tobytes() == expected.tobytes()
+    assert red.mid_w.tolist() == [mids]
 
 
 def test_lu_calls_go_through_the_rebindable_solver_names(monkeypatch):
@@ -992,9 +994,8 @@ def test_count_across_a_vanishing_midpoint_pivot():
     count = _EigenvalueCount(sys_)
     assert count.size == 2
     points = [lam_p * (1.0 - 1e-12), lam_p, lam_p * (1.0 + 1e-12), lam_p - 0.5, lam_p + 0.5]
-    (red,) = count.graphs
-    coef, b, _, _ = red.real_coefficients(np.array(points))
-    _, _, piv, keep = red.complement(coef, ~np.isnan(b))
+    coef, b, _, _ = count.real_coefficients(np.array(points), 0)
+    _, _, piv, keep = count.complement(coef, ~np.isnan(b), 0)
     assert keep[:3, 0].all() and not keep[3:, 0].any()
     assert piv[4, 0] < 0 < piv[3, 0]
     assert count.many(points) == [sum(level < lam for level in levels) for lam in points] == [1] * 5
@@ -1019,7 +1020,7 @@ def test_midpoints_stay_rows_on_half_segment_dirichlet_levels():
     k = math.pi / d
     scatter = _ScatteringSolver(sys_)
     pt = scatter.one_point(k, k * k)
-    pairs = len(scatter.mid_w)
+    pairs = scatter.mid_w.shape[1]
     assert len(pt.kept) == pairs
     assert len(pt.mat) == n + pairs + np.count_nonzero(pt.border >= 0) == n + 3 * pairs
     np.testing.assert_allclose(scatter(k), reference_scattering_matrix(sys_, k), rtol=0, atol=1e-10)
@@ -1060,7 +1061,7 @@ def test_approximating_graphs_reduce_to_n_wide(n):
     scatter = _ScatteringSolver(system_from_approx(g))
     count = _EigenvalueCount(truncate(system_from_approx(g), L=1.0))
     assert scatter.size == count.size == n
-    assert len(scatter.mid_w) == len(count.graphs[0].mid_w) == n * (n - 1) // 2
+    assert scatter.mid_w.shape == count.mid_w.shape == (1, n * (n - 1) // 2)
     pt = scatter.one_point(1.0, 1.0)
     assert pt.mat.shape == (n, n) and not len(pt.kept)
 
@@ -1245,9 +1246,34 @@ def test_lockstep_search_isolates_failing_systems():
     assert [type(r) for r in got[1:4]] == [StructuralError, InputError, ScanRangeError]
 
 
+def _pivot_zero(w: float) -> float:
+    """lambda_p, where the midpoint pivot of _well_with_neumann_ends(w)
+    vanishes: w + 2 kappa coth(kappa) = 0 below 0 (for w < -2), and w + 2k
+    cot(k) = 0 below the first edge Dirichlet level pi^2 above 0."""
+    if w < -2.0:
+        return -brentq(lambda x: 2.0 * x / math.tanh(x) + w, 1e-3, 50.0) ** 2
+    return brentq(lambda k: 2.0 * k / math.tan(k) + w, 1e-3, math.pi - 1e-12) ** 2
+
+
+def _bordered_at(count, lams, g):
+    """The bordered count matrices at ``lams`` on the graphs ``g``, for
+    points above 0 that all keep the same midpoints and border the same
+    edges."""
+    coef, b, minus, _ = count.real_coefficients(lams, g)
+    mat, col, piv, keep = count.complement(coef, ~np.isnan(b), g)
+    return count.bordered(mat, np.sqrt(np.sqrt(lams)), b, minus, col, piv, keep, g)
+
+
 def test_stacked_count_matches_one_graph_counts():
     """A count call over points of several graphs equals, point for point,
-    each graph's own count at that point."""
+    each graph's own count at that point.  Far above the halves' first
+    Dirichlet level every edge is bordered and every midpoint kept, and the
+    bordered matrices are each graph's own; the graphs' midpoint entries wm
+    differ there in phase, which the counts do not see.  On delta wells of
+    four strengths, at every point on every graph, next to each pivot zero
+    and above the first edge Dirichlet level: there most points keep the
+    midpoint as a row next to the border rows of its halves, and the rest
+    border nothing."""
     st = make_complex_t()
     systems = [_approx(st, d) for d in (2.0**-2, 2.0**-5, 2.0**-9)]
     counts = [_EigenvalueCount(sys_) for sys_ in systems]
@@ -1255,5 +1281,26 @@ def test_stacked_count_matches_one_graph_counts():
     rng = np.random.default_rng(5)
     lams = np.concatenate([[-(2.0**40), -1.0, 0.0, 1e-300, 7.0, 1e300], rng.uniform(-200, 5e4, 60)])
     graph = rng.integers(0, len(systems), len(lams))
+    got = stacked.many(lams, graph)
+    assert got == [counts[g].many([lam])[0] for lam, g in zip(lams, graph)]
+    far = rng.uniform(1e6, 1e7, 12)
+    graph = rng.integers(0, len(systems), len(far))
+    got = _bordered_at(stacked, far, graph)
+    alone = np.concatenate([_bordered_at(counts[g], far[[i]], 0) for i, g in enumerate(graph)])
+    assert got.shape == alone.shape == (len(far), 3 + 3 + 9, 3 + 3 + 9)
+    np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12 * np.abs(alone).max())
+
+    strengths = (-3.0, -2.5, 1.0, 40.0)
+    counts = [_EigenvalueCount(_well_with_neumann_ends(w)) for w in strengths]
+    stacked = _EigenvalueCount.stack(counts)
+    offsets = (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)
+    near = [_pivot_zero(w) * (1.0 + e) for w in strengths for e in offsets]
+    points = np.concatenate([near, rng.uniform(math.pi**2, 400.0, 40)])
+    order = rng.permutation(len(points) * len(strengths))
+    lams, graph = points[order % len(points)], order // len(points)
+    coef, b, _, _ = stacked.real_coefficients(lams, graph)
+    _, _, _, keep = stacked.complement(coef, ~np.isnan(b), graph)
+    both = keep.any(axis=1) & (~np.isnan(b)).any(axis=1)
+    assert len(lams) // 2 < np.count_nonzero(both) < len(lams)
     got = stacked.many(lams, graph)
     assert got == [counts[g].many([lam])[0] for lam, g in zip(lams, graph)]
