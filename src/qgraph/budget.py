@@ -28,10 +28,10 @@ acceptance weight.  Exponent arithmetic is exact (fractions.Fraction).
 functions.  A spline is linear in its nodal values, so each edge integral
 is a 5 x 5 quadratic form in them, with exact rational entries that
 scale with the edge length; no spline is built and nothing is integrated
-numerically.  Samples are evaluated in batches: their normals are drawn a
+numerically.  Samples are evaluated in blocks: their normals are drawn a
 block of samples at a time in a fixed per-sample order (the same stream
-as drawing sample by sample), and each form is applied to a whole block
-at once.
+as drawing sample by sample), and one array pass applies every edge's
+forms, built once per call, to a whole block.
 """
 
 from __future__ import annotations
@@ -455,24 +455,28 @@ _CROSS = np.array([
 ]) / 45.0
 
 
-def _edge_terms(values: np.ndarray, length: float, a: float) -> np.ndarray:
-    """(kinetic-with-potential, kinetic, mass) integrals of edge splines on
-    [0, length], as a (3, ...) array.
-
-    ``values`` holds the nodal values of one spline, shape (5,), or of a
-    batch, shape (..., 5).  Each integral is a quadratic form in them: the
-    covariant |f' + i a f|^2 gives kinetic + a^2 mass + i a cross.
-    """
+def _edge_forms(length, a) -> np.ndarray:
+    """The (kinetic-with-potential, kinetic, mass) forms of edge splines on
+    [0, length] with potential a, shape (..., 3, 5, 5) for ``length`` and
+    ``a`` broadcast to shape (...).  The covariant |f' + i a f|^2 gives
+    kinetic + a^2 mass + i a cross."""
+    length = np.asarray(length)[..., np.newaxis, np.newaxis]
+    a = np.asarray(a)[..., np.newaxis, np.newaxis]
     kin = _KINETIC / length
     mass = _MASS * length
-    forms = np.stack([kin + a * a * mass + 1j * a * _CROSS, kin, mass])
-    return np.einsum("...i,kij,...j->k...", values.conj(), forms, values).real
+    return np.stack(np.broadcast_arrays(kin + a * a * mass + 1j * a * _CROSS, kin, mass), axis=-3)
 
 
-def _complex_draws(normals: np.ndarray, col: int, count: int) -> np.ndarray:
-    """The ``count`` complex values drawn as ``count`` real parts followed by
-    ``count`` imaginary parts, from column ``col`` of each row on."""
-    return normals[:, col : col + count] + 1j * normals[:, col + count : col + 2 * count]
+def _edge_terms(values: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """(kinetic-with-potential, kinetic, mass) integrals of splines on a
+    set of edges, summed over the edges, as a (3, ...) array.
+
+    ``values`` holds the nodal values of one spline per edge, shape (edges,
+    5), or of a batch of them, shape (..., edges, 5); ``forms`` comes from
+    :func:`_edge_forms`, shape (edges, 3, 5, 5).  Each integral is a
+    quadratic form in the values, applied in one einsum.
+    """
+    return np.einsum("...ei,ekij,...ej->k...", values.conj(), forms, values).real
 
 
 def _sampled_forms(g: ApproxGraph, n_samples: int, rng: np.random.Generator):
@@ -481,33 +485,44 @@ def _sampled_forms(g: ApproxGraph, n_samples: int, rng: np.random.Generator):
     (evaluated exactly at the delta points), the free form, and the
     squared norm.  :func:`verify_form_bound` describes the functions and
     the order of the draws.
+
+    The edges are the outer edges, then the halves (j, k) and (k, j) of
+    each inner edge; their forms are built once per call.  A block of
+    samples is one array pass: its nodal values are gathered as a (samples,
+    edges, 5) array, real and imaginary parts straight from the normals (the
+    left ends from the vertex draws, the right ends from the midpoint draws,
+    zero on an outer edge, and the interiors by a reshape), and one
+    :func:`_edge_terms` call applies every edge's forms.
     """
     pairs = g.neighbors.pairs()
     n, m = g.n, _INTERIOR_NODES
-    first_interior = 2 * (n + len(pairs))
-    width = first_interior + 2 * m * (n + 2 * len(pairs))
+    n_ends = n + len(pairs)
+    halves = [(lo, hi) for j, k in pairs for lo, hi in ((j, k), (k, j))]
+    n_edges = n + len(halves)
+    # The columns of the real parts of each edge's end values: a vertex on
+    # the left, a midpoint on the right of an inner edge's half.
+    left = 2 * np.array([j - 1 for j in range(1, n + 1)] + [lo - 1 for lo, _ in halves])
+    right = 2 * np.repeat(np.arange(n, n_ends), 2)
+    forms = _edge_forms(
+        np.array([_OUTER_SUPPORT] * n + [g.d] * len(halves)),
+        np.array([0.0] * n + [g.a_inner[half] for half in halves]),
+    )
+    strengths = np.repeat(
+        [g.w_vertex[j] for j in range(1, n + 1)] + [g.w_inner[pair] for pair in pairs], 2
+    )
+    width = 2 * n_ends + 2 * m * n_edges
     blocks = []
     for start in range(0, n_samples, _SAMPLE_BLOCK):
         normals = rng.standard_normal((min(_SAMPLE_BLOCK, n_samples - start), width))
-        vertex = {j: _complex_draws(normals, 2 * (j - 1), 1) for j in range(1, n + 1)}
-        mid = [_complex_draws(normals, 2 * (n + p), 1) for p in range(len(pairs))]
-        interior = [
-            _complex_draws(normals, first_interior + 2 * m * edge, m)
-            for edge in range(n + 2 * len(pairs))
-        ]
-        forms = np.zeros((3, len(normals)))
-        zero = np.zeros((len(normals), 1))
-        for j in range(1, n + 1):
-            forms += _edge_terms(np.hstack([vertex[j], interior[j - 1], zero]), _OUTER_SUPPORT, 0.0)
-        for p, (j, k) in enumerate(pairs):
-            for half, (lo, hi) in enumerate(((j, k), (k, j))):
-                values = np.hstack([vertex[lo], interior[n + 2 * p + half], mid[p]])
-                forms += _edge_terms(values, g.d, g.a_inner[(lo, hi)])
-        for j in range(1, n + 1):
-            forms[0] += g.w_vertex[j] * np.abs(vertex[j][:, 0]) ** 2
-        for p, pair in enumerate(pairs):
-            forms[0] += g.w_inner[pair] * np.abs(mid[p][:, 0]) ** 2
-        blocks.append(forms)
+        interior = normals[:, 2 * n_ends :].reshape(len(normals), n_edges, 2, m)
+        values = np.zeros((len(normals), n_edges, 5), dtype=complex)
+        for part, at in ((values.real, 0), (values.imag, 1)):
+            part[:, :, 0] = normals[:, left + at]
+            part[:, :, 1:4] = interior[:, :, at]
+            part[:, n:, 4] = normals[:, right + at]
+        terms = _edge_terms(values, forms)
+        terms[0] += np.einsum("sj,j->s", normals[:, : 2 * n_ends] ** 2, strengths)
+        blocks.append(terms)
     return tuple(np.concatenate(blocks, axis=1))
 
 
@@ -541,7 +556,10 @@ def verify_form_bound(
     gives the same functions, and leaves a caller's generator in the same
     state, as drawing them one sample at a time.  The spline is linear in
     its nodal values, so every edge integral is a quadratic form in them,
-    exact up to rounding and applied to a whole block of samples at once.
+    exact up to rounding.  The forms of all edges are built once per call,
+    each block of samples is evaluated in one array pass over every edge
+    (see :func:`_sampled_forms`), and both inequalities are tested on all
+    samples at once; only the violations become Python objects.
     """
     n_samples = require_positive_int(n_samples, "n_samples")
     if rng is None:
@@ -555,25 +573,20 @@ def verify_form_bound(
     inputs = form_bound_inputs(g, eta)
     c_eta_val = c_eta(inputs)
     c_half_val = c_eta(inputs, eta=0.5)
-    forms = _sampled_forms(g, n_samples, rng)
-    violations: list[FormBoundViolation] = []
-    for index, (h, d_form, norm_sq) in enumerate(zip(*(values.tolist() for values in forms))):
-        lhs1 = abs(h - d_form)
-        rhs1 = inputs.eta * d_form + c_eta_val * norm_sq
-        if lhs1 > rhs1:
-            violations.append(
-                FormBoundViolation(
-                    sample=index, inequality="relative-bound", lhs=lhs1, rhs=rhs1
-                )
-            )
-        lhs2 = d_form
-        rhs2 = 2.0 * (h + c_half_val * norm_sq)
-        if lhs2 > rhs2:
-            violations.append(
-                FormBoundViolation(
-                    sample=index, inequality="lower-bound", lhs=lhs2, rhs=rhs2
-                )
-            )
+    h, d_form, norm_sq = _sampled_forms(g, n_samples, rng)
+    checks = (
+        ("relative-bound", np.abs(h - d_form), inputs.eta * d_form + c_eta_val * norm_sq),
+        ("lower-bound", d_form, 2.0 * (h + c_half_val * norm_sq)),
+    )
+    failed = np.flatnonzero(np.logical_or.reduce([lhs > rhs for _, lhs, rhs in checks]))
+    violations = [
+        FormBoundViolation(
+            sample=index, inequality=name, lhs=float(lhs[index]), rhs=float(rhs[index])
+        )
+        for index in failed.tolist()
+        for name, lhs, rhs in checks
+        if lhs[index] > rhs[index]
+    ]
     return FormBoundReport(
         eta=inputs.eta,
         c_eta=c_eta_val,

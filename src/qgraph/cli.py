@@ -46,6 +46,7 @@ from .convergence import (
     HSResolvent,
     ScatteringNorm,
     SweepConfig,
+    _MAX_QUAD_N,
     report_to_csv,
     run_sweep,
 )
@@ -339,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="quad_n",
         type=int,
         default=64,
-        help="quadrature nodes per edge for the hs metric (default: 64; "
-        "values below 64 are outside the supported accuracy contract)",
+        help=f"quadrature nodes per edge for the hs metric, 4 to {_MAX_QUAD_N} "
+        "(default: 64; values below 64 are outside the supported accuracy contract)",
     )
     swp.set_defaults(func=cmd_sweep)
 

@@ -10,7 +10,8 @@ H* through three metrics,
   of |G_d - G*|^2 runs over a tensor-product Gauss-Legendre grid, with the
   star kernel extended by zero to the inner edges, so their rows and
   columns contribute |G_d|^2 alone.  The sum is evaluated per edge pair
-  from the kernels' rank-2 factors; only an inner edge's own block is
+  from the kernels' rank-2 factors, and an inner edge's own block, which
+  adds the free kernel, by scans over its sorted nodes; no block is
   dense,
 * ``EigGap`` — the largest displacement among the lowest eigenvalues of
   the truncated systems above a coupling-dependent floor that excludes
@@ -81,8 +82,8 @@ DEFAULT_D_VALUES: tuple[float, ...] = tuple(2.0**-p for p in range(2, 11))
 #: reported as unstable.
 QUAD_STABILITY_RTOL = 0.01
 
-# Rows per block of an inner edge's dense Hilbert-Schmidt sum.
-_HS_ROWS = 64
+#: Largest accepted quad_n (see HSResolvent).
+_MAX_QUAD_N = 1024
 
 
 class QuadratureWarning(UserWarning):
@@ -140,7 +141,10 @@ class HSResolvent:
     ``quad_n`` Gauss-Legendre nodes are placed on every edge; values below
     64 are permitted so that instability is observable, but they are
     outside the supported accuracy contract and will normally trigger the
-    stability warning.
+    stability warning.  At most ``_MAX_QUAD_N`` = 1024 nodes are accepted:
+    the stability check computes the rule of 2 quad_n nodes, whose cost
+    grows as quad_n^2 in memory, so a larger value fails at once instead
+    of exhausting memory.
     """
 
     z: complex = -1.0
@@ -151,8 +155,10 @@ class HSResolvent:
         object.__setattr__(self, "z", require_finite_complex(self.z, "z"))
         object.__setattr__(self, "L", require_positive_real(self.L, "truncation length L"))
         quad_n = require_positive_int(self.quad_n, "quad_n")
-        if quad_n < 4:
-            raise InputError(f"quad_n must be an integer >= 4, got {self.quad_n!r}")
+        if not 4 <= quad_n <= _MAX_QUAD_N:
+            raise InputError(
+                f"quad_n must be an integer in [4, {_MAX_QUAD_N}], got {self.quad_n!r}"
+            )
         object.__setattr__(self, "quad_n", quad_n)
 
 
@@ -320,16 +326,6 @@ def _gauss_legendre(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _edge_quadrature(sys: MetricGraphSystem, quad_n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gauss-Legendre nodes and weights on every edge, in edge order: one
-    (nodes, weights) pair of arrays per edge."""
-    nodes, weights = _gauss_legendre(quad_n)
-    return [
-        (edge.length / 2.0 * (nodes + 1.0), weights * (edge.length / 2.0))
-        for edge in sys.edges
-    ]
-
-
 def _require_same_outer_edges(star_t: MetricGraphSystem, approx_t: MetricGraphSystem) -> None:
     """The truncated star's edges lead the approximating system's edges with
     the same ids, lengths and potentials, so that their free kernels agree."""
@@ -350,21 +346,60 @@ def _star_amplitudes(star_t: MetricGraphSystem, z: complex) -> np.ndarray:
     return amp
 
 
-def _inner_block_sum(g_d: GreensFunction, edge, s: np.ndarray, w: np.ndarray) -> float:
-    """sum_{x, y} w_x w_y |G_d(x, y)|^2 over one edge's own block of nodes
-    ``s``, summed in row blocks so that memory stays O(len(s))."""
-    modes = g_d._modes[edge.id]
-    u_amp = g_d._point_modes(edge, s) @ g_d._amp[np.ix_(modes, modes)]
-    p_t = g_d._source_modes(edge, s).T
-    total = 0.0
-    for at in range(0, len(s), _HS_ROWS):
-        rows = slice(at, at + _HS_ROWS)
-        kernel = g_d._free_kernel(edge, s[rows], s)
-        kernel += u_amp[rows] @ p_t
-        sq = np.abs(kernel)
-        sq **= 2
-        total += w[rows] @ sq @ w
-    return total
+def _running_sums(factors: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """x_i = factors_i x_(i-1) + terms_i along axis 1, from x_(-1) = 0.
+
+    A doubling scan: round r combines each x_i with the partial sum 2^r
+    places back, through the product of the factors between them, so it
+    takes log2 of the axis length array steps.  Only products of the given
+    factors are formed; with factors of modulus at most 1 nothing grows.
+    """
+    sums, carry = terms.copy(), factors.copy()
+    step = 1
+    while step < sums.shape[1]:
+        sums[:, step:] += carry[:, step:] * sums[:, :-step]
+        carry[:, step:] *= carry[:, :-step]
+        step *= 2
+    return sums
+
+
+def _free_block_sums(k, amp, a, s, w, u, p) -> np.ndarray:
+    """Per edge of a batch, sum_{x, y} w_x w_y (|F(x, y)|^2 + 2 Re(conj(K(x,
+    y)) F(x, y))) over the edge's own nodes: the part of its own block of
+    |K + F|^2 that the rank-2 factors K = U A P^T leave out, for the free
+    kernel F of momentum ``k`` under the potentials ``a`` (shape (edges,
+    1)).  ``s`` and ``w`` hold the sorted nodes and their weights, (edges,
+    q); ``u`` and ``p`` the modes U and P there, (edges, q, 2); ``amp`` each
+    edge's own 2 x 2 amplitudes A.
+
+    F(x, y) is c e^{i(k - a)(s_x - s_y)} for s_y <= s_x and c e^{i(k + a)(s_y
+    - s_x)} for s_y > s_x, with c = i/(2k).  So sum_y F(x, y) b_y is c times
+    a forward running sum over the nodes plus a backward one, each step
+    multiplying by e^{i(k -+ a) gap}; sum_y |F(x, y)|^2 w_y is |c|^2 times
+    the same with the steps e^{-2 Im k gap}.  Every step has modulus at most
+    1.  One scan per direction carries b = w conj(P_0), w conj(P_1) and w.
+    """
+    gap = np.diff(s, axis=1)
+    decay = np.exp(-2.0 * k.imag * gap)
+    terms = np.concatenate([w[..., np.newaxis] * p.conj(), w[..., np.newaxis]], axis=2)
+    # The steps between neighboring nodes, (edges, q - 1, 3): into node x + 1
+    # from node x forward, into node x from node x + 1 backward.
+    forward, backward = (
+        np.stack([phase, phase, decay], axis=2)
+        for phase in (np.exp(1j * (k - a) * gap), np.exp(1j * (k + a) * gap))
+    )
+    zero = np.zeros_like(terms[:, :1])
+    sums = _running_sums(np.concatenate([zero, forward], axis=1), terms)
+    # The backward sums run from the last node down; shifted one node, they
+    # leave each node's own term to the forward sum.
+    from_right = _running_sums(
+        np.concatenate([zero, backward[:, ::-1]], axis=1), terms[:, ::-1]
+    )[:, ::-1]
+    sums[:, :-1] += backward * from_right[:, 1:]
+    c = 0.5j / k
+    cross = np.einsum("ex,exm,exn,emn->e", w, u.conj(), sums[..., :2], amp.conj()) * c
+    free_sq = (w * sums[..., 2].real).sum(axis=1) * abs(c) ** 2
+    return free_sq + 2.0 * cross.real
 
 
 def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray, quad_n: int) -> float:
@@ -373,31 +408,38 @@ def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray, quad_n: int) -> floa
     ``g_d``, with G* extended by zero off the outer edges.
 
     On edges e and f both kernels are U_e A[e, f] P_f^T, plus the free
-    kernel on e = f, which is the same on both sides of an outer edge.  With
-    thin QR factors sqrt(w) U_e = Q R^U_e and sqrt(w) P_f = Q' R^P_f the
-    pair's sum is ||R^U_e D R^P_f^T||_F^2, where D = A_d - A* on two outer
-    edges and A_d elsewhere.  Only an inner edge's own block, whose free
-    kernel has no star counterpart, is summed densely.
+    kernel F_e on e = f, which is the same on both sides of an outer edge.
+    The nodes, the weights and the modes U and P of every edge are one
+    array pass, (edges, quad_n) and (edges, quad_n, 2).  With thin QR
+    factors sqrt(w) U_e = Q R^U_e and sqrt(w) P_f = Q' R^P_f the pair's sum
+    is ||R^U_e D R^P_f^T||_F^2, where D = A_d - A* on two outer edges and
+    A_d elsewhere.  An inner edge's own block adds the sums of |F_e|^2 and
+    of the cross term 2 Re(conj(U A P^T) F_e), both by scans over its
+    sorted nodes (see :func:`_free_block_sums`), so no quad_n x quad_n
+    array is formed.
     """
     edges = g_d.system.edges
-    quad = _edge_quadrature(g_d.system, quad_n)
-    root_w = [np.sqrt(w)[:, np.newaxis] for _, w in quad]
-    r_u, r_p = (
-        np.linalg.qr(
-            np.stack([rw * modes(edge, s) for edge, (s, _), rw in zip(edges, quad, root_w)]),
-            mode="r",
-        )
-        for modes in (g_d._point_modes, g_d._source_modes)
-    )
+    nodes, weights = _gauss_legendre(quad_n)
+    length = np.array([edge.length for edge in edges])[:, np.newaxis]
+    a = np.array([edge.a for edge in edges])[:, np.newaxis]
+    s = length / 2.0 * (nodes + 1.0)
+    w = weights * (length / 2.0)
+    u, p = g_d._point_modes(length, a, s), g_d._source_modes(length, a, s)
+    root_w = np.sqrt(w)[..., np.newaxis]
+    r_u, r_p = (np.linalg.qr(root_w * modes, mode="r") for modes in (u, p))
     # The amplitudes as (sign, edge, sign, edge); the outer edges lead both
     # systems' edge orders.
     ne, n_out = len(edges), len(amp_star) // 2
-    diff = g_d._amp.reshape(2, ne, 2, ne).copy()
+    amp = g_d._amp.reshape(2, ne, 2, ne)
+    diff = amp.copy()
     diff[:, :n_out, :, :n_out] -= amp_star.reshape(2, n_out, 2, n_out)
     blocks = np.einsum("eij,jekf,flk->efil", r_u, diff, r_p)
     pair_sums = (blocks.real**2 + blocks.imag**2).sum(axis=(2, 3))
-    for e in range(n_out, ne):
-        pair_sums[e, e] = _inner_block_sum(g_d, edges[e], *quad[e])
+    inner = np.arange(n_out, ne)
+    own = amp[:, inner, :, inner]
+    pair_sums[inner, inner] += _free_block_sums(
+        g_d.k, own, a[inner], s[inner], w[inner], u[inner], p[inner]
+    )
     return float(math.sqrt(pair_sums.sum()))
 
 
@@ -414,11 +456,14 @@ def metric_hs_resolvent(
     extended by zero to the inner edges, so those rows and columns
     contribute the plain Hilbert-Schmidt mass of G_d.  The value is the
     weighted sum over the tensor grid of quad_n Gauss-Legendre nodes per
-    edge, evaluated per edge pair from the kernels' rank-2 factors (see
-    :func:`_hs_distance`), so no kernel matrix is formed; the outer edges
-    of the two systems must agree in id, length and potential.  The value
-    is also recomputed with 2 quad_n nodes; a relative change above 1%
-    emits a :class:`QuadratureWarning` naming both values.
+    edge (at most 1024), evaluated per edge pair from the kernels' rank-2
+    factors, with every edge's nodes and modes in one array pass per
+    quadrature level and each inner edge's own block summed by scans over
+    its sorted nodes (see :func:`_hs_distance`), so neither a kernel matrix
+    nor any quad_n x quad_n block is formed; the outer edges of the two
+    systems must agree in id, length and potential.  The value is also
+    recomputed with 2 quad_n nodes; a relative change above 1% emits a
+    :class:`QuadratureWarning` naming both values.
     """
     spec = HSResolvent(z=z, L=L, quad_n=quad_n)
     star_t = truncate(star_system(st), L=spec.L)

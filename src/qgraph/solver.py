@@ -969,29 +969,32 @@ class GreensFunction:
 
     # -- internals --------------------------------------------------------
 
-    def _free_end(self, edge, sy: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    def _free_end(self, a, sy: np.ndarray, dist: np.ndarray) -> np.ndarray:
         """Gauged value of the free kernel of sources at ``sy`` at an end of
-        their edge, ``dist`` away."""
-        return np.exp(1j * edge.a * sy) * (0.5j / self.k) * np.exp(1j * self.k * dist)
+        their edge, ``dist`` away, under the potential ``a``."""
+        return np.exp(1j * a * sy) * (0.5j / self.k) * np.exp(1j * self.k * dist)
 
-    def _point_modes(self, edge, s: np.ndarray) -> np.ndarray:
-        """U_e at the coordinates ``s``: one row per point, one column per
-        mode of the edge."""
-        ph = np.exp(-1j * edge.a * s)
-        if edge.is_half_line:
-            return (ph * np.exp(1j * self.k * s))[:, np.newaxis]
+    def _point_modes(self, length, a, s: np.ndarray) -> np.ndarray:
+        """U at the coordinates ``s`` on edges of length ``length`` and
+        potential ``a``, all three broadcast together: the modes on a new
+        last axis, two on a finite edge.  A half-line (``length`` inf) has
+        one mode and is evaluated on its own."""
+        ph = np.exp(-1j * a * s)
+        if np.isinf(length).any():
+            return (ph * np.exp(1j * self.k * s))[..., np.newaxis]
         near = np.expm1(1j * self.k * s)
-        far = np.expm1(1j * self.k * (edge.length - s))
-        modes = np.stack([2.0 + near + far, far - near], axis=1)
-        return (ph / math.sqrt(2.0))[:, np.newaxis] * modes
+        far = np.expm1(1j * self.k * (length - s))
+        modes = np.stack([2.0 + near + far, far - near], axis=-1)
+        return (ph / math.sqrt(2.0))[..., np.newaxis] * modes
 
-    def _source_modes(self, edge, s: np.ndarray) -> np.ndarray:
-        """P_f for sources at the coordinates ``s``, laid out as U_e."""
-        pv0 = self._free_end(edge, s, s)
-        if edge.is_half_line:
-            return pv0[:, np.newaxis]
-        pv1 = self._free_end(edge, s, edge.length - s)
-        return np.stack([pv0 + pv1, pv0 - pv1], axis=1) / math.sqrt(2.0)
+    def _source_modes(self, length, a, s: np.ndarray) -> np.ndarray:
+        """P for sources at the coordinates ``s``, laid out as
+        :meth:`_point_modes`."""
+        pv0 = self._free_end(a, s, s)
+        if np.isinf(length).any():
+            return pv0[..., np.newaxis]
+        pv1 = self._free_end(a, s, length - s)
+        return np.stack([pv0 + pv1, pv0 - pv1], axis=-1) / math.sqrt(2.0)
 
     def _free_kernel(self, edge, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
         """F_e(x, y) on the grid ``sx`` x ``sy`` of one edge."""
@@ -1027,11 +1030,13 @@ class GreensFunction:
         # Per source column, the amplitude of every mode: A[:, f] P_f(y)^T.
         amp = np.empty((len(self._amp), len(sources)), dtype=complex)
         for eid, (jdx, sy) in source_groups.items():
-            amp[:, jdx] = self._amp[:, self._modes[eid]] @ self._source_modes(edge_map[eid], sy).T
+            edge = edge_map[eid]
+            modes = self._source_modes(edge.length, edge.a, sy)
+            amp[:, jdx] = self._amp[:, self._modes[eid]] @ modes.T
         out = np.empty((len(points), len(sources)), dtype=complex)
         for eid, (idx, sx) in _group_by_edge(points).items():
             edge = edge_map[eid]
-            out[idx, :] = self._point_modes(edge, sx) @ amp[self._modes[eid]]
+            out[idx, :] = self._point_modes(edge.length, edge.a, sx) @ amp[self._modes[eid]]
             if eid in source_groups:
                 jdx, sy = source_groups[eid]
                 out[np.ix_(idx, jdx)] += self._free_kernel(edge, sx, sy)

@@ -154,12 +154,15 @@ def reference_neighbor_sets(st: STForm, cutoff: float) -> NeighborSets:
 
 # -- reference form-bound sampling: one spline per edge of every sample ----
 
+_GAUSS_32 = np.polynomial.legendre.leggauss(32)
+
+
 def _reference_edge_terms(values, length, a):
     """Integrals of one edge spline: its own CubicSpline, 32 Gauss-Legendre
     nodes per segment."""
     knots = np.linspace(0.0, length, len(values))
     spline = CubicSpline(knots, values)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = _GAUSS_32
     half = np.diff(knots) / 2.0
     xs = np.concatenate([lo + h * (nodes + 1.0) for lo, h in zip(knots[:-1], half)])
     ws = np.concatenate([h * weights for h in half])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,13 +27,14 @@ from qgraph import (
     optimal_alpha,
     verify_form_bound,
 )
-from qgraph.budget import _CROSS, _KINETIC, _MASS, _edge_terms, _sampled_forms
+from qgraph.budget import _CROSS, _KINETIC, _MASS, _edge_forms, _edge_terms, _sampled_forms
 from helpers import (
     _reference_edge_terms,
     loglog_slope,
     make_complex_t,
     make_delta_prime,
     make_dirichlet,
+    random_st,
     reference_form_bound,
     reference_sampled_forms,
 )
@@ -337,6 +339,12 @@ def test_edge_forms_are_the_exact_spline_integrals():
         assert np.array(rational, dtype=float).tolist() == stored.tolist(), name
 
 
+def edge_terms(values, length, a):
+    """:func:`_edge_terms` of the nodal values of one spline, shape (5,), or
+    of a batch of them, shape (..., 5), on one edge: a (3, ...) array."""
+    return _edge_terms(np.asarray(values)[..., np.newaxis, :], _edge_forms(length, a)[np.newaxis])
+
+
 @pytest.mark.parametrize("length", [1.0, 0.37, 0.1, 2.0**-10])
 def test_edge_forms_match_sampled_spline_oracle(length):
     """Exact forms against a CubicSpline through each profile, integrated by
@@ -344,7 +352,7 @@ def test_edge_forms_match_sampled_spline_oracle(length):
     rng = np.random.default_rng(5)
     for a in (0.0, 1.0, -3.5, 120.0):
         values = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        got = _edge_terms(values, length, a)
+        got = edge_terms(values, length, a)
         ref = np.array([_reference_edge_terms(v, length, a) for v in values]).T
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
@@ -352,24 +360,24 @@ def test_edge_forms_match_sampled_spline_oracle(length):
 
 def test_edge_terms_linear_profile():
     values = np.linspace(0.0, 1.0, 5)  # f(s) = s on [0, 1]
-    kin_a, kin, mass = _edge_terms(values, 1.0, a=0.0)
+    kin_a, kin, mass = edge_terms(values, 1.0, a=0.0)
     assert kin == pytest.approx(1.0, rel=1e-12)
     assert mass == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert kin_a == pytest.approx(kin)
     # with a covariant term: integral of |1 + 2 i s|^2 = 1 + 4/3
-    kin_a2, _, _ = _edge_terms(values, 1.0, a=2.0)
+    kin_a2, _, _ = edge_terms(values, 1.0, a=2.0)
     assert kin_a2 == pytest.approx(1.0 + 4.0 / 3.0, rel=1e-12)
 
 
 def test_edge_terms_quadratic_profile():
     s = np.linspace(0.0, 1.0, 5)
-    kin_a, kin, mass = _edge_terms(s**2, 1.0, a=1.0)
+    kin_a, kin, mass = edge_terms(s**2, 1.0, a=1.0)
     assert kin == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert mass == pytest.approx(1.0 / 5.0, rel=1e-12)
     # integral of |2s + i s^2|^2 = 4/3 + 1/5
     assert kin_a == pytest.approx(4.0 / 3.0 + 1.0 / 5.0, rel=1e-12)
     # a batch of profiles gives each profile's integrals
-    batch = _edge_terms(np.stack([s, s**2]), 1.0, a=1.0)
+    batch = edge_terms(np.stack([s, s**2]), 1.0, a=1.0)
     np.testing.assert_allclose(batch[0], [1.0 + 1.0 / 3.0, kin_a], rtol=1e-12)
     np.testing.assert_allclose(batch[2], [1.0 / 3.0, mass], rtol=1e-12)
 
@@ -417,13 +425,21 @@ def test_verify_form_bound_rejects_bad_rng(rng):
 
 @pytest.mark.parametrize(
     "st",
-    [make_delta_prime(beta=1.0, n=3), make_delta_prime(beta=1.0, n=7), make_complex_t()],
-    ids=["delta_prime_n3", "delta_prime_n7", "complex_t"],
+    [
+        make_delta_prime(beta=1.0, n=3),
+        make_delta_prime(beta=1.0, n=7),
+        make_delta_prime(beta=1.0, n=16),
+        make_complex_t(),
+        random_st(np.random.default_rng(20), n=5, m=3),
+    ],
+    ids=["delta_prime_n3", "delta_prime_n7", "delta_prime_n16", "complex_t", "random_n5_m3"],
 )
 def test_batched_sampling_matches_per_sample_reference(st):
     """The batched path draws the same functions as the old per-sample,
     per-edge spline loop, integrates them alike and leaves the generator
-    in the same state."""
+    in the same state.  The random form couples every pair of its five
+    edges through a complex T, so each half (j, k) has its own potential;
+    delta' n=16 has 240 halves."""
     g = build_approx_graph(st, 0.1)
     n_samples, seed = 40, 13
     batched_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -434,6 +450,21 @@ def test_batched_sampling_matches_per_sample_reference(st):
     for eta in (0.5, 1.0):
         report = verify_form_bound(g, eta=eta, n_samples=n_samples, rng=seed)
         assert report == reference_form_bound(g, eta, reference)
+
+
+def test_verify_form_bound_memory_is_independent_of_sample_count():
+    """Samples are drawn and evaluated a block at a time, so 2,000 samples on
+    delta' n=16 (256 edges) take about the memory of one block: holding all
+    of their edge values at once would take 41 MB."""
+    g = build_approx_graph(make_delta_prime(beta=1.0, n=16), 0.1)
+    tracemalloc.start()
+    try:
+        report = verify_form_bound(g, eta=1.0, n_samples=2000, rng=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 4e6
 
 
 def test_constant_dominates_concentrated_test_function():

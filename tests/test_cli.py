@@ -539,13 +539,13 @@ _EIG_WINDOW_START = st_.one_of(
 )
 
 
-def _one_d_row(text: str, d: float) -> str:
-    """The d,metric,status row of a one-d eig sweep of ``text``: from its
-    CSV, or, when that d fails (exit 4, no CSV), from its stderr."""
+def _one_d_row(text: str, d: float, *options: str) -> str:
+    """The d,metric,status row of a one-d sweep of ``text`` with the sweep
+    ``options``: from its CSV, or, when that d fails (exit 4, no CSV), from
+    its stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "one.csv")
-        code, _, err = _run_quietly(["sweep", "-", "--metric", "eig", "--d", repr(d), "--out", out],
-                                    text)
+        code, _, err = _run_quietly(["sweep", "-", *options, "--d", repr(d), "--out", out], text)
         if code == 0:
             return Path(out).read_text().splitlines()[1]
     assert code == 4, err
@@ -582,4 +582,57 @@ def test_fuzzed_eig_sweeps_match_one_d_sweeps(seed, n, p0, width):
         rows = Path(out).read_text().splitlines()[1 : 2 + width]
     assert len(rows) == width + 1
     for row in rows:
-        assert row == _one_d_row(text, float(row.split(",")[0]))
+        assert row == _one_d_row(text, float(row.split(",")[0]), "--metric", "eig")
+
+
+# -- fuzzed HS sweeps -------------------------------------------------------
+
+_HS_WINDOW_START = st_.one_of(
+    st_.integers(min_value=0, max_value=12),
+    st_.integers(min_value=17, max_value=24),
+    st_.integers(min_value=1071, max_value=1075),
+)
+
+# A nonzero part of z, at most 10^11.85 in modulus, so that |z| <= 1e12.
+_Z_PART = st_.builds(lambda exponent, sign: sign * 10.0**exponent,
+                     st_.floats(min_value=-3.0, max_value=11.85), st_.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st_.integers(min_value=0, max_value=2**32 - 1),
+    st_.integers(min_value=1, max_value=3),
+    _HS_WINDOW_START,
+    st_.integers(min_value=0, max_value=3),
+    _Z_PART,
+    st_.one_of(st_.just(0.0), _Z_PART),
+)
+@example(seed=1, n=3, p0=2, width=3, z_re=-1.0, z_im=0.0)
+@example(seed=4, n=3, p0=1, width=2, z_re=-1e12, z_im=5.0)
+@example(seed=5, n=2, p0=20, width=2, z_re=-1.0, z_im=0.0)
+def test_fuzzed_hs_sweeps_match_one_d_sweeps(seed, n, p0, width, z_re, z_im):
+    """``qgraph sweep --metric hs --z-re --z-im --d-range p0:p1`` on a random
+    coupling with n <= 3 and |z| up to 1e12 exits with a documented code and
+    no traceback or warning; on success every metric it reports is finite
+    and nonnegative, and every CSV row equals that of a sweep at its d alone.
+    The windows reach from d = 1 past the default grid, down to where
+    z = -1 is wrongly reported as on the spectrum (d <= 2^-20), and to where
+    d underflows to 0 (exit 2)."""
+    text = dumps(random_st(np.random.default_rng(seed), n=n))
+    options = ["--metric", "hs", "--z-re", repr(z_re), "--z-im", repr(z_im)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sweep.csv")
+        argv = ["sweep", "-", *options, "--d-range", f"{p0}:{p0 + width}", "--out", out]
+        code, stdout, err = _run_quietly(argv, text)
+        assert code in range(6), (argv, code, err)
+        assert "Traceback" not in err and "Warning" not in err, err
+        if code != 0:
+            return
+        assert stdout.startswith("slope=")
+        rows = Path(out).read_text().splitlines()[1 : 2 + width]
+    assert len(rows) == width + 1
+    for row in rows:
+        d, value, _ = row.split(",", 2)
+        if value:
+            assert math.isfinite(float(value)) and float(value) >= 0.0, row
+        assert row == _one_d_row(text, float(d), *options)

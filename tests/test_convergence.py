@@ -112,6 +112,26 @@ def test_hs_resolvent_rejects_non_finite_z(z):
         HSResolvent(z=z)
 
 
+def test_hs_resolvent_bounds_quad_n_before_any_rule(monkeypatch, tmp_path, capsys):
+    """A quad_n above the documented bound fails as an InputError before any
+    Gauss-Legendre rule is computed (the refined level's rule of 2 quad_n
+    nodes is quadratic in memory), in the library and through the CLI."""
+
+    def no_rule(quad_n):
+        raise AssertionError(f"a rule of {quad_n} nodes was computed")
+
+    monkeypatch.setattr(convergence, "_gauss_legendre", no_rule)
+    assert convergence._MAX_QUAD_N == 1024
+    assert HSResolvent(quad_n=1024).quad_n == 1024
+    for quad_n in (1025, 100_000):
+        with pytest.raises(InputError, match=re.escape(f"in [4, 1024], got {quad_n!r}")):
+            metric_hs_resolvent(make_delta(), 0.25, quad_n=quad_n)
+    doc = tmp_path / "delta.json"
+    doc.write_text('{"kind": "delta", "n": 3, "alpha": 1.0}')
+    assert cli.main(["sweep", str(doc), "--metric", "hs", "--quad-n", "100000"]) == cli.EXIT_INVALID
+    assert "quad_n must be an integer in [4, 1024], got 100000" in capsys.readouterr().err
+
+
 def test_eig_gap_validation():
     with pytest.raises(InputError):
         EigGap(count=0)
@@ -215,16 +235,39 @@ def test_metric_hs_matches_dense_reference_at_long_truncation(st_delta_prime):
 
 
 def test_metric_hs_forms_no_kernel_matrix(monkeypatch, st_complex_t):
-    calls = []
-    original = GreensFunction.kernel_matrix
+    """An HS sweep builds no kernel matrix and evaluates no free kernel on a
+    grid of nodes: an inner edge's own block is summed by scans."""
+    calls = {"kernel_matrix": [], "_free_kernel": []}
+    for name, record in calls.items():
+        original = getattr(GreensFunction, name)
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
+        def counting(self, *args, _original=original, _record=record, **kwargs):
+            _record.append(args)
+            return _original(self, *args, **kwargs)
 
-    monkeypatch.setattr(GreensFunction, "kernel_matrix", counting)
+        monkeypatch.setattr(GreensFunction, name, counting)
     run_sweep(SweepConfig(st=st_complex_t, metric=HSResolvent(), d_values=MEMO_D_VALUES))
-    assert calls == []
+    assert calls == {"kernel_matrix": [], "_free_kernel": []}
+
+
+@pytest.mark.parametrize("d", [0.5, 2.0**-2, 2.0**-10])
+@pytest.mark.parametrize("z", [-1e8, -1e12 + 5j, 1e6 + 1e3j])
+@pytest.mark.parametrize("make", [make_complex_t, make_delta_prime])
+def test_metric_hs_scan_does_not_overflow(make, z, d):
+    """Far from the spectrum the free kernel decays as e^{-Im k |s - s'|}, with
+    Im k up to 1e6 here.  Prefix sums of e^{-+i(k -+ a) s} would overflow
+    (at z = -1e8 and d = 2^-2 already); the scan's steps have modulus at
+    most 1, so no RuntimeWarning is raised and the value matches the dense
+    kernels."""
+    st = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        got = metric_hs_resolvent(st, d, z=z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        ref = reference_hs_value(st, d, z=z)
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_metric_hs_memory_stays_small(st_delta_prime):

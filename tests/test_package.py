@@ -133,3 +133,57 @@ def test_no_module_imports_a_name_it_never_uses():
     ]
     unused = {str(path): _unused_imports(path) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for every private name (one leading underscore, not
+    a dunder) that a statement of a module body binds: functions, classes
+    and assignments."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [
+            (name, node) for name in names if name.startswith("_") and not name.startswith("__")
+        ]
+    return found
+
+
+def _reads(node: ast.AST) -> list[str]:
+    """Every name ``node`` reads: loaded names, attribute names and the names
+    a ``from`` import takes."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names += [alias.name for alias in sub.names]
+    return names
+
+
+def test_every_private_module_level_name_is_read():
+    """Every private name a module of the package defines at module level is
+    read somewhere in the package outside its own definition, so that a
+    rewrite leaves no dead helper or constant behind."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(qgraph.__file__).parent.glob("*.py"))}
+    dead = []
+    for path, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            outside = [
+                read
+                for other_path, other in trees.items()
+                for node in other.body
+                if not (other_path == path and node is definition)
+                for read in _reads(node)
+            ]
+            if name not in outside:
+                dead.append(f"{path.name}:{name}")
+    assert dead == []
