@@ -17,18 +17,19 @@ H* through three metrics,
   the truncated systems above a coupling-dependent floor that excludes
   the deep bound states generated by the O(1/d^2) inner strengths.
 
-``run_sweep`` evaluates one metric over a decreasing list of d values,
-skipping (with a recorded reason) any d where the construction or the
-solve degenerates, and fits log(metric) against log(d) by ordinary least
-squares once at least four valid points survive.  Reports serialize to
-CSV with one ``d,metric,status`` row per d followed by ``slope``,
-``intercept`` and ``residual`` trailer rows; commas inside status
-messages are replaced by semicolons so the file stays three columns wide.
+Each metric has one grid function that maps a decreasing list of d values
+to per-d outcomes, the value or the QGraphError that d raises with that d's
+quadrature notes, and computes the star side, which does not depend on d,
+once; the ``metric_*`` functions are its one-d case.  ``run_sweep`` records a d that raised as skipped with
+the reason, and fits log(metric) against log(d) by ordinary least squares
+once at least four valid points survive.  Reports serialize to CSV with one
+``d,metric,status`` row per d followed by ``slope``, ``intercept`` and
+``residual`` trailer rows; commas inside status messages are replaced by
+semicolons so the file stays three columns wide.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import warnings
@@ -90,33 +91,6 @@ class QuadratureWarning(UserWarning):
     """The Hilbert-Schmidt quadrature looks under-resolved at this quad_n."""
 
 
-# The star side of every metric is independent of d.  The HS metric is
-# evaluated one d at a time, so run_sweep sets a memo in a copied context for
-# its own duration, and a sweep computes its coupling's star amplitudes (or
-# the QGraphError that computing them raises) once; outside a sweep nothing
-# is kept.  They are the memo's only entries: an eig sweep solves its star
-# once anyway, and the scattering metric's star S(k) is one n-wide solve.
-_SWEEP_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "qgraph_sweep_memo", default=None
-)
-
-
-def _star_side(key: tuple, compute):
-    """``compute()``, memoized under ``key`` while a sweep runs."""
-    memo = _SWEEP_MEMO.get()
-    if memo is None:
-        return compute()
-    if key not in memo:
-        try:
-            memo[key] = (compute(), None)
-        except QGraphError as exc:
-            memo[key] = (None, exc)
-    value, error = memo[key]
-    if error is not None:
-        raise error.with_traceback(None)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Metric specifications and sweep configuration
 # ---------------------------------------------------------------------------
@@ -152,7 +126,10 @@ class HSResolvent:
     quad_n: int = 64
 
     def __post_init__(self):
-        object.__setattr__(self, "z", require_finite_complex(self.z, "z"))
+        z = require_finite_complex(self.z, "z")
+        if z == 0:
+            raise InputError("z = 0 is not a valid resolvent point")
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "L", require_positive_real(self.L, "truncation length L"))
         quad_n = require_positive_int(self.quad_n, "quad_n")
         if not 4 <= quad_n <= _MAX_QUAD_N:
@@ -191,6 +168,8 @@ class SweepConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if type(self.metric) not in _GRIDS:
+            raise InputError(f"unknown metric specification {self.metric!r}")
         ds = tuple(require_half_length(d) for d in self.d_values)
         if any(b >= a for a, b in zip(ds, ds[1:])):
             raise InputError("d_values must be strictly decreasing")
@@ -242,6 +221,29 @@ def _spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
+def _one_d(outcomes: list) -> float:
+    """The value of a grid function's only d: its QGraphError is raised, and
+    each of its quadrature notes is emitted as a :class:`QuadratureWarning`."""
+    ((value, notes),) = outcomes
+    if isinstance(value, QGraphError):
+        raise value
+    for note in notes:
+        warnings.warn(QuadratureWarning(note), stacklevel=3)
+    return value
+
+
+def _each(d_values, evaluate) -> list:
+    """Per d of ``d_values``, the outcome ``evaluate(d)`` returns, or the
+    QGraphError it raises with no notes."""
+    outcomes = []
+    for d in d_values:
+        try:
+            outcomes.append(evaluate(d))
+        except QGraphError as exc:
+            outcomes.append((exc, ()))
+    return outcomes
+
+
 def metric_scattering(
     st: STForm, d: float, k_list=(0.5, 1.0, 2.0)
 ) -> float:
@@ -251,20 +253,29 @@ def metric_scattering(
     k (1 + 1e-6); if the perturbed momentum still resonates, the error
     propagates and the sweep records the d as skipped.
     """
-    spec = ScatteringNorm(tuple(k_list))
+    return _one_d(_scattering_norms(st, (d,), ScatteringNorm(tuple(k_list))))
+
+
+def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
+    """Per d of ``d_values``, the outcome of :func:`metric_scattering`; a
+    QGraphError of the star side propagates.  The star's S(k) is computed
+    once per momentum, and each d's reduction once."""
     c = ab_from_st(st)
-    scatter = _ScatteringSolver(system_from_approx(build_approx_graph(st, d)))
-    worst = 0.0
-    for k in spec.k_list:
-        try:
-            s_d = scatter(k)
-            s_star = star_scattering(c, k)
-        except (ResonantKError, ConditioningError):
-            k_shift = k * (1.0 + 1.0e-6)
-            s_d = scatter(k_shift)
-            s_star = star_scattering(c, k_shift)
-        worst = max(worst, _spectral_norm(s_d - s_star))
-    return worst
+    star = functools.cache(lambda k: star_scattering(c, k))
+
+    def norm(d):
+        scatter = _ScatteringSolver(system_from_approx(build_approx_graph(st, d)))
+        worst = 0.0
+        for k in spec.k_list:
+            try:
+                s_d, s_star = scatter(k), star(k)
+            except (ResonantKError, ConditioningError):
+                k_shift = k * (1.0 + 1.0e-6)
+                s_d, s_star = scatter(k_shift), star(k_shift)
+            worst = max(worst, _spectral_norm(s_d - s_star))
+        return worst, ()
+
+    return _each(d_values, norm)
 
 
 def eigengap_floor(st: STForm) -> float:
@@ -291,17 +302,14 @@ def metric_eigengap(st: STForm, d: float, count: int = 5, L: float = 1.0) -> flo
     with Dirichlet ends; the lowest `count` eigenvalues above
     ``eigengap_floor(st)`` are matched by index.
     """
-    (gap,) = _eigengaps(st, (d,), EigGap(count=count, L=L))
-    if isinstance(gap, QGraphError):
-        raise gap
-    return gap
+    return _one_d(_eigengaps(st, (d,), EigGap(count=count, L=L)))
 
 
 def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
-    """Per d of ``d_values``, :func:`metric_eigengap`, or the QGraphError
-    that d raises; a QGraphError of the star side propagates.  The star is
-    solved once, and every approximating graph's search runs in one lockstep
-    solve (see :func:`~qgraph.solver._eigenvalues_lockstep`)."""
+    """Per d of ``d_values``, the outcome of :func:`metric_eigengap`; a
+    QGraphError of the star side propagates.  The star is solved once, and
+    every approximating graph's search runs in one lockstep solve (see
+    :func:`~qgraph.solver._eigenvalues_lockstep`)."""
     floor = eigengap_floor(st)
     star = truncate(star_system(st), L=spec.L)
     lam_star = eigenvalues_compact(star, spec.count, lam_min=floor)
@@ -315,7 +323,7 @@ def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
     solved = _eigenvalues_lockstep(list(systems.values()), spec.count, lam_min=floor)
     for d, lam_d in zip(systems, solved):
         gaps[d] = lam_d if isinstance(lam_d, QGraphError) else float(np.max(np.abs(lam_d - lam_star)))
-    return [gaps[d] for d in d_values]
+    return [(gaps[d], ()) for d in d_values]
 
 
 @functools.lru_cache(maxsize=4)
@@ -465,25 +473,40 @@ def metric_hs_resolvent(
     recomputed with 2 quad_n nodes; a relative change above 1% emits a
     :class:`QuadratureWarning` naming both values.
     """
-    spec = HSResolvent(z=z, L=L, quad_n=quad_n)
+    return _one_d(_hs_distances(st, (d,), HSResolvent(z=z, L=L, quad_n=quad_n)))
+
+
+def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
+    """Per d of ``d_values``, the outcome of :func:`metric_hs_resolvent`,
+    with its quadrature note as data; a QGraphError of the truncated star
+    propagates.  The star's amplitudes, or the QGraphError they raise, are
+    computed once, at the first d whose graph builds with the star's outer
+    edges, and serve every d after it."""
     star_t = truncate(star_system(st), L=spec.L)
-    approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
-    _require_same_outer_edges(star_t, approx_t)
-    amp_star = _star_side(
-        ("hs", spec.z, spec.L), functools.partial(_star_amplitudes, star_t, spec.z)
-    )
-    g_d = greens_function(approx_t, spec.z)
-    value, refined = (_hs_distance(g_d, amp_star, n) for n in (spec.quad_n, 2 * spec.quad_n))
-    change = abs(value - refined) / max(abs(refined), 1.0e-300)
-    if change > QUAD_STABILITY_RTOL:
-        warnings.warn(
-            QuadratureWarning(
-                f"quadrature unstable at quad_n={spec.quad_n}: value {value:.6e} "
-                f"vs {refined:.6e} at 2x nodes (rel change {change:.2e})"
-            ),
-            stacklevel=2,
+    amp_star: np.ndarray | QGraphError | None = None
+
+    def distance(d):
+        nonlocal amp_star
+        approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
+        _require_same_outer_edges(star_t, approx_t)
+        if amp_star is None:
+            try:
+                amp_star = _star_amplitudes(star_t, spec.z)
+            except QGraphError as exc:
+                amp_star = exc
+        if isinstance(amp_star, QGraphError):
+            return amp_star, ()
+        g_d = greens_function(approx_t, spec.z)
+        value, refined = (_hs_distance(g_d, amp_star, n) for n in (spec.quad_n, 2 * spec.quad_n))
+        change = abs(value - refined) / max(abs(refined), 1.0e-300)
+        if change <= QUAD_STABILITY_RTOL:
+            return value, ()
+        return value, (
+            f"quadrature unstable at quad_n={spec.quad_n}: value {value:.6e} "
+            f"vs {refined:.6e} at 2x nodes (rel change {change:.2e})",
         )
-    return value
+
+    return _each(d_values, distance)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +538,8 @@ def fit_rate(values) -> tuple[float, float, float]:
     return float(slope), float(intercept), residual
 
 
-def _evaluate_metric(st: STForm, d: float, metric: MetricSpec) -> float:
-    if isinstance(metric, ScatteringNorm):
-        return metric_scattering(st, d, metric.k_list)
-    if isinstance(metric, HSResolvent):
-        return metric_hs_resolvent(st, d, metric.z, metric.L, metric.quad_n)
-    raise InputError(f"unknown metric specification {metric!r}")
+#: The grid function of each metric specification type.
+_GRIDS = {ScatteringNorm: _scattering_norms, HSResolvent: _hs_distances, EigGap: _eigengaps}
 
 
 def _flat(text: str) -> str:
@@ -528,66 +547,35 @@ def _flat(text: str) -> str:
     return " ".join(text.split()).replace(",", ";")
 
 
-def _outcomes(cfg: SweepConfig) -> list[tuple[float | QGraphError, list[str]]]:
-    """Per d, the metric value or the QGraphError it raised, and its
-    quadrature notes.  Warnings are recorded, so none escapes the sweep."""
-    if isinstance(cfg.metric, EigGap):
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            try:
-                gaps = _eigengaps(cfg.st, cfg.d_values, cfg.metric)
-            except QGraphError as exc:
-                gaps = [exc] * len(cfg.d_values)
-        return [(gap, []) for gap in gaps]
-    outcomes = []
-    for d in cfg.d_values:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                value = _evaluate_metric(cfg.st, d, cfg.metric)
-            except QGraphError as exc:
-                value = exc
-        notes = [
-            _flat(str(w.message))
-            for w in caught
-            if issubclass(w.category, QuadratureWarning)
-        ]
-        outcomes.append((value, notes))
-    return outcomes
-
-
-def _sweep_points(cfg: SweepConfig) -> list[SweepPoint]:
-    """The per-d points of a sweep, with the star-side memo set; run in a
-    copied context, so the memo ends with the sweep."""
-    _SWEEP_MEMO.set({})
-    points: list[SweepPoint] = []
-    for d, (value, notes) in zip(cfg.d_values, _outcomes(cfg)):
-        if isinstance(value, QGraphError):
-            points.append(SweepPoint(d=d, value=None, status=f"skipped: {_flat(str(value))}"))
-            continue
-        status = "ok" if not notes else "ok; " + "; ".join(notes)
-        if value <= cfg.tol:
-            status += "; at roundoff; excluded from fit"
-        points.append(SweepPoint(d=d, value=value, status=status))
-    return points
-
-
 def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Evaluate the metric at every d, fit the rate, assemble the report.
 
-    Every d's value is the one its own metric call gives, and the report
-    lists the d values in their given (decreasing) order, so it is
-    deterministic.  The star side of the metric, which does not depend on
-    d, is computed once per sweep.  Scattering and HS evaluate one d at a
-    time; an eig sweep searches every d's eigenvalues at once, in lockstep
-    rounds that count all the approximating graphs in one batched call
-    (those up to 6 wide; see :func:`~qgraph.solver._eigenvalues_lockstep`).
-    A d where the builder or the solver raises is recorded as skipped with
-    the error message, and the other d values are unaffected; fewer than
-    four valid points leave the report inconclusive with the fit fields
-    unset.
+    The metric's grid function maps the d grid to per-d outcomes, with
+    warnings suppressed, and computes the star side, which does not depend
+    on d, once (an eig grid also searches all d values' eigenvalues in
+    lockstep; see :func:`~qgraph.solver._eigenvalues_lockstep`).  Every d's
+    value is the one its own metric call gives, and the report lists the d
+    values in their given (decreasing) order, so it is deterministic.  A d
+    where the builder or the solver raises is recorded as skipped with the
+    error message, and the other d values are unaffected; a failure of the
+    star side skips every d.  Fewer than four valid points leave the report
+    inconclusive with the fit fields unset.
     """
-    points = contextvars.copy_context().run(_sweep_points, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            outcomes = _GRIDS[type(cfg.metric)](cfg.st, cfg.d_values, cfg.metric)
+        except QGraphError as exc:
+            outcomes = [(exc, ())] * len(cfg.d_values)
+    points: list[SweepPoint] = []
+    for d, (value, notes) in zip(cfg.d_values, outcomes):
+        if isinstance(value, QGraphError):
+            points.append(SweepPoint(d=d, value=None, status=f"skipped: {_flat(str(value))}"))
+            continue
+        status = "; ".join(["ok", *map(_flat, notes)])
+        if value <= cfg.tol:
+            status += "; at roundoff; excluded from fit"
+        points.append(SweepPoint(d=d, value=value, status=status))
     fit_points = [
         (p.d, p.value) for p in points if p.value is not None and p.value > cfg.tol
     ]

@@ -112,6 +112,29 @@ def test_hs_resolvent_rejects_non_finite_z(z):
         HSResolvent(z=z)
 
 
+@pytest.mark.parametrize("z", [0, complex(-0.0, -0.0)])
+def test_hs_resolvent_rejects_z_zero_before_any_graph(monkeypatch, tmp_path, capsys, z):
+    """z = 0 is no resolvent point of either system, so it fails as an
+    InputError before any approximating graph is built, in the library and
+    through the CLI (exit 2, not a sweep that skips every d)."""
+
+    def no_build(st, d):
+        raise AssertionError(f"a graph was built at d={d!r}")
+
+    monkeypatch.setattr(convergence, "build_approx_graph", no_build)
+    message = "z = 0 is not a valid resolvent point"
+    with pytest.raises(InputError, match=re.escape(message)):
+        HSResolvent(z=z)
+    with pytest.raises(InputError, match=re.escape(message)):
+        metric_hs_resolvent(make_delta(), 0.25, z=z)
+    doc = tmp_path / "delta.json"
+    doc.write_text('{"kind": "delta", "n": 3, "alpha": 1.0}')
+    argv = ["sweep", str(doc), "--metric", "hs", "--z-re", repr(complex(z).real),
+            "--z-im", repr(complex(z).imag), "--d-range", "2:4"]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
 def test_hs_resolvent_bounds_quad_n_before_any_rule(monkeypatch, tmp_path, capsys):
     """A quad_n above the documented bound fails as an InputError before any
     Gauss-Legendre rule is computed (the refined level's rule of 2 quad_n
@@ -162,6 +185,13 @@ def test_sweep_config_validation(st_delta):
         SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(1.5, 0.2))
     with pytest.raises(InputError):
         SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(0.2, 0.1), tol=-1.0)
+
+
+@pytest.mark.parametrize("metric", [None, "eig", ScatteringNorm, (0.5, 1.0)])
+def test_sweep_config_rejects_an_unknown_metric(st_delta, metric):
+    """Only a ScatteringNorm, HSResolvent or EigGap instance names a metric."""
+    with pytest.raises(InputError, match=re.escape(f"unknown metric specification {metric!r}")):
+        SweepConfig(st=st_delta, metric=metric)
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
@@ -383,14 +413,21 @@ def test_run_sweep_records_quadrature_notes(st_delta_prime):
         metric=HSResolvent(L=8.0, quad_n=4),
         d_values=(0.25,),
     )
-    report = run_sweep(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_sweep(cfg)
     (point,) = report.points
     assert point.value is not None
     assert point.status.startswith("ok; quadrature unstable")
     assert "," not in point.status
+    with pytest.warns(QuadratureWarning) as caught:
+        metric_hs_resolvent(st_delta_prime, 0.25, L=8.0, quad_n=4)
+    (note,) = caught
+    assert point.status == f"ok; {note.message}"
+    assert note.filename == __file__
 
 
-# -- the sweep's star-side memo ---------------------------------------------
+# -- the sweep's star side --------------------------------------------------
 
 MEMO_D_VALUES = tuple(2.0**-p for p in range(2, 7))
 
@@ -456,7 +493,8 @@ def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
     """Per sweep: the star's eigenvalues once and each approximating graph's
     eigenvalue search once, all graphs in one lockstep solve; the star's
     resolvent once (its mode amplitudes serve both quadrature levels), and
-    the approximating resolvent once per d."""
+    the approximating resolvent once per d; the star's S(k) once per
+    momentum."""
     n = len(MEMO_D_VALUES)
     solves = _counting(monkeypatch, "eigenvalues_compact")
     families = _counting(monkeypatch, "_eigenvalues_lockstep")
@@ -474,6 +512,10 @@ def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
     resolvents = _counting(monkeypatch, "greens_function")
     run_sweep(SweepConfig(st=st_delta_prime, metric=HSResolvent(), d_values=MEMO_D_VALUES))
     assert len(resolvents) == 1 + n
+    stars = _counting(monkeypatch, "star_scattering")
+    metric = ScatteringNorm()
+    run_sweep(SweepConfig(st=st_delta_prime, metric=metric, d_values=MEMO_D_VALUES))
+    assert [k for _, k in stars] == list(metric.k_list)
 
 
 def test_eig_sweep_counts_as_often_as_its_slowest_graph(monkeypatch, st_delta_prime):
@@ -586,13 +628,12 @@ def test_star_side_error_skips_every_d_with_its_message(monkeypatch):
 
 
 def test_sweep_memo_does_not_leak_between_sweeps(st_delta_prime, st_complex_t):
-    """Back-to-back sweeps of two couplings with the same metric, whose star
-    amplitudes the memo holds, each match their per-d reports, and no memo
-    is left set afterwards."""
+    """Back-to-back sweeps of two couplings with the same metric each match
+    their per-d reports: no star side carries over from one sweep to the
+    next."""
     for st in (st_delta_prime, st_complex_t, st_delta_prime):
         cfg = SweepConfig(st=st, metric=HSResolvent(), d_values=MEMO_D_VALUES)
         assert report_to_csv(run_sweep(cfg)) == report_to_csv(_per_d_report(cfg))
-        assert convergence._SWEEP_MEMO.get() is None
 
 
 # -- CSV reports ------------------------------------------------------------
