@@ -33,6 +33,25 @@ c = d S_{jk} + sum_l T_jl conj(T_kl) for j, k <= m;
 where <c> denotes |c| for Re c >= 0 and -|c| otherwise.  The strength
 w_{jk} is O(1/d) in general and O(1/d^2) exactly when j, k <= m and the
 column sum sum_l T_jl conj(T_kl) vanishes.
+
+The per-entry and per-pair functions evaluate one schedule value each, in
+Python arithmetic; they are the reference.  :func:`build_approx_graph`
+evaluates every value in array passes over all vertices and pairs, with
+the same floating-point operations in the same order, so each value has
+the reference's bits and every failure raises the reference's first error.
+Three numpy shortcuts round differently from that arithmetic, so the array
+passes avoid them:
+
+* np.abs of a complex array differs from Python's abs, which calls hypot,
+  on about a third of random values; np.hypot of the parts does not;
+* np.arctan2 differs from math.atan2 on a few values in a thousand, so the
+  phases are taken by math.atan2 over the values as Python floats;
+* numpy divides a complex array by a real number through its reciprocal,
+  so the real and imaginary parts are divided on their own.
+
+A vertex strength's terms are summed by np.cumsum along the row, in the
+order of the reference's loop, and the T-row overlaps by np.vecdot, which
+rounds as the reference's np.dot does (see :func:`_overlaps`).
 """
 
 from __future__ import annotations
@@ -45,7 +64,13 @@ import numpy as np
 
 from ._util import require_half_length
 from .couplings import STForm
-from .errors import DegenerateArgumentError, InputError, SingularDError, StructuralError
+from .errors import (
+    DegenerateArgumentError,
+    InputError,
+    QGraphError,
+    SingularDError,
+    StructuralError,
+)
 
 __all__ = [
     "NeighborSets",
@@ -136,6 +161,24 @@ def _zero_scale(st: STForm) -> float:
     return scale
 
 
+def _adjacency(st: STForm, cutoff: float) -> np.ndarray:
+    """The n x n boolean matrix of the pairs joined by inner edges."""
+    n, m = st.n, st.m
+    t_nz = np.abs(st.T) > cutoff
+    # Pairs j < k <= m: S_jk != 0 or T_jl != 0 != T_kl for some column l.
+    inner = np.triu((np.abs(st.S) > cutoff) | (t_nz @ t_nz.T), 1)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:m, :m] = inner | inner.T
+    adj[:m, m:] = t_nz
+    adj[m:, :m] = t_nz.T
+    return adj
+
+
+def _sets(adj: np.ndarray) -> NeighborSets:
+    sets = {j + 1: frozenset((np.flatnonzero(row) + 1).tolist()) for j, row in enumerate(adj)}
+    return NeighborSets(n=len(adj), sets=sets)
+
+
 def neighbor_sets(st: STForm) -> NeighborSets:
     """Build the index sets N_j from the sparsity pattern of S and T.
 
@@ -145,17 +188,7 @@ def neighbor_sets(st: STForm) -> NeighborSets:
     one boolean matrix product of the nonzero pattern of T with its
     transpose.
     """
-    n, m = st.n, st.m
-    cutoff = _zero_scale(st)
-    t_nz = np.abs(st.T) > cutoff
-    # Pairs j < k <= m: S_jk != 0 or T_jl != 0 != T_kl for some column l.
-    inner = np.triu((np.abs(st.S) > cutoff) | (t_nz @ t_nz.T), 1)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[:m, :m] = inner | inner.T
-    adj[:m, m:] = t_nz
-    adj[m:, :m] = t_nz.T
-    sets = {j + 1: frozenset((np.flatnonzero(row) + 1).tolist()) for j, row in enumerate(adj)}
-    return NeighborSets(n=n, sets=sets)
+    return _sets(_adjacency(st, _zero_scale(st)))
 
 
 def _require_pair(st: STForm, nbrs: NeighborSets, j: int, k: int) -> None:
@@ -275,37 +308,149 @@ def vertex_delta_schedule(st: STForm, nbrs: NeighborSets, d: float, j: int) -> f
 # Assembly
 # ---------------------------------------------------------------------------
 
-def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
-    """Assemble neighbor sets and all three schedules into one graph.
+def _brackets(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli and signed moduli <c> of the complex values re + i im, bit for
+    bit as :func:`bracket` takes them, for finite values: np.hypot is the
+    hypot that Python's abs(complex) calls, while np.abs rounds differently."""
+    mod = np.hypot(re, im)
+    return mod, np.where(re >= 0.0, mod, -mod)
 
-    Raises :class:`InputError` where a schedule overflows, as it can for
-    entries of S and T near the float range."""
+
+def _overlaps(t_mat: np.ndarray) -> np.ndarray:
+    """The m x m T-row overlaps sum_l T_jl conj(T_kl), with the bits of
+    :func:`_overlap`'s np.dot.  np.vecdot sums conj(T_kl) T_jl in BLAS's
+    zdotc, whose rounding is that of np.dot's zdotu on the conjugated row;
+    a matmul or an einsum rounds differently.  A single column is one
+    product, where zdotu and np.vecdot disagree on the sign of a zero part,
+    so it is taken as np.dot's kernel takes it, one real product at a time:
+    (a + ib) conj(c + id) = (ac - b(-d)) + i (a(-d) + bc), with x - (-y)
+    and (-y) + x exactly x + y and x - y."""
+    if t_mat.shape[1] != 1:
+        return np.vecdot(t_mat[np.newaxis], t_mat[:, np.newaxis])
+    re, im = t_mat.real, t_mat.imag
+    out = np.empty((len(t_mat), len(t_mat)), dtype=complex)
+    out.real = re * re.T + im * im.T
+    out.imag = im * re.T - re * im.T
+    return out
+
+
+def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
+    """Assemble neighbor sets and all three schedules into one graph, in
+    array passes with the per-entry functions' bits (see the module notes).
+
+    Raises the error the per-entry functions raise first, in the order of
+    j and then of the pairs; :class:`InputError` where a schedule
+    overflows, as it can for entries of S and T near the float range."""
     d = require_half_length(d)
-    nbrs = neighbor_sets(st)
     cutoff = _zero_scale(st)
-    w_inner: dict[tuple[int, int], float] = {}
-    a_inner: dict[tuple[int, int], float] = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        w_vertex = {
-            j: vertex_delta_schedule(st, nbrs, d, j) for j in range(1, st.n + 1)
-        }
-        for pair in nbrs.pairs():
-            j, k = pair
-            c = _pair_argument(st, d, j, k)
-            w_inner[pair] = _inner_delta(c, d, cutoff, pair, st.m < k)
-            a_jk = _magnetic(c, d, cutoff, pair)
-            a_inner[pair] = a_jk
-            a_inner[(k, j)] = -a_jk
-    if not all(map(math.isfinite, [*w_vertex.values(), *w_inner.values()])):
-        raise InputError(f"a delta strength overflows at d={d}")
+    adj = _adjacency(st, cutoff)
+    n, m = st.n, st.m
+    # The pairs j < k in order, as indices from 0.
+    j, k = np.nonzero(adj)
+    j, k = j[j < k], k[j < k]
+    pairs = list(zip((j + 1).tolist(), (k + 1).tolist()))
+    s_re, s_im, t_mat = st.S.real, st.S.imag, st.T
+    degree = adj.sum(axis=1)
+    with np.errstate(all="ignore"):
+        ov = _overlaps(t_mat)
+        t_mod, t_br = _brackets(t_mat.real, t_mat.imag)
+        # j <= m: S_jj - |N_j|/d, minus <S_jk + (1/d) overlap> for k != j,
+        # plus (1 + <T_jl>) <T_jl> / d; x + (-0.0) is x, as x - 0.0 is.
+        v_re, v_im = s_re + ov.real / d, s_im + ov.imag / d
+        v_mod, v_br = _brackets(v_re, v_im)
+        np.fill_diagonal(v_br, 0.0)
+        terms = [(s_re.diagonal() - degree[:m] / d)[:, np.newaxis], -v_br, (1.0 + t_br) * t_br / d]
+        # j > m: 1 - |N_j| + sum_h <T_hj>, over d.
+        total = np.cumsum(t_br, axis=0)[-1] if m else 0.0
+        w_vertex = np.concatenate(
+            [np.cumsum(np.hstack(terms), axis=1)[:, -1], (1.0 - degree[m:] + total) / d]
+        )
+        # The pair quantity c, read at the pairs from its first m rows: d S_jk
+        # + overlap for k <= m, d S_jk with the parts of the complex product
+        # (d + 0i) S_jk that Python forms for d * complex(S_jk), and T_jk for
+        # k > m.
+        c_re, c_im = np.empty((2, m, n))
+        c_re[:, :m] = d * s_re - 0.0 * s_im + ov.real
+        c_im[:, :m] = d * s_im + 0.0 * s_re + ov.imag
+        c_re[:, m:], c_im[:, m:] = t_mat.real, t_mat.imag
+        inner = k < m
+        c_re, c_im = c_re[j, k], c_im[j, k]
+        c_mod, signed = _brackets(c_re, c_im)
+        w_inner = np.where(inner, -2.0 - 1.0 / signed, -2.0 + 1.0 / signed) / d
+        flat = c_mod <= cutoff * d
+        if (
+            _non_real_diagonal(st).any()
+            or not np.isfinite(np.concatenate([w_vertex, w_inner, c_mod])).all()
+            or flat.any()
+        ):
+            raise _first_failure(st, d, pairs, ov, v_re, v_im, v_mod, t_mod,
+                                 c_re, c_im, c_mod, flat, inner)
+    phase = np.array([math.atan2(y, x) for y, x in zip(c_im.tolist(), c_re.tolist())])
+    a = np.where(c_re < 0.0, phase - math.pi, phase) / (2.0 * d)
+    both = np.empty(2 * len(pairs))
+    both[0::2], both[1::2] = a, -a
     return ApproxGraph(
-        n=st.n,
+        n=n,
         d=d,
-        neighbors=nbrs,
-        w_vertex=w_vertex,
-        w_inner=w_inner,
-        a_inner=a_inner,
+        neighbors=_sets(adj),
+        w_vertex=dict(zip(range(1, n + 1), w_vertex.tolist())),
+        w_inner=dict(zip(pairs, w_inner.tolist())),
+        a_inner=dict(zip([key for j, k in pairs for key in ((j, k), (k, j))], both.tolist())),
     )
+
+
+def _non_real_diagonal(st: STForm) -> np.ndarray:
+    """Per j <= m, whether S_jj has more imaginary residue than IMAG_TOL allows."""
+    re, im = st.S.real.diagonal(), st.S.imag.diagonal()
+    if not im.any():
+        return np.zeros(len(im), dtype=bool)
+    return np.abs(im) > IMAG_TOL * np.maximum(1.0, np.hypot(re, im))
+
+
+def _first_failure(st, d, pairs, ov, v_re, v_im, v_mod, t_mod,
+                   c_re, c_im, c_mod, flat, inner) -> QGraphError:
+    """The error the per-entry functions raise first, for the arrays of
+    :func:`build_approx_graph`: the vertex strengths in order of j (S_jj,
+    then each k with its overlap, strength term and bracket, then the
+    brackets of T), then the pairs in order, then an overflow of a
+    strength.  Each failure is keyed by its place in that order, so a mask
+    may also hold places that an earlier failure of the same entry hides."""
+    n, m = st.n, st.m
+    # The reference never forms S_jj + overlap_jj / d.
+    off = ~np.eye(m, dtype=bool)
+    failures = [((n + len(pairs),), InputError(f"a delta strength overflows at d={d}"))]
+
+    def note(mask, key, error):
+        hit = np.argwhere(mask)
+        if len(hit):
+            at = hit[0].tolist()
+            failures.append((key(*at), error(*at)))
+
+    def overflow(value):
+        return InputError(f"bracket argument overflows, got {complex(value)!r}")
+
+    note(_non_real_diagonal(st), lambda j: (j, 0), lambda j: InputError(
+        f"S_{{{j + 1}{j + 1}}} must be real, got {complex(st.S[j, j])}"))
+    note(off & ~np.isfinite(ov), lambda j, k: (j, 1, k, 0), lambda j, k: InputError(
+        f"the overlap of T rows {j + 1} and {k + 1} overflows"))
+    note(off & ~(np.isfinite(v_re) & np.isfinite(v_im)), lambda j, k: (j, 1, k, 1),
+         lambda j, k: InputError(f"a delta strength overflows at d={d}"))
+    note(off & np.isinf(v_mod), lambda j, k: (j, 1, k, 2),
+         lambda j, k: overflow(complex(v_re[j, k], v_im[j, k])))
+    note(np.isinf(t_mod), lambda j, l: (j, 2, l), lambda j, l: overflow(st.T[j, l]))
+    note(np.isinf(t_mod).T, lambda l, h: (m + l, 2, h), lambda l, h: overflow(st.T[h, l]))
+    note(~(np.isfinite(c_re) & np.isfinite(c_im)), lambda p: (n + p, 0), lambda p: InputError(
+        f"bracket argument must be finite, got {complex(c_re[p], c_im[p])!r}"))
+    note(np.isinf(c_mod), lambda p: (n + p, 1),
+         lambda p: overflow(complex(c_re[p], c_im[p])))
+    note(flat & inner, lambda p: (n + p, 2), lambda p: SingularDError(
+        f"strength of pair {pairs[p]} undefined at d={d}: "
+        "d S_jk cancels the T-column overlap; use a different d",
+        pair=pairs[p],
+    ))
+    note(flat & ~inner, lambda p: (n + p, 2), lambda p: DegenerateArgumentError(
+        f"phase of pair {pairs[p]} undefined: argument cancels at d={d}", pair=pairs[p]))
+    return min(failures, key=lambda failure: failure[0])[1]
 
 
 def order_check(st: STForm, pair: tuple[int, int]) -> Order:

@@ -254,63 +254,82 @@ class _Reduction:
         finite = [e for e in sys.edges if not e.is_half_line]
         half = [e for e in sys.edges if e.is_half_line]
         self.edge_map = sys.edge_map
-        self.finite_index = {e.id: i for i, e in enumerate(finite)}
+        self.finite_index = finite_index = {e.id: i for i, e in enumerate(finite)}
         self.half_index = {e.id: i for i, e in enumerate(half)}
         self.length = np.array([e.length for e in finite], dtype=float)
         ne = len(finite)
         # Midpoints, in vertex order: each claims its two halves.
         claimed: set = set()
         mid_w, mid_ends = [], []
-        rows: dict[tuple, tuple[int, np.ndarray]] = {}
-        blocks: list[np.ndarray] = []
-        # Per finite edge end and free value of the kept vertices: (edge, end
-        # index, row, conj(J) entry).
-        entries: list[tuple] = []
+        # The row and J row of each half-line's end.
+        half_rows: dict = {}
+        # The rows and strengths of the kept delta vertices, and the first
+        # row and S block of every other kept vertex.
+        delta_rows, delta_w, blocks = [], [], []
+        # Per finite edge end and free value of the kept vertices: edge, end
+        # index, row and conj(J) entry.
+        edge, side, row, value = [], [], [], []
         size = 0
         for vertex in sys.vertices:
             cond = vertex.condition
             ends = vertex.ends
-            if (
-                isinstance(cond, DeltaCondition)
-                and len(ends) == 2
-                and ends[0][0] != ends[1][0]
-                and all(eid in self.finite_index and eid not in claimed for eid, _ in ends)
-            ):
-                claimed.update(eid for eid, _ in ends)
-                mid_w.append(cond.w)
-                mid_ends.append([(self.finite_index[eid], side) for eid, side in ends])
-                continue
             if isinstance(cond, DeltaCondition):
-                j_mat, s_mat = np.ones((len(ends), 1)), np.array([[cond.w]])
-            elif not cond.coupling.B.any():
-                # B = 0: every end is Dirichlet and there are no free values,
-                # so no normal form is needed; A must still be invertible.
-                n = cond.coupling.n
-                if numerical_rank(cond.coupling.A) < n:
-                    raise InputError(
-                        f"coupling is not admissible: rank deficient: rank(A|B) < n = {n}"
-                    )
-                j_mat, s_mat = np.empty((n, 0), dtype=complex), np.empty((0, 0), dtype=complex)
+                if len(ends) == 2:
+                    (first, first_side), (second, second_side) = ends
+                    if (
+                        first != second
+                        and first in finite_index
+                        and second in finite_index
+                        and first not in claimed
+                        and second not in claimed
+                    ):
+                        claimed.update((first, second))
+                        mid_w.append(cond.w)
+                        mid_ends += (finite_index[first], first_side)
+                        mid_ends += (finite_index[second], second_side)
+                        continue
+                # J = ones and S = [w]: every end reads the one value with
+                # entry 1, and no numpy call is needed.
+                delta_rows.append(size)
+                delta_w.append(cond.w)
+                free, j_rows = 1, [(1.0,)] * len(ends)
+                entries = j_rows
             else:
-                st = st_from_ab(cond.coupling)
-                j_mat = np.empty((st.n, st.m), dtype=complex)
-                j_mat[np.array(st.perm) - 1] = np.vstack([np.eye(st.m), st.T.conj().T])
-                s_mat = st.S
-            for (eid, side), j_row in zip(ends, j_mat):
-                rows[(eid, side)] = (size, j_row)
-                if eid in self.finite_index:
-                    e = self.finite_index[eid]
-                    entries += [(e, side, size + i, v) for i, v in enumerate(j_row.conj())]
-            blocks.append(s_mat)
-            size += j_mat.shape[1]
+                if not cond.coupling.B.any():
+                    # B = 0: every end is Dirichlet and there are no free
+                    # values, so no normal form is needed; A must still be
+                    # invertible.
+                    n = cond.coupling.n
+                    if numerical_rank(cond.coupling.A) < n:
+                        raise InputError(
+                            f"coupling is not admissible: rank deficient: rank(A|B) < n = {n}"
+                        )
+                    j_mat = np.empty((n, 0), dtype=complex)
+                    s_mat = np.empty((0, 0), dtype=complex)
+                else:
+                    st = st_from_ab(cond.coupling)
+                    j_mat = np.empty((st.n, st.m), dtype=complex)
+                    j_mat[np.array(st.perm) - 1] = np.vstack([np.eye(st.m), st.T.conj().T])
+                    s_mat = st.S
+                blocks.append((size, s_mat))
+                free, j_rows, entries = j_mat.shape[1], j_mat, j_mat.conj().tolist()
+            for (eid, end), j_row, entry in zip(ends, j_rows, entries):
+                e = finite_index.get(eid)
+                if e is None:
+                    half_rows[eid] = (size, j_row)
+                else:
+                    edge += [e] * free
+                    side += [end] * free
+                    row += range(size, size + free)
+                    value += entry
+            size += free
         self.size = size
         # The kept vertex blocks on the diagonal; float or complex, as the
         # blocks.
-        self.s_mat = np.zeros((size, size), dtype=np.result_type(float, *blocks))
-        at = 0
-        for block in blocks:
+        self.s_mat = np.zeros((size, size), dtype=np.result_type(float, *(b for _, b in blocks)))
+        self.s_mat[delta_rows, delta_rows] = delta_w
+        for at, block in blocks:
             self.s_mat[at : at + len(block), at : at + len(block)] = block
-            at += len(block)
         self.mid_w = np.array(mid_w, dtype=float)
         # A coefficient that is not bordered is at most max(|k|, 2/l), and a
         # mode vector's entries are at most sqrt(2) on delta vertices, so on
@@ -334,8 +353,8 @@ class _Reduction:
         # conj(J), end 1 adds (e^{-ial}, -e^{-ial}) conj(J).
         phase = np.exp(-1j * np.array([e.a for e in finite]) * self.length)
         factors = (np.ones(2 * ne), np.concatenate([phase, -phase]))
-        edge, side, row = np.array([e[:3] for e in entries], dtype=int).reshape(-1, 3).T
-        value = np.array([e[3] for e in entries], dtype=complex)
+        edge, side, row = (np.array(x, dtype=int) for x in (edge, side, row))
+        value = np.array(value, dtype=complex)
         halves = np.array(mid_ends, dtype=int).reshape(-1, 2, 2)
         self.w = np.zeros((size, 2 * ne), dtype=complex)
         self.wm = np.zeros(2 * ne, dtype=complex)
@@ -346,7 +365,9 @@ class _Reduction:
             mid = halves[halves[:, :, 1] == end][:, 0]
             for modes in (mid, mid + ne):
                 self.wm[modes] += factors[end][modes]
-        self.w /= math.sqrt(2.0)
+        # Only the entries set above are divided; every other entry is +0.0,
+        # as dividing the whole dense matrix would leave it.
+        self.w[np.tile(row, 2), np.concatenate([edge, edge + ne])] /= math.sqrt(2.0)
         self.wm /= math.sqrt(2.0)
         self.w_adj = self.w.conj().T
         self.halves = halves[:, :, 0]
@@ -358,11 +379,12 @@ class _Reduction:
         # and those modes on the kept rows times the conjugate of their
         # midpoint entry, so that b_m = sum_modes c w conj(w_m).
         self.half_modes = np.concatenate([self.halves, self.halves + ne], axis=1)
-        self.w_mid = self.w[:, self.half_modes] * self.wm[self.half_modes].conj()
+        self.w_mid = np.take(self.w, self.half_modes, axis=1)
+        self.w_mid *= self.wm[self.half_modes].conj()
         # Rows J_h of the half-line ends.
         self.j_half = np.zeros((len(half), size), dtype=complex)
         for r, edge in enumerate(half):
-            at, j_row = rows[(edge.id, 0)]
+            at, j_row = half_rows[edge.id]
             self.j_half[r, at : at + len(j_row)] = j_row
         for name in _PER_GRAPH:
             setattr(self, name, getattr(self, name)[np.newaxis])

@@ -10,6 +10,7 @@ from qgraph import (
     DegenerateArgumentError,
     InputError,
     Order,
+    QGraphError,
     ScatteringNorm,
     SingularDError,
     STForm,
@@ -27,8 +28,8 @@ from qgraph import (
     star_scattering,
     vertex_delta_schedule,
 )
-from qgraph.builder import _zero_scale
-from qgraph.serialize import approx_from_json, approx_to_json
+from qgraph.builder import ApproxGraph, _zero_scale
+from qgraph.serialize import approx_from_json, approx_to_json, dumps
 from helpers import (
     loglog_slope,
     make_complex_t,
@@ -293,40 +294,69 @@ def _sparse_random_st(rng, n):
 
 def _sparse_random_sts(count=40, seed=20261018):
     rng = np.random.default_rng(seed)
-    return [_sparse_random_st(rng, int(rng.integers(2, 9))) for _ in range(count)]
+    return [_sparse_random_st(rng, int(rng.integers(2, 17))) for _ in range(count)]
+
+
+def _graph_from_per_pair_schedules(st, d):
+    """The approximating graph assembled from the per-entry and per-pair
+    schedules, one value at a time, checked for an overflowing strength at
+    the end; raises whatever those functions raise first."""
+    nbrs = neighbor_sets(st)
+    w_inner, a_inner = {}, {}
+    with np.errstate(all="ignore"):
+        w_vertex = {j: vertex_delta_schedule(st, nbrs, d, j) for j in range(1, st.n + 1)}
+        for j, k in nbrs.pairs():
+            w_inner[(j, k)] = inner_delta_schedule(st, d, j, k)
+            a_inner[(j, k)] = magnetic_schedule(st, d, j, k)
+            a_inner[(k, j)] = magnetic_schedule(st, d, k, j)
+    if not all(map(np.isfinite, [*w_vertex.values(), *w_inner.values()])):
+        raise InputError(f"a delta strength overflows at d={d}")
+    return ApproxGraph(st.n, d, nbrs, w_vertex, w_inner, a_inner)
 
 
 def _assert_build_matches_per_pair_schedules(st, d):
+    """The built graph has the reference's bits, in repr (every key, in
+    order, and every float exactly) and in its serialized document; where
+    the reference raises, the build raises the same type, pair and
+    message."""
+    try:
+        expected = _graph_from_per_pair_schedules(st, d)
+    except QGraphError as exc:
+        with pytest.raises(QGraphError) as info:
+            build_approx_graph(st, d)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "pair", None) == getattr(exc, "pair", None)
+        return type(exc)
     g = build_approx_graph(st, d)
     assert g.neighbors == reference_neighbor_sets(st, _zero_scale(st))
-    for j in range(1, st.n + 1):
-        assert g.w_vertex[j] == vertex_delta_schedule(st, g.neighbors, d, j)
-    assert list(g.w_inner) == g.neighbors.pairs()
-    for j, k in g.neighbors.pairs():
-        assert g.w_inner[(j, k)] == inner_delta_schedule(st, d, j, k)
-        assert g.a_inner[(j, k)] == magnetic_schedule(st, d, j, k)
-        assert g.a_inner[(k, j)] == magnetic_schedule(st, d, k, j)
-    assert len(g.a_inner) == 2 * len(g.w_inner)
+    assert repr(g) == repr(expected)
+    assert dumps(g) == dumps(expected)
+    return None
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda: make_delta_prime(beta=1.3, n=16), make_complex_t],
-    ids=["delta_prime_16", "complex_t"],
+    "make, ds",
+    [
+        (lambda: make_delta_prime(beta=1.3, n=16), (0.25, 2.0**-7)),
+        (lambda: make_delta_prime(beta=0.7, n=24), (0.25, 2.0**-7)),
+        # One d: the reference takes 3 s per d here, on 2,016 pairs.
+        (lambda: make_delta_prime(beta=1.9, n=64), (2.0**-7,)),
+        (make_complex_t, (0.25, 2.0**-7)),
+    ],
+    ids=["delta_prime_16", "delta_prime_24", "delta_prime_64", "complex_t"],
 )
-def test_build_matches_per_pair_schedules(make):
-    for d in (0.25, 2.0**-7):
-        _assert_build_matches_per_pair_schedules(make(), d)
+def test_build_matches_per_pair_schedules(make, ds):
+    for d in ds:
+        assert _assert_build_matches_per_pair_schedules(make(), d) is None
 
 
 def test_build_matches_per_pair_schedules_on_sparse_random_forms():
     overlap_only = cross = 0
+    raised = set()
     for st in _sparse_random_sts():
         for d in (0.3, 0.01):
-            try:
-                _assert_build_matches_per_pair_schedules(st, d)
-            except (SingularDError, DegenerateArgumentError):
-                continue
+            raised.add(_assert_build_matches_per_pair_schedules(st, d))
         m = st.m
         for j, k in neighbor_sets(st).pairs():
             if k > m:
@@ -336,6 +366,67 @@ def test_build_matches_per_pair_schedules_on_sparse_random_forms():
     # Both the cross-pair rule and the T-column overlap rule on its own
     # decide some of the pairs compared above.
     assert overlap_only > 0 and cross > 0
+    assert None in raised
+
+
+def _signed_zero_sts(count=60, seed=20261019):
+    """Small integer-valued normal forms whose zero real and imaginary parts
+    carry either sign: the sign of a zero part of c decides between the
+    phases +pi and -pi."""
+    rng = np.random.default_rng(seed)
+
+    def parts(shape, integers):
+        x = rng.integers(-2, 3, size=shape).astype(float) if integers else np.zeros(shape)
+        return np.where((x == 0) & (rng.random(shape) < 0.5), -0.0, x)
+
+    sts = []
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n + 1))
+        s_mat, t_mat = np.empty((m, m), dtype=complex), np.empty((m, n - m), dtype=complex)
+        s_re = parts((m, m), True)
+        s_mat.real, s_mat.imag = np.triu(s_re) + np.triu(s_re, 1).T, parts((m, m), False)
+        t_mat.real, t_mat.imag = parts(t_mat.shape, True), parts(t_mat.shape, False)
+        sts.append(STForm(n=n, m=m, perm=tuple(range(1, n + 1)), S=s_mat, T=t_mat))
+    return sts
+
+
+def test_build_matches_per_pair_schedules_with_signed_zero_parts():
+    built = 0
+    for st in _signed_zero_sts():
+        for d in (1.0, 0.3, 0.01):
+            built += _assert_build_matches_per_pair_schedules(st, d) is None
+    assert built > 0
+
+
+def _with_entries(st, s_mat=None, t_mat=None):
+    return STForm(n=st.n, m=st.m, perm=st.perm,
+                  S=st.S if s_mat is None else s_mat, T=st.T if t_mat is None else t_mat)
+
+
+def test_build_errors_come_in_the_order_of_the_per_pair_schedules():
+    """A form that fails in several places raises what the schedules raise
+    first: a non-real S_jj and an overflowing strength (vertex schedules)
+    before a singular pair, and of two singular pairs the first."""
+    singular = make_singular_at_tenth()
+    non_real = _with_entries(singular, s_mat=singular.S + np.diag([0.0, 1e-12j]))
+    overflow = _with_entries(singular, t_mat=np.array([[1e308], [1e308]]))
+    two_pairs = STForm(n=4, m=3, perm=(1, 2, 3, 4),
+                       S=np.array([[0.0, -10.0, -10.0], [-10.0, 0.0, 0.0], [-10.0, 0.0, 0.0]]),
+                       T=np.ones((3, 1)))
+    # Pair (1, 2) cancels, and S_13 + overlap / d of vertex 1 overflows.
+    strength = STForm(n=4, m=3, perm=(1, 2, 3, 4),
+                      S=np.array([[0.0, -1e155, 0.0], [-1e155, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                      T=np.array([[1e154], [1.0], [1e154]]))
+    cases = [(non_real, InputError, r"S_\{22\} must be real"),
+             (overflow, InputError, "overlap of T rows 1 and 2 overflows"),
+             (strength, InputError, "a delta strength overflows at d=0.1"),
+             (two_pairs, SingularDError, r"pair \(1, 2\)"),
+             (singular, SingularDError, r"pair \(1, 2\)")]
+    for st, error, match in cases:
+        assert _assert_build_matches_per_pair_schedules(st, 0.1) is error
+        with pytest.raises(error, match=match):
+            build_approx_graph(st, 0.1)
 
 
 def test_neighbor_sets_match_reference_with_entries_at_the_cutoff():

@@ -1,5 +1,6 @@
 """Metric-graph systems: structure checks, truncation, assembly, gauge."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from qgraph import (
     MetricGraphSystem,
     StructuralError,
     Vertex,
+    NeighborSets,
     build_approx_graph,
     dirichlet_condition,
+    effective_scattering,
     eigenvalues_compact,
     gauge_transform,
     star_system,
@@ -124,6 +127,76 @@ def test_system_from_approx_magnetic_orientation():
         assert edge_map[f"inner-{j}-{k}"].a == g.a_inner[(j, k)]
         assert edge_map[f"inner-{k}-{j}"].a == g.a_inner[(k, j)]
         assert edge_map[f"inner-{j}-{k}"].a == -edge_map[f"inner-{k}-{j}"].a
+
+
+def _without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+def _inconsistent(change):
+    """The complex_t graph at d = 0.1, pairs (1, 2), (1, 3), (2, 3), with
+    one field replaced by ``change(g)``."""
+    g = build_approx_graph(make_complex_t(), 0.1)
+    return dataclasses.replace(g, **change(g))
+
+
+@pytest.mark.parametrize(
+    "change, error, match",
+    [
+        (lambda g: {"w_inner": _without(g.w_inner, (1, 2))}, StructuralError,
+         r"w_inner has no entry for \(1, 2\)"),
+        (lambda g: {"a_inner": _without(g.a_inner, (3, 2))}, StructuralError,
+         r"a_inner has no entry for \(3, 2\)"),
+        (lambda g: {"w_vertex": _without(g.w_vertex, 3)}, StructuralError,
+         "w_vertex has no entry for 3"),
+        (lambda g: {"n": 4}, StructuralError, r"neighbor sets must be those of the vertices 1..4"),
+        (lambda g: {"n": 2}, StructuralError, r"neighbor sets must be those of the vertices 1..2"),
+        (lambda g: {"neighbors": NeighborSets(3, {**g.neighbors.sets, 3: frozenset({1})})},
+         StructuralError, "symmetric"),
+        (lambda g: {"neighbors": NeighborSets(3, {**g.neighbors.sets, 3: frozenset({1, 2, 4})})},
+         StructuralError, "outside the vertices 1..3"),
+        (lambda g: {"d": 2.0}, InputError, r"half-length d must lie in \(0, 1\]"),
+        (lambda g: {"a_inner": {**g.a_inner, (2, 1): g.a_inner[(2, 1)] + 1.0}}, InputError,
+         r"a_inner\[\(2, 1\)\] = .* must be -a_inner\[\(1, 2\)\]"),
+        (lambda g: {"w_inner": {**g.w_inner, (1, 3): math.nan}}, InputError,
+         "w must be finite, got nan"),
+        (lambda g: {"a_inner": {**g.a_inner, (3, 1): 1j}}, InputError, "a must be real, got 1j"),
+        # A NaN imaginary part passes as real, as it does in Edge; the
+        # infinite strength after it is still refused.
+        (lambda g: {"a_inner": {**g.a_inner, (1, 2): complex(g.a_inner[(1, 2)], math.nan)},
+                    "w_inner": {**g.w_inner, (2, 3): math.inf}}, InputError,
+         "w must be finite, got inf"),
+    ],
+    ids=["w_inner-pair", "a_inner-reversed", "w_vertex", "n-above", "n-below", "asymmetric",
+         "out-of-range", "d", "antisymmetry", "non-finite", "non-real", "after-nan-imaginary"],
+)
+def test_inconsistent_approx_graph_raises_a_typed_error(change, error, match):
+    """An approximating graph made in code whose fields disagree is refused
+    with a QGraphError, not a KeyError, by assembly and by scattering."""
+    g = _inconsistent(change)
+    with pytest.raises(error, match=match):
+        system_from_approx(g)
+    with pytest.raises(error, match=match):
+        effective_scattering(g, 1.0)
+
+
+def test_system_from_approx_equals_a_checked_assembly():
+    """The system assembled without per-object checks equals, field by
+    field, the one made by the checked constructors."""
+    g = build_approx_graph(make_complex_t(), 0.1)
+    edges = [Edge(id=j, length=math.inf) for j in range(1, 4)]
+    vertices = []
+    for j, k in g.neighbors.pairs():
+        edges += [Edge(f"inner-{j}-{k}", g.d, g.a_inner[(j, k)]),
+                  Edge(f"inner-{k}-{j}", g.d, g.a_inner[(k, j)])]
+        vertices.append(Vertex(f"mid-{j}-{k}", DeltaCondition(g.w_inner[(j, k)]),
+                               ((f"inner-{j}-{k}", 1), (f"inner-{k}-{j}", 1))))
+    for j in range(1, 4):
+        ends = ((j, 0), *((f"inner-{j}-{k}", 0) for k in sorted(g.neighbors.sets[j])))
+        vertices.append(Vertex(f"v-{j}", DeltaCondition(g.w_vertex[j]), ends))
+    expected = MetricGraphSystem(tuple(edges), tuple(vertices))
+    sys_ = system_from_approx(g)
+    assert sys_ == expected and repr(sys_) == repr(expected)
 
 
 # -- gauge transform --------------------------------------------------------

@@ -488,6 +488,19 @@ def test_b_zero_coupling_must_still_be_admissible():
         greens_function(sys_, -1.0)
 
 
+def _wide_approx_graphs() -> list[MetricGraphSystem]:
+    """Approximating graphs of delta' at n = 16 and of a random dense normal
+    form at n = 12 (m = 6)."""
+    return [
+        _approx(make_delta_prime(beta=1.3, n=16), 2.0**-5),
+        _approx(random_st(np.random.default_rng(12), n=12, m=6), 0.1),
+    ]
+
+
+def _midpoints(system: MetricGraphSystem) -> list:
+    return [v.id for v in system.vertices if str(v.id).startswith("mid-")]
+
+
 @pytest.mark.parametrize(
     "system, eliminated",
     [
@@ -496,8 +509,10 @@ def test_b_zero_coupling_must_still_be_admissible():
         (truncate(star_system(make_delta_prime(beta=2.0, n=4)), L=1.0), []),
         (interval(1.0), []),
         (truncate(star_system(random_st(np.random.default_rng(3), n=5, m=3)), L=1.0), []),
+        *((system, _midpoints(system)) for system in _wide_approx_graphs()),
     ],
-    ids=["delta-ring", "delta-approx", "delta-prime", "dirichlet", "dense"],
+    ids=["delta-ring", "delta-approx", "delta-prime", "dirichlet", "dense",
+         "delta-prime-approx-16", "dense-approx-12"],
 )
 def test_reduction_vertex_blocks_match_block_diag(system, eliminated):
     """The reduced matrix's vertex part is scipy's block_diag of the kept
@@ -1073,6 +1088,7 @@ def test_kept_rows_carry_the_unreduced_mode_vectors():
         _approx(make_complex_t(), 0.2),
         _general_vertex_star(),
         truncate(star_system(random_st(np.random.default_rng(3), n=5, m=3)), L=1.0),
+        *_wide_approx_graphs(),
     ):
         red, full = _Reduction(sys_), UnreducedReduction(sys_)
         kept = [
