@@ -56,6 +56,7 @@ rounds as the reference's np.dot does (see :func:`_overlaps`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -165,8 +166,10 @@ def _adjacency(st: STForm, cutoff: float) -> np.ndarray:
     """The n x n boolean matrix of the pairs joined by inner edges."""
     n, m = st.n, st.m
     t_nz = np.abs(st.T) > cutoff
-    # Pairs j < k <= m: S_jk != 0 or T_jl != 0 != T_kl for some column l.
-    inner = np.triu((np.abs(st.S) > cutoff) | (t_nz @ t_nz.T), 1)
+    # Pairs j < k <= m: S_jk != 0 or T_jl != 0 != T_kl for some column l,
+    # read on the upper triangle.
+    index = np.arange(m)
+    inner = ((np.abs(st.S) > cutoff) | (t_nz @ t_nz.T)) & (index[:, np.newaxis] < index)
     adj = np.zeros((n, n), dtype=bool)
     adj[:m, :m] = inner | inner.T
     adj[:m, m:] = t_nz
@@ -175,7 +178,8 @@ def _adjacency(st: STForm, cutoff: float) -> np.ndarray:
 
 
 def _sets(adj: np.ndarray) -> NeighborSets:
-    sets = {j + 1: frozenset((np.flatnonzero(row) + 1).tolist()) for j, row in enumerate(adj)}
+    labels = range(1, len(adj) + 1)
+    sets = {j: frozenset(itertools.compress(labels, row)) for j, row in zip(labels, adj.tolist())}
     return NeighborSets(n=len(adj), sets=sets)
 
 
@@ -359,12 +363,15 @@ def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
         v_re, v_im = s_re + ov.real / d, s_im + ov.imag / d
         v_mod, v_br = _brackets(v_re, v_im)
         np.fill_diagonal(v_br, 0.0)
-        terms = [(s_re.diagonal() - degree[:m] / d)[:, np.newaxis], -v_br, (1.0 + t_br) * t_br / d]
+        terms = np.empty((m, 1 + n))
+        terms[:, 0] = s_re.diagonal() - degree[:m] / d
+        terms[:, 1 : m + 1] = -v_br
+        terms[:, m + 1 :] = (1.0 + t_br) * t_br / d
+        w_vertex = np.empty(n)
+        w_vertex[:m] = np.cumsum(terms, axis=1, out=terms)[:, -1]
         # j > m: 1 - |N_j| + sum_h <T_hj>, over d.
         total = np.cumsum(t_br, axis=0)[-1] if m else 0.0
-        w_vertex = np.concatenate(
-            [np.cumsum(np.hstack(terms), axis=1)[:, -1], (1.0 - degree[m:] + total) / d]
-        )
+        w_vertex[m:] = (1.0 - degree[m:] + total) / d
         # The pair quantity c, read at the pairs from its first m rows: d S_jk
         # + overlap for k <= m, d S_jk with the parts of the complex product
         # (d + 0i) S_jk that Python forms for d * complex(S_jk), and T_jk for

@@ -68,8 +68,8 @@ class ConditioningError(QGraphError):
 
 class ResonantKError(QGraphError):
     """The scattering system is singular at this momentum (a bound state
-    embedded in the continuum): the LU condition estimate of the
-    vertex-reduced matrix exceeds 1e12."""
+    embedded in the continuum): the 1-norm condition of the vertex-reduced
+    matrix exceeds 1e12."""
 
     def __init__(self, message: str, k: float | None = None):
         super().__init__(message)
@@ -77,8 +77,8 @@ class ResonantKError(QGraphError):
 
 
 class NearSingularZError(QGraphError):
-    """The spectral parameter z lies too close to an eigenvalue: the LU
-    condition estimate of the vertex-reduced matrix exceeds 1e12."""
+    """The spectral parameter z lies too close to an eigenvalue: the 1-norm
+    condition of the vertex-reduced matrix exceeds 1e12."""
 
 
 class ScanRangeError(QGraphError):

@@ -50,30 +50,26 @@ border row, so every entry stays O(|k|); at real lambda > 0 by the count's
 own rule, elsewhere with the coefficients written through exp(ikl), which
 cannot overflow for Im k >= 0.  A midpoint next to a bordered edge, or
 whose pivot is small next to its own terms, stays a row at that point.
-Scattering and resolvents factor the (bordered) matrix once and
-gate on LAPACK's 1-norm condition estimate from the LU factors (Hager;
-Higham), O(N^2) on top of the factorization: beyond 1e12 the point is
-numerically on the spectrum, and scattering raises :class:`ResonantKError`,
-the resolvent :class:`NearSingularZError`.
-
-Those LU factorizations are the only use of scipy: ``lu_factor`` and
-``lu_solve`` are module globals that import scipy.linalg on their first
-call, and ``_gated_lu`` takes ``zgecon`` from it at call time.  The count
-reads inertia through numpy's eigvalsh, so a spectrum, an eig sweep, or any
-command that factors nothing, loads numpy alone.
+Scattering and resolvents solve with the (bordered) matrix once, through
+numpy's LAPACK ``gesv``, with the identity stacked next to the right-hand
+sides, and gate on the exact 1-norm condition ||B||_1 ||B^-1||_1 from the
+inverse those extra columns give: beyond 1e12 the point is numerically
+on the spectrum, and scattering raises :class:`ResonantKError`, the
+resolvent :class:`NearSingularZError`.  The gate is never laxer than
+LAPACK's estimate from the LU factors (Hager; Higham), a lower bound on
+the same condition.  Every factorization and count goes through numpy,
+so no command loads scipy.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from ._util import (
-    lu_factor,
-    lu_solve,
     numerical_rank,
     require_finite_complex,
     require_finite_real,
@@ -101,19 +97,24 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # perfbench/tracing.py rebinds solver.brentq and solver.minimize_scalar,
-    # which nothing here calls.  The names resolve on first access, so only
-    # a traced run imports scipy.optimize.  They go once the tracer stops
-    # rebinding them.
-    if name in ("brentq", "minimize_scalar"):
-        import scipy.optimize
+# perfbench/tracing.py rebinds these names, which nothing here calls: name ->
+# the scipy module that defines it.  They resolve on first access, so only a
+# traced run imports scipy.  They go once the tracer stops rebinding them.
+_TRACER_NAMES = {
+    "lu_factor": "scipy.linalg",
+    "lu_solve": "scipy.linalg",
+    "brentq": "scipy.optimize",
+    "minimize_scalar": "scipy.optimize",
+}
 
-        return getattr(scipy.optimize, name)
+
+def __getattr__(name):
+    if name in _TRACER_NAMES:
+        return getattr(importlib.import_module(_TRACER_NAMES[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Ceiling on the condition estimate of a reduced matrix: beyond it a
+# Ceiling on the 1-norm condition of a reduced matrix: beyond it a
 # scattering momentum is resonant and a resolvent point lies on the spectrum.
 _COND_LIMIT = 1e12
 
@@ -156,29 +157,29 @@ def _principal_k(z) -> np.ndarray:
     return np.where(k.imag < 0, -k, k)
 
 
-def _gated_lu(mat: np.ndarray, error: type, message: str, **info):
-    """LU factors of the complex matrix ``mat``; ``error(message, **info)``,
-    with the estimate appended, when its 1-norm condition estimate exceeds
-    _COND_LIMIT.  The norm is taken before the factors are allocated, and
-    floored at 1, the scale of a border diagonal, so that a border row tied
-    to no vertex value (an edge between Dirichlet ends) fails the gate when
-    its diagonal vanishes.  An exactly singular or NaN matrix fails the
-    gate, which reports it in place of a LinAlgWarning; an empty one (no
-    free vertex values) passes."""
-    from scipy.linalg import LinAlgWarning
-    from scipy.linalg.lapack import zgecon
-
-    if not mat.size:
-        return lu_factor(mat)
-    anorm = max(np.linalg.norm(mat, 1), 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(mat, check_finite=False)
-    rcond = zgecon(lu[0], anorm)[0]
-    if not rcond * _COND_LIMIT >= 1.0:
-        cond = 1.0 / rcond if rcond > 0 else math.inf
+def _gated_solve(mat: np.ndarray, rhs: np.ndarray, error: type, message: str, **info):
+    """The solution of ``mat x = rhs``; ``error(message, **info)``, with
+    the condition appended, when the 1-norm condition ||mat||_1
+    ||mat^-1||_1 exceeds _COND_LIMIT.  One ``np.linalg.solve`` of [rhs | I]
+    gives the solution and the inverse from one factorization; the extra
+    columns leave the solution's bits as a solve of rhs alone gives them.
+    The norm is floored at 1, the scale of a border diagonal, so that a
+    border row tied to no vertex value (an edge between Dirichlet ends)
+    fails the gate when its diagonal vanishes.  An exactly singular or NaN
+    matrix fails the gate with condition inf; an empty one (no free vertex
+    values) passes."""
+    n, m = len(mat), rhs.shape[1]
+    try:
+        sol = np.linalg.solve(mat, np.concatenate([rhs, np.eye(n)], axis=1))
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        with np.errstate(over="ignore"):
+            cond = max(np.linalg.norm(mat, 1), 1.0) * np.linalg.norm(sol[:, m:], 1) if n else 0.0
+    if not cond <= _COND_LIMIT:
+        cond = math.inf if math.isnan(cond) else cond
         raise error(f"{message} (condition estimate {cond:.2e})", **info)
-    return lu
+    return sol[:, :m]
 
 
 def _group_by_edge(points) -> dict[object, tuple[np.ndarray, np.ndarray]]:
@@ -918,8 +919,8 @@ class GreensFunction:
     edge) then half-line.
 
     A is linear in the source's modes, so it is solved for once, at
-    construction: the reduced matrix B(z) is factored, and one ``lu_solve``
-    takes a unit right-hand side per mode, w_+- (c_+- - ik) (with sqrt(k)
+    construction: one gated solve with the reduced matrix B(z) takes a
+    unit right-hand side per mode, w_+- (c_+- - ik) (with sqrt(k)
     in a bordered mode's border row) for mode p_+- of a finite edge and
     -2ik J_h* for a half-line h.  An eliminated midpoint's entries r_m of
     those right-hand sides enter the kept rows as -b_m r_m / p_m, and its
@@ -946,7 +947,6 @@ class GreensFunction:
             )
         positive = z.imag == 0 and z.real > 0
         pt = red.one_point(k, z.real if positive else None)
-        lu = _gated_lu(pt.mat, NearSingularZError, f"z = {z} is numerically on the spectrum")
         # The point is on graph 0 of the reduction (see _Reduction.one_point).
         w, wm, length = red.w[0], red.wm[0], red.length[0]
         ne, size, n_kept = len(length), red.size, len(pt.kept)
@@ -971,7 +971,9 @@ class GreensFunction:
         sign, cols = np.nonzero(pt.border >= 0)
         rows = size + n_kept + pt.border[sign, cols]
         rhs[rows, sign * ne + cols] = pt.root_k
-        sol = lu_solve(lu, rhs)
+        sol = _gated_solve(
+            pt.mat, rhs, NearSingularZError, f"z = {z} is numerically on the spectrum"
+        )
         x = sol[:size]
         # The midpoints' values: x_m = (r_m - b_m* x) / p_m where eliminated.
         x_mid = pt.inv[:, np.newaxis] * (rhs_mid - pt.rows @ x)
@@ -1087,16 +1089,15 @@ class _ScatteringSolver(_Reduction):
     def __call__(self, k: float) -> np.ndarray:
         """S(k) for a validated momentum k > 0."""
         mat = self.one_point(k, k * k).mat
-        lu = _gated_lu(mat, ResonantKError, f"vertex system ill-conditioned at k = {k}", k=k)
         # An incoming wave exp(-iks) on each channel in turn, with the border
         # rows' right-hand sides zero.
         rhs = np.zeros((len(mat), len(self.j_half)), dtype=complex)
         rhs[: self.size] = -2j * k * self.j_half.conj().T
-        x = lu_solve(lu, rhs)
+        x = _gated_solve(mat, rhs, ResonantKError, f"vertex system ill-conditioned at k = {k}", k=k)
         # One step of iterative refinement: at small k on short edges the
         # condition reaches ~5e4, and the plain solve's error alone then
         # shows as a unitarity defect above 1e-12.
-        x += lu_solve(lu, rhs - mat @ x)
+        x += np.linalg.solve(mat, rhs - mat @ x)
         return self.j_half @ x[: self.size] - np.eye(len(self.j_half))
 
 

@@ -3,10 +3,12 @@ and the one-point-at-a-time references for the batched numerical layers."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve, null_space
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, null_space
+from scipy.linalg.lapack import zgecon
 
 from qgraph import (
     CouplingKind,
@@ -24,6 +26,7 @@ from qgraph import (
     greens_function,
     named_to_st,
     st_from_ab,
+    solver,
     star_system,
     system_from_approx,
     truncate,
@@ -370,6 +373,55 @@ def reference_scattering_matrix(sys, k):
     columns = [asm.rhs(row_scale, {(h, 0): (1.0, -1j * k)}) for h in channels]
     coeff = col_scale[:, np.newaxis] * lu_solve(lu, np.stack(columns, axis=1))
     return coeff[[asm.cols[h].start for h in channels], :]
+
+
+# -- the solver's solves as they were, through scipy's LU -------------------
+
+def zgecon_condition(mat: np.ndarray) -> tuple[float, tuple]:
+    """LAPACK's 1-norm condition estimate of the square complex ``mat`` and
+    scipy's LU factors of it: 1 / rcond from ``zgecon`` on the factors,
+    with ||mat||_1 floored at 1 as the solver's gate floors it, and inf
+    where rcond is 0 or NaN (an exactly singular or NaN matrix)."""
+    anorm = max(np.linalg.norm(mat, 1), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(mat, check_finite=False)
+    rcond = zgecon(lu[0], anorm)[0]
+    return (1.0 / rcond if rcond > 0 else math.inf), lu
+
+
+def scipy_gated_solve(mat, rhs, error, message, **info):
+    """The solver's gated solve as it was: scipy's ``lu_factor``, the gate on
+    ``zgecon``'s estimate at 1e12, and ``lu_solve``."""
+    if not mat.size:
+        return lu_solve(lu_factor(mat), rhs)
+    cond, lu = zgecon_condition(mat)
+    if not cond <= 1e12:
+        raise error(f"{message} (condition estimate {cond:.2e})", **info)
+    return lu_solve(lu, rhs)
+
+
+class ModuleView:
+    """Stands in for a module: the given names overridden, every other name
+    read from the module."""
+
+    def __init__(self, module, **overrides):
+        self.__dict__.update(overrides)
+        self._module = module
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def use_scipy_lu(monkeypatch) -> None:
+    """Route the solver's solves through scipy's LU, as they ran before
+    numpy's ``solve`` took them over: the gated solve through
+    :func:`scipy_gated_solve`, and the scattering refinement through
+    ``lu_factor`` and ``lu_solve`` (factoring the same matrix again gives
+    the same factors)."""
+    monkeypatch.setattr(solver, "_gated_solve", scipy_gated_solve)
+    linalg = ModuleView(np.linalg, solve=lambda a, b: lu_solve(lu_factor(a), b))
+    monkeypatch.setattr(solver, "np", ModuleView(np, linalg=linalg))
 
 
 def reference_hs_value(st, d, z=-1.0, L=1.0, quad_n=64):

@@ -38,44 +38,75 @@ def test_import_loads_only_numpy_and_scipy_linalg():
         "import sys, qgraph, qgraph.cli\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         "from qgraph import budget, solver\n"
-        "print(callable(solver.brentq), callable(solver.minimize_scalar), callable(budget.CubicSpline))\n"
+        "names = ('lu_factor', 'lu_solve', 'brentq', 'minimize_scalar')\n"
+        "print(*(callable(getattr(solver, n)) for n in names), callable(budget.CubicSpline))\n"
     )
-    assert _run_python(script) == ["[]", "True True True"]
+    assert _run_python(script) == ["[]", "True True True True True"]
+
+
+# Every command, each printing its name and the scipy modules loaded so far.
+_COMMANDS = (
+    "def run(*argv):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert qgraph.cli.main(list(argv)) == 0, argv\n"
+    "    report(' '.join(argv[:1] + argv[3:4] if argv[0] == 'sweep' else argv[:1]))\n"
+    "def report(name):\n"
+    "    print(name, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    "run('convert', 'delta.json', '--out', 'st.json')\n"
+    "run('build', 'st.json', '--d', '0.25', '--out', 'g.json')\n"
+    "run('budget')\n"
+    "run('spectrum', 'g.json', '--count', '3')\n"
+    "for metric in ('scattering', 'hs', 'eig'):\n"
+    "    run('sweep', 'delta.json', '--metric', metric, '--d', '0.25')\n"
+    "g = serialize.loads(open('g.json').read())\n"
+    "assert not budget.verify_form_bound(g, eta=0.5, n_samples=20, rng=1).violations\n"
+    "report('verify_form_bound')\n"
+)
+
+_NO_SCIPY = [
+    "convert []",
+    "build []",
+    "budget []",
+    "spectrum []",
+    "sweep scattering []",
+    "sweep hs []",
+    "sweep eig []",
+    "verify_form_bound []",
+]
+
+
+def _run_commands(tmp_path, prelude: str = "") -> list[str]:
+    """Every command in one fresh interpreter, in ``tmp_path``, after
+    ``prelude``."""
+    (tmp_path / "delta.json").write_text('{"kind": "delta", "n": 3, "alpha": 1.0}')
+    return _run_python(
+        prelude
+        + "import contextlib, io, os, sys\n"
+        "import qgraph, qgraph.cli\n"
+        "from qgraph import budget, serialize\n"
+        f"os.chdir({str(tmp_path)!r})\n" + _COMMANDS
+    )
 
 
 def test_only_lu_factorizations_load_scipy_linalg(tmp_path):
-    """convert, build, budget, spectrum, an eig sweep and the form-bound
-    check never factor a matrix, so scipy.linalg stays unloaded; a
-    scattering sweep factors and loads it."""
-    (tmp_path / "delta.json").write_text('{"kind": "delta", "n": 3, "alpha": 1.0}')
-    script = (
-        "import contextlib, io, os, sys\n"
-        "import qgraph, qgraph.cli\n"
-        "from qgraph import budget, serialize\n"
-        f"os.chdir({str(tmp_path)!r})\n"
-        "def run(*argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert qgraph.cli.main(list(argv)) == 0, argv\n"
-        "    print(argv[0], 'scipy.linalg' in sys.modules)\n"
-        "run('convert', 'delta.json', '--out', 'st.json')\n"
-        "run('build', 'st.json', '--d', '0.25', '--out', 'g.json')\n"
-        "run('budget')\n"
-        "run('spectrum', 'g.json', '--count', '3')\n"
-        "run('sweep', 'delta.json', '--metric', 'eig', '--d', '0.25')\n"
-        "g = serialize.loads(open('g.json').read())\n"
-        "assert not budget.verify_form_bound(g, eta=0.5, n_samples=20, rng=1).violations\n"
-        "print('verify_form_bound', 'scipy.linalg' in sys.modules)\n"
-        "run('sweep', 'delta.json', '--metric', 'scattering', '--d', '0.25')\n"
+    """No command loads any scipy module: convert, build, budget, spectrum,
+    a sweep of each metric and the form-bound check.  Scattering and
+    resolvent solves go through numpy alone."""
+    assert _run_commands(tmp_path) == _NO_SCIPY
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
+    """scipy is optional at runtime: with an import hook that refuses scipy
+    and every scipy submodule, every command still exits 0."""
+    prelude = (
+        "import sys\n"
+        "class RefuseScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ModuleNotFoundError(f'{name} is refused', name=name)\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
     )
-    assert _run_python(script) == [
-        "convert False",
-        "build False",
-        "budget False",
-        "spectrum False",
-        "sweep False",
-        "verify_form_bound False",
-        "sweep True",
-    ]
+    assert _run_commands(tmp_path, prelude) == _NO_SCIPY
 
 
 def _module_level_scipy_imports(path: Path) -> list[str]:

@@ -43,6 +43,7 @@ from qgraph import (
 import qgraph.solver as solver
 from qgraph.solver import _EigenvalueCount, _Reduction, _ScatteringSolver
 from helpers import (
+    ModuleView,
     ReferenceAssembler,
     UnreducedReduction,
     make_complex_t,
@@ -56,6 +57,8 @@ from helpers import (
     reference_eigenvalues,
     reference_kernel_matrix,
     reference_scattering_matrix,
+    use_scipy_lu,
+    zgecon_condition,
 )
 
 
@@ -541,28 +544,25 @@ def test_reduction_vertex_blocks_match_block_diag(system, eliminated):
 
 
 def test_lu_calls_go_through_the_rebindable_solver_names(monkeypatch):
-    """Scattering and the resolvent factor and solve through solver.lu_factor
-    and solver.lu_solve, so rebinding those names sees every call."""
+    """Scattering and the resolvent solve through solver.np.linalg.solve,
+    the name a tracer wraps, so wrapping it sees every factorization."""
     calls = []
+    original = solver.np.linalg.solve
 
-    def spy(name):
-        original = getattr(solver, name)
+    def spy(*args, **kwargs):
+        calls.append("solve")
+        return original(*args, **kwargs)
 
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solver, name, wrapped)
-
-    spy("lu_factor")
-    spy("lu_solve")
+    linalg = ModuleView(solver.np.linalg, solve=spy)
+    monkeypatch.setattr(solver, "np", ModuleView(solver.np, linalg=linalg))
     star = star_system(make_delta(alpha=1.0, n=3))
+    truncated = truncate(star, L=1.0)
     scattering_matrix(star, 1.0)
-    # One factorization, one solve and one refinement step.
-    assert calls == ["lu_factor", "lu_solve", "lu_solve"]
+    # One gated solve and one refinement step.
+    assert calls == ["solve", "solve"]
     calls.clear()
-    greens_function(truncate(star, L=1.0), -1.0)
-    assert calls == ["lu_factor", "lu_solve"]
+    greens_function(truncated, -1.0)
+    assert calls == ["solve"]
 
 
 def test_edges_too_short_for_the_reduced_matrix_are_rejected():
@@ -749,6 +749,149 @@ def test_scattering_gate_fires_on_embedded_eigenvalue(k):
 def test_scattering_next_to_embedded_eigenvalue_is_unitary(k):
     s = scattering_matrix(loop_with_leads(), k)
     np.testing.assert_allclose(s.conj().T @ s, np.eye(2), atol=1e-12)
+
+
+def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _gate_matrices() -> dict[str, np.ndarray]:
+    """Matrices across the gate's range: random ones, graded ones (rows and
+    columns scaled over 4 and 12 decades), ones with singular values from 1
+    down to sigma_min, exactly singular, NaN and empty ones, one whose
+    condition overflows, and the reduced matrices of the loop with leads at
+    its embedded eigenvalues."""
+    rng = np.random.default_rng(23)
+    cases = {}
+    for n in (1, 3, 8, 24):
+        cases[f"random-{n}"] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for n, e in ((4, 2), (12, 6)):
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cases[f"graded-{n}"] = np.logspace(e, -e, n)[:, np.newaxis] * mat * np.logspace(-e, e, n)
+    for e in (2, 6, 10, 11, 12, 13, 14):
+        sigma = np.logspace(0, -e, 8)
+        cases[f"sigma-min-1e-{e}"] = _unitary(rng, 8) @ (sigma[:, np.newaxis] * _unitary(rng, 8).conj().T)
+    cases["singular-ones"] = np.ones((3, 3), dtype=complex)
+    cases["singular-zero-row"] = np.diag([1.0, 0.0, 2.0]).astype(complex)
+    cases["nan"] = np.diag([1.0, math.nan, 1.0]).astype(complex)
+    # ||A||_1 ||A^-1||_1 = 1e10 * 1e300 overflows.
+    cases["overflowing-condition"] = np.diag([1e10, 1e-300]).astype(complex)
+    cases["empty"] = np.zeros((0, 0), dtype=complex)
+    for k in (1.0, 2.0):
+        cases[f"loop-with-leads-k{k:g}"] = _ScatteringSolver(loop_with_leads()).one_point(k, k * k).mat
+    return cases
+
+
+_GATE_MATRICES = _gate_matrices()
+
+
+@pytest.mark.parametrize("name", list(_GATE_MATRICES))
+def test_gate_is_the_exact_condition_never_below_lapacks_estimate(name):
+    """The gate fires exactly where max(||A||_1, 1) ||A^-1||_1 exceeds 1e12,
+    and reports that condition.  It is never below zgecon's estimate, which
+    the gate used before (Hager's lower bound on ||A^-1||_1), so the gate
+    fires wherever the estimate's did; on these matrices the two verdicts
+    agree.  Both are computed in floating point, from different solves, so
+    the comparison allows 1e-12 relative (they differ by at most 1.4e-14
+    on random matrices up to 24 wide)."""
+    mat = _GATE_MATRICES[name]
+    n = len(mat)
+    estimate = zgecon_condition(mat)[0] if n else 0.0
+    try:
+        with np.errstate(over="ignore"):
+            exact = max(np.linalg.norm(mat, 1), 1.0) * np.linalg.norm(np.linalg.inv(mat), 1) if n else 0.0
+    except np.linalg.LinAlgError:
+        exact = math.inf
+    exact = math.inf if math.isnan(exact) else exact
+    rhs = np.ones((n, 2), dtype=complex)
+    try:
+        x = solver._gated_solve(mat, rhs, ResonantKError, "gate", k=1.0)
+    except ResonantKError as err:
+        reported = float(re.fullmatch(r"gate \(condition estimate (\S+)\)", str(err)).group(1))
+        assert reported == float(f"{exact:.2e}")
+        fired = True
+    else:
+        np.testing.assert_array_equal(x, np.linalg.solve(mat, rhs))
+        fired = False
+    assert exact >= estimate * (1.0 - 1e-12)
+    assert fired == (exact > 1e12)
+    assert fired == (estimate > 1e12)
+
+
+def _dense_ab_star() -> MetricGraphSystem:
+    """The star of a random normal form at n = 8 (m = 4), given as a dense
+    (A, B) pair: rows mixed by a random matrix, columns permuted."""
+    rng = np.random.default_rng(8)
+    ab = ab_from_st(random_st(rng, n=8, m=4))
+    mix = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    cols = rng.permutation(8)
+    return star_system(VertexCoupling(n=8, A=(mix @ ab.A)[:, cols], B=(mix @ ab.B)[:, cols]))
+
+
+def _solver_outputs(system: MetricGraphSystem) -> list[np.ndarray]:
+    """S(k) at three momenta and the kernel of the system truncated at
+    L = 1 at a real and a complex z, on two points of every edge."""
+    truncated = truncate(system, L=1.0)
+    points = [(e.id, f * e.length) for e in truncated.edges for f in (0.25, 0.7)]
+    return [scattering_matrix(system, k) for k in (0.5, 1.0, 2.0)] + [
+        greens_function(truncated, z).kernel_matrix(points) for z in (-1.0, 1.0 + 1.0j)
+    ]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        star_system(make_delta_prime(beta=1.3, n=3)),
+        *(system_from_approx(build_approx_graph(make_delta_prime(beta=1.3, n=n), d))
+          for n, d in ((3, 2.0**-2), (3, 2.0**-7), (16, 2.0**-5), (24, 2.0**-4))),
+        star_system(make_complex_t()),
+        *(system_from_approx(build_approx_graph(make_complex_t(), d)) for d in (2.0**-2, 2.0**-7)),
+        _dense_ab_star(),
+    ],
+    ids=["delta-prime-3-star", "delta-prime-3", "delta-prime-3-small-d", "delta-prime-16",
+         "delta-prime-24", "complex-t-star", "complex-t", "complex-t-small-d", "dense-ab-star"],
+)
+def test_solves_have_the_bits_of_scipys_lu(monkeypatch, system):
+    """S(k) and the resolvent kernel equal, bit for bit, what the solves
+    through scipy's lu_factor and lu_solve gave."""
+    got = _solver_outputs(system)
+    use_scipy_lu(monkeypatch)
+    for new, old in zip(got, _solver_outputs(system), strict=True):
+        np.testing.assert_array_equal(new, old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st_.integers(0, 2**32 - 1),
+    d=st_.floats(min_value=0.05, max_value=0.3),
+    k=st_.floats(min_value=0.1, max_value=5.0),
+)
+@example(seed=170, d=0.05, k=0.1)
+def test_scattering_of_random_graphs_has_the_bits_of_scipys_lu(seed, d, k):
+    """The graphs of test_scattering_of_random_graphs_is_unitary: S(k) as
+    the solves through scipy's LU gave it, and the same verdict of the gate.
+    With one channel every solve has one right-hand side, and there the
+    OpenBLAS builds in scipy's and numpy's wheels can round differently (by
+    up to 2 ulps in a few percent of cases), so a one-channel S is compared
+    to 4 ulps."""
+    _, g = random_built_graph(np.random.default_rng(seed), d)
+    outcomes = []
+    for path in ("numpy", "scipy"):
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "scipy":
+                use_scipy_lu(mp)
+            try:
+                outcomes.append(effective_scattering(g, k))
+            except ResonantKError:
+                outcomes.append(None)
+    new, old = outcomes
+    if new is None or old is None:
+        assert new is None and old is None
+    elif len(new) == 1:
+        np.testing.assert_allclose(new, old, rtol=4 * np.finfo(float).eps, atol=0)
+    else:
+        np.testing.assert_array_equal(new, old)
 
 
 def test_metric_scattering_retries_a_resonant_momentum(monkeypatch):
