@@ -171,3 +171,10 @@ def require_positive_int(value, name: str) -> int:
     ):
         raise InputError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def format_float(value: float | None) -> str:
+    """A number as the CSV files and printed results write it, in 17
+    significant digits so that it reads back to the same float; ``nan``
+    for a missing value."""
+    return "nan" if value is None else format(float(value), ".17e")

@@ -38,9 +38,10 @@ The per-entry and per-pair functions evaluate one schedule value each, in
 Python arithmetic; they are the reference.  :func:`build_approx_graph`
 evaluates every value in array passes over all vertices and pairs, with
 the same floating-point operations in the same order, so each value has
-the reference's bits and every failure raises the reference's first error.
-Three numpy shortcuts round differently from that arithmetic, so the array
-passes avoid them:
+the reference's bits.  The arrays only decide whether a build fails; a
+failing build reruns the per-entry functions, so the reference alone
+decides which error it raises.  Three numpy shortcuts round differently
+from that arithmetic, so the array passes avoid them:
 
 * np.abs of a complex array differs from Python's abs, which calls hypot,
   on about a third of random values; np.hypot of the parts does not;
@@ -68,7 +69,6 @@ from .couplings import STForm
 from .errors import (
     DegenerateArgumentError,
     InputError,
-    QGraphError,
     SingularDError,
     StructuralError,
 )
@@ -153,28 +153,39 @@ def bracket(c: complex) -> float:
     return modulus if c.real >= 0.0 else -modulus
 
 
-def _zero_scale(st: STForm) -> float:
+def _moduli(st: STForm) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
-        mats = [np.abs(m).max() if m.size else 0.0 for m in (st.S, st.T)]
+        return np.abs(st.S), np.abs(st.T)
+
+
+def _cutoff(s_mod: np.ndarray, t_mod: np.ndarray) -> float:
+    mats = [mod.max() if mod.size else 0.0 for mod in (s_mod, t_mod)]
     scale = ZERO_TOL * max(1.0, *mats)
     if not math.isfinite(scale):
         raise InputError("the moduli of the normal form's entries overflow")
     return scale
 
 
-def _adjacency(st: STForm, cutoff: float) -> np.ndarray:
-    """The n x n boolean matrix of the pairs joined by inner edges."""
+def _zero_scale(st: STForm) -> float:
+    return _cutoff(*_moduli(st))
+
+
+def _adjacency(st: STForm) -> tuple[np.ndarray, float]:
+    """The n x n boolean matrix of the pairs joined by inner edges, and the
+    zero cutoff it reads S and T with, from one pass over their moduli."""
+    s_mod, t_mod = _moduli(st)
+    cutoff = _cutoff(s_mod, t_mod)
     n, m = st.n, st.m
-    t_nz = np.abs(st.T) > cutoff
+    t_nz = t_mod > cutoff
     # Pairs j < k <= m: S_jk != 0 or T_jl != 0 != T_kl for some column l,
     # read on the upper triangle.
     index = np.arange(m)
-    inner = ((np.abs(st.S) > cutoff) | (t_nz @ t_nz.T)) & (index[:, np.newaxis] < index)
+    inner = ((s_mod > cutoff) | (t_nz @ t_nz.T)) & (index[:, np.newaxis] < index)
     adj = np.zeros((n, n), dtype=bool)
     adj[:m, :m] = inner | inner.T
     adj[:m, m:] = t_nz
     adj[m:, :m] = t_nz.T
-    return adj
+    return adj, cutoff
 
 
 def _sets(adj: np.ndarray) -> NeighborSets:
@@ -192,7 +203,7 @@ def neighbor_sets(st: STForm) -> NeighborSets:
     one boolean matrix product of the nonzero pattern of T with its
     transpose.
     """
-    return _sets(_adjacency(st, _zero_scale(st)))
+    return _sets(_adjacency(st)[0])
 
 
 def _require_pair(st: STForm, nbrs: NeighborSets, j: int, k: int) -> None:
@@ -342,12 +353,14 @@ def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
     """Assemble neighbor sets and all three schedules into one graph, in
     array passes with the per-entry functions' bits (see the module notes).
 
-    Raises the error the per-entry functions raise first, in the order of
-    j and then of the pairs; :class:`InputError` where a schedule
-    overflows, as it can for entries of S and T near the float range."""
+    Where the arrays show a non-finite strength or pair quantity, a pair
+    whose quantity cancels, or an imaginary part on the diagonal of S, the
+    per-entry schedules are rerun (see :func:`_reference_failure`), and the
+    build raises the first error they raise; :class:`InputError` where a
+    schedule overflows, as it can for entries of S and T near the float
+    range."""
     d = require_half_length(d)
-    cutoff = _zero_scale(st)
-    adj = _adjacency(st, cutoff)
+    adj, cutoff = _adjacency(st)
     n, m = st.n, st.m
     # The pairs j < k in order, as indices from 0.
     j, k = np.nonzero(adj)
@@ -357,11 +370,10 @@ def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
     degree = adj.sum(axis=1)
     with np.errstate(all="ignore"):
         ov = _overlaps(t_mat)
-        t_mod, t_br = _brackets(t_mat.real, t_mat.imag)
+        _, t_br = _brackets(t_mat.real, t_mat.imag)
         # j <= m: S_jj - |N_j|/d, minus <S_jk + (1/d) overlap> for k != j,
         # plus (1 + <T_jl>) <T_jl> / d; x + (-0.0) is x, as x - 0.0 is.
-        v_re, v_im = s_re + ov.real / d, s_im + ov.imag / d
-        v_mod, v_br = _brackets(v_re, v_im)
+        _, v_br = _brackets(s_re + ov.real / d, s_im + ov.imag / d)
         np.fill_diagonal(v_br, 0.0)
         terms = np.empty((m, 1 + n))
         terms[:, 0] = s_re.diagonal() - degree[:m] / d
@@ -380,18 +392,17 @@ def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
         c_re[:, :m] = d * s_re - 0.0 * s_im + ov.real
         c_im[:, :m] = d * s_im + 0.0 * s_re + ov.imag
         c_re[:, m:], c_im[:, m:] = t_mat.real, t_mat.imag
-        inner = k < m
         c_re, c_im = c_re[j, k], c_im[j, k]
         c_mod, signed = _brackets(c_re, c_im)
-        w_inner = np.where(inner, -2.0 - 1.0 / signed, -2.0 + 1.0 / signed) / d
-        flat = c_mod <= cutoff * d
-        if (
-            _non_real_diagonal(st).any()
-            or not np.isfinite(np.concatenate([w_vertex, w_inner, c_mod])).all()
-            or flat.any()
-        ):
-            raise _first_failure(st, d, pairs, ov, v_re, v_im, v_mod, t_mod,
-                                 c_re, c_im, c_mod, flat, inner)
+        w_inner = np.where(k < m, -2.0 - 1.0 / signed, -2.0 + 1.0 / signed) / d
+        finite = np.isfinite(np.concatenate([w_vertex, w_inner, c_mod])).all()
+        failed = not finite or (c_mod <= cutoff * d).any() or s_im.diagonal().any()
+    nbrs = _sets(adj)
+    if failed:
+        _reference_failure(st, nbrs, d, cutoff, pairs)
+        # The schedules raise on a non-finite |c|, so a strength overflows.
+        if not finite:
+            raise InputError(f"a delta strength overflows at d={d}")
     phase = np.array([math.atan2(y, x) for y, x in zip(c_im.tolist(), c_re.tolist())])
     a = np.where(c_re < 0.0, phase - math.pi, phase) / (2.0 * d)
     both = np.empty(2 * len(pairs))
@@ -399,65 +410,29 @@ def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
     return ApproxGraph(
         n=n,
         d=d,
-        neighbors=_sets(adj),
+        neighbors=nbrs,
         w_vertex=dict(zip(range(1, n + 1), w_vertex.tolist())),
         w_inner=dict(zip(pairs, w_inner.tolist())),
         a_inner=dict(zip([key for j, k in pairs for key in ((j, k), (k, j))], both.tolist())),
     )
 
 
-def _non_real_diagonal(st: STForm) -> np.ndarray:
-    """Per j <= m, whether S_jj has more imaginary residue than IMAG_TOL allows."""
-    re, im = st.S.real.diagonal(), st.S.imag.diagonal()
-    if not im.any():
-        return np.zeros(len(im), dtype=bool)
-    return np.abs(im) > IMAG_TOL * np.maximum(1.0, np.hypot(re, im))
-
-
-def _first_failure(st, d, pairs, ov, v_re, v_im, v_mod, t_mod,
-                   c_re, c_im, c_mod, flat, inner) -> QGraphError:
-    """The error the per-entry functions raise first, for the arrays of
-    :func:`build_approx_graph`: the vertex strengths in order of j (S_jj,
-    then each k with its overlap, strength term and bracket, then the
-    brackets of T), then the pairs in order, then an overflow of a
-    strength.  Each failure is keyed by its place in that order, so a mask
-    may also hold places that an earlier failure of the same entry hides."""
-    n, m = st.n, st.m
-    # The reference never forms S_jj + overlap_jj / d.
-    off = ~np.eye(m, dtype=bool)
-    failures = [((n + len(pairs),), InputError(f"a delta strength overflows at d={d}"))]
-
-    def note(mask, key, error):
-        hit = np.argwhere(mask)
-        if len(hit):
-            at = hit[0].tolist()
-            failures.append((key(*at), error(*at)))
-
-    def overflow(value):
-        return InputError(f"bracket argument overflows, got {complex(value)!r}")
-
-    note(_non_real_diagonal(st), lambda j: (j, 0), lambda j: InputError(
-        f"S_{{{j + 1}{j + 1}}} must be real, got {complex(st.S[j, j])}"))
-    note(off & ~np.isfinite(ov), lambda j, k: (j, 1, k, 0), lambda j, k: InputError(
-        f"the overlap of T rows {j + 1} and {k + 1} overflows"))
-    note(off & ~(np.isfinite(v_re) & np.isfinite(v_im)), lambda j, k: (j, 1, k, 1),
-         lambda j, k: InputError(f"a delta strength overflows at d={d}"))
-    note(off & np.isinf(v_mod), lambda j, k: (j, 1, k, 2),
-         lambda j, k: overflow(complex(v_re[j, k], v_im[j, k])))
-    note(np.isinf(t_mod), lambda j, l: (j, 2, l), lambda j, l: overflow(st.T[j, l]))
-    note(np.isinf(t_mod).T, lambda l, h: (m + l, 2, h), lambda l, h: overflow(st.T[h, l]))
-    note(~(np.isfinite(c_re) & np.isfinite(c_im)), lambda p: (n + p, 0), lambda p: InputError(
-        f"bracket argument must be finite, got {complex(c_re[p], c_im[p])!r}"))
-    note(np.isinf(c_mod), lambda p: (n + p, 1),
-         lambda p: overflow(complex(c_re[p], c_im[p])))
-    note(flat & inner, lambda p: (n + p, 2), lambda p: SingularDError(
-        f"strength of pair {pairs[p]} undefined at d={d}: "
-        "d S_jk cancels the T-column overlap; use a different d",
-        pair=pairs[p],
-    ))
-    note(flat & ~inner, lambda p: (n + p, 2), lambda p: DegenerateArgumentError(
-        f"phase of pair {pairs[p]} undefined: argument cancels at d={d}", pair=pairs[p]))
-    return min(failures, key=lambda failure: failure[0])[1]
+def _reference_failure(
+    st: STForm, nbrs: NeighborSets, d: float, cutoff: float, pairs: list[tuple[int, int]]
+) -> None:
+    """Rerun the per-entry schedules of a build, in the reference's order
+    (the vertex strengths in order of j, then each pair's quantity,
+    strength and potential), with the build's neighbor sets and cutoff, so
+    that a failing build raises the first error they raise.  Returns where
+    none raises, as for an imaginary part of S_jj within IMAG_TOL or a
+    strength that comes out infinite."""
+    with np.errstate(all="ignore"):
+        for j in range(1, st.n + 1):
+            vertex_delta_schedule(st, nbrs, d, j)
+        for pair in pairs:
+            c = _pair_argument(st, d, *pair)
+            _inner_delta(c, d, cutoff, pair, st.m < pair[1])
+            _magnetic(c, d, cutoff, pair)
 
 
 def order_check(st: STForm, pair: tuple[int, int]) -> Order:

@@ -38,6 +38,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import serialize
+from ._util import format_float
 from .budget import budget_to_json, exponent_budget, optimal_alpha
 from .builder import ApproxGraph, build_approx_graph
 from .convergence import (
@@ -175,12 +176,6 @@ def _parse_d_range(text: str) -> tuple[int, int]:
     return p0, p1
 
 
-def _float_format(value: float | None) -> str:
-    if value is None:
-        return "nan"
-    return format(value, ".17e")
-
-
 def cmd_convert(args) -> int:
     st = _as_st(_load(args.input), args.input)
     _write_text(args.out, serialize.dumps(st))
@@ -225,7 +220,7 @@ def cmd_sweep(args) -> int:
         return EXIT_ALL_D_FAILED
     if args.out is not None:
         _write_text(args.out, report_to_csv(report))
-    print(f"slope={_float_format(report.slope)} residual={_float_format(report.residual)}")
+    print(f"slope={format_float(report.slope)} residual={format_float(report.residual)}")
     return EXIT_OK
 
 
@@ -233,8 +228,8 @@ def cmd_budget(args) -> int:
     if args.alpha is None:
         alpha, combined = optimal_alpha(args.eq29)
         print(
-            f"optimal alpha = {alpha} ({float(alpha):.17e}), "
-            f"combined exponent = {combined} ({float(combined):.17e})"
+            f"optimal alpha = {alpha} ({format_float(alpha)}), "
+            f"combined exponent = {combined} ({format_float(combined)})"
         )
         if args.out is not None:
             budget = exponent_budget(alpha, args.eq29)
@@ -262,7 +257,7 @@ def cmd_spectrum(args) -> int:
     values = eigenvalues_compact(trunc, args.count)
     lines = ["index,lambda"]
     for index, lam in enumerate(values, start=1):
-        lines.append(f"{index},{_float_format(lam)}")
+        lines.append(f"{index},{format_float(lam)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -39,6 +39,7 @@ import numpy as np
 
 from ._util import (
     DEFAULT_TOL,
+    format_float,
     require_finite_complex,
     require_finite_real,
     require_half_length,
@@ -600,10 +601,6 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17e")
-
-
 def report_to_csv(report: ConvergenceReport) -> str:
     """Render a report as `d,metric,status` rows plus fit trailer rows.
 
@@ -613,12 +610,12 @@ def report_to_csv(report: ConvergenceReport) -> str:
     """
     lines = ["d,metric,status"]
     for p in report.points:
-        metric_txt = "" if p.value is None else _fmt(p.value)
-        lines.append(f"{_fmt(p.d)},{metric_txt},{p.status}")
+        metric_txt = "" if p.value is None else format_float(p.value)
+        lines.append(f"{format_float(p.d)},{metric_txt},{p.status}")
     for name, value in (
         ("slope", report.slope),
         ("intercept", report.intercept),
         ("residual", report.residual),
     ):
-        lines.append(f"{name},{'nan' if value is None else _fmt(value)}")
+        lines.append(f"{name},{format_float(value)}")
     return "\n".join(lines) + "\n"

@@ -148,7 +148,7 @@ _PIVOT_RATIO = 2.0**-10
 
 # The arrays of a reduction that belong to one graph: they carry a leading
 # graph axis, along which _Reduction.stack joins reductions of one shape.
-_PER_GRAPH = ("s_mat", "mid_w", "length", "two_over_l", "w", "w_adj", "wm", "w_mid")
+_PER_GRAPH = ("s_mat", "mid_w", "length", "two_over_l", "wm", "w_mid")
 
 
 def _principal_k(z) -> np.ndarray:
@@ -393,9 +393,10 @@ class _Reduction:
     @property
     def shape(self) -> tuple:
         """What reductions must share to be stacked: the kept values, the
-        finite edges, and the midpoints with their halves."""
+        finite edges, the midpoints with their halves, and the modes w on the
+        kept rows, which a stack keeps one copy of."""
         return (self.s_mat.shape[1:], self.s_mat.dtype, self.length.shape[1:], self.halves.shape,
-                self.halves.tobytes())
+                self.halves.tobytes(), self.w.tobytes())
 
     @classmethod
     def stack(cls, reductions: list["_Reduction"]) -> "_Reduction":
@@ -494,7 +495,7 @@ class _Reduction:
         midpoints' rows (points, midpoints, size), which differ from b_m* at
         complex coefficients; the complement then subtracts b_m (row) / p_m.
         """
-        mat = self.s_mat[g] + (self.w[g] * coef[:, np.newaxis, :]) @ self.w_adj[g]
+        mat = self.s_mat[g] + (self.w * coef[:, np.newaxis, :]) @ self.w_adj
         if not self.mid_w.shape[-1]:
             # Nothing to eliminate: no columns, pivots or rows.
             none = coef[:, :0]
@@ -550,7 +551,7 @@ class _Reduction:
         if nb:
             edge = np.nonzero(inside)[1].reshape(npts, nb)
             mode = edge + self.length.shape[-1] * minus[inside].reshape(npts, nb)
-            vecs = self.w[g, :, mode].transpose(0, 2, 1)
+            vecs = self.w.T[mode].transpose(0, 2, 1)
             out[:, :size, border] = root_k * vecs
             out[:, border, :size] = root_k * vecs.conj().transpose(0, 2, 1)
             diag = np.arange(size + nk, size + nk + nb)
@@ -948,7 +949,7 @@ class GreensFunction:
         positive = z.imag == 0 and z.real > 0
         pt = red.one_point(k, z.real if positive else None)
         # The point is on graph 0 of the reduction (see _Reduction.one_point).
-        w, wm, length = red.w[0], red.wm[0], red.length[0]
+        w, wm, length = red.w, red.wm[0], red.length[0]
         ne, size, n_kept = len(length), red.size, len(pt.kept)
         # Mode indices of every edge: sign * ne + e on finite edge e, 2 ne + h
         # on half-line h.
@@ -978,7 +979,7 @@ class GreensFunction:
         # The midpoints' values: x_m = (r_m - b_m* x) / p_m where eliminated.
         x_mid = pt.inv[:, np.newaxis] * (rhs_mid - pt.rows @ x)
         x_mid[pt.kept] = sol[size : size + n_kept]
-        amp = np.concatenate([red.w_adj[0] @ x, red.j_half @ x])
+        amp = np.concatenate([red.w_adj @ x, red.j_half @ x])
         amp[mode] += wm[mode, np.newaxis].conj() * x_mid[mid]
         amp[np.diag_indices(len(amp))] -= 1.0
         amp[sign * ne + cols] = sol[rows]

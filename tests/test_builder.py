@@ -28,6 +28,7 @@ from qgraph import (
     star_scattering,
     vertex_delta_schedule,
 )
+import qgraph.builder as builder
 from qgraph.builder import ApproxGraph, _zero_scale
 from qgraph.serialize import approx_from_json, approx_to_json, dumps
 from helpers import (
@@ -427,6 +428,55 @@ def test_build_errors_come_in_the_order_of_the_per_pair_schedules():
         assert _assert_build_matches_per_pair_schedules(st, 0.1) is error
         with pytest.raises(error, match=match):
             build_approx_graph(st, 0.1)
+
+
+def test_imaginary_residue_within_tolerance_on_s_diagonal_builds():
+    """An imaginary part of S_jj inside IMAG_TOL sends the build through the
+    per-entry schedules, which raise nothing: the build returns the
+    reference's graph."""
+    singular = make_singular_at_tenth()
+    st = _with_entries(singular, s_mat=singular.S + np.diag([1e-16j, 0.0]))
+    for d in (0.25, 0.01):
+        assert _assert_build_matches_per_pair_schedules(st, d) is None
+
+
+def test_failing_build_replays_the_schedules_with_its_own_neighbor_sets(monkeypatch):
+    """A failing build reruns the per-entry schedules with the neighbor sets
+    and cutoff it computed, never through the public per-pair schedules,
+    which recompute the sets for every pair."""
+    singular = make_singular_at_tenth()
+    cases = [
+        _with_entries(singular, s_mat=singular.S + np.diag([0.0, 1e-12j])),
+        _with_entries(singular, t_mat=np.array([[1e308], [1e308]])),
+        singular,
+    ]
+    expected = []
+    for st in cases:
+        with pytest.raises(QGraphError) as info:
+            build_approx_graph(st, 0.1)
+        expected.append(info.value)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the replay recomputes what the build computed")
+
+    for name in ("neighbor_sets", "magnetic_schedule", "inner_delta_schedule"):
+        monkeypatch.setattr(builder, name, fail)
+    for st, exc in zip(cases, expected):
+        with pytest.raises(type(exc)) as info:
+            build_approx_graph(st, 0.1)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "pair", None) == getattr(exc, "pair", None)
+
+
+def test_wide_form_whose_last_pair_cancels_raises_for_that_pair():
+    """n = 64, m = 63, T = ones: every pair quantity is 1 + d S_jk, and
+    S_62,63 = -10 cancels it at d = 0.1 for the last inner pair only."""
+    s_mat = np.zeros((63, 63))
+    s_mat[61, 62] = s_mat[62, 61] = -10.0
+    st = STForm(n=64, m=63, perm=tuple(range(1, 65)), S=s_mat, T=np.ones((63, 1)))
+    with pytest.raises(SingularDError, match=r"pair \(62, 63\) undefined at d=0.1") as info:
+        build_approx_graph(st, 0.1)
+    assert info.value.pair == (62, 63)
 
 
 def test_neighbor_sets_match_reference_with_entries_at_the_cutoff():

@@ -1405,6 +1405,22 @@ def test_lockstep_search_isolates_failing_systems():
     assert [type(r) for r in got[1:4]] == [StructuralError, InputError, ScanRangeError]
 
 
+def test_lockstep_search_keeps_the_modes_of_each_graph():
+    """Two truncated stars of one shape whose T differ: their mode vectors
+    w on the kept rows differ, which a stack holds one copy of, so the
+    reductions must not stack; each gets the bytes of its own search."""
+    systems = [
+        truncate(star_system(random_st(np.random.default_rng(seed), n=3, m=2)), L=1.0)
+        for seed in (1, 2)
+    ]
+    shapes = [_Reduction(sys_).shape for sys_ in systems]
+    # Only w tells the two apart.
+    assert shapes[0][:-1] == shapes[1][:-1] and shapes[0][-1] != shapes[1][-1]
+    got = solver._eigenvalues_lockstep(systems, 4)
+    for sys_, values in zip(systems, got):
+        assert values.tobytes() == eigenvalues_compact(sys_, 4).tobytes()
+
+
 def _pivot_zero(w: float) -> float:
     """lambda_p, where the midpoint pivot of _well_with_neumann_ends(w)
     vanishes: w + 2 kappa coth(kappa) = 0 below 0 (for w < -2), and w + 2k
