@@ -113,20 +113,34 @@ def subspace_distance(basis1: np.ndarray, basis2: np.ndarray) -> float:
     return float(np.linalg.norm(residual, 2))
 
 
+def _number(value, name: str) -> complex:
+    """``value`` as a complex, refusing bools, strings, anything else
+    complex() cannot take, and integers beyond the float range."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    try:
+        return complex(value)
+    except OverflowError:
+        raise InputError(f"{name} must be finite, got a number beyond the float range") from None
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a number, got {value!r}") from None
+
+
 def require_finite_real(value: float, name: str) -> float:
-    """Coerce to float, rejecting NaN/inf and complex residue."""
-    val = complex(value)
+    """Coerce a number to float, rejecting NaN/inf and complex residue."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    val = _number(value, name)
     if abs(val.imag) > 0:
         raise InputError(f"{name} must be real, got {value!r}")
-    out = float(val.real)
-    if not math.isfinite(out):
+    if not math.isfinite(val.real):
         raise InputError(f"{name} must be finite, got {value!r}")
-    return out
+    return val.real
 
 
 def require_finite_complex(value: complex, name: str) -> complex:
-    """Coerce to complex, rejecting NaN/inf in either part."""
-    out = complex(value)
+    """Coerce a number to complex, rejecting NaN/inf in either part."""
+    out = _number(value, name)
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise InputError(f"{name} must be finite, got {out!r}")
     return out

@@ -148,22 +148,23 @@ def form_bound_inputs(g: ApproxGraph, eta: float) -> FormBoundInputs:
     )
 
 
+def _c_eta_edge(eta: float, d: float, abs_a_e: float, wbar_e: float) -> float:
+    return (1.0 + 2.0 / eta) * abs_a_e**2 + max(4.0 * wbar_e**2 / eta, 2.0 * wbar_e / d)
+
+
 def c_eta_edge(eta: float, d: float, abs_a_e: float, wbar_e: float) -> float:
     """The per-edge constant (1 + 2/eta)|A_e|^2 + max{4 wbar^2/eta, 2 wbar/d}."""
-    eta = require_positive_real(eta, "eta")
-    d = require_half_length(d)
-    abs_a_e = require_nonnegative_real(abs_a_e, "abs_a_e")
-    wbar_e = require_nonnegative_real(wbar_e, "wbar_e")
-    return (1.0 + 2.0 / eta) * abs_a_e**2 + max(
-        4.0 * wbar_e**2 / eta, 2.0 * wbar_e / d
-    )
+    return _c_eta_edge(require_positive_real(eta, "eta"), require_half_length(d),
+                       require_nonnegative_real(abs_a_e, "abs_a_e"),
+                       require_nonnegative_real(wbar_e, "wbar_e"))
 
 
 def c_eta(inputs: FormBoundInputs, eta: float | None = None) -> float:
-    """C_eta = max over edges of c_eta_edge; zero for an edgeless table."""
-    eta_val = inputs.eta if eta is None else eta
+    """C_eta = max over edges of c_eta_edge; zero for an edgeless table.
+    The inputs are checked when made, so only an ``eta`` override is."""
+    eta_val = inputs.eta if eta is None else require_positive_real(eta, "eta")
     values = [
-        c_eta_edge(eta_val, inputs.d, inputs.abs_a[key], inputs.wbar[key])
+        _c_eta_edge(eta_val, inputs.d, inputs.abs_a[key], inputs.wbar[key])
         for key in inputs.abs_a
     ]
     return max(values, default=0.0)

@@ -59,12 +59,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._util import require_half_length
+from ._util import (
+    require_finite_complex,
+    require_finite_real,
+    require_half_length,
+    require_positive_int,
+)
 from .couplings import STForm
 from .errors import (
     DegenerateArgumentError,
@@ -104,10 +110,31 @@ class Order(Enum):
 
 @dataclass(frozen=True)
 class NeighborSets:
-    """The index sets N_j: which pairs of edges are joined by inner edges."""
+    """The index sets N_j: which pairs of edges are joined by inner edges.
+
+    The sets are checked when made, and kept as frozensets: they are those
+    of the vertices 1..n, their members are ints, and they are symmetric
+    and without loops."""
 
     n: int
     sets: dict[int, frozenset[int]]
+
+    def __post_init__(self):
+        n = require_positive_int(self.n, "n")
+        # The set 1..n is made only for an n that can match the keys.
+        vertices = frozenset(range(1, n + 1)) if len(self.sets) == n else None
+        if self.sets.keys() != vertices:
+            raise StructuralError(f"neighbor sets must be those of the vertices 1..{n}")
+        if not set(map(type, itertools.chain.from_iterable(self.sets.values()))) <= {int}:
+            bad = next(k for ks in self.sets.values() for k in ks if type(k) is not int)
+            raise InputError(f"neighbor {bad!r} is not an int")
+        sets = {j: frozenset(self.sets[j]) for j in range(1, n + 1)}
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sets", sets)
+        if not all(ks <= vertices for ks in sets.values()):
+            raise StructuralError(f"a neighbor lies outside the vertices 1..{n}")
+        if any(j in ks or any(j not in sets[k] for k in ks) for j, ks in sets.items()):
+            raise StructuralError("neighbor sets must be symmetric and without loops")
 
     def pairs(self) -> list[tuple[int, int]]:
         """All connected pairs (j, k) with j < k, in lexicographic order."""
@@ -119,6 +146,19 @@ class NeighborSets:
         ]
 
 
+def _entries(table: dict, keys: list, name: str) -> list:
+    """``table`` at every key of ``keys``, which must be its exact key set;
+    a missing or extra key is a :class:`StructuralError`."""
+    try:
+        values = [table[key] for key in keys]
+    except KeyError as exc:
+        raise StructuralError(f"{name} has no entry for {exc.args[0]!r}") from None
+    if len(table) != len(keys):
+        extra = next(iter(table.keys() - set(keys)))
+        raise StructuralError(f"{name} has an extra entry for {extra!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class ApproxGraph:
     """The approximating graph at a fixed half-length d.
@@ -127,6 +167,12 @@ class ApproxGraph:
     maps each connected pair (j, k), j < k, to the midpoint strength, and
     ``a_inner`` holds the magnetic potential for both orientations of each
     half-segment, with a_inner[(k, j)] = -a_inner[(j, k)].
+
+    The graph is checked when made, as a whole: d lies in (0, 1]; the
+    neighbor sets are those of its n vertices; each table holds exactly
+    the entries above; every value is real and finite, and is kept as a
+    float; and the potentials are antisymmetric.  So a graph that exists
+    makes a valid metric-graph system and a document that reads back to it.
     """
 
     n: int
@@ -136,6 +182,31 @@ class ApproxGraph:
     w_inner: dict[tuple[int, int], float]
     a_inner: dict[tuple[int, int], float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "d", require_half_length(self.d))
+        if self.neighbors.n != self.n:
+            raise StructuralError(f"neighbor sets must be those of the vertices 1..{self.n}")
+        n, pairs = self.neighbors.n, self.neighbors.pairs()
+        object.__setattr__(self, "n", n)
+        halves = pairs + [(k, j) for j, k in pairs]
+        a = _entries(self.a_inner, halves, "a_inner")
+        w = _entries(self.w_inner, pairs, "w_inner")
+        w += _entries(self.w_vertex, range(1, n + 1), "w_vertex")
+        # Plain finite floats pass at once; anything else is checked, and
+        # made a float, one value at a time.
+        values = a + w
+        if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
+            a = [require_finite_real(x, "a") for x in a]
+            w = [require_finite_real(x, "w") for x in w]
+            object.__setattr__(self, "a_inner", dict(zip(halves, a)))
+            object.__setattr__(self, "w_inner", dict(zip(pairs, w)))
+            object.__setattr__(self, "w_vertex", dict(zip(range(1, n + 1), w[len(pairs) :])))
+        a_out, a_back = a[: len(pairs)], a[len(pairs) :]
+        if a_back != list(map(operator.neg, a_out)):
+            at = next(at for at, (x, y) in enumerate(zip(a_out, a_back)) if y != -x)
+            (j, k), x, y = pairs[at], a_out[at], a_back[at]
+            raise InputError(f"a_inner[{(k, j)}] = {y!r} must be -a_inner[{(j, k)}] = {-x!r}")
+
 
 # ---------------------------------------------------------------------------
 # Elementary pieces
@@ -143,9 +214,7 @@ class ApproxGraph:
 
 def bracket(c: complex) -> float:
     """Signed modulus <c>: |c| when Re c >= 0, else -|c| (so <c> = c for real c)."""
-    c = complex(c)
-    if not (np.isfinite(c.real) and np.isfinite(c.imag)):
-        raise InputError(f"bracket argument must be finite, got {c!r}")
+    c = require_finite_complex(c, "bracket argument")
     try:
         modulus = abs(c)
     except OverflowError:

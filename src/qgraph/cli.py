@@ -233,18 +233,14 @@ def cmd_budget(args) -> int:
         )
         if args.out is not None:
             budget = exponent_budget(alpha, args.eq29)
-            _write_text(args.out, _budget_text(budget))
+            _write_text(args.out, serialize.dumps(budget_to_json(budget)))
         return EXIT_OK
     try:
         budget = exponent_budget(args.alpha, args.eq29)
     except InputError as exc:
         raise _CliFailure(EXIT_INVALID, str(exc))
-    _write_text(args.out, _budget_text(budget))
+    _write_text(args.out, serialize.dumps(budget_to_json(budget)))
     return EXIT_OK
-
-
-def _budget_text(budget) -> str:
-    return json.dumps(budget_to_json(budget), indent=2, sort_keys=True) + "\n"
 
 
 def cmd_spectrum(args) -> int:

@@ -30,10 +30,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import require_finite_real, require_half_length, require_positive_real
+from ._util import require_finite_real, require_positive_real
 from .builder import ApproxGraph
 from .couplings import STForm, VertexCoupling, ab_from_st
-from .errors import InputError, StructuralError
+from .errors import StructuralError
 
 __all__ = [
     "Edge",
@@ -197,15 +197,6 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _entries(table: dict, keys, name: str) -> list:
-    """``table`` at every key of ``keys``; a missing key is a
-    :class:`StructuralError`."""
-    try:
-        return [table[key] for key in keys]
-    except KeyError as exc:
-        raise StructuralError(f"{name} has no entry for {exc.args[0]!r}") from None
-
-
 def system_from_approx(g: ApproxGraph) -> MetricGraphSystem:
     """Metric-graph system of an approximating graph.
 
@@ -215,64 +206,27 @@ def system_from_approx(g: ApproxGraph) -> MetricGraphSystem:
     With this orientation the accumulated phases reproduce the arguments of
     the complex coupling entries in the d -> 0 limit.
 
-    The graph is checked once, as a whole: d lies in (0, 1]; the neighbor
-    sets are those of vertices 1..n, symmetric and without loops; w_inner
-    holds every pair, a_inner both orientations of every pair with
-    A_{(k,j)} = -A_{(j,k)}, and w_vertex every vertex; every value is real
-    and finite.  Such a graph makes a valid system, so its edges, vertices
-    and the system are assembled without repeating those checks per object.
+    An :class:`ApproxGraph` is checked as a whole when it is made, and such
+    a graph makes a valid system, so its edges, vertices and the system are
+    assembled without repeating those checks per object.
     """
-    n, d, nbrs = g.n, require_half_length(g.d), g.neighbors
-    if nbrs.n != n or nbrs.sets.keys() != set(range(1, n + 1)):
-        raise StructuralError(f"neighbor sets must be those of the vertices 1..{n}")
-    members = [sorted(nbrs.sets[j]) for j in range(1, n + 1)]
-    flat = np.array([k for ks in members for k in ks], dtype=int)
-    if not ((1 <= flat) & (flat <= n)).all():
-        raise StructuralError(f"a neighbor lies outside the vertices 1..{n}")
-    adj = np.zeros((n, n), dtype=bool)
-    adj[np.repeat(np.arange(n), [len(ks) for ks in members]), flat - 1] = True
-    if (adj != adj.T).any() or adj.diagonal().any():
-        raise StructuralError("neighbor sets must be symmetric and without loops")
-    pairs = nbrs.pairs()
-    backward = [(k, j) for j, k in pairs]
-    a_out = _entries(g.a_inner, pairs, "a_inner")
-    a_back = _entries(g.a_inner, backward, "a_inner")
-    w_inner = _entries(g.w_inner, pairs, "w_inner")
-    w_vertex = _entries(g.w_vertex, range(1, n + 1), "w_vertex")
-    # Per pair both potentials and the midpoint strength, then the vertex
-    # strengths: the order in which the per-object checks would meet them.
-    columns = [a_out, a_back, w_inner]
-    values = np.concatenate([np.array(columns, dtype=complex).reshape(3, -1).T.ravel(),
-                             np.array(w_vertex, dtype=complex)])
-    # A value flagged here may still pass the per-object check (a NaN
-    # imaginary part does), so each is checked until one fails.
-    for at in np.flatnonzero((values.imag != 0.0) | ~np.isfinite(values.real)).tolist():
-        if at < 3 * len(pairs):
-            require_finite_real(columns[at % 3][at // 3], "w" if at % 3 == 2 else "a")
-        else:
-            require_finite_real(w_vertex[at - 3 * len(pairs)], "w")
-    table = values.real[: 3 * len(pairs)].reshape(-1, 3)
-    broken = table[:, 1] != -table[:, 0]
-    if broken.any():
-        at = int(np.argmax(broken))
-        (j, k), (a, b, _) = pairs[at], table[at].tolist()
-        raise InputError(f"a_inner[{(k, j)}] = {b!r} must be -a_inner[{(j, k)}] = {-a!r}")
-    a_out, a_back, w_inner = table.T.tolist()
-    w_vertex = values.real[3 * len(pairs) :].tolist()
+    n, d, nbrs = g.n, g.d, g.neighbors
     edges = [_unchecked(Edge, id=j, length=math.inf, a=0.0) for j in range(1, n + 1)]
     vertices = []
-    for (j, k), a, b, w in zip(pairs, a_out, a_back, w_inner):
+    for j, k in nbrs.pairs():
         out, back = f"inner-{j}-{k}", f"inner-{k}-{j}"
-        edges.append(_unchecked(Edge, id=out, length=d, a=a))
-        edges.append(_unchecked(Edge, id=back, length=d, a=b))
+        edges.append(_unchecked(Edge, id=out, length=d, a=g.a_inner[(j, k)]))
+        edges.append(_unchecked(Edge, id=back, length=d, a=g.a_inner[(k, j)]))
         vertices.append(
-            _unchecked(Vertex, id=f"mid-{j}-{k}", condition=_unchecked(DeltaCondition, w=w),
+            _unchecked(Vertex, id=f"mid-{j}-{k}",
+                       condition=_unchecked(DeltaCondition, w=g.w_inner[(j, k)]),
                        ends=((out, 1), (back, 1)))
         )
-    for j, ks, w in zip(range(1, n + 1), members, w_vertex):
-        ends = ((j, 0), *((f"inner-{j}-{k}", 0) for k in ks))
+    for j in range(1, n + 1):
+        ends = ((j, 0), *((f"inner-{j}-{k}", 0) for k in sorted(nbrs.sets[j])))
         vertices.append(
-            _unchecked(Vertex, id=f"v-{j}", condition=_unchecked(DeltaCondition, w=w), ends=ends)
+            _unchecked(Vertex, id=f"v-{j}", condition=_unchecked(DeltaCondition, w=g.w_vertex[j]),
+                       ends=ends)
         )
     return _unchecked(MetricGraphSystem, edges=tuple(edges), vertices=tuple(vertices))
 
@@ -295,11 +249,12 @@ def gauge_transform(
     """Remove constant magnetic potentials at the price of phased conditions.
 
     Returns a unitarily equivalent system with every ``a = 0`` together with
-    the phase table: the multiplier exp(-i a l) picked up by the boundary
-    data at end 1 of each finite edge (end 0 keeps phase 1).  Vertices whose
-    incident phases are all 1 keep their original condition; the others get
-    a general coupling with the phases folded into the matrix columns, which
-    leaves the spectrum unchanged.
+    the phase table, keyed by every end of the system: the multiplier
+    exp(-i a l) picked up by the boundary data at end 1 of each finite edge
+    (end 0 keeps phase 1).  Vertices whose incident phases are all 1 keep
+    their original condition; the others get a general coupling with the
+    phases folded into the matrix columns, which leaves the spectrum
+    unchanged.
     """
     phases: dict[EndRef, complex] = {}
     for edge in sys.edges:
@@ -326,9 +281,4 @@ def gauge_transform(
             )
         )
         new_vertices.append(replace(vertex, condition=phased))
-    table = {
-        end: phase
-        for end, phase in phases.items()
-        if any(end in v.ends for v in sys.vertices)
-    }
-    return MetricGraphSystem(new_edges, tuple(new_vertices)), table
+    return MetricGraphSystem(new_edges, tuple(new_vertices)), phases

@@ -14,22 +14,23 @@ The wire formats are fixed:
   with inner-edge keys ``"j-k"``, j < k, and a_inner storing A_{(j,k)}
   for j < k only — the opposite orientation is its negative.
 
-Loaders validate shapes and symmetry and raise :class:`InputError` or
-:class:`StructuralError` on malformed data; ``loads``/``dumps`` wrap the
-sniffing dispatch over all four shapes.
+Loaders read JSON types, shapes and key formats, reading every number
+through the library's one scalar rule, and raise :class:`InputError` on
+malformed data; what a document means is checked by the objects it makes,
+which raise :class:`InputError` or :class:`StructuralError`.
+``loads``/``dumps`` wrap the sniffing dispatch over all four shapes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
-from ._util import require_half_length
+from ._util import require_finite_real
 from .builder import ApproxGraph, NeighborSets
 from .couplings import CouplingKind, NamedCoupling, STForm, VertexCoupling
-from .errors import InputError, StructuralError
+from .errors import InputError
 
 __all__ = ["dumps", "loads"]
 
@@ -46,15 +47,8 @@ def complex_to_json(value: complex) -> dict:
 def complex_from_json(obj, name: str = "value") -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise InputError(f'{name} must be a {{"re", "im"}} object, got {obj!r}')
-    re, im = obj["re"], obj["im"]
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise InputError(f"{name} components must be numbers")
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise InputError(f"{name} components must be numbers, got {obj!r}")
-    value = complex(float(re), float(im))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise InputError(f"{name} must be finite, got {obj!r}")
-    return value
+    return complex(require_finite_real(obj["re"], f"{name}.re"),
+                   require_finite_real(obj["im"], f"{name}.im"))
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
@@ -72,15 +66,6 @@ def matrix_from_json(rows, name: str, shape: tuple[int, int]) -> np.ndarray:
             raise InputError(f"{name} row {i} must have {n_cols} entries")
         for j, entry in enumerate(row):
             out[i, j] = complex_from_json(entry, f"{name}[{i}][{j}]")
-    return out
-
-
-def _real_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{name} must be a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise InputError(f"{name} must be finite, got {value!r}")
     return out
 
 
@@ -168,18 +153,12 @@ def named_from_json(data: dict) -> NamedCoupling:
         allowed.add("beta")
     _require_keys(data, allowed, f"{kind_name} coupling")
     n = _integer(data["n"], "n")
-    alpha = _real_number(data["alpha"], "alpha") if "alpha" in data else None
-    beta = _real_number(data["beta"], "beta") if "beta" in data else None
-    return NamedCoupling(kind=kind, n=n, alpha=alpha, beta=beta)
+    return NamedCoupling(kind=kind, n=n, alpha=data.get("alpha"), beta=data.get("beta"))
 
 
 # ---------------------------------------------------------------------------
 # Approximating graphs
 # ---------------------------------------------------------------------------
-
-def _pair_key(j: int, k: int) -> str:
-    return f"{j}-{k}"
-
 
 def approx_to_json(g: ApproxGraph) -> dict:
     pairs = g.neighbors.pairs()
@@ -190,22 +169,33 @@ def approx_to_json(g: ApproxGraph) -> dict:
             str(j): sorted(g.neighbors.sets[j]) for j in range(1, g.n + 1)
         },
         "w_vertex": {str(j): g.w_vertex[j] for j in range(1, g.n + 1)},
-        "w_inner": {_pair_key(j, k): g.w_inner[(j, k)] for j, k in pairs},
-        "a_inner": {_pair_key(j, k): g.a_inner[(j, k)] for j, k in pairs},
+        "w_inner": {f"{j}-{k}": g.w_inner[(j, k)] for j, k in pairs},
+        "a_inner": {f"{j}-{k}": g.a_inner[(j, k)] for j, k in pairs},
     }
 
 
-def _parse_pair_key(key: str, n: int, name: str) -> tuple[int, int]:
-    parts = key.split("-")
-    if len(parts) != 2:
-        raise InputError(f'{name} key {key!r} is not of the form "j-k"')
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _parse_key(key: str, name: str, pair: bool = False):
+    """The vertex j of a key "j", or the pair (j, k), j < k, of a key
+    "j-k", written as :func:`approx_to_json` writes them."""
     try:
-        j, k = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise InputError(f"{name} key {key!r} is not an integer pair") from exc
-    if not (1 <= j < k <= n):
-        raise InputError(f"{name} key {key!r} must satisfy 1 <= j < k <= {n}")
-    return j, k
+        if pair:
+            j, k = key.split("-")
+            parsed = int(j), int(k)
+        else:
+            parsed = int(key)
+    except ValueError:
+        parsed = None
+    if parsed is None or (f"{parsed[0]}-{parsed[1]}" if pair else str(parsed)) != key:
+        raise InputError(f'{name} key {key!r} is not of the form "{"j-k" if pair else "j"}"')
+    if pair and not parsed[0] < parsed[1]:
+        raise InputError(f"{name} key {key!r} must satisfy j < k")
+    return parsed
 
 
 def approx_from_json(data: dict) -> ApproxGraph:
@@ -213,56 +203,27 @@ def approx_from_json(data: dict) -> ApproxGraph:
         data, {"n", "d", "neighbors", "w_vertex", "w_inner", "a_inner"}, "approx graph"
     )
     n = _integer(data["n"], "n")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    d = require_half_length(_real_number(data["d"], "d"))
-    raw_sets = data["neighbors"]
-    if not isinstance(raw_sets, dict) or set(raw_sets) != {str(j) for j in range(1, n + 1)}:
-        raise InputError(f'neighbors must have exactly the keys "1".."{n}"')
-    sets: dict[int, frozenset[int]] = {}
-    for j in range(1, n + 1):
-        members = raw_sets[str(j)]
+    sets = {}
+    for key, members in _object(data["neighbors"], "neighbors").items():
         if not isinstance(members, list):
-            raise InputError(f"neighbors[{j!r}] must be a list")
-        checked = set()
-        for k in members:
-            k = _integer(k, f"neighbors[{j}] entry")
-            if not 1 <= k <= n or k == j:
-                raise StructuralError(f"neighbor {k} of {j} out of range")
-            checked.add(k)
-        sets[j] = frozenset(checked)
-    for j in range(1, n + 1):
-        for k in sets[j]:
-            if j not in sets[k]:
-                raise StructuralError(
-                    f"neighbor sets are not symmetric: {k} in N_{j} but {j} not in N_{k}"
-                )
-    nbrs = NeighborSets(n=n, sets=sets)
-    pair_keys = {_pair_key(j, k) for j, k in nbrs.pairs()}
-    raw_wv = data["w_vertex"]
-    if not isinstance(raw_wv, dict) or set(raw_wv) != {str(j) for j in range(1, n + 1)}:
-        raise InputError(f'w_vertex must have exactly the keys "1".."{n}"')
-    w_vertex = {j: _real_number(raw_wv[str(j)], f"w_vertex[{j}]") for j in range(1, n + 1)}
-    tables: dict[str, dict[tuple[int, int], float]] = {}
-    for field in ("w_inner", "a_inner"):
-        raw = data[field]
-        if not isinstance(raw, dict) or set(raw) != pair_keys:
-            raise InputError(
-                f"{field} must have exactly the inner-edge keys {sorted(pair_keys)}"
-            )
-        table = {}
-        for key, value in raw.items():
-            pair = _parse_pair_key(key, n, field)
-            table[pair] = _real_number(value, f"{field}[{key!r}]")
-        tables[field] = table
-    a_inner = dict(tables["a_inner"])
+            raise InputError(f"neighbors[{key!r}] must be a list")
+        sets[_parse_key(key, "neighbors")] = members
+    tables = {
+        field: {
+            _parse_key(key, field, pair=field != "w_vertex"):
+                require_finite_real(value, f"{field}[{key!r}]")
+            for key, value in _object(data[field], field).items()
+        }
+        for field in ("w_vertex", "w_inner", "a_inner")
+    }
+    a_inner = {}
     for (j, k), a in tables["a_inner"].items():
-        a_inner[(k, j)] = -a
+        a_inner[(j, k)], a_inner[(k, j)] = a, -a
     return ApproxGraph(
         n=n,
-        d=d,
-        neighbors=nbrs,
-        w_vertex=w_vertex,
+        d=data["d"],
+        neighbors=NeighborSets(n=n, sets=sets),
+        w_vertex=tables["w_vertex"],
         w_inner=tables["w_inner"],
         a_inner=a_inner,
     )
@@ -277,10 +238,16 @@ def loads(text: str):
 
     Returns a :class:`VertexCoupling`, :class:`STForm`,
     :class:`NamedCoupling` or :class:`ApproxGraph`.  Malformed JSON
-    raises ``json.JSONDecodeError``; structurally wrong data raises
-    :class:`InputError` or :class:`StructuralError`.
+    raises ``json.JSONDecodeError``; an integer of more digits than Python
+    converts, and structurally wrong data, raise :class:`InputError` or
+    :class:`StructuralError`.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise InputError("an integer has more digits than can be read") from None
     if not isinstance(data, dict):
         raise InputError(f"top-level JSON must be an object, got {type(data).__name__}")
     if "st" in data:

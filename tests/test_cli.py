@@ -483,6 +483,19 @@ def _documents(draw):
             "a_inner": {key: draw(_VALUE) for key in pairs}}
 
 
+#: An integer beyond the float range as a named coupling's alpha, an
+#: approximating graph's d and vertex strength, and a matrix entry.
+_HUGE = int("1" * 400)
+_HUGE_INTEGER_DOCS = [
+    {"kind": "delta", "n": 3, "alpha": _HUGE},
+    {"n": 2, "d": _HUGE, "neighbors": {"1": [2], "2": [1]}, "w_vertex": {"1": 1, "2": 1},
+     "w_inner": {"1-2": 1}, "a_inner": {"1-2": 1}},
+    {"n": 2, "d": 0.5, "neighbors": {"1": [2], "2": [1]}, "w_vertex": {"1": _HUGE, "2": 1},
+     "w_inner": {"1-2": 1}, "a_inner": {"1-2": 1}},
+    {"n": 1, "A": [[{"re": _HUGE, "im": 0}]], "B": [[_C0]]},
+]
+
+
 def _run_quietly(argv, text):
     """Exit code, stdout and stderr of ``main(argv)`` reading ``text`` from
     stdin, with every warning an error."""
@@ -505,6 +518,10 @@ def _run_quietly(argv, text):
 @example({"n": 2, "d": 1e-308, "neighbors": {"1": [2], "2": [1]}, "w_vertex": {"1": 1, "2": 1},
           "w_inner": {"1-2": 1}, "a_inner": {"1-2": 1}})
 @example({"st": {"m": 1, "perm": [1], "S": [[{"re": 1e308, "im": 0}]], "T": [[]]}})
+@example(_HUGE_INTEGER_DOCS[0])
+@example(_HUGE_INTEGER_DOCS[1])
+@example(_HUGE_INTEGER_DOCS[2])
+@example(_HUGE_INTEGER_DOCS[3])
 def test_fuzzed_documents_exit_with_a_documented_code(doc):
     """convert, build, spectrum and a scattering sweep exit with a
     documented code and print no traceback or warning; a converted S is
@@ -528,6 +545,22 @@ def test_fuzzed_documents_exit_with_a_documented_code(doc):
             assert defect <= 1e-10 * scale, (doc, out)
         if code == 0 and argv[0] == "build":
             assert isinstance(loads(out), ApproxGraph), (doc, out)
+
+
+@pytest.mark.parametrize("doc", _HUGE_INTEGER_DOCS, ids=["alpha", "d", "w_vertex", "matrix-re"])
+def test_integer_beyond_the_float_range_exits_1_with_one_line(doc):
+    text = json.dumps(doc)
+    for argv in (["convert", "-"], ["build", "-", "--d", "0.25"], ["spectrum", "-", "--count", "3"],
+                 ["sweep", "-", "--metric", "scattering", "--d", "0.25"]):
+        code, _, err = _run_quietly(argv, text)
+        assert code == 1 and len(err.splitlines()) == 1, (argv, code, err)
+        assert "beyond the float range" in err, err
+
+
+def test_integer_of_more_digits_than_python_reads_exits_1_with_one_line():
+    text = '{"kind": "delta", "n": 3, "alpha": %s}' % ("1" * 5000)
+    code, _, err = _run_quietly(["convert", "-"], text)
+    assert code == 1 and err.endswith(": an integer has more digits than can be read\n"), err
 
 
 # -- fuzzed eig sweeps ------------------------------------------------------

@@ -10,21 +10,27 @@ from qgraph import (
     CouplingCondition,
     DeltaCondition,
     Edge,
+    HSResolvent,
     InputError,
     MetricGraphSystem,
     StructuralError,
+    SweepConfig,
     Vertex,
     NeighborSets,
     build_approx_graph,
     dirichlet_condition,
+    dumps,
     effective_scattering,
     eigenvalues_compact,
     gauge_transform,
+    loads,
     star_system,
     system_from_approx,
     truncate,
 )
 from helpers import make_complex_t, make_delta_prime
+
+_COMPLEX_T = build_approx_graph(make_complex_t(), 0.1)
 
 
 # -- elementary structures --------------------------------------------------
@@ -36,6 +42,60 @@ def test_edge_half_line_and_validation():
         Edge(id=1, length=0.0)
     with pytest.raises(InputError):
         Edge(id=1, length=-1.0)
+
+
+_SCALAR_TARGETS = {
+    "Edge.length": lambda x: Edge(id=1, length=x),
+    "HSResolvent.L": lambda x: HSResolvent(L=x),
+    "SweepConfig.tol": lambda x: SweepConfig(make_delta_prime(), HSResolvent(), tol=x),
+    "truncate.L": lambda x: truncate(star_system(make_delta_prime()), L=x),
+    "eigenvalues_compact.lam_min": lambda x: eigenvalues_compact(
+        truncate(star_system(make_delta_prime())), 1, lam_min=x
+    ),
+    "ApproxGraph.w_vertex": lambda x: dataclasses.replace(
+        _COMPLEX_T, w_vertex={**_COMPLEX_T.w_vertex, 1: x}
+    ),
+}
+
+
+_NON_NUMBERS = {"bool": True, "str": "2", "None": None, "list": [1], "huge-int": 10**400}
+
+
+@pytest.mark.parametrize(
+    "target, value",
+    [pytest.param(target, value, id=f"{target}-{name}")
+     for target in _SCALAR_TARGETS for name, value in _NON_NUMBERS.items()
+     # lam_min=None is the documented "no floor".
+     if not (target == "eigenvalues_compact.lam_min" and value is None)],
+)
+def test_one_scalar_rule_refuses_non_numbers(target, value):
+    """Real parameters of the library follow the JSON loader's rule: a
+    bool, a string, what complex() cannot take and an integer beyond the
+    float range are refused with an InputError."""
+    with pytest.raises(InputError, match="must be a number|must be finite"):
+        _SCALAR_TARGETS[target](value)
+
+
+@pytest.mark.parametrize("target", list(_SCALAR_TARGETS))
+def test_one_scalar_rule_takes_numpy_scalars(target):
+    _SCALAR_TARGETS[target](np.float64(0.5))
+    _SCALAR_TARGETS[target](np.int64(1))
+
+
+def test_approx_graph_keeps_its_values_as_floats():
+    """Numbers of other types are made floats, so the graph equals the one
+    built and reads back from its document."""
+    made = dataclasses.replace(
+        _COMPLEX_T,
+        n=np.int64(3),
+        d=np.float64(_COMPLEX_T.d),
+        w_vertex={j: np.float64(w) for j, w in _COMPLEX_T.w_vertex.items()},
+        a_inner={key: complex(a) for key, a in _COMPLEX_T.a_inner.items()},
+    )
+    assert made == _COMPLEX_T
+    for table in (made.w_vertex, made.w_inner, made.a_inner):
+        assert {type(value) for value in table.values()} == {float}
+    assert type(made.n) is int and loads(dumps(made)) == _COMPLEX_T
 
 
 def test_system_rejects_duplicate_edge_ids():
@@ -166,18 +226,23 @@ def _inconsistent(change):
         (lambda g: {"a_inner": {**g.a_inner, (1, 2): complex(g.a_inner[(1, 2)], math.nan)},
                     "w_inner": {**g.w_inner, (2, 3): math.inf}}, InputError,
          "w must be finite, got inf"),
+        (lambda g: {"w_inner": {**g.w_inner, (1, 4): 1.0}}, StructuralError,
+         r"w_inner has an extra entry for \(1, 4\)"),
+        (lambda g: {"neighbors": NeighborSets(3, {**g.neighbors.sets, 3: frozenset({1, 2.0})})},
+         InputError, "neighbor 2.0 is not an int"),
     ],
     ids=["w_inner-pair", "a_inner-reversed", "w_vertex", "n-above", "n-below", "asymmetric",
-         "out-of-range", "d", "antisymmetry", "non-finite", "non-real", "after-nan-imaginary"],
+         "out-of-range", "d", "antisymmetry", "non-finite", "non-real", "after-nan-imaginary",
+         "extra-entry", "non-int-neighbor"],
 )
 def test_inconsistent_approx_graph_raises_a_typed_error(change, error, match):
-    """An approximating graph made in code whose fields disagree is refused
-    with a QGraphError, not a KeyError, by assembly and by scattering."""
-    g = _inconsistent(change)
+    """An approximating graph made in code whose fields disagree cannot be
+    made: it is refused with a QGraphError, not a KeyError, before assembly
+    or scattering can see it."""
     with pytest.raises(error, match=match):
-        system_from_approx(g)
+        system_from_approx(_inconsistent(change))
     with pytest.raises(error, match=match):
-        effective_scattering(g, 1.0)
+        effective_scattering(_inconsistent(change), 1.0)
 
 
 def test_system_from_approx_equals_a_checked_assembly():
@@ -209,6 +274,12 @@ def test_gauge_transform_strips_potentials():
     for edge in sys_.edges:
         expected = np.exp(-1j * edge.a * edge.length)
         assert phases[(edge.id, 1)] == pytest.approx(expected)
+
+
+def test_gauge_transform_phases_every_end_of_the_system():
+    sys_ = truncate(system_from_approx(build_approx_graph(make_complex_t(), 0.2)), L=1.0)
+    _, phases = gauge_transform(sys_)
+    assert set(phases) == {end for v in sys_.vertices for end in v.ends}
 
 
 def test_gauge_transform_keeps_unphased_vertices():

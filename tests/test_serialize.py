@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st_
 
 from qgraph import (
     ApproxGraph,
@@ -154,6 +155,19 @@ def test_approx_round_trip():
     assert again.a_inner == g.a_inner  # includes the reversed orientations
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st_.integers(min_value=0, max_value=2**32 - 1),
+    st_.integers(min_value=1, max_value=4),
+    st_.sampled_from([1.0, 0.25, 2.0**-7, 1e-4]),
+)
+def test_built_graphs_read_back_equal(seed, n, d):
+    """A graph built from a random normal form reads back from its
+    document as an equal graph."""
+    g = build_approx_graph(random_st(np.random.default_rng(seed), n=n), d)
+    assert loads(dumps(g)) == g
+
+
 def test_approx_document_validation():
     doc = json.loads(dumps(build_approx_graph(make_delta_prime(beta=1.0, n=3), 0.1)))
 
@@ -165,6 +179,11 @@ def test_approx_document_validation():
     bad = json.loads(json.dumps(doc))
     bad["w_inner"]["2-1"] = bad["w_inner"].pop("1-2")
     with pytest.raises(InputError):
+        loads(json.dumps(bad))
+
+    bad = json.loads(json.dumps(doc))
+    bad["w_vertex"]["01"] = bad["w_vertex"].pop("1")
+    with pytest.raises(InputError, match="is not of the form"):
         loads(json.dumps(bad))
 
     bad = json.loads(json.dumps(doc))
