@@ -39,7 +39,7 @@ def main():
     )
     run(
         "Hilbert-Schmidt resolvent sweep, z = -1, L = 1",
-        HSResolvent(z=-1.0, L=1.0, quad_n=64),
+        HSResolvent(z=-1.0, L=1.0),
         tuple(2.0**-p for p in range(3, 8)),
     )
     print("the scattering distance decays about linearly in d at fixed momenta,")

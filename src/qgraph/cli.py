@@ -47,7 +47,6 @@ from .convergence import (
     HSResolvent,
     ScatteringNorm,
     SweepConfig,
-    _MAX_QUAD_N,
     report_to_csv,
     run_sweep,
 )
@@ -193,7 +192,7 @@ def _sweep_metric(args):
     if args.metric == "scattering":
         return ScatteringNorm(k_list=args.k)
     if args.metric == "hs":
-        return HSResolvent(z=complex(args.z_re, args.z_im), L=args.L, quad_n=args.quad_n)
+        return HSResolvent(z=complex(args.z_re, args.z_im), L=args.L)
     return EigGap(count=args.count, L=args.L)
 
 
@@ -326,14 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--z-im", type=float, default=0.0, help="Im z for the hs metric (default: 0)")
     swp.add_argument("--L", type=float, default=1.0, help="truncation length (default: 1)")
     swp.add_argument("--count", type=int, default=5, help="eigenvalue count for the eig metric")
-    swp.add_argument(
-        "--quad-n",
-        dest="quad_n",
-        type=int,
-        default=64,
-        help=f"quadrature nodes per edge for the hs metric, 4 to {_MAX_QUAD_N} "
-        "(default: 64; values below 64 are outside the supported accuracy contract)",
-    )
     swp.set_defaults(func=cmd_sweep)
 
     bud = sub.add_parser(

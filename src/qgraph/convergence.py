@@ -5,27 +5,27 @@ H* through three metrics,
 
 * ``ScatteringNorm`` — max over a momentum list of the spectral norm of
   the difference of on-shell scattering matrices,
-* ``HSResolvent`` — a Hilbert-Schmidt surrogate for the resolvent
-  difference: both systems are truncated at length L, and the weighted sum
-  of |G_d - G*|^2 runs over a tensor-product Gauss-Legendre grid, with the
-  star kernel extended by zero to the inner edges, so their rows and
-  columns contribute |G_d|^2 alone.  The sum is evaluated per edge pair
-  from the kernels' rank-2 factors, and an inner edge's own block, which
-  adds the free kernel, by scans over its sorted nodes; no block is
-  dense,
+* ``HSResolvent`` — the Hilbert-Schmidt norm of the resolvent
+  difference, (integral of |G_d - G*|^2)^(1/2): both systems are truncated
+  at length L, and the star kernel is extended by zero to the inner
+  edges, so their rows and columns contribute |G_d|^2 alone.  Every kernel
+  is a sum of products of edge exponentials, so the integral is evaluated
+  in closed form, per edge pair from the kernels' rank-2 factors, plus
+  an inner edge's free kernel on its own block,
 * ``EigGap`` — the largest displacement among the lowest eigenvalues of
   the truncated systems above a coupling-dependent floor that excludes
   the deep bound states generated by the O(1/d^2) inner strengths.
 
 Each metric has one grid function that maps a decreasing list of d values
-to per-d outcomes, the value or the QGraphError that d raises with that d's
-quadrature notes, and computes the star side, which does not depend on d,
-once; the ``metric_*`` functions are its one-d case.  ``run_sweep`` records a d that raised as skipped with
-the reason, and fits log(metric) against log(d) by ordinary least squares
-once at least four valid points survive.  Reports serialize to CSV with one
-``d,metric,status`` row per d followed by ``slope``, ``intercept`` and
-``residual`` trailer rows; commas inside status messages are replaced by
-semicolons so the file stays three columns wide.
+to per-d outcomes, the value or the QGraphError that d raises, and
+computes the star side, which does not depend on d, once; the
+``metric_*`` functions are its one-d case.  ``run_sweep`` records a d
+that raised as skipped with the reason, and fits log(metric) against
+log(d) by ordinary least squares once at least four valid points survive.
+Reports serialize to CSV with one ``d,metric,status`` row per d followed
+by ``slope``, ``intercept`` and ``residual`` trailer rows; commas inside
+status messages are replaced by semicolons so the file stays three
+columns wide.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "SweepConfig",
     "SweepPoint",
     "ConvergenceReport",
-    "QuadratureWarning",
     "eigengap_floor",
     "metric_scattering",
     "metric_hs_resolvent",
@@ -79,17 +78,6 @@ __all__ = [
 
 #: Default sweep grid d = 2^-p, p = 2..10, decreasing.
 DEFAULT_D_VALUES: tuple[float, ...] = tuple(2.0**-p for p in range(2, 11))
-
-#: Relative change on doubling quad_n above which the quadrature is
-#: reported as unstable.
-QUAD_STABILITY_RTOL = 0.01
-
-#: Largest accepted quad_n (see HSResolvent).
-_MAX_QUAD_N = 1024
-
-
-class QuadratureWarning(UserWarning):
-    """The Hilbert-Schmidt quadrature looks under-resolved at this quad_n."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +99,10 @@ class ScatteringNorm:
 
 @dataclass(frozen=True)
 class HSResolvent:
-    """Compare resolvent kernels of the L-truncated systems at z.
-
-    ``quad_n`` Gauss-Legendre nodes are placed on every edge; values below
-    64 are permitted so that instability is observable, but they are
-    outside the supported accuracy contract and will normally trigger the
-    stability warning.  At most ``_MAX_QUAD_N`` = 1024 nodes are accepted:
-    the stability check computes the rule of 2 quad_n nodes, whose cost
-    grows as quad_n^2 in memory, so a larger value fails at once instead
-    of exhausting memory.
-    """
+    """Compare resolvent kernels of the L-truncated systems at z."""
 
     z: complex = -1.0
     L: float = 1.0
-    quad_n: int = 64
 
     def __post_init__(self):
         z = require_finite_complex(self.z, "z")
@@ -132,12 +110,6 @@ class HSResolvent:
             raise InputError("z = 0 is not a valid resolvent point")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "L", require_positive_real(self.L, "truncation length L"))
-        quad_n = require_positive_int(self.quad_n, "quad_n")
-        if not 4 <= quad_n <= _MAX_QUAD_N:
-            raise InputError(
-                f"quad_n must be an integer in [4, {_MAX_QUAD_N}], got {self.quad_n!r}"
-            )
-        object.__setattr__(self, "quad_n", quad_n)
 
 
 @dataclass(frozen=True)
@@ -223,25 +195,22 @@ def _spectral_norm(mat: np.ndarray) -> float:
 
 
 def _one_d(outcomes: list) -> float:
-    """The value of a grid function's only d: its QGraphError is raised, and
-    each of its quadrature notes is emitted as a :class:`QuadratureWarning`."""
-    ((value, notes),) = outcomes
+    """The value of a grid function's only d; its QGraphError is raised."""
+    (value,) = outcomes
     if isinstance(value, QGraphError):
         raise value
-    for note in notes:
-        warnings.warn(QuadratureWarning(note), stacklevel=3)
     return value
 
 
 def _each(d_values, evaluate) -> list:
-    """Per d of ``d_values``, the outcome ``evaluate(d)`` returns, or the
-    QGraphError it raises with no notes."""
+    """Per d of ``d_values``, the value ``evaluate(d)`` returns, or the
+    QGraphError it raises."""
     outcomes = []
     for d in d_values:
         try:
             outcomes.append(evaluate(d))
         except QGraphError as exc:
-            outcomes.append((exc, ()))
+            outcomes.append(exc)
     return outcomes
 
 
@@ -274,7 +243,7 @@ def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
                 k_shift = k * (1.0 + 1.0e-6)
                 s_d, s_star = scatter(k_shift), star(k_shift)
             worst = max(worst, _spectral_norm(s_d - s_star))
-        return worst, ()
+        return worst
 
     return _each(d_values, norm)
 
@@ -324,15 +293,7 @@ def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
     solved = _eigenvalues_lockstep(list(systems.values()), spec.count, lam_min=floor)
     for d, lam_d in zip(systems, solved):
         gaps[d] = lam_d if isinstance(lam_d, QGraphError) else float(np.max(np.abs(lam_d - lam_star)))
-    return [(gaps[d], ()) for d in d_values]
-
-
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The quad_n-point Gauss-Legendre rule on [-1, 1], shared read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return [gaps[d] for d in d_values]
 
 
 def _require_same_outer_edges(star_t: MetricGraphSystem, approx_t: MetricGraphSystem) -> None:
@@ -355,134 +316,137 @@ def _star_amplitudes(star_t: MetricGraphSystem, z: complex) -> np.ndarray:
     return amp
 
 
-def _running_sums(factors: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """x_i = factors_i x_(i-1) + terms_i along axis 1, from x_(-1) = 0.
-
-    A doubling scan: round r combines each x_i with the partial sum 2^r
-    places back, through the product of the factors between them, so it
-    takes log2 of the axis length array steps.  Only products of the given
-    factors are formed; with factors of modulus at most 1 nothing grows.
-    """
-    sums, carry = terms.copy(), factors.copy()
-    step = 1
-    while step < sums.shape[1]:
-        sums[:, step:] += carry[:, step:] * sums[:, :-step]
-        carry[:, step:] *= carry[:, :-step]
-        step *= 2
-    return sums
-
-
-def _free_block_sums(k, amp, a, s, w, u, p) -> np.ndarray:
-    """Per edge of a batch, sum_{x, y} w_x w_y (|F(x, y)|^2 + 2 Re(conj(K(x,
-    y)) F(x, y))) over the edge's own nodes: the part of its own block of
-    |K + F|^2 that the rank-2 factors K = U A P^T leave out, for the free
-    kernel F of momentum ``k`` under the potentials ``a`` (shape (edges,
-    1)).  ``s`` and ``w`` hold the sorted nodes and their weights, (edges,
-    q); ``u`` and ``p`` the modes U and P there, (edges, q, 2); ``amp`` each
-    edge's own 2 x 2 amplitudes A.
-
-    F(x, y) is c e^{i(k - a)(s_x - s_y)} for s_y <= s_x and c e^{i(k + a)(s_y
-    - s_x)} for s_y > s_x, with c = i/(2k).  So sum_y F(x, y) b_y is c times
-    a forward running sum over the nodes plus a backward one, each step
-    multiplying by e^{i(k -+ a) gap}; sum_y |F(x, y)|^2 w_y is |c|^2 times
-    the same with the steps e^{-2 Im k gap}.  Every step has modulus at most
-    1.  One scan per direction carries b = w conj(P_0), w conj(P_1) and w.
-    """
-    gap = np.diff(s, axis=1)
-    decay = np.exp(-2.0 * k.imag * gap)
-    terms = np.concatenate([w[..., np.newaxis] * p.conj(), w[..., np.newaxis]], axis=2)
-    # The steps between neighboring nodes, (edges, q - 1, 3): into node x + 1
-    # from node x forward, into node x from node x + 1 backward.
-    forward, backward = (
-        np.stack([phase, phase, decay], axis=2)
-        for phase in (np.exp(1j * (k - a) * gap), np.exp(1j * (k + a) * gap))
-    )
-    zero = np.zeros_like(terms[:, :1])
-    sums = _running_sums(np.concatenate([zero, forward], axis=1), terms)
-    # The backward sums run from the last node down; shifted one node, they
-    # leave each node's own term to the forward sum.
-    from_right = _running_sums(
-        np.concatenate([zero, backward[:, ::-1]], axis=1), terms[:, ::-1]
-    )[:, ::-1]
-    sums[:, :-1] += backward * from_right[:, 1:]
-    c = 0.5j / k
-    cross = np.einsum("ex,exm,exn,emn->e", w, u.conj(), sums[..., :2], amp.conj()) * c
-    free_sq = (w * sums[..., 2].real).sum(axis=1) * abs(c) ** 2
-    return free_sq + 2.0 * cross.real
+def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
+    """exp[z_0, z_1, z_2] for each last-axis triple of ``nodes``, all with
+    Re z <= 0: the corner entry of exp(M) for the bidiagonal M with the
+    nodes on its diagonal and ones above it.  M is scaled by 2^-s until
+    its nodes lie within 1/2 of 0, exponentiated by its Taylor series to
+    degree 16 and squared s times.  After each squaring the two leading
+    bands, exp(z_i / 2^j) and 2^-j exp[z_i / 2^j, z_(i+1) / 2^j], are set
+    to their exact values (Al-Mohy and Higham), which keeps the corner
+    accurate to rounding where the nodes are far apart.  With Re z <= 0 no
+    entry exceeds 1, so nothing overflows."""
+    squarings = np.maximum(np.frexp(np.abs(nodes).max(axis=-1))[1] + 1, 0)
+    scale = np.ldexp(1.0, -squarings)[..., np.newaxis]
+    mat = np.zeros(nodes.shape[:-1] + (3, 3), dtype=complex)
+    mat[..., [0, 1, 2], [0, 1, 2]] = nodes * scale
+    mat[..., [0, 1], [1, 2]] = scale
+    out = np.eye(3) + mat / 16.0
+    for j in range(15, 0, -1):
+        out = np.eye(3) + mat @ out / j
+    for r in range(squarings.max(initial=0)):
+        squared = out @ out
+        scale = np.ldexp(1.0, -np.maximum(squarings - r - 1, 0))[..., np.newaxis]
+        z = nodes * scale
+        a, b = z[..., :-1], z[..., 1:]
+        # exp[a, b] is e^top (e^gap - 1) / gap, with top the node of larger
+        # real part and gap the other less top, so Re gap <= 0.
+        top = np.where(a.real >= b.real, a, b)
+        gap = a + b - 2.0 * top
+        ratio = np.where(gap == 0, 1.0, np.expm1(gap) / np.where(gap == 0, 1.0, gap))
+        squared[..., [0, 1, 2], [0, 1, 2]] = np.exp(z)
+        squared[..., [0, 1], [1, 2]] = scale * np.exp(top) * ratio
+        out = np.where((r < squarings)[..., np.newaxis, np.newaxis], squared, out)
+    return out[..., 0, 2]
 
 
-def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray, quad_n: int) -> float:
-    """sqrt(sum_{x, y} w_x w_y |G_d(x, y) - G*(x, y)|^2) over the tensor grid
-    of ``quad_n`` Gauss-Legendre nodes per edge of the compact system of
-    ``g_d``, with G* extended by zero off the outer edges.
+def _sinhc_minus_one(t2: np.ndarray) -> np.ndarray:
+    """sinh(t) / t - 1 by its power series in t2 = t^2, for |t2| <= 1; at
+    t2 = -y^2 it is sin(y) / y - 1."""
+    term, total = np.ones_like(t2), np.zeros_like(t2)
+    for n in range(1, 10):
+        term = term * t2 / ((2 * n) * (2 * n + 1))
+        total = total + term
+    return total
+
+
+def _mode_grams(k: complex, length: np.ndarray) -> np.ndarray:
+    """(2, edges): the integrals of |E_+|^2 / 2 and |E_-|^2 / 2 over each
+    edge, for the modes E_+- of :class:`~qgraph.solver.GreensFunction`.
+    With x = Im k l and y = Re k l they are l (phi_1(-2x) +- e^{-x} sin(y)
+    / y), phi_1(a) = (e^a - 1) / a.  The odd one is summed as l e^{-x}
+    ((sinh(x) / x - 1) + (1 - sin(y) / y)), two nonnegative terms, each
+    by its series below 1: the difference of the two exponentials in E_-
+    would lose (kl)^-2 in relative accuracy on a short edge."""
+    x, y = k.imag * length, k.real * length
+    decay = np.exp(-x)
+    x_safe, y_safe = np.where(x > 0, x, 1.0), np.where(y != 0, y, 1.0)
+    phi1 = np.where(x > 0, -np.expm1(-2.0 * x_safe) / (2.0 * x_safe), 1.0)
+    sinc = np.where(y != 0, np.sin(y_safe) / y_safe, 1.0)
+    x_part = np.where(x < 1.0, decay * _sinhc_minus_one(x * x), phi1 - decay)
+    y_part = np.where(np.abs(y) < 1.0, -_sinhc_minus_one(-y * y), 1.0 - sinc)
+    return length * np.stack([phi1 + decay * sinc, x_part + decay * y_part])
+
+
+def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray) -> float:
+    """(integral of |G_d - G*|^2)^(1/2) over the compact system of ``g_d``,
+    with G* extended by zero off the outer edges, in closed form.
 
     On edges e and f both kernels are U_e A[e, f] P_f^T, plus the free
-    kernel F_e on e = f, which is the same on both sides of an outer edge.
-    The nodes, the weights and the modes U and P of every edge are one
-    array pass, (edges, quad_n) and (edges, quad_n, 2).  With thin QR
-    factors sqrt(w) U_e = Q R^U_e and sqrt(w) P_f = Q' R^P_f the pair's sum
-    is ||R^U_e D R^P_f^T||_F^2, where D = A_d - A* on two outer edges and
-    A_d elsewhere.  An inner edge's own block adds the sums of |F_e|^2 and
-    of the cross term 2 Re(conj(U A P^T) F_e), both by scans over its
-    sorted nodes (see :func:`_free_block_sums`), so no quad_n x quad_n
-    array is formed.
+    kernel F_e on e = f, which is the same on both sides of an outer edge
+    and cancels there.  The magnetic phases cancel in |.|^2.  The modes
+    are even (E_+) or odd (E_-) about the edge's midpoint, U = E / sqrt(2)
+    and P_+- = +-c E_+- / sqrt(2) with c = i / (2k), so their Gram
+    matrices are diagonal (:func:`_mode_grams`), and the pair (e, f) adds
+    sum_ij |D_ij|^2 G_e[i] |c|^2 G_f[j], where D = A_d - A* on two outer
+    edges and A_d elsewhere.
+
+    An inner edge's own block also adds the integrals of |F|^2 and of
+    2 Re(conj(U A P^T) F); parity leaves A_++ and A_-- in the latter.
+    Split at x = y, both are sums of triangle integrals, the integral of
+    e^{ax + by} over 0 < y < x < l being l^2 exp[0, al, (a + b) l]
+    (Hermite-Genocchi).  With u = ikl, v = conj(u) and the divided
+    differences D_1 = exp[0, u + v, 2v], D_2 = exp[0, u + v, 0] and D_3 =
+    exp[0, u - v, 0], whose nodes all have Re <= 0, they are
+    2 |c|^2 l^2 D_2 and 2 |c|^2 l^2 Re(2 D_1 (conj A_++ - conj A_--) +
+    e^v (D_2 + D_3) (conj A_++ + conj A_--)).  On a short edge the odd
+    mode's terms cancel to O((kl)^3) while A_-- grows as (kl)^-2, so the
+    value's relative rounding error grows as 1 / d: 7e-15 at d = 2^-10.
     """
-    edges = g_d.system.edges
-    nodes, weights = _gauss_legendre(quad_n)
-    length = np.array([edge.length for edge in edges])[:, np.newaxis]
-    a = np.array([edge.a for edge in edges])[:, np.newaxis]
-    s = length / 2.0 * (nodes + 1.0)
-    w = weights * (length / 2.0)
-    u, p = g_d._point_modes(length, a, s), g_d._source_modes(length, a, s)
-    root_w = np.sqrt(w)[..., np.newaxis]
-    r_u, r_p = (np.linalg.qr(root_w * modes, mode="r") for modes in (u, p))
+    k = g_d.k
+    length = np.array([edge.length for edge in g_d.system.edges])
     # The amplitudes as (sign, edge, sign, edge); the outer edges lead both
     # systems' edge orders.
-    ne, n_out = len(edges), len(amp_star) // 2
+    ne, n_out = len(length), len(amp_star) // 2
     amp = g_d._amp.reshape(2, ne, 2, ne)
     diff = amp.copy()
     diff[:, :n_out, :, :n_out] -= amp_star.reshape(2, n_out, 2, n_out)
-    blocks = np.einsum("eij,jekf,flk->efil", r_u, diff, r_p)
-    pair_sums = (blocks.real**2 + blocks.imag**2).sum(axis=(2, 3))
+    gram = _mode_grams(k, length)
+    c_sq = 0.25 / abs(k) ** 2
+    total = np.einsum("iejf,ie,jf->", diff.real**2 + diff.imag**2, gram, gram) * c_sq
     inner = np.arange(n_out, ne)
-    own = amp[:, inner, :, inner]
-    pair_sums[inner, inner] += _free_block_sums(
-        g_d.k, own, a[inner], s[inner], w[inner], u[inner], p[inner]
-    )
-    return float(math.sqrt(pair_sums.sum()))
+    u = 1j * k * length[inner]
+    v, zero = u.conj(), np.zeros_like(u)
+    d_1, d_2, d_3 = _exp_divided_differences(np.stack([
+        np.stack([zero, u + v, 2.0 * v], axis=-1),
+        np.stack([zero, u + v, zero], axis=-1),
+        np.stack([zero, u - v, zero], axis=-1),
+    ]))
+    even, odd = amp[0, inner, 0, inner].conj(), amp[1, inner, 1, inner].conj()
+    own = d_2 + 2.0 * d_1 * (even - odd) + np.exp(v) * (d_2 + d_3) * (even + odd)
+    total += 2.0 * c_sq * (length[inner] ** 2 * own.real).sum()
+    return float(math.sqrt(total))
 
 
-def metric_hs_resolvent(
-    st: STForm,
-    d: float,
-    z: complex = -1.0,
-    L: float = 1.0,
-    quad_n: int = 64,
-) -> float:
+def metric_hs_resolvent(st: STForm, d: float, z: complex = -1.0, L: float = 1.0) -> float:
     """Hilbert-Schmidt distance of truncated resolvent kernels at z.
 
     Both systems are truncated at L (Dirichlet); the star kernel is
     extended by zero to the inner edges, so those rows and columns
-    contribute the plain Hilbert-Schmidt mass of G_d.  The value is the
-    weighted sum over the tensor grid of quad_n Gauss-Legendre nodes per
-    edge (at most 1024), evaluated per edge pair from the kernels' rank-2
-    factors, with every edge's nodes and modes in one array pass per
-    quadrature level and each inner edge's own block summed by scans over
-    its sorted nodes (see :func:`_hs_distance`), so neither a kernel matrix
-    nor any quad_n x quad_n block is formed; the outer edges of the two
-    systems must agree in id, length and potential.  The value is also
-    recomputed with 2 quad_n nodes; a relative change above 1% emits a
-    :class:`QuadratureWarning` naming both values.
+    contribute the plain Hilbert-Schmidt mass of G_d.  The double integral
+    of |G_d - G*|^2 is evaluated in closed form from the kernels' rank-2
+    edge-pair factors and the inner edges' free kernels (see
+    :func:`_hs_distance`), so no kernel is sampled; the outer edges of the
+    two systems must agree in id, length and potential.
     """
-    return _one_d(_hs_distances(st, (d,), HSResolvent(z=z, L=L, quad_n=quad_n)))
+    return _one_d(_hs_distances(st, (d,), HSResolvent(z=z, L=L)))
 
 
 def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
-    """Per d of ``d_values``, the outcome of :func:`metric_hs_resolvent`,
-    with its quadrature note as data; a QGraphError of the truncated star
-    propagates.  The star's amplitudes, or the QGraphError they raise, are
-    computed once, at the first d whose graph builds with the star's outer
-    edges, and serve every d after it."""
+    """Per d of ``d_values``, the outcome of :func:`metric_hs_resolvent`; a
+    QGraphError of the truncated star propagates.  The star's amplitudes,
+    or the QGraphError they raise, are computed once, at the first d whose
+    graph builds with the star's outer edges, and serve every d after it."""
     star_t = truncate(star_system(st), L=spec.L)
     amp_star: np.ndarray | QGraphError | None = None
 
@@ -496,16 +460,8 @@ def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
             except QGraphError as exc:
                 amp_star = exc
         if isinstance(amp_star, QGraphError):
-            return amp_star, ()
-        g_d = greens_function(approx_t, spec.z)
-        value, refined = (_hs_distance(g_d, amp_star, n) for n in (spec.quad_n, 2 * spec.quad_n))
-        change = abs(value - refined) / max(abs(refined), 1.0e-300)
-        if change <= QUAD_STABILITY_RTOL:
-            return value, ()
-        return value, (
-            f"quadrature unstable at quad_n={spec.quad_n}: value {value:.6e} "
-            f"vs {refined:.6e} at 2x nodes (rel change {change:.2e})",
-        )
+            return amp_star
+        return _hs_distance(greens_function(approx_t, spec.z), amp_star)
 
     return _each(d_values, distance)
 
@@ -567,13 +523,13 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
         try:
             outcomes = _GRIDS[type(cfg.metric)](cfg.st, cfg.d_values, cfg.metric)
         except QGraphError as exc:
-            outcomes = [(exc, ())] * len(cfg.d_values)
+            outcomes = [exc] * len(cfg.d_values)
     points: list[SweepPoint] = []
-    for d, (value, notes) in zip(cfg.d_values, outcomes):
+    for d, value in zip(cfg.d_values, outcomes):
         if isinstance(value, QGraphError):
             points.append(SweepPoint(d=d, value=None, status=f"skipped: {_flat(str(value))}"))
             continue
-        status = "; ".join(["ok", *map(_flat, notes)])
+        status = "ok"
         if value <= cfg.tol:
             status += "; at roundoff; excluded from fit"
         points.append(SweepPoint(d=d, value=value, status=status))

@@ -37,6 +37,7 @@ from ._util import (
     hermitize,
     numerical_rank,
     require_finite_real,
+    require_positive_int,
     require_positive_real,
     row_space_basis,
     subspace_distance,
@@ -72,8 +73,7 @@ class VertexCoupling:
     B: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise StructuralError(f"vertex degree must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", require_positive_int(self.n, "vertex degree n"))
         object.__setattr__(self, "A", as_complex_matrix(self.A, "A", (self.n, self.n)))
         object.__setattr__(self, "B", as_complex_matrix(self.B, "B", (self.n, self.n)))
 
@@ -126,8 +126,7 @@ class NamedCoupling:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise StructuralError(f"vertex degree must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", require_positive_int(self.n, "vertex degree n"))
         if self.kind is CouplingKind.DELTA:
             if self.alpha is None:
                 raise InputError("delta coupling requires a strength alpha")

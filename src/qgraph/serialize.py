@@ -239,7 +239,8 @@ def loads(text: str):
     Returns a :class:`VertexCoupling`, :class:`STForm`,
     :class:`NamedCoupling` or :class:`ApproxGraph`.  Malformed JSON
     raises ``json.JSONDecodeError``; an integer of more digits than Python
-    converts, and structurally wrong data, raise :class:`InputError` or
+    converts, nesting deeper than the parser's recursion limit, and
+    structurally wrong data raise :class:`InputError` or
     :class:`StructuralError`.
     """
     try:
@@ -248,6 +249,8 @@ def loads(text: str):
         raise
     except ValueError:
         raise InputError("an integer has more digits than can be read") from None
+    except RecursionError:
+        raise InputError("the JSON nests too deeply to be read") from None
     if not isinstance(data, dict):
         raise InputError(f"top-level JSON must be an object, got {type(data).__name__}")
     if "st" in data:

@@ -424,29 +424,76 @@ def use_scipy_lu(monkeypatch) -> None:
     monkeypatch.setattr(solver, "np", ModuleView(np, linalg=linalg))
 
 
-def reference_hs_value(st, d, z=-1.0, L=1.0, quad_n=64):
-    """The Hilbert-Schmidt metric as dense kernel matrices: both systems
-    truncated at L, quad_n Gauss-Legendre nodes per edge as (edge, s)
-    points, the star kernel subtracted on the leading (outer) block, and
-    sqrt(w @ |K_d - K*|^2 @ w)."""
-    nodes, weights = np.polynomial.legendre.leggauss(quad_n)
+def _graded_rule(width: float, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [0, 1], 20 per panel.
+    The panels start ``width`` wide at both ends and double towards the
+    middle, up to ``cap``: boundary layers of width ``width`` are resolved,
+    and so are oscillations of period about ``cap``."""
+    t, w = np.polynomial.legendre.leggauss(20)
+    half, h = [0.0], width
+    while half[-1] + h < 0.5:
+        half.append(half[-1] + h)
+        h = min(2.0 * h, cap)
+    breaks = np.array(half + [1.0 - b for b in reversed(half)])
+    lo, hi = breaks[:-1, np.newaxis], breaks[1:, np.newaxis]
+    return ((lo + hi + (hi - lo) * t) / 2.0).ravel(), ((hi - lo) * w / 2.0).ravel()
 
-    def grid(sys):
-        points, w_all = [], []
-        for edge in sys.edges:
-            half = edge.length / 2.0
-            points += [(edge.id, half * (t + 1.0)) for t in nodes]
-            w_all += [w * half for w in weights]
-        return points, np.array(w_all)
 
+def _own_square_sum(g, edge, s, w) -> float:
+    """The integral of |G(x, y)|^2 over an edge's own square, one triangle
+    at a time so that the kink of the free kernel on x = y lies on no
+    rule's interior: the outer coordinate on the nodes ``s`` with weights
+    ``w``, the inner one on the same rule scaled to [0, outer], so y = x t
+    below the diagonal and x = y t above it.  Kernel matrices of a few
+    outer nodes at a time keep the memory small."""
+    t, wt = s / edge.length, w / edge.length
+    n = len(s)
+    chunk = max(1, int(math.sqrt(2e5 / n)))
+    total = 0.0
+    for lo in range(0, n, chunk):
+        outer, w_outer = s[lo : lo + chunk], w[lo : lo + chunk]
+        c = len(outer)
+        own = [(edge.id, x) for x in outer]
+        scaled = [(edge.id, x) for x in np.outer(outer, t).ravel()]
+        pick = np.arange(c)
+        below = g.kernel_matrix(own, scaled).reshape(c, c, n)[pick, pick]
+        above = g.kernel_matrix(scaled, own).reshape(c, n, c)[pick, :, pick]
+        total += (w_outer * outer) @ (np.abs(below) ** 2 + np.abs(above) ** 2) @ wt
+    return float(total)
+
+
+def reference_hs_value(st, d, z=-1.0, L=1.0):
+    """The Hilbert-Schmidt metric by quadrature of |K_d - K*|^2 on kernel
+    matrices: both systems truncated at L, the star kernel subtracted on
+    pairs of outer edges.  Every edge carries a composite Gauss-Legendre
+    rule graded towards its ends by 1 / |k|, with panels no wider than
+    about 8 / |Re k| in the middle, and each pair of edges is one
+    tensor block, except an inner edge's own square, whose free kernel
+    kinks on x = y: it is summed by triangles (see :func:`_own_square_sum`).
+    """
     star_t = truncate(star_system(st), L=L)
     approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=L)
-    star_points, _ = grid(star_t)
-    points, w = grid(approx_t)
-    kernel = greens_function(approx_t, z).kernel_matrix(points)
-    outer = len(star_points)
-    kernel[:outer, :outer] -= greens_function(star_t, z).kernel_matrix(star_points)
-    return float(math.sqrt(w @ np.abs(kernel) ** 2 @ w))
+    g_star, g_d = greens_function(star_t, z), greens_function(approx_t, z)
+    n_out = len(star_t.edges)
+    k, rules = g_d.k, []
+    for edge in approx_t.edges:
+        scale = edge.length * np.array([abs(k), max(abs(k.real), 1e-300)])
+        t, w = _graded_rule(1.0 / scale[0], 4.0 / scale[1])
+        rules.append((edge.length * t, edge.length * w))
+    total = 0.0
+    for e, (edge, (s_e, w_e)) in enumerate(zip(approx_t.edges, rules)):
+        if e >= n_out:
+            total += _own_square_sum(g_d, edge, s_e, w_e)
+        points = [(edge.id, x) for x in s_e]
+        for f, (source, (s_f, w_f)) in enumerate(zip(approx_t.edges, rules)):
+            if e == f and e >= n_out:
+                continue
+            sources = [(source.id, y) for y in s_f]
+            kernel = g_d.kernel_matrix(points, sources)
+            if e < n_out and f < n_out:
+                kernel -= g_star.kernel_matrix(points, sources)
+            total += w_e @ np.abs(kernel) ** 2 @ w_f
+    return float(math.sqrt(total))
 
 
 # -- reference ST normal form ---------------------------------------------

@@ -89,17 +89,13 @@ def test_criterion_2_norm_resolvent_rate():
     }
     slopes, residuals = {}, {}
     for name, st in couplings.items():
-        values = [
-            metric_hs_resolvent(st, d, z=-1.0, L=1.0, quad_n=128) for d in d_values
-        ]
+        values = [metric_hs_resolvent(st, d, z=-1.0, L=1.0) for d in d_values]
         slope, _, residual = fit_rate(list(zip(d_values, values)))
         slopes[name], residuals[name] = slope, residual
     length_slopes = [slopes["delta"]]
     for length in (2.0, 4.0):
         st = make_delta(alpha=1.0, n=3)
-        values = [
-            metric_hs_resolvent(st, d, z=-1.0, L=length, quad_n=128) for d in d_values
-        ]
+        values = [metric_hs_resolvent(st, d, z=-1.0, L=length) for d in d_values]
         slope, _, _ = fit_rate(list(zip(d_values, values)))
         length_slopes.append(slope)
     spread = max(length_slopes) - min(length_slopes)

@@ -233,6 +233,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_has_no_quadrature_option(capsys):
+    """The HS metric is evaluated in closed form: there is no quadrature
+    to size, and ``--quad-n`` is an unknown option."""
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "x.json", "--metric", "hs", "--quad-n", "64"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --quad-n 64" in capsys.readouterr().err
+
+
 # -- budget -----------------------------------------------------------------
 
 def test_budget_without_alpha_prints_optimum(capsys):
@@ -496,6 +505,11 @@ _HUGE_INTEGER_DOCS = [
 ]
 
 
+#: A named coupling whose kind is a list nested 100,000 deep, as text:
+#: ``json.dumps`` of it would exceed the recursion limit too.
+_DEEP_DOC = '{"n": 3, "kind": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 def _run_quietly(argv, text):
     """Exit code, stdout and stderr of ``main(argv)`` reading ``text`` from
     stdin, with every warning an error."""
@@ -522,14 +536,16 @@ def _run_quietly(argv, text):
 @example(_HUGE_INTEGER_DOCS[1])
 @example(_HUGE_INTEGER_DOCS[2])
 @example(_HUGE_INTEGER_DOCS[3])
+@example(_DEEP_DOC)
 def test_fuzzed_documents_exit_with_a_documented_code(doc):
     """convert, build, spectrum and a scattering sweep exit with a
     documented code and print no traceback or warning; a converted S is
     Hermitian, and a built graph is a valid document.  The examples: an
     unhashable kind; a pair whose magnetic phase underflows; T columns whose
     overlap overflows; a vertex strength that overflows; edges so short that
-    their 2/l terms overflow the spectrum's reduced matrix."""
-    text = json.dumps(doc)
+    their 2/l terms overflow the spectrum's reduced matrix; a document
+    nested deeper than the JSON parser recurses, given as its text."""
+    text = doc if isinstance(doc, str) else json.dumps(doc)
     for argv in (["convert", "-"], ["build", "-", "--d", "0.25"], ["spectrum", "-", "--count", "3"],
                  ["sweep", "-", "--metric", "scattering", "--d", "0.25"]):
         code, out, err = _run_quietly(argv, text)
@@ -561,6 +577,12 @@ def test_integer_of_more_digits_than_python_reads_exits_1_with_one_line():
     text = '{"kind": "delta", "n": 3, "alpha": %s}' % ("1" * 5000)
     code, _, err = _run_quietly(["convert", "-"], text)
     assert code == 1 and err.endswith(": an integer has more digits than can be read\n"), err
+
+
+def test_document_nested_too_deeply_exits_1_with_one_line():
+    for argv in (["convert", "-"], ["sweep", "-", "--metric", "hs", "--d", "0.25"]):
+        code, _, err = _run_quietly(argv, _DEEP_DOC)
+        assert code == 1 and err == "-: the JSON nests too deeply to be read\n", (argv, code, err)
 
 
 # -- fuzzed eig sweeps ------------------------------------------------------

@@ -2,9 +2,9 @@
 
 import math
 import re
-import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +21,6 @@ from qgraph import (
     InputError,
     MetricGraphSystem,
     QGraphError,
-    QuadratureWarning,
     ScatteringNorm,
     SweepConfig,
     SweepPoint,
@@ -98,10 +97,7 @@ def test_scattering_norm_validation():
 
 def test_hs_resolvent_validation():
     with pytest.raises(InputError):
-        HSResolvent(quad_n=3)
-    with pytest.raises(InputError):
         HSResolvent(L=0.0)
-    assert HSResolvent(quad_n=4).quad_n == 4
 
 
 @pytest.mark.parametrize(
@@ -135,26 +131,6 @@ def test_hs_resolvent_rejects_z_zero_before_any_graph(monkeypatch, tmp_path, cap
     assert message in capsys.readouterr().err
 
 
-def test_hs_resolvent_bounds_quad_n_before_any_rule(monkeypatch, tmp_path, capsys):
-    """A quad_n above the documented bound fails as an InputError before any
-    Gauss-Legendre rule is computed (the refined level's rule of 2 quad_n
-    nodes is quadratic in memory), in the library and through the CLI."""
-
-    def no_rule(quad_n):
-        raise AssertionError(f"a rule of {quad_n} nodes was computed")
-
-    monkeypatch.setattr(convergence, "_gauss_legendre", no_rule)
-    assert convergence._MAX_QUAD_N == 1024
-    assert HSResolvent(quad_n=1024).quad_n == 1024
-    for quad_n in (1025, 100_000):
-        with pytest.raises(InputError, match=re.escape(f"in [4, 1024], got {quad_n!r}")):
-            metric_hs_resolvent(make_delta(), 0.25, quad_n=quad_n)
-    doc = tmp_path / "delta.json"
-    doc.write_text('{"kind": "delta", "n": 3, "alpha": 1.0}')
-    assert cli.main(["sweep", str(doc), "--metric", "hs", "--quad-n", "100000"]) == cli.EXIT_INVALID
-    assert "quad_n must be an integer in [4, 1024], got 100000" in capsys.readouterr().err
-
-
 def test_eig_gap_validation():
     with pytest.raises(InputError):
         EigGap(count=0)
@@ -170,12 +146,6 @@ BAD_COUNTS = [float("nan"), None, float("inf"), True, False, 2.5, "5", -1]
 def test_eig_gap_rejects_non_integer_count(count):
     with pytest.raises(InputError, match=re.escape(f"got {count!r}")):
         EigGap(count=count)
-
-
-@pytest.mark.parametrize("quad_n", BAD_COUNTS + [3, 3.0])
-def test_hs_resolvent_rejects_bad_quad_n(quad_n):
-    with pytest.raises(InputError, match=re.escape(f"got {quad_n!r}")):
-        HSResolvent(quad_n=quad_n)
 
 
 def test_sweep_config_validation(st_delta):
@@ -222,19 +192,6 @@ def test_metric_hs_resolvent_decreases(st_delta_prime):
     assert values[0] > values[1] > values[2] > 0
 
 
-def test_metric_hs_quadrature_warning(st_delta_prime):
-    with pytest.warns(QuadratureWarning, match="quadrature unstable"):
-        metric_hs_resolvent(st_delta_prime, 0.25, L=8.0, quad_n=4)
-
-
-def test_metric_hs_default_quadrature_is_stable(st_delta_prime):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", QuadratureWarning)
-        metric_hs_resolvent(st_delta_prime, 0.25)
-
-
 HS_COUPLINGS = {
     "delta": make_delta(alpha=1.0, n=3),
     "delta_prime_s": make_delta_prime(beta=1.0, n=3),
@@ -244,29 +201,76 @@ HS_COUPLINGS = {
 }
 
 
-@pytest.mark.parametrize("quad_n", [4, 64])
-@pytest.mark.parametrize("z", [-1.0, 2.0 + 1.0j, 30.0])
+@pytest.mark.parametrize("z", [-1.0, 2.0 + 1.0j, 30.0, 2.0 - 1.0j])
 @pytest.mark.parametrize("d", [2.0**-2, 2.0**-6, 2.0**-10])
 @pytest.mark.parametrize("name", sorted(HS_COUPLINGS))
-def test_metric_hs_matches_dense_reference(name, d, z, quad_n):
-    """The per-edge-pair sum against dense kernel matrices.  At z = 30 the
-    truncated edges (l = 1) border a mode, one Dirichlet level below."""
+def test_metric_hs_matches_dense_reference(name, d, z):
+    """The closed form against a quadrature of dense kernel matrices that
+    splits each inner edge's own square at x = y.  At z = 30 the truncated
+    edges (l = 1) border a mode, one Dirichlet level below; at z = 2 - i,
+    Re k < 0."""
     st = HS_COUPLINGS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureWarning)
-        got = metric_hs_resolvent(st, d, z=z, quad_n=quad_n)
-    assert got == pytest.approx(reference_hs_value(st, d, z=z, quad_n=quad_n), rel=1e-12)
+    got = metric_hs_resolvent(st, d, z=z)
+    assert got == pytest.approx(reference_hs_value(st, d, z=z), rel=1e-12)
 
 
 def test_metric_hs_matches_dense_reference_at_long_truncation(st_delta_prime):
-    got = metric_hs_resolvent(st_delta_prime, 2.0**-4, L=8.0, quad_n=64)
-    ref = reference_hs_value(st_delta_prime, 2.0**-4, L=8.0, quad_n=64)
+    got = metric_hs_resolvent(st_delta_prime, 2.0**-4, L=8.0)
+    ref = reference_hs_value(st_delta_prime, 2.0**-4, L=8.0)
     assert got == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [-1e4, 1e4 + 100j])
+def test_metric_hs_matches_graded_reference_far_from_spectrum(st_delta_prime, z):
+    """At |k| = 100 the kernels vary on the scale 1 / |k|: they decay from
+    the vertices and the diagonal at z = -1e4 and oscillate at z = 1e4 +
+    100i.  The reference's panels are graded to that scale."""
+    got = metric_hs_resolvent(st_delta_prime, 2.0**-6, z=z)
+    assert got == pytest.approx(reference_hs_value(st_delta_prime, 2.0**-6, z=z), rel=1e-12)
+
+
+def _exp_divided_difference_reference(nodes) -> complex:
+    """exp[z_0, z_1, z_2] from its recursion at 60 digits, where a repeated
+    node's difference quotient is the derivative."""
+    with mpmath.workdps(60):
+        z = [mpmath.mpc(complex(node)) for node in nodes]
+        # The divided difference is symmetric in its nodes: a repeated pair
+        # goes first.
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if z[i] == z[j]:
+                z = [z[i], z[j], z[3 - i - j]]
+                break
+        a, b, c = z
+
+        def first(x, y):
+            return mpmath.exp(x) if x == y else (mpmath.exp(y) - mpmath.exp(x)) / (y - x)
+
+        if a == b == c:
+            return complex(mpmath.exp(a) / 2)
+        if a == b:
+            return complex((first(a, c) - mpmath.exp(a)) / (c - a))
+        return complex((first(b, c) - first(a, b)) / (c - a))
+
+
+def test_exp_divided_differences_match_mpmath():
+    """The divided differences of the HS closed form's triangle integrals,
+    at its node triples (0, u + v, 2v), (0, u + v, 0) and (0, u - v, 0)
+    with u = ikl and v = conj(u), for Im kl and |Re kl| from 0 to 1e6:
+    confluent nodes, nearly confluent ones and far apart ones."""
+    nodes = []
+    for x in (0.0, 1e-9, 1e-3, 0.7, 3.0, 50.0, 1e6):
+        for y in (0.0, -1e-9, 1e-3, -2.0, 40.0, 1e6):
+            u = complex(-x, y)
+            v = u.conjugate()
+            nodes += [(0.0, u + v, 2.0 * v), (0.0, u + v, 0.0), (0.0, u - v, 0.0)]
+    got = convergence._exp_divided_differences(np.array(nodes, dtype=complex))
+    for triple, value in zip(nodes, got):
+        assert value == pytest.approx(_exp_divided_difference_reference(triple), rel=1e-14)
+
+
 def test_metric_hs_forms_no_kernel_matrix(monkeypatch, st_complex_t):
-    """An HS sweep builds no kernel matrix and evaluates no free kernel on a
-    grid of nodes: an inner edge's own block is summed by scans."""
+    """An HS sweep builds no kernel matrix and evaluates no free kernel:
+    the closed form samples no kernel."""
     calls = {"kernel_matrix": [], "_free_kernel": []}
     for name, record in calls.items():
         original = getattr(GreensFunction, name)
@@ -280,36 +284,54 @@ def test_metric_hs_forms_no_kernel_matrix(monkeypatch, st_complex_t):
     assert calls == {"kernel_matrix": [], "_free_kernel": []}
 
 
+def _free_kernel_term(approx_t, n_out, z) -> float:
+    """sqrt(sum over the inner edges of 2 |c|^2 l^2 phi_2(-2 Im k l)), the
+    Hilbert-Schmidt norm of their free kernels alone, at 30 digits."""
+    with mpmath.workdps(30):
+        k = mpmath.sqrt(mpmath.mpc(z))
+        k = -k if k.imag < 0 else k
+        total = mpmath.mpf(0)
+        for edge in approx_t.edges[n_out:]:
+            a = -2 * k.imag * edge.length
+            total += 2 * edge.length**2 * (mpmath.exp(a) - 1 - a) / a**2 / (4 * abs(k) ** 2)
+        return float(mpmath.sqrt(total))
+
+
 @pytest.mark.parametrize("d", [0.5, 2.0**-2, 2.0**-10])
 @pytest.mark.parametrize("z", [-1e8, -1e12 + 5j, 1e6 + 1e3j])
 @pytest.mark.parametrize("make", [make_complex_t, make_delta_prime])
 def test_metric_hs_scan_does_not_overflow(make, z, d):
-    """Far from the spectrum the free kernel decays as e^{-Im k |s - s'|}, with
-    Im k up to 1e6 here.  Prefix sums of e^{-+i(k -+ a) s} would overflow
-    (at z = -1e8 and d = 2^-2 already); the scan's steps have modulus at
-    most 1, so no RuntimeWarning is raised and the value matches the dense
-    kernels."""
+    """Far from the spectrum, with Im k up to 1e6 here, e^{+-ikl} spans the
+    float range: every exponential the closed form takes has Re <= 0, so
+    no RuntimeWarning is raised and the value is finite.  At z = -1e8 and
+    -1e12 + 5i the kernels decay within 1 / Im k of the vertices and of the
+    diagonal, so on long inner edges the free kernels dominate."""
     st = make()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureWarning)
         warnings.simplefilter("error", RuntimeWarning)
         got = metric_hs_resolvent(st, d, z=z)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", QuadratureWarning)
-        ref = reference_hs_value(st, d, z=z)
-    assert got == pytest.approx(ref, rel=1e-12)
+    assert math.isfinite(got) and got > 0
+    if z.real < -1e7 and d >= 0.25:
+        approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=1.0)
+        n_out = len(star_system(st).edges)
+        assert got == pytest.approx(_free_kernel_term(approx_t, n_out, z), rel=1e-3)
 
 
-def test_metric_hs_memory_stays_small(st_delta_prime):
-    """At quad_n = 256 the doubled grid has 4,608 nodes; dense kernels there
-    would take about 0.5 GB."""
-    tracemalloc.start()
-    try:
-        metric_hs_resolvent(st_delta_prime, 2.0**-5, quad_n=256)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+def test_hs_sweep_far_from_spectrum_keeps_its_rate():
+    """The delta' HS sweep at z = -1e8: the inner edges' free kernels
+    dominate, each adding about l / (4 |k|^3) to the squared norm, and
+    their total length scales with d, so the rate is 1/2.  A tensor
+    Gauss-Legendre rule of 64 nodes per edge does not resolve their width
+    1 / Im k = 1e-4 about the diagonal: it read every value 9.8 times too
+    large, with slope 1."""
+    cfg = SweepConfig(
+        st=make_delta_prime(beta=1.0, n=3),
+        metric=HSResolvent(z=-1e8),
+        d_values=tuple(2.0**-p for p in range(1, 5)),
+    )
+    report = run_sweep(cfg)
+    assert all(p.status == "ok" for p in report.points)
+    assert report.slope == pytest.approx(0.5, abs=0.01)
 
 
 def test_metric_hs_requires_matching_outer_edges():
@@ -407,26 +429,6 @@ def test_run_sweep_roundoff_exclusion(st_delta):
     assert not report.conclusive and report.slope is None
 
 
-def test_run_sweep_records_quadrature_notes(st_delta_prime):
-    cfg = SweepConfig(
-        st=st_delta_prime,
-        metric=HSResolvent(L=8.0, quad_n=4),
-        d_values=(0.25,),
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = run_sweep(cfg)
-    (point,) = report.points
-    assert point.value is not None
-    assert point.status.startswith("ok; quadrature unstable")
-    assert "," not in point.status
-    with pytest.warns(QuadratureWarning) as caught:
-        metric_hs_resolvent(st_delta_prime, 0.25, L=8.0, quad_n=4)
-    (note,) = caught
-    assert point.status == f"ok; {note.message}"
-    assert note.filename == __file__
-
-
 # -- the sweep's star side --------------------------------------------------
 
 MEMO_D_VALUES = tuple(2.0**-p for p in range(2, 7))
@@ -436,7 +438,7 @@ def _metric_call(st, d, metric):
     if isinstance(metric, ScatteringNorm):
         return metric_scattering(st, d, metric.k_list)
     if isinstance(metric, HSResolvent):
-        return metric_hs_resolvent(st, d, metric.z, metric.L, metric.quad_n)
+        return metric_hs_resolvent(st, d, metric.z, metric.L)
     return metric_eigengap(st, d, metric.count, metric.L)
 
 
@@ -445,20 +447,13 @@ def _per_d_report(cfg) -> ConvergenceReport:
     made outside any sweep."""
     points = []
     for d in cfg.d_values:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                value = _metric_call(cfg.st, d, cfg.metric)
-            except QGraphError as exc:
-                flat = " ".join(str(exc).split()).replace(",", ";")
-                points.append(SweepPoint(d=d, value=None, status=f"skipped: {flat}"))
-                continue
-        notes = [
-            " ".join(str(w.message).split()).replace(",", ";")
-            for w in caught
-            if issubclass(w.category, QuadratureWarning)
-        ]
-        status = "; ".join(["ok"] + notes)
+        try:
+            value = _metric_call(cfg.st, d, cfg.metric)
+        except QGraphError as exc:
+            flat = " ".join(str(exc).split()).replace(",", ";")
+            points.append(SweepPoint(d=d, value=None, status=f"skipped: {flat}"))
+            continue
+        status = "ok"
         if value <= cfg.tol:
             status += "; at roundoff; excluded from fit"
         points.append(SweepPoint(d=d, value=value, status=status))
@@ -492,9 +487,8 @@ def test_sweep_csv_equals_per_d_metric_calls(st_delta_prime, metric):
 def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
     """Per sweep: the star's eigenvalues once and each approximating graph's
     eigenvalue search once, all graphs in one lockstep solve; the star's
-    resolvent once (its mode amplitudes serve both quadrature levels), and
-    the approximating resolvent once per d; the star's S(k) once per
-    momentum."""
+    resolvent once and the approximating resolvent once per d; the star's
+    S(k) once per momentum."""
     n = len(MEMO_D_VALUES)
     solves = _counting(monkeypatch, "eigenvalues_compact")
     families = _counting(monkeypatch, "_eigenvalues_lockstep")

@@ -1,5 +1,8 @@
 """Couplings: ST normal form, validation, equivalence, star scattering."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,27 @@ def test_validate_rejects_rank_deficiency():
     result = validate_coupling(bad)
     assert not result.ok
     assert any("rank deficient" in v for v in result.violations)
+
+
+BAD_DEGREES = ["3", None, True, False, 0, -1, 2.5, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("n", BAD_DEGREES)
+def test_coupling_degree_must_be_a_positive_integer(n):
+    """A raw and a named coupling check their degree by the one scalar
+    rule, before anything compares or sizes with it."""
+    message = re.escape(f"vertex degree n must be a positive integer, got {n!r}")
+    with pytest.raises(InputError, match=message):
+        VertexCoupling(n=n, A=np.eye(3), B=np.zeros((3, 3)))
+    with pytest.raises(InputError, match=message):
+        NamedCoupling(kind=CouplingKind.KIRCHHOFF, n=n)
+
+
+def test_integral_float_degree_is_stored_as_int():
+    c = VertexCoupling(n=3.0, A=np.eye(3), B=np.zeros((3, 3)))
+    assert type(c.n) is int and st_from_ab(c).n == 3
+    named = NamedCoupling(kind=CouplingKind.KIRCHHOFF, n=3.0)
+    assert type(named.n) is int and named_to_st(named).n == 3
 
 
 def test_st_form_rejects_non_hermitian_s():

@@ -223,6 +223,8 @@ def test_loads_rejects_unknown_shapes():
         loads('{"foo": 1}')
     with pytest.raises(json.JSONDecodeError):
         loads("{not json")
+    with pytest.raises(InputError, match="nests too deeply"):
+        loads("[" * 100_000 + "]" * 100_000)
 
 
 def test_dumps_is_deterministic_and_stable():
