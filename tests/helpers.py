@@ -2,6 +2,7 @@
 and the one-point-at-a-time references for the batched numerical layers."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from qgraph import (
     DeltaCondition,
     FormBoundReport,
     FormBoundViolation,
+    MetricGraphSystem,
     NamedCoupling,
     STForm,
     SingularDError,
@@ -462,17 +464,24 @@ def _own_square_sum(g, edge, s, w) -> float:
     return float(total)
 
 
-def reference_hs_value(st, d, z=-1.0, L=1.0):
+def with_potential(sys, a):
+    """``sys`` with the magnetic potential ``a`` on every edge."""
+    return MetricGraphSystem(tuple(dataclasses.replace(e, a=a) for e in sys.edges), sys.vertices)
+
+
+def reference_hs_value(st, d, z=-1.0, L=1.0, a=0.0):
     """The Hilbert-Schmidt metric by quadrature of |K_d - K*|^2 on kernel
-    matrices: both systems truncated at L, the star kernel subtracted on
-    pairs of outer edges.  Every edge carries a composite Gauss-Legendre
+    matrices: both systems truncated at L, with the magnetic potential ``a``
+    on every edge, the star kernel subtracted on pairs of outer edges.  The
+    kernels keep their phases; since |K|^2 does not, the rule need not
+    resolve them.  Every edge carries a composite Gauss-Legendre
     rule graded towards its ends by 1 / |k|, with panels no wider than
     about 8 / |Re k| in the middle, and each pair of edges is one
     tensor block, except an inner edge's own square, whose free kernel
     kinks on x = y: it is summed by triangles (see :func:`_own_square_sum`).
     """
-    star_t = truncate(star_system(st), L=L)
-    approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=L)
+    star_t = with_potential(truncate(star_system(st), L=L), a)
+    approx_t = with_potential(truncate(system_from_approx(build_approx_graph(st, d)), L=L), a)
     g_star, g_d = greens_function(star_t, z), greens_function(approx_t, z)
     n_out = len(star_t.edges)
     k, rules = g_d.k, []

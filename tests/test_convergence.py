@@ -52,6 +52,7 @@ from helpers import (
     make_singular_at_tenth,
     random_st,
     reference_hs_value,
+    with_potential,
 )
 
 
@@ -201,17 +202,24 @@ HS_COUPLINGS = {
 }
 
 
+@pytest.mark.parametrize("a", [0, 4, 64])
 @pytest.mark.parametrize("z", [-1.0, 2.0 + 1.0j, 30.0, 2.0 - 1.0j])
 @pytest.mark.parametrize("d", [2.0**-2, 2.0**-6, 2.0**-10])
 @pytest.mark.parametrize("name", sorted(HS_COUPLINGS))
-def test_metric_hs_matches_dense_reference(name, d, z):
+def test_metric_hs_matches_dense_reference(monkeypatch, name, d, z, a):
     """The closed form against a quadrature of dense kernel matrices that
     splits each inner edge's own square at x = y.  At z = 30 the truncated
     edges (l = 1) border a mode, one Dirichlet level below; at z = 2 - i,
-    Re k < 0."""
+    Re k < 0.  The metric's truncated systems carry the magnetic potential
+    a on every edge, as the reference's do: the kernels then carry the
+    phases e^{-ia(x - y)}, which the reference keeps and the closed form
+    drops in |.|^2."""
+    monkeypatch.setattr(
+        convergence, "truncate", lambda sys, L: with_potential(truncate(sys, L=L), a)
+    )
     st = HS_COUPLINGS[name]
     got = metric_hs_resolvent(st, d, z=z)
-    assert got == pytest.approx(reference_hs_value(st, d, z=z), rel=1e-12)
+    assert got == pytest.approx(reference_hs_value(st, d, z=z, a=a), rel=1e-12)
 
 
 def test_metric_hs_matches_dense_reference_at_long_truncation(st_delta_prime):
