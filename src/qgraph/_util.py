@@ -1,4 +1,4 @@
-"""Small shared numeric helpers: coercion, Hermiticity, ranks and subspaces."""
+"""Small shared numeric helpers: coercion, Hermiticity, ranks, subspaces, gated solves."""
 
 from __future__ import annotations
 
@@ -170,10 +170,10 @@ def require_half_length(value: float, name: str = "d") -> float:
     return d
 
 
-def require_positive_int(value, name: str) -> int:
-    """Coerce an integral real >= 1 to int, rejecting bools, non-numbers,
-    NaN/inf and fractional values.  Integers of any size are accepted (a
-    float conversion of one beyond 1e308 would overflow)."""
+def require_positive_int(value, name: str, low: int = 1) -> int:
+    """Coerce an integral real >= ``low`` (1 unless given) to int, rejecting
+    bools, non-numbers, NaN/inf and fractional values.  Integers of any size
+    are accepted (a float conversion of one beyond 1e308 would overflow)."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
@@ -181,10 +181,42 @@ def require_positive_int(value, name: str) -> int:
             not isinstance(value, numbers.Integral)
             and (not math.isfinite(value) or int(value) != value)
         )
-        or value < 1
+        or value < low
     ):
-        raise InputError(f"{name} must be a positive integer, got {value!r}")
+        bound = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise InputError(f"{name} must be {bound}, got {value!r}")
     return int(value)
+
+
+# Ceiling on the 1-norm condition of a gated solve's matrix: beyond it a
+# scattering momentum is resonant, a resolvent point on the spectrum.
+_COND_LIMIT = 1e12
+
+
+def gated_solve(mat, rhs, error: type, message: str, solve=np.linalg.solve, **info):
+    """The solution of ``mat x = rhs``; ``error(message, **info)``, with
+    the condition appended, when the 1-norm condition ||mat||_1
+    ||mat^-1||_1 exceeds _COND_LIMIT.  One ``solve`` (the solver passes its
+    ``np.linalg.solve``, the name a tracer rebinds) of [rhs | I] gives the
+    solution and the inverse from one factorization; the extra columns
+    leave the solution's bits as a solve of rhs alone gives them.  The norm
+    is floored at 1, the scale of a border diagonal, so that a border row
+    tied to no vertex value (an edge between Dirichlet ends) fails the gate
+    when its diagonal vanishes.  An exactly singular or NaN matrix fails
+    the gate with condition inf; an empty one (no free vertex values)
+    passes."""
+    n, m = len(mat), rhs.shape[1]
+    try:
+        sol = solve(mat, np.concatenate([rhs, np.eye(n)], axis=1))
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        with np.errstate(over="ignore"):
+            cond = max(np.linalg.norm(mat, 1), 1.0) * np.linalg.norm(sol[:, m:], 1) if n else 0.0
+    if not cond <= _COND_LIMIT:
+        cond = math.inf if math.isnan(cond) else cond
+        raise error(f"{message} (condition estimate {cond:.2e})", **info)
+    return sol[:, :m]
 
 
 def format_float(value: float | None) -> str:

@@ -33,6 +33,7 @@ import numpy as np
 from ._util import (
     DEFAULT_TOL,
     as_complex_matrix,
+    gated_solve,
     hermiticity_violation,
     hermitize,
     numerical_rank,
@@ -93,16 +94,18 @@ class STForm:
     T: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.m <= self.n:
-            raise StructuralError(f"m must satisfy 0 <= m <= n, got m={self.m}, n={self.n}")
-        perm = tuple(int(p) for p in self.perm)
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise StructuralError(f"perm must be a permutation of 1..{self.n}, got {perm}")
+        n = require_positive_int(self.n, "vertex degree n")
+        m = require_positive_int(self.m, "m", low=0)
+        if m > n:
+            raise StructuralError(f"m must satisfy 0 <= m <= n, got m={m}, n={n}")
+        perm = tuple(require_positive_int(p, "perm entry") for p in self.perm)
+        if sorted(perm) != list(range(1, n + 1)):
+            raise StructuralError(f"perm must be a permutation of 1..{n}, got {perm}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "S", as_complex_matrix(self.S, "S", (self.m, self.m)))
-        object.__setattr__(
-            self, "T", as_complex_matrix(self.T, "T", (self.m, self.n - self.m))
-        )
+        object.__setattr__(self, "S", as_complex_matrix(self.S, "S", (m, m)))
+        object.__setattr__(self, "T", as_complex_matrix(self.T, "T", (m, n - m)))
         if hermiticity_violation(self.S, DEFAULT_TOL) is not None:
             raise StructuralError("S must be Hermitian")
 
@@ -314,19 +317,13 @@ def star_scattering(c: VertexCoupling, k: float) -> np.ndarray:
     """On-shell scattering matrix S(k) = -(A + ikB)^{-1} (A - ikB).
 
     For an admissible coupling and k > 0 the matrix A + ikB is invertible
-    and the result is unitary.
+    and the result is unitary; where it is numerically singular, by the
+    solver's gate, :class:`ConditioningError` is raised.
     """
     k = require_positive_real(k, "momentum k")
     plus = c.A + 1j * k * c.B
     minus = c.A - 1j * k * c.B
-    try:
-        sol = np.linalg.solve(plus, minus)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"A + ikB singular at k={k}") from exc
-    cond = np.linalg.cond(plus)
-    if not np.isfinite(cond) or cond > 1.0e12:
-        raise ConditioningError(f"A + ikB ill-conditioned at k={k} (cond={cond:.2e})")
-    return -sol
+    return -gated_solve(plus, minus, ConditioningError, f"A + ikB ill-conditioned at k={k}")
 
 
 def named_to_st(nc: NamedCoupling) -> STForm:

@@ -25,14 +25,15 @@ is identical — which the solver tests exploit as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._util import require_finite_real, require_positive_real
 from .builder import ApproxGraph
-from .couplings import STForm, VertexCoupling, ab_from_st
+from .couplings import STForm, VertexCoupling, ab_from_st, st_from_ab
 from .errors import StructuralError
 
 __all__ = [
@@ -83,14 +84,23 @@ class DeltaCondition:
 
 @dataclass(frozen=True)
 class CouplingCondition:
-    """General condition A [values] + B [derivatives] = 0 on the ordered ends."""
+    """General condition A [values] + B [derivatives] = 0 on the ordered ends,
+    with its ST normal form ``st``, made (so the coupling is checked) with it."""
 
     coupling: VertexCoupling
+    st: STForm = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "st", st_from_ab(self.coupling))
 
 
+@functools.cache
 def dirichlet_condition() -> CouplingCondition:
-    """Degree-1 Dirichlet condition f = 0."""
-    return CouplingCondition(VertexCoupling(1, np.eye(1), np.zeros((1, 1))))
+    """Degree-1 Dirichlet condition f = 0, made once; its arrays are read-only."""
+    cond = CouplingCondition(VertexCoupling(1, np.eye(1), np.zeros((1, 1))))
+    for arr in (cond.coupling.A, cond.coupling.B, cond.st.S, cond.st.T):
+        arr.flags.writeable = False
+    return cond
 
 
 @dataclass(frozen=True)

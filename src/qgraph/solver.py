@@ -70,14 +70,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import (
-    numerical_rank,
+    gated_solve,
     require_finite_complex,
     require_finite_real,
     require_positive_int,
     require_positive_real,
 )
 from .builder import ApproxGraph
-from .couplings import st_from_ab
 from .errors import (
     InputError,
     NearSingularZError,
@@ -113,10 +112,6 @@ def __getattr__(name):
         return getattr(importlib.import_module(_TRACER_NAMES[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-# Ceiling on the 1-norm condition of a reduced matrix: beyond it a
-# scattering momentum is resonant and a resolvent point lies on the spectrum.
-_COND_LIMIT = 1e12
 
 # Points per graph per batched count in the eigenvalue search, on a reduced
 # matrix up to _ROUND_SIZE wide: a bisection round of one graph counts at
@@ -157,31 +152,6 @@ def _principal_k(z) -> np.ndarray:
     return np.where(k.imag < 0, -k, k)
 
 
-def _gated_solve(mat: np.ndarray, rhs: np.ndarray, error: type, message: str, **info):
-    """The solution of ``mat x = rhs``; ``error(message, **info)``, with
-    the condition appended, when the 1-norm condition ||mat||_1
-    ||mat^-1||_1 exceeds _COND_LIMIT.  One ``np.linalg.solve`` of [rhs | I]
-    gives the solution and the inverse from one factorization; the extra
-    columns leave the solution's bits as a solve of rhs alone gives them.
-    The norm is floored at 1, the scale of a border diagonal, so that a
-    border row tied to no vertex value (an edge between Dirichlet ends)
-    fails the gate when its diagonal vanishes.  An exactly singular or NaN
-    matrix fails the gate with condition inf; an empty one (no free vertex
-    values) passes."""
-    n, m = len(mat), rhs.shape[1]
-    try:
-        sol = np.linalg.solve(mat, np.concatenate([rhs, np.eye(n)], axis=1))
-    except np.linalg.LinAlgError:
-        cond = math.inf
-    else:
-        with np.errstate(over="ignore"):
-            cond = max(np.linalg.norm(mat, 1), 1.0) * np.linalg.norm(sol[:, m:], 1) if n else 0.0
-    if not cond <= _COND_LIMIT:
-        cond = math.inf if math.isnan(cond) else cond
-        raise error(f"{message} (condition estimate {cond:.2e})", **info)
-    return sol[:, :m]
-
-
 def _group_by_edge(points) -> dict[object, tuple[np.ndarray, np.ndarray]]:
     """``(edge_id, s)`` points grouped by edge, in first-seen order: per
     edge, the points' indices and their coordinates, as arrays."""
@@ -212,7 +182,8 @@ class _Reduction:
     The unknowns of a vertex are the m_v free values of its ST form: the
     values at its ends are J_v x_v with J_v = [I; T*] in the original end
     order, and S_v is its block of B (a delta vertex has J = ones, S = [w];
-    a coupling with B = 0, such as a Dirichlet end, has m_v = 0).
+    a coupling vertex reads both from the normal form its condition holds,
+    where B = 0, such as a Dirichlet end, gives m_v = 0).
     Finite edge e adds c_+ w_+ w_+* + c_- w_- w_-*, where w_+- = J* (1,
     +-e^{-ial}) / sqrt(2) over its two ends are its symmetric and
     antisymmetric modes, c_+ = -k tan(kl/2) and c_- = k cot(kl/2); half-line
@@ -296,24 +267,10 @@ class _Reduction:
                 free, j_rows = 1, [(1.0,)] * len(ends)
                 entries = j_rows
             else:
-                if not cond.coupling.B.any():
-                    # B = 0: every end is Dirichlet and there are no free
-                    # values, so no normal form is needed; A must still be
-                    # invertible.
-                    n = cond.coupling.n
-                    if numerical_rank(cond.coupling.A) < n:
-                        raise InputError(
-                            f"coupling is not admissible: rank deficient: rank(A|B) < n = {n}"
-                        )
-                    j_mat = np.empty((n, 0), dtype=complex)
-                    s_mat = np.empty((0, 0), dtype=complex)
-                else:
-                    st = st_from_ab(cond.coupling)
-                    j_mat = np.empty((st.n, st.m), dtype=complex)
-                    j_mat[np.array(st.perm) - 1] = np.vstack([np.eye(st.m), st.T.conj().T])
-                    s_mat = st.S
-                blocks.append((size, s_mat))
-                free, j_rows, entries = j_mat.shape[1], j_mat, j_mat.conj().tolist()
+                st = cond.st
+                j_mat = np.vstack([np.eye(st.m), st.T.conj().T])[np.argsort(st.perm)]
+                blocks.append((size, st.S))
+                free, j_rows, entries = st.m, j_mat, j_mat.conj().tolist()
             for (eid, end), j_row, entry in zip(ends, j_rows, entries):
                 e = finite_index.get(eid)
                 if e is None:
@@ -972,8 +929,9 @@ class GreensFunction:
         sign, cols = np.nonzero(pt.border >= 0)
         rows = size + n_kept + pt.border[sign, cols]
         rhs[rows, sign * ne + cols] = pt.root_k
-        sol = _gated_solve(
-            pt.mat, rhs, NearSingularZError, f"z = {z} is numerically on the spectrum"
+        sol = gated_solve(
+            pt.mat, rhs, NearSingularZError, f"z = {z} is numerically on the spectrum",
+            solve=np.linalg.solve,
         )
         x = sol[:size]
         # The midpoints' values: x_m = (r_m - b_m* x) / p_m where eliminated.
@@ -1094,7 +1052,8 @@ class _ScatteringSolver(_Reduction):
         # rows' right-hand sides zero.
         rhs = np.zeros((len(mat), len(self.j_half)), dtype=complex)
         rhs[: self.size] = -2j * k * self.j_half.conj().T
-        x = _gated_solve(mat, rhs, ResonantKError, f"vertex system ill-conditioned at k = {k}", k=k)
+        x = gated_solve(mat, rhs, ResonantKError, f"vertex system ill-conditioned at k = {k}",
+                        solve=np.linalg.solve, k=k)
         # One step of iterative refinement: at small k on short edges the
         # condition reaches ~5e4, and the plain solve's error alone then
         # shows as a unitarity defect above 1e-12.

@@ -392,9 +392,9 @@ def zgecon_condition(mat: np.ndarray) -> tuple[float, tuple]:
     return (1.0 / rcond if rcond > 0 else math.inf), lu
 
 
-def scipy_gated_solve(mat, rhs, error, message, **info):
+def scipy_gated_solve(mat, rhs, error, message, solve=None, **info):
     """The solver's gated solve as it was: scipy's ``lu_factor``, the gate on
-    ``zgecon``'s estimate at 1e12, and ``lu_solve``."""
+    ``zgecon``'s estimate at 1e12, and ``lu_solve`` (``solve`` is unused)."""
     if not mat.size:
         return lu_solve(lu_factor(mat), rhs)
     cond, lu = zgecon_condition(mat)
@@ -421,7 +421,7 @@ def use_scipy_lu(monkeypatch) -> None:
     :func:`scipy_gated_solve`, and the scattering refinement through
     ``lu_factor`` and ``lu_solve`` (factoring the same matrix again gives
     the same factors)."""
-    monkeypatch.setattr(solver, "_gated_solve", scipy_gated_solve)
+    monkeypatch.setattr(solver, "gated_solve", scipy_gated_solve)
     linalg = ModuleView(np.linalg, solve=lambda a, b: lu_solve(lu_factor(a), b))
     monkeypatch.setattr(solver, "np", ModuleView(np, linalg=linalg))
 
@@ -541,9 +541,6 @@ class UnreducedReduction:
             cond = vertex.condition
             if isinstance(cond, DeltaCondition):
                 j_mat, s_mat = np.ones((len(vertex.ends), 1)), np.array([[cond.w]])
-            elif not cond.coupling.B.any():
-                n = cond.coupling.n
-                j_mat, s_mat = np.empty((n, 0), dtype=complex), np.empty((0, 0), dtype=complex)
             else:
                 st = st_from_ab(cond.coupling)
                 j_mat = np.empty((st.n, st.m), dtype=complex)

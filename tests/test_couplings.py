@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qgraph import (
+    ConditioningError,
     CouplingKind,
     InputError,
     NamedCoupling,
@@ -17,6 +18,7 @@ from qgraph import (
     coupling_distance,
     named_to_st,
     st_from_ab,
+    dumps,
     star_scattering,
     validate_coupling,
 )
@@ -124,6 +126,50 @@ def test_st_form_rejects_bad_permutation():
         STForm(n=2, m=1, perm=(1, 1), S=np.zeros((1, 1)), T=np.zeros((1, 1)))
 
 
+def _kirchhoff_st(**change) -> STForm:
+    """A degree-3 Kirchhoff normal form with ``change`` applied to its fields."""
+    fields = dict(n=3, m=1, perm=(1, 2, 3), S=np.zeros((1, 1)), T=np.ones((1, 2)))
+    return STForm(**{**fields, **change})
+
+
+@pytest.mark.parametrize("n", BAD_DEGREES)
+def test_st_form_degree_goes_through_the_scalar_rule(n):
+    message = re.escape(f"vertex degree n must be a positive integer, got {n!r}")
+    with pytest.raises(InputError, match=message):
+        _kirchhoff_st(n=n)
+
+
+@pytest.mark.parametrize("m", ["1", None, True, -1, 0.5, math.nan, math.inf])
+def test_st_form_m_is_an_integer_from_zero(m):
+    message = re.escape(f"m must be an integer >= 0, got {m!r}")
+    with pytest.raises(InputError, match=message):
+        _kirchhoff_st(m=m)
+
+
+@pytest.mark.parametrize("entry", [1.9, True, "1", None, 0, -1, math.nan])
+def test_st_form_perm_entries_go_through_the_scalar_rule(entry):
+    """A fractional, boolean or non-numeric entry is refused, not truncated
+    or read as 1."""
+    message = re.escape(f"perm entry must be a positive integer, got {entry!r}")
+    with pytest.raises(InputError, match=message):
+        _kirchhoff_st(perm=(entry, 2, 3))
+
+
+def test_st_form_m_above_n_is_structural():
+    with pytest.raises(StructuralError, match=re.escape("got m=4, n=3")):
+        _kirchhoff_st(m=4)
+
+
+def test_integral_float_st_fields_are_stored_as_ints():
+    """n, m and perm are stored as ints, so the form serializes with
+    integers and expands to an (A, B) pair."""
+    st = _kirchhoff_st(n=3.0, m=1.0, perm=(1.0, np.int64(2), 3))
+    assert type(st.n) is int and type(st.m) is int
+    assert all(type(p) is int for p in st.perm) and st.perm == (1, 2, 3)
+    assert '"m": 1,' in dumps(st)
+    assert ab_from_st(st).n == 3
+
+
 # -- normal form round trips ------------------------------------------------
 
 def test_roundtrip_reference_couplings(reference_couplings):
@@ -217,6 +263,26 @@ def test_star_scattering_unitary_random():
         c = ab_from_st(random_st(rng))
         s = star_scattering(c, float(rng.uniform(0.3, 3.0)))
         np.testing.assert_allclose(s.conj().T @ s, np.eye(c.n), atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_star_scattering_gates_a_singular_a_plus_ikb(k):
+    """A + ikB = 0 exactly fails the solver's gate, with condition inf."""
+    c = VertexCoupling(1, [[1.0]], [[1j / k]])
+    with pytest.raises(ConditioningError, match=r"\(condition estimate inf\)$"):
+        star_scattering(c, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_star_scattering_bits_are_a_plain_solve(seed):
+    """The gated solve of [A - ikB | I] leaves S(k) bit-equal to a solve of
+    A - ikB alone."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 17):
+        c = ab_from_st(random_st(rng, n=n, m=int(rng.integers(0, n + 1))))
+        for k in (0.5, 1.0, 2.0, 7.3):
+            expected = -np.linalg.solve(c.A + 1j * k * c.B, c.A - 1j * k * c.B)
+            assert star_scattering(c, k).tobytes() == expected.tobytes()
 
 
 def test_star_scattering_rejects_bad_momentum(st_delta):

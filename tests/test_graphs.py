@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qgraph import (
     StructuralError,
     SweepConfig,
     Vertex,
+    VertexCoupling,
     NeighborSets,
     build_approx_graph,
     dirichlet_condition,
@@ -24,6 +26,7 @@ from qgraph import (
     eigenvalues_compact,
     gauge_transform,
     loads,
+    st_from_ab,
     star_system,
     system_from_approx,
     truncate,
@@ -157,6 +160,44 @@ def test_truncate_compact_system_is_identity_up_to_spec():
     again = truncate(sys_)
     assert again.edges == sys_.edges
     assert again.vertices == sys_.vertices
+
+
+def test_inadmissible_coupling_fails_when_its_condition_is_made():
+    """A = B = 0 is no boundary condition: the condition refuses it when
+    made, with the normal form's text, before any system holds it; so does
+    an (A, B) pair whose A B* is not Hermitian."""
+    void = VertexCoupling(1, np.zeros((1, 1)), np.zeros((1, 1)))
+    message = "coupling is not admissible: rank deficient: rank(A|B) < n = 1"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        CouplingCondition(void)
+    skew = VertexCoupling(2, np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InputError, match="not admissible: A B. is not Hermitian"):
+        CouplingCondition(skew)
+
+
+def test_coupling_condition_carries_its_normal_form(st_delta_prime):
+    """The form is st_from_ab's, and stays out of repr and equality."""
+    c = star_system(st_delta_prime).vertices[0].condition.coupling
+    cond = CouplingCondition(c)
+    expected = st_from_ab(c)
+    assert (cond.st.m, cond.st.perm) == (expected.m, expected.perm)
+    assert cond.st.S.tobytes() == expected.S.tobytes()
+    assert cond.st.T.tobytes() == expected.T.tobytes()
+    assert "st=" not in repr(cond)
+    assert "st" not in [f.name for f in dataclasses.fields(cond) if f.compare]
+
+
+def test_dirichlet_ends_share_one_read_only_condition(st_delta):
+    """Every Dirichlet end of a truncation holds the one shared condition,
+    whose arrays cannot be written."""
+    ends = [v.condition for v in truncate(star_system(st_delta)).vertices[1:]]
+    assert len(ends) == st_delta.n
+    assert all(cond is dirichlet_condition() for cond in ends)
+    cond = dirichlet_condition()
+    assert cond.st.m == 0 and cond.st.S.shape == (0, 0) and cond.st.T.shape == (0, 1)
+    for arr in (cond.coupling.A, cond.coupling.B, cond.st.S, cond.st.T):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 1.0
 
 
 # -- assembly of approximating graphs ---------------------------------------

@@ -35,12 +35,16 @@ from qgraph import (
     greens_function,
     named_to_st,
     scattering_matrix,
+    st_from_ab,
     star_scattering,
     star_system,
     system_from_approx,
     truncate,
 )
+import qgraph.couplings as couplings
+import qgraph.graphs as graphs
 import qgraph.solver as solver
+from qgraph._util import gated_solve
 from qgraph.solver import _EigenvalueCount, _Reduction, _ScatteringSolver
 from helpers import (
     ModuleView,
@@ -463,32 +467,27 @@ def test_greens_function_rejects_non_finite_input(z, point):
             g(point, ("e", 0.5))
 
 
-def test_reduction_skips_the_normal_form_of_b_zero_couplings(monkeypatch):
-    """A truncated delta' star takes the normal form of its center alone:
-    its Dirichlet ends (B = 0) have no free values and need none."""
+def test_reductions_take_no_normal_form(monkeypatch):
+    """A coupling's normal form is made with its condition, so reducing a
+    truncated delta' star (its center and its Dirichlet ends) and a
+    truncated approximating graph normalizes nothing; the star keeps the
+    m free values of its center."""
+    st = make_delta_prime(beta=1.0, n=3)
+    star = truncate(star_system(st), L=1.0)
+    approx = _approx(st, 0.25)
     calls = []
-    original = solver.st_from_ab
+    original = couplings.st_from_ab
 
     def counting(coupling):
         calls.append(coupling)
         return original(coupling)
 
-    monkeypatch.setattr(solver, "st_from_ab", counting)
-    st = make_delta_prime(beta=1.0, n=3)
-    red = _Reduction(truncate(star_system(st), L=1.0))
-    assert len(calls) == 1
-    assert red.size == st.m
-
-
-def test_b_zero_coupling_must_still_be_admissible():
-    """A = B = 0 is no boundary condition: the shortcut for B = 0 keeps the
-    rank check of the normal form."""
-    dirichlet = interval(1.0)
-    void = CouplingCondition(VertexCoupling(1, np.zeros((1, 1)), np.zeros((1, 1))))
-    left = Vertex(id="a", condition=void, ends=(("e", 0),))
-    sys_ = MetricGraphSystem(edges=dirichlet.edges, vertices=(left, dirichlet.vertices[1]))
-    with pytest.raises(InputError, match="not admissible: rank deficient"):
-        greens_function(sys_, -1.0)
+    monkeypatch.setattr(couplings, "st_from_ab", counting)
+    monkeypatch.setattr(graphs, "st_from_ab", counting)
+    assert _Reduction(star).size == st.m
+    assert _Reduction(approx).size == st.n
+    assert calls == []
+    assert not hasattr(solver, "st_from_ab")
 
 
 def _wide_approx_graphs() -> list[MetricGraphSystem]:
@@ -530,10 +529,8 @@ def test_reduction_vertex_blocks_match_block_diag(system, eliminated):
         cond = vertex.condition
         if isinstance(cond, DeltaCondition):
             blocks.append(np.array([[cond.w]]))
-        elif not cond.coupling.B.any():
-            blocks.append(np.empty((0, 0), dtype=complex))
         else:
-            blocks.append(solver.st_from_ab(cond.coupling).S)
+            blocks.append(st_from_ab(cond.coupling).S)
     expected = block_diag(*blocks)
     red = _Reduction(system)
     # A system's reduction is a stack of one graph.
@@ -806,7 +803,7 @@ def test_gate_is_the_exact_condition_never_below_lapacks_estimate(name):
     exact = math.inf if math.isnan(exact) else exact
     rhs = np.ones((n, 2), dtype=complex)
     try:
-        x = solver._gated_solve(mat, rhs, ResonantKError, "gate", k=1.0)
+        x = gated_solve(mat, rhs, ResonantKError, "gate", k=1.0)
     except ResonantKError as err:
         reported = float(re.fullmatch(r"gate \(condition estimate (\S+)\)", str(err)).group(1))
         assert reported == float(f"{exact:.2e}")
