@@ -55,7 +55,7 @@ from .couplings import (
     STForm,
     VertexCoupling,
     named_to_st,
-    st_from_ab,
+    _st_from_valid,
     validate_coupling,
 )
 from .errors import (
@@ -134,7 +134,7 @@ def _as_st(obj, source: str) -> STForm:
             for violation in result.violations:
                 _err(f"{source}: {violation}")
             raise _CliFailure(EXIT_INVALID, f"{source}: coupling fails validation")
-        return st_from_ab(obj)
+        return _st_from_valid(obj)
     raise _CliFailure(
         EXIT_PARSE, f"{source}: expected a coupling document, got an approx graph"
     )

@@ -24,6 +24,7 @@ which is unitary for every k > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
@@ -237,6 +238,12 @@ def st_from_ab(c: VertexCoupling) -> STForm:
     result = validate_coupling(c)
     if not result.ok:
         raise InputError("coupling is not admissible: " + "; ".join(result.violations))
+    return _st_from_valid(c)
+
+
+def _st_from_valid(c: VertexCoupling) -> STForm:
+    """:func:`st_from_ab` of a coupling that :func:`validate_coupling` has
+    passed, without validating it again."""
     n = c.n
     sigma_b = np.linalg.svd(c.B, compute_uv=False)
     m = int(np.count_nonzero(sigma_b > DEFAULT_TOL * sigma_b[0])) if sigma_b[0] > 0 else 0
@@ -323,6 +330,13 @@ def star_scattering(c: VertexCoupling, k: float) -> np.ndarray:
     k = require_positive_real(k, "momentum k")
     plus = c.A + 1j * k * c.B
     minus = c.A - 1j * k * c.B
+    # The gate floors ||A + ikB||_1 at 1 (see gated_solve), so a pair scaled
+    # down far is first scaled up, by a power of two, which changes no bit
+    # of S(k), until ||A + ikB||_1 >= 1.
+    norm = np.linalg.norm(plus, 1)
+    if 0.0 < norm < 1.0:
+        scale = 2.0 ** (1 - math.frexp(norm)[1])
+        plus, minus = plus * scale, minus * scale
     return -gated_solve(plus, minus, ConditioningError, f"A + ikB ill-conditioned at k={k}")
 
 

@@ -20,23 +20,34 @@ plus its number of inner edges.
 * Eigenvalues of compact systems are counted, not searched for: the
   number of eigenvalues below lambda is the number of edge Dirichlet
   levels below lambda plus the number of negative eigenvalues of the
-  Hermitian B(lambda) (Friedlander's count).  Bisection on that integer
-  finds every level, and a level's multiplicity is the jump of the count
-  across it, so degenerate and nearly degenerate levels are resolved by
-  construction.  The count is evaluated on arrays of lambda (stacked
-  matmuls and stacked eigvalsh calls, with each point's arithmetic
-  unchanged).  On the small reduced matrices of approximating graphs a
-  count's cost is mostly per call, not per point, so the bracket counts its
-  doubling sequence in batches, and each bisection round counts in one
-  call at every midpoint of a few levels of the subtree below each live
-  interval, then takes those levels' decisions (a matrix wider than 6,
-  whose points cost more, is counted one point at a time).  Every decision
-  reads the count at the lambda a one-point bisection would, so the bits
-  are that bisection's.  The search is a generator that yields the lambdas
-  it needs counted, so the searches of several systems of one reduction
-  shape, such as an eig sweep's approximating graphs, advance in lockstep:
-  each round counts all their batches in one call of their stacked
-  reduction, where every point reads the arrays of its own graph.
+  Hermitian B(lambda) (Friedlander's count), and a level's multiplicity is
+  the jump of the count across it, so degenerate and nearly degenerate
+  levels are resolved by construction.  The count brackets the wanted
+  levels (a doubling sequence, counted in chunks) and separates them (a
+  few bisection rounds, each counting at every midpoint of a few levels of
+  the subtree below each live interval).  An interval then holding one
+  level is refined by a safeguarded root step, as for a Hermitian
+  nonlinear eigenproblem (Voss & Werner's minimax principle, whose
+  enumeration the count supplies): the eigenvalues of the bordered reduced
+  matrix, which the count computes anyway, are continuous in lambda
+  between points of one matrix structure, and the one that crosses 0 at
+  the level gives a weighted regula falsi step (Anderson & Bjorck).  Each
+  step counts the pair x -+ h, a bisection leaf's width apart, so a step
+  that lands within h of the level certifies it by the count: the pair
+  holds the whole jump.  Otherwise the pair shrinks the bracket.  A level
+  whose ends differ in structure, or whose steps stall, is bisected, and
+  clamping keeps every count monotone, so each value is a certified point
+  or a bisection leaf.  The count is evaluated on arrays of lambda
+  (stacked matmuls and stacked eigvalsh calls, with each point's
+  arithmetic unchanged); on the small reduced matrices of approximating
+  graphs a count's cost is mostly per call, so a round counts all its
+  points in one call (a matrix wider than 6, whose points cost more,
+  counts one midpoint per interval).  The search is a generator that
+  yields the lambdas it needs counted, so the searches of several systems
+  of one reduction shape, such as an eig sweep's approximating graphs,
+  advance in lockstep: each round counts all their batches in one call of
+  their stacked reduction, where every point reads the arrays of its own
+  graph, with the bits a search alone reads.
 * A scattering matrix solves B(k^2) x = -2ik J_h* for an incoming wave on
   each channel h; then S = J_h x - I.
 * A resolvent kernel is the free-line kernel on the source edge plus the
@@ -114,18 +125,18 @@ def __getattr__(name):
 
 
 # Points per graph per batched count in the eigenvalue search, on a reduced
-# matrix up to _ROUND_SIZE wide: a bisection round of one graph counts at
-# most max(_ROUND_POINTS, live intervals) speculative midpoints, and the
-# bracket counts its doubling sequence in batches of _ROUND_POINTS; a
-# lockstep round counts the batches of all the graphs of a family in one
-# call.  On the 3-wide reductions of n = 3 approximating graphs a count
-# costs about 0.1-0.2 ms per call and 32 points about 3 times one (2-CPU
-# Xeon), so fewer, wider calls are faster.  A point's own cost grows with
-# the width: on delta' graphs at d = 2^-4, 32 points cost 9 times one at 8
-# wide and 21 times at 16 wide, and 5 eigenvalues took 2.2 and 30 times as
-# long in batched rounds as in plain bisection.  So a matrix wider than
-# _ROUND_SIZE is counted one point at a time, plain bisection, and its
-# graph alone.
+# matrix up to _ROUND_SIZE wide: a round of one graph counts the step pair
+# of each stepped level and at most max(_ROUND_POINTS - those, intervals
+# bisected) speculative midpoints, and the bracket's doubling chunks grow
+# to _ROUND_POINTS; a lockstep round counts the batches of all the graphs
+# of a family in one call.  On the 3-wide reductions of n = 3 approximating
+# graphs at d = 2^-4 one call costs 0.07 ms for 1 point, 0.30 ms for 32 and
+# 1.56 ms for 288 (2-CPU Xeon), so fewer calls, and fewer points in them,
+# are faster.  A point's own cost grows with the width: on delta' graphs at
+# d = 2^-4, 32 points cost 9 times one at 8 wide and 21 times at 16 wide,
+# and 5 eigenvalues took 2.2 and 30 times as long in batched rounds as in
+# plain bisection.  So a matrix wider than _ROUND_SIZE is counted with one
+# midpoint per bisected interval, and its graph alone.
 _ROUND_POINTS = 32
 _ROUND_SIZE = 6
 
@@ -583,10 +594,10 @@ class _EigenvalueCount(_Reduction):
     call.
     """
 
-    def many(self, lams, g: int | np.ndarray = 0) -> list[int]:
+    def many(self, lams, g: int | np.ndarray = 0, branches: bool = False):
         """N(lambda) at every point of the 1-d array ``lams``, of the graph
         ``g`` of the stack, or of one graph per point when ``g`` is an
-        array.
+        array; with ``branches``, also each point's :class:`_Branches`.
 
         Edge coefficients are computed as (points, edges) arrays, the
         complement of all points as stacked matmuls, and the inertia as one
@@ -600,7 +611,10 @@ class _EigenvalueCount(_Reduction):
         mat, col, piv, keep = self.complement(coef, inside, g)
         # N = level count + negative eigenvalues of the bordered complement
         # + negative eliminated pivots - negative b's.
-        inertia = (~keep & (piv < 0)).sum(axis=1) - (b < 0).sum(axis=1)
+        negative = ~keep & (piv < 0)
+        signs = negative.sum(axis=1) - (b < 0).sum(axis=1)
+        inertia = np.zeros_like(signs)
+        values: list = [None] * len(lam)
         # Points are grouped by their numbers of kept midpoints and borders.
         extra = keep.sum(axis=1) * (inside.shape[1] + 1) + inside.sum(axis=1)
         for key in set(extra.tolist()):
@@ -613,20 +627,55 @@ class _EigenvalueCount(_Reduction):
                 part = self.bordered(
                     part, root_k, b[at], minus[at], col[at], piv[at], keep[at], _at(g, at)
                 )
-            inertia[at] += _negative_counts(part)
-        return [int(s) + n for s, n in zip(level_sum.tolist(), inertia.tolist())]
+            eigs = _scaled_eigenvalues(part)
+            inertia[at] = (eigs < 0).sum(axis=-1)
+            if branches:
+                for i, row in zip(at.tolist(), eigs):
+                    values[i] = row
+        offsets = [int(s) + n for s, n in zip(level_sum.tolist(), signs.tolist())]
+        counts = [n + m for n, m in zip(offsets, inertia.tolist())]
+        if not branches:
+            return counts
+        # The rows the bordered matrix has, the vectors it borders, and the
+        # eliminated pivots' signs: points that share them, and their offset,
+        # read one continuous matrix.  A border diagonal b changes sign
+        # continuously, through 0, at its edge's Dirichlet level, where the
+        # level sum gains what #{b < 0} does, so the offset stays.
+        pattern = np.concatenate([keep, inside, minus & inside, negative], axis=1)
+        structures = np.packbits(pattern, axis=1)
+        found = zip(structures, offsets, values)
+        return counts, [_Branches(s.tobytes(), n, row) for s, n, row in found]
 
 
-def _negative_counts(mats: np.ndarray) -> np.ndarray:
-    """Negative eigenvalues of each Hermitian matrix in a stack, counted
-    after a symmetric diagonal scaling (which keeps the inertia) that brings
-    every row's largest entry to 1; the scaling overwrites ``mats``."""
+class _Branches(NamedTuple):
+    """The eigenvalues of one point's scaled bordered matrix, ascending, as
+    functions of lambda: N(lambda) = ``offset`` + #{negative ``values``}, so
+    values[n - offset] is negative exactly when N(lambda) > n.  Points of
+    one ``structure`` and offset read one matrix, continuous in lambda: over
+    an interval that keeps it, each branch is continuous and changes sign
+    at most once, where N passes n.  The search reads a structure only at
+    the points it counts, so its brackets move by the count alone."""
+
+    structure: bytes
+    offset: int
+    values: np.ndarray
+
+    def at(self, n: int) -> float | None:
+        """The branch that changes sign where N passes n, or None."""
+        j = n - self.offset
+        return float(self.values[j]) if 0 <= j < len(self.values) else None
+
+
+def _scaled_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of each Hermitian matrix in a stack after
+    a symmetric diagonal scaling (which keeps the inertia) that brings every
+    row's largest entry to 1; the scaling overwrites ``mats``."""
     if not mats.shape[-1]:
-        return np.zeros(len(mats), dtype=int)
+        return np.zeros(mats.shape[:2])
     row_max = np.abs(mats).max(axis=-1)
     scale = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
     mats *= scale[:, :, np.newaxis] * scale[:, np.newaxis, :]
-    return (np.linalg.eigvalsh(mats) < 0).sum(axis=-1)
+    return np.linalg.eigvalsh(mats)
 
 
 def _batch_points(size: int) -> int:
@@ -648,9 +697,10 @@ def _bracket(chunk: list[float], counts, done, other_end: float, points: int):
     """The first lambda of the doubling sequence that begins with ``chunk``
     whose count passes ``done``, and that count, as a generator (see
     :func:`_search`).  ``counts`` are the counts at ``chunk``, taken by the
-    caller; the rest of the sequence is yielded in chunks of ``points``.  It
-    ends, with :class:`ScanRangeError`, at the last lambda whose double is
-    still finite."""
+    caller; the rest of the sequence is yielded in chunks twice as long as
+    the one before, up to ``points``.  It ends, with
+    :class:`ScanRangeError`, at the last lambda whose double is still
+    finite."""
     while True:
         for lam, n in zip(chunk, counts):
             if done(n):
@@ -660,7 +710,7 @@ def _bracket(chunk: list[float], counts, done, other_end: float, points: int):
                 f"eigenvalue count not reached by lambda = {lam:.3g}",
                 window=(min(lam, other_end), max(lam, other_end)),
             )
-        chunk = _doubling(2.0 * lam, points)
+        chunk = _doubling(2.0 * lam, min(points, 2 * len(chunk)))
         counts = yield chunk
 
 
@@ -674,7 +724,7 @@ def _subtree_midpoints(live, depth: int) -> list[float]:
     subtree of each live interval; an interval at leaf width is not split,
     so neither it nor anything below it is listed."""
     mids = []
-    level = [(a, b) for a, b, _, _ in live]
+    level = [(iv.a, iv.b) for iv in live]
     for _ in range(depth):
         children = []
         for a, b in level:
@@ -686,57 +736,173 @@ def _subtree_midpoints(live, depth: int) -> list[float]:
     return mids
 
 
+class _Interval(NamedTuple):
+    """A live interval of the search: its ends and their counts; the
+    weights of its ends' branch values in the regula falsi step; and the
+    steps in a row that failed to halve the branch value at the end they
+    moved (_STALL of them send its level to subtree rounds for good)."""
+
+    a: float
+    b: float
+    n_a: int
+    n_b: int
+    weights: tuple[float, float] = (1.0, 1.0)
+    steps: int = 0
+
+
+def _step(iv: _Interval, branches: dict) -> tuple[float, float] | None:
+    """The certificate pair x -+ h of the next step in ``iv``, as (x, h), or
+    None when ``iv`` is bisected instead.
+
+    A step needs both ends to read one continuous matrix (see
+    :class:`_Branches`), and the branches of the first and the last level
+    in ``iv`` to put their weighted regula falsi roots within h of each
+    other: one level, of the multiplicity of the count's jump."""
+    left, right = branches[iv.a], branches[iv.b]
+    if iv.steps >= _STALL or (left.structure, left.offset) != (right.structure, right.offset):
+        return None
+    roots = []
+    for n in (iv.n_a, iv.n_b - 1):
+        f_a, f_b = left.at(n), right.at(n)
+        if f_a is None or not f_a >= 0.0 > f_b:
+            return None
+        f_a, f_b = iv.weights[0] * f_a, iv.weights[1] * f_b
+        roots.append(iv.a + (iv.b - iv.a) * (f_a / (f_a - f_b)))
+    x = roots[0]
+    h = _HALF_CERTIFICATE * max(1.0, abs(x))
+    if abs(roots[1] - x) > h or iv.b - iv.a <= 8.0 * h:
+        return None
+    return min(max(x, iv.a + 2.0 * h), iv.b - 2.0 * h), h
+
+
+# A stepped level's certificate is the pair x -+ h with h = _HALF_CERTIFICATE
+# max(1, |x|): a leaf, 2h <= 1e-13 max(1, |lambda|) (see _is_leaf).
+_HALF_CERTIFICATE = 0.4e-13
+
+# Steps in a row that leave the branch value at the moved end above half its
+# value before send a level to subtree rounds for good.  Some levels' scaled
+# branch reads +-1 up to the level itself (a delta' graph's parasitic level
+# at d = 2^-10, below -2e11), where a step learns no more than a bisection.
+_STALL = 2
+
+
 def _search(points: int, count: int, lam_min: float | None):
     """The eigenvalue search of :func:`eigenvalues_compact` on one system,
     as a generator: it yields every list of lambda it needs counted, is sent
-    their counts, and returns the eigenvalues.  ``points`` is the batch size
-    (see :func:`_batch_points`)."""
+    their counts and :class:`_Branches`, and returns the eigenvalues.
+    ``points`` is the batch size (see :func:`_batch_points`)."""
+    branches: dict[float, _Branches] = {}
+
+    def ask(lams):
+        counts, found = yield lams
+        branches.update(zip(lams, found))
+        return counts
+
+    def relay(bracket):
+        """Run a :func:`_bracket`, which is sent counts alone."""
+        try:
+            lams = next(bracket)
+            while True:
+                lams = bracket.send((yield from ask(lams)))
+        except StopIteration as stop:
+            return stop.value
+
+    # The upward doubling starts with one point: most searches need a few of
+    # its points, and those far up border every edge.
     if lam_min is None:
         down = _doubling(-1.0, points)
-        lo, n_lo = yield from _bracket(down, (yield down), lambda n: n == 0, 0.0, points)
-        up = _doubling(max(1.0, 2.0 * lo), points)
-        counts = yield up
+        counts = yield from ask(down)
+        lo, n_lo = yield from relay(_bracket(down, counts, lambda n: n == 0, 0.0, points))
+        up = [max(1.0, 2.0 * lo)]
+        counts = yield from ask(up)
     else:
-        # lam_min is counted in one batch with the first upward chunk.
+        # lam_min is counted in one batch with the first upward point.
         lo = lam_min
-        up = _doubling(max(1.0, 2.0 * lo), max(1, points - 1))
-        n_lo, *counts = yield [lam_min] + up
+        up = [max(1.0, 2.0 * lo)]
+        n_lo, *counts = yield from ask([lam_min] + up)
     target = n_lo + count
-    hi, n_hi = yield from _bracket(up, counts, lambda n: n >= target, lo, points)
-    # An interval's fate depends on its own ends alone, so bisecting level
-    # by level builds the tree of a depth-first search; sorting the leaves
-    # restores its left-to-right output order.
+    hi, n_hi = yield from relay(_bracket(up, counts, lambda n: n >= target, lo, points))
     leaves: list[tuple[float, float, int]] = []
 
     def settle(intervals):
-        """The intervals still to split; leaves are recorded, and intervals
+        """The intervals still to refine; leaves are recorded, and intervals
         without a wanted level dropped."""
         live = []
-        for a, b, n_a, n_b in intervals:
-            if n_b <= n_a or n_a >= target:
+        for iv in intervals:
+            if iv.n_b <= iv.n_a or iv.n_a >= target:
                 continue
-            if _is_leaf(a, b):
-                leaves.append((a, 0.5 * (a + b), n_b - n_a))
+            if _is_leaf(iv.a, iv.b):
+                leaves.append((iv.a, 0.5 * (iv.a + iv.b), iv.n_b - iv.n_a))
             else:
-                live.append((a, b, n_a, n_b))
+                live.append(iv)
         return live
 
-    live = settle([(lo, hi, n_lo, n_hi)])
+    def stepped(iv, x, h, n_at):
+        """``iv`` split at the pair x -+ h: the pair is a leaf, and when the
+        whole jump of ``iv`` lies on one side of it, that side continues
+        the iteration."""
+        p, q = x - h, x + h
+        # Clamped so that roundoff next to a level cannot break monotonicity.
+        n_p = min(max(n_at[p], iv.n_a), iv.n_b)
+        n_q = min(max(n_at[q], n_p), iv.n_b)
+        # Counts that clamping moved show the count's flicker: the level is
+        # finished in subtree rounds, inside the brackets the pair leaves.
+        flicker = (n_p, n_q) != (n_at[p], n_at[q])
+        if n_q > n_p or flicker or iv.n_a < n_p < iv.n_b:
+            if n_q > n_p:
+                leaves.append((p, x, n_q - n_p))
+            steps = _STALL if flicker else 0
+            return [
+                _Interval(iv.a, p, iv.n_a, n_p, steps=steps),
+                _Interval(q, iv.b, n_q, iv.n_b, steps=steps),
+            ]
+        if n_p > iv.n_a:
+            moved, kept, child = (iv.b, p), 0, (iv.a, p, iv.n_a, n_p)
+        else:
+            moved, kept, child = (iv.a, q), 1, (q, iv.b, n_q, iv.n_b)
+        f_old, f_new = (branches[lam].at(iv.n_a) for lam in moved)
+        weights = [1.0, 1.0]
+        weights[kept] = iv.weights[kept]
+        if child[1] - child[0] > 0.5 * (iv.b - iv.a):
+            # Anderson & Bjorck: a step that leaves the width above half
+            # weights the end it kept by 1 - f(new end) / f(old end), or by
+            # 1/2 when that is not positive.
+            factor = 1.0 - f_new / f_old if f_old and f_new is not None else 0.0
+            weights[kept] *= factor if factor > 0.0 else 0.5
+        progress = f_old is not None and f_new is not None and abs(f_new) < 0.5 * abs(f_old)
+        return [_Interval(*child, tuple(weights), 0 if progress else iv.steps + 1)]
+
+    live = settle([_Interval(lo, hi, n_lo, n_hi)])
     while live:
-        # The deepest r with len(live) * (2^r - 1) <= points, at least 1.
-        depth = max(1, (points // len(live) + 1).bit_length() - 1)
-        mids = _subtree_midpoints(live, depth)
-        n_at = dict(zip(mids, (yield mids)))
+        pairs = [(iv, _step(iv, branches)) for iv in live]
+        stepping = [(iv, pair) for iv, pair in pairs if pair]
+        split = [iv for iv, pair in pairs if not pair]
+        lams = [lam for _, (x, h) in stepping for lam in (x - h, x + h)]
+        depth = 0
+        if split:
+            # The deepest r with len(split) * (2^r - 1) <= the points the
+            # steps leave, at least 1.
+            room = max(0, points - len(lams))
+            depth = max(1, (room // len(split) + 1).bit_length() - 1)
+            lams += _subtree_midpoints(split, depth)
+        n_at = dict(zip(lams, (yield from ask(lams))))
+        children = [child for iv, (x, h) in stepping for child in stepped(iv, x, h, n_at)]
         for _ in range(depth):
-            children = []
-            for a, b, n_a, n_b in live:
-                mid = 0.5 * (a + b)
-                # Clamped so that roundoff next to a level cannot break monotonicity.
-                n_mid = min(max(n_at[mid], n_a), n_b)
-                children += [(a, mid, n_a, n_mid), (mid, b, n_mid, n_b)]
-            live = settle(children)
+            halves = []
+            for iv in split:
+                mid = 0.5 * (iv.a + iv.b)
+                n_mid = min(max(n_at[mid], iv.n_a), iv.n_b)
+                # A stalled level's halves stay in subtree rounds.
+                steps = iv.steps if iv.steps >= _STALL else 0
+                halves += [
+                    _Interval(iv.a, mid, iv.n_a, n_mid, steps=steps),
+                    _Interval(mid, iv.b, n_mid, iv.n_b, steps=steps),
+                ]
+            split = settle(halves)
+        live = settle(children) + split
+    # Leaves come in round order; sorting restores the levels' order.
     leaves.sort()
-    values = [mid for _, mid, mult in leaves for _ in range(mult)]
+    values = [x for _, x, mult in leaves for _ in range(mult)]
     return np.array(values[:count])
 
 
@@ -785,7 +951,8 @@ def _search_family(members, count: int, lam_min: float | None, results: list) ->
     search waits on and counts them all in one call of the members' stacked
     count, so a family makes as many calls as its slowest search alone.
     Each point is counted as its system alone would count it, so every
-    search reads the same counts and takes the same decisions.
+    search reads the same counts and branch values and takes the same
+    decisions.
     """
     stacked = _EigenvalueCount.stack([one for _, one in members])
     points = _batch_points(stacked.size)
@@ -811,10 +978,10 @@ def _search_family(members, count: int, lam_min: float | None, results: list) ->
         else:
             graph = np.repeat([g for g, _ in asked], [len(batch) for _, batch in asked])
             lams = [lam for _, batch in asked for lam in batch]
-        counts = stacked.many(lams, graph)
+        counts, branches = stacked.many(lams, graph, branches=True)
         at = 0
         for g, batch in asked:
-            resume(g, counts[at : at + len(batch)])
+            resume(g, (counts[at : at + len(batch)], branches[at : at + len(batch)]))
             at += len(batch)
 
 
@@ -829,20 +996,21 @@ def eigenvalues_compact(
     The system must be compact (see :func:`~qgraph.graphs.truncate`).  The
     eigenvalue count N(lambda) brackets the spectrum (doubling -lambda until
     N = 0, then lambda until N covers `count`; the doubling sequence is
-    counted in batches, and the first upward batch also counts
-    ``lam_min``), and bisection refines every level to 1e-13 max(1,
+    counted in chunks, the upward one growing from one point, which is
+    counted with ``lam_min``), and each level is refined to 1e-13 max(1,
     |lambda|); a level's multiplicity is the jump of N across it.  N is
     read from the reduced matrix on the kept vertex values, which for an
     approximating graph with n outer edges is n wide: every inner edge's
-    midpoint is eliminated (see :class:`_Reduction`).  The bisection runs in
-    rounds: a round counts, in one batched call, at every midpoint of the
-    depth-r subtree of each live interval (r as deep as a batch of 32 points
-    allows on a reduced matrix up to 6 wide, and at least 1; a wider matrix
-    is counted one point per round, which is plain bisection), then takes r
-    levels of interval decisions from those counts.  Every decision reads
-    the count at the same lambda as a depth-first bisection would, so the
-    values and their order are that search's.  With ``lam_min``, which must
-    be finite, only eigenvalues above that floor are returned.
+    midpoint is eliminated (see :class:`_Reduction`).  The refinement runs
+    in rounds, each one batched count: bisection counts at every midpoint
+    of the depth-r subtree of each interval that holds several levels (r as
+    deep as a batch of 32 points allows on a reduced matrix up to 6 wide,
+    and at least 1; 1 on a wider matrix); an interval that holds one level
+    takes a weighted regula falsi step on the eigenvalue branch of the
+    reduced matrix that crosses 0 there, and counts the pair x -+ h with 2h
+    <= 1e-13 max(1, |x|).  A pair that holds the level's whole jump returns
+    x; a level that steps cannot take goes on bisecting.  With ``lam_min``,
+    which must be finite, only eigenvalues above that floor are returned.
 
     This is :func:`_eigenvalues_lockstep` on one system; an eig sweep runs
     it on all its approximating graphs at once, with the same result for

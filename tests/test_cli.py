@@ -18,9 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st_
 
-from qgraph import ApproxGraph, STForm, build_approx_graph, dumps, loads
+import qgraph.cli
+import qgraph.couplings
+from qgraph import ApproxGraph, STForm, ab_from_st, build_approx_graph, dumps, loads
 from qgraph.cli import main
 from helpers import (
+    make_delta,
     make_delta_prime,
     make_dirichlet,
     make_kirchhoff,
@@ -104,6 +107,27 @@ def test_convert_invalid_coupling_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "fails validation" in err
     assert len(err.strip().splitlines()) >= 2  # violations, then the verdict
+
+
+def test_convert_validates_a_matrix_pair_once(tmp_path, monkeypatch):
+    """``convert`` of a delta n = 3 (A, B) document runs validate_coupling
+    once: the CLI prints its violations, and normalizing does not check the
+    pair again."""
+    calls = []
+    validate = qgraph.couplings.validate_coupling
+
+    def counted(c):
+        calls.append(c)
+        return validate(c)
+
+    monkeypatch.setattr(qgraph.couplings, "validate_coupling", counted)
+    monkeypatch.setattr(qgraph.cli, "validate_coupling", counted)
+    pair = ab_from_st(make_delta())
+    path = write_doc(tmp_path, "delta-ab.json", pair)
+    out = tmp_path / "st.json"
+    assert main(["convert", path, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert isinstance(loads(out.read_text()), STForm)
 
 
 @pytest.mark.parametrize(

@@ -522,14 +522,14 @@ def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
 
 def test_eig_sweep_counts_as_often_as_its_slowest_graph(monkeypatch, st_delta_prime):
     """A default-grid eig sweep makes as many count calls as the star's
-    search plus the slowest approximating graph's search alone (34 in all
-    for delta', where one search per graph made 170)."""
+    search plus the slowest approximating graph's search alone (25 in all
+    for delta', where one search per graph made 103)."""
     calls = []
     many = solver._EigenvalueCount.many
 
-    def recorded(self, lams, graph=0):
+    def recorded(self, lams, graph=0, **kw):
         calls.append(len(lams))
-        return many(self, lams, graph)
+        return many(self, lams, graph, **kw)
 
     monkeypatch.setattr(solver._EigenvalueCount, "many", recorded)
     floor = eigengap_floor(st_delta_prime)
@@ -543,8 +543,8 @@ def test_eig_sweep_counts_as_often_as_its_slowest_graph(monkeypatch, st_delta_pr
         solo.append(len(calls))
     calls.clear()
     run_sweep(SweepConfig(st=st_delta_prime, metric=EigGap()))
-    assert len(calls) == star_calls + max(solo) == 34
-    assert star_calls + sum(solo) == 170
+    assert len(calls) == star_calls + max(solo) == 25
+    assert star_calls + sum(solo) == 103
 
 
 def _short_dirichlet_interval() -> MetricGraphSystem:

@@ -285,6 +285,27 @@ def test_star_scattering_bits_are_a_plain_solve(seed):
             assert star_scattering(c, k).tobytes() == expected.tobytes()
 
 
+def test_star_scattering_of_a_coupling_scaled_down():
+    """A pair scaled far below 1 is scaled up by a power of two before the
+    gate, which floors ||A + ikB||_1 at 1: S(k) = diag(-1, i) comes out
+    with the bits of a plain solve of the pair as given."""
+    c = VertexCoupling(2, 1e-13 * np.eye(2), 1e-13 * np.diag([0.0, 1.0]))
+    got = star_scattering(c, 1.0)
+    np.testing.assert_allclose(got, np.diag([-1.0, 1j]), rtol=0, atol=1e-15)
+    assert got.tobytes() == (-np.linalg.solve(c.A + 1j * c.B, c.A - 1j * c.B)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["st_delta", "st_delta_prime", "st_kirchhoff_perturbed", "st_complex_t"]
+)
+def test_star_scattering_bits_of_the_acceptance_couplings(name, request):
+    """The acceptance couplings' S(k) keep the bits of a plain solve."""
+    c = ab_from_st(request.getfixturevalue(name))
+    for k in (0.1, 0.5, 1.0, 2.0, 7.3):
+        expected = -np.linalg.solve(c.A + 1j * k * c.B, c.A - 1j * k * c.B)
+        assert star_scattering(c, k).tobytes() == expected.tobytes()
+
+
 def test_star_scattering_rejects_bad_momentum(st_delta):
     c = ab_from_st(st_delta)
     with pytest.raises(InputError):
