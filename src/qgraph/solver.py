@@ -594,10 +594,10 @@ class _EigenvalueCount(_Reduction):
     call.
     """
 
-    def many(self, lams, g: int | np.ndarray = 0, branches: bool = False):
+    def many(self, lams, g: int | np.ndarray = 0):
         """N(lambda) at every point of the 1-d array ``lams``, of the graph
         ``g`` of the stack, or of one graph per point when ``g`` is an
-        array; with ``branches``, also each point's :class:`_Branches`.
+        array, and each point's :class:`_Branches`.
 
         Edge coefficients are computed as (points, edges) arrays, the
         complement of all points as stacked matmuls, and the inertia as one
@@ -629,13 +629,10 @@ class _EigenvalueCount(_Reduction):
                 )
             eigs = _scaled_eigenvalues(part)
             inertia[at] = (eigs < 0).sum(axis=-1)
-            if branches:
-                for i, row in zip(at.tolist(), eigs):
-                    values[i] = row
+            for i, row in zip(at.tolist(), eigs):
+                values[i] = row
         offsets = [int(s) + n for s, n in zip(level_sum.tolist(), signs.tolist())]
         counts = [n + m for n, m in zip(offsets, inertia.tolist())]
-        if not branches:
-            return counts
         # The rows the bordered matrix has, the vectors it borders, and the
         # eliminated pivots' signs: points that share them, and their offset,
         # read one continuous matrix.  A border diagonal b changes sign
@@ -978,7 +975,7 @@ def _search_family(members, count: int, lam_min: float | None, results: list) ->
         else:
             graph = np.repeat([g for g, _ in asked], [len(batch) for _, batch in asked])
             lams = [lam for _, batch in asked for lam in batch]
-        counts, branches = stacked.many(lams, graph, branches=True)
+        counts, branches = stacked.many(lams, graph)
         at = 0
         for g, batch in asked:
             resume(g, (counts[at : at + len(batch)], branches[at : at + len(batch)]))

@@ -527,9 +527,9 @@ def test_eig_sweep_counts_as_often_as_its_slowest_graph(monkeypatch, st_delta_pr
     calls = []
     many = solver._EigenvalueCount.many
 
-    def recorded(self, lams, graph=0, **kw):
+    def recorded(self, lams, graph=0):
         calls.append(len(lams))
-        return many(self, lams, graph, **kw)
+        return many(self, lams, graph)
 
     monkeypatch.setattr(solver._EigenvalueCount, "many", recorded)
     floor = eigengap_floor(st_delta_prime)

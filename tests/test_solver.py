@@ -110,7 +110,12 @@ def _approx(st, d):
     return truncate(system_from_approx(build_approx_graph(st, d)), L=1.0)
 
 
-# -- interval spectra (textbook) -------------------------------------------
+def _counts(count, lams, g=0) -> list[int]:
+    """N(lambda) at every point of ``lams``, without the branches."""
+    return count.many(lams, g)[0]
+
+
+# -- interval spectra (textbook)-------------------------------------------
 
 def test_interval_dirichlet_dirichlet():
     ell = 1.3
@@ -348,7 +353,7 @@ def test_count_raises_no_floating_point_warnings_deep_below():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = eigenvalues_compact(sys_, 4)
-        assert _EigenvalueCount(sys_).many([-(2.0**40)]) == [0]
+        assert _counts(_EigenvalueCount(sys_), [-(2.0**40)]) == [0]
     assert got[3] == pytest.approx(2.4641930364, rel=1e-10)
 
 
@@ -955,7 +960,7 @@ def _dirichlet_level(sys_) -> float:
     for ell in np.unique(count.length):
         for m in (1, 2, 3):
             lam = (math.pi * m / ell) ** 2
-            if count.many([lam * (1.0 - 1e-9)]) == count.many([lam * (1.0 + 1e-9)]):
+            if _counts(count, [lam * (1.0 - 1e-9)]) == _counts(count, [lam * (1.0 + 1e-9)]):
                 return lam
     raise AssertionError("every tried Dirichlet level is an eigenvalue")
 
@@ -1021,11 +1026,11 @@ def test_batched_count_matches_one_point_reference(name):
     integers, at Dirichlet levels included."""
     count = _EigenvalueCount(COUNT_SYSTEMS[name][0]())
     grid = _count_grid(count)
-    got = count.many(grid)
-    assert got == [count.many([lam])[0] for lam in grid]
+    got = _counts(count, grid)
+    assert got == [_counts(count, [lam])[0] for lam in grid]
     # Shuffled and repeated points do not change any point's count.
     order = np.random.default_rng(0).permutation(2 * len(grid)) % len(grid)
-    assert count.many(np.array(grid)[order]) == [got[i] for i in order]
+    assert _counts(count, np.array(grid)[order]) == [got[i] for i in order]
 
 
 # The count's own noise near a level: within this relative distance of a
@@ -1058,7 +1063,7 @@ def _distance_to_oracle_level(unreduced, lam):
 def _assert_count_matches_unreduced(count, unreduced, lams):
     """The count equals the unreduced count at every point, except inside
     the flicker band of one of the unreduced count's levels."""
-    for lam, got in zip(lams, count.many(lams)):
+    for lam, got in zip(lams, _counts(count, lams)):
         expected = reference_count(unreduced, lam)
         if got != expected:
             assert _distance_to_oracle_level(unreduced, lam) is not None, (lam, got, expected)
@@ -1135,7 +1140,7 @@ def _assert_certified(sys_, values, lam_min=None, unreduced=True):
         return below == n and (above == n + m or i == len(levels) - 1 and above > n + m)
 
     def one_point(lam):
-        return count.many([lam])[0]
+        return _counts(count, [lam])[0]
 
     def oracle(lam):
         return reference_count(full, lam)
@@ -1160,7 +1165,7 @@ def test_level_synchronous_bisection_matches_depth_first_reference(name, monkeyp
     count = _EigenvalueCount(sys_)
 
     def count_below(lam):
-        return count.many([lam])[0]
+        return _counts(count, [lam])[0]
 
     floors = [None] + ([-10.0 * 3.0**2] if has_floor else [])
     refs = [reference_eigenvalues(count_below, 6, lam_min=lam_min) for lam_min in floors]
@@ -1247,7 +1252,7 @@ def test_count_across_a_vanishing_midpoint_pivot():
     _, _, piv, keep = count.complement(coef, ~np.isnan(b), 0)
     assert keep[:3, 0].all() and not keep[3:, 0].any()
     assert piv[4, 0] < 0 < piv[3, 0]
-    assert count.many(points) == [sum(level < lam for level in levels) for lam in points] == [1] * 5
+    assert _counts(count, points) == [sum(level < lam for level in levels) for lam in points] == [1] * 5
     # The resolvent recovers the midpoint's value whether it is a row or
     # eliminated.
     grid = [(e, s) for e in ("l", "r") for s in (0.0, 0.3, 1.0)]
@@ -1350,14 +1355,16 @@ def test_eigenvalue_search_call_count(make, d, floor, calls, monkeypatch):
     bisection's subtree rounds).  delta' at d = 2^-10 has a threefold level
     below -2e11 whose scaled branch reads +-1 up to the level, so it is
     finished in subtree rounds.  A round counts at most max(_ROUND_POINTS,
-    live intervals) points; a count of 5 keeps at most 5 intervals live, so
-    no call here is wider than _ROUND_POINTS."""
+    2 stepped + bisected) points: the pair of each stepped level and one
+    midpoint or more per bisected interval.  A count of 5 keeps at most 5
+    intervals live, whose steps count at most 10 points, so no call here is
+    wider than _ROUND_POINTS."""
     widths = []
     many = _EigenvalueCount.many
 
-    def counted(self, lams, graph=0, **kw):
+    def counted(self, lams, graph=0):
         widths.append(len(lams))
-        return many(self, lams, graph, **kw)
+        return many(self, lams, graph)
 
     monkeypatch.setattr(_EigenvalueCount, "many", counted)
     st = make()
@@ -1373,9 +1380,9 @@ def test_given_ends_are_counted_with_the_first_upward_batch(monkeypatch):
     calls = []
     many = _EigenvalueCount.many
 
-    def recorded(self, lams, graph=0, **kw):
+    def recorded(self, lams, graph=0):
         calls.append(list(lams))
-        return many(self, lams, graph, **kw)
+        return many(self, lams, graph)
 
     monkeypatch.setattr(_EigenvalueCount, "many", recorded)
     st = make_complex_t()
@@ -1425,14 +1432,14 @@ def test_chunked_bracket_matches_one_point_doubling(magnitude, negative, target)
         return n <= target if negative else n >= target
 
     ref = lam
-    while not done(n_ref := count.many([ref])[0]):
+    while not done(n_ref := _counts(count, [ref])[0]):
         ref *= 2.0
     chunk = solver._doubling(lam, solver._ROUND_POINTS)
-    search = solver._bracket(chunk, count.many(chunk), done, 0.0, solver._ROUND_POINTS)
+    search = solver._bracket(chunk, _counts(count, chunk), done, 0.0, solver._ROUND_POINTS)
     counts = None
     with pytest.raises(StopIteration) as stop:
         while True:
-            counts = count.many(search.send(counts))
+            counts = _counts(count, search.send(counts))
     assert stop.value.value == (ref, n_ref)
 
 
@@ -1453,7 +1460,7 @@ def test_eigenvalues_of_random_normal_forms_match_depth_first_reference(seed, d)
     count = _EigenvalueCount(sys_)
     floor = eigengap_floor(st)
     got = eigenvalues_compact(sys_, 6, lam_min=floor)
-    ref = reference_eigenvalues(lambda lam: count.many([lam])[0], 6, lam_min=floor)
+    ref = reference_eigenvalues(lambda lam: _counts(count, [lam])[0], 6, lam_min=floor)
     _assert_near_reference(got, ref)
     _assert_certified(sys_, got, floor, unreduced=False)
 
@@ -1476,7 +1483,7 @@ def _solo_references(systems, count, lam_min):
     refs = []
     for sys_ in systems:
         one = _EigenvalueCount(sys_)
-        refs.append(reference_eigenvalues(lambda lam: one.many([lam])[0], count, lam_min=lam_min))
+        refs.append(reference_eigenvalues(lambda lam: _counts(one, [lam])[0], count, lam_min=lam_min))
     return refs
 
 
@@ -1496,9 +1503,9 @@ def test_lockstep_search_matches_each_graph_alone(name, floor, monkeypatch):
     graphs_per_call = []
     many = _EigenvalueCount.many
 
-    def recorded(self, lams, graph=0, **kw):
+    def recorded(self, lams, graph=0):
         graphs_per_call.append(len(set(np.atleast_1d(graph).tolist())))
-        return many(self, lams, graph, **kw)
+        return many(self, lams, graph)
 
     monkeypatch.setattr(_EigenvalueCount, "many", recorded)
     got = solver._eigenvalues_lockstep(systems, count, lam_min)
@@ -1583,8 +1590,8 @@ def test_stacked_count_matches_one_graph_counts():
     rng = np.random.default_rng(5)
     lams = np.concatenate([[-(2.0**40), -1.0, 0.0, 1e-300, 7.0, 1e300], rng.uniform(-200, 5e4, 60)])
     graph = rng.integers(0, len(systems), len(lams))
-    got = stacked.many(lams, graph)
-    assert got == [counts[g].many([lam])[0] for lam, g in zip(lams, graph)]
+    got = _counts(stacked, lams, graph)
+    assert got == [_counts(counts[g], [lam])[0] for lam, g in zip(lams, graph)]
     far = rng.uniform(1e6, 1e7, 12)
     graph = rng.integers(0, len(systems), len(far))
     got = _bordered_at(stacked, far, graph)
@@ -1604,5 +1611,5 @@ def test_stacked_count_matches_one_graph_counts():
     _, _, _, keep = stacked.complement(coef, ~np.isnan(b), graph)
     both = keep.any(axis=1) & (~np.isnan(b)).any(axis=1)
     assert len(lams) // 2 < np.count_nonzero(both) < len(lams)
-    got = stacked.many(lams, graph)
-    assert got == [counts[g].many([lam])[0] for lam, g in zip(lams, graph)]
+    got = _counts(stacked, lams, graph)
+    assert got == [_counts(counts[g], [lam])[0] for lam, g in zip(lams, graph)]
