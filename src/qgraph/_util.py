@@ -35,12 +35,12 @@ def _default_tol() -> float:
 DEFAULT_TOL = _default_tol()
 
 
-def as_complex_matrix(value, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+def as_complex_matrix(value, name: str, shape: tuple[int, int]) -> np.ndarray:
     """Coerce ``value`` to a 2-D complex ndarray, checking shape and finiteness."""
     mat = np.asarray(value, dtype=complex)
     if mat.ndim != 2:
         raise StructuralError(f"{name} must be a 2-D matrix, got ndim={mat.ndim}")
-    if shape is not None and mat.shape != shape:
+    if mat.shape != shape:
         raise StructuralError(f"{name} must have shape {shape}, got {mat.shape}")
     if mat.size and not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
         raise InputError(f"{name} contains non-finite entries")

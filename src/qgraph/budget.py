@@ -214,13 +214,20 @@ class ManifoldConstants:
         return cls(blocks={key: block for key in keys})
 
 
-def _check_vertex_weights(mc: ManifoldConstants, w_vertex: dict) -> dict:
+def _least_over_weights(mc: ManifoldConstants, w_vertex: dict, eta: float, threshold) -> float:
+    """The least ``threshold(eta, block, |w_v|)`` over the vertices v with
+    w_v != 0, +inf when there is none, after checking eta and the weights."""
+    eta = require_positive_real(eta, "eta")
     if not w_vertex:
         raise StructuralError("at least one vertex weight is required")
     missing = set(w_vertex) - set(mc.blocks)
     if missing:
         raise StructuralError(f"no geometry constants for vertices {sorted(map(repr, missing))}")
-    return {key: require_finite_real(w, f"w_vertex[{key!r}]") for key, w in w_vertex.items()}
+    weights = {key: require_finite_real(w, f"w_vertex[{key!r}]") for key, w in w_vertex.items()}
+    return min(
+        (threshold(eta, mc.blocks[key], abs(w)) for key, w in weights.items() if w != 0.0),
+        default=math.inf,
+    )
 
 
 def eps0_manifold(mc: ManifoldConstants, w_vertex: dict, eta: float) -> float:
@@ -233,15 +240,9 @@ def eps0_manifold(mc: ManifoldConstants, w_vertex: dict, eta: float) -> float:
     eta c(v)/|w_v| is available as :func:`eps0_statement`, and the two
     need not agree.
     """
-    eta = require_positive_real(eta, "eta")
-    weights = _check_vertex_weights(mc, w_vertex)
-    best = math.inf
-    for key, w in weights.items():
-        if w == 0.0:
-            continue
-        block = mc.blocks[key]
-        best = min(best, block.vol / (abs(w) * block.c_upper))
-    return best
+    return _least_over_weights(
+        mc, w_vertex, eta, lambda eta, block, w: block.vol / (w * block.c_upper)
+    )
 
 
 def eps0_statement(mc: ManifoldConstants, w_vertex: dict, eta: float) -> float:
@@ -251,14 +252,7 @@ def eps0_statement(mc: ManifoldConstants, w_vertex: dict, eta: float) -> float:
     produces :func:`eps0_manifold`, and the discrepancy between the two
     is surfaced by keeping both callable rather than picking silently.
     """
-    eta = require_positive_real(eta, "eta")
-    weights = _check_vertex_weights(mc, w_vertex)
-    best = math.inf
-    for key, w in weights.items():
-        if w == 0.0:
-            continue
-        best = min(best, eta * mc.blocks[key].c_lower / abs(w))
-    return best
+    return _least_over_weights(mc, w_vertex, eta, lambda eta, block, w: eta * block.c_lower / w)
 
 
 def delta_eps(eps: float, d: float, max_w: float) -> float:
@@ -309,6 +303,12 @@ class ExponentBudget:
 _SNAP = Fraction(1, 10**12)
 
 
+#: The constants c of the form exponent (1 - c alpha)/2 and of the operator
+#: exponent (1 - c alpha)/2, by whether the improved edge-neighborhood
+#: condition (eq29) holds.
+_EXPONENTS = {False: (5, 13), True: (3, 7)}
+
+
 def _as_fraction(alpha) -> Fraction:
     if isinstance(alpha, Fraction):
         return alpha
@@ -329,7 +329,7 @@ def optimal_alpha(eq29_holds: bool = False) -> tuple[Fraction, Fraction]:
     where they cross: 1 - c alpha = alpha at alpha = 1/(c + 1), giving
     1/14 -> 1/28 for c = 13 and 1/8 -> 1/16 for c = 7.
     """
-    c = 7 if eq29_holds else 13
+    c = _EXPONENTS[bool(eq29_holds)][1]
     best = Fraction(1, c + 1)
     return best, best / 2
 
@@ -343,27 +343,20 @@ def exponent_budget(alpha, eq29_holds: bool = False) -> ExponentBudget:
     ``exponent_budget(1/14).combined == Fraction(1, 28)`` exactly.
     """
     a = _as_fraction(alpha)
-    limit = Fraction(1, 7) if eq29_holds else Fraction(1, 13)
+    form_c, operator_c = _EXPONENTS[bool(eq29_holds)]
+    limit = Fraction(1, operator_c)
     if not 0 < a < limit:
         raise InputError(
             f"alpha must lie in (0, {limit}){' under the improved condition' if eq29_holds else ''}, "
             f"got {alpha!r}"
         )
-    if eq29_holds:
-        form = (1 - 3 * a) / 2
-        operator = (1 - 7 * a) / 2
-        combined = min(1 - 7 * a, a) / 2
-    else:
-        form = (1 - 5 * a) / 2
-        operator = (1 - 13 * a) / 2
-        combined = min(1 - 13 * a, a) / 2
     best, best_value = optimal_alpha(eq29_holds)
     return ExponentBudget(
         alpha=a,
         eq29=bool(eq29_holds),
-        form=form,
-        operator=operator,
-        combined=combined,
+        form=(1 - form_c * a) / 2,
+        operator=(1 - operator_c * a) / 2,
+        combined=min(1 - operator_c * a, a) / 2,
         optimal_alpha=best,
         optimal_combined=best_value,
     )

@@ -207,10 +207,7 @@ def _sweep_d_values(args) -> tuple[float, ...]:
 
 def cmd_sweep(args) -> int:
     st = _as_st(_load(args.input), args.input)
-    try:
-        cfg = SweepConfig(st=st, metric=_sweep_metric(args), d_values=_sweep_d_values(args))
-    except InputError as exc:
-        raise _CliFailure(EXIT_INVALID, str(exc))
+    cfg = SweepConfig(st=st, metric=_sweep_metric(args), d_values=_sweep_d_values(args))
     report = run_sweep(cfg)
     if not report.values:
         for point in report.points:
@@ -224,20 +221,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    if args.alpha is None:
+    alpha = args.alpha
+    if alpha is None:
         alpha, combined = optimal_alpha(args.eq29)
         print(
             f"optimal alpha = {alpha} ({format_float(alpha)}), "
             f"combined exponent = {combined} ({format_float(combined)})"
         )
-        if args.out is not None:
-            budget = exponent_budget(alpha, args.eq29)
-            _write_text(args.out, serialize.dumps(budget_to_json(budget)))
-        return EXIT_OK
-    try:
-        budget = exponent_budget(args.alpha, args.eq29)
-    except InputError as exc:
-        raise _CliFailure(EXIT_INVALID, str(exc))
+        if args.out is None:
+            return EXIT_OK
+    budget = exponent_budget(alpha, args.eq29)
     _write_text(args.out, serialize.dumps(budget_to_json(budget)))
     return EXIT_OK
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +43,13 @@ from ._util import (
     require_finite_complex,
     require_finite_real,
     require_half_length,
-    require_nonnegative_real,
     require_positive_int,
     require_positive_real,
 )
 from .builder import build_approx_graph
 from .couplings import STForm, ab_from_st, star_scattering
 from .errors import ConditioningError, InputError, QGraphError, ResonantKError
-from .graphs import MetricGraphSystem, star_system, system_from_approx, truncate
+from .graphs import star_system, system_from_approx, truncate
 from .solver import (
     GreensFunction,
     _eigenvalues_lockstep,
@@ -131,14 +130,14 @@ MetricSpec = ScatteringNorm | HSResolvent | EigGap
 class SweepConfig:
     """One convergence experiment: a coupling, a metric, and a d grid.
 
-    Metric values at or below ``tol`` count as converged to roundoff and
-    are excluded from the rate fit (their rows stay in the report).
+    Metric values at or below the library's ``DEFAULT_TOL`` (1e-10 unless
+    ``QGRAPH_TOL`` overrides it) count as converged to roundoff and are
+    excluded from the rate fit (their rows stay in the report).
     """
 
     st: STForm
     metric: MetricSpec
     d_values: tuple[float, ...] = DEFAULT_D_VALUES
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if type(self.metric) not in _GRIDS:
@@ -147,7 +146,6 @@ class SweepConfig:
         if any(b >= a for a, b in zip(ds, ds[1:])):
             raise InputError("d_values must be strictly decreasing")
         object.__setattr__(self, "d_values", ds)
-        object.__setattr__(self, "tol", require_nonnegative_real(self.tol, "tol"))
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,6 @@ class ConvergenceReport:
     intercept: float | None
     residual: float | None
     conclusive: bool
-    tol: float = field(default=DEFAULT_TOL)
 
     @property
     def values(self) -> tuple[tuple[float, float], ...]:
@@ -296,26 +293,6 @@ def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
     return [gaps[d] for d in d_values]
 
 
-def _require_same_outer_edges(star_t: MetricGraphSystem, approx_t: MetricGraphSystem) -> None:
-    """The truncated star's edges lead the approximating system's edges with
-    the same ids, lengths and potentials, so that their free kernels agree."""
-    for star_edge, edge in zip(star_t.edges, approx_t.edges):
-        if star_edge.id != edge.id:
-            raise QGraphError("outer edge order mismatch between systems")
-        if (star_edge.length, star_edge.a) != (edge.length, edge.a):
-            raise QGraphError(
-                f"outer edge geometry mismatch on edge {edge.id!r}: length "
-                f"{star_edge.length!r} vs {edge.length!r}, a {star_edge.a!r} vs {edge.a!r}"
-            )
-
-
-def _star_amplitudes(star_t: MetricGraphSystem, z: complex) -> np.ndarray:
-    """The mode amplitude matrix of the truncated star's resolvent, read-only."""
-    amp = greens_function(star_t, z)._amp
-    amp.flags.writeable = False
-    return amp
-
-
 def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
     """exp[z_0, z_1, z_2] for each last-axis triple of ``nodes``, all with
     Re z <= 0: the corner entry of exp(M) for the bidiagonal M with the
@@ -402,6 +379,11 @@ def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray) -> float:
     e^v (D_2 + D_3) (conj A_++ + conj A_--)).  On a short edge the odd
     mode's terms cancel to O((kl)^3) while A_-- grows as (kl)^-2, so the
     value's relative rounding error grows as 1 / d: 7e-15 at d = 2^-10.
+
+    A square sum not above _HS_ROUNDING times the sum of its terms'
+    magnitudes, those three per inner edge and the edge-pair sum, is lost
+    to rounding (near z = 0, or on short edges at small d) and raises
+    :class:`ConditioningError`.
     """
     k = g_d.k
     length = np.array([edge.length for edge in g_d.system.edges])
@@ -413,7 +395,7 @@ def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray) -> float:
     diff[:, :n_out, :, :n_out] -= amp_star.reshape(2, n_out, 2, n_out)
     gram = _mode_grams(k, length)
     c_sq = 0.25 / abs(k) ** 2
-    total = np.einsum("iejf,ie,jf->", diff.real**2 + diff.imag**2, gram, gram) * c_sq
+    pair = np.einsum("iejf,ie,jf->", diff.real**2 + diff.imag**2, gram, gram) * c_sq
     inner = np.arange(n_out, ne)
     u = 1j * k * length[inner]
     v, zero = u.conj(), np.zeros_like(u)
@@ -423,9 +405,28 @@ def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray) -> float:
         np.stack([zero, u - v, zero], axis=-1),
     ]))
     even, odd = amp[0, inner, 0, inner].conj(), amp[1, inner, 1, inner].conj()
-    own = d_2 + 2.0 * d_1 * (even - odd) + np.exp(v) * (d_2 + d_3) * (even + odd)
-    total += 2.0 * c_sq * (length[inner] ** 2 * own.real).sum()
+    odd_part = 2.0 * d_1 * (even - odd)
+    even_part = np.exp(v) * (d_2 + d_3) * (even + odd)
+    own = d_2 + odd_part + even_part
+    total = pair + 2.0 * c_sq * (length[inner] ** 2 * own.real).sum()
+    magnitude = pair + 2.0 * c_sq * (
+        length[inner] ** 2 * (np.abs(d_2) + np.abs(odd_part) + np.abs(even_part))
+    ).sum()
+    if not total > _HS_ROUNDING * magnitude:
+        raise ConditioningError(
+            f"HS distance lost to rounding: its square sums to {total:.3e} "
+            f"from terms of magnitude {magnitude:.3e}"
+        )
     return float(math.sqrt(total))
+
+
+# The rounding bound of the HS square sum relative to its terms' magnitudes.
+# Against the same sum in long double, the float sum erred by at most 324
+# eps of them over 1,584 points (six couplings up to delta' n = 16; z from
+# -1e8 to 1e-12 i; L from 1e-3 to 1e3; d from 2^-2 to 2^-20).  The default
+# grid's points at z = -1 and L = 1 clear the bound by 5e8 or more on the
+# acceptance couplings.
+_HS_ROUNDING = 1024.0 * float(np.finfo(float).eps)
 
 
 def metric_hs_resolvent(st: STForm, d: float, z: complex = -1.0, L: float = 1.0) -> float:
@@ -436,31 +437,22 @@ def metric_hs_resolvent(st: STForm, d: float, z: complex = -1.0, L: float = 1.0)
     contribute the plain Hilbert-Schmidt mass of G_d.  The double integral
     of |G_d - G*|^2 is evaluated in closed form from the kernels' rank-2
     edge-pair factors and the inner edges' free kernels (see
-    :func:`_hs_distance`), so no kernel is sampled; the outer edges of the
-    two systems must agree in id, length and potential.
+    :func:`_hs_distance`), so no kernel is sampled.  The outer edges of the
+    two systems agree in id, length and potential by construction (see
+    :func:`~qgraph.graphs.system_from_approx`).
     """
     return _one_d(_hs_distances(st, (d,), HSResolvent(z=z, L=L)))
 
 
 def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
     """Per d of ``d_values``, the outcome of :func:`metric_hs_resolvent`; a
-    QGraphError of the truncated star propagates.  The star's amplitudes,
-    or the QGraphError they raise, are computed once, at the first d whose
-    graph builds with the star's outer edges, and serve every d after it."""
-    star_t = truncate(star_system(st), L=spec.L)
-    amp_star: np.ndarray | QGraphError | None = None
+    QGraphError of the truncated star propagates.  The star's mode
+    amplitudes are computed once, up front, and serve every d, read-only."""
+    amp_star = greens_function(truncate(star_system(st), L=spec.L), spec.z)._amp
+    amp_star.flags.writeable = False
 
     def distance(d):
-        nonlocal amp_star
         approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
-        _require_same_outer_edges(star_t, approx_t)
-        if amp_star is None:
-            try:
-                amp_star = _star_amplitudes(star_t, spec.z)
-            except QGraphError as exc:
-                amp_star = exc
-        if isinstance(amp_star, QGraphError):
-            return amp_star
         return _hs_distance(greens_function(approx_t, spec.z), amp_star)
 
     return _each(d_values, distance)
@@ -507,34 +499,33 @@ def _flat(text: str) -> str:
 def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Evaluate the metric at every d, fit the rate, assemble the report.
 
-    The metric's grid function maps the d grid to per-d outcomes, with
-    warnings suppressed, and computes the star side, which does not depend
-    on d, once (an eig grid also searches all d values' eigenvalues in
-    lockstep; see :func:`~qgraph.solver._eigenvalues_lockstep`).  Every d's
+    The metric's grid function maps the d grid to per-d outcomes, and
+    computes the star side, which does not depend on d, once, up front (an
+    eig grid also searches all d values' eigenvalues in lockstep; see
+    :func:`~qgraph.solver._eigenvalues_lockstep`).  Every d's
     value is the one its own metric call gives, and the report lists the d
     values in their given (decreasing) order, so it is deterministic.  A d
     where the builder or the solver raises is recorded as skipped with the
     error message, and the other d values are unaffected; a failure of the
-    star side skips every d.  Fewer than four valid points leave the report
-    inconclusive with the fit fields unset.
+    star side skips every d.  Values at or below ``DEFAULT_TOL`` are kept
+    but excluded from the fit.  Fewer than four valid points leave the
+    report inconclusive with the fit fields unset.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            outcomes = _GRIDS[type(cfg.metric)](cfg.st, cfg.d_values, cfg.metric)
-        except QGraphError as exc:
-            outcomes = [exc] * len(cfg.d_values)
+    try:
+        outcomes = _GRIDS[type(cfg.metric)](cfg.st, cfg.d_values, cfg.metric)
+    except QGraphError as exc:
+        outcomes = [exc] * len(cfg.d_values)
     points: list[SweepPoint] = []
     for d, value in zip(cfg.d_values, outcomes):
         if isinstance(value, QGraphError):
             points.append(SweepPoint(d=d, value=None, status=f"skipped: {_flat(str(value))}"))
             continue
         status = "ok"
-        if value <= cfg.tol:
+        if value <= DEFAULT_TOL:
             status += "; at roundoff; excluded from fit"
         points.append(SweepPoint(d=d, value=value, status=status))
     fit_points = [
-        (p.d, p.value) for p in points if p.value is not None and p.value > cfg.tol
+        (p.d, p.value) for p in points if p.value is not None and p.value > DEFAULT_TOL
     ]
     if len(fit_points) >= 4:
         slope, intercept, residual = fit_rate(fit_points)
@@ -549,7 +540,6 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
         intercept=intercept,
         residual=residual,
         conclusive=conclusive,
-        tol=cfg.tol,
     )
 
 

@@ -332,8 +332,10 @@ def star_scattering(c: VertexCoupling, k: float) -> np.ndarray:
     minus = c.A - 1j * k * c.B
     # The gate floors ||A + ikB||_1 at 1 (see gated_solve), so a pair scaled
     # down far is first scaled up, by a power of two, which changes no bit
-    # of S(k), until ||A + ikB||_1 >= 1.
-    norm = np.linalg.norm(plus, 1)
+    # of S(k), until ||A + ikB||_1 >= 1.  A norm that overflows needs no
+    # scaling: the gate refuses that pair.
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(plus, 1)
     if 0.0 < norm < 1.0:
         scale = 2.0 ** (1 - math.frexp(norm)[1])
         plus, minus = plus * scale, minus * scale

@@ -63,7 +63,8 @@ class DegenerateArgumentError(QGraphError):
 
 
 class ConditioningError(QGraphError):
-    """A linear system that should be regular is numerically singular."""
+    """A linear system that should be regular is numerically singular, or
+    a sum cancels below its rounding error."""
 
 
 class ResonantKError(QGraphError):

@@ -690,14 +690,14 @@ def _doubling(lam: float, points: int) -> list[float]:
     return chunk
 
 
-def _bracket(chunk: list[float], counts, done, other_end: float, points: int):
+def _bracket(chunk: list[float], counts, done, other_end: float, points: int, ask):
     """The first lambda of the doubling sequence that begins with ``chunk``
     whose count passes ``done``, and that count, as a generator (see
     :func:`_search`).  ``counts`` are the counts at ``chunk``, taken by the
-    caller; the rest of the sequence is yielded in chunks twice as long as
-    the one before, up to ``points``.  It ends, with
-    :class:`ScanRangeError`, at the last lambda whose double is still
-    finite."""
+    caller; the rest of the sequence is counted through ``yield from
+    ask(chunk)``, in chunks twice as long as the one before, up to
+    ``points``.  It ends, with :class:`ScanRangeError`, at the last lambda
+    whose double is still finite."""
     while True:
         for lam, n in zip(chunk, counts):
             if done(n):
@@ -708,7 +708,7 @@ def _bracket(chunk: list[float], counts, done, other_end: float, points: int):
                 window=(min(lam, other_end), max(lam, other_end)),
             )
         chunk = _doubling(2.0 * lam, min(points, 2 * len(chunk)))
-        counts = yield chunk
+        counts = yield from ask(chunk)
 
 
 def _is_leaf(a: float, b: float) -> bool:
@@ -795,21 +795,12 @@ def _search(points: int, count: int, lam_min: float | None):
         branches.update(zip(lams, found))
         return counts
 
-    def relay(bracket):
-        """Run a :func:`_bracket`, which is sent counts alone."""
-        try:
-            lams = next(bracket)
-            while True:
-                lams = bracket.send((yield from ask(lams)))
-        except StopIteration as stop:
-            return stop.value
-
     # The upward doubling starts with one point: most searches need a few of
     # its points, and those far up border every edge.
     if lam_min is None:
         down = _doubling(-1.0, points)
         counts = yield from ask(down)
-        lo, n_lo = yield from relay(_bracket(down, counts, lambda n: n == 0, 0.0, points))
+        lo, n_lo = yield from _bracket(down, counts, lambda n: n == 0, 0.0, points, ask)
         up = [max(1.0, 2.0 * lo)]
         counts = yield from ask(up)
     else:
@@ -818,7 +809,7 @@ def _search(points: int, count: int, lam_min: float | None):
         up = [max(1.0, 2.0 * lo)]
         n_lo, *counts = yield from ask([lam_min] + up)
     target = n_lo + count
-    hi, n_hi = yield from relay(_bracket(up, counts, lambda n: n >= target, lo, points))
+    hi, n_hi = yield from _bracket(up, counts, lambda n: n >= target, lo, points, ask)
     leaves: list[tuple[float, float, int]] = []
 
     def settle(intervals):
@@ -897,9 +888,11 @@ def _search(points: int, count: int, lam_min: float | None):
                 ]
             split = settle(halves)
         live = settle(children) + split
-    # Leaves come in round order; sorting restores the levels' order.
+    # Leaves come in round order; sorting restores the levels' order.  A
+    # leaf's jump can be huge (about sqrt(lambda) L / pi on an edge of length
+    # L), so it is expanded to at most ``count`` values.
     leaves.sort()
-    values = [x for _, x, mult in leaves for _ in range(mult)]
+    values = [x for _, x, mult in leaves for _ in range(min(mult, count))]
     return np.array(values[:count])
 
 

@@ -247,6 +247,22 @@ def test_sweep_invalid_metric_parameters_exit_2(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options", [["--z-re", "0", "--z-im", "1e-12"], ["--L", "1e-6", "--d-range", "20:30"]]
+)
+def test_sweep_hs_lost_to_rounding_skips_with_a_reason(tmp_path, capsys, options):
+    """Near z = 0, or on short truncations at small d, the closed form's
+    terms cancel below their rounding (its square sum read negative at
+    most of these d): every d is skipped with the reason, and the sweep
+    exits 4 without a traceback."""
+    path = write_doc(tmp_path, "dp.json", make_delta_prime(beta=1.0, n=3))
+    assert main(["sweep", path, "--metric", "hs", *options]) == 4
+    *points, last = capsys.readouterr().err.splitlines()
+    assert last == "sweep failed at every d value" and len(points) in (9, 11)
+    for line in points:
+        assert ": skipped: HS distance lost to rounding: " in line, line
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "x.json", "--metric", "bogus"])
@@ -298,6 +314,23 @@ def test_budget_with_alpha_writes_json(tmp_path, capsys):
 def test_budget_alpha_out_of_range_exits_2(capsys):
     assert main(["budget", "--alpha", "0.2"]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "{doc}", "--metric", "hs", "--z-re", "0", "--z-im", "0"],
+         "z = 0 is not a valid resolvent point"),
+        (["budget", "--alpha", "1/13"], "alpha must lie in (0, 1/13), got Fraction(1, 13)"),
+    ],
+)
+def test_library_input_errors_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    """main alone maps a library error: exit 2, and its message as the one
+    stderr line."""
+    doc = write_doc(tmp_path, "dp.json", make_delta_prime(beta=1.0, n=3))
+    assert main([arg.format(doc=doc) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
 
 
 # -- spectrum ---------------------------------------------------------------
@@ -389,6 +422,39 @@ def test_version_via_module_and_script():
     if script is not None:
         direct = subprocess.run([script, "--version"], capture_output=True, text=True)
         assert direct.returncode == 0 and direct.stdout == result.stdout
+
+
+# Run qgraph under a 2 GB address-space limit (BLAS on one thread), so that
+# a regression fails with a MemoryError instead of exhausting the machine.
+_UNDER_2GB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from qgraph.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "{doc}", "--L", "1e20", "--count", "3"],
+        ["spectrum", "{doc}", "--L", "1e300", "--count", "3"],
+        ["sweep", "{doc}", "--metric", "eig", "--L", "1e20", "--d", "0.25"],
+    ],
+)
+def test_long_truncation_expands_at_most_count_levels(tmp_path, argv):
+    """On a long truncation one leaf of the eigenvalue search holds a jump
+    of about sqrt(lambda) L / pi levels; it is expanded to the requested
+    count only, in little memory and time."""
+    doc = write_doc(tmp_path, "dp.json", make_delta_prime(beta=1.0, n=3))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", _UNDER_2GB, *(arg.format(doc=doc) for arg in argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    if argv[0] == "spectrum":
+        assert len(read_csv_values(result.stdout)) == 3
 
 
 def test_tolerance_env_override(tmp_path):
@@ -556,6 +622,8 @@ def _run_quietly(argv, text):
 @example({"n": 2, "d": 1e-308, "neighbors": {"1": [2], "2": [1]}, "w_vertex": {"1": 1, "2": 1},
           "w_inner": {"1-2": 1}, "a_inner": {"1-2": 1}})
 @example({"st": {"m": 1, "perm": [1], "S": [[{"re": 1e308, "im": 0}]], "T": [[]]}})
+@example({"st": {"m": 2, "perm": [1, 2], "T": [[], []],
+                 "S": [[{"re": 1e308, "im": 0}] * 2, [{"re": 1e308, "im": 0}] * 2]}})
 @example(_HUGE_INTEGER_DOCS[0])
 @example(_HUGE_INTEGER_DOCS[1])
 @example(_HUGE_INTEGER_DOCS[2])
@@ -566,9 +634,10 @@ def test_fuzzed_documents_exit_with_a_documented_code(doc):
     documented code and print no traceback or warning; a converted S is
     Hermitian, and a built graph is a valid document.  The examples: an
     unhashable kind; a pair whose magnetic phase underflows; T columns whose
-    overlap overflows; a vertex strength that overflows; edges so short that
-    their 2/l terms overflow the spectrum's reduced matrix; a document
-    nested deeper than the JSON parser recurses, given as its text."""
+    overlap overflows; a vertex strength that overflows; an S whose A + ikB
+    has a 1-norm beyond the float range; edges so short that their 2/l
+    terms overflow the spectrum's reduced matrix; a document nested deeper
+    than the JSON parser recurses, given as its text."""
     text = doc if isinstance(doc, str) else json.dumps(doc)
     for argv in (["convert", "-"], ["build", "-", "--d", "0.25"], ["spectrum", "-", "--count", "3"],
                  ["sweep", "-", "--metric", "scattering", "--d", "0.25"]):

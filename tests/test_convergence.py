@@ -154,8 +154,6 @@ def test_sweep_config_validation(st_delta):
         SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(0.1, 0.2))
     with pytest.raises(InputError):
         SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(1.5, 0.2))
-    with pytest.raises(InputError):
-        SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(0.2, 0.1), tol=-1.0)
 
 
 @pytest.mark.parametrize("metric", [None, "eig", ScatteringNorm, (0.5, 1.0)])
@@ -163,14 +161,6 @@ def test_sweep_config_rejects_an_unknown_metric(st_delta, metric):
     """Only a ScatteringNorm, HSResolvent or EigGap instance names a metric."""
     with pytest.raises(InputError, match=re.escape(f"unknown metric specification {metric!r}")):
         SweepConfig(st=st_delta, metric=metric)
-
-
-@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
-def test_sweep_config_rejects_negative_or_non_finite_tol(st_delta, tol):
-    message = f"tol must be nonnegative, got {tol}" if math.isfinite(tol) else "tol must be finite"
-    with pytest.raises(InputError, match=re.escape(message)):
-        SweepConfig(st=st_delta, metric=ScatteringNorm(), d_values=(0.2, 0.1), tol=tol)
-    assert SweepConfig(st=st_delta, metric=ScatteringNorm(), tol=0.0).tol == 0.0
 
 
 # -- metrics ----------------------------------------------------------------
@@ -342,25 +332,34 @@ def test_hs_sweep_far_from_spectrum_keeps_its_rate():
     assert report.slope == pytest.approx(0.5, abs=0.01)
 
 
-def test_metric_hs_requires_matching_outer_edges():
-    """Hand-built truncated stars whose outer edges differ from a plain
-    one's in potential, length or order."""
-    center = star_system(make_delta()).vertices
+_LAYOUT_FORMS = {
+    "random_n3_seed1": lambda: random_st(np.random.default_rng(1), n=3),
+    "random_n3_seed2": lambda: random_st(np.random.default_rng(2), n=3),
+    "random_n5_seed3": lambda: random_st(np.random.default_rng(3), n=5),
+    "random_n5_seed4": lambda: random_st(np.random.default_rng(4), n=5),
+    "delta_prime_n16": lambda: make_delta_prime(beta=1.0, n=16),
+}
 
-    def star(*edges, L=1.0):
-        return truncate(MetricGraphSystem(edges=edges, vertices=center), L=L)
 
-    half = {j: Edge(id=j, length=math.inf) for j in (1, 2, 3)}
-    plain = star(half[1], half[2], half[3])
-    convergence._require_same_outer_edges(plain, plain)
-    mismatched = [
-        ("geometry mismatch on edge 1", star(Edge(id=1, length=math.inf, a=0.5), half[2], half[3])),
-        ("geometry mismatch on edge 1", star(half[1], half[2], half[3], L=2.0)),
-        ("order mismatch", star(half[2], half[1], half[3])),
-    ]
-    for message, other in mismatched:
-        with pytest.raises(QGraphError, match=f"outer edge {message}"):
-            convergence._require_same_outer_edges(plain, other)
+@pytest.mark.parametrize(
+    "name", ["delta", "delta_prime_s", "kirchhoff_perturbed", "complex_t", *_LAYOUT_FORMS]
+)
+def test_truncated_star_edges_lead_every_approximating_system(name, reference_couplings):
+    """The HS closed form pairs the truncated star's edges with the leading
+    edges of each truncated approximating system: star_system and
+    system_from_approx both make outer edges 1..n half-lines with a = 0,
+    and truncate cuts both at the same L, so the ids, lengths and
+    potentials agree."""
+    st = reference_couplings.get(name) or _LAYOUT_FORMS[name]()
+    for L in (1e-3, 1.0, 1e3):
+        star_t = truncate(star_system(st), L=L)
+        star_edges = [(edge.id, edge.length, edge.a) for edge in star_t.edges]
+        assert star_edges == [(j, L, 0.0) for j in range(1, st.n + 1)]
+        for d in (0.5, 2.0**-4, 2.0**-10, 2.0**-30):
+            approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=L)
+            assert len(approx_t.edges) > st.n
+            leading = [(edge.id, edge.length, edge.a) for edge in approx_t.edges[: st.n]]
+            assert leading == star_edges
 
 
 def test_eigengap_floor_values(st_delta_prime):
@@ -423,13 +422,14 @@ def test_run_sweep_all_points_failing():
     assert report.slope is None and report.residual is None
 
 
-def test_run_sweep_roundoff_exclusion(st_delta):
-    """With tol above every metric value the fit has nothing to work with."""
+def test_run_sweep_roundoff_exclusion(monkeypatch, st_delta):
+    """With the tolerance above every metric value the fit has nothing to
+    work with."""
+    monkeypatch.setattr(convergence, "DEFAULT_TOL", 2.1)
     cfg = SweepConfig(
         st=st_delta,
         metric=ScatteringNorm(),
         d_values=(0.5, 0.25, 0.125, 0.0625),
-        tol=2.1,
     )
     report = run_sweep(cfg)
     assert len(report.values) == 4
@@ -453,6 +453,7 @@ def _metric_call(st, d, metric):
 def _per_d_report(cfg) -> ConvergenceReport:
     """The sweep report rebuilt from one public metric call per d, each
     made outside any sweep."""
+    tol = convergence.DEFAULT_TOL
     points = []
     for d in cfg.d_values:
         try:
@@ -462,14 +463,14 @@ def _per_d_report(cfg) -> ConvergenceReport:
             points.append(SweepPoint(d=d, value=None, status=f"skipped: {flat}"))
             continue
         status = "ok"
-        if value <= cfg.tol:
+        if value <= tol:
             status += "; at roundoff; excluded from fit"
         points.append(SweepPoint(d=d, value=value, status=status))
-    fit = [(p.d, p.value) for p in points if p.value is not None and p.value > cfg.tol]
+    fit = [(p.d, p.value) for p in points if p.value is not None and p.value > tol]
     slope, intercept, residual = fit_rate(fit) if len(fit) >= 4 else (None, None, None)
     return ConvergenceReport(
         metric=cfg.metric, points=tuple(points), slope=slope, intercept=intercept,
-        residual=residual, conclusive=len(fit) >= 4, tol=cfg.tol,
+        residual=residual, conclusive=len(fit) >= 4,
     )
 
 

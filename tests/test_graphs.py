@@ -15,7 +15,6 @@ from qgraph import (
     InputError,
     MetricGraphSystem,
     StructuralError,
-    SweepConfig,
     Vertex,
     VertexCoupling,
     NeighborSets,
@@ -50,7 +49,6 @@ def test_edge_half_line_and_validation():
 _SCALAR_TARGETS = {
     "Edge.length": lambda x: Edge(id=1, length=x),
     "HSResolvent.L": lambda x: HSResolvent(L=x),
-    "SweepConfig.tol": lambda x: SweepConfig(make_delta_prime(), HSResolvent(), tol=x),
     "truncate.L": lambda x: truncate(star_system(make_delta_prime()), L=x),
     "eigenvalues_compact.lam_min": lambda x: eigenvalues_compact(
         truncate(star_system(make_delta_prime())), 1, lam_min=x

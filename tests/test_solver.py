@@ -1434,8 +1434,11 @@ def test_chunked_bracket_matches_one_point_doubling(magnitude, negative, target)
     ref = lam
     while not done(n_ref := _counts(count, [ref])[0]):
         ref *= 2.0
+    def ask(lams):
+        return (yield lams)
+
     chunk = solver._doubling(lam, solver._ROUND_POINTS)
-    search = solver._bracket(chunk, _counts(count, chunk), done, 0.0, solver._ROUND_POINTS)
+    search = solver._bracket(chunk, _counts(count, chunk), done, 0.0, solver._ROUND_POINTS, ask)
     counts = None
     with pytest.raises(StopIteration) as stop:
         while True:
