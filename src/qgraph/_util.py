@@ -193,30 +193,47 @@ def require_positive_int(value, name: str, low: int = 1) -> int:
 _COND_LIMIT = 1e12
 
 
-def gated_solve(mat, rhs, error: type, message: str, solve=np.linalg.solve, **info):
-    """The solution of ``mat x = rhs``; ``error(message, **info)``, with
-    the condition appended, when the 1-norm condition ||mat||_1
-    ||mat^-1||_1 exceeds _COND_LIMIT.  One ``solve`` (the solver passes its
-    ``np.linalg.solve``, the name a tracer rebinds) of [rhs | I] gives the
-    solution and the inverse from one factorization; the extra columns
-    leave the solution's bits as a solve of rhs alone gives them.  The norm
+def gated_solve(mats, rhs, solve=np.linalg.solve):
+    """Per matrix of the stack ``mats`` (points, n, n), the solution of
+    ``mat x = rhs`` (rhs (points, n, m)) and the exact 1-norm condition
+    ||mat||_1 ||mat^-1||_1, which :func:`gate_error` compares with
+    _COND_LIMIT.  One stacked ``solve`` (the solver passes its
+    ``np.linalg.solve``, the name a tracer rebinds) of [rhs | I] gives each
+    solution and inverse from one factorization per matrix; the extra
+    columns leave the solution's bits as a solve of rhs alone gives them,
+    and every matrix of a stack is factored as it would be alone.  The norm
     is floored at 1, the scale of a border diagonal, so that a border row
     tied to no vertex value (an edge between Dirichlet ends) fails the gate
-    when its diagonal vanishes.  An exactly singular or NaN matrix fails
-    the gate with condition inf; an empty one (no free vertex values)
-    passes."""
-    n, m = len(mat), rhs.shape[1]
+    when its diagonal vanishes.  An exactly singular or NaN matrix has
+    condition inf (a singular one a solution of zeros), an empty one (no
+    free vertex values) condition 0."""
+    npts, n, m = len(mats), mats.shape[-1], rhs.shape[-1]
+    if not n:
+        return rhs[:, :0], np.zeros(npts)
     try:
-        sol = solve(mat, np.concatenate([rhs, np.eye(n)], axis=1))
+        sol = solve(mats, np.concatenate([rhs, np.eye(n)[np.newaxis].repeat(npts, axis=0)], axis=-1))
     except np.linalg.LinAlgError:
-        cond = math.inf
-    else:
-        with np.errstate(over="ignore"):
-            cond = max(np.linalg.norm(mat, 1), 1.0) * np.linalg.norm(sol[:, m:], 1) if n else 0.0
-    if not cond <= _COND_LIMIT:
-        cond = math.inf if math.isnan(cond) else cond
-        raise error(f"{message} (condition estimate {cond:.2e})", **info)
-    return sol[:, :m]
+        if npts == 1:
+            return np.zeros_like(rhs, dtype=complex), np.array([math.inf])
+        # A singular matrix stops the whole stacked solve: each is solved
+        # alone, as in a stack of one.
+        alone = [gated_solve(mats[i : i + 1], rhs[i : i + 1], solve) for i in range(npts)]
+        return np.concatenate([x for x, _ in alone]), np.concatenate([c for _, c in alone])
+    # The 1-norms, as np.linalg.norm(mat, 1) sums them: the largest column sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(mats).sum(axis=-2).max(axis=-1)
+        cond = np.maximum(norm, 1.0) * np.abs(sol[..., m:]).sum(axis=-2).max(axis=-1)
+    return sol[..., :m], np.where(np.isnan(cond), math.inf, cond)
+
+
+def gate_error(cond: float, error: type, message: str, **info):
+    """``error(message, **info)``, with the condition appended, when the
+    condition ``cond`` of a :func:`gated_solve` exceeds _COND_LIMIT (beyond
+    it a scattering momentum is resonant, a resolvent point on the
+    spectrum); None otherwise."""
+    if cond <= _COND_LIMIT:
+        return None
+    return error(f"{message} (condition estimate {cond:.2e})", **info)
 
 
 def format_float(value: float | None) -> str:

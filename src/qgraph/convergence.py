@@ -19,7 +19,12 @@ H* through three metrics,
 Each metric has one grid function that maps a decreasing list of d values
 to per-d outcomes, the value or the QGraphError that d raises, and
 computes the star side, which does not depend on d, once; the
-``metric_*`` functions are its one-d case.  ``run_sweep`` records a d
+``metric_*`` functions are its one-d case.  Every grid function evaluates
+the approximating graphs of one shape together: the eig grid searches
+them in lockstep, the scattering grid solves every (d, k) point in one
+stacked call and the HS grid every d's amplitudes in another (see
+:func:`~qgraph.solver._each_family`), and each d keeps the bits of its
+one-d call.  ``run_sweep`` records a d
 that raised as skipped with the reason, and fits log(metric) against
 log(d) by ordinary least squares once at least four valid points survive.
 Reports serialize to CSV with one ``d,metric,status`` row per d followed
@@ -48,11 +53,12 @@ from ._util import (
 )
 from .builder import build_approx_graph
 from .couplings import STForm, ab_from_st, star_scattering
-from .errors import ConditioningError, InputError, QGraphError, ResonantKError
+from .errors import ConditioningError, InputError, QGraphError
 from .graphs import star_system, system_from_approx, truncate
 from .solver import (
-    GreensFunction,
+    _each_family,
     _eigenvalues_lockstep,
+    _Reduction,
     _ScatteringSolver,
     eigenvalues_compact,
     greens_function,
@@ -187,28 +193,12 @@ class ConvergenceReport:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
-
-
 def _one_d(outcomes: list) -> float:
     """The value of a grid function's only d; its QGraphError is raised."""
     (value,) = outcomes
     if isinstance(value, QGraphError):
         raise value
     return value
-
-
-def _each(d_values, evaluate) -> list:
-    """Per d of ``d_values``, the value ``evaluate(d)`` returns, or the
-    QGraphError it raises."""
-    outcomes = []
-    for d in d_values:
-        try:
-            outcomes.append(evaluate(d))
-        except QGraphError as exc:
-            outcomes.append(exc)
-    return outcomes
 
 
 def metric_scattering(
@@ -226,23 +216,57 @@ def metric_scattering(
 def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
     """Per d of ``d_values``, the outcome of :func:`metric_scattering`; a
     QGraphError of the star side propagates.  The star's S(k) is computed
-    once per momentum, and each d's reduction once."""
+    once per momentum, and each d's reduction once.  The approximating
+    graphs are reduced in families (see
+    :func:`~qgraph.solver._each_family`): every (d, k) point of a family is
+    solved in one stacked call, the points to retry in one more, and all
+    the differences' norms in one stacked SVD."""
     c = ab_from_st(st)
-    star = functools.cache(lambda k: star_scattering(c, k))
 
-    def norm(d):
-        scatter = _ScatteringSolver(system_from_approx(build_approx_graph(st, d)))
-        worst = 0.0
-        for k in spec.k_list:
-            try:
-                s_d, s_star = scatter(k), star(k)
-            except (ResonantKError, ConditioningError):
-                k_shift = k * (1.0 + 1.0e-6)
-                s_d, s_star = scatter(k_shift), star(k_shift)
-            worst = max(worst, _spectral_norm(s_d - s_star))
-        return worst
+    @functools.cache
+    def star(k):
+        try:
+            return star_scattering(c, k)
+        except ConditioningError as exc:
+            return exc
 
-    return _each(d_values, norm)
+    def differences(solver, k, g) -> list:
+        """Per point, S_d(k) - S*(k) on graph g of ``solver``, or the error
+        of the side that fails, the approximating one first."""
+        pairs = zip(solver.many(k, g), map(star, k.tolist()))
+        return [_first_error(pair) or pair[0] - pair[1] for pair in pairs]
+
+    ks = np.array(spec.k_list)
+    results: list = [None] * len(d_values)
+
+    def evaluate(members):
+        solver = _ScatteringSolver.stack([red for _, red in members])
+        k = np.tile(ks, len(members))
+        g = np.repeat(np.arange(len(members)), len(ks))
+        diffs = differences(solver, k, g)
+        # A point where either side resonates is retried once, at k (1 +
+        # 1e-6) on both sides; if that fails too, its d is skipped.
+        again = [i for i, diff in enumerate(diffs) if isinstance(diff, QGraphError)]
+        if again:
+            for i, diff in zip(again, differences(solver, k[again] * (1.0 + 1.0e-6), g[again])):
+                diffs[i] = diff
+        good = [diff for diff in diffs if not isinstance(diff, QGraphError)]
+        norms = iter(np.linalg.norm(np.array(good), 2, axis=(-2, -1)).tolist() if good else ())
+        values = [diff if isinstance(diff, QGraphError) else next(norms) for diff in diffs]
+        for m, (index, _) in enumerate(members):
+            per_d = values[m * len(ks) : (m + 1) * len(ks)]
+            results[index] = _first_error(per_d) or max([0.0] + per_d)
+
+    def reduce(d):
+        return _ScatteringSolver(system_from_approx(build_approx_graph(st, d)))
+
+    _each_family(d_values, reduce, evaluate, results)
+    return results
+
+
+def _first_error(outcomes):
+    """The first QGraphError among ``outcomes``, or None."""
+    return next((value for value in outcomes if isinstance(value, QGraphError)), None)
 
 
 def eigengap_floor(st: STForm) -> float:
@@ -352,12 +376,16 @@ def _mode_grams(k: complex, length: np.ndarray) -> np.ndarray:
     sinc = np.where(y != 0, np.sin(y_safe) / y_safe, 1.0)
     x_part = np.where(x < 1.0, decay * _sinhc_minus_one(x * x), phi1 - decay)
     y_part = np.where(np.abs(y) < 1.0, -_sinhc_minus_one(-y * y), 1.0 - sinc)
-    return length * np.stack([phi1 + decay * sinc, x_part + decay * y_part])
+    return length[..., np.newaxis, :] * np.stack([phi1 + decay * sinc, x_part + decay * y_part], axis=-2)
 
 
-def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray) -> float:
-    """(integral of |G_d - G*|^2)^(1/2) over the compact system of ``g_d``,
-    with G* extended by zero off the outer edges, in closed form.
+def _hs_distance(k: complex, length: np.ndarray, amp: np.ndarray, amp_star: np.ndarray) -> list:
+    """(integral of |G_d - G*|^2)^(1/2) over each of a stack of compact
+    approximating systems, with G* extended by zero off the outer edges, in
+    closed form: per system, of edge lengths ``length`` (systems, edges)
+    and mode amplitudes ``amp`` at the momentum k, the value, or the
+    ConditioningError below.  Each system's value is computed as it would
+    be alone.
 
     On edges e and f both kernels are U_e A[e, f] P_f^T, plus the free
     kernel F_e on e = f, which is the same on both sides of an outer edge
@@ -385,39 +413,53 @@ def _hs_distance(g_d: GreensFunction, amp_star: np.ndarray) -> float:
     to rounding (near z = 0, or on short edges at small d) and raises
     :class:`ConditioningError`.
     """
-    k = g_d.k
-    length = np.array([edge.length for edge in g_d.system.edges])
+    npts, ne = length.shape
     # The amplitudes as (sign, edge, sign, edge); the outer edges lead both
     # systems' edge orders.
-    ne, n_out = len(length), len(amp_star) // 2
-    amp = g_d._amp.reshape(2, ne, 2, ne)
+    n_out = len(amp_star) // 2
+    amp = amp.reshape(npts, 2, ne, 2, ne)
     diff = amp.copy()
-    diff[:, :n_out, :, :n_out] -= amp_star.reshape(2, n_out, 2, n_out)
+    diff[:, :, :n_out, :, :n_out] -= amp_star.reshape(2, n_out, 2, n_out)
     gram = _mode_grams(k, length)
     c_sq = 0.25 / abs(k) ** 2
-    pair = np.einsum("iejf,ie,jf->", diff.real**2 + diff.imag**2, gram, gram) * c_sq
+    # One sum per system: a sum over a stack of them can order its terms
+    # differently.
+    square = diff.real**2 + diff.imag**2
+    pair = np.array([np.einsum("iejf,ie,jf->", *parts) for parts in zip(square, gram, gram)]) * c_sq
     inner = np.arange(n_out, ne)
-    u = 1j * k * length[inner]
+    u = 1j * k * length[:, inner]
     v, zero = u.conj(), np.zeros_like(u)
     d_1, d_2, d_3 = _exp_divided_differences(np.stack([
         np.stack([zero, u + v, 2.0 * v], axis=-1),
         np.stack([zero, u + v, zero], axis=-1),
         np.stack([zero, u - v, zero], axis=-1),
     ]))
-    even, odd = amp[0, inner, 0, inner].conj(), amp[1, inner, 1, inner].conj()
+    even, odd = amp[:, 0, inner, 0, inner].conj(), amp[:, 1, inner, 1, inner].conj()
     odd_part = 2.0 * d_1 * (even - odd)
     even_part = np.exp(v) * (d_2 + d_3) * (even + odd)
     own = d_2 + odd_part + even_part
-    total = pair + 2.0 * c_sq * (length[inner] ** 2 * own.real).sum()
-    magnitude = pair + 2.0 * c_sq * (
-        length[inner] ** 2 * (np.abs(d_2) + np.abs(odd_part) + np.abs(even_part))
-    ).sum()
-    if not total > _HS_ROUNDING * magnitude:
-        raise ConditioningError(
-            f"HS distance lost to rounding: its square sums to {total:.3e} "
-            f"from terms of magnitude {magnitude:.3e}"
-        )
-    return float(math.sqrt(total))
+    inner_sq = length[:, inner] ** 2
+    total = pair + 2.0 * c_sq * _row_sums(inner_sq * own.real)
+    magnitude = pair + 2.0 * c_sq * _row_sums(
+        inner_sq * (np.abs(d_2) + np.abs(odd_part) + np.abs(even_part))
+    )
+    out: list = []
+    for square, terms in zip(total.tolist(), magnitude.tolist()):
+        if square > _HS_ROUNDING * terms:
+            out.append(math.sqrt(square))
+        else:
+            out.append(ConditioningError(
+                f"HS distance lost to rounding: its square sums to {square:.3e} "
+                f"from terms of magnitude {terms:.3e}"
+            ))
+    return out
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``terms``, in the order numpy sums one row
+    alone: the rows are laid out contiguously first, since a strided row
+    of 8 or more terms is summed in another order."""
+    return np.ascontiguousarray(terms).sum(axis=-1)
 
 
 # The rounding bound of the HS square sum relative to its terms' magnitudes.
@@ -447,15 +489,28 @@ def metric_hs_resolvent(st: STForm, d: float, z: complex = -1.0, L: float = 1.0)
 def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
     """Per d of ``d_values``, the outcome of :func:`metric_hs_resolvent`; a
     QGraphError of the truncated star propagates.  The star's mode
-    amplitudes are computed once, up front, and serve every d, read-only."""
-    amp_star = greens_function(truncate(star_system(st), L=spec.L), spec.z)._amp
-    amp_star.flags.writeable = False
+    amplitudes are computed once, up front, and serve every d.  The
+    truncated approximating graphs are reduced in families (see
+    :func:`~qgraph.solver._each_family`): the amplitudes of a family come
+    from one stacked call, and its distances from one evaluation of the
+    closed form."""
+    star = greens_function(truncate(star_system(st), L=spec.L), spec.z)
+    results: list = [None] * len(d_values)
 
-    def distance(d):
-        approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
-        return _hs_distance(greens_function(approx_t, spec.z), amp_star)
+    def evaluate(members):
+        stacked = _Reduction.stack([red for _, red in members])
+        amps = stacked.amplitudes(spec.z, np.arange(len(members)))
+        solved = [g for g, amp in enumerate(amps) if not isinstance(amp, QGraphError)]
+        lengths, stack = stacked.length[solved], np.array([amps[g] for g in solved])
+        values = iter(_hs_distance(star.k, lengths, stack, star._amp) if solved else ())
+        for (index, _), amp in zip(members, amps):
+            results[index] = amp if isinstance(amp, QGraphError) else next(values)
 
-    return _each(d_values, distance)
+    def reduce(d):
+        return _Reduction(truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L))
+
+    _each_family(d_values, reduce, evaluate, results)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import numpy as np
 from ._util import (
     DEFAULT_TOL,
     as_complex_matrix,
+    gate_error,
     gated_solve,
     hermiticity_violation,
     hermitize,
@@ -339,7 +340,11 @@ def star_scattering(c: VertexCoupling, k: float) -> np.ndarray:
     if 0.0 < norm < 1.0:
         scale = 2.0 ** (1 - math.frexp(norm)[1])
         plus, minus = plus * scale, minus * scale
-    return -gated_solve(plus, minus, ConditioningError, f"A + ikB ill-conditioned at k={k}")
+    (sol,), (cond,) = gated_solve(plus[np.newaxis], minus[np.newaxis])
+    failure = gate_error(cond, ConditioningError, f"A + ikB ill-conditioned at k={k}")
+    if failure:
+        raise failure
+    return -sol
 
 
 def named_to_st(nc: NamedCoupling) -> STForm:

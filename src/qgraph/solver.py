@@ -55,18 +55,27 @@ plus its number of inner edges.
   (the source's trace terms).  Those terms are linear in the two end modes
   of the source, so one solve with a unit right-hand side per edge mode
   gives every source's amplitudes (:class:`GreensFunction`).
+* Both are evaluated on arrays of points, as the count is: S(k) at arrays
+  of momenta and graphs (:meth:`_ScatteringSolver.many`), the amplitudes
+  at one z on an array of graphs (:meth:`_Reduction.amplitudes`).  A
+  sweep's family of approximating graphs is stacked, and all its points
+  are solved in one call, one batched solve per number of kept midpoints
+  and border rows, each point with the bits it has alone; a reduction
+  wider than 6 solves one point per call.  A single S(k) or resolvent is
+  the stack of one.
 
 A coefficient that diverges next to an edge Dirichlet level moves into a
 border row, so every entry stays O(|k|); at real lambda > 0 by the count's
 own rule, elsewhere with the coefficients written through exp(ikl), which
 cannot overflow for Im k >= 0.  A midpoint next to a bordered edge, or
 whose pivot is small next to its own terms, stays a row at that point.
-Scattering and resolvents solve with the (bordered) matrix once, through
-numpy's LAPACK ``gesv``, with the identity stacked next to the right-hand
-sides, and gate on the exact 1-norm condition ||B||_1 ||B^-1||_1 from the
-inverse those extra columns give: beyond 1e12 the point is numerically
-on the spectrum, and scattering raises :class:`ResonantKError`, the
-resolvent :class:`NearSingularZError`.  The gate is never laxer than
+Scattering and resolvents solve with each point's (bordered) matrix once,
+through numpy's LAPACK ``gesv`` on the stack of a group's matrices, with
+the identity stacked next to the right-hand sides, and gate each point on
+the exact 1-norm condition ||B||_1 ||B^-1||_1 from the inverse those extra
+columns give: beyond 1e12 the point is numerically on the spectrum, and
+its scattering matrix is a :class:`ResonantKError`, its resolvent a
+:class:`NearSingularZError`.  The gate is never laxer than
 LAPACK's estimate from the LU factors (Hager; Higham), a lower bound on
 the same condition.  Every factorization and count goes through numpy,
 so no command loads scipy.
@@ -81,6 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import (
+    gate_error,
     gated_solve,
     require_finite_complex,
     require_finite_real,
@@ -136,7 +146,13 @@ def __getattr__(name):
 # d = 2^-4, 32 points cost 9 times one at 8 wide and 21 times at 16 wide,
 # and 5 eigenvalues took 2.2 and 30 times as long in batched rounds as in
 # plain bisection.  So a matrix wider than _ROUND_SIZE is counted with one
-# midpoint per bisected interval, and its graph alone.
+# midpoint per bisected interval, and its graph alone.  _ROUND_SIZE governs
+# the scattering and resolvent stacks of a sweep's family too (see
+# _each_family): a wider reduction solves one point per call.  Stacked,
+# the default-grid sweeps of delta' n = 16 peaked at 8.3 (scattering) and
+# 8.9 (HS) times the memory of one d, and stacking only the three momenta
+# of each graph doubled a delta' n = 24 scattering sweep's peak (2.8 to
+# 6.1 MiB, tracemalloc).
 _ROUND_POINTS = 32
 _ROUND_SIZE = 6
 
@@ -430,9 +446,10 @@ class _Reduction:
             level_sum[above] = levels.sum(axis=1)
         return coef, b, minus, level_sum
 
-    def complex_coefficients(self, k: complex):
-        """Edge coefficients and border rows at one momentum with Im k >= 0,
-        in the layout of :meth:`real_coefficients` with one point of graph 0.
+    def complex_coefficients(self, k: np.ndarray, g):
+        """Edge coefficients and border rows at every momentum of the 1-d
+        complex array ``k``, all with Im k >= 0, on the graphs ``g``, in the
+        layout of :meth:`real_coefficients`.
 
         With E = exp(ikl) and r = (E - 1)/(E + 1) = i tan(kl/2), c_+ = ik r
         and c_- = ik / r (kappa tanh(kappa l/2) and kappa coth(kappa l/2) at
@@ -440,16 +457,17 @@ class _Reduction:
         coefficient is bordered, with b = -k/c = i/r or i r, except c_- next
         to kl = 0, where it stays near 2/l.
         """
-        length = self.length[0]
-        em1 = np.expm1(1j * k * length)
+        length = self.length[g]
+        ik = 1j * k[:, np.newaxis]
+        em1 = np.expm1(ik * length)
         ratio = em1 / (2.0 + em1)
         plus = np.abs(ratio) >= 1.0
-        border = plus | (abs(k.real) * length > math.pi)
-        c_plus = np.where(border & plus, 0.0, 1j * k * ratio)
-        c_minus = np.where(border & ~plus, 0.0, 1j * k / ratio)
-        coef = np.concatenate([c_plus, c_minus])[np.newaxis, :]
-        b = np.where(border, np.where(plus, 1j / ratio, 1j * ratio), np.nan)[np.newaxis, :]
-        return coef, b, ~plus[np.newaxis, :]
+        border = plus | (np.abs(k.real)[:, np.newaxis] * length > math.pi)
+        c_plus = np.where(border & plus, 0.0, ik * ratio)
+        c_minus = np.where(border & ~plus, 0.0, ik / ratio)
+        coef = np.concatenate([c_plus, c_minus], axis=1)
+        b = np.where(border, np.where(plus, 1j / ratio, 1j * ratio), np.nan)
+        return coef, b, ~plus
 
     def complement(self, coef: np.ndarray, inside: np.ndarray, g, row: bool = False):
         """The matrix on the kept rows at every point, on the graphs ``g``,
@@ -468,7 +486,10 @@ class _Reduction:
             # Nothing to eliminate: no columns, pivots or rows.
             none = coef[:, :0]
             return (mat, mat[:, :, :0], none, none != 0) + ((mat[:, :0],) if row else ())
-        c_mid = coef[:, self.half_modes]
+        # Taken point-major, so that each point's sums below read its terms
+        # in the order a point alone reads them (a fancy index of several
+        # points lays the point axis out innermost).
+        c_mid = np.take(coef, self.half_modes, axis=1)
         w_mid, mid_w = self.w_mid[g], self.mid_w[g]
         col = (w_mid * c_mid[:, np.newaxis]).sum(axis=-1)
         # |w_+-| is 1/sqrt(2) at a midpoint, so p = w + (1/2) sum_halves (c_+ +
@@ -532,44 +553,119 @@ class _Reduction:
             out[:, border, kept] = (root_k * np.where(at_mid, entry.conj(), 0.0)).transpose(0, 2, 1)
         return out
 
-    def one_point(self, k: complex, lam: float | None = None) -> "_Point":
-        """The reduced matrix at one momentum k, bordered by the count's rule
-        when ``lam`` = k^2 is given (real, > 0) and through
-        :meth:`complex_coefficients` otherwise, with the half-lines' -ik J*
-        J; and what a solve needs besides (see :class:`_Point`).  The point
-        is on graph 0."""
+    def points(self, k: np.ndarray, g, lam: np.ndarray | None = None):
+        """The reduced matrices at the momenta of the 1-d array ``k`` (Im k
+        >= 0) on the graphs ``g``, with the half-lines' -ik J* J, bordered
+        by the count's rule when ``lam`` = k^2 is given (real, > 0) and
+        through :meth:`complex_coefficients` otherwise: one
+        :class:`_Points` per number of kept midpoints and border rows, in
+        the order of their first point.  Every point's matrix goes through
+        the same operations, in the same order, as it would alone."""
         if lam is None:
-            coef, b, minus = self.complex_coefficients(k)
+            coef, b, minus = self.complex_coefficients(k, g)
             root_k = np.sqrt(k)
         else:
-            coef, b, minus, _ = self.real_coefficients(np.array([lam]), 0)
-            root_k = math.sqrt(math.sqrt(lam))
-        mat, col, piv, keep, rows = self.complement(coef, ~np.isnan(b), 0, row=True)
-        mat -= 1j * k * (self.j_half.conj().T @ self.j_half)
-        mat = self.bordered(mat, np.array([root_k]), b, minus, col, piv, keep, 0, rows)[0]
-        border = np.full((2, self.length.shape[1]), -1)
-        cols = np.flatnonzero(~np.isnan(b[0]))
-        border[minus[0, cols].astype(int), cols] = np.arange(len(cols))
-        inv = 1.0 / np.where(keep[0], np.inf, piv[0])
-        return _Point(mat, coef[0], border, root_k, col[0], rows[0], inv, np.flatnonzero(keep[0]))
+            coef, b, minus, _ = self.real_coefficients(lam, g)
+            root_k = np.sqrt(np.sqrt(lam))
+        inside = ~np.isnan(b)
+        mat, col, piv, keep, rows = self.complement(coef, inside, g, row=True)
+        mat -= (1j * k)[:, np.newaxis, np.newaxis] * (self.j_half.conj().T @ self.j_half)
+        inv = 1.0 / np.where(keep, np.inf, piv)
+        ne = inside.shape[1]
+        extra = keep.sum(axis=1) * (ne + 1) + inside.sum(axis=1)
+        for key in dict.fromkeys(extra.tolist()):
+            at = np.flatnonzero(extra == key)
+            # A group of all the points reads views, not copies: a wide
+            # point's columns and rows are most of its bytes.
+            sel = at if len(at) < len(extra) else slice(None)
+            part = self.bordered(
+                mat[sel], root_k[sel], b[sel], minus[sel], col[sel], piv[sel], keep[sel], _at(g, sel),
+                rows[sel],
+            )
+            border = np.nonzero(inside[sel])[1] + ne * minus[sel][inside[sel]]
+            border = border.reshape(len(at), -1)
+            kept = np.nonzero(keep[sel])[1].reshape(len(at), -1)
+            yield _Points(at, part, coef[sel], root_k[sel], col[sel], rows[sel], inv[sel], kept, border)
+
+    def amplitudes(self, z: complex, g: np.ndarray) -> list:
+        """The mode amplitude matrix of :class:`GreensFunction` at z (finite,
+        not 0) on each graph of the 1-d int array ``g``, or the
+        NearSingularZError of its gate.  A real z > 0 is bordered by the
+        count's rule."""
+        k = complex(_principal_k(z))
+        lam = np.full(len(g), z.real) if z.imag == 0 and z.real > 0 else None
+        ne, size = self.length.shape[-1], self.size
+        n_modes = 2 * ne + len(self.j_half)
+        # The modes of the midpoints' halves, and their midpoints.
+        mode = np.flatnonzero(self.mode_mid >= 0)
+        mid = self.mode_mid[mode]
+        diag = np.arange(n_modes)
+        message = f"z = {z} is numerically on the spectrum"
+        out: list = [None] * len(g)
+        for pts in self.points(np.full(len(g), k), g, lam):
+            graphs = g[pts.at]
+            npts, nk, nb = len(graphs), pts.kept.shape[1], pts.border.shape[1]
+            pick = np.arange(npts)[:, np.newaxis]
+            # One unit right-hand side per source mode, in mode order: on the
+            # kept rows, on the midpoints (a mode of a half enters its
+            # midpoint's row), and on the border rows.
+            unit = pts.coef - 1j * k
+            rhs = np.zeros((npts, pts.mat.shape[-1], n_modes), dtype=complex)
+            rhs[:, :size, : 2 * ne] = self.w * unit[:, np.newaxis, :]
+            rhs[:, :size, 2 * ne :] = -2j * k * self.j_half.conj().T
+            wm = self.wm[graphs]
+            rhs_mid = np.zeros((npts, self.mid_w.shape[-1], n_modes), dtype=complex)
+            rhs_mid[:, mid, mode] = wm[:, mode] * unit[:, mode]
+            rhs[:, :size] -= pts.col @ (pts.inv[:, :, np.newaxis] * rhs_mid)
+            rhs[:, size : size + nk] = rhs_mid[pick, pts.kept]
+            rows = size + nk + np.arange(nb)
+            rhs[pick, rows, pts.border] = pts.root_k[:, np.newaxis]
+            sol, cond = gated_solve(pts.mat, rhs, solve=np.linalg.solve)
+            errors = [gate_error(c, NearSingularZError, message) for c in cond.tolist()]
+            # A point that failed the gate goes on with a zero solution, and
+            # its amplitudes are dropped.
+            sol[[error is not None for error in errors]] = 0.0
+            x = sol[:, :size]
+            # The midpoints' values: x_m = (r_m - b_m* x) / p_m where eliminated.
+            x_mid = pts.inv[:, :, np.newaxis] * (rhs_mid - pts.rows @ x)
+            x_mid[pick, pts.kept] = sol[:, size : size + nk]
+            amp = np.concatenate([self.w_adj @ x, self.j_half @ x], axis=1)
+            amp[:, mode] += wm[:, mode, np.newaxis].conj() * x_mid[:, mid]
+            amp[:, diag, diag] -= 1.0
+            amp[pick, pts.border] = sol[:, rows]
+            # The factor that turns a mode value, or a border unknown, into an
+            # amplitude.
+            em1 = np.expm1(1j * k * self.length[graphs])
+            divisor = np.stack([2.0 + em1, em1], axis=1)
+            scale = 1.0 / divisor
+            sign, edge = np.divmod(pts.border, ne)
+            scale[pick, sign, edge] = -1j / (pts.root_k[:, np.newaxis] * divisor[pick, 1 - sign, edge])
+            amp[:, : 2 * ne] *= scale.reshape(npts, -1, 1)
+            for i, one, error in zip(pts.at.tolist(), amp, errors):
+                out[i] = one if error is None else error
+        return out
 
 
-class _Point(NamedTuple):
-    """One point of a :class:`_Reduction`: the bordered matrix ``mat``; the
-    coefficients ``coef`` (2 edges) it used; per mode (sign, edge) its
-    border row, counted after the kept midpoints' rows, or -1; the sqrt(k)
-    of its border columns; each midpoint's column ``col`` and row ``rows``;
-    ``inv``, 1/p for an eliminated midpoint and 0 for a kept one; and the
-    kept midpoints, in the order of their rows."""
+class _Points(NamedTuple):
+    """Points of a :class:`_Reduction` that keep the same number of
+    midpoints and border the same number of edges: ``at``, their indices
+    among the points asked for; the bordered matrices ``mat``; the
+    coefficients ``coef`` (points, 2 edges) they used; the sqrt(k)
+    ``root_k`` of their border columns; each midpoint's column ``col`` and
+    row ``rows``; ``inv``, 1/p for an eliminated midpoint and 0 for a kept
+    one; ``kept`` (points, kept midpoints), in the order of their rows; and
+    ``border`` (points, border rows), the mode (sign * edges + edge) of
+    each border row, counted after the kept midpoints' rows."""
 
+    at: np.ndarray
     mat: np.ndarray
     coef: np.ndarray
-    border: np.ndarray
-    root_k: complex
+    root_k: np.ndarray
     col: np.ndarray
     rows: np.ndarray
     inv: np.ndarray
     kept: np.ndarray
+    border: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -711,12 +807,25 @@ def _bracket(chunk: list[float], counts, done, other_end: float, points: int, as
         counts = yield from ask(chunk)
 
 
-def _is_leaf(a: float, b: float) -> bool:
-    """Whether bisection stops at [a, b]: width at most 1e-13 max(1, |lambda|)."""
-    return b - a <= 1e-13 * max(1.0, abs(a), abs(b))
+def _is_leaf(a: float, b: float, floor: float) -> bool:
+    """Whether bisection stops at [a, b]: width at most 1e-13 max(floor,
+    |lambda|), with ``floor`` from :func:`_leaf_floor`."""
+    return b - a <= 1e-13 * max(floor, abs(a), abs(b))
 
 
-def _subtree_midpoints(live, depth: int) -> list[float]:
+def _leaf_floor(count: "_EigenvalueCount") -> float:
+    """The scale below which a level's leaf width stops shrinking with it:
+    min(1, (pi / l)^2), l the longest edge of the (one-graph) ``count``,
+    about the level spacing of a long edge, so that levels below 1 stay
+    apart on a long truncation (and the floor is 1 wherever l <= pi).  A
+    floor that underflows is the smallest normal float."""
+    longest = float(count.length.max(initial=0.0))
+    if longest <= math.pi:
+        return 1.0
+    return max((math.pi / longest) ** 2, float(np.finfo(float).tiny))
+
+
+def _subtree_midpoints(live, depth: int, floor: float) -> list[float]:
     """The midpoint of every interval of the depth-``depth`` bisection
     subtree of each live interval; an interval at leaf width is not split,
     so neither it nor anything below it is listed."""
@@ -725,7 +834,7 @@ def _subtree_midpoints(live, depth: int) -> list[float]:
     for _ in range(depth):
         children = []
         for a, b in level:
-            if not _is_leaf(a, b):
+            if not _is_leaf(a, b, floor):
                 mid = 0.5 * (a + b)
                 mids.append(mid)
                 children += [(a, mid), (mid, b)]
@@ -747,7 +856,7 @@ class _Interval(NamedTuple):
     steps: int = 0
 
 
-def _step(iv: _Interval, branches: dict) -> tuple[float, float] | None:
+def _step(iv: _Interval, branches: dict, floor: float) -> tuple[float, float] | None:
     """The certificate pair x -+ h of the next step in ``iv``, as (x, h), or
     None when ``iv`` is bisected instead.
 
@@ -766,14 +875,14 @@ def _step(iv: _Interval, branches: dict) -> tuple[float, float] | None:
         f_a, f_b = iv.weights[0] * f_a, iv.weights[1] * f_b
         roots.append(iv.a + (iv.b - iv.a) * (f_a / (f_a - f_b)))
     x = roots[0]
-    h = _HALF_CERTIFICATE * max(1.0, abs(x))
+    h = _HALF_CERTIFICATE * max(floor, abs(x))
     if abs(roots[1] - x) > h or iv.b - iv.a <= 8.0 * h:
         return None
     return min(max(x, iv.a + 2.0 * h), iv.b - 2.0 * h), h
 
 
 # A stepped level's certificate is the pair x -+ h with h = _HALF_CERTIFICATE
-# max(1, |x|): a leaf, 2h <= 1e-13 max(1, |lambda|) (see _is_leaf).
+# max(floor, |x|): a leaf, 2h <= 1e-13 max(floor, |lambda|) (see _is_leaf).
 _HALF_CERTIFICATE = 0.4e-13
 
 # Steps in a row that leave the branch value at the moved end above half its
@@ -783,11 +892,12 @@ _HALF_CERTIFICATE = 0.4e-13
 _STALL = 2
 
 
-def _search(points: int, count: int, lam_min: float | None):
+def _search(points: int, count: int, lam_min: float | None, floor: float):
     """The eigenvalue search of :func:`eigenvalues_compact` on one system,
     as a generator: it yields every list of lambda it needs counted, is sent
     their counts and :class:`_Branches`, and returns the eigenvalues.
-    ``points`` is the batch size (see :func:`_batch_points`)."""
+    ``points`` is the batch size (see :func:`_batch_points`), and ``floor``
+    the leaf width's (see :func:`_leaf_floor`)."""
     branches: dict[float, _Branches] = {}
 
     def ask(lams):
@@ -819,7 +929,7 @@ def _search(points: int, count: int, lam_min: float | None):
         for iv in intervals:
             if iv.n_b <= iv.n_a or iv.n_a >= target:
                 continue
-            if _is_leaf(iv.a, iv.b):
+            if _is_leaf(iv.a, iv.b, floor):
                 leaves.append((iv.a, 0.5 * (iv.a + iv.b), iv.n_b - iv.n_a))
             else:
                 live.append(iv)
@@ -862,7 +972,7 @@ def _search(points: int, count: int, lam_min: float | None):
 
     live = settle([_Interval(lo, hi, n_lo, n_hi)])
     while live:
-        pairs = [(iv, _step(iv, branches)) for iv in live]
+        pairs = [(iv, _step(iv, branches, floor)) for iv in live]
         stepping = [(iv, pair) for iv, pair in pairs if pair]
         split = [iv for iv, pair in pairs if not pair]
         lams = [lam for _, (x, h) in stepping for lam in (x - h, x + h)]
@@ -872,7 +982,7 @@ def _search(points: int, count: int, lam_min: float | None):
             # steps leave, at least 1.
             room = max(0, points - len(lams))
             depth = max(1, (room // len(split) + 1).bit_length() - 1)
-            lams += _subtree_midpoints(split, depth)
+            lams += _subtree_midpoints(split, depth, floor)
         n_at = dict(zip(lams, (yield from ask(lams))))
         children = [child for iv, (x, h) in stepping for child in stepped(iv, x, h, n_at)]
         for _ in range(depth):
@@ -903,33 +1013,52 @@ def _eigenvalues_lockstep(systems, count: int, lam_min: float | None = None) -> 
 
     Systems whose reductions share a shape and are up to _ROUND_SIZE wide,
     such as the approximating graphs of one ST form, are searched in
-    lockstep (see :func:`_search_family`).  A wider count is point-bound:
-    stacking it would gather its arrays per point, and at delta' n = 24 a
-    stacked eig sweep was slower and larger than the solo searches.  So
-    each wider system is searched alone, as soon as it is reduced, and only
-    one such reduction is held at a time.
+    lockstep (see :func:`_search_family`); each wider one is searched alone
+    (see :func:`_each_family`).
     """
     count = require_positive_int(count, "count")
     if lam_min is not None:
         lam_min = require_finite_real(lam_min, "lam_min")
     results: list = [None] * len(systems)
-    families: dict[tuple, list[tuple[int, _EigenvalueCount]]] = {}
-    for i, sys in enumerate(systems):
+
+    def reduce(sys):
+        if not sys.is_compact:
+            raise StructuralError("system has half-lines; call truncate() first")
+        return _EigenvalueCount(sys)
+
+    _each_family(systems, reduce, lambda members: _search_family(members, count, lam_min, results),
+                 results)
+    return results
+
+
+def _each_family(items, reduce, evaluate, results: list) -> None:
+    """Reduce every item of ``items`` and call ``evaluate`` on lists of
+    (index, reduction) pairs of one shape, such as the approximating graphs
+    of one ST form at several d, which it evaluates together in stacked
+    calls; a QGraphError that ``reduce`` raises goes to the item's index of
+    ``results``.
+
+    Only reductions up to _ROUND_SIZE wide are stacked.  A wider one is
+    point-bound: stacking would gather its arrays per point.  At delta'
+    n = 24 a stacked eig sweep was slower and larger than the solo
+    searches, and at n = 16 stacked scattering and HS sweeps peaked at 8 to
+    9 times the memory of one d.  So each wider reduction is evaluated
+    alone, as soon as it is made, and only one is held at a time.
+    """
+    families: dict[tuple, list] = {}
+    for i, item in enumerate(items):
         try:
-            if not sys.is_compact:
-                raise StructuralError("system has half-lines; call truncate() first")
-            one = _EigenvalueCount(sys)
+            one = reduce(item)
         except QGraphError as exc:
             results[i] = exc
             continue
         if one.size <= _ROUND_SIZE:
             families.setdefault(one.shape, []).append((i, one))
         else:
-            _search_family([(i, one)], count, lam_min, results)
+            evaluate([(i, one)])
             del one
     for members in families.values():
-        _search_family(members, count, lam_min, results)
-    return results
+        evaluate(members)
 
 
 def _search_family(members, count: int, lam_min: float | None, results: list) -> None:
@@ -946,7 +1075,7 @@ def _search_family(members, count: int, lam_min: float | None, results: list) ->
     """
     stacked = _EigenvalueCount.stack([one for _, one in members])
     points = _batch_points(stacked.size)
-    searches = [_search(points, count, lam_min) for _ in members]
+    searches = [_search(points, count, lam_min, _leaf_floor(one)) for _, one in members]
     # The batch each search waits on, by its graph of the stack.
     waiting: dict[int, list[float]] = {}
 
@@ -987,8 +1116,9 @@ def eigenvalues_compact(
     eigenvalue count N(lambda) brackets the spectrum (doubling -lambda until
     N = 0, then lambda until N covers `count`; the doubling sequence is
     counted in chunks, the upward one growing from one point, which is
-    counted with ``lam_min``), and each level is refined to 1e-13 max(1,
-    |lambda|); a level's multiplicity is the jump of N across it.  N is
+    counted with ``lam_min``), and each level is refined to 1e-13 max(f,
+    |lambda|), with f = min(1, (pi / l)^2) for the longest edge l; a
+    level's multiplicity is the jump of N across it.  N is
     read from the reduced matrix on the kept vertex values, which for an
     approximating graph with n outer edges is n wide: every inner edge's
     midpoint is eliminated (see :class:`_Reduction`).  The refinement runs
@@ -998,7 +1128,7 @@ def eigenvalues_compact(
     and at least 1; 1 on a wider matrix); an interval that holds one level
     takes a weighted regula falsi step on the eigenvalue branch of the
     reduced matrix that crosses 0 there, and counts the pair x -+ h with 2h
-    <= 1e-13 max(1, |x|).  A pair that holds the level's whole jump returns
+    <= 1e-13 max(f, |x|).  A pair that holds the level's whole jump returns
     x; a level that steps cannot take goes on bisecting.  With ``lam_min``,
     which must be finite, only eigenvalues above that floor are returned.
 
@@ -1035,8 +1165,9 @@ class GreensFunction:
     edge) then half-line.
 
     A is linear in the source's modes, so it is solved for once, at
-    construction: one gated solve with the reduced matrix B(z) takes a
-    unit right-hand side per mode, w_+- (c_+- - ik) (with sqrt(k)
+    construction (:meth:`_Reduction.amplitudes`, on a stack of one graph):
+    one gated solve with the reduced matrix B(z) takes a unit right-hand
+    side per mode, w_+- (c_+- - ik) (with sqrt(k)
     in a bordered mode's border row) for mode p_+- of a finite edge and
     -2ik J_h* for a half-line h.  An eliminated midpoint's entries r_m of
     those right-hand sides enter the kept rows as -b_m r_m / p_m, and its
@@ -1061,52 +1192,15 @@ class GreensFunction:
             raise InputError(
                 "resolvent of a non-compact system needs z off [0, inf)"
             )
-        positive = z.imag == 0 and z.real > 0
-        pt = red.one_point(k, z.real if positive else None)
-        # The point is on graph 0 of the reduction (see _Reduction.one_point).
-        w, wm, length = red.w, red.wm[0], red.length[0]
-        ne, size, n_kept = len(length), red.size, len(pt.kept)
+        (amp,) = red.amplitudes(z, np.zeros(1, dtype=int))
+        if isinstance(amp, QGraphError):
+            raise amp
+        self._amp = amp
         # Mode indices of every edge: sign * ne + e on finite edge e, 2 ne + h
         # on half-line h.
+        ne = red.length.shape[1]
         self._modes = {eid: [e, ne + e] for eid, e in red.finite_index.items()}
         self._modes.update({eid: [2 * ne + h] for eid, h in red.half_index.items()})
-        n_modes = 2 * ne + len(red.j_half)
-        # One unit right-hand side per source mode, in mode order: on the
-        # kept rows, on the midpoints (a mode of a half enters its midpoint's
-        # row), and on the border rows.
-        unit = pt.coef - 1j * k
-        rhs = np.zeros((len(pt.mat), n_modes), dtype=complex)
-        rhs[:size, : 2 * ne] = w * unit
-        rhs[:size, 2 * ne :] = -2j * k * red.j_half.conj().T
-        mode = np.flatnonzero(red.mode_mid >= 0)
-        mid = red.mode_mid[mode]
-        rhs_mid = np.zeros((red.mid_w.shape[1], n_modes), dtype=complex)
-        rhs_mid[mid, mode] = wm[mode] * unit[mode]
-        rhs[:size] -= pt.col @ (pt.inv[:, np.newaxis] * rhs_mid)
-        rhs[size : size + n_kept] = rhs_mid[pt.kept]
-        sign, cols = np.nonzero(pt.border >= 0)
-        rows = size + n_kept + pt.border[sign, cols]
-        rhs[rows, sign * ne + cols] = pt.root_k
-        sol = gated_solve(
-            pt.mat, rhs, NearSingularZError, f"z = {z} is numerically on the spectrum",
-            solve=np.linalg.solve,
-        )
-        x = sol[:size]
-        # The midpoints' values: x_m = (r_m - b_m* x) / p_m where eliminated.
-        x_mid = pt.inv[:, np.newaxis] * (rhs_mid - pt.rows @ x)
-        x_mid[pt.kept] = sol[size : size + n_kept]
-        amp = np.concatenate([red.w_adj @ x, red.j_half @ x])
-        amp[mode] += wm[mode, np.newaxis].conj() * x_mid[mid]
-        amp[np.diag_indices(len(amp))] -= 1.0
-        amp[sign * ne + cols] = sol[rows]
-        # The factor that turns a mode value, or a border unknown, into an
-        # amplitude.
-        em1 = np.expm1(1j * k * length)
-        divisor = np.stack([2.0 + em1, em1])
-        scale = 1.0 / divisor
-        scale[sign, cols] = -1j / (pt.root_k * divisor[1 - sign, cols])
-        amp[: 2 * ne] *= scale.reshape(-1, 1)
-        self._amp = amp
 
     # -- internals --------------------------------------------------------
 
@@ -1203,20 +1297,43 @@ class _ScatteringSolver(_Reduction):
         if not len(self.j_half):
             raise StructuralError("system has no half-lines, hence no channels")
 
+    def many(self, k: np.ndarray, g) -> list:
+        """S(k) at every momentum of the 1-d float array ``k`` (validated, >
+        0) on the graphs ``g``, or the ResonantKError of its gate, per
+        point.  A reduction wider than _ROUND_SIZE is point-bound and
+        solves one point per call (see :func:`_each_family`)."""
+        if self.size > _ROUND_SIZE and len(k) > 1:
+            return [s for i in range(len(k)) for s in self.many(k[i : i + 1], _at(g, i))]
+        nh = len(self.j_half)
+        out: list = [None] * len(k)
+        for pts in self.points(k, g, k * k):
+            ks = k[pts.at]
+            # An incoming wave exp(-iks) on each channel in turn, with the
+            # border rows' right-hand sides zero.
+            rhs = np.zeros(pts.mat.shape[:2] + (nh,), dtype=complex)
+            rhs[:, : self.size] = (-2j * ks)[:, np.newaxis, np.newaxis] * self.j_half.conj().T
+            x, cond = gated_solve(pts.mat, rhs, solve=np.linalg.solve)
+            errors = [
+                gate_error(c, ResonantKError, f"vertex system ill-conditioned at k = {kp}", k=kp)
+                for c, kp in zip(cond.tolist(), ks.tolist())
+            ]
+            good = np.array([error is None for error in errors])
+            mat, rhs, x = pts.mat[good], rhs[good], x[good]
+            # One step of iterative refinement: at small k on short edges the
+            # condition reaches ~5e4, and the plain solve's error alone then
+            # shows as a unitarity defect above 1e-12.
+            x += np.linalg.solve(mat, rhs - mat @ x)
+            s_mats = iter(self.j_half @ x[:, : self.size] - np.eye(nh))
+            for i, error in zip(pts.at.tolist(), errors):
+                out[i] = next(s_mats) if error is None else error
+        return out
+
     def __call__(self, k: float) -> np.ndarray:
-        """S(k) for a validated momentum k > 0."""
-        mat = self.one_point(k, k * k).mat
-        # An incoming wave exp(-iks) on each channel in turn, with the border
-        # rows' right-hand sides zero.
-        rhs = np.zeros((len(mat), len(self.j_half)), dtype=complex)
-        rhs[: self.size] = -2j * k * self.j_half.conj().T
-        x = gated_solve(mat, rhs, ResonantKError, f"vertex system ill-conditioned at k = {k}",
-                        solve=np.linalg.solve, k=k)
-        # One step of iterative refinement: at small k on short edges the
-        # condition reaches ~5e4, and the plain solve's error alone then
-        # shows as a unitarity defect above 1e-12.
-        x += np.linalg.solve(mat, rhs - mat @ x)
-        return self.j_half @ x[: self.size] - np.eye(len(self.j_half))
+        """S(k) for a validated momentum k > 0: :meth:`many` at one point."""
+        (s,) = self.many(np.array([k]), 0)
+        if isinstance(s, QGraphError):
+            raise s
+        return s
 
 
 def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:

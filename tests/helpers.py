@@ -392,15 +392,20 @@ def zgecon_condition(mat: np.ndarray) -> tuple[float, tuple]:
     return (1.0 / rcond if rcond > 0 else math.inf), lu
 
 
-def scipy_gated_solve(mat, rhs, error, message, solve=None, **info):
-    """The solver's gated solve as it was: scipy's ``lu_factor``, the gate on
-    ``zgecon``'s estimate at 1e12, and ``lu_solve`` (``solve`` is unused)."""
-    if not mat.size:
-        return lu_solve(lu_factor(mat), rhs)
-    cond, lu = zgecon_condition(mat)
-    if not cond <= 1e12:
-        raise error(f"{message} (condition estimate {cond:.2e})", **info)
-    return lu_solve(lu, rhs)
+def scipy_gated_solve(mats, rhs, solve=None):
+    """The solver's gated solve as it was, per matrix of the stack: scipy's
+    ``lu_factor`` and ``lu_solve``, with ``zgecon``'s estimate as the
+    condition that the gate compares with 1e12 (``solve`` is unused)."""
+    sols, conds = [], []
+    for mat, b in zip(mats, rhs):
+        if not mat.size:
+            sols.append(lu_solve(lu_factor(mat), b))
+            conds.append(0.0)
+            continue
+        cond, lu = zgecon_condition(mat)
+        sols.append(lu_solve(lu, b) if cond <= 1e12 else np.zeros_like(b))
+        conds.append(cond)
+    return np.array(sols).reshape(rhs.shape), np.array(conds)
 
 
 class ModuleView:
@@ -418,11 +423,14 @@ class ModuleView:
 def use_scipy_lu(monkeypatch) -> None:
     """Route the solver's solves through scipy's LU, as they ran before
     numpy's ``solve`` took them over: the gated solve through
-    :func:`scipy_gated_solve`, and the scattering refinement through
-    ``lu_factor`` and ``lu_solve`` (factoring the same matrix again gives
-    the same factors)."""
+    :func:`scipy_gated_solve`, and the scattering refinement (a stack of
+    matrices) through ``lu_factor`` and ``lu_solve`` per matrix (factoring
+    the same matrix again gives the same factors)."""
     monkeypatch.setattr(solver, "gated_solve", scipy_gated_solve)
-    linalg = ModuleView(np.linalg, solve=lambda a, b: lu_solve(lu_factor(a), b))
+    linalg = ModuleView(
+        np.linalg,
+        solve=lambda a, b: np.array([lu_solve(lu_factor(m), r) for m, r in zip(a, b)]).reshape(b.shape),
+    )
     monkeypatch.setattr(solver, "np", ModuleView(np, linalg=linalg))
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -487,17 +488,118 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("metric", [ScatteringNorm(), HSResolvent(), EigGap()])
-def test_sweep_csv_equals_per_d_metric_calls(st_delta_prime, metric):
-    cfg = SweepConfig(st=st_delta_prime, metric=metric, d_values=MEMO_D_VALUES)
+def _sweep_coupling(name, reference_couplings):
+    """An acceptance coupling by name, the seeded random n = 3, m = 2 form,
+    or delta' at n = 8, whose reductions are 8 wide."""
+    if name == "random_n3_m2":
+        return random_st(np.random.default_rng(7), n=3, m=2)
+    if name == "delta_prime_n8":
+        return make_delta_prime(beta=1.0, n=8)
+    return reference_couplings[name]
+
+
+@pytest.mark.parametrize("metric", [ScatteringNorm(), HSResolvent(), EigGap()],
+                         ids=["scattering", "hs", "eig"])
+@pytest.mark.parametrize(
+    "name",
+    ["delta", "delta_prime_s", "kirchhoff_perturbed", "complex_t", "random_n3_m2", "delta_prime_n8"],
+)
+def test_sweep_csv_equals_per_d_metric_calls(name, metric, reference_couplings):
+    """A default-grid sweep writes the CSV of one metric call per d: each
+    point of a family evaluated in stacked calls has the bits it has alone
+    (delta' n = 8 is wider than _ROUND_SIZE and goes one point per call)."""
+    st = _sweep_coupling(name, reference_couplings)
+    cfg = SweepConfig(st=st, metric=metric)
     assert report_to_csv(run_sweep(cfg)) == report_to_csv(_per_d_report(cfg))
+
+
+def test_stacked_scattering_family_keeps_each_d_around_a_failure_and_a_retry(monkeypatch):
+    """A family in which d = 0.1 fails to build (a singular pair strength)
+    and the point of d = 0.05 at k = 1 resonates (its gate is made to fail
+    there): every (d, k) point is solved in one stacked call, the resonant
+    point alone in one more at k (1 + 1e-6), and every d reads as it does
+    alone, d = 0.05 with its retried momentum."""
+    st = make_singular_at_tenth()
+    d_values = (0.2, 0.1, 0.05, 0.025, 0.0125)
+    metric = ScatteringNorm()
+    alone = {d: run_sweep(SweepConfig(st=st, metric=metric, d_values=(d,))).points[0]
+             for d in d_values}
+    g, c = build_approx_graph(st, 0.05), ab_from_st(st)
+    retried = max(
+        float(np.linalg.norm(effective_scattering(g, k) - star_scattering(c, k), 2))
+        for k in (0.5, 1.0 * (1.0 + 1.0e-6), 2.0)
+    )
+    (pts,) = solver._ScatteringSolver(system_from_approx(g)).points(np.array([1.0]), 0, np.array([1.0]))
+    resonant = pts.mat[0]
+    gated = solver.gated_solve
+
+    def resonant_at_k1(mats, rhs, solve):
+        sol, cond = gated(mats, rhs, solve)
+        cond[[np.array_equal(mat, resonant) for mat in mats]] = math.inf
+        return sol, cond
+
+    monkeypatch.setattr(solver, "gated_solve", resonant_at_k1)
+    tried = []
+    many = solver._ScatteringSolver.many
+
+    def recorded(self, k, graphs):
+        tried.append(k.tolist())
+        return many(self, k, graphs)
+
+    monkeypatch.setattr(solver._ScatteringSolver, "many", recorded)
+    report = run_sweep(SweepConfig(st=st, metric=metric, d_values=d_values))
+    assert [len(k) for k in tried] == [4 * len(metric.k_list), 1]
+    assert tried[1] == [1.0 * (1.0 + 1.0e-6)] and 1.0 in tried[0]
+    for point in report.points:
+        if point.d != 0.05:
+            assert point == alone[point.d]
+    assert "skipped" in alone[0.1].status
+    assert report.points[2].value == retried
+
+
+@pytest.mark.parametrize("metric", [ScatteringNorm(), HSResolvent()], ids=["scattering", "hs"])
+def test_wide_sweeps_take_no_more_memory_than_one_d(metric):
+    """delta' n = 16 reduces to 16-wide matrices, wider than _ROUND_SIZE, so
+    its sweeps go one point per call: the peak of the memory a default-grid
+    sweep allocates (tracemalloc sees numpy's buffers) stays within 1.5
+    times the largest peak of a one-d metric call.  With every family
+    stacked, as narrow ones are, the sweeps read 8.3 (scattering) and 8.9
+    (HS) times that peak."""
+    st = make_delta_prime(beta=1.3, n=16)
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_d = max(peak(lambda d=d: _metric_call(st, d, metric)) for d in DEFAULT_D_VALUES)
+    sweep = peak(lambda: run_sweep(SweepConfig(st=st, metric=metric)))
+    assert sweep <= 1.5 * one_d
+
+
+def _counting_method(monkeypatch, cls, name):
+    """Replace cls.<name> by a wrapper that records the number of points of
+    each call: the length of its last argument, the graph of each point."""
+    calls = []
+    original = getattr(cls, name)
+
+    def wrapper(self, *args):
+        calls.append(len(args[-1]))
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
 
 
 def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
     """Per sweep: the star's eigenvalues once and each approximating graph's
     eigenvalue search once, all graphs in one lockstep solve; the star's
-    resolvent once and the approximating resolvent once per d; the star's
-    S(k) once per momentum."""
+    resolvent once and the approximating graphs' amplitudes in one stacked
+    call; the star's S(k) once per momentum, and every (d, k) point's S_d(k)
+    in one stacked call."""
     n = len(MEMO_D_VALUES)
     solves = _counting(monkeypatch, "eigenvalues_compact")
     families = _counting(monkeypatch, "_eigenvalues_lockstep")
@@ -513,12 +615,17 @@ def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
     assert len(solves) == 1 and len(families) == 1 and len(families[0][0]) == n
     assert len(searches) == 1 + n
     resolvents = _counting(monkeypatch, "greens_function")
+    amplitudes = _counting_method(monkeypatch, solver._Reduction, "amplitudes")
     run_sweep(SweepConfig(st=st_delta_prime, metric=HSResolvent(), d_values=MEMO_D_VALUES))
-    assert len(resolvents) == 1 + n
+    assert len(resolvents) == 1
+    # The star's resolvent is a stacked call of one graph.
+    assert amplitudes == [1, n]
     stars = _counting(monkeypatch, "star_scattering")
+    scatterings = _counting_method(monkeypatch, solver._ScatteringSolver, "many")
     metric = ScatteringNorm()
     run_sweep(SweepConfig(st=st_delta_prime, metric=metric, d_values=MEMO_D_VALUES))
     assert [k for _, k in stars] == list(metric.k_list)
+    assert scatterings == [n * len(metric.k_list)]
 
 
 def test_eig_sweep_counts_as_often_as_its_slowest_graph(monkeypatch, st_delta_prime):

@@ -44,7 +44,7 @@ from qgraph import (
 import qgraph.couplings as couplings
 import qgraph.graphs as graphs
 import qgraph.solver as solver
-from qgraph._util import gated_solve
+from qgraph._util import gate_error, gated_solve
 from qgraph.solver import _EigenvalueCount, _Reduction, _ScatteringSolver
 from helpers import (
     ModuleView,
@@ -781,8 +781,15 @@ def _gate_matrices() -> dict[str, np.ndarray]:
     cases["overflowing-condition"] = np.diag([1e10, 1e-300]).astype(complex)
     cases["empty"] = np.zeros((0, 0), dtype=complex)
     for k in (1.0, 2.0):
-        cases[f"loop-with-leads-k{k:g}"] = _ScatteringSolver(loop_with_leads()).one_point(k, k * k).mat
+        cases[f"loop-with-leads-k{k:g}"] = _one_point(_ScatteringSolver(loop_with_leads()), k).mat[0]
     return cases
+
+
+def _one_point(red: _Reduction, k: float):
+    """The bordered matrix and its layout at one momentum k > 0 of a
+    one-graph reduction, as a stacked evaluation of one point sees it."""
+    (pts,) = red.points(np.array([k]), 0, np.array([k * k]))
+    return pts
 
 
 _GATE_MATRICES = _gate_matrices()
@@ -807,9 +814,9 @@ def test_gate_is_the_exact_condition_never_below_lapacks_estimate(name):
         exact = math.inf
     exact = math.inf if math.isnan(exact) else exact
     rhs = np.ones((n, 2), dtype=complex)
-    try:
-        x = gated_solve(mat, rhs, ResonantKError, "gate", k=1.0)
-    except ResonantKError as err:
+    (x,), (cond,) = gated_solve(mat[np.newaxis], rhs[np.newaxis])
+    err = gate_error(cond, ResonantKError, "gate", k=1.0)
+    if err is not None:
         reported = float(re.fullmatch(r"gate \(condition estimate (\S+)\)", str(err)).group(1))
         assert reported == float(f"{exact:.2e}")
         fired = True
@@ -819,6 +826,24 @@ def test_gate_is_the_exact_condition_never_below_lapacks_estimate(name):
     assert exact >= estimate * (1.0 - 1e-12)
     assert fired == (exact > 1e12)
     assert fired == (estimate > 1e12)
+
+
+def test_gated_solve_of_a_stack_gives_each_matrix_its_own_result():
+    """The gate matrices of each width, stacked, get the solutions and
+    conditions each has alone; a singular matrix among them sends its stack
+    to one solve per matrix."""
+    widths: dict[int, list] = {}
+    for mat in _GATE_MATRICES.values():
+        widths.setdefault(len(mat), []).append(mat)
+    assert any(len(mats) > 1 for mats in widths.values())
+    for n, mats in widths.items():
+        rhs = np.ones((len(mats), n, 2), dtype=complex)
+        sol, cond = gated_solve(np.array(mats), rhs)
+        for i, mat in enumerate(mats):
+            (x,), (alone,) = gated_solve(mat[np.newaxis], rhs[i : i + 1])
+            assert cond[i] == alone
+            if alone <= 1e12:
+                np.testing.assert_array_equal(sol[i], x)
 
 
 def _dense_ab_star() -> MetricGraphSystem:
@@ -902,14 +927,14 @@ def test_metric_scattering_retries_a_resonant_momentum(monkeypatch):
     import qgraph.convergence as convergence
 
     tried = []
+    many = _ScatteringSolver.many
+    loop = _ScatteringSolver(loop_with_leads())
 
-    def loop_scattering(sys):
-        def scatter(k):
-            tried.append(k)
-            return scattering_matrix(loop_with_leads(), k)
-        return scatter
+    def loop_scattering(self, k, g):
+        tried.extend(k.tolist())
+        return many(loop, k, 0)
 
-    monkeypatch.setattr(convergence, "_ScatteringSolver", loop_scattering)
+    monkeypatch.setattr(_ScatteringSolver, "many", loop_scattering)
     monkeypatch.setattr(convergence, "star_scattering", lambda c, k: np.eye(2))
     value = convergence.metric_scattering(make_delta(alpha=1.0, n=3), 0.1, k_list=(1.0,))
     assert tried == [1.0, 1.0 * (1.0 + 1.0e-6)]
@@ -1273,10 +1298,10 @@ def test_midpoints_stay_rows_on_half_segment_dirichlet_levels():
     sys_ = system_from_approx(build_approx_graph(make_delta(alpha=1.0, n=n), d))
     k = math.pi / d
     scatter = _ScatteringSolver(sys_)
-    pt = scatter.one_point(k, k * k)
+    pts = _one_point(scatter, k)
     pairs = scatter.mid_w.shape[1]
-    assert len(pt.kept) == pairs
-    assert len(pt.mat) == n + pairs + np.count_nonzero(pt.border >= 0) == n + 3 * pairs
+    assert pts.kept.shape == (1, pairs)
+    assert pts.mat.shape[-1] == n + pairs + pts.border.shape[1] == n + 3 * pairs
     np.testing.assert_allclose(scatter(k), reference_scattering_matrix(sys_, k), rtol=0, atol=1e-10)
     # Cut at 0.9, so that k is no Dirichlet level of the truncated edges.
     sys_t = truncate(sys_, L=0.9)
@@ -1316,8 +1341,8 @@ def test_approximating_graphs_reduce_to_n_wide(n):
     count = _EigenvalueCount(truncate(system_from_approx(g), L=1.0))
     assert scatter.size == count.size == n
     assert scatter.mid_w.shape == count.mid_w.shape == (1, n * (n - 1) // 2)
-    pt = scatter.one_point(1.0, 1.0)
-    assert pt.mat.shape == (n, n) and not len(pt.kept)
+    pts = _one_point(scatter, 1.0)
+    assert pts.mat.shape == (1, n, n) and not pts.kept.size
 
 
 def test_kept_rows_carry_the_unreduced_mode_vectors():
@@ -1404,7 +1429,7 @@ def test_a_step_between_two_levels_keeps_both():
         signs = [np.where(lam > np.array(levels), -1.0, 1.0) for lam in lams]
         return counts, [solver._Branches(b"", 0, row) for row in signs]
 
-    search = solver._search(solver._ROUND_POINTS, 2, 0.0)
+    search = solver._search(solver._ROUND_POINTS, 2, 0.0, 1.0)
     with pytest.raises(StopIteration) as stop:
         lams = next(search)
         while True:
@@ -1412,6 +1437,28 @@ def test_a_step_between_two_levels_keeps_both():
     got = stop.value.value
     assert len(got) == 2
     assert np.all(np.abs(got - levels) <= 1e-13)
+
+
+@pytest.mark.parametrize("ell", [1e6, 1e8])
+def test_levels_below_one_stay_apart_on_a_long_truncation(ell):
+    """On the delta' star truncated at L = 1e6 or 1e8 the three lowest
+    levels are (pi / 2L)^2 twice and (pi / L)^2, all far below 1: the leaf
+    width scales with (pi / L)^2, not with 1, so the search resolves them
+    (with a leaf width of 1e-13 they merged into one level near 2.8e-14 at
+    L = 1e8)."""
+    sys_ = truncate(star_system(make_delta_prime(beta=1.0, n=3)), L=ell)
+    got = eigenvalues_compact(sys_, 3)
+    expected = [(math.pi / (2.0 * ell)) ** 2] * 2 + [(math.pi / ell) ** 2]
+    np.testing.assert_allclose(got, expected, rtol=1e-6, atol=0)
+
+
+def test_leaf_floor_is_one_unless_an_edge_is_longer_than_pi():
+    """The leaf floor is min(1, (pi / l)^2) for the longest edge l, and the
+    smallest normal float where that underflows."""
+    star = star_system(make_delta_prime(beta=1.0, n=3))
+    for ell, floor in ((1.0, 1.0), (math.pi, 1.0), (1e3, (math.pi / 1e3) ** 2),
+                       (1e300, np.finfo(float).tiny)):
+        assert solver._leaf_floor(_EigenvalueCount(truncate(star, L=ell))) == floor
 
 
 @settings(max_examples=40, deadline=None)
