@@ -1,32 +1,22 @@
 """Convergence harness: sweep d -> 0 and fit the approximation rate.
 
 The approximating family H_d is compared against the limit star operator
-H* through three metrics,
-
-* ``ScatteringNorm`` — max over a momentum list of the spectral norm of
-  the difference of on-shell scattering matrices,
-* ``HSResolvent`` — the Hilbert-Schmidt norm of the resolvent
-  difference, (integral of |G_d - G*|^2)^(1/2): both systems are truncated
-  at length L, and the star kernel is extended by zero to the inner
-  edges, so their rows and columns contribute |G_d|^2 alone.  Every kernel
-  is a sum of products of edge exponentials, so the integral is evaluated
-  in closed form, per edge pair from the kernels' rank-2 factors, plus
-  an inner edge's free kernel on its own block,
-* ``EigGap`` — the largest displacement among the lowest eigenvalues of
-  the truncated systems above a coupling-dependent floor that excludes
-  the deep bound states generated by the O(1/d^2) inner strengths.
+H* through three metrics, each defined by its specification class:
+:class:`ScatteringNorm` (on-shell scattering matrices), :class:`HSResolvent`
+(the Hilbert-Schmidt norm of the resolvent difference, in closed form) and
+:class:`EigGap` (the lowest truncated eigenvalues above a floor).
 
 Each metric has one grid function that maps a decreasing list of d values
 to per-d outcomes, the value or the QGraphError that d raises, and
-computes the star side, which does not depend on d, once; the
-``metric_*`` functions are its one-d case.  Every grid function evaluates
-the approximating graphs of one shape together: the eig grid searches
-them in lockstep, the scattering grid solves every (d, k) point in one
-stacked call and the HS grid every d's amplitudes in another (see
-:func:`~qgraph.solver._each_family`), and each d keeps the bits of its
-one-d call.  ``run_sweep`` records a d
-that raised as skipped with the reason, and fits log(metric) against
-log(d) by ordinary least squares once at least four valid points survive.
+computes the star side, which does not depend on d, once; ``run_sweep``
+is the one way in, and a sweep of one d is the metric at that d.  Every
+grid function evaluates the approximating graphs of one shape together:
+the eig grid searches them in lockstep, the scattering grid solves every
+(d, k) point in one stacked call and the HS grid every d's amplitudes in
+another (see :func:`~qgraph.solver._each_family`), and each d keeps the
+bits of its one-d sweep.  ``run_sweep`` records a d that raised as
+skipped with the reason, and fits log(metric) against log(d) by ordinary
+least squares once at least four valid points survive.
 Reports serialize to CSV with one ``d,metric,status`` row per d followed
 by ``slope``, ``intercept`` and ``residual`` trailer rows; commas inside
 status messages are replaced by semicolons so the file stays three
@@ -73,9 +63,6 @@ __all__ = [
     "SweepPoint",
     "ConvergenceReport",
     "eigengap_floor",
-    "metric_scattering",
-    "metric_hs_resolvent",
-    "metric_eigengap",
     "fit_rate",
     "run_sweep",
     "report_to_csv",
@@ -91,7 +78,15 @@ DEFAULT_D_VALUES: tuple[float, ...] = tuple(2.0**-p for p in range(2, 11))
 
 @dataclass(frozen=True)
 class ScatteringNorm:
-    """Compare on-shell scattering matrices at each momentum in k_list."""
+    """The scattering metric: max over k_list of ||S_d(k) - S*(k)|| in
+    spectral norm, between the on-shell scattering matrices of the
+    approximating graph and the star.
+
+    A resonant momentum (singular vertex-reduced system) on either side is
+    retried once at k (1 + 1e-6); if the perturbed momentum still
+    resonates, the error propagates and the sweep records the d as
+    skipped.
+    """
 
     k_list: tuple[float, ...] = (0.5, 1.0, 2.0)
 
@@ -104,7 +99,21 @@ class ScatteringNorm:
 
 @dataclass(frozen=True)
 class HSResolvent:
-    """Compare resolvent kernels of the L-truncated systems at z."""
+    """The HS resolvent metric: the Hilbert-Schmidt distance (integral of
+    |G_d - G*|^2)^(1/2) of the resolvent kernels at z of the approximating
+    graph and the star.
+
+    Both systems are truncated at L (Dirichlet); the star kernel is
+    extended by zero to the inner edges, so those rows and columns
+    contribute the plain Hilbert-Schmidt mass of G_d.  The double integral
+    of |G_d - G*|^2 is evaluated in closed form from the kernels' rank-2
+    edge-pair factors and the inner edges' free kernels (see
+    :func:`_hs_distance`), so no kernel is sampled; a square sum lost to
+    rounding raises :class:`~qgraph.errors.ConditioningError`, and the
+    sweep records the d as skipped.  The outer edges of the two systems
+    agree in id, length and potential by construction (see
+    :func:`~qgraph.graphs.system_from_approx`).
+    """
 
     z: complex = -1.0
     L: float = 1.0
@@ -119,7 +128,14 @@ class HSResolvent:
 
 @dataclass(frozen=True)
 class EigGap:
-    """Compare the lowest `count` truncated eigenvalues above the floor."""
+    """The eigengap metric: the max displacement among the lowest `count`
+    eigenvalues above the floor.
+
+    Both the star and the approximating graph are truncated at length L
+    with Dirichlet ends; the lowest `count` eigenvalues above
+    :func:`eigengap_floor` of the coupling, which excludes the deep bound
+    states of the O(1/d^2) inner strengths, are matched by index.
+    """
 
     count: int = 5
     L: float = 1.0
@@ -168,7 +184,7 @@ class ConvergenceReport:
     """Per-d metric values plus the fitted log-log rate.
 
     ``slope``, ``intercept`` and ``residual`` are None when fewer than
-    four valid points survive; ``conclusive`` records that distinction.
+    four valid points survive.
     """
 
     metric: MetricSpec
@@ -176,7 +192,11 @@ class ConvergenceReport:
     slope: float | None
     intercept: float | None
     residual: float | None
-    conclusive: bool
+
+    @property
+    def conclusive(self) -> bool:
+        """Whether the rate was fitted: at least four valid points."""
+        return self.slope is not None
 
     @property
     def values(self) -> tuple[tuple[float, float], ...]:
@@ -193,34 +213,14 @@ class ConvergenceReport:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _one_d(outcomes: list) -> float:
-    """The value of a grid function's only d; its QGraphError is raised."""
-    (value,) = outcomes
-    if isinstance(value, QGraphError):
-        raise value
-    return value
-
-
-def metric_scattering(
-    st: STForm, d: float, k_list=(0.5, 1.0, 2.0)
-) -> float:
-    """Max over k_list of ||S_d(k) - S*(k)|| in spectral norm.
-
-    A resonant momentum (singular vertex-reduced system) is retried once at
-    k (1 + 1e-6); if the perturbed momentum still resonates, the error
-    propagates and the sweep records the d as skipped.
-    """
-    return _one_d(_scattering_norms(st, (d,), ScatteringNorm(tuple(k_list))))
-
-
 def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
-    """Per d of ``d_values``, the outcome of :func:`metric_scattering`; a
-    QGraphError of the star side propagates.  The star's S(k) is computed
-    once per momentum, and each d's reduction once.  The approximating
-    graphs are reduced in families (see
-    :func:`~qgraph.solver._each_family`): every (d, k) point of a family is
-    solved in one stacked call, the points to retry in one more, and all
-    the differences' norms in one stacked SVD."""
+    """Per d of ``d_values``, the :class:`ScatteringNorm` metric ``spec``
+    or the QGraphError of that d; a QGraphError of the star side
+    propagates.  The star's S(k) is computed once per momentum, and each
+    d's reduction once.  The approximating graphs are reduced in families
+    (see :func:`~qgraph.solver._each_family`): every (d, k) point of a
+    family is solved in one stacked call, the points to retry in one more,
+    and all the differences' norms in one stacked SVD."""
     c = ab_from_st(st)
 
     @functools.cache
@@ -286,21 +286,11 @@ def eigengap_floor(st: STForm) -> float:
     return -10.0 * max(1.0, strength) ** 2
 
 
-def metric_eigengap(st: STForm, d: float, count: int = 5, L: float = 1.0) -> float:
-    """Max displacement among the lowest eigenvalues above the floor.
-
-    Both the star and the approximating graph are truncated at length L
-    with Dirichlet ends; the lowest `count` eigenvalues above
-    ``eigengap_floor(st)`` are matched by index.
-    """
-    return _one_d(_eigengaps(st, (d,), EigGap(count=count, L=L)))
-
-
 def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
-    """Per d of ``d_values``, the outcome of :func:`metric_eigengap`; a
-    QGraphError of the star side propagates.  The star is solved once, and
-    every approximating graph's search runs in one lockstep solve (see
-    :func:`~qgraph.solver._eigenvalues_lockstep`)."""
+    """Per d of ``d_values``, the :class:`EigGap` metric ``spec`` or the
+    QGraphError of that d; a QGraphError of the star side propagates.  The
+    star is solved once, and every approximating graph's search runs in
+    one lockstep solve (see :func:`~qgraph.solver._eigenvalues_lockstep`)."""
     floor = eigengap_floor(st)
     star = truncate(star_system(st), L=spec.L)
     lam_star = eigenvalues_compact(star, spec.count, lam_min=floor)
@@ -471,29 +461,14 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 _HS_ROUNDING = 1024.0 * float(np.finfo(float).eps)
 
 
-def metric_hs_resolvent(st: STForm, d: float, z: complex = -1.0, L: float = 1.0) -> float:
-    """Hilbert-Schmidt distance of truncated resolvent kernels at z.
-
-    Both systems are truncated at L (Dirichlet); the star kernel is
-    extended by zero to the inner edges, so those rows and columns
-    contribute the plain Hilbert-Schmidt mass of G_d.  The double integral
-    of |G_d - G*|^2 is evaluated in closed form from the kernels' rank-2
-    edge-pair factors and the inner edges' free kernels (see
-    :func:`_hs_distance`), so no kernel is sampled.  The outer edges of the
-    two systems agree in id, length and potential by construction (see
-    :func:`~qgraph.graphs.system_from_approx`).
-    """
-    return _one_d(_hs_distances(st, (d,), HSResolvent(z=z, L=L)))
-
-
 def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
-    """Per d of ``d_values``, the outcome of :func:`metric_hs_resolvent`; a
-    QGraphError of the truncated star propagates.  The star's mode
-    amplitudes are computed once, up front, and serve every d.  The
-    truncated approximating graphs are reduced in families (see
-    :func:`~qgraph.solver._each_family`): the amplitudes of a family come
-    from one stacked call, and its distances from one evaluation of the
-    closed form."""
+    """Per d of ``d_values``, the :class:`HSResolvent` metric ``spec`` or
+    the QGraphError of that d; a QGraphError of the truncated star
+    propagates.  The star's mode amplitudes are computed once, up front,
+    and serve every d.  The truncated approximating graphs are reduced in
+    families (see :func:`~qgraph.solver._each_family`): the amplitudes of
+    a family come from one stacked call, and its distances from one
+    evaluation of the closed form."""
     star = greens_function(truncate(star_system(st), L=spec.L), spec.z)
     results: list = [None] * len(d_values)
 
@@ -557,9 +532,9 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     The metric's grid function maps the d grid to per-d outcomes, and
     computes the star side, which does not depend on d, once, up front (an
     eig grid also searches all d values' eigenvalues in lockstep; see
-    :func:`~qgraph.solver._eigenvalues_lockstep`).  Every d's
-    value is the one its own metric call gives, and the report lists the d
-    values in their given (decreasing) order, so it is deterministic.  A d
+    :func:`~qgraph.solver._eigenvalues_lockstep`).  Every d's value is the
+    one a sweep of that d alone gives, and the report lists the d values
+    in their given (decreasing) order, so it is deterministic.  A d
     where the builder or the solver raises is recorded as skipped with the
     error message, and the other d values are unaffected; a failure of the
     star side skips every d.  Values at or below ``DEFAULT_TOL`` are kept
@@ -584,17 +559,14 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     ]
     if len(fit_points) >= 4:
         slope, intercept, residual = fit_rate(fit_points)
-        conclusive = True
     else:
         slope = intercept = residual = None
-        conclusive = False
     return ConvergenceReport(
         metric=cfg.metric,
         points=tuple(points),
         slope=slope,
         intercept=intercept,
         residual=residual,
-        conclusive=conclusive,
     )
 
 

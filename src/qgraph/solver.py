@@ -25,7 +25,8 @@ plus its number of inner edges.
   levels are resolved by construction.  The count brackets the wanted
   levels (a doubling sequence, counted in chunks) and separates them (a
   few bisection rounds, each counting at every midpoint of a few levels of
-  the subtree below each live interval).  An interval then holding one
+  the subtree below each live interval; a midpoint is a/2 + b/2, which
+  stays finite for any finite ends).  An interval then holding one
   level is refined by a safeguarded root step, as for a Hermitian
   nonlinear eigenproblem (Voss & Werner's minimax principle, whose
   enumeration the count supplies): the eigenvalues of the bordered reduced
@@ -61,7 +62,8 @@ plus its number of inner edges.
   sweep's family of approximating graphs is stacked, and all its points
   are solved in one call, one batched solve per number of kept midpoints
   and border rows, each point with the bits it has alone; a reduction
-  wider than 6 solves one point per call.  A single S(k) or resolvent is
+  wider than 6 solves one point per call.  A single S(k)
+  (:func:`scattering_matrix`) or resolvent (:class:`GreensFunction`) is
   the stack of one.
 
 A coefficient that diverges next to an edge Dirichlet level moves into a
@@ -825,6 +827,12 @@ def _leaf_floor(count: "_EigenvalueCount") -> float:
     return max((math.pi / longest) ** 2, float(np.finfo(float).tiny))
 
 
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2 without overflow: 0.5 a + 0.5 b has the bits of 0.5 (a +
+    b) wherever a + b is finite and neither half is subnormal."""
+    return 0.5 * a + 0.5 * b
+
+
 def _subtree_midpoints(live, depth: int, floor: float) -> list[float]:
     """The midpoint of every interval of the depth-``depth`` bisection
     subtree of each live interval; an interval at leaf width is not split,
@@ -835,7 +843,7 @@ def _subtree_midpoints(live, depth: int, floor: float) -> list[float]:
         children = []
         for a, b in level:
             if not _is_leaf(a, b, floor):
-                mid = 0.5 * (a + b)
+                mid = _midpoint(a, b)
                 mids.append(mid)
                 children += [(a, mid), (mid, b)]
         level = children
@@ -917,6 +925,10 @@ def _search(points: int, count: int, lam_min: float | None, floor: float):
         # lam_min is counted in one batch with the first upward point.
         lo = lam_min
         up = [max(1.0, 2.0 * lo)]
+        if not math.isfinite(up[0]):
+            raise ScanRangeError(
+                f"eigenvalue count not reached above lam_min = {lo:.3g}", window=(lo, lo)
+            )
         n_lo, *counts = yield from ask([lam_min] + up)
     target = n_lo + count
     hi, n_hi = yield from _bracket(up, counts, lambda n: n >= target, lo, points, ask)
@@ -930,7 +942,7 @@ def _search(points: int, count: int, lam_min: float | None, floor: float):
             if iv.n_b <= iv.n_a or iv.n_a >= target:
                 continue
             if _is_leaf(iv.a, iv.b, floor):
-                leaves.append((iv.a, 0.5 * (iv.a + iv.b), iv.n_b - iv.n_a))
+                leaves.append((iv.a, _midpoint(iv.a, iv.b), iv.n_b - iv.n_a))
             else:
                 live.append(iv)
         return live
@@ -988,7 +1000,7 @@ def _search(points: int, count: int, lam_min: float | None, floor: float):
         for _ in range(depth):
             halves = []
             for iv in split:
-                mid = 0.5 * (iv.a + iv.b)
+                mid = _midpoint(iv.a, iv.b)
                 n_mid = min(max(n_at[mid], iv.n_a), iv.n_b)
                 # A stalled level's halves stay in subtree rounds.
                 steps = iv.steps if iv.steps >= _STALL else 0
@@ -1130,7 +1142,9 @@ def eigenvalues_compact(
     reduced matrix that crosses 0 there, and counts the pair x -+ h with 2h
     <= 1e-13 max(f, |x|).  A pair that holds the level's whole jump returns
     x; a level that steps cannot take goes on bisecting.  With ``lam_min``,
-    which must be finite, only eigenvalues above that floor are returned.
+    which must be finite, only eigenvalues above that floor are returned; a
+    floor whose double overflows leaves no upward bracket and raises
+    :class:`ScanRangeError`.
 
     This is :func:`_eigenvalues_lockstep` on one system; an eig sweep runs
     it on all its approximating graphs at once, with the same result for
@@ -1328,13 +1342,6 @@ class _ScatteringSolver(_Reduction):
                 out[i] = next(s_mats) if error is None else error
         return out
 
-    def __call__(self, k: float) -> np.ndarray:
-        """S(k) for a validated momentum k > 0: :meth:`many` at one point."""
-        (s,) = self.many(np.array([k]), 0)
-        if isinstance(s, QGraphError):
-            raise s
-        return s
-
 
 def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     """On-shell scattering matrix at momentum k > 0.
@@ -1345,7 +1352,10 @@ def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     has S = +1 and a Dirichlet one S = -1.
     """
     k = require_positive_real(k, "momentum k")
-    return _ScatteringSolver(sys)(k)
+    (s,) = _ScatteringSolver(sys).many(np.array([k]), 0)
+    if isinstance(s, QGraphError):
+        raise s
+    return s
 
 
 def effective_scattering(g: ApproxGraph, k: float) -> np.ndarray:

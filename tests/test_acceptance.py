@@ -12,8 +12,11 @@ import numpy as np
 
 from qgraph import (
     ConditioningError,
+    HSResolvent,
     ResonantKError,
     STForm,
+    ScatteringNorm,
+    SweepConfig,
     ab_from_st,
     build_approx_graph,
     coupling_distance,
@@ -23,13 +26,14 @@ from qgraph import (
     exponent_budget,
     gauge_transform,
     optimal_alpha,
+    run_sweep,
     st_from_ab,
     star_scattering,
     system_from_approx,
     truncate,
     verify_form_bound,
 )
-from qgraph.convergence import fit_rate, metric_hs_resolvent, metric_scattering
+from qgraph.convergence import fit_rate
 from helpers import (
     loglog_slope,
     make_complex_t,
@@ -46,6 +50,13 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {num} [{name}]: {verdict}{suffix}")
     assert ok, f"criterion {num} [{name}]: {verdict}{suffix}"
+
+
+def _sweep_values(st, metric, d_values) -> list[tuple[float, float]]:
+    """The (d, value) pairs of a sweep over ``d_values``, none skipped."""
+    report = run_sweep(SweepConfig(st=st, metric=metric, d_values=tuple(d_values)))
+    assert report.skipped == ()
+    return list(report.values)
 
 
 def _acceptance_set() -> dict:
@@ -89,14 +100,14 @@ def test_criterion_2_norm_resolvent_rate():
     }
     slopes, residuals = {}, {}
     for name, st in couplings.items():
-        values = [metric_hs_resolvent(st, d, z=-1.0, L=1.0) for d in d_values]
-        slope, _, residual = fit_rate(list(zip(d_values, values)))
+        values = _sweep_values(st, HSResolvent(z=-1.0, L=1.0), d_values)
+        slope, _, residual = fit_rate(values)
         slopes[name], residuals[name] = slope, residual
     length_slopes = [slopes["delta"]]
     for length in (2.0, 4.0):
         st = make_delta(alpha=1.0, n=3)
-        values = [metric_hs_resolvent(st, d, z=-1.0, L=length) for d in d_values]
-        slope, _, _ = fit_rate(list(zip(d_values, values)))
+        values = _sweep_values(st, HSResolvent(z=-1.0, L=length), d_values)
+        slope, _, _ = fit_rate(values)
         length_slopes.append(slope)
     spread = max(length_slopes) - min(length_slopes)
     ok = (
@@ -117,9 +128,10 @@ def test_criterion_3_scattering_convergence():
     failures = []
     detail_parts = []
     for name, st in _acceptance_set().items():
-        values = [metric_scattering(st, d, (0.5, 1.0, 2.0)) for d in d_values]
+        pairs = _sweep_values(st, ScatteringNorm((0.5, 1.0, 2.0)), d_values)
+        values = [value for _, value in pairs]
         inversions = sum(1 for a, b in zip(values, values[1:]) if b >= a)
-        slope, _, _ = fit_rate(list(zip(d_values, values)))
+        slope, _, _ = fit_rate(pairs)
         detail_parts.append(f"{name} slope {slope:.3f}/{inversions} inv")
         if slope < 0.4 or inversions > 1:
             failures.append(name)

@@ -34,9 +34,6 @@ from qgraph import (
     eigengap_floor,
     eigenvalues_compact,
     fit_rate,
-    metric_eigengap,
-    metric_hs_resolvent,
-    metric_scattering,
     report_to_csv,
     run_sweep,
     star_scattering,
@@ -124,7 +121,7 @@ def test_hs_resolvent_rejects_z_zero_before_any_graph(monkeypatch, tmp_path, cap
     with pytest.raises(InputError, match=re.escape(message)):
         HSResolvent(z=z)
     with pytest.raises(InputError, match=re.escape(message)):
-        metric_hs_resolvent(make_delta(), 0.25, z=z)
+        run_sweep(SweepConfig(st=make_delta(), metric=HSResolvent(z=z), d_values=(0.25,)))
     doc = tmp_path / "delta.json"
     doc.write_text('{"kind": "delta", "n": 3, "alpha": 1.0}')
     argv = ["sweep", str(doc), "--metric", "hs", "--z-re", repr(complex(z).real),
@@ -166,9 +163,18 @@ def test_sweep_config_rejects_an_unknown_metric(st_delta, metric):
 
 # -- metrics ----------------------------------------------------------------
 
+def _metric_at(st, d, metric) -> float:
+    """The metric at d: the value of a sweep of d alone, which must not skip
+    it."""
+    report = run_sweep(SweepConfig(st=st, metric=metric, d_values=(d,)))
+    assert report.skipped == ()
+    ((_, value),) = report.values
+    return value
+
+
 def test_metric_scattering_matches_direct_norm(st_delta):
     d, ks = 0.05, (0.5, 1.0, 2.0)
-    got = metric_scattering(st_delta, d, ks)
+    got = _metric_at(st_delta, d, ScatteringNorm(ks))
     c = ab_from_st(st_delta)
     g = build_approx_graph(st_delta, d)
     manual = max(
@@ -180,7 +186,7 @@ def test_metric_scattering_matches_direct_norm(st_delta):
 
 
 def test_metric_hs_resolvent_decreases(st_delta_prime):
-    values = [metric_hs_resolvent(st_delta_prime, d) for d in (0.2, 0.1, 0.05)]
+    values = [_metric_at(st_delta_prime, d, HSResolvent()) for d in (0.2, 0.1, 0.05)]
     assert values[0] > values[1] > values[2] > 0
 
 
@@ -209,12 +215,12 @@ def test_metric_hs_matches_dense_reference(monkeypatch, name, d, z, a):
         convergence, "truncate", lambda sys, L: with_potential(truncate(sys, L=L), a)
     )
     st = HS_COUPLINGS[name]
-    got = metric_hs_resolvent(st, d, z=z)
+    got = _metric_at(st, d, HSResolvent(z=z))
     assert got == pytest.approx(reference_hs_value(st, d, z=z, a=a), rel=1e-12)
 
 
 def test_metric_hs_matches_dense_reference_at_long_truncation(st_delta_prime):
-    got = metric_hs_resolvent(st_delta_prime, 2.0**-4, L=8.0)
+    got = _metric_at(st_delta_prime, 2.0**-4, HSResolvent(L=8.0))
     ref = reference_hs_value(st_delta_prime, 2.0**-4, L=8.0)
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -224,7 +230,7 @@ def test_metric_hs_matches_graded_reference_far_from_spectrum(st_delta_prime, z)
     """At |k| = 100 the kernels vary on the scale 1 / |k|: they decay from
     the vertices and the diagonal at z = -1e4 and oscillate at z = 1e4 +
     100i.  The reference's panels are graded to that scale."""
-    got = metric_hs_resolvent(st_delta_prime, 2.0**-6, z=z)
+    got = _metric_at(st_delta_prime, 2.0**-6, HSResolvent(z=z))
     assert got == pytest.approx(reference_hs_value(st_delta_prime, 2.0**-6, z=z), rel=1e-12)
 
 
@@ -308,7 +314,7 @@ def test_metric_hs_scan_does_not_overflow(make, z, d):
     st = make()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = metric_hs_resolvent(st, d, z=z)
+        got = _metric_at(st, d, HSResolvent(z=z))
     assert math.isfinite(got) and got > 0
     if z.real < -1e7 and d >= 0.25:
         approx_t = truncate(system_from_approx(build_approx_graph(st, d)), L=1.0)
@@ -372,7 +378,7 @@ def test_eigengap_floor_values(st_delta_prime):
 
 def test_metric_eigengap_matches_manual_comparison(st_delta_prime):
     d = 0.1
-    got = metric_eigengap(st_delta_prime, d)
+    got = _metric_at(st_delta_prime, d, EigGap())
     floor = eigengap_floor(st_delta_prime)
     star = truncate(star_system(st_delta_prime), L=1.0)
     approx = truncate(
@@ -444,16 +450,17 @@ MEMO_D_VALUES = tuple(2.0**-p for p in range(2, 7))
 
 
 def _metric_call(st, d, metric):
-    if isinstance(metric, ScatteringNorm):
-        return metric_scattering(st, d, metric.k_list)
-    if isinstance(metric, HSResolvent):
-        return metric_hs_resolvent(st, d, metric.z, metric.L)
-    return metric_eigengap(st, d, metric.count, metric.L)
+    """The metric at d alone: its grid function on the grid (d,), whose
+    QGraphError is raised, as is one of the star side."""
+    (value,) = convergence._GRIDS[type(metric)](st, (d,), metric)
+    if isinstance(value, QGraphError):
+        raise value
+    return value
 
 
 def _per_d_report(cfg) -> ConvergenceReport:
-    """The sweep report rebuilt from one public metric call per d, each
-    made outside any sweep."""
+    """The sweep report rebuilt from one metric call per d, each made on a
+    grid of that d alone."""
     tol = convergence.DEFAULT_TOL
     points = []
     for d in cfg.d_values:
@@ -471,7 +478,7 @@ def _per_d_report(cfg) -> ConvergenceReport:
     slope, intercept, residual = fit_rate(fit) if len(fit) >= 4 else (None, None, None)
     return ConvergenceReport(
         metric=cfg.metric, points=tuple(points), slope=slope, intercept=intercept,
-        residual=residual, conclusive=len(fit) >= 4,
+        residual=residual,
     )
 
 
@@ -716,7 +723,7 @@ def test_eig_sweep_status_names_an_overflowing_vertex_strength():
 def test_default_grid_eig_sweep_equals_per_d_metric_calls(name, reference_couplings):
     """The lockstep eig sweep of each acceptance coupling, and of a seeded
     random n = 3, m = 2 normal form, on the default grid writes the CSV of
-    one metric_eigengap call per d."""
+    one eig metric call per d."""
     st = reference_couplings.get(name) or random_st(np.random.default_rng(7), n=3, m=2)
     cfg = SweepConfig(st=st, metric=EigGap())
     assert report_to_csv(run_sweep(cfg)) == report_to_csv(_per_d_report(cfg))

@@ -1,7 +1,10 @@
 """The package surface and what importing it loads."""
 
 import ast
+import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,3 +221,125 @@ def test_every_private_module_level_name_is_read():
             if name not in outside:
                 dead.append(f"{path.name}:{name}")
     assert dead == []
+
+
+def _read_names(paths) -> set[str]:
+    """Every name the Python files ``paths`` read (see :func:`_reads`)."""
+    return {name for path in paths for name in _reads(ast.parse(path.read_text(encoding="utf-8")))}
+
+
+# Public names that nothing outside their own module reads, each with the
+# reason it stays public ("settled": kept by the decision recorded under
+# Settled in ROADMAP.md).
+_KEPT_PUBLIC = {
+    "coupling_distance": "(A, B) pairs define one coupling only up to left multiplication; "
+    "criterion 5 reports this distance",
+    "neighbor_sets": "the paper's neighbor sets N_j",
+    "dirichlet_condition": "read by truncate, in its own module",
+    "scattering_matrix": "S(k) of any open system",
+    "fit_rate": "the fit that run_sweep reports",
+    "c_eta_edge": "the paper's C_{eta,e}",
+    "eps0_manifold": "the paper's eps_0",
+    "delta_eps": "the paper's delta(eps)",
+    "order_check": "settled: the paper's order law of the inner strengths",
+    "inner_delta_schedule": "settled: a per-pair schedule of the paper",
+    "vertex_delta_schedule": "settled: a per-pair schedule of the paper",
+    "magnetic_schedule": "settled: a per-pair schedule of the paper",
+    "gauge_transform": "settled: the paper's gauge transformation",
+    "eps0_statement": "settled: the paper's statement of eps_0",
+}
+
+# Public data types that a public function takes or returns, or that
+# another public data type holds.
+_PUBLIC_DATA_TYPES = (
+    "ValidationResult",
+    "Order",
+    "Edge",
+    "Vertex",
+    "SweepPoint",
+    "ConvergenceReport",
+    "FormBoundInputs",
+    "VertexBlock",
+    "ManifoldConstants",
+    "ExponentBudget",
+    "FormBoundViolation",
+    "FormBoundReport",
+)
+
+
+def _annotations(obj) -> str:
+    """The annotations of a public function, or of a class's fields and
+    methods, as one string."""
+    if not inspect.isclass(obj):
+        return " ".join(map(str, getattr(obj, "__annotations__", {}).values()))
+    texts = [str(v) for v in getattr(obj, "__annotations__", {}).values()]
+    for member in vars(obj).values():
+        member = getattr(member, "__func__", getattr(member, "fget", member))
+        if inspect.isfunction(member):
+            texts += map(str, member.__annotations__.values())
+    return " ".join(texts)
+
+
+def test_every_public_name_is_read_or_kept_for_a_reason():
+    """Every name of ``qgraph.__all__`` is read outside its own module, in
+    the package, the demos, the benchmark or the README, or is kept for a
+    reason: a paper-named or settled function, or a data type that another
+    public name takes, returns or holds.  So a public function that only
+    tests call fails here."""
+    repo = Path(qgraph.__file__).parents[2]
+    owner = {name: module for module in SUBMODULES for name in getattr(qgraph, module).__all__}
+    package = {path.stem: _read_names([path]) for path in Path(qgraph.__file__).parent.glob("*.py")}
+    elsewhere = _read_names([*repo.glob("demos/*.py"), *repo.glob("perfbench/*.py")])
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+
+    def read(name):
+        return (
+            any(name in names for module, names in package.items() if module != owner.get(name))
+            or name in elsewhere
+            or re.search(rf"\b{name}\b", readme)
+        )
+
+    def held(name):
+        others = (_annotations(getattr(qgraph, other)) for other in qgraph.__all__ if other != name)
+        return re.search(rf"\b{name}\b", " ".join(others))
+
+    unread = [
+        name for name in qgraph.__all__
+        if not (read(name) or name in _KEPT_PUBLIC or (name in _PUBLIC_DATA_TYPES and held(name)))
+    ]
+    assert unread == []
+    assert [name for name in (*_KEPT_PUBLIC, *_PUBLIC_DATA_TYPES) if name not in qgraph.__all__] == []
+
+
+def _resolves(base, dotted: str) -> bool:
+    """Whether the attribute path ``dotted`` exists on ``base``."""
+    try:
+        for part in dotted.split("."):
+            base = getattr(base, part)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_docstring_cross_references_resolve():
+    """Every :func:, :meth: and :class: reference in the package names
+    something that exists: a name of its module, a qgraph-qualified path,
+    a method of a class its module defines, or a name of qgraph.  So a
+    deletion leaves no reference to what it deleted."""
+    broken = []
+    for path in sorted(Path(qgraph.__file__).parent.glob("*.py")):
+        module = qgraph if path.stem == "__init__" else importlib.import_module(f"qgraph.{path.stem}")
+        classes = [
+            obj for obj in vars(module).values()
+            if inspect.isclass(obj) and obj.__module__ == module.__name__
+        ]
+        text = path.read_text(encoding="utf-8")
+        for role, target in re.findall(r":(func|meth|class):`~?([^`]+)`", text):
+            if not (
+                (target.startswith("qgraph.") and _resolves(qgraph, target[len("qgraph."):]))
+                or _resolves(module, target)
+                or any(_resolves(cls, target) for cls in classes)
+                or _resolves(qgraph, target)
+            ):
+                broken.append(f"{path.name}: :{role}:`{target}`")
+    assert broken == []

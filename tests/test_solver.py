@@ -279,6 +279,24 @@ def test_oversized_negative_scan_reports_window():
     assert info.value.window == (-(2.0**38), 2.0**1023)
 
 
+def test_extreme_lam_min_neither_overflows_nor_warns():
+    """The truncated delta'_s star with floors near the float range.  At
+    lam_min = -1e308 the bisection's midpoints between ends below -8.99e307
+    stay finite, and the floor removes no level; at 8.9e307 the levels
+    above it are found.  At 1e308 the upward doubling cannot start, and the
+    window is reported.  0.5 (a + b) overflowed at all three, and the count
+    of an infinite lambda raised."""
+    sys_ = truncate(star_system(make_delta_prime(beta=1.0, n=3)), L=1.0)
+    np.testing.assert_allclose(
+        eigenvalues_compact(sys_, 3, lam_min=-1e308), eigenvalues_compact(sys_, 3), rtol=1e-13
+    )
+    high = eigenvalues_compact(sys_, 3, lam_min=8.9e307)
+    assert np.all(np.isfinite(high)) and np.all(high > 8.9e307)
+    with pytest.raises(ScanRangeError) as info:
+        eigenvalues_compact(sys_, 3, lam_min=1e308)
+    assert info.value.window == (1e308, 1e308)
+
+
 # -- the eigenvalue count: multiplicities, Dirichlet levels, depth ----------
 
 def _levels(values):
@@ -922,7 +940,7 @@ def test_scattering_of_random_graphs_has_the_bits_of_scipys_lu(seed, d, k):
 
 
 def test_metric_scattering_retries_a_resonant_momentum(monkeypatch):
-    """The gate's ResonantKError at k = 1 sends metric_scattering to
+    """The gate's ResonantKError at k = 1 sends the scattering metric to
     k (1 + 1e-6), where the solve succeeds."""
     import qgraph.convergence as convergence
 
@@ -936,19 +954,25 @@ def test_metric_scattering_retries_a_resonant_momentum(monkeypatch):
 
     monkeypatch.setattr(_ScatteringSolver, "many", loop_scattering)
     monkeypatch.setattr(convergence, "star_scattering", lambda c, k: np.eye(2))
-    value = convergence.metric_scattering(make_delta(alpha=1.0, n=3), 0.1, k_list=(1.0,))
+    metric = convergence.ScatteringNorm((1.0,))
+    report = convergence.run_sweep(
+        convergence.SweepConfig(st=make_delta(alpha=1.0, n=3), metric=metric, d_values=(0.1,))
+    )
+    assert report.skipped == ()
+    ((_, value),) = report.values
     assert tried == [1.0, 1.0 * (1.0 + 1.0e-6)]
     expected = scattering_matrix(loop_with_leads(), 1.0 * (1.0 + 1.0e-6)) - np.eye(2)
     assert value == np.linalg.norm(expected, 2)
 
 
 def test_one_scattering_solver_serves_every_momentum():
-    """The per-graph solver that metric_scattering builds once gives, at
-    each momentum, the bits of a fresh scattering_matrix call."""
+    """The per-graph solver that a scattering sweep builds once per d gives,
+    at each momentum, the bits of a fresh scattering_matrix call."""
     sys_ = system_from_approx(build_approx_graph(make_delta_prime(beta=1.0, n=3), 2.0**-5))
     scatter = _ScatteringSolver(sys_)
     for k in (0.5, 1.0, 2.0, 1.0 * (1.0 + 1.0e-6), 0.5):
-        assert scatter(k).tobytes() == scattering_matrix(sys_, k).tobytes()
+        (s,) = scatter.many(np.array([k]), 0)
+        assert s.tobytes() == scattering_matrix(sys_, k).tobytes()
 
 
 # -- batched evaluation against the one-point reference ---------------------
@@ -1302,7 +1326,9 @@ def test_midpoints_stay_rows_on_half_segment_dirichlet_levels():
     pairs = scatter.mid_w.shape[1]
     assert pts.kept.shape == (1, pairs)
     assert pts.mat.shape[-1] == n + pairs + pts.border.shape[1] == n + 3 * pairs
-    np.testing.assert_allclose(scatter(k), reference_scattering_matrix(sys_, k), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        scattering_matrix(sys_, k), reference_scattering_matrix(sys_, k), rtol=0, atol=1e-10
+    )
     # Cut at 0.9, so that k is no Dirichlet level of the truncated edges.
     sys_t = truncate(sys_, L=0.9)
     points = [(e.id, s * e.length) for e in sys_t.edges for s in (0.0, 0.37, 1.0)]
