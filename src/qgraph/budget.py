@@ -104,7 +104,6 @@ class FormBoundInputs:
     eta: float
     abs_a: dict
     wbar: dict
-    max_a: float
     max_w: float
 
     def __post_init__(self):
@@ -117,8 +116,7 @@ class FormBoundInputs:
             for key, value in getattr(self, attr).items():
                 checked[key] = require_nonnegative_real(value, f"{attr}[{key!r}]")
             object.__setattr__(self, attr, checked)
-        for name in ("max_a", "max_w"):
-            object.__setattr__(self, name, require_nonnegative_real(getattr(self, name), name))
+        object.__setattr__(self, "max_w", require_nonnegative_real(self.max_w, "max_w"))
 
 
 def form_bound_inputs(g: ApproxGraph, eta: float) -> FormBoundInputs:
@@ -143,7 +141,6 @@ def form_bound_inputs(g: ApproxGraph, eta: float) -> FormBoundInputs:
         eta=eta,
         abs_a=abs_a,
         wbar=wbar,
-        max_a=max(abs_a.values(), default=0.0),
         max_w=3.0 * max(strengths, default=0.0),
     )
 

@@ -45,14 +45,7 @@ from .builder import build_approx_graph
 from .couplings import STForm, ab_from_st, star_scattering
 from .errors import ConditioningError, InputError, QGraphError
 from .graphs import star_system, system_from_approx, truncate
-from .solver import (
-    _each_family,
-    _eigenvalues_lockstep,
-    _Reduction,
-    _ScatteringSolver,
-    eigenvalues_compact,
-    greens_function,
-)
+from .solver import _each_family, _Reduction, _search_family, eigenvalues_compact, greens_function
 
 __all__ = [
     "DEFAULT_D_VALUES",
@@ -230,25 +223,25 @@ def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
         except ConditioningError as exc:
             return exc
 
-    def differences(solver, k, g) -> list:
-        """Per point, S_d(k) - S*(k) on graph g of ``solver``, or the error
+    def differences(stacked, k, g) -> list:
+        """Per point, S_d(k) - S*(k) on graph g of ``stacked``, or the error
         of the side that fails, the approximating one first."""
-        pairs = zip(solver.many(k, g), map(star, k.tolist()))
+        pairs = zip(stacked.scattering(k, g), map(star, k.tolist()))
         return [_first_error(pair) or pair[0] - pair[1] for pair in pairs]
 
     ks = np.array(spec.k_list)
     results: list = [None] * len(d_values)
 
     def evaluate(members):
-        solver = _ScatteringSolver.stack([red for _, red in members])
+        stacked = _Reduction.stack([red for _, red in members])
         k = np.tile(ks, len(members))
         g = np.repeat(np.arange(len(members)), len(ks))
-        diffs = differences(solver, k, g)
+        diffs = differences(stacked, k, g)
         # A point where either side resonates is retried once, at k (1 +
         # 1e-6) on both sides; if that fails too, its d is skipped.
         again = [i for i, diff in enumerate(diffs) if isinstance(diff, QGraphError)]
         if again:
-            for i, diff in zip(again, differences(solver, k[again] * (1.0 + 1.0e-6), g[again])):
+            for i, diff in zip(again, differences(stacked, k[again] * (1.0 + 1.0e-6), g[again])):
                 diffs[i] = diff
         good = [diff for diff in diffs if not isinstance(diff, QGraphError)]
         norms = iter(np.linalg.norm(np.array(good), 2, axis=(-2, -1)).tolist() if good else ())
@@ -258,7 +251,7 @@ def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
             results[index] = _first_error(per_d) or max([0.0] + per_d)
 
     def reduce(d):
-        return _ScatteringSolver(system_from_approx(build_approx_graph(st, d)))
+        return _Reduction(system_from_approx(build_approx_graph(st, d)))
 
     _each_family(d_values, reduce, evaluate, results)
     return results
@@ -289,22 +282,21 @@ def eigengap_floor(st: STForm) -> float:
 def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
     """Per d of ``d_values``, the :class:`EigGap` metric ``spec`` or the
     QGraphError of that d; a QGraphError of the star side propagates.  The
-    star is solved once, and every approximating graph's search runs in
-    one lockstep solve (see :func:`~qgraph.solver._eigenvalues_lockstep`)."""
+    star is solved once.  The truncated approximating graphs are reduced in
+    families (see :func:`~qgraph.solver._each_family`), and the searches of
+    a family run in lockstep (see :func:`~qgraph.solver._search_family`)."""
     floor = eigengap_floor(st)
     star = truncate(star_system(st), L=spec.L)
     lam_star = eigenvalues_compact(star, spec.count, lam_min=floor)
-    gaps: dict = {}
-    systems = {}
-    for d in d_values:
-        try:
-            systems[d] = truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L)
-        except QGraphError as exc:
-            gaps[d] = exc
-    solved = _eigenvalues_lockstep(list(systems.values()), spec.count, lam_min=floor)
-    for d, lam_d in zip(systems, solved):
-        gaps[d] = lam_d if isinstance(lam_d, QGraphError) else float(np.max(np.abs(lam_d - lam_star)))
-    return [gaps[d] for d in d_values]
+    results: list = [None] * len(d_values)
+
+    def reduce(d):
+        return _Reduction(truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L))
+
+    _each_family(d_values, reduce, lambda members: _search_family(members, spec.count, floor, results),
+                 results)
+    return [lam if isinstance(lam, QGraphError) else float(np.max(np.abs(lam - lam_star)))
+            for lam in results]
 
 
 def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
@@ -532,7 +524,7 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     The metric's grid function maps the d grid to per-d outcomes, and
     computes the star side, which does not depend on d, once, up front (an
     eig grid also searches all d values' eigenvalues in lockstep; see
-    :func:`~qgraph.solver._eigenvalues_lockstep`).  Every d's value is the
+    :func:`~qgraph.solver._search_family`).  Every d's value is the
     one a sweep of that d alone gives, and the report lists the d values
     in their given (decreasing) order, so it is deterministic.  A d
     where the builder or the solver raises is recorded as skipped with the

@@ -15,7 +15,10 @@ eliminated per point: its row of that matrix is a scalar pivot and one
 column, so the matrix is formed directly on the remaining vertex values as
 a Schur complement (Haynsworth inertia additivity keeps the count exact).
 An approximating graph with n outer edges thus reduces to n values, not n
-plus its number of inner edges.
+plus its number of inner edges.  One reduction, :class:`_Reduction`, has
+three evaluations of that matrix: the eigenvalue count
+(:meth:`_Reduction.counts`), S(k) (:meth:`_Reduction.scattering`) and the
+resolvent's amplitudes (:meth:`_Reduction.amplitudes`).
 
 * Eigenvalues of compact systems are counted, not searched for: the
   number of eigenvalues below lambda is the number of edge Dirichlet
@@ -48,7 +51,9 @@ plus its number of inner edges.
   of one reduction shape, such as an eig sweep's approximating graphs,
   advance in lockstep: each round counts all their batches in one call of
   their stacked reduction, where every point reads the arrays of its own
-  graph, with the bits a search alone reads.
+  graph, with the bits a search alone reads.  An eig sweep reduces its
+  approximating graphs through :func:`_each_family`, as the scattering and
+  HS sweeps do, and searches each family in lockstep.
 * A scattering matrix solves B(k^2) x = -2ik J_h* for an incoming wave on
   each channel h; then S = J_h x - I.
 * A resolvent kernel is the free-line kernel on the source edge plus the
@@ -57,7 +62,7 @@ plus its number of inner edges.
   of the source, so one solve with a unit right-hand side per edge mode
   gives every source's amplitudes (:class:`GreensFunction`).
 * Both are evaluated on arrays of points, as the count is: S(k) at arrays
-  of momenta and graphs (:meth:`_ScatteringSolver.many`), the amplitudes
+  of momenta and graphs (:meth:`_Reduction.scattering`), the amplitudes
   at one z on an array of graphs (:meth:`_Reduction.amplitudes`).  A
   sweep's family of approximating graphs is stacked, and all its points
   are solved in one call, one batched solve per number of kept midpoints
@@ -191,6 +196,16 @@ def _group_by_edge(points) -> dict[object, tuple[np.ndarray, np.ndarray]]:
         eid: (np.array(idx), np.array([points[i][1] for i in idx]))
         for eid, idx in groups.items()
     }
+
+
+def _groups(keep: np.ndarray, inside: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The points of a reduction, with ``keep`` (points, midpoints) and
+    ``inside`` (points, edges) from :meth:`_Reduction.complement`, grouped by
+    their numbers of kept midpoints and border rows, in the order of their
+    first point: per group, its key, 0 for points with neither, and its
+    points' indices."""
+    extra = keep.sum(axis=1) * (inside.shape[1] + 1) + inside.sum(axis=1)
+    return [(key, np.flatnonzero(extra == key)) for key in dict.fromkeys(extra.tolist())]
 
 
 def _at(g, points: np.ndarray):
@@ -471,29 +486,35 @@ class _Reduction:
         b = np.where(border, np.where(plus, 1j / ratio, 1j * ratio), np.nan)
         return coef, b, ~plus
 
-    def complement(self, coef: np.ndarray, inside: np.ndarray, g, row: bool = False):
+    def complement(self, coef: np.ndarray, inside: np.ndarray, g):
         """The matrix on the kept rows at every point, on the graphs ``g``,
         with each midpoint eliminated where its pivot allows.
 
         ``coef`` is laid out as by :meth:`real_coefficients`, and ``inside``
         (points, edges) is True where an edge is bordered.  Returns the
         complement (points, size, size); each midpoint's column b_m (points,
-        size, midpoints) and pivot p_m (points, midpoints); and ``keep``,
-        True where a midpoint stays a row.  With ``row``, also the
-        midpoints' rows (points, midpoints, size), which differ from b_m* at
-        complex coefficients; the complement then subtracts b_m (row) / p_m.
+        size, midpoints) and row (points, midpoints, size); its pivot p_m
+        (points, midpoints); and ``keep``, True where a midpoint stays a
+        row.  The complement subtracts b_m (row) / p_m.  At real
+        coefficients (a Hermitian B: the count, S(k) and a real z > 0) the
+        row is b_m*, a view; at complex ones it differs from b_m* and is
+        summed on its own.
         """
         mat = self.s_mat[g] + (self.w * coef[:, np.newaxis, :]) @ self.w_adj
         if not self.mid_w.shape[-1]:
-            # Nothing to eliminate: no columns, pivots or rows.
+            # Nothing to eliminate: no columns, rows or pivots.
             none = coef[:, :0]
-            return (mat, mat[:, :, :0], none, none != 0) + ((mat[:, :0],) if row else ())
+            return mat, mat[:, :, :0], mat[:, :0], none, none != 0
         # Taken point-major, so that each point's sums below read its terms
         # in the order a point alone reads them (a fancy index of several
         # points lays the point axis out innermost).
         c_mid = np.take(coef, self.half_modes, axis=1)
         w_mid, mid_w = self.w_mid[g], self.mid_w[g]
         col = (w_mid * c_mid[:, np.newaxis]).sum(axis=-1)
+        if np.isrealobj(coef):
+            rows = col.conj().transpose(0, 2, 1)
+        else:
+            rows = (w_mid.conj() * c_mid[:, np.newaxis]).sum(axis=-1).transpose(0, 2, 1)
         # |w_+-| is 1/sqrt(2) at a midpoint, so p = w + (1/2) sum_halves (c_+ +
         # c_-), next to |w| + (1/2) sum_halves (|c_+| + |c_-|).
         piv = mid_w + 0.5 * c_mid.sum(axis=-1)
@@ -501,19 +522,15 @@ class _Reduction:
         keep = inside[:, self.halves].any(axis=-1) | ~(abs(piv) >= _PIVOT_RATIO * terms)
         # b_m / p_m, and 0 for a kept midpoint.
         scaled = col / np.where(keep, np.inf, piv)[:, np.newaxis, :]
-        if not row:
-            mat -= scaled @ col.conj().transpose(0, 2, 1)
-            return mat, col, piv, keep
-        rows = (w_mid.conj() * c_mid[:, np.newaxis]).sum(axis=-1).transpose(0, 2, 1)
         mat -= scaled @ rows
-        return mat, col, piv, keep, rows
+        return mat, col, rows, piv, keep
 
-    def bordered(self, mats, root_k, b, minus, col, piv, keep, g, rows=None):
+    def bordered(self, mats, root_k, b, minus, col, rows, piv, keep, g):
         """The stacked matrices ``mats`` with their extra rows and columns,
         for points on the graphs ``g`` that all keep the same number of
         midpoints and border the same number of edges: first the kept
-        midpoints, in midpoint order, with column b_m, row b_m* (or
-        ``rows``) and diagonal p_m; then the border rows, in edge order,
+        midpoints, in midpoint order, with column b_m, its row and diagonal
+        p_m (see :meth:`complement`); then the border rows, in edge order,
         [[B, sqrt(k) W], [sqrt(k) W*, diag(b)]], whose vectors reach a kept
         midpoint of their edge.  ``root_k`` is sqrt(k) per point."""
         inside = ~np.isnan(b)
@@ -530,15 +547,12 @@ class _Reduction:
         # The graph of each point, against its (points, borders) modes.
         g = np.asarray(g)[..., np.newaxis]
         if nk:
+            pick = np.arange(npts)[:, np.newaxis]
             mids = np.nonzero(keep)[1].reshape(npts, nk)
-            mid_col = np.take_along_axis(col, mids[:, np.newaxis, :], axis=2)
-            out[:, :size, kept] = mid_col
-            if rows is None:
-                out[:, kept, :size] = mid_col.conj().transpose(0, 2, 1)
-            else:
-                out[:, kept, :size] = np.take_along_axis(rows, mids[:, :, np.newaxis], axis=1)
+            out[:, :size, kept] = col[pick, :, mids].transpose(0, 2, 1)
+            out[:, kept, :size] = rows[pick, mids]
             diag = np.arange(size, size + nk)
-            out[:, diag, diag] = np.take_along_axis(piv, mids, axis=1)
+            out[:, diag, diag] = piv[pick, mids]
         if nb:
             edge = np.nonzero(inside)[1].reshape(npts, nb)
             mode = edge + self.length.shape[-1] * minus[inside].reshape(npts, nb)
@@ -555,6 +569,61 @@ class _Reduction:
             out[:, border, kept] = (root_k * np.where(at_mid, entry.conj(), 0.0)).transpose(0, 2, 1)
         return out
 
+    def counts(self, lams, g: int | np.ndarray = 0):
+        """N(lambda), the number of eigenvalues below lambda of a compact
+        system, at every point of the 1-d array ``lams``, of the graph ``g``
+        of the stack, or of one graph per point when ``g`` is an array, and
+        each point's :class:`_Branches`.
+
+        The edges' Dirichlet-to-Neumann maps split the form h - lambda into
+        the edges' Dirichlet parts and the Hermitian reduced matrix
+        B(lambda), so that
+
+            N(lambda) = sum_e #{(pi m / l_e)^2 < lambda} + n_-(B(lambda)).
+
+        B(lambda) is counted on the kept values: each eliminated midpoint
+        adds its pivot's sign, n_-(B) = n_-(complement) + #{p_m < 0}
+        (Haynsworth).  Each border row with b < 0 adds one negative
+        eigenvalue to the bordered matrix, which is subtracted.  The inertia
+        is read from one stacked eigvalsh per number of kept midpoints and
+        border rows, and every point goes through the same operations, in
+        the same order, as a single point of its graph would.
+        """
+        lam = np.asarray(lams, dtype=float).reshape(-1)
+        coef, b, minus, level_sum = self.real_coefficients(lam, g)
+        inside = ~np.isnan(b)
+        mat, col, rows, piv, keep = self.complement(coef, inside, g)
+        # N = level count + negative eigenvalues of the bordered complement
+        # + negative eliminated pivots - negative b's.
+        negative = ~keep & (piv < 0)
+        signs = negative.sum(axis=1) - (b < 0).sum(axis=1)
+        inertia = np.zeros_like(signs)
+        values: list = [None] * len(lam)
+        for key, at in _groups(keep, inside):
+            part = mat if len(at) == len(lam) else mat[at]
+            if key:
+                # Border rows come only at lambda > 0; a kept midpoint's row
+                # needs no sqrt(k).
+                root_k = np.sqrt(np.sqrt(np.maximum(lam[at], 0.0)))
+                part = self.bordered(
+                    part, root_k, b[at], minus[at], col[at], rows[at], piv[at], keep[at], _at(g, at)
+                )
+            eigs = _scaled_eigenvalues(part)
+            inertia[at] = (eigs < 0).sum(axis=-1)
+            for i, row in zip(at.tolist(), eigs):
+                values[i] = row
+        offsets = [int(s) + n for s, n in zip(level_sum.tolist(), signs.tolist())]
+        counts = [n + m for n, m in zip(offsets, inertia.tolist())]
+        # The rows the bordered matrix has, the vectors it borders, and the
+        # eliminated pivots' signs: points that share them, and their offset,
+        # read one continuous matrix.  A border diagonal b changes sign
+        # continuously, through 0, at its edge's Dirichlet level, where the
+        # level sum gains what #{b < 0} does, so the offset stays.
+        pattern = np.concatenate([keep, inside, minus & inside, negative], axis=1)
+        structures = np.packbits(pattern, axis=1)
+        found = zip(structures, offsets, values)
+        return counts, [_Branches(s.tobytes(), n, row) for s, n, row in found]
+
     def points(self, k: np.ndarray, g, lam: np.ndarray | None = None):
         """The reduced matrices at the momenta of the 1-d array ``k`` (Im k
         >= 0) on the graphs ``g``, with the half-lines' -ik J* J, bordered
@@ -570,19 +639,17 @@ class _Reduction:
             coef, b, minus, _ = self.real_coefficients(lam, g)
             root_k = np.sqrt(np.sqrt(lam))
         inside = ~np.isnan(b)
-        mat, col, piv, keep, rows = self.complement(coef, inside, g, row=True)
+        mat, col, rows, piv, keep = self.complement(coef, inside, g)
         mat -= (1j * k)[:, np.newaxis, np.newaxis] * (self.j_half.conj().T @ self.j_half)
         inv = 1.0 / np.where(keep, np.inf, piv)
         ne = inside.shape[1]
-        extra = keep.sum(axis=1) * (ne + 1) + inside.sum(axis=1)
-        for key in dict.fromkeys(extra.tolist()):
-            at = np.flatnonzero(extra == key)
+        for _, at in _groups(keep, inside):
             # A group of all the points reads views, not copies: a wide
             # point's columns and rows are most of its bytes.
-            sel = at if len(at) < len(extra) else slice(None)
+            sel = at if len(at) < len(k) else slice(None)
             part = self.bordered(
-                mat[sel], root_k[sel], b[sel], minus[sel], col[sel], piv[sel], keep[sel], _at(g, sel),
-                rows[sel],
+                mat[sel], root_k[sel], b[sel], minus[sel], col[sel], rows[sel], piv[sel], keep[sel],
+                _at(g, sel),
             )
             border = np.nonzero(inside[sel])[1] + ne * minus[sel][inside[sel]]
             border = border.reshape(len(at), -1)
@@ -647,6 +714,38 @@ class _Reduction:
                 out[i] = one if error is None else error
         return out
 
+    def scattering(self, k: np.ndarray, g) -> list:
+        """S(k) at every momentum of the 1-d float array ``k`` (validated, >
+        0) on the graphs ``g`` of a system with half-lines, or the
+        ResonantKError of its gate, per point.  A reduction wider than
+        _ROUND_SIZE is point-bound and solves one point per call (see
+        :func:`_each_family`)."""
+        if self.size > _ROUND_SIZE and len(k) > 1:
+            return [s for i in range(len(k)) for s in self.scattering(k[i : i + 1], _at(g, i))]
+        nh = len(self.j_half)
+        out: list = [None] * len(k)
+        for pts in self.points(k, g, k * k):
+            ks = k[pts.at]
+            # An incoming wave exp(-iks) on each channel in turn, with the
+            # border rows' right-hand sides zero.
+            rhs = np.zeros(pts.mat.shape[:2] + (nh,), dtype=complex)
+            rhs[:, : self.size] = (-2j * ks)[:, np.newaxis, np.newaxis] * self.j_half.conj().T
+            x, cond = gated_solve(pts.mat, rhs, solve=np.linalg.solve)
+            errors = [
+                gate_error(c, ResonantKError, f"vertex system ill-conditioned at k = {kp}", k=kp)
+                for c, kp in zip(cond.tolist(), ks.tolist())
+            ]
+            good = np.array([error is None for error in errors])
+            mat, rhs, x = pts.mat[good], rhs[good], x[good]
+            # One step of iterative refinement: at small k on short edges the
+            # condition reaches ~5e4, and the plain solve's error alone then
+            # shows as a unitarity defect above 1e-12.
+            x += np.linalg.solve(mat, rhs - mat @ x)
+            s_mats = iter(self.j_half @ x[:, : self.size] - np.eye(nh))
+            for i, error in zip(pts.at.tolist(), errors):
+                out[i] = next(s_mats) if error is None else error
+        return out
+
 
 class _Points(NamedTuple):
     """Points of a :class:`_Reduction` that keep the same number of
@@ -673,73 +772,6 @@ class _Points(NamedTuple):
 # ---------------------------------------------------------------------------
 # Eigenvalues
 # ---------------------------------------------------------------------------
-
-
-class _EigenvalueCount(_Reduction):
-    """N(lambda), the number of eigenvalues below lambda of a compact system.
-
-    The edges' Dirichlet-to-Neumann maps split the form h - lambda into the
-    edges' Dirichlet parts and the Hermitian reduced matrix B(lambda), so
-    that
-
-        N(lambda) = sum_e #{(pi m / l_e)^2 < lambda} + n_-(B(lambda)).
-
-    B(lambda) is counted on the kept values: each eliminated midpoint adds
-    its pivot's sign, n_-(B) = n_-(complement) + #{p_m < 0} (Haynsworth).
-    Each border row with b < 0 adds one negative eigenvalue to the bordered
-    matrix, which is subtracted.  A stacked count (see
-    :meth:`~_Reduction.stack`) counts the points of several systems in one
-    call.
-    """
-
-    def many(self, lams, g: int | np.ndarray = 0):
-        """N(lambda) at every point of the 1-d array ``lams``, of the graph
-        ``g`` of the stack, or of one graph per point when ``g`` is an
-        array, and each point's :class:`_Branches`.
-
-        Edge coefficients are computed as (points, edges) arrays, the
-        complement of all points as stacked matmuls, and the inertia as one
-        stacked eigvalsh per number of kept midpoints and border rows.  Every
-        slice goes through the same operations, in the same order, as a
-        single point of its graph would.
-        """
-        lam = np.asarray(lams, dtype=float).reshape(-1)
-        coef, b, minus, level_sum = self.real_coefficients(lam, g)
-        inside = ~np.isnan(b)
-        mat, col, piv, keep = self.complement(coef, inside, g)
-        # N = level count + negative eigenvalues of the bordered complement
-        # + negative eliminated pivots - negative b's.
-        negative = ~keep & (piv < 0)
-        signs = negative.sum(axis=1) - (b < 0).sum(axis=1)
-        inertia = np.zeros_like(signs)
-        values: list = [None] * len(lam)
-        # Points are grouped by their numbers of kept midpoints and borders.
-        extra = keep.sum(axis=1) * (inside.shape[1] + 1) + inside.sum(axis=1)
-        for key in set(extra.tolist()):
-            at = np.flatnonzero(extra == key)
-            part = mat if len(at) == len(lam) else mat[at]
-            if key:
-                # Border rows come only at lambda > 0; a kept midpoint's row
-                # needs no sqrt(k).
-                root_k = np.sqrt(np.sqrt(np.maximum(lam[at], 0.0)))
-                part = self.bordered(
-                    part, root_k, b[at], minus[at], col[at], piv[at], keep[at], _at(g, at)
-                )
-            eigs = _scaled_eigenvalues(part)
-            inertia[at] = (eigs < 0).sum(axis=-1)
-            for i, row in zip(at.tolist(), eigs):
-                values[i] = row
-        offsets = [int(s) + n for s, n in zip(level_sum.tolist(), signs.tolist())]
-        counts = [n + m for n, m in zip(offsets, inertia.tolist())]
-        # The rows the bordered matrix has, the vectors it borders, and the
-        # eliminated pivots' signs: points that share them, and their offset,
-        # read one continuous matrix.  A border diagonal b changes sign
-        # continuously, through 0, at its edge's Dirichlet level, where the
-        # level sum gains what #{b < 0} does, so the offset stays.
-        pattern = np.concatenate([keep, inside, minus & inside, negative], axis=1)
-        structures = np.packbits(pattern, axis=1)
-        found = zip(structures, offsets, values)
-        return counts, [_Branches(s.tobytes(), n, row) for s, n, row in found]
 
 
 class _Branches(NamedTuple):
@@ -815,7 +847,7 @@ def _is_leaf(a: float, b: float, floor: float) -> bool:
     return b - a <= 1e-13 * max(floor, abs(a), abs(b))
 
 
-def _leaf_floor(count: "_EigenvalueCount") -> float:
+def _leaf_floor(count: _Reduction) -> float:
     """The scale below which a level's leaf width stops shrinking with it:
     min(1, (pi / l)^2), l the longest edge of the (one-graph) ``count``,
     about the level spacing of a long edge, so that levels below 1 stay
@@ -1036,7 +1068,7 @@ def _eigenvalues_lockstep(systems, count: int, lam_min: float | None = None) -> 
     def reduce(sys):
         if not sys.is_compact:
             raise StructuralError("system has half-lines; call truncate() first")
-        return _EigenvalueCount(sys)
+        return _Reduction(sys)
 
     _each_family(systems, reduce, lambda members: _search_family(members, count, lam_min, results),
                  results)
@@ -1085,7 +1117,7 @@ def _search_family(members, count: int, lam_min: float | None, results: list) ->
     search reads the same counts and branch values and takes the same
     decisions.
     """
-    stacked = _EigenvalueCount.stack([one for _, one in members])
+    stacked = _Reduction.stack([one for _, one in members])
     points = _batch_points(stacked.size)
     searches = [_search(points, count, lam_min, _leaf_floor(one)) for _, one in members]
     # The batch each search waits on, by its graph of the stack.
@@ -1109,7 +1141,7 @@ def _search_family(members, count: int, lam_min: float | None, results: list) ->
         else:
             graph = np.repeat([g for g, _ in asked], [len(batch) for _, batch in asked])
             lams = [lam for _, batch in asked for lam in batch]
-        counts, branches = stacked.many(lams, graph)
+        counts, branches = stacked.counts(lams, graph)
         at = 0
         for g, batch in asked:
             resume(g, (counts[at : at + len(batch)], branches[at : at + len(batch)]))
@@ -1146,9 +1178,10 @@ def eigenvalues_compact(
     floor whose double overflows leaves no upward bracket and raises
     :class:`ScanRangeError`.
 
-    This is :func:`_eigenvalues_lockstep` on one system; an eig sweep runs
-    it on all its approximating graphs at once, with the same result for
-    each.
+    This is :func:`_eigenvalues_lockstep` on one system, which counts
+    through :meth:`_Reduction.counts`; an eig sweep searches all its
+    approximating graphs at once (:func:`_each_family`, then
+    :func:`_search_family` per family), with the same result for each.
     """
     (result,) = _eigenvalues_lockstep([sys], count, lam_min)
     if isinstance(result, QGraphError):
@@ -1302,47 +1335,6 @@ def greens_function(sys: MetricGraphSystem, z: complex) -> GreensFunction:
 # ---------------------------------------------------------------------------
 
 
-class _ScatteringSolver(_Reduction):
-    """On-shell scattering matrices of one system, at any momentum; the
-    reduction is built once, at construction."""
-
-    def __init__(self, sys: MetricGraphSystem):
-        super().__init__(sys)
-        if not len(self.j_half):
-            raise StructuralError("system has no half-lines, hence no channels")
-
-    def many(self, k: np.ndarray, g) -> list:
-        """S(k) at every momentum of the 1-d float array ``k`` (validated, >
-        0) on the graphs ``g``, or the ResonantKError of its gate, per
-        point.  A reduction wider than _ROUND_SIZE is point-bound and
-        solves one point per call (see :func:`_each_family`)."""
-        if self.size > _ROUND_SIZE and len(k) > 1:
-            return [s for i in range(len(k)) for s in self.many(k[i : i + 1], _at(g, i))]
-        nh = len(self.j_half)
-        out: list = [None] * len(k)
-        for pts in self.points(k, g, k * k):
-            ks = k[pts.at]
-            # An incoming wave exp(-iks) on each channel in turn, with the
-            # border rows' right-hand sides zero.
-            rhs = np.zeros(pts.mat.shape[:2] + (nh,), dtype=complex)
-            rhs[:, : self.size] = (-2j * ks)[:, np.newaxis, np.newaxis] * self.j_half.conj().T
-            x, cond = gated_solve(pts.mat, rhs, solve=np.linalg.solve)
-            errors = [
-                gate_error(c, ResonantKError, f"vertex system ill-conditioned at k = {kp}", k=kp)
-                for c, kp in zip(cond.tolist(), ks.tolist())
-            ]
-            good = np.array([error is None for error in errors])
-            mat, rhs, x = pts.mat[good], rhs[good], x[good]
-            # One step of iterative refinement: at small k on short edges the
-            # condition reaches ~5e4, and the plain solve's error alone then
-            # shows as a unitarity defect above 1e-12.
-            x += np.linalg.solve(mat, rhs - mat @ x)
-            s_mats = iter(self.j_half @ x[:, : self.size] - np.eye(nh))
-            for i, error in zip(pts.at.tolist(), errors):
-                out[i] = next(s_mats) if error is None else error
-        return out
-
-
 def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     """On-shell scattering matrix at momentum k > 0.
 
@@ -1352,7 +1344,10 @@ def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     has S = +1 and a Dirichlet one S = -1.
     """
     k = require_positive_real(k, "momentum k")
-    (s,) = _ScatteringSolver(sys).many(np.array([k]), 0)
+    red = _Reduction(sys)
+    if not len(red.j_half):
+        raise StructuralError("system has no half-lines, hence no channels")
+    (s,) = red.scattering(np.array([k]), 0)
     if isinstance(s, QGraphError):
         raise s
     return s

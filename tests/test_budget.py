@@ -88,7 +88,6 @@ def test_form_bound_inputs_delta_prime():
     # outer half-lines of connected vertices carry no residual weight
     for j in (1, 2, 3):
         assert inputs.wbar[j] == 0.0
-    assert inputs.max_a == 0.0
     assert inputs.max_w == pytest.approx(360.0, rel=1e-12)
 
 
@@ -122,7 +121,7 @@ def test_c_eta_takes_edge_maximum():
 def test_form_bound_inputs_isolated_from_caller_dicts():
     abs_a = {1: 0.0}
     wbar = {1: 2.0}
-    inputs = FormBoundInputs(d=0.5, eta=1.0, abs_a=abs_a, wbar=wbar, max_a=0.0, max_w=6.0)
+    inputs = FormBoundInputs(d=0.5, eta=1.0, abs_a=abs_a, wbar=wbar, max_w=6.0)
     abs_a[1] = 99.0
     wbar.clear()
     assert inputs.abs_a[1] == 0.0
@@ -186,11 +185,10 @@ def _nonnegative_error(name, value):
 
 @pytest.mark.parametrize("value", NOT_NONNEGATIVE)
 def test_form_bound_inputs_reject_negative_or_non_finite(value):
-    good = dict(d=0.5, eta=1.0, abs_a={1: 0.0}, wbar={1: 1.0}, max_a=0.0, max_w=3.0)
+    good = dict(d=0.5, eta=1.0, abs_a={1: 0.0}, wbar={1: 1.0}, max_w=3.0)
     for field, bad, name in (
         ("abs_a", {1: value}, "abs_a[1]"),
         ("wbar", {1: value}, "wbar[1]"),
-        ("max_a", value, "max_a"),
         ("max_w", value, "max_w"),
     ):
         with pytest.raises(InputError, match=_nonnegative_error(name, value)):

@@ -536,7 +536,7 @@ def test_stacked_scattering_family_keeps_each_d_around_a_failure_and_a_retry(mon
         float(np.linalg.norm(effective_scattering(g, k) - star_scattering(c, k), 2))
         for k in (0.5, 1.0 * (1.0 + 1.0e-6), 2.0)
     )
-    (pts,) = solver._ScatteringSolver(system_from_approx(g)).points(np.array([1.0]), 0, np.array([1.0]))
+    (pts,) = solver._Reduction(system_from_approx(g)).points(np.array([1.0]), 0, np.array([1.0]))
     resonant = pts.mat[0]
     gated = solver.gated_solve
 
@@ -547,13 +547,13 @@ def test_stacked_scattering_family_keeps_each_d_around_a_failure_and_a_retry(mon
 
     monkeypatch.setattr(solver, "gated_solve", resonant_at_k1)
     tried = []
-    many = solver._ScatteringSolver.many
+    original = solver._Reduction.scattering
 
     def recorded(self, k, graphs):
         tried.append(k.tolist())
-        return many(self, k, graphs)
+        return original(self, k, graphs)
 
-    monkeypatch.setattr(solver._ScatteringSolver, "many", recorded)
+    monkeypatch.setattr(solver._Reduction, "scattering", recorded)
     report = run_sweep(SweepConfig(st=st, metric=metric, d_values=d_values))
     assert [len(k) for k in tried] == [4 * len(metric.k_list), 1]
     assert tried[1] == [1.0 * (1.0 + 1.0e-6)] and 1.0 in tried[0]
@@ -609,7 +609,7 @@ def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
     in one stacked call."""
     n = len(MEMO_D_VALUES)
     solves = _counting(monkeypatch, "eigenvalues_compact")
-    families = _counting(monkeypatch, "_eigenvalues_lockstep")
+    families = _counting(monkeypatch, "_search_family")
     searches = []
     search = solver._search
 
@@ -628,7 +628,7 @@ def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
     # The star's resolvent is a stacked call of one graph.
     assert amplitudes == [1, n]
     stars = _counting(monkeypatch, "star_scattering")
-    scatterings = _counting_method(monkeypatch, solver._ScatteringSolver, "many")
+    scatterings = _counting_method(monkeypatch, solver._Reduction, "scattering")
     metric = ScatteringNorm()
     run_sweep(SweepConfig(st=st_delta_prime, metric=metric, d_values=MEMO_D_VALUES))
     assert [k for _, k in stars] == list(metric.k_list)
@@ -640,13 +640,13 @@ def test_eig_sweep_counts_as_often_as_its_slowest_graph(monkeypatch, st_delta_pr
     search plus the slowest approximating graph's search alone (25 in all
     for delta', where one search per graph made 103)."""
     calls = []
-    many = solver._EigenvalueCount.many
+    original = solver._Reduction.counts
 
     def recorded(self, lams, graph=0):
         calls.append(len(lams))
-        return many(self, lams, graph)
+        return original(self, lams, graph)
 
-    monkeypatch.setattr(solver._EigenvalueCount, "many", recorded)
+    monkeypatch.setattr(solver._Reduction, "counts", recorded)
     floor = eigengap_floor(st_delta_prime)
     eigenvalues_compact(truncate(star_system(st_delta_prime), L=1.0), 5, lam_min=floor)
     star_calls = len(calls)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import qgraph
@@ -34,7 +35,7 @@ def _run_python(script: str) -> list[str]:
     ).stdout.splitlines()
 
 
-def test_import_loads_only_numpy_and_scipy_linalg():
+def test_import_loads_no_scipy():
     """qgraph and its CLI load no scipy module at all; the names a tracer
     rebinds still resolve on request."""
     script = (
@@ -91,7 +92,7 @@ def _run_commands(tmp_path, prelude: str = "") -> list[str]:
     )
 
 
-def test_only_lu_factorizations_load_scipy_linalg(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     """No command loads any scipy module: convert, build, budget, spectrum,
     a sweep of each metric and the form-bound check.  Scattering and
     resolvent solves go through numpy alone."""
@@ -221,6 +222,29 @@ def test_every_private_module_level_name_is_read():
             if name not in outside:
                 dead.append(f"{path.name}:{name}")
     assert dead == []
+
+
+def test_every_method_of_a_private_class_and_every_private_method_is_read():
+    """Every method of a private class, and every private method of any
+    class, that the package defines (dunders aside) is read somewhere in the
+    package outside its own definition, so that a rewrite leaves no dead
+    method, alias or orphaned helper behind."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(qgraph.__file__).parent.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    checked, dead = [], []
+    for path, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if (
+                    isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not method.name.startswith("__")
+                    and (cls.name.startswith("_") or method.name.startswith("_"))
+                ):
+                    checked.append(method.name)
+                    if reads[method.name] == _reads(method).count(method.name):
+                        dead.append(f"{path.name}:{cls.name}.{method.name}")
+    assert checked and dead == []
 
 
 def _read_names(paths) -> set[str]:

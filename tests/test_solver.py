@@ -45,7 +45,7 @@ import qgraph.couplings as couplings
 import qgraph.graphs as graphs
 import qgraph.solver as solver
 from qgraph._util import gate_error, gated_solve
-from qgraph.solver import _EigenvalueCount, _Reduction, _ScatteringSolver
+from qgraph.solver import _Reduction
 from helpers import (
     ModuleView,
     ReferenceAssembler,
@@ -112,7 +112,7 @@ def _approx(st, d):
 
 def _counts(count, lams, g=0) -> list[int]:
     """N(lambda) at every point of ``lams``, without the branches."""
-    return count.many(lams, g)[0]
+    return count.counts(lams, g)[0]
 
 
 # -- interval spectra (textbook)-------------------------------------------
@@ -371,7 +371,7 @@ def test_count_raises_no_floating_point_warnings_deep_below():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = eigenvalues_compact(sys_, 4)
-        assert _counts(_EigenvalueCount(sys_), [-(2.0**40)]) == [0]
+        assert _counts(_Reduction(sys_), [-(2.0**40)]) == [0]
     assert got[3] == pytest.approx(2.4641930364, rel=1e-10)
 
 
@@ -799,7 +799,7 @@ def _gate_matrices() -> dict[str, np.ndarray]:
     cases["overflowing-condition"] = np.diag([1e10, 1e-300]).astype(complex)
     cases["empty"] = np.zeros((0, 0), dtype=complex)
     for k in (1.0, 2.0):
-        cases[f"loop-with-leads-k{k:g}"] = _one_point(_ScatteringSolver(loop_with_leads()), k).mat[0]
+        cases[f"loop-with-leads-k{k:g}"] = _one_point(_Reduction(loop_with_leads()), k).mat[0]
     return cases
 
 
@@ -945,14 +945,14 @@ def test_metric_scattering_retries_a_resonant_momentum(monkeypatch):
     import qgraph.convergence as convergence
 
     tried = []
-    many = _ScatteringSolver.many
-    loop = _ScatteringSolver(loop_with_leads())
+    original = _Reduction.scattering
+    loop = _Reduction(loop_with_leads())
 
     def loop_scattering(self, k, g):
         tried.extend(k.tolist())
-        return many(loop, k, 0)
+        return original(loop, k, 0)
 
-    monkeypatch.setattr(_ScatteringSolver, "many", loop_scattering)
+    monkeypatch.setattr(_Reduction, "scattering", loop_scattering)
     monkeypatch.setattr(convergence, "star_scattering", lambda c, k: np.eye(2))
     metric = convergence.ScatteringNorm((1.0,))
     report = convergence.run_sweep(
@@ -969,9 +969,9 @@ def test_one_scattering_solver_serves_every_momentum():
     """The per-graph solver that a scattering sweep builds once per d gives,
     at each momentum, the bits of a fresh scattering_matrix call."""
     sys_ = system_from_approx(build_approx_graph(make_delta_prime(beta=1.0, n=3), 2.0**-5))
-    scatter = _ScatteringSolver(sys_)
+    scatter = _Reduction(sys_)
     for k in (0.5, 1.0, 2.0, 1.0 * (1.0 + 1.0e-6), 0.5):
-        (s,) = scatter.many(np.array([k]), 0)
+        (s,) = scatter.scattering(np.array([k]), 0)
         assert s.tobytes() == scattering_matrix(sys_, k).tobytes()
 
 
@@ -1005,7 +1005,7 @@ ORACLE_SYSTEMS = {
 def _dirichlet_level(sys_) -> float:
     """An edge Dirichlet level (pi m / l_e)^2 that the count shows is not an
     eigenvalue of the compact system."""
-    count = _EigenvalueCount(sys_)
+    count = _Reduction(sys_)
     for ell in np.unique(count.length):
         for m in (1, 2, 3):
             lam = (math.pi * m / ell) ** 2
@@ -1073,7 +1073,7 @@ def _count_grid(count) -> list[float]:
 def test_batched_count_matches_one_point_reference(name):
     """One call over the whole grid and one point per call give the same
     integers, at Dirichlet levels included."""
-    count = _EigenvalueCount(COUNT_SYSTEMS[name][0]())
+    count = _Reduction(COUNT_SYSTEMS[name][0]())
     grid = _count_grid(count)
     got = _counts(count, grid)
     assert got == [_counts(count, [lam])[0] for lam in grid]
@@ -1126,7 +1126,7 @@ def test_count_matches_unreduced_oracle(name):
     exceptions are exact edge Dirichlet levels that are degenerate levels
     of the graph, and 1e300, where levels lie far closer than the band."""
     sys_ = COUNT_SYSTEMS[name][0]()
-    count = _EigenvalueCount(sys_)
+    count = _Reduction(sys_)
     _assert_count_matches_unreduced(count, UnreducedReduction(sys_), _count_grid(count))
 
 
@@ -1134,7 +1134,7 @@ def test_count_matches_unreduced_oracle(name):
 @given(st_.lists(st_.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=12))
 def test_batched_count_matches_reference_at_random_points(lams):
     sys_ = _approx(make_delta_prime(beta=1.0, n=3), 2.0**-4)
-    _assert_count_matches_unreduced(_EigenvalueCount(sys_), UnreducedReduction(sys_), lams)
+    _assert_count_matches_unreduced(_Reduction(sys_), UnreducedReduction(sys_), lams)
 
 
 def _levels(values) -> list[tuple[float, int]]:
@@ -1179,7 +1179,7 @@ def _assert_certified(sys_, values, lam_min=None, unreduced=True):
     unreduced count, which shares no reduction, at FLICKER_BAND.  The last
     run may be cut short by the requested count, so its jump may be
     larger."""
-    count, full = _EigenvalueCount(sys_), UnreducedReduction(sys_)
+    count, full = _Reduction(sys_), UnreducedReduction(sys_)
     levels = _levels(values)
 
     def certified(count_at, n, band, i):
@@ -1211,7 +1211,7 @@ def test_level_synchronous_bisection_matches_depth_first_reference(name, monkeyp
     wide) counts one midpoint per bisected interval either way."""
     make, has_floor = COUNT_SYSTEMS[name]
     sys_ = make()
-    count = _EigenvalueCount(sys_)
+    count = _Reduction(sys_)
 
     def count_below(lam):
         return _counts(count, [lam])[0]
@@ -1294,11 +1294,11 @@ def test_count_across_a_vanishing_midpoint_pivot():
 
     assert max(sigma_gap(lam) for lam in levels) <= 1e-13
     assert sigma_gap(lam_p) >= 1e-2
-    count = _EigenvalueCount(sys_)
+    count = _Reduction(sys_)
     assert count.size == 2
     points = [lam_p * (1.0 - 1e-12), lam_p, lam_p * (1.0 + 1e-12), lam_p - 0.5, lam_p + 0.5]
     coef, b, _, _ = count.real_coefficients(np.array(points), 0)
-    _, _, piv, keep = count.complement(coef, ~np.isnan(b), 0)
+    _, _, _, piv, keep = count.complement(coef, ~np.isnan(b), 0)
     assert keep[:3, 0].all() and not keep[3:, 0].any()
     assert piv[4, 0] < 0 < piv[3, 0]
     assert _counts(count, points) == [sum(level < lam for level in levels) for lam in points] == [1] * 5
@@ -1311,6 +1311,45 @@ def test_count_across_a_vanishing_midpoint_pivot():
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
+_ROW_FORMS = {
+    "delta_prime_n3": lambda: make_delta_prime(beta=1.0, n=3),
+    "delta_prime_n5": lambda: make_delta_prime(beta=0.6, n=5),
+    "random_n5_m2": lambda: random_st(np.random.default_rng(11), n=5, m=2),
+    "random_n8_m4": lambda: random_st(np.random.default_rng(12), n=8, m=4),
+}
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["open", "truncated"])
+@pytest.mark.parametrize("name", list(_ROW_FORMS))
+def test_rows_at_real_coefficients_are_the_adjoint_columns(name, truncated):
+    """At real coefficients (the count, S(k), a real z > 0) complement
+    reads each midpoint's row as b_m*, a view of its column.  The summed row
+    formula, which complex coefficients need, gives exactly the same
+    entries there: at lambda < 0, and at lambda > 0 up to and across the
+    border switches kl = pi (j + 1/2) of every edge, on two d, with
+    midpoints both eliminated and kept."""
+    kept = []
+    for d in (2.0**-3, 2.0**-6):
+        sys_ = system_from_approx(build_approx_graph(_ROW_FORMS[name](), d))
+        red = _Reduction(truncate(sys_, L=1.0) if truncated else sys_)
+        switches = ((math.pi * (np.arange(3)[:, np.newaxis] + 0.5)) / red.length[0]) ** 2
+        lam = np.concatenate([
+            -np.logspace(-2, 6, 9),
+            np.logspace(-2, 5, 15),
+            switches.ravel() * (1.0 - 1e-9),
+            switches.ravel() * (1.0 + 1e-9),
+        ])
+        coef, b, _, _ = red.real_coefficients(lam, 0)
+        _, col, rows, _, keep = red.complement(coef, ~np.isnan(b), 0)
+        c_mid = np.take(coef, red.half_modes, axis=1)
+        summed = (red.w_mid[0].conj() * c_mid[:, np.newaxis]).sum(axis=-1).transpose(0, 2, 1)
+        assert np.isrealobj(coef) and np.abs(col).max() > 0.0
+        assert np.array_equal(rows, summed)
+        kept.append(keep.ravel())
+    kept = np.concatenate(kept)
+    assert kept.any() and not kept.all()
+
+
 def test_midpoints_stay_rows_on_half_segment_dirichlet_levels():
     """At k = pi/d every half-segment sits on its Dirichlet level, so each
     midpoint stays a row next to its halves' border rows; S(k) and the
@@ -1321,7 +1360,7 @@ def test_midpoints_stay_rows_on_half_segment_dirichlet_levels():
     d, n = 2.0**-4, 3
     sys_ = system_from_approx(build_approx_graph(make_delta(alpha=1.0, n=n), d))
     k = math.pi / d
-    scatter = _ScatteringSolver(sys_)
+    scatter = _Reduction(sys_)
     pts = _one_point(scatter, k)
     pairs = scatter.mid_w.shape[1]
     assert pts.kept.shape == (1, pairs)
@@ -1363,8 +1402,8 @@ def test_approximating_graphs_reduce_to_n_wide(n):
     a delta' approximating graph are exactly n wide, and so is the matrix a
     point factors unless the rule keeps a midpoint there."""
     g = build_approx_graph(make_delta_prime(beta=1.0, n=n), 2.0**-5)
-    scatter = _ScatteringSolver(system_from_approx(g))
-    count = _EigenvalueCount(truncate(system_from_approx(g), L=1.0))
+    scatter = _Reduction(system_from_approx(g))
+    count = _Reduction(truncate(system_from_approx(g), L=1.0))
     assert scatter.size == count.size == n
     assert scatter.mid_w.shape == count.mid_w.shape == (1, n * (n - 1) // 2)
     pts = _one_point(scatter, 1.0)
@@ -1411,13 +1450,13 @@ def test_eigenvalue_search_call_count(make, d, floor, calls, monkeypatch):
     intervals live, whose steps count at most 10 points, so no call here is
     wider than _ROUND_POINTS."""
     widths = []
-    many = _EigenvalueCount.many
+    original = _Reduction.counts
 
     def counted(self, lams, graph=0):
         widths.append(len(lams))
-        return many(self, lams, graph)
+        return original(self, lams, graph)
 
-    monkeypatch.setattr(_EigenvalueCount, "many", counted)
+    monkeypatch.setattr(_Reduction, "counts", counted)
     st = make()
     eigenvalues_compact(_approx(st, d), 5, lam_min=eigengap_floor(st) if floor else None)
     assert len(widths) <= calls
@@ -1429,13 +1468,13 @@ def test_given_ends_are_counted_with_the_first_upward_batch(monkeypatch):
     front of the upward doubling's first point; the next calls count 2, 4,
     ... points."""
     calls = []
-    many = _EigenvalueCount.many
+    original = _Reduction.counts
 
     def recorded(self, lams, graph=0):
         calls.append(list(lams))
-        return many(self, lams, graph)
+        return original(self, lams, graph)
 
-    monkeypatch.setattr(_EigenvalueCount, "many", recorded)
+    monkeypatch.setattr(_Reduction, "counts", recorded)
     st = make_complex_t()
     sys_, floor = _approx(st, 2.0**-6), eigengap_floor(st)
     eigenvalues_compact(sys_, 5, lam_min=floor)
@@ -1484,7 +1523,7 @@ def test_leaf_floor_is_one_unless_an_edge_is_longer_than_pi():
     star = star_system(make_delta_prime(beta=1.0, n=3))
     for ell, floor in ((1.0, 1.0), (math.pi, 1.0), (1e3, (math.pi / 1e3) ** 2),
                        (1e300, np.finfo(float).tiny)):
-        assert solver._leaf_floor(_EigenvalueCount(truncate(star, L=ell))) == floor
+        assert solver._leaf_floor(_Reduction(truncate(star, L=ell))) == floor
 
 
 @settings(max_examples=40, deadline=None)
@@ -1498,7 +1537,7 @@ def test_chunked_bracket_matches_one_point_doubling(magnitude, negative, target)
     doubling one point at a time: going down until N <= target, going up
     until N >= target.  From 1e-20 that takes up to about 80 doublings, so
     several chunks."""
-    count = _EigenvalueCount(_approx(make_delta_prime(beta=1.0, n=3), 2.0**-4))
+    count = _Reduction(_approx(make_delta_prime(beta=1.0, n=3), 2.0**-4))
     lam = -magnitude if negative else magnitude
 
     def done(n):
@@ -1533,7 +1572,7 @@ def test_eigenvalues_of_random_normal_forms_match_depth_first_reference(seed, d)
     loses the vertex strengths to roundoff next to the 1/d edge terms."""
     st, g = random_built_graph(np.random.default_rng(seed), d, n=3)
     sys_ = truncate(system_from_approx(g), L=1.0)
-    count = _EigenvalueCount(sys_)
+    count = _Reduction(sys_)
     floor = eigengap_floor(st)
     got = eigenvalues_compact(sys_, 6, lam_min=floor)
     ref = reference_eigenvalues(lambda lam: _counts(count, [lam])[0], 6, lam_min=floor)
@@ -1558,7 +1597,7 @@ def _solo_references(systems, count, lam_min):
     """reference_eigenvalues of every system alone, over one-point counts."""
     refs = []
     for sys_ in systems:
-        one = _EigenvalueCount(sys_)
+        one = _Reduction(sys_)
         refs.append(reference_eigenvalues(lambda lam: _counts(one, [lam])[0], count, lam_min=lam_min))
     return refs
 
@@ -1577,15 +1616,15 @@ def test_lockstep_search_matches_each_graph_alone(name, floor, monkeypatch):
     systems = [_approx(st, d) for d in DEFAULT_D_VALUES]
     lam_min = eigengap_floor(st) if floor else None
     graphs_per_call = []
-    many = _EigenvalueCount.many
+    original = _Reduction.counts
 
     def recorded(self, lams, graph=0):
         graphs_per_call.append(len(set(np.atleast_1d(graph).tolist())))
-        return many(self, lams, graph)
+        return original(self, lams, graph)
 
-    monkeypatch.setattr(_EigenvalueCount, "many", recorded)
+    monkeypatch.setattr(_Reduction, "counts", recorded)
     got = solver._eigenvalues_lockstep(systems, count, lam_min)
-    stacked = _EigenvalueCount(systems[0]).size <= solver._ROUND_SIZE
+    stacked = _Reduction(systems[0]).size <= solver._ROUND_SIZE
     assert graphs_per_call[0] == (len(systems) if stacked else 1)
     monkeypatch.undo()
     refs = _solo_references(systems, count, lam_min)
@@ -1645,8 +1684,8 @@ def _bordered_at(count, lams, g):
     points above 0 that all keep the same midpoints and border the same
     edges."""
     coef, b, minus, _ = count.real_coefficients(lams, g)
-    mat, col, piv, keep = count.complement(coef, ~np.isnan(b), g)
-    return count.bordered(mat, np.sqrt(np.sqrt(lams)), b, minus, col, piv, keep, g)
+    mat, col, rows, piv, keep = count.complement(coef, ~np.isnan(b), g)
+    return count.bordered(mat, np.sqrt(np.sqrt(lams)), b, minus, col, rows, piv, keep, g)
 
 
 def test_stacked_count_matches_one_graph_counts():
@@ -1661,8 +1700,8 @@ def test_stacked_count_matches_one_graph_counts():
     border nothing."""
     st = make_complex_t()
     systems = [_approx(st, d) for d in (2.0**-2, 2.0**-5, 2.0**-9)]
-    counts = [_EigenvalueCount(sys_) for sys_ in systems]
-    stacked = _EigenvalueCount.stack(counts)
+    counts = [_Reduction(sys_) for sys_ in systems]
+    stacked = _Reduction.stack(counts)
     rng = np.random.default_rng(5)
     lams = np.concatenate([[-(2.0**40), -1.0, 0.0, 1e-300, 7.0, 1e300], rng.uniform(-200, 5e4, 60)])
     graph = rng.integers(0, len(systems), len(lams))
@@ -1676,15 +1715,15 @@ def test_stacked_count_matches_one_graph_counts():
     np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12 * np.abs(alone).max())
 
     strengths = (-3.0, -2.5, 1.0, 40.0)
-    counts = [_EigenvalueCount(_well_with_neumann_ends(w)) for w in strengths]
-    stacked = _EigenvalueCount.stack(counts)
+    counts = [_Reduction(_well_with_neumann_ends(w)) for w in strengths]
+    stacked = _Reduction.stack(counts)
     offsets = (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)
     near = [_pivot_zero(w) * (1.0 + e) for w in strengths for e in offsets]
     points = np.concatenate([near, rng.uniform(math.pi**2, 400.0, 40)])
     order = rng.permutation(len(points) * len(strengths))
     lams, graph = points[order % len(points)], order // len(points)
     coef, b, _, _ = stacked.real_coefficients(lams, graph)
-    _, _, _, keep = stacked.complement(coef, ~np.isnan(b), graph)
+    _, _, _, _, keep = stacked.complement(coef, ~np.isnan(b), graph)
     both = keep.any(axis=1) & (~np.isnan(b)).any(axis=1)
     assert len(lams) // 2 < np.count_nonzero(both) < len(lams)
     got = _counts(stacked, lams, graph)
