@@ -10,13 +10,15 @@ Each metric has one grid function that maps a decreasing list of d values
 to per-d outcomes, the value or the QGraphError that d raises, and
 computes the star side, which does not depend on d, once; ``run_sweep``
 is the one way in, and a sweep of one d is the metric at that d.  Every
-grid function evaluates the approximating graphs of one shape together:
-the eig grid searches them in lockstep, the scattering grid solves every
-(d, k) point in one stacked call and the HS grid every d's amplitudes in
-another (see :func:`~qgraph.solver._each_family`), and each d keeps the
-bits of its one-d sweep.  ``run_sweep`` records a d that raised as
-skipped with the reason, and fits log(metric) against log(d) by ordinary
-least squares once at least four valid points survive.
+grid function hands its approximating graphs (:func:`_approximating`) to
+one driver, :func:`~qgraph.solver._each_family`, which evaluates those of
+one shape together as a stack and returns one outcome per d: the eig grid
+searches a stack in lockstep, the scattering grid solves every (d, k)
+point in one stacked call and the HS grid every d's amplitudes in
+another, and each d keeps the bits of its one-d sweep.  ``run_sweep``
+records a d that raised as skipped with the reason, and fits log(metric)
+against log(d) by ordinary least squares once at least four valid points
+survive.
 Reports serialize to CSV with one ``d,metric,status`` row per d followed
 by ``slope``, ``intercept`` and ``residual`` trailer rows; commas inside
 status messages are replaced by semicolons so the file stays three
@@ -206,6 +208,13 @@ class ConvergenceReport:
 # Metrics
 # ---------------------------------------------------------------------------
 
+def _approximating(st: STForm, d: float, L: float | None = None) -> _Reduction:
+    """The reduction of the approximating graph of ``st`` at ``d``,
+    truncated at length ``L`` when it is given."""
+    sys = system_from_approx(build_approx_graph(st, d))
+    return _Reduction(sys if L is None else truncate(sys, L=L))
+
+
 def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
     """Per d of ``d_values``, the :class:`ScatteringNorm` metric ``spec``
     or the QGraphError of that d; a QGraphError of the star side
@@ -230,12 +239,11 @@ def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
         return [_first_error(pair) or pair[0] - pair[1] for pair in pairs]
 
     ks = np.array(spec.k_list)
-    results: list = [None] * len(d_values)
 
-    def evaluate(members):
-        stacked = _Reduction.stack([red for _, red in members])
-        k = np.tile(ks, len(members))
-        g = np.repeat(np.arange(len(members)), len(ks))
+    def evaluate(stacked):
+        graphs = len(stacked.length)
+        k = np.tile(ks, graphs)
+        g = np.repeat(np.arange(graphs), len(ks))
         diffs = differences(stacked, k, g)
         # A point where either side resonates is retried once, at k (1 +
         # 1e-6) on both sides; if that fails too, its d is skipped.
@@ -246,15 +254,10 @@ def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
         good = [diff for diff in diffs if not isinstance(diff, QGraphError)]
         norms = iter(np.linalg.norm(np.array(good), 2, axis=(-2, -1)).tolist() if good else ())
         values = [diff if isinstance(diff, QGraphError) else next(norms) for diff in diffs]
-        for m, (index, _) in enumerate(members):
-            per_d = values[m * len(ks) : (m + 1) * len(ks)]
-            results[index] = _first_error(per_d) or max([0.0] + per_d)
+        per_d = [values[m : m + len(ks)] for m in range(0, len(values), len(ks))]
+        return [_first_error(one) or max([0.0] + one) for one in per_d]
 
-    def reduce(d):
-        return _Reduction(system_from_approx(build_approx_graph(st, d)))
-
-    _each_family(d_values, reduce, evaluate, results)
-    return results
+    return _each_family(d_values, lambda d: _approximating(st, d), evaluate)
 
 
 def _first_error(outcomes):
@@ -288,15 +291,10 @@ def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
     floor = eigengap_floor(st)
     star = truncate(star_system(st), L=spec.L)
     lam_star = eigenvalues_compact(star, spec.count, lam_min=floor)
-    results: list = [None] * len(d_values)
-
-    def reduce(d):
-        return _Reduction(truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L))
-
-    _each_family(d_values, reduce, lambda members: _search_family(members, spec.count, floor, results),
-                 results)
+    found = _each_family(d_values, lambda d: _approximating(st, d, spec.L),
+                         lambda stacked: _search_family(stacked, spec.count, floor))
     return [lam if isinstance(lam, QGraphError) else float(np.max(np.abs(lam - lam_star)))
-            for lam in results]
+            for lam in found]
 
 
 def _exp_divided_differences(nodes: np.ndarray) -> np.ndarray:
@@ -354,10 +352,13 @@ def _mode_grams(k: complex, length: np.ndarray) -> np.ndarray:
     x, y = k.imag * length, k.real * length
     decay = np.exp(-x)
     x_safe, y_safe = np.where(x > 0, x, 1.0), np.where(y != 0, y, 1.0)
-    phi1 = np.where(x > 0, -np.expm1(-2.0 * x_safe) / (2.0 * x_safe), 1.0)
+    # expm1(-2x) rounds to -1 from x = 19 on, so the cap keeps its bits where
+    # 2x of a long edge would overflow; the series see only entries below 1.
+    phi1 = np.where(x > 0, -np.expm1(-2.0 * np.minimum(x_safe, 400.0)) / x_safe * 0.5, 1.0)
     sinc = np.where(y != 0, np.sin(y_safe) / y_safe, 1.0)
-    x_part = np.where(x < 1.0, decay * _sinhc_minus_one(x * x), phi1 - decay)
-    y_part = np.where(np.abs(y) < 1.0, -_sinhc_minus_one(-y * y), 1.0 - sinc)
+    x_low, y_low = np.where(x < 1.0, x, 0.0), np.where(np.abs(y) < 1.0, y, 0.0)
+    x_part = np.where(x < 1.0, decay * _sinhc_minus_one(x_low * x_low), phi1 - decay)
+    y_part = np.where(np.abs(y) < 1.0, -_sinhc_minus_one(-y_low * y_low), 1.0 - sinc)
     return length[..., np.newaxis, :] * np.stack([phi1 + decay * sinc, x_part + decay * y_part], axis=-2)
 
 
@@ -462,22 +463,15 @@ def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
     a family come from one stacked call, and its distances from one
     evaluation of the closed form."""
     star = greens_function(truncate(star_system(st), L=spec.L), spec.z)
-    results: list = [None] * len(d_values)
 
-    def evaluate(members):
-        stacked = _Reduction.stack([red for _, red in members])
-        amps = stacked.amplitudes(spec.z, np.arange(len(members)))
+    def evaluate(stacked):
+        amps = stacked.amplitudes(spec.z, np.arange(len(stacked.length)))
         solved = [g for g, amp in enumerate(amps) if not isinstance(amp, QGraphError)]
         lengths, stack = stacked.length[solved], np.array([amps[g] for g in solved])
         values = iter(_hs_distance(star.k, lengths, stack, star._amp) if solved else ())
-        for (index, _), amp in zip(members, amps):
-            results[index] = amp if isinstance(amp, QGraphError) else next(values)
+        return [amp if isinstance(amp, QGraphError) else next(values) for amp in amps]
 
-    def reduce(d):
-        return _Reduction(truncate(system_from_approx(build_approx_graph(st, d)), L=spec.L))
-
-    _each_family(d_values, reduce, evaluate, results)
-    return results
+    return _each_family(d_values, lambda d: _approximating(st, d, spec.L), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +516,10 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Evaluate the metric at every d, fit the rate, assemble the report.
 
     The metric's grid function maps the d grid to per-d outcomes, and
-    computes the star side, which does not depend on d, once, up front (an
-    eig grid also searches all d values' eigenvalues in lockstep; see
-    :func:`~qgraph.solver._search_family`).  Every d's value is the
+    computes the star side, which does not depend on d, once, up front;
+    every grid function evaluates its approximating graphs through the
+    solver's one family driver, :func:`~qgraph.solver._each_family`, which
+    returns one outcome per d.  Every d's value is the
     one a sweep of that d alone gives, and the report lists the d values
     in their given (decreasing) order, so it is deterministic.  A d
     where the builder or the solver raises is recorded as skipped with the

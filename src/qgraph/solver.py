@@ -47,13 +47,12 @@ resolvent's amplitudes (:meth:`_Reduction.amplitudes`).
   graphs a count's cost is mostly per call, so a round counts all its
   points in one call (a matrix wider than 6, whose points cost more,
   counts one midpoint per interval).  The search is a generator that
-  yields the lambdas it needs counted, so the searches of several systems
-  of one reduction shape, such as an eig sweep's approximating graphs,
-  advance in lockstep: each round counts all their batches in one call of
-  their stacked reduction, where every point reads the arrays of its own
-  graph, with the bits a search alone reads.  An eig sweep reduces its
-  approximating graphs through :func:`_each_family`, as the scattering and
-  HS sweeps do, and searches each family in lockstep.
+  yields the lambdas it needs counted, so the searches of the graphs of a
+  stacked reduction, such as an eig sweep's approximating graphs, advance
+  in lockstep (:func:`_search_family`): each round counts all their
+  batches in one call, where every point reads the arrays of its own
+  graph, with the bits a search alone reads.  One system's search is the
+  stack of one.
 * A scattering matrix solves B(k^2) x = -2ik J_h* for an incoming wave on
   each channel h; then S = J_h x - I.
 * A resolvent kernel is the free-line kernel on the source edge plus the
@@ -63,13 +62,17 @@ resolvent's amplitudes (:meth:`_Reduction.amplitudes`).
   gives every source's amplitudes (:class:`GreensFunction`).
 * Both are evaluated on arrays of points, as the count is: S(k) at arrays
   of momenta and graphs (:meth:`_Reduction.scattering`), the amplitudes
-  at one z on an array of graphs (:meth:`_Reduction.amplitudes`).  A
-  sweep's family of approximating graphs is stacked, and all its points
-  are solved in one call, one batched solve per number of kept midpoints
-  and border rows, each point with the bits it has alone; a reduction
-  wider than 6 solves one point per call.  A single S(k)
-  (:func:`scattering_matrix`) or resolvent (:class:`GreensFunction`) is
-  the stack of one.
+  at one z on an array of graphs (:meth:`_Reduction.amplitudes`).  All
+  the points of a stack are solved in one call, one batched solve per
+  number of kept midpoints and border rows, each point with the bits it
+  has alone; a reduction wider than 6 solves one point per call.  A
+  single S(k) (:func:`scattering_matrix`) or resolvent
+  (:class:`GreensFunction`) is the stack of one.
+
+A sweep's family of approximating graphs goes through one driver,
+:func:`_each_family`: it reduces every graph, stacks the reductions of
+one shape, hands each stack to the sweep's evaluation (a count search, S(k)
+or the amplitudes) and returns one outcome per graph.
 
 A coefficient that diverges next to an edge Dirichlet level moves into a
 border row, so every entry stays O(|k|); at real lambda > 0 by the count's
@@ -208,13 +211,6 @@ def _groups(keep: np.ndarray, inside: np.ndarray) -> list[tuple[int, np.ndarray]
     return [(key, np.flatnonzero(extra == key)) for key in dict.fromkeys(extra.tolist())]
 
 
-def _at(g, points: np.ndarray):
-    """The graph index ``g`` of a reduction's points restricted to
-    ``points``: an int, every point's graph, stays as it is; an array, one
-    graph per point, is read at ``points``."""
-    return g[points] if isinstance(g, np.ndarray) else g
-
-
 # ---------------------------------------------------------------------------
 # The vertex reduction
 # ---------------------------------------------------------------------------
@@ -261,9 +257,8 @@ class _Reduction:
     approximating graphs of one ST form at several d (see :meth:`stack`):
     the arrays named in _PER_GRAPH carry a leading graph axis, and a
     system's own reduction is a stack of one.  The methods that evaluate
-    points take a graph index g: an int when all the points are on one
-    graph, whose arrays then broadcast over them, or an array of one graph
-    per point, which reads each point's arrays.
+    points take g, a 1-d int array of each point's graph, and read each
+    point's arrays at it.
     """
 
     def __init__(self, sys: MetricGraphSystem):
@@ -431,17 +426,14 @@ class _Reduction:
         below = lam <= 0.0
         if below.any():
             kappa = np.sqrt(-lam[below])[:, np.newaxis]
-            at = _at(g, below)
-            t = np.tanh(0.5 * kappa * self.length[at])
+            t = np.tanh(0.5 * kappa * self.length[g[below]])
             coef[below, :ne] = kappa * t
             # kappa coth(kappa l/2) is 2/l where the tanh underflows to 0.
-            limit = np.empty_like(t)
-            limit[:] = self.two_over_l[at]
-            coef[below, ne:] = np.divide(kappa, t, out=limit, where=t > 0)
+            coef[below, ne:] = np.divide(kappa, t, out=self.two_over_l[g[below]], where=t > 0)
         above = ~below
         if above.any():
             k = np.sqrt(lam[above])[:, np.newaxis]
-            q = k * self.length[_at(g, above)] / math.pi
+            q = k * self.length[g[above]] / math.pi
             levels = np.ceil(q) - 1.0
             # kl/2 = (levels + x) pi/2 with x in (0, 1]: with tau = tan(x pi/2),
             # -k tan(kl/2) is -k tau on w_+ and k/tau on w_- for an even level
@@ -545,7 +537,7 @@ class _Reduction:
         border = slice(size + nk, size + nk + nb)
         root_k = root_k[:, np.newaxis, np.newaxis]
         # The graph of each point, against its (points, borders) modes.
-        g = np.asarray(g)[..., np.newaxis]
+        g = g[:, np.newaxis]
         if nk:
             pick = np.arange(npts)[:, np.newaxis]
             mids = np.nonzero(keep)[1].reshape(npts, nk)
@@ -569,11 +561,10 @@ class _Reduction:
             out[:, border, kept] = (root_k * np.where(at_mid, entry.conj(), 0.0)).transpose(0, 2, 1)
         return out
 
-    def counts(self, lams, g: int | np.ndarray = 0):
+    def counts(self, lams, g: np.ndarray):
         """N(lambda), the number of eigenvalues below lambda of a compact
-        system, at every point of the 1-d array ``lams``, of the graph ``g``
-        of the stack, or of one graph per point when ``g`` is an array, and
-        each point's :class:`_Branches`.
+        system, at every point of the 1-d array ``lams`` on the graphs ``g``,
+        and each point's :class:`_Branches`.
 
         The edges' Dirichlet-to-Neumann maps split the form h - lambda into
         the edges' Dirichlet parts and the Hermitian reduced matrix
@@ -606,7 +597,7 @@ class _Reduction:
                 # needs no sqrt(k).
                 root_k = np.sqrt(np.sqrt(np.maximum(lam[at], 0.0)))
                 part = self.bordered(
-                    part, root_k, b[at], minus[at], col[at], rows[at], piv[at], keep[at], _at(g, at)
+                    part, root_k, b[at], minus[at], col[at], rows[at], piv[at], keep[at], g[at]
                 )
             eigs = _scaled_eigenvalues(part)
             inertia[at] = (eigs < 0).sum(axis=-1)
@@ -649,7 +640,7 @@ class _Reduction:
             sel = at if len(at) < len(k) else slice(None)
             part = self.bordered(
                 mat[sel], root_k[sel], b[sel], minus[sel], col[sel], rows[sel], piv[sel], keep[sel],
-                _at(g, sel),
+                g[sel],
             )
             border = np.nonzero(inside[sel])[1] + ne * minus[sel][inside[sel]]
             border = border.reshape(len(at), -1)
@@ -721,7 +712,7 @@ class _Reduction:
         _ROUND_SIZE is point-bound and solves one point per call (see
         :func:`_each_family`)."""
         if self.size > _ROUND_SIZE and len(k) > 1:
-            return [s for i in range(len(k)) for s in self.scattering(k[i : i + 1], _at(g, i))]
+            return [s for i in range(len(k)) for s in self.scattering(k[i : i + 1], g[i : i + 1])]
         nh = len(self.j_half)
         out: list = [None] * len(k)
         for pts in self.points(k, g, k * k):
@@ -805,12 +796,6 @@ def _scaled_eigenvalues(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)
 
 
-def _batch_points(size: int) -> int:
-    """Points per batched count of the eigenvalue search on a reduced matrix
-    ``size`` wide."""
-    return _ROUND_POINTS if size <= _ROUND_SIZE else 1
-
-
 def _doubling(lam: float, points: int) -> list[float]:
     """lam, 2 lam, 4 lam, ...: ``points`` values, fewer if a double
     overflows."""
@@ -847,13 +832,13 @@ def _is_leaf(a: float, b: float, floor: float) -> bool:
     return b - a <= 1e-13 * max(floor, abs(a), abs(b))
 
 
-def _leaf_floor(count: _Reduction) -> float:
+def _leaf_floor(length: np.ndarray) -> float:
     """The scale below which a level's leaf width stops shrinking with it:
-    min(1, (pi / l)^2), l the longest edge of the (one-graph) ``count``,
-    about the level spacing of a long edge, so that levels below 1 stay
-    apart on a long truncation (and the floor is 1 wherever l <= pi).  A
-    floor that underflows is the smallest normal float."""
-    longest = float(count.length.max(initial=0.0))
+    min(1, (pi / l)^2), l the longest of the finite edge lengths
+    ``length``, about the level spacing of a long edge, so that levels below
+    1 stay apart on a long truncation (and the floor is 1 wherever l <= pi).
+    A floor that underflows is the smallest normal float."""
+    longest = float(length.max(initial=0.0))
     if longest <= math.pi:
         return 1.0
     return max((math.pi / longest) ** 2, float(np.finfo(float).tiny))
@@ -933,11 +918,12 @@ _STALL = 2
 
 
 def _search(points: int, count: int, lam_min: float | None, floor: float):
-    """The eigenvalue search of :func:`eigenvalues_compact` on one system,
-    as a generator: it yields every list of lambda it needs counted, is sent
-    their counts and :class:`_Branches`, and returns the eigenvalues.
-    ``points`` is the batch size (see :func:`_batch_points`), and ``floor``
-    the leaf width's (see :func:`_leaf_floor`)."""
+    """The eigenvalue search of :func:`eigenvalues_compact` on one graph of
+    a stack, as a generator: it yields every list of lambda it needs
+    counted, is sent their counts and :class:`_Branches`, and returns the
+    eigenvalues (:func:`_search_family` runs it).  ``points`` is the batch
+    size (_ROUND_POINTS, or 1 on a reduction wider than _ROUND_SIZE), and
+    ``floor`` the leaf width's (see :func:`_leaf_floor`)."""
     branches: dict[float, _Branches] = {}
 
     def ask(lams):
@@ -1050,76 +1036,55 @@ def _search(points: int, count: int, lam_min: float | None, floor: float):
     return np.array(values[:count])
 
 
-def _eigenvalues_lockstep(systems, count: int, lam_min: float | None = None) -> list:
-    """Per system of ``systems``, the result of :func:`eigenvalues_compact`
-    or the :class:`QGraphError` it raises; ``count`` and ``lam_min`` are
-    validated for all.
+def _each_family(items, reduce, evaluate) -> list:
+    """Per item of ``items``, the outcome that ``evaluate`` gives for its
+    reduction, or the QGraphError that ``reduce`` raises on it.
 
-    Systems whose reductions share a shape and are up to _ROUND_SIZE wide,
-    such as the approximating graphs of one ST form, are searched in
-    lockstep (see :func:`_search_family`); each wider one is searched alone
-    (see :func:`_each_family`).
+    Reductions of one shape, such as the approximating graphs of one ST form
+    at several d, are stacked (see :meth:`_Reduction.stack`), and
+    ``evaluate`` takes the stack and returns one outcome per graph, in
+    stack order, from stacked calls.  Only reductions up to _ROUND_SIZE
+    wide are stacked.  A wider one is point-bound: stacking would gather its
+    arrays per point.  At delta' n = 24 a stacked eig sweep was slower and
+    larger than the solo searches, and at n = 16 stacked scattering and HS
+    sweeps peaked at 8 to 9 times the memory of one d.  So each wider
+    reduction is evaluated alone, as a stack of one, as soon as it is made,
+    and only one is held at a time.
     """
-    count = require_positive_int(count, "count")
-    if lam_min is not None:
-        lam_min = require_finite_real(lam_min, "lam_min")
-    results: list = [None] * len(systems)
-
-    def reduce(sys):
-        if not sys.is_compact:
-            raise StructuralError("system has half-lines; call truncate() first")
-        return _Reduction(sys)
-
-    _each_family(systems, reduce, lambda members: _search_family(members, count, lam_min, results),
-                 results)
-    return results
-
-
-def _each_family(items, reduce, evaluate, results: list) -> None:
-    """Reduce every item of ``items`` and call ``evaluate`` on lists of
-    (index, reduction) pairs of one shape, such as the approximating graphs
-    of one ST form at several d, which it evaluates together in stacked
-    calls; a QGraphError that ``reduce`` raises goes to the item's index of
-    ``results``.
-
-    Only reductions up to _ROUND_SIZE wide are stacked.  A wider one is
-    point-bound: stacking would gather its arrays per point.  At delta'
-    n = 24 a stacked eig sweep was slower and larger than the solo
-    searches, and at n = 16 stacked scattering and HS sweeps peaked at 8 to
-    9 times the memory of one d.  So each wider reduction is evaluated
-    alone, as soon as it is made, and only one is held at a time.
-    """
+    out: list = [None] * len(items)
     families: dict[tuple, list] = {}
     for i, item in enumerate(items):
         try:
             one = reduce(item)
         except QGraphError as exc:
-            results[i] = exc
+            out[i] = exc
             continue
         if one.size <= _ROUND_SIZE:
             families.setdefault(one.shape, []).append((i, one))
         else:
-            evaluate([(i, one)])
+            (out[i],) = evaluate(one)
             del one
     for members in families.values():
-        evaluate(members)
+        outcomes = evaluate(_Reduction.stack([one for _, one in members]))
+        for (i, _), outcome in zip(members, outcomes):
+            out[i] = outcome
+    return out
 
 
-def _search_family(members, count: int, lam_min: float | None, results: list) -> None:
-    """Run the searches of ``members``, (index, one-system count) pairs of
-    one shape, to their ends, and put each one's eigenvalues, or the
-    QGraphError it raises, at its index of ``results``.
+def _search_family(stacked: _Reduction, count: int, lam_min: float | None) -> list:
+    """Per graph of ``stacked``, the eigenvalues of :func:`eigenvalues_compact`
+    (``count`` and ``lam_min`` validated), or the QGraphError its search
+    raises.
 
     The searches advance in lockstep rounds: a round takes the batch each
-    search waits on and counts them all in one call of the members' stacked
-    count, so a family makes as many calls as its slowest search alone.
-    Each point is counted as its system alone would count it, so every
-    search reads the same counts and branch values and takes the same
-    decisions.
+    search waits on and counts them all in one call of the stacked count,
+    so a family makes as many calls as its slowest search alone.  Each
+    point is counted as its graph alone would count it, so every search
+    reads the same counts and branch values and takes the same decisions.
     """
-    stacked = _Reduction.stack([one for _, one in members])
-    points = _batch_points(stacked.size)
-    searches = [_search(points, count, lam_min, _leaf_floor(one)) for _, one in members]
+    points = _ROUND_POINTS if stacked.size <= _ROUND_SIZE else 1
+    searches = [_search(points, count, lam_min, _leaf_floor(length)) for length in stacked.length]
+    out: list = [None] * len(searches)
     # The batch each search waits on, by its graph of the stack.
     waiting: dict[int, list[float]] = {}
 
@@ -1127,25 +1092,22 @@ def _search_family(members, count: int, lam_min: float | None, results: list) ->
         try:
             waiting[g] = searches[g].send(counts)
         except StopIteration as stop:
-            results[members[g][0]] = stop.value
+            out[g] = stop.value
         except QGraphError as exc:
-            results[members[g][0]] = exc
+            out[g] = exc
 
-    for g in range(len(members)):
+    for g in range(len(searches)):
         resume(g, None)
     while waiting:
         asked = list(waiting.items())
         waiting.clear()
-        if len(asked) == 1:
-            ((graph, lams),) = asked
-        else:
-            graph = np.repeat([g for g, _ in asked], [len(batch) for _, batch in asked])
-            lams = [lam for _, batch in asked for lam in batch]
-        counts, branches = stacked.counts(lams, graph)
+        graph = np.repeat([g for g, _ in asked], [len(batch) for _, batch in asked])
+        counts, branches = stacked.counts([lam for _, batch in asked for lam in batch], graph)
         at = 0
         for g, batch in asked:
             resume(g, (counts[at : at + len(batch)], branches[at : at + len(batch)]))
             at += len(batch)
+    return out
 
 
 def eigenvalues_compact(
@@ -1178,12 +1140,16 @@ def eigenvalues_compact(
     floor whose double overflows leaves no upward bracket and raises
     :class:`ScanRangeError`.
 
-    This is :func:`_eigenvalues_lockstep` on one system, which counts
-    through :meth:`_Reduction.counts`; an eig sweep searches all its
-    approximating graphs at once (:func:`_each_family`, then
-    :func:`_search_family` per family), with the same result for each.
+    This is :func:`_search_family` on the system's reduction, a stack of
+    one; an eig sweep searches the stacks of its approximating graphs
+    (:func:`_each_family`), with the same result for each.
     """
-    (result,) = _eigenvalues_lockstep([sys], count, lam_min)
+    count = require_positive_int(count, "count")
+    if lam_min is not None:
+        lam_min = require_finite_real(lam_min, "lam_min")
+    if not sys.is_compact:
+        raise StructuralError("system has half-lines; call truncate() first")
+    (result,) = _search_family(_Reduction(sys), count, lam_min)
     if isinstance(result, QGraphError):
         raise result
     return result
@@ -1347,7 +1313,7 @@ def scattering_matrix(sys: MetricGraphSystem, k: float) -> np.ndarray:
     red = _Reduction(sys)
     if not len(red.j_half):
         raise StructuralError("system has no half-lines, hence no channels")
-    (s,) = red.scattering(np.array([k]), 0)
+    (s,) = red.scattering(np.array([k]), np.zeros(1, dtype=int))
     if isinstance(s, QGraphError):
         raise s
     return s

@@ -225,6 +225,21 @@ def test_metric_hs_matches_dense_reference_at_long_truncation(st_delta_prime):
     assert got == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("L", [1e200, 1e308])
+@pytest.mark.parametrize("z", [-1.0, 1.0 + 0.5j])
+def test_hs_sweep_at_the_longest_truncations_matches_a_long_one(st_delta_prime, z, L):
+    """Off [0, inf) the kernels decay along the outer edges, so truncating
+    them at 1e200 or 1e308 instead of 1e3 changes no value beyond rounding:
+    an outer edge's Gram weight, about 1 / (2 Im k), must not read 0 where
+    twice its Im k l overflows, and nothing on the way may overflow."""
+    def values(length):
+        report = run_sweep(SweepConfig(st=st_delta_prime, metric=HSResolvent(z=z, L=length)))
+        assert report.skipped == ()
+        return [value for _, value in report.values]
+
+    np.testing.assert_allclose(values(L), values(1e3), rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("z", [-1e4, 1e4 + 100j])
 def test_metric_hs_matches_graded_reference_far_from_spectrum(st_delta_prime, z):
     """At |k| = 100 the kernels vary on the scale 1 / |k|: they decay from
@@ -536,7 +551,8 @@ def test_stacked_scattering_family_keeps_each_d_around_a_failure_and_a_retry(mon
         float(np.linalg.norm(effective_scattering(g, k) - star_scattering(c, k), 2))
         for k in (0.5, 1.0 * (1.0 + 1.0e-6), 2.0)
     )
-    (pts,) = solver._Reduction(system_from_approx(g)).points(np.array([1.0]), 0, np.array([1.0]))
+    one = np.zeros(1, dtype=int)
+    (pts,) = solver._Reduction(system_from_approx(g)).points(np.array([1.0]), one, np.array([1.0]))
     resonant = pts.mat[0]
     gated = solver.gated_solve
 
@@ -619,7 +635,7 @@ def test_sweep_computes_the_star_side_once(monkeypatch, st_delta_prime):
 
     monkeypatch.setattr(solver, "_search", counted_search)
     run_sweep(SweepConfig(st=st_delta_prime, metric=EigGap(), d_values=MEMO_D_VALUES))
-    assert len(solves) == 1 and len(families) == 1 and len(families[0][0]) == n
+    assert len(solves) == 1 and len(families) == 1 and len(families[0][0].length) == n
     assert len(searches) == 1 + n
     resolvents = _counting(monkeypatch, "greens_function")
     amplitudes = _counting_method(monkeypatch, solver._Reduction, "amplitudes")

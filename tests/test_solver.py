@@ -110,9 +110,10 @@ def _approx(st, d):
     return truncate(system_from_approx(build_approx_graph(st, d)), L=1.0)
 
 
-def _counts(count, lams, g=0) -> list[int]:
-    """N(lambda) at every point of ``lams``, without the branches."""
-    return count.counts(lams, g)[0]
+def _counts(count, lams, g=None) -> list[int]:
+    """N(lambda) at every point of ``lams`` on the graphs ``g`` (default:
+    graph 0), without the branches."""
+    return count.counts(lams, np.zeros(len(lams), dtype=int) if g is None else g)[0]
 
 
 # -- interval spectra (textbook)-------------------------------------------
@@ -806,7 +807,7 @@ def _gate_matrices() -> dict[str, np.ndarray]:
 def _one_point(red: _Reduction, k: float):
     """The bordered matrix and its layout at one momentum k > 0 of a
     one-graph reduction, as a stacked evaluation of one point sees it."""
-    (pts,) = red.points(np.array([k]), 0, np.array([k * k]))
+    (pts,) = red.points(np.array([k]), np.zeros(1, dtype=int), np.array([k * k]))
     return pts
 
 
@@ -950,7 +951,7 @@ def test_metric_scattering_retries_a_resonant_momentum(monkeypatch):
 
     def loop_scattering(self, k, g):
         tried.extend(k.tolist())
-        return original(loop, k, 0)
+        return original(loop, k, np.zeros(len(k), dtype=int))
 
     monkeypatch.setattr(_Reduction, "scattering", loop_scattering)
     monkeypatch.setattr(convergence, "star_scattering", lambda c, k: np.eye(2))
@@ -971,7 +972,7 @@ def test_one_scattering_solver_serves_every_momentum():
     sys_ = system_from_approx(build_approx_graph(make_delta_prime(beta=1.0, n=3), 2.0**-5))
     scatter = _Reduction(sys_)
     for k in (0.5, 1.0, 2.0, 1.0 * (1.0 + 1.0e-6), 0.5):
-        (s,) = scatter.scattering(np.array([k]), 0)
+        (s,) = scatter.scattering(np.array([k]), np.zeros(1, dtype=int))
         assert s.tobytes() == scattering_matrix(sys_, k).tobytes()
 
 
@@ -1297,8 +1298,9 @@ def test_count_across_a_vanishing_midpoint_pivot():
     count = _Reduction(sys_)
     assert count.size == 2
     points = [lam_p * (1.0 - 1e-12), lam_p, lam_p * (1.0 + 1e-12), lam_p - 0.5, lam_p + 0.5]
-    coef, b, _, _ = count.real_coefficients(np.array(points), 0)
-    _, _, _, piv, keep = count.complement(coef, ~np.isnan(b), 0)
+    graph = np.zeros(len(points), dtype=int)
+    coef, b, _, _ = count.real_coefficients(np.array(points), graph)
+    _, _, _, piv, keep = count.complement(coef, ~np.isnan(b), graph)
     assert keep[:3, 0].all() and not keep[3:, 0].any()
     assert piv[4, 0] < 0 < piv[3, 0]
     assert _counts(count, points) == [sum(level < lam for level in levels) for lam in points] == [1] * 5
@@ -1339,8 +1341,9 @@ def test_rows_at_real_coefficients_are_the_adjoint_columns(name, truncated):
             switches.ravel() * (1.0 - 1e-9),
             switches.ravel() * (1.0 + 1e-9),
         ])
-        coef, b, _, _ = red.real_coefficients(lam, 0)
-        _, col, rows, _, keep = red.complement(coef, ~np.isnan(b), 0)
+        graph = np.zeros(len(lam), dtype=int)
+        coef, b, _, _ = red.real_coefficients(lam, graph)
+        _, col, rows, _, keep = red.complement(coef, ~np.isnan(b), graph)
         c_mid = np.take(coef, red.half_modes, axis=1)
         summed = (red.w_mid[0].conj() * c_mid[:, np.newaxis]).sum(axis=-1).transpose(0, 2, 1)
         assert np.isrealobj(coef) and np.abs(col).max() > 0.0
@@ -1523,7 +1526,7 @@ def test_leaf_floor_is_one_unless_an_edge_is_longer_than_pi():
     star = star_system(make_delta_prime(beta=1.0, n=3))
     for ell, floor in ((1.0, 1.0), (math.pi, 1.0), (1e3, (math.pi / 1e3) ** 2),
                        (1e300, np.finfo(float).tiny)):
-        assert solver._leaf_floor(_Reduction(truncate(star, L=ell))) == floor
+        assert solver._leaf_floor(_Reduction(truncate(star, L=ell)).length[0]) == floor
 
 
 @settings(max_examples=40, deadline=None)
@@ -1593,6 +1596,14 @@ LOCKSTEP_FAMILIES = {
 }
 
 
+def _lockstep(systems, count, lam_min=None) -> list:
+    """Per system, its eigenvalues or the error of its search, from the
+    lockstep searches of the stacks that _each_family makes of them."""
+    return solver._each_family(
+        systems, _Reduction, lambda stacked: solver._search_family(stacked, count, lam_min)
+    )
+
+
 def _solo_references(systems, count, lam_min):
     """reference_eigenvalues of every system alone, over one-point counts."""
     refs = []
@@ -1623,7 +1634,7 @@ def test_lockstep_search_matches_each_graph_alone(name, floor, monkeypatch):
         return original(self, lams, graph)
 
     monkeypatch.setattr(_Reduction, "counts", recorded)
-    got = solver._eigenvalues_lockstep(systems, count, lam_min)
+    got = _lockstep(systems, count, lam_min)
     stacked = _Reduction(systems[0]).size <= solver._ROUND_SIZE
     assert graphs_per_call[0] == (len(systems) if stacked else 1)
     monkeypatch.undo()
@@ -1634,16 +1645,17 @@ def test_lockstep_search_matches_each_graph_alone(name, floor, monkeypatch):
 
 
 def test_lockstep_search_isolates_failing_systems():
-    """A system that is not compact, one whose edges overflow the reduced
-    matrix, and one whose count never reaches the target (a Dirichlet
-    interval too short for a level below the float range) each get their
-    own error, as eigenvalues_compact raises it alone; the others get their
-    solo bytes."""
+    """A system whose edges overflow the reduced matrix, and one whose
+    count never reaches the target (a Dirichlet interval too short for a
+    level below the float range) each get their own error, as
+    eigenvalues_compact raises it alone; the others get their solo bytes.
+    (eigenvalues_compact refuses a system that is not compact before any
+    reduction.)"""
     st = make_delta_prime()
     good = [_approx(st, d) for d in (2.0**-2, 2.0**-6)]
-    bad = [star_system(st), interval(1e-308, "N", "N"), interval(1e-155)]
+    bad = [interval(1e-308, "N", "N"), interval(1e-155)]
     systems = [good[0], *bad, good[1]]
-    got = solver._eigenvalues_lockstep(systems, 3, -90.0)
+    got = _lockstep(systems, 3, -90.0)
     for sys_, result in zip(systems, got):
         if sys_ in bad:
             with pytest.raises(type(result)) as alone:
@@ -1651,7 +1663,7 @@ def test_lockstep_search_isolates_failing_systems():
             assert str(alone.value) == str(result)
         else:
             assert result.tobytes() == eigenvalues_compact(sys_, 3, lam_min=-90.0).tobytes()
-    assert [type(r) for r in got[1:4]] == [StructuralError, InputError, ScanRangeError]
+    assert [type(r) for r in got[1:3]] == [InputError, ScanRangeError]
 
 
 def test_lockstep_search_keeps_the_modes_of_each_graph():
@@ -1665,7 +1677,7 @@ def test_lockstep_search_keeps_the_modes_of_each_graph():
     shapes = [_Reduction(sys_).shape for sys_ in systems]
     # Only w tells the two apart.
     assert shapes[0][:-1] == shapes[1][:-1] and shapes[0][-1] != shapes[1][-1]
-    got = solver._eigenvalues_lockstep(systems, 4)
+    got = _lockstep(systems, 4)
     for sys_, values in zip(systems, got):
         assert values.tobytes() == eigenvalues_compact(sys_, 4).tobytes()
 
@@ -1710,7 +1722,8 @@ def test_stacked_count_matches_one_graph_counts():
     far = rng.uniform(1e6, 1e7, 12)
     graph = rng.integers(0, len(systems), len(far))
     got = _bordered_at(stacked, far, graph)
-    alone = np.concatenate([_bordered_at(counts[g], far[[i]], 0) for i, g in enumerate(graph)])
+    alone = np.concatenate([_bordered_at(counts[g], far[[i]], np.zeros(1, dtype=int))
+                            for i, g in enumerate(graph)])
     assert got.shape == alone.shape == (len(far), 3 + 3 + 9, 3 + 3 + 9)
     np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12 * np.abs(alone).max())
 
