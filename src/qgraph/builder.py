@@ -35,13 +35,14 @@ w_{jk} is O(1/d) in general and O(1/d^2) exactly when j, k <= m and the
 column sum sum_l T_jl conj(T_kl) vanishes.
 
 The per-entry and per-pair functions evaluate one schedule value each, in
-Python arithmetic; they are the reference.  :func:`build_approx_graph`
-evaluates every value in array passes over all vertices and pairs, with
-the same floating-point operations in the same order, so each value has
-the reference's bits.  The arrays only decide whether a build fails; a
-failing build reruns the per-entry functions, so the reference alone
-decides which error it raises.  Three numpy shortcuts round differently
-from that arithmetic, so the array passes avoid them:
+Python arithmetic; they are the reference.  :func:`_schedules` evaluates
+every value in one array pass over all vertices and pairs and every d of
+a grid, with a leading d axis and the same floating-point operations in
+the same order, so each value has the reference's bits, whatever the grid;
+:func:`build_approx_graph` is that pass at one d.  The arrays only decide
+whether a d fails; a failing d reruns the per-entry functions, so the
+reference alone decides which error it raises.  Three numpy shortcuts
+round differently from that arithmetic, so the array pass avoids them:
 
 * np.abs of a complex array differs from Python's abs, which calls hypot,
   on about a third of random values; np.hypot of the parts does not;
@@ -62,6 +63,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +77,7 @@ from .couplings import STForm
 from .errors import (
     DegenerateArgumentError,
     InputError,
+    QGraphError,
     SingularDError,
     StructuralError,
 )
@@ -418,6 +421,38 @@ def _overlaps(t_mat: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Schedules(NamedTuple):
+    """The schedules of the approximating graphs of one ST form at the
+    half-lengths ``d`` (a tuple of validated floats), from one array pass
+    (see :func:`_schedules`): the neighbor sets, the pairs j < k in order,
+    and per d the vertex strengths ``w_vertex`` (d, n), the midpoint
+    strengths ``w_inner`` (d, pairs) and the potentials A_{(j,k)} ``a``
+    (d, pairs), with ``errors``, the QGraphError each d's build raises, or
+    None.  Rows of a d with an error hold no values."""
+
+    d: tuple[float, ...]
+    neighbors: NeighborSets
+    pairs: list[tuple[int, int]]
+    w_vertex: np.ndarray
+    w_inner: np.ndarray
+    a: np.ndarray
+    errors: list
+
+    def graph(self, i: int) -> ApproxGraph:
+        """The approximating graph at ``d[i]``, which must have built."""
+        n, pairs, a = self.neighbors.n, self.pairs, self.a[i]
+        both = np.empty(2 * len(pairs))
+        both[0::2], both[1::2] = a, -a
+        return ApproxGraph(
+            n=n,
+            d=self.d[i],
+            neighbors=self.neighbors,
+            w_vertex=dict(zip(range(1, n + 1), self.w_vertex[i].tolist())),
+            w_inner=dict(zip(pairs, self.w_inner[i].tolist())),
+            a_inner=dict(zip([key for j, k in pairs for key in ((j, k), (k, j))], both.tolist())),
+        )
+
+
 def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
     """Assemble neighbor sets and all three schedules into one graph, in
     array passes with the per-entry functions' bits (see the module notes).
@@ -427,8 +462,20 @@ def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
     per-entry schedules are rerun (see :func:`_reference_failure`), and the
     build raises the first error they raise; :class:`InputError` where a
     schedule overflows, as it can for entries of S and T near the float
-    range."""
-    d = require_half_length(d)
+    range.  This is :func:`_schedules` at the one d."""
+    built = _schedules(st, (require_half_length(d),))
+    (error,) = built.errors
+    if error is not None:
+        raise error
+    return built.graph(0)
+
+
+def _schedules(st: STForm, d_values: tuple[float, ...]) -> _Schedules:
+    """The schedules of :func:`build_approx_graph` at every d of ``d_values``
+    (validated floats), in one array pass with a leading d axis.  Every
+    operation is elementwise, or a cumsum along a row, so each d's values
+    have the bits of a pass at that d alone; a d that fails reruns the
+    per-entry schedules for its own error (see :func:`_reference_failure`)."""
     adj, cutoff = _adjacency(st)
     n, m = st.n, st.m
     # The pairs j < k in order, as indices from 0.
@@ -437,53 +484,62 @@ def build_approx_graph(st: STForm, d: float) -> ApproxGraph:
     pairs = list(zip((j + 1).tolist(), (k + 1).tolist()))
     s_re, s_im, t_mat = st.S.real, st.S.imag, st.T
     degree = adj.sum(axis=1)
+    # d as a column, and as a column of matrices.
+    d = np.array(d_values)[:, np.newaxis]
+    d_mat = d[:, :, np.newaxis]
     with np.errstate(all="ignore"):
         ov = _overlaps(t_mat)
         _, t_br = _brackets(t_mat.real, t_mat.imag)
         # j <= m: S_jj - |N_j|/d, minus <S_jk + (1/d) overlap> for k != j,
         # plus (1 + <T_jl>) <T_jl> / d; x + (-0.0) is x, as x - 0.0 is.
-        _, v_br = _brackets(s_re + ov.real / d, s_im + ov.imag / d)
-        np.fill_diagonal(v_br, 0.0)
-        terms = np.empty((m, 1 + n))
-        terms[:, 0] = s_re.diagonal() - degree[:m] / d
-        terms[:, 1 : m + 1] = -v_br
-        terms[:, m + 1 :] = (1.0 + t_br) * t_br / d
-        w_vertex = np.empty(n)
-        w_vertex[:m] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+        _, v_br = _brackets(s_re + ov.real / d_mat, s_im + ov.imag / d_mat)
+        v_br.reshape(len(d), m * m)[:, :: m + 1] = 0.0
+        terms = np.empty((len(d), m, 1 + n))
+        terms[:, :, 0] = s_re.diagonal() - degree[:m] / d
+        terms[:, :, 1 : m + 1] = -v_br
+        terms[:, :, m + 1 :] = (1.0 + t_br) * t_br / d_mat
+        w_vertex = np.empty((len(d), n))
+        w_vertex[:, :m] = np.cumsum(terms, axis=2, out=terms)[:, :, -1]
         # j > m: 1 - |N_j| + sum_h <T_hj>, over d.
         total = np.cumsum(t_br, axis=0)[-1] if m else 0.0
-        w_vertex[m:] = (1.0 - degree[m:] + total) / d
+        w_vertex[:, m:] = (1.0 - degree[m:] + total) / d
         # The pair quantity c, read at the pairs from its first m rows: d S_jk
         # + overlap for k <= m, d S_jk with the parts of the complex product
         # (d + 0i) S_jk that Python forms for d * complex(S_jk), and T_jk for
         # k > m.
-        c_re, c_im = np.empty((2, m, n))
-        c_re[:, :m] = d * s_re - 0.0 * s_im + ov.real
-        c_im[:, :m] = d * s_im + 0.0 * s_re + ov.imag
-        c_re[:, m:], c_im[:, m:] = t_mat.real, t_mat.imag
-        c_re, c_im = c_re[j, k], c_im[j, k]
+        c_re, c_im = np.empty((2, len(d), m, n))
+        c_re[:, :, :m] = d_mat * s_re - 0.0 * s_im + ov.real
+        c_im[:, :, :m] = d_mat * s_im + 0.0 * s_re + ov.imag
+        c_re[:, :, m:], c_im[:, :, m:] = t_mat.real, t_mat.imag
+        c_re, c_im = c_re[:, j, k], c_im[:, j, k]
         c_mod, signed = _brackets(c_re, c_im)
         w_inner = np.where(k < m, -2.0 - 1.0 / signed, -2.0 + 1.0 / signed) / d
-        finite = np.isfinite(np.concatenate([w_vertex, w_inner, c_mod])).all()
-        failed = not finite or (c_mod <= cutoff * d).any() or s_im.diagonal().any()
+        finite = np.isfinite(np.concatenate([w_vertex, w_inner, c_mod], axis=1)).all(axis=1)
+        failed = ~finite | (c_mod <= cutoff * d).any(axis=1) | s_im.diagonal().any()
     nbrs = _sets(adj)
-    if failed:
-        _reference_failure(st, nbrs, d, cutoff, pairs)
-        # The schedules raise on a non-finite |c|, so a strength overflows.
-        if not finite:
-            raise InputError(f"a delta strength overflows at d={d}")
-    phase = np.array([math.atan2(y, x) for y, x in zip(c_im.tolist(), c_re.tolist())])
-    a = np.where(c_re < 0.0, phase - math.pi, phase) / (2.0 * d)
-    both = np.empty(2 * len(pairs))
-    both[0::2], both[1::2] = a, -a
-    return ApproxGraph(
-        n=n,
-        d=d,
-        neighbors=nbrs,
-        w_vertex=dict(zip(range(1, n + 1), w_vertex.tolist())),
-        w_inner=dict(zip(pairs, w_inner.tolist())),
-        a_inner=dict(zip([key for j, k in pairs for key in ((j, k), (k, j))], both.tolist())),
-    )
+    errors: list = [None] * len(d)
+    for i in np.flatnonzero(failed).tolist():
+        try:
+            _reference_failure(st, nbrs, d_values[i], cutoff, pairs)
+            # The schedules raise on a non-finite |c|, so a strength overflows.
+            if not finite[i]:
+                raise InputError(f"a delta strength overflows at d={d_values[i]}")
+        except QGraphError as exc:
+            errors[i] = exc
+    # The potentials of the d that built; a failed d's row stays 0.
+    ys, xs = c_im.ravel().tolist(), c_re.ravel().tolist()
+    phase = np.array([math.atan2(y, x) for y, x in zip(ys, xs)]).reshape(c_re.shape)
+    built = np.array([error is None for error in errors])[:, np.newaxis]
+    a = np.divide(np.where(c_re < 0.0, phase - math.pi, phase), 2.0 * d,
+                  out=np.zeros_like(c_re), where=built)
+    out = _Schedules(tuple(d_values), nbrs, pairs, w_vertex, w_inner, a, errors)
+    # A potential that overflows (d subnormal) fails the graph's own checks.
+    for i in np.flatnonzero(~np.isfinite(a).all(axis=1)).tolist():
+        try:
+            out.graph(i)
+        except QGraphError as exc:
+            errors[i] = exc
+    return out
 
 
 def _reference_failure(

@@ -10,12 +10,14 @@ Each metric has one grid function that maps a decreasing list of d values
 to per-d outcomes, the value or the QGraphError that d raises, and
 computes the star side, which does not depend on d, once; ``run_sweep``
 is the one way in, and a sweep of one d is the metric at that d.  Every
-grid function hands its approximating graphs (:func:`_approximating`) to
-one driver, :func:`~qgraph.solver._each_family`, which evaluates those of
-one shape together as a stack and returns one outcome per d: the eig grid
-searches a stack in lockstep, the scattering grid solves every (d, k)
-point in one stacked call and the HS grid every d's amplitudes in
-another, and each d keeps the bits of its one-d sweep.  ``run_sweep``
+grid function evaluates its approximating graphs as one family
+(:func:`_approximating`): one array pass computes every d's schedules,
+one system is made and reduced, and the solver's one driver,
+:func:`~qgraph.solver._each_family`, fills that reduction with every d and
+returns one outcome per d.  The eig grid searches the family in lockstep,
+the scattering grid solves every (d, k) point in one stacked call and the
+HS grid every d's amplitudes in another, and each d keeps the bits of its
+one-d sweep.  ``run_sweep``
 records a d that raised as skipped with the reason, and fits log(metric)
 against log(d) by ordinary least squares once at least four valid points
 survive.
@@ -43,10 +45,10 @@ from ._util import (
     require_positive_int,
     require_positive_real,
 )
-from .builder import build_approx_graph
+from .builder import _schedules
 from .couplings import STForm, ab_from_st, star_scattering
 from .errors import ConditioningError, InputError, QGraphError
-from .graphs import star_system, system_from_approx, truncate
+from .graphs import _approx_edges, star_system, system_from_approx, truncate
 from .solver import _each_family, _Reduction, _search_family, eigenvalues_compact, greens_function
 
 __all__ = [
@@ -104,8 +106,9 @@ class HSResolvent:
     of |G_d - G*|^2 is evaluated in closed form from the kernels' rank-2
     edge-pair factors and the inner edges' free kernels (see
     :func:`_hs_distance`), so no kernel is sampled; a square sum lost to
-    rounding raises :class:`~qgraph.errors.ConditioningError`, and the
-    sweep records the d as skipped.  The outer edges of the two systems
+    rounding, or one that overflows, raises
+    :class:`~qgraph.errors.ConditioningError`, and the sweep records the d
+    as skipped.  The outer edges of the two systems
     agree in id, length and potential by construction (see
     :func:`~qgraph.graphs.system_from_approx`).
     """
@@ -208,21 +211,45 @@ class ConvergenceReport:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _approximating(st: STForm, d: float, L: float | None = None) -> _Reduction:
-    """The reduction of the approximating graph of ``st`` at ``d``,
-    truncated at length ``L`` when it is given."""
-    sys = system_from_approx(build_approx_graph(st, d))
-    return _Reduction(sys if L is None else truncate(sys, L=L))
+def _approximating(st: STForm, d_values, L: float | None, evaluate) -> list:
+    """Per d of ``d_values``, the outcome that ``evaluate`` gives for the
+    approximating graph of ``st`` at d, truncated at length ``L`` unless it
+    is None, or the QGraphError of its build or of its reduction.
+
+    The schedules of every d come from one array pass
+    (:func:`~qgraph.builder._schedules`).  The graphs share one topology,
+    since the neighbor sets do not depend on d, so only the first d that
+    builds is made a system and reduced (the next is tried where that d's
+    own edges overflow the reduced matrix).  Filled with every d's
+    strengths, lengths and potentials, that reduction is the family that
+    :func:`~qgraph.solver._each_family` evaluates."""
+    family = _schedules(st, d_values)
+    out = list(family.errors)
+    built = [i for i, error in enumerate(out) if error is None]
+    for i in built:
+        sys = system_from_approx(family.graph(i))
+        try:
+            red = _Reduction(sys if L is None else truncate(sys, L=L))
+        except InputError as exc:
+            out[i] = exc
+            continue
+        rows = [r for r in built if out[r] is None]
+        length, a = _approx_edges(st.n, np.array(family.d)[rows], family.a[rows], L)
+        graphs = (family.w_vertex[rows], family.w_inner[rows], length, a)
+        for r, outcome in zip(rows, _each_family(red, graphs, evaluate)):
+            out[r] = outcome
+        break
+    return out
 
 
 def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
     """Per d of ``d_values``, the :class:`ScatteringNorm` metric ``spec``
     or the QGraphError of that d; a QGraphError of the star side
-    propagates.  The star's S(k) is computed once per momentum, and each
-    d's reduction once.  The approximating graphs are reduced in families
-    (see :func:`~qgraph.solver._each_family`): every (d, k) point of a
-    family is solved in one stacked call, the points to retry in one more,
-    and all the differences' norms in one stacked SVD."""
+    propagates.  The star's S(k) is computed once per momentum.  The
+    approximating graphs are one family (see :func:`_approximating`):
+    every (d, k) point of a family is solved in one stacked call, the
+    points to retry in one more, and all the differences' norms in one
+    stacked SVD."""
     c = ab_from_st(st)
 
     @functools.cache
@@ -257,7 +284,7 @@ def _scattering_norms(st: STForm, d_values, spec: ScatteringNorm) -> list:
         per_d = [values[m : m + len(ks)] for m in range(0, len(values), len(ks))]
         return [_first_error(one) or max([0.0] + one) for one in per_d]
 
-    return _each_family(d_values, lambda d: _approximating(st, d), evaluate)
+    return _approximating(st, d_values, None, evaluate)
 
 
 def _first_error(outcomes):
@@ -285,14 +312,14 @@ def eigengap_floor(st: STForm) -> float:
 def _eigengaps(st: STForm, d_values, spec: EigGap) -> list:
     """Per d of ``d_values``, the :class:`EigGap` metric ``spec`` or the
     QGraphError of that d; a QGraphError of the star side propagates.  The
-    star is solved once.  The truncated approximating graphs are reduced in
-    families (see :func:`~qgraph.solver._each_family`), and the searches of
-    a family run in lockstep (see :func:`~qgraph.solver._search_family`)."""
+    star is solved once.  The truncated approximating graphs are one family
+    (see :func:`_approximating`), whose searches run in lockstep (see
+    :func:`~qgraph.solver._search_family`)."""
     floor = eigengap_floor(st)
     star = truncate(star_system(st), L=spec.L)
     lam_star = eigenvalues_compact(star, spec.count, lam_min=floor)
-    found = _each_family(d_values, lambda d: _approximating(st, d, spec.L),
-                         lambda stacked: _search_family(stacked, spec.count, floor))
+    found = _approximating(st, d_values, spec.L,
+                           lambda stacked: _search_family(stacked, spec.count, floor))
     return [lam if isinstance(lam, QGraphError) else float(np.max(np.abs(lam - lam_star)))
             for lam in found]
 
@@ -393,8 +420,10 @@ def _hs_distance(k: complex, length: np.ndarray, amp: np.ndarray, amp_star: np.n
 
     A square sum not above _HS_ROUNDING times the sum of its terms'
     magnitudes, those three per inner edge and the edge-pair sum, is lost
-    to rounding (near z = 0, or on short edges at small d) and raises
-    :class:`ConditioningError`.
+    to rounding (near z = 0, or on short edges at small d), and a square
+    sum or magnitude that is not finite overflows (an outer edge's Gram
+    weight is its length at real z > 0, so a truncation near 1e200 does);
+    either raises :class:`ConditioningError`, which names the reason.
     """
     npts, ne = length.shape
     # The amplitudes as (sign, edge, sign, edge); the outer edges lead both
@@ -428,12 +457,13 @@ def _hs_distance(k: complex, length: np.ndarray, amp: np.ndarray, amp_star: np.n
     )
     out: list = []
     for square, terms in zip(total.tolist(), magnitude.tolist()):
-        if square > _HS_ROUNDING * terms:
+        finite = math.isfinite(square) and math.isfinite(terms)
+        if finite and square > _HS_ROUNDING * terms:
             out.append(math.sqrt(square))
         else:
             out.append(ConditioningError(
-                f"HS distance lost to rounding: its square sums to {square:.3e} "
-                f"from terms of magnitude {terms:.3e}"
+                f"HS distance {'lost to rounding' if finite else 'overflows'}: its square "
+                f"sums to {square:.3e} from terms of magnitude {terms:.3e}"
             ))
     return out
 
@@ -458,10 +488,9 @@ def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
     """Per d of ``d_values``, the :class:`HSResolvent` metric ``spec`` or
     the QGraphError of that d; a QGraphError of the truncated star
     propagates.  The star's mode amplitudes are computed once, up front,
-    and serve every d.  The truncated approximating graphs are reduced in
-    families (see :func:`~qgraph.solver._each_family`): the amplitudes of
-    a family come from one stacked call, and its distances from one
-    evaluation of the closed form."""
+    and serve every d.  The truncated approximating graphs are one family
+    (see :func:`_approximating`): its amplitudes come from one stacked
+    call, and its distances from one evaluation of the closed form."""
     star = greens_function(truncate(star_system(st), L=spec.L), spec.z)
 
     def evaluate(stacked):
@@ -471,7 +500,7 @@ def _hs_distances(st: STForm, d_values, spec: HSResolvent) -> list:
         values = iter(_hs_distance(star.k, lengths, stack, star._amp) if solved else ())
         return [amp if isinstance(amp, QGraphError) else next(values) for amp in amps]
 
-    return _each_family(d_values, lambda d: _approximating(st, d, spec.L), evaluate)
+    return _approximating(st, d_values, spec.L, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +546,9 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
 
     The metric's grid function maps the d grid to per-d outcomes, and
     computes the star side, which does not depend on d, once, up front;
-    every grid function evaluates its approximating graphs through the
-    solver's one family driver, :func:`~qgraph.solver._each_family`, which
-    returns one outcome per d.  Every d's value is the
-    one a sweep of that d alone gives, and the report lists the d values
+    every grid function evaluates its approximating graphs as one family
+    (:func:`_approximating`), with one outcome per d.  Every d's value is
+    the one a sweep of that d alone gives, and the report lists the d values
     in their given (decreasing) order, so it is deterministic.  A d
     where the builder or the solver raises is recorded as skipped with the
     error message, and the other d values are unaffected; a failure of the

@@ -241,6 +241,22 @@ def system_from_approx(g: ApproxGraph) -> MetricGraphSystem:
     return _unchecked(MetricGraphSystem, edges=tuple(edges), vertices=tuple(vertices))
 
 
+def _approx_edges(n: int, d: np.ndarray, a: np.ndarray, L: float | None):
+    """The lengths and potentials (graphs, finite edges) of the finite edges
+    of the systems :func:`system_from_approx` makes, truncated at L unless
+    it is None, in edge order, for graphs with n outer edges, half-lengths
+    ``d`` (graphs,) and potentials A_{(j,k)} ``a`` (graphs, pairs) of the
+    pairs j < k in order: the n truncated outer edges (L, 0), then each
+    pair's halves (d, A_{(j,k)}) and (d, -A_{(j,k)})."""
+    outer = 0 if L is None else n
+    length = np.empty((len(d), outer + 2 * a.shape[1]))
+    length[:, :outer] = L
+    length[:, outer:] = d[:, np.newaxis]
+    potential = np.zeros_like(length)
+    potential[:, outer::2], potential[:, outer + 1 :: 2] = a, -a
+    return length, potential
+
+
 def _delta_matrices(w: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """The (A, B) pair of a delta condition of strength w and given degree."""
     a_mat = np.zeros((degree, degree), dtype=complex)

@@ -69,10 +69,13 @@ resolvent's amplitudes (:meth:`_Reduction.amplitudes`).
   single S(k) (:func:`scattering_matrix`) or resolvent
   (:class:`GreensFunction`) is the stack of one.
 
-A sweep's family of approximating graphs goes through one driver,
-:func:`_each_family`: it reduces every graph, stacks the reductions of
-one shape, hands each stack to the sweep's evaluation (a count search, S(k)
-or the amplitudes) and returns one outcome per graph.
+A sweep's family of approximating graphs is one reduction: the graphs of
+one ST form share their vertices and edges at every d, so the system of
+one d is reduced once, and :meth:`_Reduction.fill` sets the arrays that
+change with d (strengths, lengths, potentials and what follows from them)
+for every d of the grid at once.  One driver, :func:`_each_family`, fills
+the reduction, hands it to the sweep's evaluation (a count search, S(k) or
+the amplitudes) and returns one outcome per graph.
 
 A coefficient that diverges next to an edge Dirichlet level moves into a
 border row, so every entry stays O(|k|); at real lambda > 0 by the count's
@@ -178,9 +181,12 @@ _ROUND_SIZE = 6
 # stay rows.
 _PIVOT_RATIO = 2.0**-10
 
-# The arrays of a reduction that belong to one graph: they carry a leading
-# graph axis, along which _Reduction.stack joins reductions of one shape.
-_PER_GRAPH = ("s_mat", "mid_w", "length", "two_over_l", "wm", "w_mid")
+def _far_end_factors(length: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The factors (1, -1) e^{-ial} by which end 1 of each finite edge, of
+    lengths ``length`` and potentials ``a``, enters its modes w_+ and w_-:
+    along the last axis, the w_+ factor of every edge, then its w_- factor."""
+    phase = np.exp(-1j * a * length)
+    return np.concatenate([phase, -phase], axis=-1)
 
 
 def _principal_k(z) -> np.ndarray:
@@ -253,12 +259,12 @@ class _Reduction:
     _PIVOT_RATIO times its terms' magnitudes; such rows and the border rows
     are the extra rows of :meth:`bordered`.
 
-    A reduction is a stack of graphs that share a :attr:`shape`, such as the
-    approximating graphs of one ST form at several d (see :meth:`stack`):
-    the arrays named in _PER_GRAPH carry a leading graph axis, and a
-    system's own reduction is a stack of one.  The methods that evaluate
-    points take g, a 1-d int array of each point's graph, and read each
-    point's arrays at it.
+    A reduction is a stack of graphs with the same vertices and edges, such
+    as the approximating graphs of one ST form at several d (see
+    :meth:`fill`): the arrays that :meth:`fill` sets carry a leading graph
+    axis, and a system's own reduction is a stack of one.  The methods that
+    evaluate points take g, a 1-d int array of each point's graph, and read
+    each point's arrays at it.
     """
 
     def __init__(self, sys: MetricGraphSystem):
@@ -267,7 +273,6 @@ class _Reduction:
         self.edge_map = sys.edge_map
         self.finite_index = finite_index = {e.id: i for i, e in enumerate(finite)}
         self.half_index = {e.id: i for i, e in enumerate(half)}
-        self.length = np.array([e.length for e in finite], dtype=float)
         ne = len(finite)
         # Midpoints, in vertex order: each claims its two halves.
         claimed: set = set()
@@ -321,90 +326,101 @@ class _Reduction:
                     value += entry
             size += free
         self.size = size
-        # The kept vertex blocks on the diagonal; float or complex, as the
-        # blocks.
-        self.s_mat = np.zeros((size, size), dtype=np.result_type(float, *(b for _, b in blocks)))
-        self.s_mat[delta_rows, delta_rows] = delta_w
+        # The kept vertex blocks, without the delta strengths; float or
+        # complex, as the blocks.
+        self.blocks = np.zeros((size, size), dtype=np.result_type(float, *(b for _, b in blocks)))
         for at, block in blocks:
-            self.s_mat[at : at + len(block), at : at + len(block)] = block
-        self.mid_w = np.array(mid_w, dtype=float)
+            self.blocks[at : at + len(block), at : at + len(block)] = block
+        self.delta_rows = np.array(delta_rows, dtype=int)
+        length = np.array([e.length for e in finite], dtype=float)
+        a = np.array([e.a for e in finite])
+        # The modes w_+ and w_- of every finite edge on the kept rows, side by
+        # side (column e is w_+ of edge e, column E + e its w_-), built per
+        # end index: end 0 adds (1, 1) conj(J), end 1 adds (e^{-ial},
+        # -e^{-ial}) conj(J).
+        factors = (np.ones(2 * ne), _far_end_factors(length, a))
+        edge, side, row = (np.array(x, dtype=int) for x in (edge, side, row))
+        value = np.array(value, dtype=complex)
+        halves = np.array(mid_ends, dtype=int).reshape(-1, 2, 2)
+        self.w = np.zeros((size, 2 * ne), dtype=complex)
+        for end in (0, 1):
+            at = side == end
+            for modes in (edge[at], edge[at] + ne):
+                self.w[row[at], modes] += factors[end][modes] * value[at]
+        # Only the entries set above are divided; every other entry is +0.0,
+        # as dividing the whole dense matrix would leave it.
+        self.w[np.tile(row, 2), np.concatenate([edge, edge + ne])] /= math.sqrt(2.0)
+        self.w_adj = self.w.conj().T
+        self.halves, self.half_ends = halves[:, :, 0], halves[:, :, 1]
+        # The midpoint of each mode's edge, or -1.
+        self.mode_mid = np.full(2 * ne, -1)
+        mids = np.arange(len(halves))[:, np.newaxis]
+        self.mode_mid[self.halves] = self.mode_mid[self.halves + ne] = mids
+        # Per midpoint, the modes of its halves (w_+ of each half, then w_-).
+        self.half_modes = np.concatenate([self.halves, self.halves + ne], axis=1)
+        # Rows J_h of the half-line ends.
+        self.j_half = np.zeros((len(half), size), dtype=complex)
+        for r, edge in enumerate(half):
+            at, j_row = half_rows[edge.id]
+            self.j_half[r, at : at + len(j_row)] = j_row
+        (error,) = self.fill(np.array([delta_w], dtype=float), np.array([mid_w], dtype=float),
+                             length[np.newaxis], a[np.newaxis])
+        if error is not None:
+            raise error
+
+    def fill(self, vertex_w, mid_w, length, a) -> list:
+        """Make this the reduction of a stack of graphs with its vertices and
+        edges: per graph, the strengths ``vertex_w`` (graphs, kept delta
+        vertices) of its kept delta vertices and ``mid_w`` (graphs,
+        midpoints) of its midpoints, and the lengths ``length`` and
+        potentials ``a`` (graphs, finite edges) of its finite edges.  Returns
+        per graph the InputError of edges too short for the reduced matrix,
+        or None; the stack holds the graphs without one, in order.
+
+        This sets the arrays that carry a leading graph axis: the vertex
+        blocks ``s_mat`` with the delta strengths on their diagonal,
+        ``mid_w``, ``length``, ``two_over_l``, the midpoint entries ``wm``
+        of the modes and ``w_mid``.  The modes w on the kept rows are the
+        reduction's own, so the graphs must share them, as the approximating
+        graphs of one ST form do: their kept rows read only end 0 of every
+        edge, where a mode carries no phase."""
+        s_mat = np.repeat(self.blocks[np.newaxis], len(length), axis=0)
+        s_mat[:, self.delta_rows, self.delta_rows] = vertex_w
         # A coefficient that is not bordered is at most max(|k|, 2/l), and a
         # mode vector's entries are at most sqrt(2) on delta vertices, so on
         # an approximating graph this bounds the entries of the full matrix
         # next to kl = 0, and with 1/_PIVOT_RATIO those of the complement of
         # its midpoints; edges too short for it to be finite would overflow B.
         with np.errstate(over="ignore"):
-            bound = max(
-                np.abs(self.s_mat).max(initial=0.0), np.abs(self.mid_w).max(initial=0.0)
-            ) + np.sum(4.0 / self.length)
-            if mid_w:
+            bound = np.maximum(
+                np.abs(s_mat).max(axis=(1, 2), initial=0.0), np.abs(mid_w).max(axis=1, initial=0.0)
+            ) + np.sum(4.0 / length, axis=1)
+            if mid_w.shape[1]:
                 bound /= _PIVOT_RATIO
-        if not math.isfinite(bound):
-            raise InputError(
-                f"edges as short as {self.length.min():.3g} overflow the reduced matrix"
-            )
-        self.two_over_l = 2.0 / self.length
-        # The modes w_+ and w_- of every finite edge on the kept rows, side by
-        # side (column e is w_+ of edge e, column E + e its w_-), and their
-        # entries at the midpoints, built per end index: end 0 adds (1, 1)
-        # conj(J), end 1 adds (e^{-ial}, -e^{-ial}) conj(J).
-        phase = np.exp(-1j * np.array([e.a for e in finite]) * self.length)
-        factors = (np.ones(2 * ne), np.concatenate([phase, -phase]))
-        edge, side, row = (np.array(x, dtype=int) for x in (edge, side, row))
-        value = np.array(value, dtype=complex)
-        halves = np.array(mid_ends, dtype=int).reshape(-1, 2, 2)
-        self.w = np.zeros((size, 2 * ne), dtype=complex)
-        self.wm = np.zeros(2 * ne, dtype=complex)
+        errors = [
+            None if math.isfinite(b) else
+            InputError(f"edges as short as {edges.min():.3g} overflow the reduced matrix")
+            for b, edges in zip(bound.tolist(), length)
+        ]
+        good = [g for g, error in enumerate(errors) if error is None]
+        if len(good) < len(errors):
+            s_mat, mid_w, length, a = s_mat[good], mid_w[good], length[good], a[good]
+        self.s_mat, self.mid_w, self.length = s_mat, mid_w, length
+        self.two_over_l = 2.0 / length
+        # The modes' entries at the midpoints, built per end index as w is.
+        ne = length.shape[1]
+        factors = (np.ones(2 * ne), _far_end_factors(length, a))
+        self.wm = np.zeros((len(length), 2 * ne), dtype=complex)
         for end in (0, 1):
-            at = side == end
-            for modes in (edge[at], edge[at] + ne):
-                self.w[row[at], modes] += factors[end][modes] * value[at]
-            mid = halves[halves[:, :, 1] == end][:, 0]
+            mid = self.halves[self.half_ends == end]
             for modes in (mid, mid + ne):
-                self.wm[modes] += factors[end][modes]
-        # Only the entries set above are divided; every other entry is +0.0,
-        # as dividing the whole dense matrix would leave it.
-        self.w[np.tile(row, 2), np.concatenate([edge, edge + ne])] /= math.sqrt(2.0)
+                self.wm[:, modes] += factors[end][..., modes]
         self.wm /= math.sqrt(2.0)
-        self.w_adj = self.w.conj().T
-        self.halves = halves[:, :, 0]
-        # The midpoint of each mode's edge, or -1.
-        self.mode_mid = np.full(2 * ne, -1)
-        mids = np.arange(len(halves))[:, np.newaxis]
-        self.mode_mid[self.halves] = self.mode_mid[self.halves + ne] = mids
-        # Per midpoint, the modes of its halves (w_+ of each half, then w_-),
-        # and those modes on the kept rows times the conjugate of their
-        # midpoint entry, so that b_m = sum_modes c w conj(w_m).
-        self.half_modes = np.concatenate([self.halves, self.halves + ne], axis=1)
-        self.w_mid = np.take(self.w, self.half_modes, axis=1)
-        self.w_mid *= self.wm[self.half_modes].conj()
-        # Rows J_h of the half-line ends.
-        self.j_half = np.zeros((len(half), size), dtype=complex)
-        for r, edge in enumerate(half):
-            at, j_row = half_rows[edge.id]
-            self.j_half[r, at : at + len(j_row)] = j_row
-        for name in _PER_GRAPH:
-            setattr(self, name, getattr(self, name)[np.newaxis])
-
-    @property
-    def shape(self) -> tuple:
-        """What reductions must share to be stacked: the kept values, the
-        finite edges, the midpoints with their halves, and the modes w on the
-        kept rows, which a stack keeps one copy of."""
-        return (self.s_mat.shape[1:], self.s_mat.dtype, self.length.shape[1:], self.halves.shape,
-                self.halves.tobytes(), self.w.tobytes())
-
-    @classmethod
-    def stack(cls, reductions: list["_Reduction"]) -> "_Reduction":
-        """One reduction of the graphs of ``reductions``, which share a
-        shape; graph g of the stack is the graph of ``reductions[g]``."""
-        if len(reductions) == 1:
-            return reductions[0]
-        out = cls.__new__(cls)
-        out.__dict__ = vars(reductions[0]) | {
-            name: np.concatenate([getattr(r, name) for r in reductions]) for name in _PER_GRAPH
-        }
-        return out
+        # The modes of each midpoint's halves on the kept rows times the
+        # conjugate of their midpoint entry, so that b_m = sum_modes c w conj(w_m).
+        w_halves = np.take(self.w, self.half_modes, axis=1)
+        self.w_mid = w_halves * self.wm[:, np.newaxis, self.half_modes].conj()
+        return errors
 
     def real_coefficients(self, lam: np.ndarray, g):
         """Edge coefficients and border rows at every point of the 1-d float
@@ -501,7 +517,12 @@ class _Reduction:
         # in the order a point alone reads them (a fancy index of several
         # points lays the point axis out innermost).
         c_mid = np.take(coef, self.half_modes, axis=1)
-        w_mid, mid_w = self.w_mid[g], self.mid_w[g]
+        # A stack of one broadcasts its graph's arrays rather than gather them
+        # per point; the products below are formed before they are summed,
+        # so the bits are the same.
+        w_mid, mid_w = self.w_mid, self.mid_w
+        if len(mid_w) > 1:
+            w_mid, mid_w = w_mid[g], mid_w[g]
         col = (w_mid * c_mid[:, np.newaxis]).sum(axis=-1)
         if np.isrealobj(coef):
             rows = col.conj().transpose(0, 2, 1)
@@ -1036,39 +1057,30 @@ def _search(points: int, count: int, lam_min: float | None, floor: float):
     return np.array(values[:count])
 
 
-def _each_family(items, reduce, evaluate) -> list:
-    """Per item of ``items``, the outcome that ``evaluate`` gives for its
-    reduction, or the QGraphError that ``reduce`` raises on it.
+def _each_family(red: _Reduction, graphs, evaluate) -> list:
+    """Per graph of ``graphs``, the outcome that ``evaluate`` gives for it,
+    or the InputError of edges too short for the reduced matrix.
 
-    Reductions of one shape, such as the approximating graphs of one ST form
-    at several d, are stacked (see :meth:`_Reduction.stack`), and
-    ``evaluate`` takes the stack and returns one outcome per graph, in
-    stack order, from stacked calls.  Only reductions up to _ROUND_SIZE
-    wide are stacked.  A wider one is point-bound: stacking would gather its
-    arrays per point.  At delta' n = 24 a stacked eig sweep was slower and
-    larger than the solo searches, and at n = 16 stacked scattering and HS
-    sweeps peaked at 8 to 9 times the memory of one d.  So each wider
-    reduction is evaluated alone, as a stack of one, as soon as it is made,
-    and only one is held at a time.
+    ``graphs`` are the arrays :meth:`_Reduction.fill` takes, of graphs with
+    the vertices and edges of ``red``, such as the approximating graphs of
+    one ST form at several d, and ``evaluate`` takes ``red`` filled with
+    them and returns one outcome per graph, in order, from stacked calls.
+    Up to _ROUND_SIZE wide, ``red`` holds every graph at once.  A wider
+    reduction is point-bound: a stack would gather its arrays per point.
+    At delta' n = 24 a stacked eig sweep was slower and larger than the
+    solo searches, and at n = 16 stacked scattering and HS sweeps peaked at
+    8 to 9 times the memory of one d.  So a wider ``red`` is filled with
+    one graph at a time and evaluated as a stack of one.
     """
-    out: list = [None] * len(items)
-    families: dict[tuple, list] = {}
-    for i, item in enumerate(items):
-        try:
-            one = reduce(item)
-        except QGraphError as exc:
-            out[i] = exc
-            continue
-        if one.size <= _ROUND_SIZE:
-            families.setdefault(one.shape, []).append((i, one))
-        else:
-            (out[i],) = evaluate(one)
-            del one
-    for members in families.values():
-        outcomes = evaluate(_Reduction.stack([one for _, one in members]))
-        for (i, _), outcome in zip(members, outcomes):
-            out[i] = outcome
-    return out
+    if red.size > _ROUND_SIZE:
+        out = []
+        for one in zip(*graphs):
+            (error,) = red.fill(*(x[np.newaxis] for x in one))
+            out.append(evaluate(red)[0] if error is None else error)
+        return out
+    errors = red.fill(*graphs)
+    outcomes = iter(evaluate(red) if len(red.length) else ())
+    return [next(outcomes) if error is None else error for error in errors]
 
 
 def _search_family(stacked: _Reduction, count: int, lam_min: float | None) -> list:

@@ -263,6 +263,27 @@ def test_sweep_hs_lost_to_rounding_skips_with_a_reason(tmp_path, capsys, options
         assert ": skipped: HS distance lost to rounding: " in line, line
 
 
+def test_sweep_hs_overflow_skips_with_its_own_reason(tmp_path, capsys):
+    """At real z > 0 an outer edge's Gram weight is its length, so at
+    L = 1e200 the square sum overflows to inf: every d is skipped as an
+    overflow, not as rounding, and the sweep exits 4; at L = 1e3 every d
+    prints a value."""
+    path = write_doc(tmp_path, "dp.json", make_delta_prime(beta=1.0, n=3))
+    assert main(["sweep", path, "--metric", "hs", "--z-re", "2", "--L", "1e200"]) == 4
+    *points, last = capsys.readouterr().err.splitlines()
+    assert last == "sweep failed at every d value" and len(points) == 9
+    for line in points:
+        assert line.endswith(
+            ": skipped: HS distance overflows: its square sums to inf from terms of magnitude inf"
+        ), line
+    out = tmp_path / "hs.csv"
+    argv = ["sweep", path, "--metric", "hs", "--z-re", "2", "--L", "1e3", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("slope=")
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:10]]
+    assert len(rows) == 9 and all(row[2] == "ok" and float(row[1]) > 0 for row in rows)
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "x.json", "--metric", "bogus"])

@@ -10,25 +10,23 @@ import numpy as np
 import pytest
 
 import qgraph.cli as cli
+import qgraph.builder as builder
 import qgraph.convergence as convergence
 import qgraph.solver as solver
 from qgraph import (
     DEFAULT_D_VALUES,
     ConvergenceReport,
-    Edge,
     EigGap,
     GreensFunction,
     HSResolvent,
     InputError,
-    MetricGraphSystem,
     QGraphError,
     ScatteringNorm,
     SweepConfig,
+    STForm,
     SweepPoint,
-    Vertex,
     ab_from_st,
     build_approx_graph,
-    dirichlet_condition,
     dumps,
     effective_scattering,
     eigengap_floor,
@@ -50,7 +48,6 @@ from helpers import (
     make_singular_at_tenth,
     random_st,
     reference_hs_value,
-    with_potential,
 )
 
 
@@ -113,10 +110,10 @@ def test_hs_resolvent_rejects_z_zero_before_any_graph(monkeypatch, tmp_path, cap
     InputError before any approximating graph is built, in the library and
     through the CLI (exit 2, not a sweep that skips every d)."""
 
-    def no_build(st, d):
-        raise AssertionError(f"a graph was built at d={d!r}")
+    def no_build(st, d_values):
+        raise AssertionError(f"graphs were built at d={d_values!r}")
 
-    monkeypatch.setattr(convergence, "build_approx_graph", no_build)
+    monkeypatch.setattr(convergence, "_schedules", no_build)
     message = "z = 0 is not a valid resolvent point"
     with pytest.raises(InputError, match=re.escape(message)):
         HSResolvent(z=z)
@@ -208,12 +205,16 @@ def test_metric_hs_matches_dense_reference(monkeypatch, name, d, z, a):
     splits each inner edge's own square at x = y.  At z = 30 the truncated
     edges (l = 1) border a mode, one Dirichlet level below; at z = 2 - i,
     Re k < 0.  The metric's truncated systems carry the magnetic potential
-    a on every edge, as the reference's do: the kernels then carry the
-    phases e^{-ia(x - y)}, which the reference keeps and the closed form
-    drops in |.|^2."""
-    monkeypatch.setattr(
-        convergence, "truncate", lambda sys, L: with_potential(truncate(sys, L=L), a)
-    )
+    a on every edge, as the reference's do (the family's edge potentials
+    are set to a): the kernels then carry the phases e^{-ia(x - y)}, which
+    the reference keeps and the closed form drops in |.|^2."""
+    edges = convergence._approx_edges
+
+    def with_potential_a(n, d, pairs, L):
+        length, potential = edges(n, d, pairs, L)
+        return length, np.full_like(potential, a)
+
+    monkeypatch.setattr(convergence, "_approx_edges", with_potential_a)
     st = HS_COUPLINGS[name]
     got = _metric_at(st, d, HSResolvent(z=z))
     assert got == pytest.approx(reference_hs_value(st, d, z=z, a=a), rel=1e-12)
@@ -603,6 +604,138 @@ def test_wide_sweeps_take_no_more_memory_than_one_d(metric):
     assert sweep <= 1.5 * one_d
 
 
+# -- one reduction per family ------------------------------------------------
+
+FAMILY_FORMS = {
+    "delta": make_delta,
+    "delta_prime_s": make_delta_prime,
+    "kirchhoff_perturbed": make_kirchhoff_perturbed,
+    "complex_t": make_complex_t,
+    "singular_at_tenth": make_singular_at_tenth,
+    "delta_prime_n8": lambda: make_delta_prime(beta=1.0, n=8),
+    **{
+        f"random_n4_m{m}": lambda m=m: random_st(np.random.default_rng(40 + m), n=4, m=m)
+        for m in (0, 1, 3, 4)
+    },
+}
+
+# Not dyadic; singular_at_tenth fails to build at 0.1, and at 1e-305 delta's
+# edges overflow the reduced matrix, while 1/d^2 strengths overflow the build.
+FAMILY_D_VALUES = (0.7, 0.3, 0.1, 0.037, 0.01, 1e-305)
+
+# The arrays a family fills per graph (see solver._Reduction.fill).
+PER_GRAPH = ("s_mat", "mid_w", "length", "two_over_l", "wm", "w_mid")
+
+
+@pytest.mark.parametrize("L", [None, 1.0], ids=["half_lines", "truncated"])
+@pytest.mark.parametrize("name", list(FAMILY_FORMS))
+def test_family_arrays_equal_the_per_d_chain_in_bytes(name, L):
+    """The d-axis schedules, and every array a family fills per graph, have
+    the bytes of the per-d chain, build_approx_graph and then the reduction
+    of its system (truncated at L unless L is None); a d that fails to
+    build, or whose edges overflow the reduced matrix, gets the error that
+    chain raises, and the other d are unaffected."""
+    st = FAMILY_FORMS[name]()
+    family = builder._schedules(st, FAMILY_D_VALUES)
+
+    def arrays(stacked):
+        shared = (stacked.w, stacked.j_half, stacked.blocks)
+        return [[getattr(stacked, name)[g] for name in PER_GRAPH] + list(shared)
+                for g in range(len(stacked.length))]
+
+    got = convergence._approximating(st, FAMILY_D_VALUES, L, arrays)
+    outcomes = []
+    for i, d in enumerate(FAMILY_D_VALUES):
+        try:
+            g = build_approx_graph(st, d)
+        except QGraphError as exc:
+            assert (type(family.errors[i]), str(family.errors[i])) == (type(exc), str(exc))
+            outcomes.append("build")
+            continue
+        one = family.graph(i)
+        for table in ("w_vertex", "w_inner", "a_inner"):
+            want, have = getattr(g, table), getattr(one, table)
+            assert want.keys() == have.keys()
+            assert np.array(list(want.values())).tobytes() == np.array(list(have.values())).tobytes()
+        sys_ = system_from_approx(g)
+        try:
+            red = solver._Reduction(sys_ if L is None else truncate(sys_, L=L))
+        except InputError as exc:
+            assert (type(got[i]), str(got[i])) == (type(exc), str(exc))
+            outcomes.append("reduction")
+            continue
+        want = [getattr(red, name)[0] for name in PER_GRAPH] + [red.w, red.j_half, red.blocks]
+        for x, y in zip(want, got[i], strict=True):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        outcomes.append("ok")
+    # At 1e-305 the 1/d^2 strengths overflow the build, the 1/d ones the
+    # reduced matrix, and a form without pairs has no short edges at all.
+    last = {"delta_prime_s": "build", "delta_prime_n8": "build", "random_n4_m4": "build",
+            "random_n4_m0": "ok"}.get(name, "reduction")
+    assert outcomes == ["ok", "ok", "build" if name == "singular_at_tenth" else "ok", "ok", "ok", last]
+
+
+def test_family_reports_an_overflowing_potential_as_its_build_does():
+    """At d = 1.2e-308 every strength of this form stays finite, but the
+    potential of pair (1, 2), (arg(c) - pi) / (2d), overflows: the family
+    skips that d with the error the build raises (the graph's own check),
+    after the same overflow warning, and the other d is unaffected."""
+    r = math.sqrt(0.5)
+    st = STForm(n=3, m=2, perm=(1, 2, 3), S=np.zeros((2, 2)),
+                T=np.array([[r * np.exp(-1.25j)], [r * np.exp(1.25j)]]))
+    with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+        with pytest.raises(InputError, match="a must be finite, got -inf") as alone:
+            build_approx_graph(st, 1.2e-308)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+        report = run_sweep(SweepConfig(st=st, metric=ScatteringNorm(), d_values=(0.25, 1.2e-308)))
+    good = run_sweep(SweepConfig(st=st, metric=ScatteringNorm(), d_values=(0.25,))).points[0]
+    assert report.points[0] == good and good.value is not None
+    assert report.points[1].status == f"skipped: {alone.value}".replace(",", ";")
+
+
+@pytest.mark.parametrize("metric", [ScatteringNorm(), HSResolvent(), EigGap()],
+                         ids=["scattering", "hs", "eig"])
+@pytest.mark.parametrize("n", [3, 8])
+def test_a_sweep_reduces_each_family_once(monkeypatch, metric, n):
+    """A default-grid sweep makes one system and one reduction for the
+    family of its nine d, plus the star's reduction where the metric needs
+    one (not for S(k), whose star side is in closed form); delta' n = 8 is
+    wider than _ROUND_SIZE and is filled one d at a time, still from that
+    one reduction."""
+    systems = _counting(monkeypatch, "system_from_approx")
+    inits = []
+    init = solver._Reduction.__init__
+
+    def counted_init(self, sys_):
+        inits.append(sys_)
+        init(self, sys_)
+
+    monkeypatch.setattr(solver._Reduction, "__init__", counted_init)
+    report = run_sweep(SweepConfig(st=make_delta_prime(beta=1.0, n=n), metric=metric))
+    assert len(report.values) == len(DEFAULT_D_VALUES)
+    star = 0 if isinstance(metric, ScatteringNorm) else 1
+    assert (len(systems), len(inits)) == (1, 1 + star)
+
+
+@pytest.mark.parametrize("d_values", [DEFAULT_D_VALUES, (0.3,)], ids=["default_grid", "one_d"])
+def test_a_sweep_computes_the_schedules_once(monkeypatch, d_values):
+    """Every d's schedules come from one array pass, which the family's
+    system is then made from: a one-d sweep, too, computes them once."""
+    calls = []
+    original = builder._schedules
+
+    def counted(st, ds):
+        calls.append(ds)
+        return original(st, ds)
+
+    monkeypatch.setattr(builder, "_schedules", counted)
+    monkeypatch.setattr(convergence, "_schedules", counted)
+    for metric in (ScatteringNorm(), HSResolvent(), EigGap()):
+        calls.clear()
+        run_sweep(SweepConfig(st=make_complex_t(), metric=metric, d_values=d_values))
+        assert calls == [d_values]
+
+
 def _counting_method(monkeypatch, cls, name):
     """Replace cls.<name> by a wrapper that records the number of points of
     each call: the length of its last argument, the graph of each point."""
@@ -678,20 +811,6 @@ def test_eig_sweep_counts_as_often_as_its_slowest_graph(monkeypatch, st_delta_pr
     assert star_calls + sum(solo) == 103
 
 
-def _short_dirichlet_interval() -> MetricGraphSystem:
-    """An edge of length 1e-155 between Dirichlet ends: its first level,
-    (pi / l)^2, lies beyond the float range, so no eigenvalue count is ever
-    reached."""
-    edge = Edge(id="e", length=1e-155)
-    return MetricGraphSystem(
-        edges=(edge,),
-        vertices=(
-            Vertex(id="a", condition=dirichlet_condition(), ends=(("e", 0),)),
-            Vertex(id="b", condition=dirichlet_condition(), ends=(("e", 1),)),
-        ),
-    )
-
-
 @pytest.mark.parametrize(
     "failing, bad, reason",
     [
@@ -703,16 +822,18 @@ def _short_dirichlet_interval() -> MetricGraphSystem:
 def test_eig_sweep_reports_a_failing_d_as_a_one_d_sweep(monkeypatch, failing, bad, reason):
     """One d that fails at build (a strength overflows), at the reduction
     (its edges overflow the reduced matrix) or in the search (its count is
-    never reached; that d's system is replaced by a too-short interval)
-    among good ones: every d, the failing one included, reads exactly as in
-    a one-d sweep."""
+    never reached: every edge of that d's graph is made 1e-155 long, so its
+    first level, (pi / l)^2, lies beyond the float range) among good ones:
+    every d, the failing one included, reads exactly as in a one-d sweep."""
     if failing == "scan":
-        original = convergence.system_from_approx
-        monkeypatch.setattr(
-            convergence,
-            "system_from_approx",
-            lambda g: _short_dirichlet_interval() if g.d == bad else original(g),
-        )
+        edges = convergence._approx_edges
+
+        def too_short_at_bad(n, d, a, L):
+            length, potential = edges(n, d, a, L)
+            length[d == bad] = 1e-155
+            return length, potential
+
+        monkeypatch.setattr(convergence, "_approx_edges", too_short_at_bad)
     st = make_delta()
     d_values = tuple(sorted((2.0**-2, 2.0**-5, 2.0**-8, bad), reverse=True))
     report = run_sweep(SweepConfig(st=st, metric=EigGap(), d_values=d_values))

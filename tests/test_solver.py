@@ -21,6 +21,7 @@ from qgraph import (
     MetricGraphSystem,
     NamedCoupling,
     NearSingularZError,
+    QGraphError,
     ResonantKError,
     ScanRangeError,
     StructuralError,
@@ -41,6 +42,7 @@ from qgraph import (
     system_from_approx,
     truncate,
 )
+import qgraph.convergence as convergence
 import qgraph.couplings as couplings
 import qgraph.graphs as graphs
 import qgraph.solver as solver
@@ -1596,12 +1598,28 @@ LOCKSTEP_FAMILIES = {
 }
 
 
-def _lockstep(systems, count, lam_min=None) -> list:
-    """Per system, its eigenvalues or the error of its search, from the
-    lockstep searches of the stacks that _each_family makes of them."""
-    return solver._each_family(
-        systems, _Reduction, lambda stacked: solver._search_family(stacked, count, lam_min)
+def _lockstep(st, d_values, count, lam_min=None, L=1.0) -> list:
+    """Per d, the eigenvalues of the approximating graph of ``st`` truncated
+    at L, or the error of its build, reduction or search, from the lockstep
+    searches of the family a sweep makes of them."""
+    return convergence._approximating(
+        st, d_values, L, lambda stacked: solver._search_family(stacked, count, lam_min)
     )
+
+
+def _family(st, d_values, L=1.0) -> _Reduction:
+    """The reduction of the approximating graphs of ``st`` at ``d_values``,
+    truncated at L, that a sweep evaluates: one stack of every d, for a
+    reduction up to _ROUND_SIZE wide where every d builds."""
+    stacks = []
+
+    def kept(stacked):
+        stacks.append(stacked)
+        return [None] * len(stacked.length)
+
+    convergence._approximating(st, d_values, L, kept)
+    (stacked,) = stacks
+    return stacked
 
 
 def _solo_references(systems, count, lam_min):
@@ -1634,7 +1652,7 @@ def test_lockstep_search_matches_each_graph_alone(name, floor, monkeypatch):
         return original(self, lams, graph)
 
     monkeypatch.setattr(_Reduction, "counts", recorded)
-    got = _lockstep(systems, count, lam_min)
+    got = _lockstep(st, DEFAULT_D_VALUES, count, lam_min)
     stacked = _Reduction(systems[0]).size <= solver._ROUND_SIZE
     assert graphs_per_call[0] == (len(systems) if stacked else 1)
     monkeypatch.undo()
@@ -1645,41 +1663,42 @@ def test_lockstep_search_matches_each_graph_alone(name, floor, monkeypatch):
 
 
 def test_lockstep_search_isolates_failing_systems():
-    """A system whose edges overflow the reduced matrix, and one whose
-    count never reaches the target (a Dirichlet interval too short for a
-    level below the float range) each get their own error, as
-    eigenvalues_compact raises it alone; the others get their solo bytes.
-    (eigenvalues_compact refuses a system that is not compact before any
-    reduction.)"""
-    st = make_delta_prime()
-    good = [_approx(st, d) for d in (2.0**-2, 2.0**-6)]
-    bad = [interval(1e-308, "N", "N"), interval(1e-155)]
-    systems = [good[0], *bad, good[1]]
-    got = _lockstep(systems, 3, -90.0)
-    for sys_, result in zip(systems, got):
-        if sys_ in bad:
+    """In a family truncated at L = 1e-155, a d whose edges overflow the
+    reduced matrix (1e-305), and one whose count never reaches the target
+    (1e-155: every edge is too short for a level below the float range)
+    each get their own error, as eigenvalues_compact raises it alone; the
+    others get their solo bytes.  The overflowing d comes first, so the
+    family takes its vertices and edges from the next d."""
+    st, L = make_delta(), 1e-155
+    d_values = (1e-305, 2.0**-2, 1e-155, 2.0**-6)
+    got = _lockstep(st, d_values, 3, -90.0, L=L)
+    for d, result in zip(d_values, got):
+        sys_ = truncate(system_from_approx(build_approx_graph(st, d)), L=L)
+        if isinstance(result, QGraphError):
             with pytest.raises(type(result)) as alone:
                 eigenvalues_compact(sys_, 3, lam_min=-90.0)
             assert str(alone.value) == str(result)
         else:
             assert result.tobytes() == eigenvalues_compact(sys_, 3, lam_min=-90.0).tobytes()
-    assert [type(r) for r in got[1:3]] == [InputError, ScanRangeError]
+    assert [type(r) for r in got] == [InputError, np.ndarray, ScanRangeError, np.ndarray]
 
 
 def test_lockstep_search_keeps_the_modes_of_each_graph():
-    """Two truncated stars of one shape whose T differ: their mode vectors
-    w on the kept rows differ, which a stack holds one copy of, so the
-    reductions must not stack; each gets the bytes of its own search."""
-    systems = [
-        truncate(star_system(random_st(np.random.default_rng(seed), n=3, m=2)), L=1.0)
-        for seed in (1, 2)
-    ]
-    shapes = [_Reduction(sys_).shape for sys_ in systems]
-    # Only w tells the two apart.
-    assert shapes[0][:-1] == shapes[1][:-1] and shapes[0][-1] != shapes[1][-1]
-    got = _lockstep(systems, 4)
-    for sys_, values in zip(systems, got):
-        assert values.tobytes() == eigenvalues_compact(sys_, 4).tobytes()
+    """A family keeps one copy of the modes w on the kept rows, those of the
+    d it was reduced at, for every d: the kept rows of an approximating
+    graph read only end 0 of its edges, where a mode carries no phase, so
+    each d's own reduction, with half-lines or truncated, has the same w,
+    in bytes, and each graph of the family gets the bytes of its own
+    search."""
+    for st in (make_complex_t(), random_st(np.random.default_rng(7), n=3, m=2),
+               make_delta_prime(beta=1.0, n=8)):
+        systems = [system_from_approx(build_approx_graph(st, d)) for d in DEFAULT_D_VALUES]
+        truncated = [truncate(sys_, L=1.0) for sys_ in systems]
+        for cut in (systems, truncated):
+            assert len({_Reduction(sys_).w.tobytes() for sys_ in cut}) == 1
+        got = _lockstep(st, DEFAULT_D_VALUES, 4)
+        for sys_, values in zip(truncated, got):
+            assert values.tobytes() == eigenvalues_compact(sys_, 4).tobytes()
 
 
 def _pivot_zero(w: float) -> float:
@@ -1711,9 +1730,10 @@ def test_stacked_count_matches_one_graph_counts():
     midpoint as a row next to the border rows of its halves, and the rest
     border nothing."""
     st = make_complex_t()
-    systems = [_approx(st, d) for d in (2.0**-2, 2.0**-5, 2.0**-9)]
+    d_values = (2.0**-2, 2.0**-5, 2.0**-9)
+    systems = [_approx(st, d) for d in d_values]
     counts = [_Reduction(sys_) for sys_ in systems]
-    stacked = _Reduction.stack(counts)
+    stacked = _family(st, d_values)
     rng = np.random.default_rng(5)
     lams = np.concatenate([[-(2.0**40), -1.0, 0.0, 1e-300, 7.0, 1e300], rng.uniform(-200, 5e4, 60)])
     graph = rng.integers(0, len(systems), len(lams))
@@ -1729,7 +1749,11 @@ def test_stacked_count_matches_one_graph_counts():
 
     strengths = (-3.0, -2.5, 1.0, 40.0)
     counts = [_Reduction(_well_with_neumann_ends(w)) for w in strengths]
-    stacked = _Reduction.stack(counts)
+    stacked = _Reduction(_well_with_neumann_ends(strengths[0]))
+    # The two Neumann ends keep strength 0; the edges are 1 long, without
+    # potential.
+    flat = np.zeros((len(strengths), 2))
+    assert stacked.fill(flat, np.array(strengths)[:, np.newaxis], flat + 1.0, flat) == [None] * 4
     offsets = (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)
     near = [_pivot_zero(w) * (1.0 + e) for w in strengths for e in offsets]
     points = np.concatenate([near, rng.uniform(math.pi**2, 400.0, 40)])

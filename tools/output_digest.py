@@ -13,11 +13,13 @@ of everything the run shows a user:
   stdout, stderr, the warnings it raised (category and message) and the
   file its ``--out`` wrote.  The runs cover the three sweep metrics on the
   default grid for delta (n = 3), delta' n = 3/4/8, ``complex_t``,
-  ``kirchhoff_perturbed`` and seeded random dense (A, B) pairs at
-  n = 3/5/8; HS sweeps at z = 2 and z = 1 + 0.5i; every metric at
-  ``--d-range 11:16``; the spectra of the stars and of the graphs built at
-  d = 2^-4; the builds; and the error paths (L = 0, z = 0, count 0, k < 0,
-  a missing file).
+  ``kirchhoff_perturbed``, a coupling whose pair strength is singular at
+  d = 2^-5 (a d of the default grid that fails to build) and seeded random
+  dense (A, B) pairs at n = 3/5/8; HS sweeps at z = 2 and z = 1 + 0.5i;
+  every metric at ``--d-range 11:16`` and at the one, non-dyadic d 0.3;
+  the spectra of the stars and of the graphs built at d = 2^-4; the
+  builds; and the error paths (L = 0, z = 0, count 0, k < 0, a missing
+  file, an HS square sum that overflows at L = 1e200).
 * a demo of ``TREE/demos``: its stdout and warnings.
 
 The inputs are written by this script into a fresh temporary directory,
@@ -95,6 +97,9 @@ def couplings() -> dict[str, dict]:
         [[0.5, 0.3 - 0.2j], [0.3 + 0.2j, -0.4]], [[0.8 + 0.6j], [1.1 - 0.3j]], (1, 2, 3)
     )
     docs["kirchhoff_perturbed"] = _st_doc([[0.2]], [[1.0, 0.9]], (1, 2, 3))
+    # The pair quantity d S_12 + T_1 conj(T_2) = 1 - 32 d vanishes at d = 2^-5,
+    # a point of the default grid, so that d fails to build mid-family.
+    docs["singular_at_2^-5"] = _st_doc([[0.0, -32.0], [-32.0, 0.0]], [[1.0], [1.0]], (1, 2, 3))
     for n in (3, 5, 8):
         docs[f"random_dense_n{n}"] = _random_dense_doc(n)
     return docs
@@ -112,6 +117,9 @@ def cli_runs(names) -> list[tuple[str, list[str], str | None]]:
             tag = f"sweep-{metric}-{name}-d11-16"
             runs.append((tag, ["sweep", src, "--metric", metric, "--d-range", "11:16",
                                "--out", f"{tag}.csv"], f"{tag}.csv"))
+            tag = f"sweep-{metric}-{name}-d0.3"
+            runs.append((tag, ["sweep", src, "--metric", metric, "--d", "0.3",
+                               "--out", f"{tag}.csv"], f"{tag}.csv"))
         for label, z in (("z2", ["--z-re", "2"]), ("z1+0.5i", ["--z-re", "1", "--z-im", "0.5"])):
             tag = f"sweep-hs-{name}-{label}"
             runs.append((tag, ["sweep", src, "--metric", "hs", *z, "--out", f"{tag}.csv"], f"{tag}.csv"))
@@ -125,6 +133,7 @@ def cli_runs(names) -> list[tuple[str, list[str], str | None]]:
         ("error-z0", ["sweep", src, "--metric", "hs", "--z-re", "0"], None),
         ("error-count0", ["spectrum", src, "--count", "0"], None),
         ("error-k-negative", ["sweep", src, "--k", "-1"], None),
+        ("error-hs-overflow", ["sweep", src, "--metric", "hs", "--z-re", "2", "--L", "1e200"], None),
         ("error-missing-file", ["spectrum", "missing.json"], None),
     ]
     return runs
